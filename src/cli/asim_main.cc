@@ -76,9 +76,11 @@
  *                        threads)
  *   --json=F             also write the batch report as JSON to F
  *                        (`-` for stdout)
- *   --checkpoint-dir=D   leave per-instance checkpoints in D; when D
- *                        already holds artifacts of an earlier run
- *                        of the same batch, finished instances are
+ *   --checkpoint-dir=D   leave one checkpoint per instance in D,
+ *                        inst-<i>.ckpt, carrying the instance's
+ *                        output, captured trace and done flag; when D
+ *                        already holds them from an earlier run of
+ *                        the same batch, finished instances are
  *                        skipped and interrupted ones resume
  * Batch runs print a per-instance summary table instead of a trace
  * and exit 2 when any instance faulted.

@@ -6,8 +6,8 @@
  *   --socket=PATH          listen on a Unix-domain socket at PATH
  *   --tcp=PORT             also listen on loopback TCP (0 picks an
  *                          ephemeral port, printed on startup)
- *   --state-dir=DIR        parked-session artifacts (default
- *                          asim-serve-state)
+ *   --state-dir=DIR        parked sessions, one <name>.ckpt each
+ *                          (default asim-serve-state)
  *   --evict-after-ms=N     park sessions idle longer than N ms
  *                          (default 60000; 0 disables the sweep)
  *   --trace-out=FILE       write a Chrome trace_event JSON trace of

@@ -54,16 +54,7 @@ ServeClient::open(const OpenOptions &opts)
 {
     ByteWriter w;
     w.u8(static_cast<uint8_t>(Op::Open));
-    w.str(opts.name);
-    w.str(opts.specText);
-    w.str(opts.engine);
-    w.u8(static_cast<uint8_t>(opts.io));
-    w.u8(opts.trace ? 1 : 0);
-    w.u8(opts.aluFixed ? 1 : 0);
-    w.u32(opts.partitions == 0 ? 1u : opts.partitions);
-    w.u64(opts.inputs.size());
-    for (int32_t v : opts.inputs)
-        w.i32(v);
+    encodeSessionRecipe(w, opts);
     std::string resp = call(w.data());
     ByteReader r(resp, "open response");
     OpenResult res;

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "serve/protocol.hh"
 
@@ -36,17 +35,8 @@ class ServeClient
      *  protocol-version failure */
     explicit ServeClient(const std::string &endpoint);
 
-    struct OpenOptions
-    {
-        std::string name;     ///< session name (required)
-        std::string specText; ///< empty = attach to existing session
-        std::string engine = "vm";
-        SessionIo io = SessionIo::Null;
-        std::vector<int32_t> inputs; ///< scripted inputs (io=Script)
-        bool trace = false;          ///< capture the thesis trace
-        bool aluFixed = false;       ///< AluSemantics::Fixed
-        unsigned partitions = 1;     ///< interp worker lanes (>=1)
-    };
+    /** What OPEN sends: the session's rebuild recipe. */
+    using OpenOptions = SessionRecipe;
 
     struct OpenResult
     {

@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
+
 #include "support/serialize.hh"
 
 namespace asim::serve {
@@ -92,6 +94,67 @@ FrameChannel::hasBufferedFrame() const
         return false;
     uint32_t len = decodeLen(rbuf_.data() + rpos_);
     return len <= kMaxFrameBytes && avail >= 4 + static_cast<size_t>(len);
+}
+
+void
+encodeSessionRecipe(ByteWriter &w, const SessionRecipe &recipe)
+{
+    w.str(recipe.name);
+    w.str(recipe.specText);
+    w.str(recipe.engine);
+    w.u8(static_cast<uint8_t>(recipe.io));
+    w.u8(recipe.trace ? 1 : 0);
+    w.u8(recipe.aluFixed ? 1 : 0);
+    w.u32(recipe.partitions);
+    w.u64(recipe.inputs.size());
+    for (int32_t v : recipe.inputs)
+        w.i32(v);
+}
+
+SessionRecipe
+decodeSessionRecipe(ByteReader &r)
+{
+    SessionRecipe recipe;
+    recipe.name = r.str("session name");
+    // Session names become file names under the state directory, so
+    // the charset is locked down hard (no separators, no empty).
+    auto nameChar = [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+               (c >= '0' && c <= '9') || c == '.' || c == '_' ||
+               c == '-';
+    };
+    if (recipe.name.empty() || recipe.name.size() > 64 ||
+        !std::all_of(recipe.name.begin(), recipe.name.end(),
+                     nameChar)) {
+        r.fail("bad session name (want 1-64 chars of "
+               "[A-Za-z0-9._-]): " + recipe.name);
+    }
+    recipe.specText = r.str("session spec");
+    recipe.engine = r.str("session engine");
+    if (recipe.engine.empty())
+        recipe.engine = "vm";
+    uint8_t io = r.u8("session io mode");
+    if (io != static_cast<uint8_t>(SessionIo::Null) &&
+        io != static_cast<uint8_t>(SessionIo::Script)) {
+        r.fail("bad session io mode " + std::to_string(io) +
+               " (interactive I/O cannot be multiplexed over "
+               "sessions)");
+    }
+    recipe.io = static_cast<SessionIo>(io);
+    recipe.trace = r.u8("session trace flag") != 0;
+    recipe.aluFixed = r.u8("session alu flag") != 0;
+    uint32_t partitions = r.u32("session partitions");
+    if (partitions > kMaxSessionPartitions) {
+        r.fail("session partitions is " + std::to_string(partitions) +
+               ", above the limit " +
+               std::to_string(kMaxSessionPartitions));
+    }
+    recipe.partitions = partitions == 0 ? 1 : partitions;
+    uint64_t n = r.count("session input count", 1u << 24, 4);
+    recipe.inputs.reserve(n);
+    for (uint64_t i = 0; i < n; ++i)
+        recipe.inputs.push_back(r.i32("session input"));
+    return recipe;
 }
 
 std::string

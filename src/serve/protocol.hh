@@ -29,7 +29,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "support/serialize.hh"
 #include "support/socket.hh"
 
 namespace asim::serve {
@@ -86,6 +88,38 @@ enum class SessionIo : uint8_t
     Null = 0,
     Script = 1
 };
+
+/** Most interp worker lanes one session may ask for. The count sizes
+ *  per-lane vectors and a thread pool, so a larger value in an OPEN
+ *  frame or a parked file is refused, not honored. */
+inline constexpr uint32_t kMaxSessionPartitions = 256;
+
+/**
+ * Everything needed to (re)build a session's Simulation. OPEN carries
+ * it as its operands, and a parked session's checkpoint carries it as
+ * its Session section (sim/checkpoint.hh); both go through the one
+ * codec below.
+ */
+struct SessionRecipe
+{
+    std::string name;     ///< session name (required)
+    std::string specText; ///< empty = attach to existing session
+    std::string engine = "vm";
+    SessionIo io = SessionIo::Null;
+    std::vector<int32_t> inputs; ///< scripted inputs (io=Script)
+    bool trace = false;          ///< capture the thesis trace
+    bool aluFixed = false;       ///< AluSemantics::Fixed
+    unsigned partitions = 1;     ///< interp worker lanes (>=1)
+};
+
+/** Append `recipe` to `w` (no validation: the decoder owns that). */
+void encodeSessionRecipe(ByteWriter &w, const SessionRecipe &recipe);
+
+/** Read and validate a recipe: the session name must be 1-64 chars of
+ *  [A-Za-z0-9._-] (it names files), the I/O mode Null or Script,
+ *  and partitions at most kMaxSessionPartitions (0 reads as 1); an
+ *  empty engine reads as "vm". @throws SimError naming the field */
+SessionRecipe decodeSessionRecipe(ByteReader &r);
 
 /**
  * Framed, buffered message channel over a Socket — both sides of

@@ -17,40 +17,6 @@ namespace asim::serve {
 
 namespace {
 
-/** Session .meta sidecar magic + version (DESIGN.md §9). */
-constexpr std::string_view kMetaMagic = "ASRVMETA";
-// v2 appends a u32 partition-lane count after the alu flag; v1 files
-// (no field) read back as serial sessions.
-constexpr uint32_t kMetaVersion = 2;
-
-/** Session names become filename components under stateDir, so the
- *  charset is locked down hard (no separators, no empty, bounded). */
-bool
-validSessionName(const std::string &name)
-{
-    if (name.empty() || name.size() > 64)
-        return false;
-    for (char c : name) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                  c == '-';
-        if (!ok)
-            return false;
-    }
-    return true;
-}
-
-std::vector<int32_t>
-readInputs(ByteReader &r)
-{
-    uint64_t n = r.count("open input count", 1u << 24, 4);
-    std::vector<int32_t> inputs;
-    inputs.reserve(n);
-    for (uint64_t i = 0; i < n; ++i)
-        inputs.push_back(r.i32("open input"));
-    return inputs;
-}
-
 uint64_t
 nowNs()
 {
@@ -212,7 +178,7 @@ ServeServer::stop(bool parkSessions)
             } catch (const std::exception &e) {
                 std::fprintf(stderr,
                              "asim-serve: cannot park session %s: %s\n",
-                             s->name.c_str(), e.what());
+                             s->recipe.name.c_str(), e.what());
             }
         } else {
             s->sim.reset(); // dropped, as a killed daemon would
@@ -432,12 +398,6 @@ ServeServer::ckptPath(const std::string &name) const
     return opts_.stateDir + "/" + name + ".ckpt";
 }
 
-std::string
-ServeServer::metaPath(const std::string &name) const
-{
-    return opts_.stateDir + "/" + name + ".meta";
-}
-
 std::shared_ptr<ServeServer::Session>
 ServeServer::findSession(uint64_t id) const
 {
@@ -448,56 +408,21 @@ ServeServer::findSession(uint64_t id) const
     return it->second;
 }
 
-/** Parse a .meta sidecar into a parked Session (no id yet). The CRC
- *  trailer is verified before any field is trusted, same discipline
- *  as checkpoint files. */
 std::shared_ptr<ServeServer::Session>
-ServeServer::sessionFromMeta(const std::string &name) const
+ServeServer::parkedSession(const std::string &name) const
 {
-    const std::string path = metaPath(name);
-    std::string bytes;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f)
-            return nullptr;
-        char buf[1 << 16];
-        size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            bytes.append(buf, got);
-        std::fclose(f);
-    }
-    if (bytes.size() < 4)
-        throw SimError(path + ": truncated session meta");
-    std::string_view payload(bytes.data(), bytes.size() - 4);
-    ByteReader tail(std::string_view(bytes).substr(bytes.size() - 4),
-                    path);
-    if (crc32(payload) != tail.u32("meta checksum"))
-        throw SimError(path + ": session meta checksum mismatch");
-
-    ByteReader r(payload, path);
-    if (r.bytes(kMetaMagic.size(), "meta magic") != kMetaMagic)
-        throw SimError(path + ": not a session meta file");
-    uint32_t version = r.u32("meta version");
-    if (version > kMetaVersion) {
-        throw SimError(path + ": meta version " +
-                       std::to_string(version) +
-                       " is newer than this build supports (" +
-                       std::to_string(kMetaVersion) + ")");
-    }
+    const std::string path = ckptPath(name);
+    if (!std::filesystem::exists(path))
+        return nullptr;
+    CheckpointSections sections;
+    peekCheckpoint(path, &sections);
+    if (!sections.session)
+        throw SimError(path + ": parked file carries no session recipe");
+    ByteReader r(*sections.session, path + " session recipe");
     auto s = std::make_shared<Session>();
-    s->name = name;
-    s->specHash = r.u64("meta spec hash");
-    s->engine = r.str("meta engine");
-    s->specText = r.str("meta spec text");
-    s->io = static_cast<SessionIo>(r.u8("meta io mode"));
-    s->trace = r.u8("meta trace flag") != 0;
-    s->aluFixed = r.u8("meta alu flag") != 0;
-    s->partitions =
-        version >= 2 ? r.u32("meta partitions") : 1;
-    if (s->partitions == 0)
-        s->partitions = 1;
-    s->inputs = readInputs(r);
-    s->pendingOutput = r.str("meta pending output");
+    s->recipe = decodeSessionRecipe(r);
+    if (s->recipe.name != name || !r.atEnd())
+        r.fail("recipe does not describe session \"" + name + "\"");
     s->parked = true;
     s->lastUsed = std::chrono::steady_clock::now();
     return s;
@@ -506,31 +431,36 @@ ServeServer::sessionFromMeta(const std::string &name) const
 void
 ServeServer::buildSimulation(Session &s, bool fromCheckpoint)
 {
+    const SessionRecipe &recipe = s.recipe;
     SimulationOptions o;
-    o.specText = s.specText;
-    o.engine = s.engine;
-    o.config.aluSemantics =
-        s.aluFixed ? AluSemantics::Fixed : AluSemantics::Thesis;
-    o.ioMode =
-        s.io == SessionIo::Script ? IoMode::Script : IoMode::Null;
-    o.scriptInputs = s.inputs;
-    o.partitions = s.partitions;
+    o.specText = recipe.specText;
+    o.engine = recipe.engine;
+    o.config.aluSemantics = recipe.aluFixed ? AluSemantics::Fixed
+                                            : AluSemantics::Thesis;
+    o.ioMode = recipe.io == SessionIo::Script ? IoMode::Script
+                                              : IoMode::Null;
+    o.scriptInputs = recipe.inputs;
+    o.partitions = recipe.partitions;
     // One stream takes both scripted-I/O rendering and the trace so
     // the session's byte stream is identical to a direct run wired
-    // the same way; seeded with output a previous incarnation
-    // produced but never returned.
-    s.out = std::make_unique<std::ostringstream>(
-        s.pendingOutput, std::ios::out | std::ios::ate);
-    s.pendingOutput.clear();
-    o.ioOut = s.out.get();
-    if (s.trace)
-        o.traceStream = s.out.get();
-    if (s.engine == "native")
+    // the same way.
+    auto out = std::make_unique<std::ostringstream>();
+    o.ioOut = out.get();
+    if (recipe.trace)
+        o.traceStream = out.get();
+    if (recipe.engine == "native")
         compileRequests_ += 1;
-    s.sim = std::make_unique<Simulation>(o);
-    s.specHash = s.sim->specHash();
-    if (fromCheckpoint)
-        s.sim->restoreCheckpoint(ckptPath(s.name));
+    auto sim = std::make_unique<Simulation>(o);
+    if (fromCheckpoint) {
+        // Seed the stream with output a previous incarnation produced
+        // but never returned.
+        CheckpointSections sections;
+        sim->restoreCheckpoint(ckptPath(recipe.name), &sections);
+        *out << sections.output.value_or("");
+    }
+    s.specHash = sim->specHash();
+    s.out = std::move(out);
+    s.sim = std::move(sim);
     s.parked = false;
 }
 
@@ -545,7 +475,7 @@ ServeServer::ensureLive(Session &s)
     resumes.add();
     tracing::instantEvent("serve.session_resume", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s.name) + "\"");
+                              tracing::jsonEscape(s.recipe.name) + "\"");
     noteSessionCensus();
 }
 
@@ -554,30 +484,16 @@ ServeServer::parkSession(Session &s)
 {
     if (!s.sim)
         return;
-    // Checkpoint first, meta second: the meta file is the commit
-    // marker a resume requires, so a crash between the two writes
-    // leaves the previous parked generation (or nothing) — never a
-    // meta pointing at a missing or half-written checkpoint. Both
-    // writes are individually atomic (temp + rename).
-    s.sim->saveCheckpoint(ckptPath(s.name));
-    s.pendingOutput = s.out->str();
-
-    ByteWriter w;
-    w.bytes(kMetaMagic);
-    w.u32(kMetaVersion);
-    w.u64(s.specHash);
-    w.str(s.engine);
-    w.str(s.specText);
-    w.u8(static_cast<uint8_t>(s.io));
-    w.u8(s.trace ? 1 : 0);
-    w.u8(s.aluFixed ? 1 : 0);
-    w.u32(s.partitions);
-    w.u64(s.inputs.size());
-    for (int32_t v : s.inputs)
-        w.i32(v);
-    w.str(s.pendingOutput);
-    w.u32(crc32(w.data()));
-    writeFileAtomic(metaPath(s.name), w.data());
+    // One atomic write: the checkpoint's sections carry the rebuild
+    // recipe and any output not yet returned by a RUN, so a crash
+    // leaves the previous parked generation or this one, never a
+    // mix of the two.
+    CheckpointSections sections;
+    sections.output = s.out->str();
+    ByteWriter recipe;
+    encodeSessionRecipe(recipe, s.recipe);
+    sections.session = recipe.take();
+    s.sim->saveCheckpoint(ckptPath(s.recipe.name), sections);
 
     s.sim.reset();
     s.out.reset();
@@ -588,7 +504,7 @@ ServeServer::parkSession(Session &s)
     evictions.add();
     tracing::instantEvent("serve.session_evict", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s.name) + "\"");
+                              tracing::jsonEscape(s.recipe.name) + "\"");
     noteSessionCensus();
 }
 
@@ -638,7 +554,7 @@ ServeServer::sweepIdle()
         } catch (const std::exception &e) {
             std::fprintf(stderr,
                          "asim-serve: cannot evict session %s: %s\n",
-                         s->name.c_str(), e.what());
+                         s->recipe.name.c_str(), e.what());
             s->lastUsed = now; // back off instead of retrying hot
         }
     }
@@ -650,25 +566,8 @@ ServeServer::sweepIdle()
 std::string
 ServeServer::handleOpen(ByteReader &r)
 {
-    std::string name = r.str("open name");
-    std::string specText = r.str("open spec");
-    std::string engine = r.str("open engine");
-    auto io = static_cast<SessionIo>(r.u8("open io mode"));
-    bool trace = r.u8("open trace flag") != 0;
-    bool aluFixed = r.u8("open alu flag") != 0;
-    uint32_t partitions = r.u32("open partitions");
-    if (partitions == 0)
-        partitions = 1;
-    std::vector<int32_t> inputs = readInputs(r);
-
-    if (!validSessionName(name)) {
-        throw SimError("bad session name (want 1-64 chars of "
-                       "[A-Za-z0-9._-]): " +
-                       name);
-    }
-    if (io != SessionIo::Null && io != SessionIo::Script)
-        throw SimError("bad io mode (interactive I/O cannot be "
-                       "multiplexed over sessions)");
+    SessionRecipe recipe = decodeSessionRecipe(r);
+    const std::string name = recipe.name;
 
     std::shared_ptr<Session> s;
     bool created = false;
@@ -677,27 +576,20 @@ ServeServer::handleOpen(ByteReader &r)
         auto it = byName_.find(name);
         if (it != byName_.end()) {
             s = it->second;
-        } else if ((s = sessionFromMeta(name))) {
+        } else if ((s = parkedSession(name))) {
             // Parked by a previous daemon incarnation: adopt it.
             s->id = nextId_++;
             byName_[name] = s;
             byId_[s->id] = s;
         } else {
-            if (specText.empty()) {
+            if (recipe.specText.empty()) {
                 throw SimError("unknown session \"" + name +
                                "\" (attach needs an existing session; "
                                "upload a spec to create one)");
             }
             s = std::make_shared<Session>();
             s->id = nextId_++;
-            s->name = name;
-            s->specText = specText;
-            s->engine = engine.empty() ? "vm" : engine;
-            s->io = io;
-            s->inputs = inputs;
-            s->trace = trace;
-            s->aluFixed = aluFixed;
-            s->partitions = partitions;
+            s->recipe = std::move(recipe);
             byName_[name] = s;
             byId_[s->id] = s;
             created = true;
@@ -714,17 +606,19 @@ ServeServer::handleOpen(ByteReader &r)
             opened.add();
             tracing::instantEvent(
                 "serve.session_open", "serve",
-                "\"session\":\"" + tracing::jsonEscape(s->name) +
+                "\"session\":\"" + tracing::jsonEscape(name) +
                     "\",\"engine\":\"" +
-                    tracing::jsonEscape(s->engine) + "\"");
+                    tracing::jsonEscape(s->recipe.engine) + "\"");
         } catch (...) {
             // A session that never built must not squat on the name.
             std::lock_guard<std::mutex> mapLock(sessionsMu_);
-            byName_.erase(s->name);
+            byName_.erase(name);
             byId_.erase(s->id);
             throw;
         }
-    } else if (!specText.empty() && specText != s->specText) {
+    } else if (!recipe.specText.empty() &&
+               recipe.specText != s->recipe.specText) {
+        // (Only a session created above took `recipe`'s contents.)
         throw SimError("session \"" + name +
                        "\" already exists with a different spec");
     }
@@ -759,7 +653,7 @@ ServeServer::handleRun(ByteReader &r)
     uint64_t dt = nowNs() - t0;
     {
         std::lock_guard<std::mutex> statsLock(statsMu_);
-        auto &use = engineUse_[s->engine];
+        auto &use = engineUse_[s->recipe.engine];
         use.cycles += cycles;
         use.ns += dt;
     }
@@ -802,7 +696,7 @@ ServeServer::handleSnapshot(ByteReader &r)
     // The blob IS the checkpoint format — a client may write it to a
     // file and asim-run --restore-from it directly.
     std::string blob = encodeCheckpoint(s->sim->snapshot(),
-                                        s->specHash, s->engine);
+                                        s->specHash, s->recipe.engine);
     ByteWriter w;
     w.u8(static_cast<uint8_t>(Status::Ok));
     w.str(blob);
@@ -855,17 +749,16 @@ ServeServer::handleClose(ByteReader &r)
     auto s = findSession(id);
     {
         std::lock_guard<std::mutex> lock(sessionsMu_);
-        byName_.erase(s->name);
+        byName_.erase(s->recipe.name);
         byId_.erase(s->id);
     }
     std::lock_guard<std::mutex> lock(s->mu);
     s->sim.reset();
     s->out.reset();
-    ::unlink(ckptPath(s->name).c_str());
-    ::unlink(metaPath(s->name).c_str());
+    ::unlink(ckptPath(s->recipe.name).c_str());
     tracing::instantEvent("serve.session_close", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s->name) + "\"");
+                              tracing::jsonEscape(s->recipe.name) + "\"");
     noteSessionCensus();
     ByteWriter w;
     w.u8(static_cast<uint8_t>(Status::Ok));

@@ -20,11 +20,13 @@
  *   delta of each RUN — byte-identical to a direct Simulation run
  *   wired to one stream.
  *
- *   Idle sessions are **evicted**: serialized to
- *   `<stateDir>/<name>.ckpt` (sim/checkpoint.hh format v1) plus a
- *   `<name>.meta` sidecar carrying everything needed to rebuild the
- *   Simulation (spec text, engine, I/O script, cursors travel inside
- *   the checkpoint). A parked session holds no Simulation, no
+ *   Idle sessions are **evicted**: serialized to one file,
+ *   `<stateDir>/<name>.ckpt` (sim/checkpoint.hh format v2), whose
+ *   sections carry the rebuild recipe (spec text, engine, I/O
+ *   script, flags) and any output not yet returned by a RUN; the
+ *   cursors travel in the checkpoint proper. One atomic write, so a
+ *   kill leaves the previous parked generation or the new one. A
+ *   parked session holds no Simulation, no
  *   subprocess, and no buffers — zero RAM beyond the map entry — and
  *   any later command transparently resumes it. Because the park
  *   artifacts live on disk, OPEN after a daemon restart (even a
@@ -71,7 +73,8 @@ struct ServeOptions
      *  (read it back with ServeServer::tcpPort()). */
     int tcpPort = -1;
 
-    /** Directory for parked-session artifacts (created on demand). */
+    /** Directory for parked sessions, one `<name>.ckpt` each (created
+     *  on demand). */
     std::string stateDir = "asim-serve-state";
 
     /** Park sessions idle for longer than this; <= 0 disables the
@@ -136,17 +139,9 @@ class ServeServer
         std::mutex mu; ///< serializes all commands against this session
 
         uint64_t id = 0;
-        std::string name;
 
-        /// @{ Rebuild recipe, persisted in the .meta sidecar.
-        std::string specText;
-        std::string engine;
-        SessionIo io = SessionIo::Null;
-        std::vector<int32_t> inputs;
-        bool trace = false;
-        bool aluFixed = false;
-        unsigned partitions = 1; ///< interp worker lanes (>= 1)
-        /// @}
+        /** Rebuild recipe, persisted in the parked checkpoint. */
+        SessionRecipe recipe;
 
         uint64_t specHash = 0;
 
@@ -154,10 +149,6 @@ class ServeServer
         std::unique_ptr<std::ostringstream> out;
         std::unique_ptr<Simulation> sim;
         /// @}
-
-        /** Output produced but not yet returned by a RUN when the
-         *  session parked; re-seeded into `out` on resume. */
-        std::string pendingOutput;
 
         std::atomic<bool> parked{false};
         std::chrono::steady_clock::time_point lastUsed;
@@ -194,14 +185,18 @@ class ServeServer
     std::string handleClose(ByteReader &r);
 
     std::string ckptPath(const std::string &name) const;
-    std::string metaPath(const std::string &name) const;
 
     std::shared_ptr<Session> findSession(uint64_t id) const;
+
+    /** The session an earlier daemon parked under `name` (no id yet),
+     *  rebuilt from its checkpoint's recipe; nullptr when no parked
+     *  file exists. @throws SimError on a corrupt file or recipe */
     std::shared_ptr<Session>
-    sessionFromMeta(const std::string &name) const;
+    parkedSession(const std::string &name) const;
 
     /** Build (or rebuild) the session's Simulation; restores from the
-     *  park checkpoint when `fromCheckpoint`. Caller holds s.mu. */
+     *  park checkpoint, and re-seeds the output it carries, when
+     *  `fromCheckpoint`. Caller holds s.mu. */
     void buildSimulation(Session &s, bool fromCheckpoint);
 
     /** Resume a parked session in place. Caller holds s.mu. */

@@ -13,7 +13,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/trace.hh"
 #include "support/metrics.hh"
-#include "support/serialize.hh"
 #include "support/thread_pool.hh"
 #include "support/tracing.hh"
 
@@ -63,19 +62,6 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
-}
-
-std::string
-readFileOr(const std::string &path, bool *found = nullptr)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (found)
-        *found = static_cast<bool>(in);
-    if (!in)
-        return "";
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 std::string
@@ -230,10 +216,10 @@ BatchRunner::addBatch(BatchJob job, size_t count)
 }
 
 std::string
-BatchRunner::instancePath(size_t index, const char *ext) const
+BatchRunner::instancePath(size_t index) const
 {
     return (std::filesystem::path(opts_.checkpointDir) /
-            ("inst-" + std::to_string(index) + ext))
+            ("inst-" + std::to_string(index) + ".ckpt"))
         .string();
 }
 
@@ -244,30 +230,10 @@ BatchRunner::resumeFromCheckpoints()
         throw SimError("resumeFromCheckpoints() needs "
                        "BatchOptions::checkpointDir");
     }
-    plans_.assign(jobs_.size(), ResumePlan{});
+    resume_ = true;
     size_t affected = 0;
-    for (size_t i = 0; i < jobs_.size(); ++i) {
-        ResumePlan &plan = plans_[i];
-        bool found = false;
-        std::string marker = readFileOr(instancePath(i, ".done"),
-                                        &found);
-        if (found) {
-            unsigned long long cycles = 0;
-            int watch = 0;
-            if (std::sscanf(marker.c_str(), "%llu %d", &cycles,
-                            &watch) != 2) {
-                throw SimError("corrupt batch completion marker " +
-                               instancePath(i, ".done"));
-            }
-            plan.done = true;
-            plan.doneCycles = cycles;
-            plan.doneWatch = watch != 0;
-        }
-        plan.hasCheckpoint = std::filesystem::exists(
-            instancePath(i, ".ckpt"));
-        if (plan.done || plan.hasCheckpoint)
-            ++affected;
-    }
+    for (size_t i = 0; i < jobs_.size(); ++i)
+        affected += std::filesystem::exists(instancePath(i));
     return affected;
 }
 
@@ -294,65 +260,30 @@ BatchRunner::run()
     }
     if (checkpointing)
         std::filesystem::create_directories(opts_.checkpointDir);
-    if (plans_.size() < jobs_.size())
-        plans_.resize(jobs_.size());
 
     BatchResult result;
     result.instances.resize(jobs_.size());
     std::vector<Work> works(jobs_.size());
 
-    // Persist one instance's progress. Write order is the crash
-    // contract: output text (tagged with its cycle) first, the
-    // captured trace sidecar second (same tag discipline), the
-    // checkpoint third, the completion marker last. A kill between
-    // writes leaves a text tag and the checkpoint cycle
-    // disagreeing — which resume *detects* and answers by
-    // restarting that instance from zero (correctness over saved
-    // progress), never by stitching mismatched halves together.
+    // Persist one instance's progress: one checkpoint whose sections
+    // carry the output and captured trace so far and, on completion,
+    // the done flag. It is a single atomic write, so a kill leaves
+    // the previous generation or this one, never a mix of the two.
     auto persist = [&](size_t i, Work &w, const InstanceResult &r,
                        bool complete) {
-        writeFileAtomic(instancePath(i, ".io"),
-                        std::to_string(w.sim->cycle()) + "\n" +
-                            w.io.str());
-        if (w.traceSink) {
-            writeFileAtomic(instancePath(i, ".trace"),
-                            std::to_string(w.sim->cycle()) + "\n" +
-                                w.trace.str());
-        }
-        w.sim->saveCheckpoint(instancePath(i, ".ckpt"));
-        if (complete) {
-            writeFileAtomic(instancePath(i, ".done"),
-                            std::to_string(w.sim->cycle()) + " " +
-                                (r.watchpointHit ? "1" : "0") + "\n");
-        }
-    };
-
-    // A tagged text artifact (.io or .trace): "<cycle>\n" then the
-    // text verbatim. Returns false when the file is missing/corrupt
-    // or its tag does not match `cycle`.
-    auto loadTaggedAt = [&](size_t i, const char *ext, uint64_t cycle,
-                            std::string *text) {
-        bool found = false;
-        std::string blob = readFileOr(instancePath(i, ext), &found);
-        if (!found)
-            return false;
-        char *end = nullptr;
-        unsigned long long tag = std::strtoull(blob.c_str(), &end, 10);
-        if (end == blob.c_str() || *end != '\n' || tag != cycle)
-            return false;
-        *text = blob.substr(
-            static_cast<size_t>(end + 1 - blob.c_str()));
-        return true;
-    };
-    auto loadIoAt = [&](size_t i, uint64_t cycle, std::string *text) {
-        return loadTaggedAt(i, ".io", cycle, text);
+        CheckpointSections sections;
+        sections.output = w.io.str();
+        if (w.traceSink)
+            sections.trace = w.trace.str();
+        sections.done = complete;
+        sections.watchpointHit = r.watchpointHit;
+        w.sim->saveCheckpoint(instancePath(i), sections);
     };
 
     // Construction is serial: any SpecError/SimError here is a batch
     // configuration problem and propagates to the caller.
     for (size_t i = 0; i < jobs_.size(); ++i) {
         const BatchJob &job = jobs_[i];
-        const ResumePlan &plan = plans_[i];
         Work &w = works[i];
         InstanceResult &r = result.instances[i];
         r.index = i;
@@ -383,32 +314,32 @@ BatchRunner::run()
         w.budget = static_cast<uint64_t>(budget);
         r.cyclesRequested = w.budget;
 
+        // A prior run's checkpoint carries everything the instance
+        // had produced: output, captured trace, and the done flag.
+        const bool resumable =
+            resume_ && std::filesystem::exists(instancePath(i));
+        EngineSnapshot snap;
+        CheckpointSections saved;
+        if (resumable) {
+            snap = loadCheckpoint(instancePath(i), *rs, &saved);
+            if (!saved.output || (job.captureTrace && !saved.trace)) {
+                throw SimError("checkpoint " + instancePath(i) +
+                               " lacks the output or trace section "
+                               "of this batch instance");
+            }
+        }
+
         // A prior run finished this instance (and its budget covers
         // ours): reload its recorded results instead of re-running.
-        if (plan.done &&
-            (plan.doneWatch || plan.doneCycles >= w.budget)) {
-            EngineSnapshot snap =
-                loadCheckpoint(instancePath(i, ".ckpt"), *rs);
-            if (!loadIoAt(i, snap.cycle, &r.ioText)) {
-                throw SimError("batch checkpoint artifacts for "
-                               "instance " + std::to_string(i) +
-                               " are inconsistent (" +
-                               instancePath(i, ".io") +
-                               " does not match the checkpoint)");
-            }
-            if (job.captureTrace &&
-                !loadTaggedAt(i, ".trace", snap.cycle,
-                              &r.traceText)) {
-                throw SimError("batch checkpoint artifacts for "
-                               "instance " + std::to_string(i) +
-                               " are inconsistent (" +
-                               instancePath(i, ".trace") +
-                               " does not match the checkpoint)");
-            }
+        if (saved.done &&
+            (saved.watchpointHit || snap.cycle >= w.budget)) {
             w.skip = true;
             r.resumed = true;
-            r.cyclesRun = plan.doneCycles;
-            r.watchpointHit = plan.doneWatch;
+            r.cyclesRun = snap.cycle;
+            r.watchpointHit = saved.watchpointHit;
+            r.ioText = *saved.output;
+            if (job.captureTrace)
+                r.traceText = *saved.trace;
             r.stats = snap.stats;
             if (opts_.captureState)
                 r.state = snap.state;
@@ -432,28 +363,14 @@ BatchRunner::run()
         // Interrupted (or budget-extended) instance: restore the
         // checkpoint and preload the output (and captured trace) it
         // had produced, so the continuation's channels match an
-        // uninterrupted run's. A kill between the text and .ckpt
-        // writes leaves their cycles disagreeing — then this
-        // instance restarts from zero rather than resume with torn
-        // output or a truncated trace.
-        if (plan.hasCheckpoint) {
-            EngineSnapshot snap =
-                loadCheckpoint(instancePath(i, ".ckpt"), *rs);
-            std::string saved;
-            std::string savedTrace;
-            bool intact = loadIoAt(i, snap.cycle, &saved);
-            if (intact && job.captureTrace) {
-                intact = loadTaggedAt(i, ".trace", snap.cycle,
-                                      &savedTrace);
-            }
-            if (intact) {
-                w.sim->restore(snap);
-                w.io.str(saved);
-                w.io.seekp(0, std::ios::end);
-                w.trace.str(savedTrace);
-                w.trace.seekp(0, std::ios::end);
-                r.resumed = true;
-            }
+        // uninterrupted run's.
+        if (resumable) {
+            w.sim->restore(snap);
+            w.io.str(*saved.output);
+            w.io.seekp(0, std::ios::end);
+            w.trace.str(saved.trace.value_or(""));
+            w.trace.seekp(0, std::ios::end);
+            r.resumed = true;
         }
 
         // Job-level restore (golden-checkpoint fan-out): applied in

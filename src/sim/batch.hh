@@ -142,17 +142,15 @@ struct BatchOptions
      *  proportional to batch size x spec size when on). */
     bool captureState = true;
 
-    /** When set, every instance leaves durable artifacts here
-     *  (sim/checkpoint.hh): `inst-<i>.ckpt` (latest checkpoint),
-     *  `inst-<i>.io` (scripted output up to that checkpoint), for
-     *  captureTrace jobs `inst-<i>.trace` (captured trace up to
-     *  that checkpoint, same cycle-tag discipline), and — on
-     *  completion — `inst-<i>.done`. A later runner with the
-     *  same job list calls resumeFromCheckpoints() to skip finished
-     *  instances and continue interrupted ones (resumed instances
-     *  merge the saved output/trace with the continuation's, so the
-     *  final channels match an uninterrupted run). Created on
-     *  demand. */
+    /** When set, every instance leaves one durable file here,
+     *  `inst-<i>.ckpt` (sim/checkpoint.hh): its latest checkpoint,
+     *  whose sections carry the scripted output and (captureTrace
+     *  jobs) the captured trace up to that cycle, plus a done flag
+     *  once the instance completed. A later runner with the same job
+     *  list calls resumeFromCheckpoints() to skip finished instances
+     *  and continue interrupted ones (resumed instances merge the
+     *  saved output/trace with the continuation's, so the final
+     *  channels match an uninterrupted run). Created on demand. */
     std::string checkpointDir;
 
     /** Cycles between periodic mid-run checkpoints (plain-budget
@@ -219,40 +217,30 @@ class BatchRunner
 
     /**
      * Resume support: scan BatchOptions::checkpointDir for the
-     * artifacts a previous run of this same job list left behind
-     * (a *killed* run leaves checkpoints without `.done` markers;
-     * a finished one leaves both). Instances with a `.done` marker
-     * satisfying their budget are not re-run — their recorded
-     * results are reloaded; instances with a checkpoint restore it
-     * and execute only the remaining cycles. Output text saved at
-     * the last checkpoint is preloaded, so a resumed instance's
-     * ioText matches an uninterrupted run's.
+     * checkpoints a previous run of this same job list left behind
+     * (a *killed* run leaves checkpoints without the done flag; a
+     * finished one sets it). Instances whose done flag satisfies
+     * their budget are not re-run — their recorded results are
+     * reloaded; other instances with a checkpoint restore it and
+     * execute only the remaining cycles. Output text saved in the
+     * checkpoint is preloaded, so a resumed instance's ioText
+     * matches an uninterrupted run's.
      *
      * Call after every job is added and before run(). Jobs must
      * match the earlier run's (the checkpoint spec-identity hash is
      * verified per instance; a mismatch faults construction).
      *
      * @return instances that will skip or shorten their run
-     * @throws SimError when checkpointDir is unset or a marker file
-     *         is unreadable
+     * @throws SimError when checkpointDir is unset
      */
     size_t resumeFromCheckpoints();
 
   private:
-    /** What resumeFromCheckpoints() found for one instance. */
-    struct ResumePlan
-    {
-        bool done = false;       ///< `.done` marker present
-        uint64_t doneCycles = 0; ///< cycles recorded in the marker
-        bool doneWatch = false;  ///< watchpoint flag in the marker
-        bool hasCheckpoint = false;
-    };
-
-    std::string instancePath(size_t index, const char *ext) const;
+    std::string instancePath(size_t index) const;
 
     BatchOptions opts_;
     std::vector<BatchJob> jobs_;
-    std::vector<ResumePlan> plans_;
+    bool resume_ = false; ///< resumeFromCheckpoints() was called
 };
 
 } // namespace asim

@@ -19,6 +19,57 @@ constexpr uint64_t kMaxMems = 1u << 20;
 constexpr uint64_t kMaxCells = 1u << 28;
 constexpr uint64_t kMaxNameLen = 1u << 12;
 
+/** One past the highest known section tag. */
+constexpr uint32_t kSectionTagEnd =
+    static_cast<uint32_t>(CheckpointSection::Session) + 1;
+
+void
+writeSection(ByteWriter &w, CheckpointSection tag, std::string_view data)
+{
+    w.u32(static_cast<uint32_t>(tag));
+    w.str(data);
+}
+
+/** Decode the v2 section list: a u32 count, then per section a u32
+ *  tag and a str payload. Unknown and repeated tags are refused. */
+CheckpointSections
+readSections(ByteReader &body)
+{
+    CheckpointSections out;
+    uint32_t count = body.u32("section count");
+    if (count >= kSectionTagEnd)
+        body.fail("section count " + std::to_string(count) +
+                  " exceeds the known section tags");
+    bool seen[kSectionTagEnd] = {};
+    for (uint32_t i = 0; i < count; ++i) {
+        uint32_t tag = body.u32("section tag");
+        if (tag == 0 || tag >= kSectionTagEnd)
+            body.fail("unknown section tag " + std::to_string(tag));
+        if (seen[tag])
+            body.fail("duplicate section tag " + std::to_string(tag));
+        seen[tag] = true;
+        std::string data = body.str("section payload");
+        switch (static_cast<CheckpointSection>(tag)) {
+        case CheckpointSection::Output:
+            out.output = std::move(data);
+            break;
+        case CheckpointSection::Trace:
+            out.trace = std::move(data);
+            break;
+        case CheckpointSection::Done:
+            if (data.size() != 1 || static_cast<uint8_t>(data[0]) > 1)
+                body.fail("malformed completion section");
+            out.done = true;
+            out.watchpointHit = data[0] == 1;
+            break;
+        case CheckpointSection::Session:
+            out.session = std::move(data);
+            break;
+        }
+    }
+    return out;
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -45,7 +96,8 @@ hex(uint64_t v)
 
 std::string
 encodeCheckpoint(const EngineSnapshot &snap, uint64_t specHash,
-                 std::string_view savedBy)
+                 std::string_view savedBy,
+                 const CheckpointSections &sections)
 {
     ByteWriter w;
     w.bytes(kCheckpointMagic);
@@ -83,13 +135,30 @@ encodeCheckpoint(const EngineSnapshot &snap, uint64_t specHash,
             w.i32(c);
     }
 
+    uint32_t count = 0;
+    count += sections.output.has_value();
+    count += sections.trace.has_value();
+    count += sections.done;
+    count += sections.session.has_value();
+    w.u32(count);
+    if (sections.output)
+        writeSection(w, CheckpointSection::Output, *sections.output);
+    if (sections.trace)
+        writeSection(w, CheckpointSection::Trace, *sections.trace);
+    if (sections.done) {
+        writeSection(w, CheckpointSection::Done,
+                     std::string(1, sections.watchpointHit ? 1 : 0));
+    }
+    if (sections.session)
+        writeSection(w, CheckpointSection::Session, *sections.session);
+
     w.u32(crc32(w.data()));
     return w.take();
 }
 
 EngineSnapshot
 decodeCheckpoint(std::string_view bytes, const std::string &context,
-                 CheckpointInfo *info)
+                 CheckpointInfo *info, CheckpointSections *sections)
 {
     // Integrity gates before any field is trusted: magic first (is
     // this a checkpoint at all — arbitrary files read as themselves,
@@ -174,31 +243,40 @@ decodeCheckpoint(std::string_view bytes, const std::string &context,
             m.cells[c] = body.i32("memory cell value");
     }
 
+    CheckpointSections sects;
+    if (ci.version >= 2)
+        sects = readSections(body);
+
     if (!body.atEnd())
-        body.fail("trailing bytes after the machine state (" +
+        body.fail("trailing bytes at the end of the checkpoint (" +
                   std::to_string(body.remaining()) + " unread)");
 
     if (info)
         *info = ci;
+    if (sections)
+        *sections = std::move(sects);
     return snap;
 }
 
 void
 saveCheckpoint(const Engine &engine, const std::string &path,
-               std::string_view savedBy)
+               std::string_view savedBy,
+               const CheckpointSections &sections)
 {
     writeFileAtomic(
         path,
         encodeCheckpoint(engine.snapshot(),
                          specIdentityHash(engine.resolved()),
-                         savedBy));
+                         savedBy, sections));
 }
 
 EngineSnapshot
-loadCheckpoint(const std::string &path, const ResolvedSpec &rs)
+loadCheckpoint(const std::string &path, const ResolvedSpec &rs,
+               CheckpointSections *sections)
 {
     CheckpointInfo ci;
-    EngineSnapshot snap = decodeCheckpoint(readFile(path), path, &ci);
+    EngineSnapshot snap =
+        decodeCheckpoint(readFile(path), path, &ci, sections);
 
     uint64_t expect = specIdentityHash(rs);
     if (ci.specHash != expect) {
@@ -227,10 +305,10 @@ loadCheckpoint(const std::string &path, const ResolvedSpec &rs)
 }
 
 CheckpointInfo
-peekCheckpoint(const std::string &path)
+peekCheckpoint(const std::string &path, CheckpointSections *sections)
 {
     CheckpointInfo ci;
-    decodeCheckpoint(readFile(path), path, &ci);
+    decodeCheckpoint(readFile(path), path, &ci, sections);
     return ci;
 }
 

@@ -7,7 +7,15 @@
  *
  *     magic "ASIMCKPT" | format version | spec identity hash |
  *     saved-by tag | cycle | input cursor | statistics |
- *     machine state | CRC-32 trailer
+ *     machine state | section count | tagged sections |
+ *     CRC-32 trailer
+ *
+ * Sections (format v2) carry what a *persisted run* needs beyond the
+ * machine state — output to preload, a captured trace, a completion
+ * flag, a serve session's rebuild recipe — so every durable artifact
+ * (batch instance, parked serve session) is one file written by one
+ * atomic writer: the file is valid or absent, never half-updated.
+ * Version 1 files (no sections) still decode.
  *
  * Because every engine implements the §3 cycle-semantics contract, a
  * checkpoint written mid-run by *any* registry engine (interp, vm,
@@ -34,6 +42,7 @@
 #define ASIM_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -44,7 +53,7 @@ namespace asim {
 /** Current checkpoint format version. Bump on any layout change;
  *  loaders refuse versions above it (compatibility rules in
  *  DESIGN.md §8). */
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /** File magic, first 8 bytes of every checkpoint. */
 inline constexpr std::string_view kCheckpointMagic = "ASIMCKPT";
@@ -60,12 +69,34 @@ struct CheckpointInfo
     std::string savedBy; ///< engine name that wrote it (diagnostic)
 };
 
+/** Section tags of format v2. Each tag appears at most once; any
+ *  other tag is refused (DESIGN.md §8). */
+enum class CheckpointSection : uint32_t
+{
+    Output = 1,  ///< output text to preload into the output stream
+    Trace = 2,   ///< captured trace text
+    Done = 3,    ///< completion flag; one byte, the watchpoint bit
+    Session = 4  ///< serve session recipe (serve/protocol.hh codec)
+};
+
+/** The optional sections of one checkpoint; unset = absent. */
+struct CheckpointSections
+{
+    std::optional<std::string> output;
+    std::optional<std::string> trace;
+    bool done = false;          ///< Done section present
+    bool watchpointHit = false; ///< Done section's watchpoint bit
+    std::optional<std::string> session;
+};
+
 /** Serialize a snapshot into the binary checkpoint format.
  *  @param specHash identity of the spec the snapshot belongs to
- *  @param savedBy engine name recorded for diagnostics */
+ *  @param savedBy engine name recorded for diagnostics
+ *  @param sections optional sections appended after the state */
 std::string encodeCheckpoint(const EngineSnapshot &snap,
                              uint64_t specHash,
-                             std::string_view savedBy);
+                             std::string_view savedBy,
+                             const CheckpointSections &sections = {});
 
 /**
  * Decode a checkpoint blob. Validates magic, version, checksum, and
@@ -74,33 +105,41 @@ std::string encodeCheckpoint(const EngineSnapshot &snap,
  * @param bytes the encoded file contents
  * @param context diagnostic prefix for errors (the file path)
  * @param info optional out-param receiving the header
+ * @param sections optional out-param receiving the sections (all
+ *        absent for a version 1 file)
  * @throws SimError on any malformed input
  */
 EngineSnapshot decodeCheckpoint(std::string_view bytes,
                                 const std::string &context,
-                                CheckpointInfo *info = nullptr);
+                                CheckpointInfo *info = nullptr,
+                                CheckpointSections *sections = nullptr);
 
-/** Capture `engine` and write the checkpoint to `path` atomically
- *  (temp file + rename, so a crash mid-write never leaves a torn
- *  checkpoint under the final name). @throws SimError on I/O
- *  failure or when the engine cannot produce a snapshot */
+/** Capture `engine` and write the checkpoint (with `sections`) to
+ *  `path` atomically (temp file + rename, so a crash mid-write never
+ *  leaves a torn checkpoint under the final name). @throws SimError
+ *  on I/O failure or when the engine cannot produce a snapshot */
 void saveCheckpoint(const Engine &engine, const std::string &path,
-                    std::string_view savedBy = "");
+                    std::string_view savedBy = "",
+                    const CheckpointSections &sections = {});
 
 /**
  * Read, validate, and decode the checkpoint at `path` for the
  * specification `rs`: the stored spec identity hash must equal
  * specIdentityHash(rs) and the decoded state's shape must match.
  *
+ * @param sections optional out-param receiving the file's sections
  * @throws SimError naming path, offset, and reason on corrupt input;
  *         naming both hashes on a spec mismatch
  */
 EngineSnapshot loadCheckpoint(const std::string &path,
-                              const ResolvedSpec &rs);
+                              const ResolvedSpec &rs,
+                              CheckpointSections *sections = nullptr);
 
-/** Read and validate only the header of the checkpoint at `path`
- *  (full checksum still verified). @throws SimError as above */
-CheckpointInfo peekCheckpoint(const std::string &path);
+/** Read and validate the checkpoint at `path` without binding it to
+ *  a specification (full checksum still verified); returns the header
+ *  and, through `sections`, the sections. @throws SimError as above */
+CheckpointInfo peekCheckpoint(const std::string &path,
+                              CheckpointSections *sections = nullptr);
 
 } // namespace asim
 

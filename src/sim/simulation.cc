@@ -453,15 +453,17 @@ Simulation::specHash() const
 }
 
 void
-Simulation::saveCheckpoint(const std::string &path) const
+Simulation::saveCheckpoint(const std::string &path,
+                           const CheckpointSections &sections) const
 {
-    asim::saveCheckpoint(*engine_, path, engineName_);
+    asim::saveCheckpoint(*engine_, path, engineName_, sections);
 }
 
 void
-Simulation::restoreCheckpoint(const std::string &path)
+Simulation::restoreCheckpoint(const std::string &path,
+                              CheckpointSections *sections)
 {
-    restore(loadCheckpoint(path, *rs_));
+    restore(loadCheckpoint(path, *rs_, sections));
 }
 
 // ---------------------------------------------------------------------

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "analysis/fault.hh"
+#include "sim/checkpoint.hh"
 #include "sim/engine.hh"
 
 namespace asim {
@@ -314,14 +315,17 @@ class Simulation
     /// serialized to a versioned, checksummed binary file bound to
     /// this specification's identity hash. A checkpoint saved by any
     /// registry engine restores under any other.
-    /** Write the current snapshot to `path` (atomic: temp+rename).
-     *  @throws SimError on I/O failure */
-    void saveCheckpoint(const std::string &path) const;
+    /** Write the current snapshot, plus `sections`, to `path`
+     *  (atomic: temp+rename). @throws SimError on I/O failure */
+    void saveCheckpoint(const std::string &path,
+                        const CheckpointSections &sections = {}) const;
 
     /** Load, validate (magic, version, checksum, spec hash, shape),
-     *  and restore the checkpoint at `path`. @throws SimError with
-     *  path/offset/reason on corrupt or mismatched files */
-    void restoreCheckpoint(const std::string &path);
+     *  and restore the checkpoint at `path`; its sections go to
+     *  `sections` when given. @throws SimError with path/offset/
+     *  reason on corrupt or mismatched files */
+    void restoreCheckpoint(const std::string &path,
+                           CheckpointSections *sections = nullptr);
 
     /** This specification's content identity
      *  (analysis/resolve.hh specIdentityHash, cached). */

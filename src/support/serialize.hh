@@ -192,7 +192,8 @@ class ByteReader
  * Write `data` to `path` atomically: a sibling temp file is written,
  * flushed, and renamed into place, so a crash mid-write can never
  * leave a torn file under the final name — the discipline every
- * durable artifact (checkpoints, batch resume markers) relies on.
+ * checkpoint file relies on. A kill leaves `<path>.tmp`; nothing
+ * reads it.
  * @throws SimError on any I/O failure (the temp file is removed)
  */
 void writeFileAtomic(const std::string &path, std::string_view data);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "lang/number.hh"
 #include "support/logging.hh"
 
@@ -100,6 +102,14 @@ struct WrapCase
     const char *text;
     int32_t expect;
 };
+
+// Names each case by its text; the default printer would dump the raw
+// bytes (a pointer and padding), which change from run to run.
+void
+PrintTo(const WrapCase &c, std::ostream *os)
+{
+    *os << c.text;
+}
 
 class NumberWrap : public ::testing::TestWithParam<WrapCase>
 {};

@@ -13,16 +13,19 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "machines/counter.hh"
+#include "machines/synthetic.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "support/metrics.hh"
@@ -85,6 +88,39 @@ counterOpen(const std::string &name)
     return o;
 }
 
+/** Scripted echo beside a traced counter: a session whose byte
+ *  stream interleaves I/O and trace. */
+ServeClient::OpenOptions
+tracedEchoOpen(const std::string &name)
+{
+    ServeClient::OpenOptions o = echoOpen(name);
+    o.specText = "# echo beside a traced counter\n"
+                 "= 9\n"
+                 "in out count* next .\n"
+                 "A next 4 count.0.3 1\n"
+                 "M count 0 next 1 1\n"
+                 "M in 1 0 2 1\n"
+                 "M out 1 in 3 1\n"
+                 ".\n";
+    o.trace = true;
+    return o;
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, std::string_view bytes)
+{
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 /** Scratch area + short socket path (sockaddr_un caps paths at
  *  ~108 bytes, so everything lives directly under /tmp). */
 class Serve : public ::testing::Test
@@ -105,12 +141,34 @@ class Serve : public ::testing::Test
 
     void TearDown() override { std::filesystem::remove_all(base_); }
 
+    std::string stateDir() const { return base_ + "/state"; }
+
+    /** File names in the state directory, sorted. */
+    std::vector<std::string>
+    stateFiles() const
+    {
+        std::vector<std::string> names;
+        for (const auto &e :
+             std::filesystem::directory_iterator(stateDir()))
+            names.push_back(e.path().filename().string());
+        std::sort(names.begin(), names.end());
+        return names;
+    }
+
+    /** Empty the state directory, as before a daemon (re)start. */
+    void
+    resetState() const
+    {
+        std::filesystem::remove_all(stateDir());
+        std::filesystem::create_directories(stateDir());
+    }
+
     ServeOptions
     serveOpts() const
     {
         ServeOptions o;
         o.unixPath = sock_;
-        o.stateDir = base_ + "/state";
+        o.stateDir = stateDir();
         return o;
     }
 
@@ -278,10 +336,8 @@ TEST_F(Serve, ExplicitEvictThenContinueIsByteIdentical)
     std::string total = client.run(session.id, 4).output;
 
     client.evict(session.id);
-    EXPECT_TRUE(std::filesystem::exists(base_ +
-                                        "/state/parked.ckpt"));
-    EXPECT_TRUE(std::filesystem::exists(base_ +
-                                        "/state/parked.meta"));
+    // One file per parked session: the checkpoint, no sidecar.
+    EXPECT_EQ(stateFiles(), std::vector<std::string>{"parked.ckpt"});
 
     // Any command transparently resumes the parked session.
     auto run = client.run(session.id, 5);
@@ -310,10 +366,11 @@ TEST_F(Serve, IdleSweepParksSessionsAutomatically)
     std::string total = client.run(session.id, 2).output;
 
     // The sweep parks the idle session without any client action.
-    std::string meta = base_ + "/state/idle.meta";
-    for (int i = 0; i < 200 && !std::filesystem::exists(meta); ++i)
+    std::string ckpt = stateDir() + "/idle.ckpt";
+    for (int i = 0; i < 200 && !std::filesystem::exists(ckpt); ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ASSERT_TRUE(std::filesystem::exists(meta)) << "never swept";
+    ASSERT_TRUE(std::filesystem::exists(ckpt)) << "never swept";
+    EXPECT_FALSE(std::filesystem::exists(stateDir() + "/idle.meta"));
 
     total += client.run(session.id, 4).output;
     EXPECT_EQ(total, directOutput(open, 6));
@@ -337,8 +394,8 @@ TEST_F(Serve, GracefulRestartResumesSessionsByName)
         ServeServer server(serveOpts());
         server.start();
         ServeClient client(sock_);
-        // Attach without re-uploading the spec: the parked meta
-        // carries the full rebuild recipe.
+        // Attach without re-uploading the spec: the parked
+        // checkpoint carries the full rebuild recipe.
         ServeClient::OpenOptions attach;
         attach.name = "durable";
         auto session = client.open(attach);
@@ -382,6 +439,134 @@ TEST_F(Serve, HardKillKeepsParkedSessionsLosesLiveOnes)
 
         attach.name = "live";
         EXPECT_THROW(client.open(attach), SimError);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Kill at every write point. Parking is one atomic write (temp file +
+// rename) and CLOSE one unlink, so a kill leaves the previous parked
+// generation (or nothing) plus `<name>.ckpt.tmp` cut at any length,
+// or the new generation in place. A restarted daemon must resume
+// every such state to a byte stream identical to an uninterrupted
+// run's.
+// ---------------------------------------------------------------------
+
+TEST_F(Serve, KillAtEveryParkWritePointResumesByteIdentically)
+{
+    const auto open = tracedEchoOpen("k");
+    const std::string want = directOutput(open, 9);
+    const std::string ckpt = stateDir() + "/k.ckpt";
+    std::string returned4; // output RUN returned before each park
+    std::string returned6;
+    std::string genA; // parked at cycle 4
+    std::string genB; // parked at cycle 6
+    {
+        ServeServer server(serveOpts());
+        server.start();
+        ServeClient client(sock_);
+        auto s = client.open(open);
+        returned4 = client.run(s.id, 4).output;
+        client.evict(s.id);
+        genA = readBytes(ckpt);
+        returned6 = returned4 + client.run(s.id, 2).output;
+        client.evict(s.id);
+        genB = readBytes(ckpt);
+        server.stop(/*parkSessions=*/false);
+    }
+    ASSERT_FALSE(genA.empty());
+    ASSERT_FALSE(genB.empty());
+
+    // Restart the daemon over the state directory as it stands and
+    // continue session "k" to cycle 9.
+    auto resume = [&](const std::string &state, const std::string &returned,
+                      uint64_t cycle) {
+        ServeServer server(serveOpts());
+        server.start();
+        ServeClient client(sock_);
+        ServeClient::OpenOptions attach;
+        attach.name = "k";
+        auto s = client.open(attach);
+        EXPECT_TRUE(s.resumed) << state;
+        EXPECT_EQ(s.cycle, cycle) << state;
+        EXPECT_EQ(returned + client.run(s.id, 9 - cycle).output, want)
+            << state;
+        server.stop(/*parkSessions=*/false);
+    };
+
+    // Killed during the first park: nothing was committed, so the
+    // session was still live and is lost; a fresh OPEN starts over.
+    for (size_t len = 0; len <= genA.size(); ++len) {
+        resetState();
+        writeBytes(ckpt + ".tmp", genA.substr(0, len));
+        ServeServer server(serveOpts());
+        server.start();
+        ServeClient client(sock_);
+        ServeClient::OpenOptions attach;
+        attach.name = "k";
+        EXPECT_THROW(client.open(attach), SimError) << len;
+        auto s = client.open(open);
+        EXPECT_FALSE(s.resumed);
+        EXPECT_EQ(client.run(s.id, 9).output, want) << len;
+        server.stop(/*parkSessions=*/false);
+    }
+    // Killed during the second park: the first generation resumes.
+    for (size_t len = 0; len <= genB.size(); ++len) {
+        resetState();
+        writeBytes(ckpt, genA);
+        writeBytes(ckpt + ".tmp", genB.substr(0, len));
+        resume("temp file cut at " + std::to_string(len), returned4, 4);
+    }
+    resetState();
+    writeBytes(ckpt, genB);
+    resume("second generation in place", returned6, 6);
+}
+
+TEST_F(Serve, KillAroundCloseLeavesAResumableOrAbsentSession)
+{
+    const auto open = tracedEchoOpen("c");
+    const std::string want = directOutput(open, 9);
+    const std::string ckpt = stateDir() + "/c.ckpt";
+    std::string returned;
+    std::string parked;
+    {
+        ServeServer server(serveOpts());
+        server.start();
+        ServeClient client(sock_);
+        auto s = client.open(open);
+        returned = client.run(s.id, 4).output;
+        client.evict(s.id);
+        parked = readBytes(ckpt);
+        client.closeSession(s.id);
+        EXPECT_TRUE(stateFiles().empty()) << "CLOSE removes the file";
+    }
+
+    // Killed before CLOSE's unlink: the parked session resumes.
+    resetState();
+    writeBytes(ckpt, parked);
+    {
+        ServeServer server(serveOpts());
+        server.start();
+        ServeClient client(sock_);
+        ServeClient::OpenOptions attach;
+        attach.name = "c";
+        auto s = client.open(attach);
+        EXPECT_TRUE(s.resumed);
+        EXPECT_EQ(returned + client.run(s.id, 5).output, want);
+        server.stop(/*parkSessions=*/false);
+    }
+
+    // Killed after it: the session is gone; a fresh OPEN starts over.
+    resetState();
+    {
+        ServeServer server(serveOpts());
+        server.start();
+        ServeClient client(sock_);
+        ServeClient::OpenOptions attach;
+        attach.name = "c";
+        EXPECT_THROW(client.open(attach), SimError);
+        auto s = client.open(open);
+        EXPECT_FALSE(s.resumed);
+        EXPECT_EQ(client.run(s.id, 9).output, want);
     }
 }
 
@@ -457,6 +642,98 @@ TEST_F(Serve, ErrorsAreDiagnosticAndNonFatal)
 
     // The connection survives every error above.
     EXPECT_EQ(client.run(first.id, 9).cycle, 9u);
+}
+
+TEST_F(Serve, OpenRefusesHostileRecipes)
+{
+    ServeServer server(serveOpts());
+    server.start();
+    ServeClient client(sock_);
+
+    // 4 billion lanes on a design large enough to partition would
+    // size per-lane vectors and a thread pool to match.
+    SyntheticOptions wide;
+    wide.alus = 200;
+    wide.selectors = 40;
+    wide.memories = 20;
+    auto open = echoOpen("wide");
+    open.specText = generateSyntheticText(wide);
+    open.partitions = 0xFFFFFFFFu;
+    try {
+        client.open(open);
+        FAIL() << "expected ERR";
+    } catch (const SimError &e) {
+        std::string msg = e.what();
+        EXPECT_EQ(msg.rfind("server: ", 0), 0u) << msg;
+        EXPECT_NE(msg.find("session partitions"), std::string::npos)
+            << msg;
+    }
+
+    auto badIo = echoOpen("badio");
+    badIo.io = static_cast<SessionIo>(7);
+    try {
+        client.open(badIo);
+        FAIL() << "expected ERR";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("session io mode"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The daemon lives on, and neither name was taken.
+    auto ok = echoOpen("wide");
+    auto session = client.open(ok);
+    EXPECT_FALSE(session.resumed);
+    EXPECT_EQ(client.run(session.id, 9).output, directOutput(ok, 9));
+}
+
+TEST_F(Serve, ParkedFileWithBadRecipeIsRefused)
+{
+    // CRC-valid checkpoints: one whose recipe asks for too many
+    // lanes, one with no recipe section at all.
+    SimulationOptions o;
+    o.specText = kEchoSpec;
+    o.ioMode = IoMode::Null;
+    Simulation sim(o);
+    auto recipe = echoOpen("bad");
+    recipe.partitions = 0xFFFFFFFFu;
+    ByteWriter w;
+    encodeSessionRecipe(w, recipe);
+    CheckpointSections sections;
+    sections.session = w.take();
+    resetState();
+    writeBytes(stateDir() + "/bad.ckpt",
+               encodeCheckpoint(sim.snapshot(), sim.specHash(), "vm",
+                                sections));
+    writeBytes(stateDir() + "/bare.ckpt",
+               encodeCheckpoint(sim.snapshot(), sim.specHash(), "vm"));
+
+    ServeServer server(serveOpts());
+    server.start();
+    ServeClient client(sock_);
+    ServeClient::OpenOptions attach;
+    attach.name = "bad";
+    try {
+        client.open(attach);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("bad.ckpt"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("session partitions"), std::string::npos)
+            << msg;
+    }
+    attach.name = "bare";
+    try {
+        client.open(attach);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("no session recipe"),
+                  std::string::npos)
+            << e.what();
+    }
+    auto ok = echoOpen("fine");
+    EXPECT_EQ(client.run(client.open(ok).id, 9).output,
+              directOutput(ok, 9));
 }
 
 TEST_F(Serve, TcpEndpointSpeaksTheSameProtocol)

@@ -1,16 +1,22 @@
 /** @file
  * Checkpoint subsystem tests: binary round trips through memory and
- * disk, the corrupt-input hardening contract (truncations and bit
- * flips of every byte must raise diagnostic SimErrors, never UB),
- * spec-identity binding, and BatchRunner's checkpoint/resume flow.
+ * disk, format v2 sections and v1 read compatibility, the
+ * corrupt-input hardening contract (truncations and bit flips of
+ * every byte must raise diagnostic SimErrors, never UB),
+ * spec-identity binding, and BatchRunner's checkpoint/resume flow,
+ * including resume from every state a kill can leave on disk.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "machines/counter.hh"
 #include "sim/batch.hh"
@@ -27,6 +33,36 @@ const char *kEchoSpec = "# integer echo\n"
                         "M in 1 0 2 1\n"
                         "M out 1 in 3 1\n"
                         ".\n";
+
+/** Write `bytes` to `path` verbatim. */
+void
+writeBytes(const std::string &path, std::string_view bytes)
+{
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** The bytes of the file at `path`. */
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Every section set, for round-trip and fuzz cases. */
+CheckpointSections
+allSections()
+{
+    CheckpointSections s;
+    s.output = "11\n22\n";
+    s.trace = "Cycle   0 count= 0\n";
+    s.done = true;
+    s.watchpointHit = true;
+    s.session = std::string("recipe\0bytes", 12);
+    return s;
+}
 
 /** Unique scratch path per test; removed by the caller when needed. */
 std::string
@@ -77,6 +113,29 @@ TEST_F(CheckpointFormat, EncodeDecodeRoundTrip)
     EXPECT_EQ(back.ioBytes, snap.ioBytes);
     EXPECT_EQ(back.stats.cycles, snap.stats.cycles);
     EXPECT_EQ(back.stats.summary(), snap.stats.summary());
+}
+
+TEST_F(CheckpointFormat, SectionsRoundTrip)
+{
+    std::ostringstream os;
+    Simulation sim = makeEchoSim(os);
+    sim.run(2);
+    const CheckpointSections in = allSections();
+    std::string blob =
+        encodeCheckpoint(sim.snapshot(), 7, "vm", in);
+    CheckpointSections out;
+    EngineSnapshot back = decodeCheckpoint(blob, "mem", nullptr, &out);
+    EXPECT_EQ(back.cycle, 2u);
+    EXPECT_EQ(out.output, in.output);
+    EXPECT_EQ(out.trace, in.trace);
+    EXPECT_TRUE(out.done);
+    EXPECT_TRUE(out.watchpointHit);
+    EXPECT_EQ(out.session, in.session);
+
+    // No sections: every one reads back absent.
+    decodeCheckpoint(encodeCheckpoint(sim.snapshot(), 7, "vm"), "mem",
+                     nullptr, &out);
+    EXPECT_FALSE(out.output || out.trace || out.done || out.session);
 }
 
 TEST_F(CheckpointFormat, FileRoundTripAndPeek)
@@ -162,6 +221,52 @@ TEST_F(CheckpointFormat, UnreadableFileIsDiagnostic)
                  SimError);
 }
 
+// A format-v1 checkpoint written by a v1 build restores under every
+// in-process engine, and the continuation's trace and scripted output
+// are byte-identical to an uninterrupted run's. The fixture came from
+// `asim-run --io=script:ckpt_v1.io --cycles=5
+// --save-state=ckpt_v1.ckpt ckpt_v1.asim` (vm) in tests/fixtures.
+TEST_F(CheckpointFormat, V1FixtureRestoresUnderEveryInProcessEngine)
+{
+    const std::string dir = ASIM_FIXTURES_DIR;
+    const std::string fixture = dir + "/ckpt_v1.ckpt";
+    CheckpointSections sections;
+    CheckpointInfo info = peekCheckpoint(fixture, &sections);
+    ASSERT_EQ(info.version, 1u);
+    ASSERT_EQ(info.cycle, 5u);
+    EXPECT_FALSE(sections.output || sections.trace || sections.done ||
+                 sections.session);
+
+    auto options = [&](std::ostream &out, const std::string &engine) {
+        SimulationOptions o;
+        o.specFile = dir + "/ckpt_v1.asim";
+        o.engine = engine;
+        o.ioMode = IoMode::Script;
+        o.scriptInputs = Simulation::loadScript(dir + "/ckpt_v1.io");
+        o.ioOut = &out;
+        o.traceStream = &out;
+        return o;
+    };
+    std::ostringstream head;
+    Simulation ref(options(head, "vm"));
+    ref.run(5);
+    const size_t prefix = head.str().size();
+    ref.run(7);
+    const std::string continuation = head.str().substr(prefix);
+
+    for (const char *engine : {"interp", "vm", "symbolic"}) {
+        std::ostringstream out;
+        Simulation sim(options(out, engine));
+        sim.restoreCheckpoint(fixture);
+        sim.run(7);
+        EXPECT_EQ(out.str(), continuation) << engine;
+        EXPECT_TRUE(sim.engine().state() == ref.engine().state())
+            << engine;
+        EXPECT_EQ(sim.stats().summary(), ref.stats().summary())
+            << engine;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Corrupt-input hardening: every truncation length and every
 // single-byte flip of a real checkpoint must fail with SimError —
@@ -171,8 +276,10 @@ TEST_F(CheckpointFormat, UnreadableFileIsDiagnostic)
 class CheckpointFuzz : public ::testing::Test
 {
   protected:
+    /** A real mid-run checkpoint carrying all four v2 sections (or
+     *  none, for building hand-made section lists on top). */
     static std::string
-    realBlob()
+    realBlob(bool withSections = true)
     {
         std::ostringstream os;
         SimulationOptions opts;
@@ -182,8 +289,40 @@ class CheckpointFuzz : public ::testing::Test
         opts.ioOut = &os;
         Simulation sim(opts);
         sim.run(3);
-        return encodeCheckpoint(sim.snapshot(), sim.specHash(),
-                                "vm");
+        return encodeCheckpoint(
+            sim.snapshot(), sim.specHash(), "vm",
+            withSections ? allSections() : CheckpointSections{});
+    }
+
+    /** A CRC-valid v2 file whose section list is written by `build`
+     *  (after the section count `count`). */
+    template <class Build>
+    static std::string
+    withSectionList(uint32_t count, Build build)
+    {
+        std::string blob = realBlob(false);
+        // Drop the CRC and the empty list's count, then re-seal.
+        ByteWriter w;
+        w.bytes(std::string_view(blob).substr(0, blob.size() - 8));
+        w.u32(count);
+        build(w);
+        w.u32(crc32(w.data()));
+        return w.take();
+    }
+
+    /** Decoding `blob` must raise SimError mentioning `what` and the
+     *  byte offset. */
+    static void
+    expectRefused(const std::string &blob, const std::string &what)
+    {
+        try {
+            decodeCheckpoint(blob, "crafted");
+            FAIL() << "expected SimError for " << what;
+        } catch (const SimError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find(what), std::string::npos) << msg;
+            EXPECT_NE(msg.find("(offset "), std::string::npos) << msg;
+        }
     }
 };
 
@@ -248,12 +387,50 @@ TEST_F(CheckpointFuzz, AbsurdCountRejectedBeforeAllocation)
     }
 }
 
+TEST_F(CheckpointFuzz, UnknownSectionTagIsRefused)
+{
+    expectRefused(withSectionList(1,
+                                  [](ByteWriter &w) {
+                                      w.u32(99);
+                                      w.str("x");
+                                  }),
+                  "unknown section tag 99");
+}
+
+TEST_F(CheckpointFuzz, DuplicateSectionTagIsRefused)
+{
+    expectRefused(
+        withSectionList(2,
+                        [](ByteWriter &w) {
+                            w.u32(static_cast<uint32_t>(
+                                CheckpointSection::Output));
+                            w.str("a");
+                            w.u32(static_cast<uint32_t>(
+                                CheckpointSection::Output));
+                            w.str("b");
+                        }),
+        "duplicate section tag 1");
+}
+
+TEST_F(CheckpointFuzz, SectionLengthPastTheEndIsRefused)
+{
+    expectRefused(
+        withSectionList(1,
+                        [](ByteWriter &w) {
+                            w.u32(static_cast<uint32_t>(
+                                CheckpointSection::Trace));
+                            w.u32(1000); // declared, never written
+                            w.bytes("short");
+                        }),
+        "section payload declares 1000 bytes");
+}
+
 TEST_F(CheckpointFuzz, FutureVersionRefusedByName)
 {
     std::string blob = realBlob();
-    // Bump the version field (bytes 8..11) and re-seal the CRC so
-    // only the version gate can object.
-    blob[8] = static_cast<char>(kCheckpointVersion + 7);
+    // Bump the version field (bytes 8..11) to the next format and
+    // re-seal the CRC so only the version gate can object.
+    blob[8] = static_cast<char>(kCheckpointVersion + 1);
     uint32_t crc = crc32(
         std::string_view(blob).substr(0, blob.size() - 4));
     for (int i = 0; i < 4; ++i)
@@ -263,18 +440,21 @@ TEST_F(CheckpointFuzz, FutureVersionRefusedByName)
         decodeCheckpoint(blob, "future");
         FAIL() << "expected SimError";
     } catch (const SimError &e) {
-        EXPECT_NE(std::string(e.what()).find("newer"),
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("format version " +
+                           std::to_string(kCheckpointVersion + 1) +
+                           " is newer"),
                   std::string::npos)
-            << e.what();
+            << msg;
     }
 }
 
 // ---------------------------------------------------------------------
-// BatchRunner checkpoint/resume: a finished run's artifacts skip
-// instances; a killed run's artifacts (checkpoint, no .done marker)
-// resume them with byte-identical output.
+// BatchRunner checkpoint/resume: each instance persists one file,
+// inst-<i>.ckpt, whose sections carry its output, captured trace and
+// done flag. A finished run's files skip instances; a killed run's
+// files (no done flag) resume them with byte-identical output.
 // ---------------------------------------------------------------------
-
 class BatchResume : public ::testing::Test
 {
   protected:
@@ -338,8 +518,8 @@ TEST_F(BatchResume, FinishedInstancesAreSkippedOnResume)
 
 TEST_F(BatchResume, KilledRunResumesWithByteIdenticalOutput)
 {
-    // Simulate the artifacts a killed batch leaves: a mid-run
-    // checkpoint and its output text, but no completion marker.
+    // The file a killed batch leaves: a mid-run checkpoint whose
+    // output section holds the text produced so far, no done flag.
     {
         std::ostringstream os;
         SimulationOptions opts = echoJob(0).options;
@@ -347,9 +527,9 @@ TEST_F(BatchResume, KilledRunResumesWithByteIdenticalOutput)
         Simulation sim(opts);
         sim.run(4);
         std::filesystem::create_directories(dir_);
-        sim.saveCheckpoint(dir_ + "/inst-0.ckpt");
-        // The .io artifact carries the cycle it corresponds to.
-        std::ofstream(dir_ + "/inst-0.io") << "4\n" << os.str();
+        CheckpointSections sections;
+        sections.output = os.str();
+        sim.saveCheckpoint(dir_ + "/inst-0.ckpt", sections);
     }
 
     BatchOptions bopts;
@@ -371,7 +551,7 @@ TEST_F(BatchResume, KilledRunResumesWithByteIdenticalOutput)
         << "resumed output must be byte-identical";
     EXPECT_TRUE(r.state == refResult.instances[0].state);
 
-    // And the dir is now marked done: a third run skips entirely.
+    // And the file now carries the done flag: a third run skips.
     BatchRunner third(bopts);
     third.addJob(echoJob(9));
     EXPECT_EQ(third.resumeFromCheckpoints(), 1u);
@@ -380,12 +560,11 @@ TEST_F(BatchResume, KilledRunResumesWithByteIdenticalOutput)
               refResult.instances[0].ioText);
 }
 
-TEST_F(BatchResume, TornArtifactsRestartInsteadOfStitching)
+TEST_F(BatchResume, CheckpointWithoutOutputSectionIsDiagnostic)
 {
-    // A kill between the .io and .ckpt writes leaves their cycle
-    // tags disagreeing. Resume must detect the tear and restart the
-    // instance from zero — full, correct output, no duplicated or
-    // missing chunk.
+    // A plain checkpoint (asim-run --save-state) dropped into the
+    // directory carries no output section: resuming it would lose
+    // the output before the checkpoint, so the runner refuses.
     {
         std::ostringstream os;
         SimulationOptions opts = echoJob(0).options;
@@ -394,18 +573,20 @@ TEST_F(BatchResume, TornArtifactsRestartInsteadOfStitching)
         sim.run(4);
         std::filesystem::create_directories(dir_);
         sim.saveCheckpoint(dir_ + "/inst-0.ckpt");
-        std::ofstream(dir_ + "/inst-0.io") << "2\n11\n22\n"; // stale
     }
     BatchOptions bopts;
     bopts.checkpointDir = dir_;
     BatchRunner runner(bopts);
     runner.addJob(echoJob(9));
-    EXPECT_EQ(runner.resumeFromCheckpoints(), 1u);
-    BatchResult result = runner.run();
-    ASSERT_TRUE(result.allOk());
-    EXPECT_FALSE(result.instances[0].resumed) << "tear detected";
-    EXPECT_EQ(result.instances[0].ioText,
-              "11\n22\n33\n44\n55\n66\n77\n88\n99\n");
+    runner.resumeFromCheckpoints();
+    try {
+        runner.run();
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("output"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(BatchResume, BudgetExtensionContinuesFromDoneMarker)
@@ -455,21 +636,10 @@ TEST_F(BatchResume, ResumeRequiresCheckpointDir)
     EXPECT_THROW(runner.resumeFromCheckpoints(), SimError);
 }
 
-TEST_F(BatchResume, CorruptDoneMarkerIsDiagnostic)
-{
-    std::filesystem::create_directories(dir_);
-    std::ofstream(dir_ + "/inst-0.done") << "not numbers";
-    BatchOptions bopts;
-    bopts.checkpointDir = dir_;
-    BatchRunner runner(bopts);
-    runner.addJob(echoJob(4));
-    EXPECT_THROW(runner.resumeFromCheckpoints(), SimError);
-}
-
 // ---------------------------------------------------------------------
-// The .trace sidecar: captured traces persist under the same
-// cycle-tag discipline as .io, so resumed instances merge complete
-// traces instead of losing everything before the kill.
+// Captured traces persist in the checkpoint's trace section, so
+// resumed instances merge complete traces instead of losing
+// everything before the kill.
 // ---------------------------------------------------------------------
 
 /** A tracing job: the counter machine stars its count component. */
@@ -496,10 +666,12 @@ TEST_F(BatchResume, TraceSidecarPersistsAndReloadsWhenSkipping)
         ASSERT_TRUE(first.allOk());
         reference = first.instances[0].traceText;
         ASSERT_FALSE(reference.empty());
-        EXPECT_TRUE(
-            std::filesystem::exists(dir_ + "/inst-0.trace"));
+        CheckpointSections sections;
+        peekCheckpoint(dir_ + "/inst-0.ckpt", &sections);
+        EXPECT_EQ(sections.trace, reference);
+        EXPECT_TRUE(sections.done);
     }
-    // Skipped-as-done instances reload the trace from the sidecar.
+    // Skipped-as-done instances reload the trace from the section.
     BatchRunner again(bopts);
     again.addJob(tracedCounterJob(6));
     EXPECT_EQ(again.resumeFromCheckpoints(), 1u);
@@ -511,8 +683,8 @@ TEST_F(BatchResume, TraceSidecarPersistsAndReloadsWhenSkipping)
 
 TEST_F(BatchResume, KilledRunMergesTraceAcrossResume)
 {
-    // Simulate a kill after the cycle-4 persist: checkpoint, .io,
-    // and .trace all tagged 4, no completion marker.
+    // The file a kill after the cycle-4 persist leaves: checkpoint
+    // with output and trace sections, no done flag.
     {
         std::ostringstream ts;
         SimulationOptions opts = tracedCounterJob(0).options;
@@ -520,9 +692,10 @@ TEST_F(BatchResume, KilledRunMergesTraceAcrossResume)
         Simulation sim(opts);
         sim.run(4);
         std::filesystem::create_directories(dir_);
-        sim.saveCheckpoint(dir_ + "/inst-0.ckpt");
-        std::ofstream(dir_ + "/inst-0.io") << "4\n";
-        std::ofstream(dir_ + "/inst-0.trace") << "4\n" << ts.str();
+        CheckpointSections sections;
+        sections.output = "";
+        sections.trace = ts.str();
+        sim.saveCheckpoint(dir_ + "/inst-0.ckpt", sections);
     }
     BatchOptions bopts;
     bopts.checkpointDir = dir_;
@@ -541,37 +714,129 @@ TEST_F(BatchResume, KilledRunMergesTraceAcrossResume)
         << "resumed trace must merge to byte-identical";
 }
 
-TEST_F(BatchResume, TornTraceSidecarRestartsInsteadOfStitching)
+// ---------------------------------------------------------------------
+// Kill at every write point. Persisting is one atomic write (temp file
+// + rename), so a kill leaves one of two on-disk states: the previous
+// generation (or nothing) plus `inst-<i>.ckpt.tmp` truncated at any
+// length, or the new generation in place. Every such state must
+// resume to output, trace and state byte-identical to an
+// uninterrupted run.
+// ---------------------------------------------------------------------
+
+/** Scripted echo beside a traced counter: output and trace both. */
+const char *kTracedEchoSpec = "# echo beside a traced counter\n"
+                              "= 9\n"
+                              "in out count* next .\n"
+                              "A next 4 count.0.3 1\n"
+                              "M count 0 next 1 1\n"
+                              "M in 1 0 2 1\n"
+                              "M out 1 in 3 1\n"
+                              ".\n";
+
+TEST_F(BatchResume, KillAtEveryWritePointResumesByteIdentically)
 {
-    // .io matches the checkpoint but .trace carries a stale tag (a
-    // kill between the .io and .trace writes can't produce this
-    // order, but a corrupt file can): the tear restarts the
-    // instance, same answer as a torn .io.
-    {
-        std::ostringstream ts;
-        SimulationOptions opts = tracedCounterJob(0).options;
-        opts.traceStream = &ts;
-        Simulation sim(opts);
-        sim.run(4);
-        std::filesystem::create_directories(dir_);
-        sim.saveCheckpoint(dir_ + "/inst-0.ckpt");
-        std::ofstream(dir_ + "/inst-0.io") << "4\n";
-        std::ofstream(dir_ + "/inst-0.trace") << "2\nstale";
-    }
+    BatchJob job;
+    job.options.specText = kTracedEchoSpec;
+    job.options.ioMode = IoMode::Script;
+    job.options.scriptInputs = {11, 22, 33, 44, 55, 66, 77, 88, 99};
+    job.cycles = 9;
+    job.captureTrace = true;
+    job.label = "traced-echo";
+
     BatchOptions bopts;
     bopts.checkpointDir = dir_;
-    BatchRunner runner(bopts);
-    runner.addJob(tracedCounterJob(9));
-    EXPECT_EQ(runner.resumeFromCheckpoints(), 1u);
-    BatchResult result = runner.run();
-    ASSERT_TRUE(result.allOk());
-    EXPECT_FALSE(result.instances[0].resumed) << "tear detected";
+    bopts.checkpointEvery = 2;
+    bopts.threads = 1;
 
-    BatchRunner ref;
-    ref.addJob(tracedCounterJob(9));
-    BatchResult refResult = ref.run();
-    EXPECT_EQ(result.instances[0].traceText,
-              refResult.instances[0].traceText);
+    BatchResult reference;
+    {
+        BatchRunner ref;
+        ref.addJob(job);
+        reference = ref.run();
+        ASSERT_TRUE(reference.allOk());
+    }
+
+    // The file the runner writes after `cycle` cycles: the snapshot
+    // plus the output and trace so far, done flag on completion.
+    auto generation = [&](uint64_t cycle) {
+        std::ostringstream io;
+        std::ostringstream trace;
+        SimulationOptions opts = job.options;
+        opts.ioOut = &io;
+        opts.traceStream = &trace;
+        Simulation sim(opts);
+        sim.run(cycle);
+        CheckpointSections sections;
+        sections.output = io.str();
+        sections.trace = trace.str();
+        sections.done = cycle == job.cycles;
+        return encodeCheckpoint(sim.snapshot(), sim.specHash(), "vm",
+                                sections);
+    };
+
+    // The helper writes what the runner writes: an uninterrupted
+    // checkpointed run leaves exactly the last generation.
+    {
+        BatchRunner runner(bopts);
+        runner.addJob(job);
+        ASSERT_TRUE(runner.run().allOk());
+        ASSERT_EQ(readBytes(dir_ + "/inst-0.ckpt"), generation(9));
+    }
+
+    const std::string ckpt = dir_ + "/inst-0.ckpt";
+    auto resumeMatches = [&](const std::string &state) {
+        BatchRunner runner(bopts);
+        runner.addJob(job);
+        runner.resumeFromCheckpoints();
+        BatchResult got = runner.run();
+        const InstanceResult &r = got.instances[0];
+        const InstanceResult &want = reference.instances[0];
+        EXPECT_FALSE(r.faulted) << state << ": " << r.fault;
+        EXPECT_EQ(r.cyclesRun, want.cyclesRun) << state;
+        EXPECT_EQ(r.ioText, want.ioText) << state;
+        EXPECT_EQ(r.traceText, want.traceText) << state;
+        EXPECT_TRUE(r.state == want.state) << state;
+        // The resumed run's own writes consume any stale temp file.
+        EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
+                                std::filesystem::directory_iterator()),
+                  1)
+            << state;
+    };
+
+    std::string previous; // nothing on disk before the first write
+    for (uint64_t cycle : {2, 4, 6, 8, 9}) {
+        const std::string next = generation(cycle);
+        for (size_t len = 0; len <= next.size(); ++len) {
+            std::filesystem::remove_all(dir_);
+            std::filesystem::create_directories(dir_);
+            if (!previous.empty())
+                writeBytes(ckpt, previous);
+            writeBytes(ckpt + ".tmp", next.substr(0, len));
+            resumeMatches("write of cycle " + std::to_string(cycle) +
+                          ", temp file cut at " + std::to_string(len));
+        }
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+        writeBytes(ckpt, next);
+        resumeMatches("cycle " + std::to_string(cycle) + " in place");
+        previous = next;
+    }
+}
+
+TEST_F(BatchResume, OnlyCheckpointFilesAreWritten)
+{
+    BatchOptions bopts;
+    bopts.checkpointDir = dir_;
+    bopts.checkpointEvery = 2;
+    BatchRunner runner(bopts);
+    runner.addBatch(tracedCounterJob(9), 3);
+    ASSERT_TRUE(runner.run().allOk());
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir_))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "inst-0.ckpt", "inst-1.ckpt", "inst-2.ckpt"}));
 }
 
 // ---------------------------------------------------------------------
@@ -608,12 +873,13 @@ TEST_F(BatchResume, WatchpointJobsHonorCheckpointEvery)
         ASSERT_TRUE(result.instances[0].faulted);
         EXPECT_EQ(result.instances[0].cyclesRun, 10u);
     }
-    // The fault killed the search mid-chunk, so the artifacts are
-    // the last *periodic* checkpoint — cycle 8 — with no completion
-    // marker. Before the fix, watchpoint runs left nothing at all.
+    // The fault killed the search mid-chunk, so the file is the last
+    // *periodic* checkpoint — cycle 8 — without the done flag.
     ASSERT_TRUE(std::filesystem::exists(dir_ + "/inst-0.ckpt"));
-    EXPECT_EQ(peekCheckpoint(dir_ + "/inst-0.ckpt").cycle, 8u);
-    EXPECT_FALSE(std::filesystem::exists(dir_ + "/inst-0.done"));
+    CheckpointSections sections;
+    EXPECT_EQ(peekCheckpoint(dir_ + "/inst-0.ckpt", &sections).cycle,
+              8u);
+    EXPECT_FALSE(sections.done);
 
     // And the search resumes from it instead of restarting.
     BatchRunner again(bopts);
@@ -651,8 +917,11 @@ TEST_F(BatchResume, WatchpointHitStopsAtTheSameCycleWhenChunked)
     ASSERT_TRUE(result.instances[0].watchpointHit);
     EXPECT_EQ(result.instances[0].cyclesRun,
               refResult.instances[0].cyclesRun);
-    // Completion persisted a .done marker recording the hit.
-    EXPECT_TRUE(std::filesystem::exists(dir_ + "/inst-0.done"));
+    // Completion set the done flag with the watchpoint bit.
+    CheckpointSections sections;
+    peekCheckpoint(dir_ + "/inst-0.ckpt", &sections);
+    EXPECT_TRUE(sections.done);
+    EXPECT_TRUE(sections.watchpointHit);
 }
 
 } // namespace
