@@ -29,6 +29,10 @@ main()
     const auto expected = sieveReference(size);
     Spec healthy = parseSpec(stackMachineSpec(sieveProgram(size),
                                               50000));
+    // Stuck-at policies from the injector registry (set0, set1,
+    // toggle); each splices a copy of the healthy specification.
+    const FaultInjector &set0 = FaultInjectorRegistry::global().get("set0");
+    const FaultInjector &set1 = FaultInjectorRegistry::global().get("set1");
 
     std::cout << "healthy machine: ";
     {
@@ -45,8 +49,7 @@ main()
 
     std::cout << "stuck-at-0 sweep over ALU result bus bits:\n";
     for (int bit = 0; bit < 12; ++bit) {
-        Spec faulty = injectStuckBit(healthy, "alures", bit,
-                                     StuckMode::StuckAt0);
+        Spec faulty = set0.splice(healthy, "alures", bit);
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;
@@ -72,8 +75,7 @@ main()
     std::cout << "\nstuck-at-1 on the branch condition path "
                  "(iszero output):\n  ";
     try {
-        Spec faulty = injectStuckBit(healthy, "iszero", 0,
-                                     StuckMode::StuckAt1);
+        Spec faulty = set1.splice(healthy, "iszero", 0);
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;

@@ -14,47 +14,12 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/rand.hh"
+#include "support/text.hh"
 #include "support/tracing.hh"
 
 namespace asim {
 
 namespace {
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Fixed-precision rendering so the JSON report is reproducible. */
 std::string

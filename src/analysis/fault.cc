@@ -361,17 +361,4 @@ validateFaultSite(const ResolvedSpec &rs, const FaultSite &site)
     }
 }
 
-// ---------------------------------------------------------------------
-// Compatibility wrapper
-// ---------------------------------------------------------------------
-
-Spec
-injectStuckBit(const Spec &spec, const std::string &comp, int bit,
-               StuckMode mode)
-{
-    return FaultInjectorRegistry::global()
-        .get(mode == StuckMode::StuckAt0 ? "set0" : "set1")
-        .splice(spec, comp, bit);
-}
-
 } // namespace asim

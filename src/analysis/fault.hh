@@ -167,23 +167,6 @@ std::string formatFaultSite(const FaultSite &site);
  */
 void validateFaultSite(const ResolvedSpec &rs, const FaultSite &site);
 
-/**
- * Compatibility wrapper over the registry ("set0"/"set1" splices).
- * Prefer FaultInjectorRegistry::global().get(mode).splice(...).
- */
-enum class StuckMode
-{
-    StuckAt0,
-    StuckAt1,
-};
-
-/** Return a copy of `spec` with bit `bit` of component `comp` stuck.
- *  Thin wrapper over the "set0"/"set1" registry policies.
- *  @throws SpecError if `comp` does not exist or `bit` is out of
- *  range */
-Spec injectStuckBit(const Spec &spec, const std::string &comp, int bit,
-                    StuckMode mode);
-
 } // namespace asim
 
 #endif // ASIM_ANALYSIS_FAULT_HH

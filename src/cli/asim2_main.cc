@@ -1,29 +1,24 @@
 /**
  * @file
  * `asim2c` — the ASIM II compiler: specification in, Pascal or C++
- * out (thesis Appendix A: `sim [file]` producing `simulator.p`).
+ * out (thesis Appendix A: `sim [file]` producing `simulator.p`);
+ * `asim2c --help` lists the flags.
  *
- * Usage: asim2c [options] <spec-file>
- *   --lang=pascal|cpp    target language (default pascal)
- *   -o <file>            output path (default simulator.p / .cc)
- *   --no-trace           generate without trace statements
- *   --no-optimize        disable constant inlining/specialization
- *   --fixed-shl          repaired shift-left semantics
- *   --serve              C++ only: also emit the persistent `--serve`
- *                        command loop + state dump (the protocol the
- *                        NativeEngine adapter drives; DESIGN.md §5)
- *   --spec-hash          print the specification's identity hash
- *                        (the checkpoint/build-cache key) and exit
- *   --trace-out=FILE     write a Chrome trace_event JSON profile of
- *                        this compile (parse/resolve/codegen spans)
+ * What the one-line help entries leave out: `--serve` also emits the
+ * machine-state dump, and together they are the protocol the
+ * NativeEngine adapter drives (DESIGN.md §5); the `--spec-hash` value
+ * keys checkpoints and the native build cache; `--trace-out` records
+ * parse/resolve and codegen spans.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/resolve.hh"
+#include "cli/flags.hh"
 #include "codegen/codegen.hh"
 #include "sim/simulation.hh"
 #include "support/tracing.hh"
@@ -33,7 +28,6 @@ main(int argc, char **argv)
 {
     using namespace asim;
 
-    std::string file;
     std::string lang = "pascal";
     std::string outPath;
     std::string traceOut;
@@ -45,48 +39,47 @@ main(int argc, char **argv)
         ~TraceGuard() { tracing::stop(); }
     } traceGuard;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--lang=", 0) == 0) {
-            lang = arg.substr(7);
-        } else if (arg == "-o" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (arg == "--no-trace") {
-            opts.emitTrace = false;
-        } else if (arg == "--no-optimize") {
-            opts.inlineConstAlu = false;
-            opts.specializeConstMem = false;
-        } else if (arg == "--fixed-shl") {
-            opts.aluSemantics = AluSemantics::Fixed;
-        } else if (arg == "--serve") {
-            opts.emitServeLoop = true;
-            opts.emitStateDump = true;
-        } else if (arg == "--spec-hash") {
-            specHashOnly = true;
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            traceOut = arg.substr(12);
-        } else if (arg == "--help" || arg == "-h") {
-            std::cerr << "usage: asim2c [--lang=pascal|cpp] [-o file]\n"
-                      << "              [--no-trace] [--no-optimize]\n"
-                      << "              [--fixed-shl] [--serve]\n"
-                      << "              [--spec-hash] "
-                         "[--trace-out=file] <spec-file>\n";
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option " << arg << "\n";
-            return 1;
-        } else {
-            file = arg;
-        }
-    }
-    if (file.empty()) {
-        std::cerr << "usage: asim2c [options] <spec-file>\n";
+    auto language = [&lang](const std::string &v) {
+        if (v != "pascal" && v != "cpp")
+            throw cli::BadValue("pascal or cpp");
+        lang = v;
+    };
+    auto noOptimize = [&opts](const std::string &) {
+        opts.inlineConstAlu = opts.specializeConstMem = false;
+    };
+    auto fixedShl = [&opts](const std::string &) {
+        opts.aluSemantics = AluSemantics::Fixed;
+    };
+    auto serve = [&opts](const std::string &) {
+        opts.emitServeLoop = opts.emitStateDump = true;
+    };
+    const cli::FlagTable flags{
+        "asim2c [options] <spec-file>",
+        {
+            {"--lang=pascal|cpp", "target language (default pascal)",
+             language},
+            {"-o FILE", "output path (default simulator.p / simulator.cc)",
+             cli::text(outPath)},
+            {"--no-trace", "generate without trace statements",
+             cli::assign(opts.emitTrace, false)},
+            {"--no-optimize", "disable constant inlining/specialization",
+             noOptimize},
+            {"--fixed-shl", "repaired shift-left semantics", fixedShl},
+            {"--serve", "C++ only: also emit the native engine's --serve "
+             "loop", serve},
+            {"--spec-hash", "print the spec's identity hash and exit",
+             cli::assign(specHashOnly)},
+            {"--trace-out=FILE", "write a Chrome trace_event JSON profile",
+             cli::text(traceOut)},
+        }};
+    std::vector<std::string> files;
+    if (auto status = flags.parse(argc, argv, &files))
+        return *status;
+    if (files.empty() || files.back().empty()) {
+        flags.printUsage(std::cerr);
         return 1;
     }
-    if (lang != "pascal" && lang != "cpp") {
-        std::cerr << "unknown language " << lang << "\n";
-        return 1;
-    }
+    const std::string &file = files.back();
     if (opts.emitServeLoop && lang != "cpp") {
         std::cerr << "--serve is C++ only (--lang=cpp)\n";
         return 1;

@@ -1,19 +1,13 @@
 /**
  * @file
- * `asim-serve` — the multi-tenant simulation daemon (DESIGN.md §9).
+ * `asim-serve` — the multi-tenant simulation daemon (DESIGN.md §9);
+ * `asim-serve --help` lists the flags.
  *
- * Usage: asim-serve [options]
- *   --socket=PATH          listen on a Unix-domain socket at PATH
- *   --tcp=PORT             also listen on loopback TCP (0 picks an
- *                          ephemeral port, printed on startup)
- *   --state-dir=DIR        parked sessions, one <name>.ckpt each
- *                          (default asim-serve-state)
- *   --evict-after-ms=N     park sessions idle longer than N ms
- *                          (default 60000; 0 disables the sweep)
- *   --trace-out=FILE       write a Chrome trace_event JSON trace of
- *                          the daemon's lifetime (session lifecycle
- *                          events, engine spans) to FILE on shutdown
- *   --quiet                no startup/shutdown chatter
+ * What the one-line help entries leave out: `--tcp=0` prints the
+ * port it picked on startup; `--state-dir` holds one `<name>.ckpt`
+ * per parked session; with `--evict-after-ms=0` only an explicit
+ * EVICT parks a session; `--trace-out` records session lifecycle
+ * events and engine spans and is written on shutdown.
  *
  * The daemon always runs with timing metrics enabled so a METRICS
  * scrape (or asim-run --server-metrics) returns populated request-
@@ -28,10 +22,10 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdint>
 #include <iostream>
 #include <string>
 
+#include "cli/flags.hh"
 #include "serve/server.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -47,15 +41,6 @@ onSignal(int)
     gStop = true;
 }
 
-void
-usage()
-{
-    std::cerr << "usage: asim-serve [--socket=PATH] [--tcp=PORT]\n"
-              << "                  [--state-dir=DIR] "
-                 "[--evict-after-ms=N]\n"
-              << "                  [--trace-out=FILE] [--quiet]\n";
-}
-
 } // namespace
 
 int
@@ -68,37 +53,27 @@ main(int argc, char **argv)
     bool quiet = false;
     std::string traceOut;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--socket=", 0) == 0) {
-            opts.unixPath = arg.substr(9);
-        } else if (arg.rfind("--tcp=", 0) == 0) {
-            long long port = std::atoll(arg.c_str() + 6);
-            if (port < 0 || port > 65535) {
-                std::cerr << "--tcp wants a port in 0..65535\n";
-                return 1;
-            }
-            opts.tcpPort = static_cast<int>(port);
-        } else if (arg.rfind("--state-dir=", 0) == 0) {
-            opts.stateDir = arg.substr(12);
-        } else if (arg.rfind("--evict-after-ms=", 0) == 0) {
-            opts.evictAfterMs = std::atoll(arg.c_str() + 17);
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            traceOut = arg.substr(12);
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            return 1;
-        }
-    }
+    const cli::FlagTable flags{
+        "asim-serve [options]",
+        {
+            {"--socket=PATH", "listen on a Unix-domain socket at PATH",
+             cli::text(opts.unixPath)},
+            {"--tcp=PORT", "also listen on loopback TCP (0: any free port)",
+             cli::port(opts.tcpPort)},
+            {"--state-dir=DIR", "parked sessions (default asim-serve-state)",
+             cli::text(opts.stateDir)},
+            {"--evict-after-ms=N", "park sessions idle for N ms (default "
+             "60000; 0: never)", cli::number(opts.evictAfterMs)},
+            {"--trace-out=FILE", "write a Chrome trace_event JSON trace",
+             cli::text(traceOut)},
+            {"--quiet", "no startup/shutdown chatter", cli::assign(quiet)},
+        }};
+    if (auto status = flags.parse(argc, argv, nullptr))
+        return *status;
     if (opts.unixPath.empty() && opts.tcpPort < 0) {
         std::cerr << "asim-serve needs --socket=PATH and/or "
                      "--tcp=PORT\n";
-        usage();
+        flags.printUsage(std::cerr);
         return 1;
     }
 

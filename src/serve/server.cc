@@ -11,6 +11,7 @@
 #include "sim/checkpoint.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text.hh"
 #include "support/tracing.hh"
 
 namespace asim::serve {
@@ -475,7 +476,7 @@ ServeServer::ensureLive(Session &s)
     resumes.add();
     tracing::instantEvent("serve.session_resume", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s.recipe.name) + "\"");
+                              jsonEscape(s.recipe.name) + "\"");
     noteSessionCensus();
 }
 
@@ -504,7 +505,7 @@ ServeServer::parkSession(Session &s)
     evictions.add();
     tracing::instantEvent("serve.session_evict", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s.recipe.name) + "\"");
+                              jsonEscape(s.recipe.name) + "\"");
     noteSessionCensus();
 }
 
@@ -606,9 +607,9 @@ ServeServer::handleOpen(ByteReader &r)
             opened.add();
             tracing::instantEvent(
                 "serve.session_open", "serve",
-                "\"session\":\"" + tracing::jsonEscape(name) +
+                "\"session\":\"" + jsonEscape(name) +
                     "\",\"engine\":\"" +
-                    tracing::jsonEscape(s->recipe.engine) + "\"");
+                    jsonEscape(s->recipe.engine) + "\"");
         } catch (...) {
             // A session that never built must not squat on the name.
             std::lock_guard<std::mutex> mapLock(sessionsMu_);
@@ -758,7 +759,7 @@ ServeServer::handleClose(ByteReader &r)
     ::unlink(ckptPath(s->recipe.name).c_str());
     tracing::instantEvent("serve.session_close", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s->recipe.name) + "\"");
+                              jsonEscape(s->recipe.name) + "\"");
     noteSessionCensus();
     ByteWriter w;
     w.u8(static_cast<uint8_t>(Status::Ok));

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -13,6 +14,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/trace.hh"
 #include "support/metrics.hh"
+#include "support/text.hh"
 #include "support/thread_pool.hh"
 #include "support/tracing.hh"
 
@@ -26,42 +28,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 std::string
@@ -461,7 +427,7 @@ BatchRunner::run()
         r.seconds = secondsSince(t0);
         span.setArgs(
             "\"index\":" + std::to_string(i) + ",\"label\":\"" +
-            tracing::jsonEscape(job.label) + "\",\"engine\":\"" +
+            jsonEscape(job.label) + "\",\"engine\":\"" +
             r.engine +
             "\",\"cycles\":" + std::to_string(r.cyclesRun) +
             ",\"resumed\":" + (r.resumed ? "true" : "false") +
@@ -548,11 +514,15 @@ BatchRunner::loadManifest(const std::string &path,
                 throw bad("expected key=value, got: " + kv);
             std::string key = kv.substr(0, eq);
             std::string value = kv.substr(eq + 1);
-            if (key == "cycles") {
-                job.cycles = std::strtoull(value.c_str(), nullptr, 10);
-                if (job.cycles == 0)
-                    throw bad("cycles must be a positive integer: " +
+            auto positive = [&](uint64_t max) {
+                auto n = parsePositiveCount(value, max);
+                if (!n)
+                    throw bad(key + " must be a positive integer: " +
                               value);
+                return *n;
+            };
+            if (key == "cycles") {
+                job.cycles = positive(UINT64_MAX);
             } else if (key == "io") {
                 job.options.ioMode = IoMode::Script;
                 job.options.scriptInputs =
@@ -560,17 +530,10 @@ BatchRunner::loadManifest(const std::string &path,
             } else if (key == "engine") {
                 job.options.engine = value;
             } else if (key == "count") {
-                count = std::strtoull(value.c_str(), nullptr, 10);
-                if (count == 0)
-                    throw bad("count must be a positive integer: " +
-                              value);
+                count = positive(SIZE_MAX);
             } else if (key == "partitions") {
-                unsigned long p =
-                    std::strtoul(value.c_str(), nullptr, 10);
-                if (p == 0)
-                    throw bad("partitions must be a positive "
-                              "integer: " + value);
-                job.options.partitions = static_cast<unsigned>(p);
+                job.options.partitions =
+                    static_cast<unsigned>(positive(UINT_MAX));
             } else if (key == "fault") {
                 // Deliberately unwrapped: a malformed fault throws
                 // parseFaultSite's own SpecError, the same text the
@@ -581,13 +544,12 @@ BatchRunner::loadManifest(const std::string &path,
             } else if (key == "restore") {
                 job.restoreFrom = resolvePath(value);
             } else if (key == "watch") {
-                auto colon = value.find(':');
-                if (colon == std::string::npos)
+                auto watch = parseComponentValue(value);
+                if (!watch)
                     throw bad("watch wants component:value, got: " +
                               value);
-                job.watchName = value.substr(0, colon);
-                job.watchValue = static_cast<int32_t>(std::strtol(
-                    value.c_str() + colon + 1, nullptr, 0));
+                job.watchName = watch->component;
+                job.watchValue = watch->value;
             } else {
                 throw bad("unknown key <" + key + ">");
             }

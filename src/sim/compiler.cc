@@ -1,5 +1,6 @@
 #include "sim/compiler.hh"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -510,6 +511,16 @@ Program
 compileProgram(const ResolvedSpec &rs, const CompilerOptions &opts,
                bool tracingPossible)
 {
+    // Instr::idx numbers var slots and memories in 16 bits.
+    constexpr size_t kMaxSlots = size_t{1} << 16;
+    const size_t slots = std::max(static_cast<size_t>(rs.numVarSlots),
+                                  rs.mems.size());
+    if (slots > kMaxSlots) {
+        throw SimError("Error. The vm engine numbers at most " +
+                       std::to_string(kMaxSlots) +
+                       " slots; this specification needs " +
+                       std::to_string(slots) + ".");
+    }
     Program prog = Compiler(rs, opts, tracingPossible).run();
     linkAndOptimize(prog, rs, opts);
     return prog;

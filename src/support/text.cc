@@ -1,5 +1,8 @@
 #include "support/text.hh"
 
+#include <charconv>
+#include <cstdio>
+
 namespace asim {
 
 bool
@@ -68,6 +71,102 @@ countOccurrences(std::string_view hay, std::string_view needle)
         pos += needle.size();
     }
     return n;
+}
+
+std::optional<uint64_t>
+parseU64(std::string_view s, uint64_t max)
+{
+    int base = 10;
+    if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
+        base = 16;
+        s.remove_prefix(2);
+    }
+    uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, v, base);
+    if (ec != std::errc() || ptr != end || v > max)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<uint64_t>
+parsePositiveCount(std::string_view s, uint64_t max)
+{
+    auto v = parseU64(s, max);
+    if (!v || *v == 0)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<int32_t>
+parseI32(std::string_view s)
+{
+    const bool negative = !s.empty() && s[0] == '-';
+    if (negative)
+        s.remove_prefix(1);
+    const uint64_t limit =
+        negative ? uint64_t{1} << 31 : (uint64_t{1} << 31) - 1;
+    auto magnitude = parseU64(s, limit);
+    if (!magnitude)
+        return std::nullopt;
+    const auto v = static_cast<int64_t>(*magnitude);
+    return static_cast<int32_t>(negative ? -v : v);
+}
+
+std::optional<int>
+parsePort(std::string_view s)
+{
+    auto v = parseU64(s, 65535);
+    if (!v)
+        return std::nullopt;
+    return static_cast<int>(*v);
+}
+
+std::optional<ComponentValue>
+parseComponentValue(std::string_view s)
+{
+    auto colon = s.rfind(':');
+    if (colon == std::string_view::npos || colon == 0)
+        return std::nullopt;
+    auto value = parseI32(s.substr(colon + 1));
+    if (!value)
+        return std::nullopt;
+    return ComponentValue{std::string(s.substr(0, colon)), *value};
+}
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace asim

@@ -1,11 +1,16 @@
 /**
  * @file
- * Small text helpers shared by the lexer, parsers, and code generators.
+ * Small text helpers shared by the lexer, parsers, and code generators,
+ * plus the strict value parsers of the command lines and batch
+ * manifests and the one JSON string escaper.
  */
 
 #ifndef ASIM_SUPPORT_TEXT_HH
 #define ASIM_SUPPORT_TEXT_HH
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +56,44 @@ bool contains(std::string_view hay, std::string_view needle);
 
 /** Count occurrences of `needle` in `hay` (non-overlapping). */
 int countOccurrences(std::string_view hay, std::string_view needle);
+
+/**
+ * Strict whole-string number parsers for command-line flags and batch
+ * manifests. All of `s` must be the number, decimal or hexadecimal
+ * after `0x`: no whitespace, no `+`, no trailing text, and the value
+ * must be in range. Anything else is nullopt, never a partial read or
+ * a wrapped value.
+ */
+std::optional<uint64_t>
+parseU64(std::string_view s,
+         uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/** parseU64, and at least 1. */
+std::optional<uint64_t>
+parsePositiveCount(std::string_view s,
+                   uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/** A 32-bit signed value: parseU64's grammar after an optional '-'. */
+std::optional<int32_t> parseI32(std::string_view s);
+
+/** A TCP port, 0..65535. */
+std::optional<int> parsePort(std::string_view s);
+
+/** A watchpoint, `component:value`. */
+struct ComponentValue
+{
+    std::string component;
+    int32_t value = 0;
+};
+
+/** `component:value`, split at the last ':': a non-empty component
+ *  name and a parseI32 value. */
+std::optional<ComponentValue> parseComponentValue(std::string_view s);
+
+/** Escape `s` for a JSON string literal: quotes and backslashes,
+ *  `\n` `\t` `\r` by name, other control characters as `\u00XX`.
+ *  Lossless: the literal decodes back to `s`. */
+std::string jsonEscape(std::string_view s);
 
 } // namespace asim
 

@@ -75,23 +75,6 @@ struct Tracer
     }
 };
 
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 /** Microsecond timestamp with ns precision, as Chrome expects. */
 std::string
 fmtTsUs(uint64_t ns)
@@ -123,9 +106,9 @@ eventJson(const char *ph, const char *name, const char *cat,
           const std::string &argsJson)
 {
     std::string out = "{\"name\":\"";
-    out += escapeJson(name);
+    out += jsonEscape(name);
     out += "\",\"cat\":\"";
-    out += escapeJson(cat);
+    out += jsonEscape(cat);
     out += "\",\"ph\":\"";
     out += ph;
     out += "\",\"pid\":1,\"tid\":";
@@ -206,7 +189,7 @@ setThreadName(const std::string &name)
                        "\"tid\":";
     body += std::to_string(currentTid());
     body += ",\"args\":{\"name\":\"";
-    body += escapeJson(name);
+    body += jsonEscape(name);
     body += "\"}}";
     emit(body);
 }
@@ -245,15 +228,9 @@ counterEvent(const char *name, const char *series, double value)
     std::ostringstream arg;
     arg.setf(std::ios::fixed);
     arg.precision(3);
-    arg << "\"" << escapeJson(series) << "\":" << value;
+    arg << "\"" << jsonEscape(series) << "\":" << value;
     emit(eventJson("C", name, "metric", metrics::nowNs() - t.epochNs,
                    currentTid(), "", arg.str()));
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    return escapeJson(s);
 }
 
 uint64_t

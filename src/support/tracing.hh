@@ -28,6 +28,8 @@
 #include <mutex>
 #include <string>
 
+#include "support/text.hh"
+
 namespace asim::tracing {
 
 /** Serialized line-oriented writer over a stdio stream. Shared
@@ -104,9 +106,8 @@ void instantEvent(const char *name, const char *cat,
 /** Emit a counter ("ph":"C") event: one numeric series sample. */
 void counterEvent(const char *name, const char *series, double value);
 
-/** Escape `s` for inclusion inside a JSON string literal (quotes,
- *  backslashes, control characters). For building span args. */
-std::string jsonEscape(const std::string &s);
+/** For building span args: the shared escaper of support/text.hh. */
+using asim::jsonEscape;
 
 /** RAII complete-event span. Captures enabled() once at construction;
  *  a span built while tracing is off stays inert even if tracing

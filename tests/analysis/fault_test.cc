@@ -14,10 +14,17 @@
 namespace asim {
 namespace {
 
+/** A registry stuck-at policy ("set0"/"set1"). */
+const FaultInjector &
+stuck(const char *mode)
+{
+    return FaultInjectorRegistry::global().get(mode);
+}
+
 TEST(Fault, StructureOfInjectedSpec)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec f = injectStuckBit(s, "next", 0, StuckMode::StuckAt0);
+    Spec f = stuck("set0").splice(s, "next", 0);
     EXPECT_NE(f.find("next"), nullptr);
     EXPECT_NE(f.find("nextFAULTED"), nullptr);
     EXPECT_EQ(f.find("next")->kind, CompKind::Alu);
@@ -28,20 +35,17 @@ TEST(Fault, StructureOfInjectedSpec)
 TEST(Fault, UnknownComponentThrows)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    EXPECT_THROW(injectStuckBit(s, "ghost", 0, StuckMode::StuckAt0),
-                 SpecError);
-    EXPECT_THROW(injectStuckBit(s, "next", 31, StuckMode::StuckAt0),
-                 SpecError);
-    EXPECT_THROW(injectStuckBit(s, "next", -1, StuckMode::StuckAt0),
-                 SpecError);
+    EXPECT_THROW(stuck("set0").splice(s, "ghost", 0), SpecError);
+    EXPECT_THROW(stuck("set0").splice(s, "next", 31), SpecError);
+    EXPECT_THROW(stuck("set0").splice(s, "next", -1), SpecError);
 }
 
 TEST(Fault, StuckAt0ForcesEvenCounter)
 {
     // Counter with bit 0 of `next` stuck at 0: count can only ever be
     // even (in fact it sticks at 0: 0+1=1 -> masked to 0).
-    Spec f = injectStuckBit(parseSpec(counterSpec(4, 20)), "next", 0,
-                            StuckMode::StuckAt0);
+    Spec f = stuck("set0").splice(parseSpec(counterSpec(4, 20)), "next",
+                                  0);
     auto engine = makeVm(resolve(f));
     engine->run(16);
     EXPECT_EQ(engine->value("count"), 0);
@@ -50,8 +54,8 @@ TEST(Fault, StuckAt0ForcesEvenCounter)
 TEST(Fault, StuckAt1OnCounterBit)
 {
     // Bit 1 of next stuck at 1: sequence forced through odd patterns.
-    Spec f = injectStuckBit(parseSpec(counterSpec(4, 20)), "next", 1,
-                            StuckMode::StuckAt1);
+    Spec f = stuck("set1").splice(parseSpec(counterSpec(4, 20)), "next",
+                                  1);
     auto engine = makeVm(resolve(f));
     for (int i = 0; i < 8; ++i) {
         engine->step();
@@ -64,8 +68,7 @@ TEST(Fault, HealthyCounterDiffersFromFaulty)
 {
     // The fault must be observable: run both machines and compare.
     Spec healthy = parseSpec(counterSpec(4, 20));
-    Spec faulty =
-        injectStuckBit(healthy, "next", 2, StuckMode::StuckAt0);
+    Spec faulty = stuck("set0").splice(healthy, "next", 2);
 
     auto a = makeVm(resolve(healthy));
     auto b = makeVm(resolve(faulty));
@@ -83,7 +86,7 @@ TEST(Fault, MemoryVictimKeepsTiming)
     // Faulting a memory splices a combinational ALU after the latch;
     // the observed value still changes one cycle after the write.
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec f = injectStuckBit(s, "count", 3, StuckMode::StuckAt1);
+    Spec f = stuck("set1").splice(s, "count", 3);
     auto engine = makeVm(resolve(f));
     engine->step();
     // count (observed) = latch | 8.
@@ -93,9 +96,8 @@ TEST(Fault, MemoryVictimKeepsTiming)
 TEST(Fault, DoubleInjectionOnSameNameThrows)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec once = injectStuckBit(s, "next", 0, StuckMode::StuckAt0);
-    EXPECT_THROW(injectStuckBit(once, "next", 1, StuckMode::StuckAt0),
-                 SpecError);
+    Spec once = stuck("set0").splice(s, "next", 0);
+    EXPECT_THROW(stuck("set0").splice(once, "next", 1), SpecError);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 /** @file
- * End-to-end tests of the command-line tools (asim-run, asim2c),
- * driven through the shell exactly as a user would.
+ * End-to-end tests of the command-line tools (asim-run, asim2c,
+ * asim-serve), driven through the shell exactly as a user would.
  */
 
 #include <gtest/gtest.h>
@@ -10,13 +10,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 
 #ifndef ASIM_RUN_BIN
 #define ASIM_RUN_BIN "asim-run"
 #endif
 #ifndef ASIM2C_BIN
 #define ASIM2C_BIN "asim2c"
+#endif
+#ifndef ASIM_SERVE_BIN
+#define ASIM_SERVE_BIN "asim-serve"
 #endif
 #ifndef ASIM_SPECS_DIR
 #define ASIM_SPECS_DIR "specs"
@@ -283,6 +288,116 @@ TEST(Cli, Asim2cRejectsUnknownLanguage)
     CmdResult r = run(std::string(ASIM2C_BIN) + " --lang=cobol " +
                       counterSpec());
     EXPECT_NE(r.status, 0);
+}
+
+/** The flag names a binary's --help lists: the spelling column of
+ *  every "  -..." line ("--cycles=N" -> "--cycles", "-o FILE" -> "-o",
+ *  "--help, -h" -> both). */
+std::set<std::string>
+helpFlags(const std::string &bin)
+{
+    CmdResult r = run(bin + " --help");
+    EXPECT_EQ(r.status, 0) << r.out;
+    std::set<std::string> names;
+    std::istringstream is(r.out);
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.rfind("  -", 0) != 0)
+            continue;
+        std::string column = line.substr(2, line.find("  ", 2) - 2);
+        std::istringstream spellings(column);
+        std::string spelling;
+        while (std::getline(spellings, spelling, ',')) {
+            auto start = spelling.find_first_not_of(' ');
+            spelling = spelling.substr(start);
+            names.insert(spelling.substr(0, spelling.find_first_of("= ")));
+        }
+    }
+    return names;
+}
+
+TEST(Cli, HelpListsEveryFlag)
+{
+    // The flags each binary accepted before its parser became
+    // table-driven, plus --help/-h: the sets must stay equal.
+    const std::set<std::string> asimRun = {
+        "--help", "-h", "--engine", "--partitions", "--synthetic",
+        "--cycles", "--io", "--stats", "--no-trace", "--fixed-shl",
+        "--list-engines", "--dump-bytecode", "--inject", "--campaign",
+        "--seed", "--golden-cycle", "--injector", "--campaign-watch",
+        "--hang-budget", "--campaign-splice", "--list-injectors",
+        "--save-state", "--restore-from", "--checkpoint-every",
+        "--batch", "--batch-manifest", "--threads", "--json",
+        "--checkpoint-dir", "--connect", "--session", "--evict",
+        "--close-session", "--server-stats", "--server-metrics",
+        "--shutdown-server", "--trace-out"};
+    const std::set<std::string> asim2c = {
+        "--help", "-h", "--lang", "-o", "--no-trace", "--no-optimize",
+        "--fixed-shl", "--serve", "--spec-hash", "--trace-out"};
+    const std::set<std::string> asimServe = {
+        "--help", "-h", "--socket", "--tcp", "--state-dir",
+        "--evict-after-ms", "--trace-out", "--quiet"};
+    EXPECT_EQ(helpFlags(ASIM_RUN_BIN), asimRun);
+    EXPECT_EQ(helpFlags(ASIM2C_BIN), asim2c);
+    EXPECT_EQ(helpFlags(ASIM_SERVE_BIN), asimServe);
+}
+
+TEST(Cli, HostileFlagValuesExitOneNamingTheFlag)
+{
+    // Every flag whose value is parsed (a number, port,
+    // component:value, or one of a fixed set of words) against the
+    // same malformed values; 0 only where the flag needs a positive
+    // value. Free-text flags (paths, engine names) take any text.
+    struct ValuedFlag
+    {
+        const char *bin;
+        const char *flag;
+        bool zeroIsBad;
+    };
+    const ValuedFlag flags[] = {
+        {ASIM_RUN_BIN, "--partitions", true},
+        {ASIM_RUN_BIN, "--synthetic", true},
+        {ASIM_RUN_BIN, "--cycles", false},
+        {ASIM_RUN_BIN, "--io", true},
+        {ASIM_RUN_BIN, "--campaign", true},
+        {ASIM_RUN_BIN, "--seed", false},
+        {ASIM_RUN_BIN, "--golden-cycle", false},
+        {ASIM_RUN_BIN, "--campaign-watch", true},
+        {ASIM_RUN_BIN, "--hang-budget", false},
+        {ASIM_RUN_BIN, "--checkpoint-every", true},
+        {ASIM_RUN_BIN, "--batch", true},
+        {ASIM_RUN_BIN, "--threads", true},
+        {ASIM2C_BIN, "--lang", true},
+        {ASIM_SERVE_BIN, "--tcp", false},
+        {ASIM_SERVE_BIN, "--evict-after-ms", false},
+    };
+    for (const ValuedFlag &f : flags) {
+        for (std::string value :
+             {"", "abc", "5x", "-1", "0", "18446744073709551616"}) {
+            if (value == "0" && !f.zeroIsBad)
+                continue;
+            // A daemon that accepted the value would never exit: the
+            // timeout turns that into a failure instead of a hang.
+            std::string cmd = "timeout 10 " + std::string(f.bin) + " '" +
+                              f.flag + "=" + value + "'";
+            if (std::string(f.bin) != ASIM_SERVE_BIN)
+                cmd += " " + counterSpec();
+            CmdResult r = run(cmd + " < /dev/null");
+            EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+                << cmd << "\n" << r.out;
+            // A stderr line that starts with the flag's name.
+            EXPECT_NE(("\n" + r.out).find("\n" + std::string(f.flag)),
+                      std::string::npos)
+                << cmd << "\n" << r.out;
+        }
+    }
+    // Values that used to wrap or parse partially.
+    for (const char *args : {"--threads=4294967297", "--cycles=10x",
+                             "--partitions=4294967297"}) {
+        CmdResult r = run(std::string(ASIM_RUN_BIN) + " " + args + " " +
+                          counterSpec() + " < /dev/null");
+        EXPECT_EQ(WEXITSTATUS(r.status), 1) << args << "\n" << r.out;
+    }
 }
 
 } // namespace

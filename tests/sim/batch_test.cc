@@ -13,6 +13,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/fault.hh"
 #include "machines/counter.hh"
@@ -492,6 +494,46 @@ TEST_F(ManifestTest, MalformedLinesThrowWithLineNumbers)
     EXPECT_THROW(BatchRunner().loadManifest("/nope/nothing.txt",
                                             SimulationOptions{}),
                  SimError);
+}
+
+TEST_F(ManifestTest, HostileValuesThrowNamingFileLineAndKey)
+{
+    // The same malformed-value matrix the CLI flags face: each must
+    // end in a SimError naming file:line and the key, never a partial
+    // read or a wrapped value.
+    struct Case
+    {
+        const char *key;
+        std::vector<std::string> values;
+    };
+    const std::vector<std::string> matrix = {
+        "", "abc", "5x", "-1", "0", "18446744073709551616"};
+    std::vector<Case> cases = {
+        {"cycles", matrix},
+        {"count", matrix},
+        {"partitions", matrix},
+        {"watch", matrix},
+    };
+    cases[0].values.push_back("10x");
+    cases[2].values.push_back("4294967297");
+    cases[3].values.insert(cases[3].values.end(), {"a:", "a:5x", ":5"});
+    for (const Case &c : cases) {
+        for (const std::string &value : c.values) {
+            const std::string line =
+                std::string("counter.asim ") + c.key + "=" + value;
+            std::string path = writeManifest("# hostile\n" + line + "\n");
+            try {
+                BatchRunner().loadManifest(path, SimulationOptions{});
+                ADD_FAILURE() << "accepted: " << line;
+            } catch (const SimError &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(path + ":2: "), std::string::npos)
+                    << line << " -> " << what;
+                EXPECT_NE(what.find(c.key), std::string::npos)
+                    << line << " -> " << what;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

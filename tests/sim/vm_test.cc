@@ -5,7 +5,9 @@
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
 #include "machines/stack_machine.hh"
+#include "machines/synthetic.hh"
 #include "sim/compiler.hh"
+#include "sim/simulation.hh"
 #include "sim/vm.hh"
 
 namespace asim {
@@ -156,6 +158,31 @@ TEST(Vm, ProgramSizesReported)
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Vm vm(rs, {}, {});
     EXPECT_GT(vm.program().totalInstructions(), 0u);
+}
+
+TEST(Vm, RefusesMoreSlotsThanInstrIdxNumbers)
+{
+    // ~70k components: more var slots than the 16-bit Instr::idx can
+    // number. resolve() without diagnostics skips the slow
+    // declaration check.
+    SimulationOptions opts;
+    opts.resolved = std::make_shared<const ResolvedSpec>(
+        resolve(generateSynthetic(syntheticPreset("70000")), nullptr));
+    ASSERT_GT(opts.resolved->numVarSlots, 65536);
+    opts.engine = "vm";
+    try {
+        Simulation sim(opts);
+        FAIL() << "the vm accepted a spec beyond its slot numbering";
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("65536"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(opts.resolved->numVarSlots)),
+                  std::string::npos)
+            << what;
+    }
+    opts.engine = "interp";
+    Simulation interp(opts);
+    EXPECT_EQ(interp.cycle(), 0u);
 }
 
 } // namespace

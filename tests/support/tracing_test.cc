@@ -154,7 +154,7 @@ TEST_F(TracingTest, JsonEscape)
     EXPECT_EQ(jsonEscape("plain"), "plain");
     EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
     EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape(std::string("a\nb")), "a b");
+    EXPECT_EQ(jsonEscape(std::string("a\nb")), "a\\nb");
 }
 
 TEST_F(TracingTest, CurrentTidStablePerThread)
