@@ -1,6 +1,5 @@
 #include "analysis/resolve.hh"
 
-#include <set>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -138,48 +137,39 @@ ResolvedSpec::memIndex(std::string_view name) const
 }
 
 ResolvedSpec
-resolve(const Spec &spec, Diagnostics *diag)
+resolve(Spec parsed, Diagnostics *diag)
 {
     ResolvedSpec rs;
-    rs.spec = spec;
-
-    // Duplicate-definition check (stricter than the thesis, which
-    // silently used the last definition).
-    {
-        std::unordered_set<std::string_view> seen;
-        seen.reserve(spec.comps.size());
-        for (const auto &c : spec.comps) {
-            if (!seen.insert(c.name).second) {
-                throw SpecError("Error. Component " + c.name +
-                                " defined twice.");
-            }
-        }
-    }
+    rs.spec = std::move(parsed);
+    const Spec &spec = rs.spec;
 
     // Assign slots: combinational outputs get var slots, memories get
-    // memory indexes, both in declaration order.
+    // memory indexes, both in declaration order. The name index built
+    // here answers every per-name question below. A name defined twice
+    // is an error (stricter than the thesis, which silently used the
+    // last definition).
     NameMap names;
     names.map.reserve(spec.comps.size());
     for (const auto &c : spec.comps) {
-        if (c.kind == CompKind::Memory) {
-            int idx = static_cast<int>(rs.memIndexes.size());
-            rs.memIndexes.emplace(c.name, idx);
-            names.map.emplace(c.name,
-                              std::make_pair(CompKind::Memory, idx));
-        } else {
-            int slot = static_cast<int>(rs.varSlots.size());
-            rs.varSlots.emplace(c.name, slot);
-            names.map.emplace(c.name, std::make_pair(c.kind, slot));
+        auto &ids = c.kind == CompKind::Memory ? rs.memIndexes : rs.varSlots;
+        const int id = static_cast<int>(ids.size());
+        if (!names.map.emplace(c.name, std::make_pair(c.kind, id)).second) {
+            throw SpecError("Error. Component " + c.name +
+                            " defined twice.");
         }
+        ids.emplace(c.name, id);
     }
     rs.numVarSlots = static_cast<int>(rs.varSlots.size());
 
     // checkdcl: declared but not defined / defined but not declared.
+    // Both questions are hash probes (the name index above answers
+    // "defined?"), so the check stays linear in the spec's size.
     if (diag) {
-        std::set<std::string> declared;
+        std::unordered_set<std::string_view> declared;
+        declared.reserve(spec.decls.size());
         for (const auto &d : spec.decls) {
             declared.insert(d.name);
-            if (!spec.find(d.name)) {
+            if (!names.map.count(d.name)) {
                 diag->warn("Warning: " + d.name +
                            " declared but not defined.");
             }
@@ -200,7 +190,7 @@ resolve(const Spec &spec, Diagnostics *diag)
         CombComp cc;
         cc.kind = c.kind;
         cc.name = c.name;
-        cc.slot = rs.varSlot(c.name);
+        cc.slot = names.map.at(c.name).second;
         cc.declIndex = idx;
         if (c.kind == CompKind::Alu) {
             cc.funct = resolveExprImpl(c.funct, names);
@@ -230,7 +220,7 @@ resolve(const Spec &spec, Diagnostics *diag)
             continue;
         MemDesc m;
         m.name = c.name;
-        m.index = rs.memIndex(c.name);
+        m.index = names.map.at(c.name).second;
         m.declIndex = idx;
         m.addr = resolveExprImpl(c.addr, names);
         m.data = resolveExprImpl(c.data, names);
@@ -257,24 +247,16 @@ resolve(const Spec &spec, Diagnostics *diag)
     for (const auto &d : spec.decls) {
         if (!d.traced)
             continue;
+        auto it = names.map.find(d.name);
+        if (it == names.map.end()) {
+            if (diag)
+                diag->warn("Warning: " + d.name + " traced but not defined.");
+            continue;
+        }
         TraceItem item;
         item.name = d.name;
-        int vs = rs.varSlot(d.name);
-        if (vs >= 0) {
-            item.isMem = false;
-            item.slot = vs;
-        } else {
-            int mi = rs.memIndex(d.name);
-            if (mi < 0) {
-                if (diag) {
-                    diag->warn("Warning: " + d.name +
-                               " traced but not defined.");
-                }
-                continue;
-            }
-            item.isMem = true;
-            item.slot = mi;
-        }
+        item.isMem = it->second.first == CompKind::Memory;
+        item.slot = it->second.second;
         rs.traceList.push_back(std::move(item));
     }
 
@@ -297,12 +279,11 @@ ResolvedExpr
 resolveExpr(const Expr &expr, const ResolvedSpec &rs)
 {
     NameMap names;
-    for (const auto &[name, slot] : rs.varSlots) {
-        CompKind kind = rs.spec.find(name)->kind;
-        names.map.emplace(name, std::make_pair(kind, slot));
-    }
-    for (const auto &[name, idx] : rs.memIndexes)
-        names.map.emplace(name, std::make_pair(CompKind::Memory, idx));
+    names.map.reserve(rs.comb.size() + rs.mems.size());
+    for (const CombComp &c : rs.comb)
+        names.map.emplace(c.name, std::make_pair(c.kind, c.slot));
+    for (const MemDesc &m : rs.mems)
+        names.map.emplace(m.name, std::make_pair(CompKind::Memory, m.index));
     return resolveExprImpl(expr, names);
 }
 

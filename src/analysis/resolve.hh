@@ -137,14 +137,18 @@ struct ResolvedSpec
 /**
  * Resolve a parsed specification.
  *
- * @param spec parsed spec (copied into the result)
+ * Linear in the spec's size: every per-name question, the `checkdcl`
+ * cross-check included, is a hash probe into one name index.
+ *
+ * @param spec parsed spec (moved into the result; pass an rvalue to
+ *             avoid a copy)
  * @param diag optional warning collector (declared-but-not-defined,
  *             defined-but-not-declared — thesis `checkdcl`)
  * @throws SpecError on duplicate definitions, unresolved references,
  *         too-wide expressions, bad subfields, or circular
  *         combinational dependencies
  */
-ResolvedSpec resolve(const Spec &spec, Diagnostics *diag = nullptr);
+ResolvedSpec resolve(Spec spec, Diagnostics *diag = nullptr);
 
 /** Convenience: parse + resolve in one step. */
 ResolvedSpec resolveText(std::string_view text,

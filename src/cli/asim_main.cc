@@ -145,8 +145,10 @@ flagTable(Invocation &inv)
     cli::FlagTable table{"asim-run [options] <spec-file>", {}};
     table.flags = {
         {"--engine=NAME", "execution engine (default vm)", text(sim.engine)},
-        {"--partitions=N", "worker lanes for one design (interp engine)",
-         count(sim.partitions)},
+        {"--partitions=N",
+         "worker lanes for one design, at most " +
+             std::to_string(kMaxPartitions) + " (interp engine)",
+         count(sim.partitions, kMaxPartitions)},
         {"--synthetic=PRESET", "generated spec: 1k, 10k, 100k, 1m or a count",
          synthetic},
         {"--cycles=N", "override the spec's cycle count", number(inv.cycles)},

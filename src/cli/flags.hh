@@ -79,25 +79,31 @@ Setter assign(bool &field, bool value = true);
 Setter port(int &field);
 Setter componentValue(std::string &component, int32_t &value);
 
-/** An integer from `min` up to what fits `T` (parseU64). */
+/** An integer from `min` up to `max` (parseU64). */
 template <typename T>
 Setter
-number(T &field, uint64_t min = 0)
+number(T &field, uint64_t min = 0,
+       uint64_t max = std::numeric_limits<T>::max())
 {
-    return [&field, min](const std::string &v) {
-        auto n = parseU64(v, std::numeric_limits<T>::max());
-        if (!n || *n < min)
-            throw BadValue(min ? "a positive count" : "a non-negative integer");
+    return [&field, min, max](const std::string &v) {
+        auto n = parseU64(v, max);
+        if (!n || *n < min) {
+            std::string what =
+                min ? "a positive count" : "a non-negative integer";
+            if (max < static_cast<uint64_t>(std::numeric_limits<T>::max()))
+                what += " up to " + std::to_string(max);
+            throw BadValue(what);
+        }
         field = static_cast<T>(*n);
     };
 }
 
-/** A positive count that fits `T`. */
+/** A positive count up to `max`. */
 template <typename T>
 Setter
-count(T &field)
+count(T &field, uint64_t max = std::numeric_limits<T>::max())
 {
-    return number(field, 1);
+    return number(field, 1, max);
 }
 /// @}
 

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <unordered_set>
 
 #include "lang/lexer.hh"
 #include "lang/number.hh"
@@ -248,6 +249,14 @@ class Parser
             return e;
         };
 
+        // Expanded names join the declaration list untraced unless the
+        // user already declared them. The declared-name set is filled
+        // at the first module use (specs without modules never pay for
+        // it) and kept complete from then on.
+        if (declared_.empty()) {
+            for (const auto &d : spec_.decls)
+                declared_.insert(d.name);
+        }
         for (const Component &tmpl : mod.body) {
             Component c = tmpl;
             c.name = mapName(tmpl.name);
@@ -260,20 +269,9 @@ class Parser
             c.addr = mapExpr(tmpl.addr);
             c.data = mapExpr(tmpl.data);
             c.opn = mapExpr(tmpl.opn);
+            if (declared_.insert(c.name).second)
+                spec_.decls.push_back(DeclName{c.name, false});
             sink_->push_back(std::move(c));
-            // Expanded names join the declaration list untraced
-            // unless the user already declared them.
-            bool declared = false;
-            for (const auto &d : spec_.decls) {
-                if (d.name == sink_->back().name) {
-                    declared = true;
-                    break;
-                }
-            }
-            if (!declared) {
-                spec_.decls.push_back(
-                    DeclName{sink_->back().name, false});
-            }
         }
         advance();
     }
@@ -362,6 +360,10 @@ class Parser
 
     /** Module templates (§5.4 modularity extension). */
     std::map<std::string, Module> modules_;
+
+    /** Every name on spec_.decls once a module is used, so module
+     *  expansion's auto-declare is one probe per expanded component. */
+    std::unordered_set<std::string> declared_;
 };
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/partition.hh"
 #include "support/serialize.hh"
 
 namespace asim::serve {
@@ -144,10 +145,10 @@ decodeSessionRecipe(ByteReader &r)
     recipe.trace = r.u8("session trace flag") != 0;
     recipe.aluFixed = r.u8("session alu flag") != 0;
     uint32_t partitions = r.u32("session partitions");
-    if (partitions > kMaxSessionPartitions) {
+    if (partitions > kMaxPartitions) {
         r.fail("session partitions is " + std::to_string(partitions) +
                ", above the limit " +
-               std::to_string(kMaxSessionPartitions));
+               std::to_string(kMaxPartitions));
     }
     recipe.partitions = partitions == 0 ? 1 : partitions;
     uint64_t n = r.count("session input count", 1u << 24, 4);

@@ -89,11 +89,6 @@ enum class SessionIo : uint8_t
     Script = 1
 };
 
-/** Most interp worker lanes one session may ask for. The count sizes
- *  per-lane vectors and a thread pool, so a larger value in an OPEN
- *  frame or a parked file is refused, not honored. */
-inline constexpr uint32_t kMaxSessionPartitions = 256;
-
 /**
  * Everything needed to (re)build a session's Simulation. OPEN carries
  * it as its operands, and a parked session's checkpoint carries it as
@@ -117,7 +112,8 @@ void encodeSessionRecipe(ByteWriter &w, const SessionRecipe &recipe);
 
 /** Read and validate a recipe: the session name must be 1-64 chars of
  *  [A-Za-z0-9._-] (it names files), the I/O mode Null or Script,
- *  and partitions at most kMaxSessionPartitions (0 reads as 1); an
+ *  and partitions at most kMaxPartitions (sim/partition.hh; 0 reads
+ *  as 1); an
  *  empty engine reads as "vm". @throws SimError naming the field */
 SessionRecipe decodeSessionRecipe(ByteReader &r);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +11,7 @@
 
 #include "analysis/fault.hh"
 #include "sim/checkpoint.hh"
+#include "sim/partition.hh"
 #include "sim/trace.hh"
 #include "support/metrics.hh"
 #include "support/text.hh"
@@ -516,9 +516,13 @@ BatchRunner::loadManifest(const std::string &path,
             std::string value = kv.substr(eq + 1);
             auto positive = [&](uint64_t max) {
                 auto n = parsePositiveCount(value, max);
-                if (!n)
-                    throw bad(key + " must be a positive integer: " +
-                              value);
+                if (!n) {
+                    throw bad(key + " must be a positive integer" +
+                              (max < UINT64_MAX
+                                   ? " up to " + std::to_string(max)
+                                   : std::string()) +
+                              ": " + value);
+                }
                 return *n;
             };
             if (key == "cycles") {
@@ -533,7 +537,7 @@ BatchRunner::loadManifest(const std::string &path,
                 count = positive(SIZE_MAX);
             } else if (key == "partitions") {
                 job.options.partitions =
-                    static_cast<unsigned>(positive(UINT_MAX));
+                    static_cast<unsigned>(positive(kMaxPartitions));
             } else if (key == "fault") {
                 // Deliberately unwrapped: a malformed fault throws
                 // parseFaultSite's own SpecError, the same text the

@@ -143,6 +143,15 @@ addrSafe(const ResolvedExpr &e, int64_t cells)
     return max < cells;
 }
 
+/** The s0..s3 bit of a scratch-register operand. Only the opcodes
+ *  that name a scratch register may ask: memory and fused ops keep
+ *  flag or bank bits in `reg`. */
+uint8_t
+regBit(const Instr &in)
+{
+    return static_cast<uint8_t>(1u << in.reg);
+}
+
 /** Scratch registers read by `in` (bitmask over s0..s3). Extension
  *  words and fused forms read nothing: their operands are inline. */
 uint8_t
@@ -153,7 +162,7 @@ useMask(const Instr &in)
       case Op::AccTemp:
       case Op::StoreS:
       case Op::StoreSJ:
-        return static_cast<uint8_t>(1u << in.reg);
+        return regBit(in);
       case Op::AluGen:
         return 0b0111;
       case Op::AluConst:
@@ -669,11 +678,11 @@ class Optimizer
                 la = lb[i + 1];
                 break;
             }
-            const auto defBit = static_cast<uint8_t>(1u << in.reg);
             switch (in.op) {
               case Op::SetC:
               case Op::LoadVar:
-              case Op::LoadTemp:
+              case Op::LoadTemp: {
+                const uint8_t defBit = regBit(in);
                 if (!(la & defBit)) {
                     in = {Op::Nop, 0, 0, 0, 0, 0};
                     ++p_.opt.deadStores;
@@ -681,10 +690,12 @@ class Optimizer
                     la &= static_cast<uint8_t>(~defBit);
                 }
                 break;
+              }
               case Op::AccVar:
-              case Op::AccTemp:
+              case Op::AccTemp: {
                 // Reads and writes the same register: removable when
                 // dead, otherwise the register stays live upward.
+                const uint8_t defBit = regBit(in);
                 if (!(la & defBit)) {
                     in = {Op::Nop, 0, 0, 0, 0, 0};
                     ++p_.opt.deadStores;
@@ -692,12 +703,14 @@ class Optimizer
                     la |= defBit;
                 }
                 break;
+              }
               case Op::LoadAccCV:
               case Op::LoadAccCT:
               case Op::LoadAccVV:
               case Op::LoadAccVT:
               case Op::LoadAccTV:
-              case Op::LoadAccTT:
+              case Op::LoadAccTT: {
+                const uint8_t defBit = regBit(in);
                 if (!(la & defBit)) {
                     in = {Op::Nop, 0, 0, 0, 0, 0};
                     c[i + 1] = {Op::Nop, 0, 0, 0, 0, 0};
@@ -706,6 +719,7 @@ class Optimizer
                     la &= static_cast<uint8_t>(~defBit);
                 }
                 break;
+              }
               case Op::LoadPairCC:
               case Op::LoadPairCV:
               case Op::LoadPairCT:
@@ -720,8 +734,8 @@ class Optimizer
                 const Side s1 = pairSide1(in.op);
                 const Side s2 = pairSide2(in.op);
                 Instr &ext = c[i + 1];
-                const auto defBit2 =
-                    static_cast<uint8_t>(1u << ext.reg);
+                const uint8_t defBit = regBit(in);
+                const uint8_t defBit2 = regBit(ext);
                 const bool live1 = (la & defBit) != 0;
                 const bool live2 = (la & defBit2) != 0;
                 if (!live1 && !live2) {

@@ -58,6 +58,12 @@ namespace asim {
  *  crafted specs through the partitioned path). */
 inline constexpr size_t kPartitionAutoThreshold = 256;
 
+/** Most worker lanes one design may ask for. The count sizes per-lane
+ *  vectors and a thread pool, so `--partitions=N`, a batch manifest's
+ *  `partitions=N` and a serve session recipe all refuse a larger
+ *  value rather than honor it. */
+inline constexpr unsigned kMaxPartitions = 256;
+
 /** The static execution schedule of a PartitionedInterpreter. */
 struct PartitionPlan
 {

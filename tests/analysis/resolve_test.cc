@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <vector>
+
 #include "analysis/resolve.hh"
 #include "lang/parser.hh"
+#include "machines/synthetic.hh"
 
 namespace asim {
 namespace {
@@ -93,6 +99,111 @@ TEST(Resolve, CheckdclWarnings)
               std::string::npos);
     EXPECT_NE(diag.warnings()[1].find("defined but not declared"),
               std::string::npos);
+}
+
+/** The whole checkdcl output, text and order, on one spec that hits
+ *  every case: an undefined name declared twice, undeclared
+ *  components defined out of alphabetical order (an ALU, then a
+ *  memory), a starred declaration that is never defined, and a module
+ *  instance whose expanded names are declared for it. */
+TEST(Resolve, CheckdclWarningsExactTextAndOrder)
+{
+    Diagnostics diag;
+    ResolvedSpec rs = resolveText("# checkdcl\n"
+                                  "ghost x y* ghost phantom* .\n"
+                                  "A x 4 1 1\n"
+                                  "D inc a out .\n"
+                                  "A tmp 4 a 1\n"
+                                  "A out 4 tmp 1\n"
+                                  "E\n"
+                                  "U u1 inc x y\n"
+                                  "A zeta 4 x 1\n"
+                                  "M alpha 0 zeta 1 4\n"
+                                  ".\n",
+                                  &diag);
+    const std::vector<std::string> expected = {
+        "Warning: ghost declared but not defined.",
+        "Warning: ghost declared but not defined.",
+        "Warning: phantom declared but not defined.",
+        "Warning: zeta defined but not declared.",
+        "Warning: alpha defined but not declared.",
+        "Warning: phantom traced but not defined.",
+    };
+    EXPECT_EQ(diag.warnings(), expected);
+
+    // The instance's internal component joined the declaration list,
+    // untraced; its port actual `y` kept the user's star.
+    const std::vector<DeclName> decls = {
+        {"ghost", false}, {"x", false},       {"y", true},
+        {"ghost", false}, {"phantom", true},  {"u1tmp", false},
+    };
+    EXPECT_EQ(rs.spec.decls, decls);
+    ASSERT_EQ(rs.traceList.size(), 1u);
+    EXPECT_EQ(rs.traceList[0].name, "y");
+}
+
+/** Median wall time of three parse + resolve passes with a
+ *  Diagnostics, as every Simulation load runs them. */
+double
+medianLoadSeconds(const std::string &text)
+{
+    std::vector<double> runs;
+    for (int i = 0; i < 3; ++i) {
+        Diagnostics diag;
+        const auto t0 = std::chrono::steady_clock::now();
+        ResolvedSpec rs = resolve(parseSpec(text, &diag), &diag);
+        runs.push_back(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+        EXPECT_TRUE(diag.clean());
+        EXPECT_GT(rs.numVarSlots, 0);
+    }
+    std::sort(runs.begin(), runs.end());
+    return runs[1];
+}
+
+/** A chain of `instances` uses of a 3-component module. */
+std::string
+moduleChainText(int instances)
+{
+    std::string text = "# module chain\n"
+                       "o0 .\n"
+                       "A o0 4 1 1\n"
+                       "D cell in out .\n"
+                       "A p 4 in 1\n"
+                       "A q 2 p in\n"
+                       "A out 4 q 1\n"
+                       "E\n";
+    for (int k = 1; k <= instances; ++k) {
+        text += "U u" + std::to_string(k) + " cell o" +
+                std::to_string(k - 1) + " o" + std::to_string(k) + "\n";
+    }
+    return text + ".\n";
+}
+
+/** The regression guard for the load path: 8x the components must
+ *  cost about 8x the time, not 64x. A per-name linear scan anywhere
+ *  between spec text and ResolvedSpec (the declaration cross-check,
+ *  module expansion's auto-declare) makes the ratio quadratic. */
+TEST(Resolve, LoadScalesLinearly)
+{
+    // 4k and 32k components: below ~16k a quadratic scan still runs
+    // from cache and its ratio can sit near the bound.
+    const double small =
+        medianLoadSeconds(generateSyntheticText(syntheticPreset("4000")));
+    const double large =
+        medianLoadSeconds(generateSyntheticText(syntheticPreset("32000")));
+    RecordProperty("synthetic_ratio", std::to_string(large / small));
+    EXPECT_LT(large / small, 24.0)
+        << "synthetic 4k: " << small << "s, 32k: " << large
+        << "s — a quadratic per-name scan is back?";
+
+    const double fewUses = medianLoadSeconds(moduleChainText(1000));
+    const double manyUses = medianLoadSeconds(moduleChainText(8000));
+    RecordProperty("module_ratio", std::to_string(manyUses / fewUses));
+    EXPECT_LT(manyUses / fewUses, 24.0)
+        << "1000 module uses: " << fewUses << "s, 8000: " << manyUses
+        << "s — a quadratic per-name scan is back?";
 }
 
 TEST(Resolve, InitCountMismatchThrows)

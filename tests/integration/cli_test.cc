@@ -398,6 +398,18 @@ TEST(Cli, HostileFlagValuesExitOneNamingTheFlag)
                           counterSpec() + " < /dev/null");
         EXPECT_EQ(WEXITSTATUS(r.status), 1) << args << "\n" << r.out;
     }
+    // One lane past the bound the serve recipe and batch manifests
+    // share is refused by name; the bound itself runs.
+    const std::string interp = std::string(ASIM_RUN_BIN) +
+                               " --engine=interp --no-trace --cycles=2 ";
+    CmdResult over =
+        run(interp + "--partitions=257 " + counterSpec() + " < /dev/null");
+    EXPECT_EQ(WEXITSTATUS(over.status), 1) << over.out;
+    EXPECT_NE(("\n" + over.out).find("\n--partitions"), std::string::npos)
+        << over.out;
+    CmdResult atBound =
+        run(interp + "--partitions=256 " + counterSpec() + " < /dev/null");
+    EXPECT_EQ(WEXITSTATUS(atBound.status), 0) << atBound.out;
 }
 
 } // namespace

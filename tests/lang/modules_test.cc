@@ -53,6 +53,25 @@ TEST(Modules, ExpandedNamesAutoDeclared)
     EXPECT_EQ(found, 2);
 }
 
+TEST(Modules, AutoDeclaredOnceInExpansionOrder)
+{
+    // No user declarations: every expanded name joins the list once,
+    // untraced, in expansion order.
+    Spec s = parseSpec("# undeclared\n"
+                       ".\n"
+                       "D counter out width .\n"
+                       "A next 4 out 1\n"
+                       "M out 0 next 1 1\n"
+                       "E\n"
+                       "A w 2 7 0\n"
+                       "U u1 counter c1 w\n"
+                       "U u2 counter c2 w\n"
+                       ".\n");
+    const std::vector<DeclName> decls = {
+        {"u1next", false}, {"c1", false}, {"u2next", false}, {"c2", false}};
+    EXPECT_EQ(s.decls, decls);
+}
+
 TEST(Modules, InstancesRunIndependently)
 {
     auto e = makeVm(resolveText(kTwoCounters));

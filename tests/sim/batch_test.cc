@@ -515,7 +515,7 @@ TEST_F(ManifestTest, HostileValuesThrowNamingFileLineAndKey)
         {"watch", matrix},
     };
     cases[0].values.push_back("10x");
-    cases[2].values.push_back("4294967297");
+    cases[2].values.insert(cases[2].values.end(), {"4294967297", "257"});
     cases[3].values.insert(cases[3].values.end(), {"a:", "a:5x", ":5"});
     for (const Case &c : cases) {
         for (const std::string &value : c.values) {

@@ -163,11 +163,10 @@ TEST(Vm, ProgramSizesReported)
 TEST(Vm, RefusesMoreSlotsThanInstrIdxNumbers)
 {
     // ~70k components: more var slots than the 16-bit Instr::idx can
-    // number. resolve() without diagnostics skips the slow
-    // declaration check.
+    // number.
     SimulationOptions opts;
     opts.resolved = std::make_shared<const ResolvedSpec>(
-        resolve(generateSynthetic(syntheticPreset("70000")), nullptr));
+        resolve(generateSynthetic(syntheticPreset("70000"))));
     ASSERT_GT(opts.resolved->numVarSlots, 65536);
     opts.engine = "vm";
     try {
