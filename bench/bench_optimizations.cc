@@ -84,20 +84,11 @@ BM_NoOptimizations(benchmark::State &state)
     runWith(state, o);
 }
 
-void
-BM_WithTempElision(benchmark::State &state)
-{
-    CompilerOptions o;
-    o.elideUnusedTemps = true;
-    runWith(state, o);
-}
-
 BENCHMARK(BM_AllOptimizations);
 BENCHMARK(BM_NoConstAluInlining);
 BENCHMARK(BM_NoConstMemSpecialization);
 BENCHMARK(BM_NoConstSelectorTables);
 BENCHMARK(BM_NoOptimizations);
-BENCHMARK(BM_WithTempElision);
 
 /** The thesis-quirk shift option should cost nothing measurable. */
 void

@@ -1,9 +1,11 @@
 #include "analysis/depgraph.hh"
 
+#include <algorithm>
 #include <queue>
 #include <string_view>
 #include <unordered_map>
 
+#include "analysis/resolve.hh"
 #include "support/logging.hh"
 
 namespace asim {
@@ -129,6 +131,35 @@ orderCombinational(const std::vector<Component> &comps)
         throw SpecError("Error. Circular dependency with " + names + ".");
     }
     return order;
+}
+
+std::vector<int32_t>
+combLevels(const ResolvedSpec &rs)
+{
+    // rs.comb is in dependency order: a producer's level is final
+    // before any reader asks for it.
+    std::vector<int32_t> slotLevel(rs.numVarSlots, -1);
+    std::vector<int32_t> level(rs.comb.size(), 0);
+    for (size_t i = 0; i < rs.comb.size(); ++i) {
+        const CombComp &c = rs.comb[i];
+        auto reads = [&](const ResolvedExpr &e) {
+            for (const auto &t : e.terms) {
+                if (t.bank == ResolvedTerm::Bank::Var)
+                    level[i] = std::max(level[i], slotLevel[t.slot] + 1);
+            }
+        };
+        if (c.kind == CompKind::Alu) {
+            reads(c.funct);
+            reads(c.left);
+            reads(c.right);
+        } else {
+            reads(c.select);
+            for (const auto &e : c.cases)
+                reads(e);
+        }
+        slotLevel[c.slot] = level[i];
+    }
+    return level;
 }
 
 } // namespace asim

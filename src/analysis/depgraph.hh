@@ -15,12 +15,15 @@
 #ifndef ASIM_ANALYSIS_DEPGRAPH_HH
 #define ASIM_ANALYSIS_DEPGRAPH_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "lang/ast.hh"
 
 namespace asim {
+
+struct ResolvedSpec;
 
 /** All expressions that feed component `c` (its inputs). */
 std::vector<const Expr *> inputExprs(const Component &c);
@@ -40,6 +43,16 @@ bool dependsOn(const Component &a, const Component &b);
  *         ("Error. Circular dependency with ...")
  */
 std::vector<int> orderCombinational(const std::vector<Component> &comps);
+
+/**
+ * Dependency level of every `rs.comb` entry: 0 for a component that
+ * reads no comb slot, else 1 + the highest level of any component
+ * whose output it reads (memory output latches add nothing).
+ * Components of one level never read each other. Shared by the
+ * bytecode compiler's comb schedule and the partitioned
+ * interpreter's levelized phases.
+ */
+std::vector<int32_t> combLevels(const ResolvedSpec &rs);
 
 } // namespace asim
 

@@ -534,7 +534,7 @@ BatchRunner::loadManifest(const std::string &path,
             } else if (key == "engine") {
                 job.options.engine = value;
             } else if (key == "count") {
-                count = positive(SIZE_MAX);
+                count = positive(kMaxManifestCount);
             } else if (key == "partitions") {
                 job.options.partitions =
                     static_cast<unsigned>(positive(kMaxPartitions));

@@ -159,6 +159,12 @@ struct BatchOptions
     uint64_t checkpointEvery = 0;
 };
 
+/** Most instances one batch-manifest line may ask for with
+ *  `count=N`. Every instance is a job the runner builds and holds
+ *  before any runs, so a larger count is refused, naming the line,
+ *  rather than left to exhaust memory. */
+inline constexpr size_t kMaxManifestCount = size_t{1} << 16;
+
 /** See file comment. */
 class BatchRunner
 {
@@ -199,11 +205,12 @@ class BatchRunner
      *
      * with keys `cycles` (uint), `io` (input script path, parsed by
      * Simulation::loadScript), `engine` (registry name), `count`
-     * (instances of this line), `watch` (`component:value`), `fault`
-     * (a fault in the shared grammar of analysis/fault.hh —
-     * malformed faults produce the same SpecError text as
-     * `asim-run --inject=`), and `restore` (checkpoint file restored
-     * before running, see BatchJob::restoreFrom). Relative
+     * (instances of this line, up to kMaxManifestCount), `watch`
+     * (`component:value`), `fault` (a fault in the shared grammar of
+     * analysis/fault.hh — malformed faults produce the same
+     * SpecError text as `asim-run --inject=`), and `restore`
+     * (checkpoint file restored before running, see
+     * BatchJob::restoreFrom). Relative
      * spec/io/restore paths resolve against the manifest's
      * directory. `defaults` seeds every job's SimulationOptions
      * (engine, compiler flags, ALU semantics...); `defaultCycles`,

@@ -15,7 +15,10 @@
  *    microcode-ROM pattern), and single-term expressions fuse with
  *    their destination (store/latch). This mirrors, in a portable
  *    form, the optimizations the thesis applied to generated Pascal
- *    (§4.4). The phase streams are the *canonical* lowering: the
+ *    (§4.4). The comb stream is scheduled by dependency level and,
+ *    within a level, grouped by instruction shape, with components
+ *    that may fault left in place as barriers (sim/compiler.cc).
+ *    The phase streams are the *canonical* lowering: the
  *    disassembler prints them, and the optimizer treats them as
  *    read-only input.
  *
@@ -113,8 +116,10 @@ enum class Op : uint8_t
     AluXor,     ///< vars[idx] = s1 ^ s2
     AluEq,      ///< vars[idx] = s1 == s2
     AluLt,      ///< vars[idx] = s1 < s2
+    AluFold,    ///< vars[idx] = a: an ALU whose operands fold to a
+                ///< constant (still one ALU evaluation)
 
-    // Stores (selector case results, folded components).
+    // Stores (selector case results).
     StoreS,     ///< vars[idx] = s[reg]
     StoreC,     ///< vars[idx] = a
     StoreFVar,  ///< vars[idx] = shift(vars[c] & a, b)
@@ -262,10 +267,9 @@ inline constexpr size_t kOpCount =
 /** Per-memory flag bits carried in Instr::reg for memory opcodes. */
 enum VmMemFlags : uint8_t
 {
-    kMemFlagTraceW = 1,    ///< trace writes (check or uncond.)
-    kMemFlagTraceR = 2,    ///< trace reads
-    kMemFlagElideTemp = 4, ///< §5.4: skip the unobserved latch
-    kMemFlagNoCheck = 8,   ///< address statically proven in range
+    kMemFlagTraceW = 1,  ///< trace writes (check or uncond.)
+    kMemFlagTraceR = 2,  ///< trace reads
+    kMemFlagNoCheck = 4, ///< address statically proven in range
 };
 
 /** One VM instruction (16 bytes). */
@@ -314,7 +318,8 @@ struct Program
     std::vector<SelInfo> selInfos;
     std::vector<VmMemInfo> memInfos;
 
-    /** What the link/optimize stage did (see `--dump-bytecode`). */
+    /** What the comb schedule and the link/optimize stage did (see
+     *  `--dump-bytecode`). */
     struct OptSummary
     {
         uint32_t linked = 0;       ///< instrs entering the optimizer
@@ -322,6 +327,9 @@ struct Program
         uint32_t deadStores = 0;   ///< dead scratch stores removed
         uint32_t checksElided = 0; ///< memories with bounds checks
                                    ///< statically discharged
+        uint32_t levels = 0;       ///< comb dependency levels
+        uint32_t shapeRuns = 0;    ///< maximal same-shape runs of
+                                   ///< components in the comb phase
     };
     OptSummary opt;
 

@@ -1,9 +1,11 @@
 #include "sim/compiler.hh"
 
 #include <algorithm>
-#include <set>
+#include <array>
+#include <map>
 #include <sstream>
 
+#include "analysis/depgraph.hh"
 #include "lang/alu_ops.hh"
 #include "sim/optimizer.hh"
 #include "support/bitops.hh"
@@ -75,6 +77,26 @@ aluDirectOp(int32_t funct)
     }
 }
 
+/** True when a constant-function ALU folds to a single AluFold: every
+ *  operand its function reads is constant (Shl excepted: its thesis
+ *  semantics are the run-time AluSemantics setting). */
+bool
+aluFolds(const CombComp &c)
+{
+    bool needL = true, needR = true;
+    aluOperandNeeds(c.functValue, needL, needR);
+    return c.functValue != kAluShl && (!needL || c.left.isConstant()) &&
+           (!needR || c.right.isConstant());
+}
+
+/** True when every case of a selector is a constant. */
+bool
+casesConstant(const CombComp &c)
+{
+    return std::all_of(c.cases.begin(), c.cases.end(),
+                       [](const ResolvedExpr &e) { return e.isConstant(); });
+}
+
 class Compiler
 {
   public:
@@ -86,8 +108,8 @@ class Compiler
     Program
     run()
     {
-        findUnobservedTemps();
-        for (const auto &c : rs_.comb) {
+        for (int32_t i : combSchedule()) {
+            const CombComp &c = rs_.comb[i];
             if (c.kind == CompKind::Alu)
                 compileAlu(c);
             else
@@ -98,6 +120,114 @@ class Compiler
     }
 
   private:
+    /** The facts that fix a component's emitted opcode sequence,
+     *  mirroring compileAlu/compileSelector: its kind, its constant
+     *  function value (or a dynamic function's shape), and for every
+     *  operand or case expression the code reads whether it is
+     *  constant, whether it has a constant part, and each term's
+     *  bank. */
+    void
+    shapeKey(const CombComp &c, std::string &key) const
+    {
+        key.assign(1, c.kind == CompKind::Alu ? 'a' : 's');
+        auto add = [&key](const ResolvedExpr &e) {
+            key += e.isConstant() ? 'c' : e.constTotal != 0 ? 'k' : 'f';
+            for (const auto &t : e.terms)
+                key += t.bank == ResolvedTerm::Bank::Var ? 'v' : 't';
+        };
+        if (c.kind == CompKind::Selector) {
+            add(c.select);
+            if (casesConstant(c) && opts_.constSelectorTables) {
+                key += '#'; // a table lookup, whatever the cases
+                return;
+            }
+            for (const auto &e : c.cases)
+                add(e);
+            return;
+        }
+        if (!c.functConst || !opts_.inlineConstAlu) {
+            add(c.funct);
+            add(c.left);
+            add(c.right);
+            return;
+        }
+        if (aluFolds(c)) {
+            key = "=";
+            return;
+        }
+        bool needL = true, needR = true;
+        aluOperandNeeds(c.functValue, needL, needR);
+        key += std::to_string(c.functValue);
+        if (needL)
+            add(c.left);
+        if (needR)
+            add(c.right);
+    }
+
+    /** True when evaluating `c` can raise a SimError: a selector whose
+     *  select value can reach past its cases, or an ALU whose function
+     *  can leave 0..13. */
+    static bool
+    mayFault(const CombComp &c)
+    {
+        if (c.kind == CompKind::Alu)
+            return !exprBelow(c.funct, kAluFunctionCount);
+        return !exprBelow(c.select,
+                          static_cast<int64_t>(c.cases.size()));
+    }
+
+    /**
+     * The comb phase's emission order: by dependency level, and
+     * within a level by shape key (stable in `rs.comb` order), so the
+     * threaded dispatch meets long runs of one opcode sequence, and
+     * neighbouring runs share a prefix, instead of the resolver's
+     * order. A component that may fault is a barrier nothing moves
+     * across: everything `rs.comb` puts before it still runs before
+     * it, so the fault text, the partial-cycle state and the
+     * statistics at a fault are the interpreter's.
+     */
+    std::vector<int32_t>
+    combSchedule()
+    {
+        const auto n = static_cast<int32_t>(rs_.comb.size());
+        const std::vector<int32_t> level = combLevels(rs_);
+
+        // Shape key -> its rank in key order, numbered once all are in.
+        std::map<std::string, int32_t> rank;
+        std::vector<std::map<std::string, int32_t>::iterator> shape(n);
+        std::vector<int32_t> segment(n);
+        std::string key;
+        int32_t seg = 0;
+        for (int32_t i = 0; i < n; ++i) {
+            const CombComp &c = rs_.comb[i];
+            shapeKey(c, key);
+            shape[i] = rank.try_emplace(key, 0).first;
+            // A barrier gets a segment of its own.
+            const bool barrier = mayFault(c);
+            seg += barrier;
+            segment[i] = seg;
+            seg += barrier;
+            prog_.opt.levels = std::max(
+                prog_.opt.levels, static_cast<uint32_t>(level[i]) + 1);
+        }
+        int32_t next = 0;
+        for (auto &kv : rank)
+            kv.second = next++;
+
+        // The trailing index keeps equal keys in rs.comb order.
+        std::vector<std::array<int32_t, 4>> sorted(n);
+        for (int32_t i = 0; i < n; ++i)
+            sorted[i] = {segment[i], level[i], shape[i]->second, i};
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<int32_t> order(n);
+        for (int32_t i = 0; i < n; ++i) {
+            order[i] = sorted[i][3];
+            if (i == 0 || sorted[i][2] != sorted[i - 1][2])
+                ++prog_.opt.shapeRuns;
+        }
+        return order;
+    }
+
     /** Emit code evaluating `e` into scratch register `reg`. */
     void
     compileExpr(std::vector<Instr> &code, const ResolvedExpr &e,
@@ -184,25 +314,17 @@ class Compiler
         const auto slot = static_cast<uint16_t>(c.slot);
 
         if (c.functConst && opts_.inlineConstAlu) {
-            bool needL = true, needR = true;
-            aluOperandNeeds(c.functValue, needL, needR);
-
-            // Full constant folding when every needed operand is
-            // constant (except Shl, whose thesis semantics depend on
-            // the run-time AluSemantics configuration).
-            int32_t lv = 0, rv = 0;
-            bool lc = !needL || c.left.isConstant();
-            bool rc = !needR || c.right.isConstant();
-            if (needL && c.left.isConstant())
-                lv = c.left.constTotal;
-            if (needR && c.right.isConstant())
-                rv = c.right.constTotal;
-            if (lc && rc && c.functValue != kAluShl) {
-                int32_t v = dologic(c.functValue, lv, rv);
-                code.push_back({Op::StoreC, 0, slot, v, 0, 0});
+            if (aluFolds(c)) {
+                // dologic ignores the operands the function does not
+                // read, constant or not.
+                const int32_t v = dologic(c.functValue, c.left.constTotal,
+                                          c.right.constTotal);
+                code.push_back({Op::AluFold, 0, slot, v, 0, 0});
                 return;
             }
 
+            bool needL = true, needR = true;
+            aluOperandNeeds(c.functValue, needL, needR);
             if (needL)
                 compileExpr(code, c.left, 1);
             if (needR)
@@ -233,14 +355,7 @@ class Compiler
         const auto count = static_cast<int32_t>(c.cases.size());
 
         // Microcode-ROM pattern: all cases constant -> table lookup.
-        bool allConst = true;
-        for (const auto &e : c.cases) {
-            if (!e.isConstant()) {
-                allConst = false;
-                break;
-            }
-        }
-        if (allConst && opts_.constSelectorTables) {
+        if (casesConstant(c) && opts_.constSelectorTables) {
             const auto base =
                 static_cast<int32_t>(prog_.constTable.size());
             for (const auto &e : c.cases)
@@ -272,38 +387,6 @@ class Compiler
             code[at].a = end;
     }
 
-    /** §5.4 heuristic: a memory's output latch can be skipped when no
-     *  expression reads it, it is not traced, and its traced-access
-     *  messages never print it. */
-    void
-    findUnobservedTemps()
-    {
-        observedTemps_.clear();
-        auto note = [&](const ResolvedExpr &e) {
-            for (const auto &t : e.terms) {
-                if (t.bank == ResolvedTerm::Bank::MemTemp)
-                    observedTemps_.insert(t.slot);
-            }
-        };
-        for (const auto &c : rs_.comb) {
-            note(c.funct);
-            note(c.left);
-            note(c.right);
-            note(c.select);
-            for (const auto &e : c.cases)
-                note(e);
-        }
-        for (const auto &m : rs_.mems) {
-            note(m.addr);
-            note(m.data);
-            note(m.opn);
-        }
-        for (const auto &t : rs_.traceList) {
-            if (t.isMem)
-                observedTemps_.insert(t.slot);
-        }
-    }
-
     void
     compileMemories()
     {
@@ -319,19 +402,11 @@ class Compiler
             const auto idx = static_cast<uint16_t>(m.index);
             prog_.memInfos.push_back({m.name});
 
-            const bool mayTrace =
-                tracing_ &&
-                (m.traceWrites != MemDesc::TraceMode::Never ||
-                 m.traceReads != MemDesc::TraceMode::Never);
             uint8_t flags = 0;
             if (tracing_ && m.traceWrites != MemDesc::TraceMode::Never)
                 flags |= kMemFlagTraceW;
             if (tracing_ && m.traceReads != MemDesc::TraceMode::Never)
                 flags |= kMemFlagTraceR;
-            if (opts_.elideUnusedTemps &&
-                !observedTemps_.count(m.index) && !mayTrace) {
-                flags |= kMemFlagElideTemp;
-            }
 
             if (m.opnConst && opts_.specializeConstMem) {
                 switch (land(m.opnValue, 3)) {
@@ -371,7 +446,6 @@ class Compiler
     CompilerOptions opts_;
     bool tracing_;
     Program prog_;
-    std::set<int> observedTemps_;
 };
 
 } // namespace
@@ -399,6 +473,7 @@ opName(Op op)
       case Op::AluXor: return "alu.xor";
       case Op::AluEq: return "alu.eq";
       case Op::AluLt: return "alu.lt";
+      case Op::AluFold: return "alu.fold";
       case Op::StoreS: return "st";
       case Op::StoreC: return "stc";
       case Op::StoreFVar: return "stfv";
@@ -503,7 +578,9 @@ Program::disassemble() const
        << " entries\n";
     os << "opt: linked=" << opt.linked << " cycle=" << cycle.size()
        << " fused=" << opt.fused << " deadStores=" << opt.deadStores
-       << " checksElided=" << opt.checksElided << "\n";
+       << " checksElided=" << opt.checksElided
+       << " levels=" << opt.levels << " shapeRuns=" << opt.shapeRuns
+       << "\n";
     return os.str();
 }
 

@@ -197,11 +197,6 @@ struct CompilerOptions
      *  table lookup (the microcode-ROM pattern). */
     bool constSelectorTables = true;
 
-    /** Skip the output latch for memories nobody reads (§5.4 "further
-     *  optimization ... heuristics to determine which memories do not
-     *  need temporary variables"). */
-    bool elideUnusedTemps = false;
-
     /** Fuse adjacent cycle-stream instructions into superinstructions
      *  (CVC-style compile-time collapse; sim/optimizer.cc). */
     bool fuseSuperinstructions = true;

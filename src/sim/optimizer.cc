@@ -118,31 +118,6 @@ aluComboIndex(Side l, Side r)
     return r == Side::V ? 6 : r == Side::T ? 7 : -1;
 }
 
-/**
- * True when every value of the address expression provably lies in
- * [0, cells): the constant part is non-negative, every term is a
- * masked (bounded, non-negative) field, and the running maximum never
- * reaches 2^31 (so the wrapping adds cannot wrap) nor `cells`.
- */
-bool
-addrSafe(const ResolvedExpr &e, int64_t cells)
-{
-    if (e.constTotal < 0)
-        return false;
-    int64_t max = e.constTotal;
-    for (const auto &t : e.terms) {
-        if (t.mask < 0)
-            return false; // whole-word term: value unbounded
-        const int64_t m = static_cast<int64_t>(t.mask);
-        const int64_t termMax =
-            t.shift >= 0 ? m << t.shift : m >> -t.shift;
-        max += termMax;
-        if (max >= (int64_t{1} << 31))
-            return false;
-    }
-    return max < cells;
-}
-
 /** The s0..s3 bit of a scratch-register operand. Only the opcodes
  *  that name a scratch register may ask: memory and fused ops keep
  *  flag or bank bits in `reg`. */
@@ -256,7 +231,7 @@ class Optimizer
     {
         std::set<int> safe;
         for (const auto &m : rs_.mems) {
-            if (addrSafe(m.addr, m.size))
+            if (exprBelow(m.addr, m.size))
                 safe.insert(m.index);
         }
         if (safe.empty())
@@ -923,6 +898,25 @@ class Optimizer
 };
 
 } // namespace
+
+bool
+exprBelow(const ResolvedExpr &e, int64_t limit)
+{
+    if (e.constTotal < 0)
+        return false;
+    int64_t max = e.constTotal;
+    for (const auto &t : e.terms) {
+        if (t.mask < 0)
+            return false; // whole-word term: value unbounded
+        const int64_t m = static_cast<int64_t>(t.mask);
+        const int64_t termMax =
+            t.shift >= 0 ? m << t.shift : m >> -t.shift;
+        max += termMax;
+        if (max >= (int64_t{1} << 31))
+            return false;
+    }
+    return max < limit;
+}
 
 void
 linkAndOptimize(Program &prog, const ResolvedSpec &rs,

@@ -33,6 +33,16 @@ namespace asim {
 void linkAndOptimize(Program &prog, const ResolvedSpec &rs,
                      const CompilerOptions &opts);
 
+/**
+ * True when every value of `e` provably lies in [0, limit): the
+ * constant part is non-negative, every term is a masked (bounded,
+ * non-negative) field, and the running maximum never reaches 2^31
+ * (so the wrapping adds cannot wrap) nor `limit`. Discharges memory
+ * bounds checks here and marks the comb components that cannot fault
+ * in the compiler's schedule.
+ */
+bool exprBelow(const ResolvedExpr &e, int64_t limit);
+
 } // namespace asim
 
 #endif // ASIM_SIM_OPTIMIZER_HH

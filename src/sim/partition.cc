@@ -4,6 +4,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "analysis/depgraph.hh"
 #include "support/bitops.hh"
 #include "support/metrics.hh"
 #include "support/tracing.hh"
@@ -280,13 +281,10 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
         // phase barrier). Lane choice is affinity-greedy: prefer the
         // lane holding most of a component's producers, unless that
         // lane is already past its balance cap for the level.
-        std::vector<int32_t> level(n, 0);
+        const std::vector<int32_t> level = combLevels(rs);
         size_t levels = 0;
-        for (int32_t i = 0; i < n; ++i) {
-            for (int32_t j : deps[i])
-                level[i] = std::max(level[i], level[j] + 1);
-            levels = std::max(levels, static_cast<size_t>(level[i]) + 1);
-        }
+        for (int32_t l : level)
+            levels = std::max(levels, static_cast<size_t>(l) + 1);
         std::vector<std::vector<int32_t>> byLevel(levels);
         for (int32_t i = 0; i < n; ++i)
             byLevel[level[i]].push_back(i);

@@ -197,7 +197,7 @@ Vm::runCycles(uint64_t n)
             &&H_AluGen, &&H_AluConst, &&H_AluZero, &&H_AluRight,
             &&H_AluLeft, &&H_AluNot, &&H_AluAdd, &&H_AluSub,
             &&H_AluMul, &&H_AluAnd, &&H_AluOr, &&H_AluXor, &&H_AluEq,
-            &&H_AluLt,
+            &&H_AluLt, &&H_AluFold,
             &&H_StoreS, &&H_StoreC, &&H_StoreFVar, &&H_StoreFTemp,
             &&H_Switch, &&H_Jump, &&H_SelTable,
             &&H_MemAdr, &&H_MemOpn, &&H_MemAdrC, &&H_MemOpnC,
@@ -349,6 +349,12 @@ Vm::runCycles(uint64_t n)
             aluEvals += collect;
         }
         NEXT();
+        CASE(AluFold)
+        {
+            vars[ip->idx] = ip->a;
+            aluEvals += collect;
+        }
+        NEXT();
 
         CASE(StoreS)
         {
@@ -439,8 +445,7 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                 checkAddr(ms, ip->idx, curCycle());
-            if (!(ip->reg & kMemFlagElideTemp))
-                ms.temp = ms.cells[ms.adr];
+            ms.temp = ms.cells[ms.adr];
             if (collect)
                 ++stats_.mems[ip->idx].reads;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
@@ -490,8 +495,7 @@ Vm::runCycles(uint64_t n)
             if (mop == mem_op::kRead) {
                 if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                     checkAddr(ms, ip->idx, curCycle());
-                if (!(ip->reg & kMemFlagElideTemp))
-                    ms.temp = ms.cells[ms.adr];
+                ms.temp = ms.cells[ms.adr];
                 if (collect)
                     ++stats_.mems[ip->idx].reads;
             } else { // input
@@ -1085,9 +1089,7 @@ Vm::runCycles(uint64_t n)
                 const bool wr = mop == mem_op::kWrite;
                 const int32_t v = wr ? ip->a : *cell;
                 *cell = v;
-                const bool keep =
-                    !wr && (ip->reg & kMemFlagElideTemp);
-                ms.temp = keep ? ms.temp : v;
+                ms.temp = v;
                 if (collect)
                     ++(wr ? stats_.mems[ip->idx].writes
                           : stats_.mems[ip->idx].reads);
@@ -1116,9 +1118,7 @@ Vm::runCycles(uint64_t n)
                 const bool wr = mop == mem_op::kWrite;
                 const int32_t v = wr ? ASIM_FLDVC(*ip) : *cell;
                 *cell = v;
-                const bool keep =
-                    !wr && (ip->reg & kMemFlagElideTemp);
-                ms.temp = keep ? ms.temp : v;
+                ms.temp = v;
                 if (collect)
                     ++(wr ? stats_.mems[ip->idx].writes
                           : stats_.mems[ip->idx].reads);
@@ -1148,9 +1148,7 @@ Vm::runCycles(uint64_t n)
                 const bool wr = mop == mem_op::kWrite;
                 const int32_t v = wr ? ASIM_FLDTC(*ip) : *cell;
                 *cell = v;
-                const bool keep =
-                    !wr && (ip->reg & kMemFlagElideTemp);
-                ms.temp = keep ? ms.temp : v;
+                ms.temp = v;
                 if (collect)
                     ++(wr ? stats_.mems[ip->idx].writes
                           : stats_.mems[ip->idx].reads);

@@ -536,6 +536,29 @@ TEST_F(ManifestTest, HostileValuesThrowNamingFileLineAndKey)
     }
 }
 
+TEST_F(ManifestTest, CountAboveItsBoundIsRefusedNamingTheLine)
+{
+    // count= sizes the job list before anything runs: one instance
+    // past kMaxManifestCount is refused with file:line and the bound.
+    const std::string spec = specPath("counter.asim");
+    const std::string over = std::to_string(kMaxManifestCount + 1);
+    std::string path = writeManifest(spec + " count=2 cycles=5\n" +
+                                     spec + " count=" + over + "\n");
+    BatchRunner runner;
+    try {
+        runner.loadManifest(path, SimulationOptions{});
+        FAIL() << "accepted count=" << over;
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path + ":2: count"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("up to " + std::to_string(kMaxManifestCount) +
+                            ": " + over),
+                  std::string::npos)
+            << what;
+    }
+}
+
 // ---------------------------------------------------------------------
 // The headline property: byte-identical results across thread counts.
 // ---------------------------------------------------------------------

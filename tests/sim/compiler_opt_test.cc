@@ -167,6 +167,16 @@ TEST(CompilerOpt, DisassemblyNamesSuperinstructions)
     EXPECT_NE(dis.find("fused="), std::string::npos);
     EXPECT_NE(dis.find("deadStores="), std::string::npos);
     EXPECT_NE(dis.find("checksElided="), std::string::npos);
+    // The comb schedule: the sieve's network settles in several
+    // dependency levels, and grouping by shape leaves fewer runs
+    // than components.
+    EXPECT_GT(p.opt.levels, 1u);
+    EXPECT_GT(p.opt.shapeRuns, 0u);
+    EXPECT_LT(p.opt.shapeRuns, rs.comb.size());
+    EXPECT_NE(dis.find(" levels=" + std::to_string(p.opt.levels) +
+                       " shapeRuns=" + std::to_string(p.opt.shapeRuns) +
+                       "\n"),
+              std::string::npos);
     // Every line names a real opcode (no "?" placeholders).
     EXPECT_EQ(dis.find(": ? "), std::string::npos);
 }

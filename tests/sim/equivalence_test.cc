@@ -21,6 +21,7 @@
 #include "machines/synthetic.hh"
 #include "machines/tiny_computer.hh"
 #include "sim/batch.hh"
+#include "sim/checkpoint.hh"
 #include "sim/io.hh"
 #include "sim/simulation.hh"
 #include "sim/trace.hh"
@@ -154,6 +155,29 @@ TEST_P(EquivalenceProperty, RandomSpec)
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceProperty,
                          ::testing::Range(1u, 41u));
 
+/** The layered scaling family (the benchmark's synth64k design at
+ *  2000 components, on a seed no preset uses): the vm runs its
+ *  levelized, shape-grouped comb schedule and must still leave the
+ *  interpreter's checkpoint, statistics included, byte for byte at
+ *  every cycle count. */
+TEST(Equivalence, LayeredPresetCheckpoints)
+{
+    SyntheticOptions opts = syntheticPreset("2000");
+    opts.seed = 4243;
+    SharedSpec rs = share(resolve(generateSynthetic(opts)));
+    auto vm = makeVm(rs);
+    auto interp = makeInterpreter(rs);
+    uint64_t done = 0;
+    for (uint64_t at : {1u, 2u, 17u, 64u, 300u}) {
+        vm->run(at - done);
+        interp->run(at - done);
+        done = at;
+        EXPECT_EQ(encodeCheckpoint(vm->snapshot(), 0, "engine"),
+                  encodeCheckpoint(interp->snapshot(), 0, "engine"))
+            << "cycle " << at;
+    }
+}
+
 /** Optimization flags must never change behavior (VM vs VM). */
 class OptEquivalence : public ::testing::TestWithParam<uint32_t>
 {};
@@ -168,20 +192,19 @@ TEST_P(OptEquivalence, AllFlagCombos)
     for (int i = 0; i < 128; ++i)
         inputs.push_back(i * 37 % 1000);
 
-    // All 32 flag combinations plus the reference run as one batch.
-    // Bit 4 drops the whole cycle-stream optimizer (fusion,
+    // All 16 flag combinations plus the reference run as one batch.
+    // Bit 3 drops the whole cycle-stream optimizer (fusion,
     // dead-store elimination, check elision) so every compile-time
     // combination also runs against the unoptimized stream.
     std::vector<Variant> variants{{"vm", {}, "reference"}};
-    for (int m = 0; m < 32; ++m) {
+    for (int m = 0; m < 16; ++m) {
         CompilerOptions copts;
         copts.inlineConstAlu = m & 1;
         copts.specializeConstMem = m & 2;
         copts.constSelectorTables = m & 4;
-        copts.elideUnusedTemps = m & 8;
-        copts.fuseSuperinstructions = !(m & 16);
-        copts.eliminateDeadStores = !(m & 16);
-        copts.elideRedundantChecks = !(m & 16);
+        copts.fuseSuperinstructions = !(m & 8);
+        copts.eliminateDeadStores = !(m & 8);
+        copts.elideRedundantChecks = !(m & 8);
         variants.push_back(
             {"vm", copts, "flags" + std::to_string(m)});
     }

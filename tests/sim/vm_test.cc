@@ -6,6 +6,7 @@
 #include "machines/counter.hh"
 #include "machines/stack_machine.hh"
 #include "machines/synthetic.hh"
+#include "sim/checkpoint.hh"
 #include "sim/compiler.hh"
 #include "sim/simulation.hh"
 #include "sim/vm.hh"
@@ -98,11 +99,14 @@ TEST(Vm, AllConstAluFullyFolded)
                                   "A r 4 20 22\n"
                                   ".\n");
     Vm vm(rs, {}, {});
-    // Constant-folded to SetC + StoreS: no ALU op at all.
+    // Constant-folded to one AluFold: no dologic dispatch at all,
+    // but still counted as the ALU evaluation the interpreter counts.
     EXPECT_EQ(countOp(vm.program().comb, Op::AluConst), 0);
     EXPECT_EQ(countOp(vm.program().comb, Op::AluGen), 0);
+    EXPECT_EQ(countOp(vm.program().comb, Op::AluFold), 1);
     vm.step();
     EXPECT_EQ(vm.value("r"), 42);
+    EXPECT_EQ(vm.stats().aluEvals, 1u);
 }
 
 TEST(Vm, OptimizationsPreserveSemantics)
@@ -112,12 +116,11 @@ TEST(Vm, OptimizationsPreserveSemantics)
     ResolvedSpec rs =
         resolveText(stackMachineSpec(sieveProgram(5), 3000));
     std::vector<int32_t> reference;
-    for (int m = 0; m < 16; ++m) {
+    for (int m = 0; m < 8; ++m) {
         CompilerOptions opts;
         opts.inlineConstAlu = m & 1;
         opts.specializeConstMem = m & 2;
         opts.constSelectorTables = m & 4;
-        opts.elideUnusedTemps = m & 8;
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;
@@ -132,25 +135,65 @@ TEST(Vm, OptimizationsPreserveSemantics)
     }
 }
 
-TEST(Vm, TempElisionOnlyTouchesUnobservedMemories)
+/** Run `e` until it faults; the SimError text, or "" if it never
+ *  does within `cycles`. */
+std::string
+runToFault(Engine &e, uint64_t cycles)
 {
-    // `m` is read by nothing: with elideUnusedTemps its latch may stay
-    // zero, but cells and every observed component are unaffected.
-    const char *text = "# elide\n"
-                       "inc count m .\n"
-                       "A inc 4 count 1\n"
-                       "M m count.0.2 count 0 8\n"
-                       "M count 0 inc 1 1\n"
-                       ".\n";
-    ResolvedSpec rs = resolveText(text);
-    CompilerOptions opts;
-    opts.elideUnusedTemps = true;
-    Vm vm(rs, {}, opts);
-    vm.run(5);
-    Vm plain(rs, {}, {});
-    plain.run(5);
-    EXPECT_EQ(vm.value("count"), plain.value("count"));
-    EXPECT_EQ(vm.stats().mems[0].reads, plain.stats().mems[0].reads);
+    try {
+        e.run(cycles);
+    } catch (const SimError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(Vm, FaultOrderMatchesInterpreter)
+{
+    // At cycle 3 (m = 3) two components fault: selector s (index 3 of
+    // 3 cases) and ALU f (function k.0.3 = 14). Both sit one level
+    // above independent ALUs of mixed shapes, which the vm's comb
+    // schedule would otherwise hoist in front of them. Whichever
+    // fault rs.comb reaches first must surface, with the
+    // interpreter's partial-cycle state and statistics.
+    const std::string head = "# fault order\n"
+                             "inc k a0 a1 a2 s f b0 b1 b2 b3 m .\n"
+                             "A inc 4 m 1\n"
+                             "A k 4 m 11\n"
+                             "A a0 4 m 5\n"
+                             "A a1 5 m.0.2 2\n"
+                             "A a2 8 m 6\n";
+    const std::string sel = "S s m.0.1 m inc k\n";
+    const std::string alu = "A f k.0.3 m 2\n";
+    const std::string tail = "A b0 4 m 9\n"
+                             "A b1 7 m 3\n"
+                             "A b2 5 m.0.2 4\n"
+                             "A b3 9 m 1\n"
+                             "M m 0 inc 1 1\n"
+                             ".\n";
+    struct Case
+    {
+        std::string text;
+        std::string fault;
+    };
+    for (const Case &c :
+         {Case{head + sel + alu + tail,
+               "selector s index 3 outside its 3 cases (cycle 3)"},
+          Case{head + alu + sel + tail,
+               "ALU function 14 out of range 0..13"}}) {
+        ResolvedSpec rs = resolveText(c.text);
+        auto vm = makeVm(rs);
+        auto interp = makeInterpreter(rs);
+        const std::string vmFault = runToFault(*vm, 10);
+        EXPECT_EQ(vmFault, c.fault);
+        EXPECT_EQ(vmFault, runToFault(*interp, 10));
+        EXPECT_EQ(encodeCheckpoint(vm->snapshot(), 0, "test"),
+                  encodeCheckpoint(interp->snapshot(), 0, "test"))
+            << c.fault;
+        EXPECT_EQ(vm->stats().aluEvals, interp->stats().aluEvals);
+        EXPECT_EQ(vm->stats().selEvals, interp->stats().selEvals);
+        EXPECT_EQ(vm->stats().summary(), interp->stats().summary());
+    }
 }
 
 TEST(Vm, ProgramSizesReported)
