@@ -53,9 +53,9 @@ runScaled(benchmark::State &state, const char *engine)
     for (auto _ : state)
         sim.run(256);
     state.SetItemsProcessed(state.iterations() * 256);
-    state.SetLabel(
-        std::to_string(sim.resolved().spec.comps.size()) +
-        " components");
+    const ResolvedSpec &rs = sim.resolved();
+    state.SetLabel(std::to_string(rs.comb.size() + rs.mems.size()) +
+                   " components");
 }
 
 void

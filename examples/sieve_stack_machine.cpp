@@ -36,7 +36,7 @@ main(int argc, char **argv)
 
     ResolvedSpec rs =
         resolveText(stackMachineSpec(program, 100000, traced));
-    std::cout << "specification: " << rs.spec.comps.size()
+    std::cout << "specification: " << rs.comb.size() + rs.mems.size()
               << " components (" << rs.comb.size()
               << " combinational, " << rs.mems.size()
               << " memories)\n\n";

@@ -173,8 +173,8 @@ CampaignRunner::run()
     const std::shared_ptr<const ResolvedSpec> rs = base.resolved;
 
     uint64_t horizon = o.horizon;
-    if (horizon == 0 && rs->spec.cyclesSpecified)
-        horizon = static_cast<uint64_t>(rs->spec.thesisIterations());
+    if (horizon == 0 && rs->cyclesSpecified)
+        horizon = static_cast<uint64_t>(rs->thesisIterations());
     if (horizon == 0) {
         throw SimError("campaign needs a horizon — the spec names no "
                        "cycle count and none was given");
@@ -271,15 +271,20 @@ CampaignRunner::run()
     batchOpts.captureState = true;
     BatchRunner runner(batchOpts);
 
+    // Splices sample component names in definition order.
+    std::vector<std::string> spliceNames;
+    if (o.splice) {
+        for (const Component &c : rs->ast().comps)
+            spliceNames.push_back(c.name);
+    }
     std::vector<FaultSite> sites;
     sites.reserve(o.runs);
     for (uint64_t i = 0; i < o.runs; ++i) {
         SplitMix64 rng = SplitMix64::forIndex(o.seed, i);
         FaultSite site;
         if (o.splice) {
-            const auto &comps = rs->spec.comps;
             site.component =
-                comps[rng.below(comps.size())].name;
+                spliceNames[rng.below(spliceNames.size())];
             site.bit = static_cast<int>(rng.below(kMaxBits));
         } else {
             site = stateSiteAt(*rs, rng.below(nStateSites));
@@ -301,7 +306,9 @@ CampaignRunner::run()
         if (o.splice) {
             // The spliced spec differs from the shared resolve:
             // drop the shared compiled artifacts (the instance
-            // compiles its own) and run from cycle zero.
+            // compiles its own) and run from cycle zero. A shared
+            // symbolic tree stays: it is the healthy tree each
+            // instance splices.
             job.options.program.reset();
             job.options.nativeBuild.reset();
         } else {

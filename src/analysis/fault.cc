@@ -20,7 +20,6 @@ constExpr(int32_t value)
     t.kind = Term::Kind::Const;
     t.value = value;
     e.terms.push_back(t);
-    e.source = std::to_string(value);
     return e;
 }
 
@@ -33,7 +32,6 @@ refExpr(const std::string &name)
     t.kind = Term::Kind::Ref;
     t.ref = name;
     e.terms.push_back(t);
-    e.source = name;
     return e;
 }
 

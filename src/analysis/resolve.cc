@@ -36,7 +36,6 @@ ResolvedExpr
 resolveExprImpl(const Expr &expr, const NameMap &names)
 {
     ResolvedExpr out;
-    out.source = expr.source;
 
     int numbits = 0;
     // Right-to-left accumulation, exactly like the thesis.
@@ -93,8 +92,8 @@ resolveExprImpl(const Expr &expr, const NameMap &names)
           }
         }
         if (numbits > kMaxBits) {
-            throw SpecError("Error. Too many bits in " + expr.source +
-                            ".");
+            throw SpecError("Error. Too many bits in " +
+                            exprToString(expr) + ".");
         }
     }
     out.width = numbits;
@@ -136,12 +135,16 @@ ResolvedSpec::memIndex(std::string_view name) const
     return it == memIndexes.end() ? -1 : it->second;
 }
 
+Spec
+ResolvedSpec::ast() const
+{
+    return parseSpec(text);
+}
+
 ResolvedSpec
-resolve(Spec parsed, Diagnostics *diag)
+resolve(const Spec &spec, Diagnostics *diag)
 {
     ResolvedSpec rs;
-    rs.spec = std::move(parsed);
-    const Spec &spec = rs.spec;
 
     // Assign slots: combinational outputs get var slots, memories get
     // memory indexes, both in declaration order. The name index built
@@ -260,6 +263,11 @@ resolve(Spec parsed, Diagnostics *diag)
         rs.traceList.push_back(std::move(item));
     }
 
+    rs.comment = spec.comment;
+    rs.cycles = spec.cycles;
+    rs.cyclesSpecified = spec.cyclesSpecified;
+    rs.text = writeSpec(spec);
+    rs.identity = fnv1a64(rs.text);
     return rs;
 }
 
@@ -267,12 +275,6 @@ ResolvedSpec
 resolveText(std::string_view text, Diagnostics *diag)
 {
     return resolve(parseSpec(text, diag), diag);
-}
-
-uint64_t
-specIdentityHash(const ResolvedSpec &rs)
-{
-    return fnv1a64(writeSpec(rs.spec));
 }
 
 ResolvedExpr

@@ -54,7 +54,6 @@ struct ResolvedExpr
     int32_t constTotal = 0;
     std::vector<ResolvedTerm> terms;
     int width = 0;           ///< total bits (<= 31)
-    std::string source;      ///< original text
 
     bool isConstant() const { return terms.empty(); }
 };
@@ -65,7 +64,7 @@ struct CombComp
     CompKind kind = CompKind::Alu;
     std::string name;
     int slot = 0;        ///< index into MachineState::vars
-    int declIndex = 0;   ///< index into Spec::comps
+    int declIndex = 0;   ///< index into ast().comps
 
     /// @{ ALU
     ResolvedExpr funct, left, right;
@@ -109,10 +108,31 @@ struct TraceItem
     int slot = 0; ///< var slot or memory index
 };
 
-/** The resolved specification. */
+/** The resolved specification. It owns no syntax tree: the few
+ *  consumers that walk one (the symbolic interpreter, splice faults)
+ *  re-parse the canonical text with ast(). */
 struct ResolvedSpec
 {
-    Spec spec;
+    /** The first-line comment, without the leading `#`. */
+    std::string comment;
+
+    /** Cycle count from the `=` directive; meaningful only if
+     *  `cyclesSpecified`. */
+    int64_t cycles = 0;
+    bool cyclesSpecified = false;
+
+    /** The thesis' inclusive loop-iteration count for `= N`. */
+    int64_t thesisIterations() const { return cycles + 1; }
+
+    /** Canonical text of the resolved spec (lang/writer.hh writeSpec)
+     *  and its FNV-1a 64 hash, both computed once by resolve(). */
+    std::string text;
+    uint64_t identity = 0;
+
+    /** Parse `text` back into a syntax tree: the resolved spec's
+     *  components in definition order, so CombComp/MemDesc
+     *  `declIndex` index its `comps`. */
+    Spec ast() const;
 
     /** Combinational components in evaluation (dependency) order. */
     std::vector<CombComp> comb;
@@ -140,15 +160,15 @@ struct ResolvedSpec
  * Linear in the spec's size: every per-name question, the `checkdcl`
  * cross-check included, is a hash probe into one name index.
  *
- * @param spec parsed spec (moved into the result; pass an rvalue to
- *             avoid a copy)
+ * @param spec parsed spec; borrowed, the result keeps only its
+ *             canonical text
  * @param diag optional warning collector (declared-but-not-defined,
  *             defined-but-not-declared — thesis `checkdcl`)
  * @throws SpecError on duplicate definitions, unresolved references,
  *         too-wide expressions, bad subfields, or circular
  *         combinational dependencies
  */
-ResolvedSpec resolve(Spec spec, Diagnostics *diag = nullptr);
+ResolvedSpec resolve(const Spec &spec, Diagnostics *diag = nullptr);
 
 /** Convenience: parse + resolve in one step. */
 ResolvedSpec resolveText(std::string_view text,
@@ -164,8 +184,13 @@ ResolvedExpr resolveExpr(const Expr &expr, const ResolvedSpec &rs);
  * machine loaded from a file, from text, or re-serialized hashes
  * identically. Used as the checkpoint identity (sim/checkpoint.hh)
  * and as half of the native build cache key (codegen/native.hh).
+ * Computed once by resolve(); this returns `rs.identity`.
  */
-uint64_t specIdentityHash(const ResolvedSpec &rs);
+inline uint64_t
+specIdentityHash(const ResolvedSpec &rs)
+{
+    return rs.identity;
+}
 
 } // namespace asim
 

@@ -110,7 +110,8 @@ main(int argc, char **argv)
         tracing::Span loadSpan("asim2c.parse_resolve", "compile");
         ResolvedSpec rs = Simulation::loadSpec(sopts, &diag);
         loadSpan.finish();
-        std::cerr << rs.spec.comps.size() << " components read.\n";
+        std::cerr << rs.comb.size() + rs.mems.size()
+                  << " components read.\n";
         std::cerr << "Sorting components.\n";
         for (const auto &w : diag.warnings())
             std::cerr << w << "\n";

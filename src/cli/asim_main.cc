@@ -415,7 +415,8 @@ runSingle(Invocation &inv)
         Simulation sim(inv.sim);
         for (const auto &w : sim.diagnostics().warnings())
             std::cerr << w << "\n";
-        std::cerr << sim.resolved().spec.comps.size()
+        const ResolvedSpec &rs = sim.resolved();
+        std::cerr << rs.comb.size() + rs.mems.size()
                   << " components read.\n";
         if (const auto *pi = dynamic_cast<const PartitionedInterpreter *>(
                 &sim.engine())) {

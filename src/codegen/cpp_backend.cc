@@ -29,7 +29,7 @@ void
 CppBackend::emitHeader()
 {
     ln("// Generated by asim2c from specification:");
-    ln("//#" + rs_.spec.comment);
+    ln("//#" + rs_.comment);
     ln("// Compile with: g++ -O2 -fwrapv");
     ln("#include <chrono>");
     ln("#include <cstdint>");
@@ -756,7 +756,7 @@ CppBackend::emitMain()
         ln("        return serve();");
         ln("    }");
     }
-    ln("    long long cycles = " + std::to_string(rs_.spec.cycles) +
+    ln("    long long cycles = " + std::to_string(rs_.cycles) +
        ";");
     ln("    if (argc > 1)");
     ln("        cycles = std::atoll(argv[1]);");

@@ -21,7 +21,7 @@ void
 PascalBackend::emitHeader()
 {
     ln("program " + opts_.programName + " (input, output);");
-    ln("{#" + rs_.spec.comment + "}");
+    ln("{#" + rs_.comment + "}");
 }
 
 void
@@ -366,7 +366,7 @@ PascalBackend::emitMain()
     ln("");
     ln("begin");
     ln("initvalues;");
-    ln("cycles := " + std::to_string(rs_.spec.cycles) + ";");
+    ln("cycles := " + std::to_string(rs_.cycles) + ";");
     ln("if cycles = 0 then begin");
     ln("    writeln('Number of cycles to trace');");
     ln("    read(cycles);");

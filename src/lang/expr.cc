@@ -1,7 +1,5 @@
 #include "lang/expr.hh"
 
-#include <sstream>
-
 #include "lang/number.hh"
 #include "support/logging.hh"
 #include "support/text.hh"
@@ -43,15 +41,18 @@ parseTerm(std::string_view piece, std::string_view whole)
         return t;
     }
 
-    if (isDigit(c) || c == '$' || c == '%' || c == '^') {
-        // Constant, optionally followed by `.width`.
+    if (isDigit(c) || c == '$' || c == '%' || c == '^' ||
+        (c == '-' && piece.size() > 1 && isDigit(piece[1]))) {
+        // Constant, optionally followed by `.width`. A leading '-' is
+        // how exprToString writes a constant that wrapped negative
+        // (`^31`, `$FFFFFFFF`), so written specs parse back.
         t.kind = Term::Kind::Const;
         size_t dot = piece.find('.');
         if (dot == std::string_view::npos) {
-            t.value = parseNumber(piece);
+            t.value = parseConstant(piece);
             t.width = -1;
         } else {
-            t.value = parseNumber(piece.substr(0, dot));
+            t.value = parseConstant(piece.substr(0, dot));
             std::string_view wtext = piece.substr(dot + 1);
             if (wtext.empty())
                 malformed(whole);
@@ -107,7 +108,6 @@ Expr
 parseExpr(std::string_view text)
 {
     Expr e;
-    e.source = std::string(text);
     if (text.empty())
         malformed(text);
     for (const auto &piece : split(text, ','))
@@ -115,35 +115,47 @@ parseExpr(std::string_view text)
     return e;
 }
 
-std::string
-exprToString(const Expr &expr)
+void
+appendExpr(std::string &out, const Expr &expr)
 {
-    std::ostringstream os;
     for (size_t i = 0; i < expr.terms.size(); ++i) {
         if (i)
-            os << ',';
+            out += ',';
         const Term &t = expr.terms[i];
         switch (t.kind) {
           case Term::Kind::Const:
-            os << t.value;
-            if (t.width >= 0)
-                os << '.' << t.width;
+            appendInt(out, t.value);
+            if (t.width >= 0) {
+                out += '.';
+                appendInt(out, t.width);
+            }
             break;
           case Term::Kind::BitString:
-            os << '#';
+            out += '#';
             for (int b = t.width - 1; b >= 0; --b)
-                os << ((t.value >> b) & 1);
+                out += static_cast<char>('0' + ((t.value >> b) & 1));
             break;
           case Term::Kind::Ref:
-            os << t.ref;
-            if (t.from >= 0)
-                os << '.' << t.from;
-            if (t.to >= 0)
-                os << '.' << t.to;
+            out += t.ref;
+            if (t.from >= 0) {
+                out += '.';
+                appendInt(out, t.from);
+            }
+            if (t.to >= 0) {
+                out += '.';
+                appendInt(out, t.to);
+            }
             break;
         }
     }
-    return os.str();
+}
+
+std::string
+exprToString(const Expr &expr)
+{
+    std::string out;
+    appendExpr(out, expr);
+    return out;
 }
 
 std::vector<std::string>

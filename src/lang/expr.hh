@@ -57,12 +57,11 @@ struct Term
     bool operator==(const Term &) const = default;
 };
 
-/** A parsed expression: terms stored leftmost (most significant) first,
- *  plus the original source text for diagnostics and code comments. */
+/** A parsed expression: terms stored leftmost (most significant)
+ *  first. Diagnostics render it back with exprToString(). */
 struct Expr
 {
     std::vector<Term> terms;
-    std::string source;
 
     bool empty() const { return terms.empty(); }
 
@@ -84,8 +83,13 @@ struct Expr
  */
 Expr parseExpr(std::string_view text);
 
-/** Render an Expr back to specification syntax. */
+/** Render an Expr back to specification syntax (canonical form:
+ *  constants in decimal, subfields as `.from[.to]`). */
 std::string exprToString(const Expr &expr);
+
+/** Append exprToString(expr) to `out` (lang/writer.cc renders a whole
+ *  spec into one string this way). */
+void appendExpr(std::string &out, const Expr &expr);
 
 /** Names of all components referenced by `expr` (with duplicates). */
 std::vector<std::string> referencedNames(const Expr &expr);

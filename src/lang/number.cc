@@ -96,6 +96,21 @@ parseSignedNumber(std::string_view text)
     return parseNumber(text);
 }
 
+int32_t
+parseConstant(std::string_view text)
+{
+    if (text.empty() || text[0] != '-')
+        return parseNumber(text);
+    std::string_view digits = text.substr(1);
+    if (digits.empty())
+        malformed(text);
+    for (char c : digits) {
+        if (!isDigit(c))
+            malformed(text);
+    }
+    return wsub(0, parseNumber(digits));
+}
+
 bool
 isNumber(std::string_view text)
 {

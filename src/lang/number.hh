@@ -30,6 +30,14 @@ int32_t parseNumber(std::string_view text);
 /** Parse a possibly-negative number (memory size field: `-133`). */
 int64_t parseSignedNumber(std::string_view text);
 
+/**
+ * Parse a constant as the spec writer prints it: a number, or '-'
+ * followed by decimal digits only, the writer's form of a value that
+ * wrapped negative (`^31` prints as `-2147483648`, `$FFFFFFFF` as
+ * `-1`). Anything else after a '-' is malformed.
+ */
+int32_t parseConstant(std::string_view text);
+
 /** True if `text` is a syntactically valid number. */
 bool isNumber(std::string_view text);
 

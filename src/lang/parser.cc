@@ -245,7 +245,6 @@ class Parser
                 if (t.kind == Term::Kind::Ref)
                     t.ref = mapName(t.ref);
             }
-            e.source = exprToString(e);
             return e;
         };
 
@@ -339,9 +338,11 @@ class Parser
         if (n < 0) {
             // Negative size: exactly |n| initial values follow.
             c.memSize = -n;
+            // A value may carry a '-': the writer's decimal form of a
+            // value that wrapped negative (`$FFFFFFFF`).
             for (int64_t i = 0; i < c.memSize; ++i) {
                 c.init.push_back(
-                    parseNumber(nextField("memory initial value")));
+                    parseConstant(nextField("memory initial value")));
             }
         } else {
             c.memSize = n;

@@ -1,55 +1,86 @@
 #include "lang/writer.hh"
 
-#include <sstream>
+#include "support/text.hh"
 
 namespace asim {
+
+namespace {
+
+void
+appendComponent(std::string &out, const Component &comp)
+{
+    out += compKindLetter(comp.kind);
+    out += ' ';
+    out += comp.name;
+    auto field = [&out](const Expr &e) {
+        out += ' ';
+        appendExpr(out, e);
+    };
+    switch (comp.kind) {
+      case CompKind::Alu:
+        field(comp.funct);
+        field(comp.left);
+        field(comp.right);
+        break;
+      case CompKind::Selector:
+        field(comp.select);
+        for (const auto &c : comp.cases)
+            field(c);
+        break;
+      case CompKind::Memory:
+        field(comp.addr);
+        field(comp.data);
+        field(comp.opn);
+        if (!comp.init.empty()) {
+            out += " -";
+            appendInt(out, comp.memSize);
+            for (int32_t v : comp.init) {
+                out += ' ';
+                appendInt(out, v);
+            }
+        } else {
+            out += ' ';
+            appendInt(out, comp.memSize);
+        }
+        break;
+    }
+}
+
+} // namespace
 
 std::string
 writeComponent(const Component &comp)
 {
-    std::ostringstream os;
-    os << compKindLetter(comp.kind) << ' ' << comp.name;
-    switch (comp.kind) {
-      case CompKind::Alu:
-        os << ' ' << exprToString(comp.funct)
-           << ' ' << exprToString(comp.left)
-           << ' ' << exprToString(comp.right);
-        break;
-      case CompKind::Selector:
-        os << ' ' << exprToString(comp.select);
-        for (const auto &c : comp.cases)
-            os << ' ' << exprToString(c);
-        break;
-      case CompKind::Memory:
-        os << ' ' << exprToString(comp.addr)
-           << ' ' << exprToString(comp.data)
-           << ' ' << exprToString(comp.opn);
-        if (!comp.init.empty()) {
-            os << " -" << comp.memSize;
-            for (int32_t v : comp.init)
-                os << ' ' << v;
-        } else {
-            os << ' ' << comp.memSize;
-        }
-        break;
-    }
-    return os.str();
+    std::string out;
+    appendComponent(out, comp);
+    return out;
 }
 
 std::string
 writeSpec(const Spec &spec)
 {
-    std::ostringstream os;
-    os << '#' << spec.comment << '\n';
-    if (spec.cyclesSpecified)
-        os << "= " << spec.cycles << '\n';
-    for (const auto &d : spec.decls)
-        os << d.name << (d.traced ? "*" : "") << '\n';
-    os << ".\n";
-    for (const auto &c : spec.comps)
-        os << writeComponent(c) << '\n';
-    os << ".\n";
-    return os.str();
+    std::string out;
+    out += '#';
+    out += spec.comment;
+    out += '\n';
+    if (spec.cyclesSpecified) {
+        out += "= ";
+        appendInt(out, spec.cycles);
+        out += '\n';
+    }
+    for (const auto &d : spec.decls) {
+        out += d.name;
+        if (d.traced)
+            out += '*';
+        out += '\n';
+    }
+    out += ".\n";
+    for (const auto &c : spec.comps) {
+        appendComponent(out, c);
+        out += '\n';
+    }
+    out += ".\n";
+    return out;
 }
 
 } // namespace asim

@@ -193,7 +193,6 @@ class Generator
             }
             remaining -= w;
         }
-        e.source = exprToString(e);
         return e;
     }
 
@@ -215,7 +214,6 @@ class Generator
             // Dynamic function: a 3-bit subfield, always in 0..7.
             Expr f;
             f.terms.push_back(refTerm(3));
-            f.source = exprToString(f);
             c.funct = f;
         } else {
             Expr f;
@@ -224,7 +222,6 @@ class Generator
             t.value = uniform(0, 13);
             t.width = -1;
             f.terms.push_back(t);
-            f.source = exprToString(f);
             c.funct = f;
         }
         c.left = expr(uniform(1, 12));
@@ -248,7 +245,6 @@ class Generator
             // constant index is masked to k bits and stays in range.
             s.terms[0].width = k;
         }
-        s.source = exprToString(s);
         c.select = s;
         for (int j = 0; j < (1 << k); ++j)
             c.cases.push_back(expr(uniform(1, 10)));
@@ -287,7 +283,6 @@ class Generator
             t.value = op;
             t.width = -1;
             f.terms.push_back(t);
-            f.source = exprToString(f);
             c.opn = f;
         }
         if (pct(40)) {

@@ -269,8 +269,8 @@ BatchRunner::run()
                           !parseFaultSite(job.options.fault).atCycle;
         }
         int64_t budget = static_cast<int64_t>(job.cycles);
-        if (budget == 0 && rs->spec.cyclesSpecified)
-            budget = rs->spec.thesisIterations();
+        if (budget == 0 && rs->cyclesSpecified)
+            budget = rs->thesisIterations();
         if (budget <= 0) {
             throw SimError("batch job " + std::to_string(i) + " (" +
                            job.label +

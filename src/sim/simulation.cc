@@ -51,7 +51,8 @@ EngineRegistry::global()
                "name-lookup symbolic interpreter (faithful ASIM "
                "baseline)",
                [](const SharedSpec &rs, const EngineContext &ctx) {
-                   return makeSymbolicInterpreter(rs, ctx.config);
+                   return makeSymbolicInterpreter(rs, ctx.config,
+                                                  ctx.ast);
                });
         r->add("vm", "compiled bytecode VM (portable ASIM II analog)",
                [](const SharedSpec &rs, const EngineContext &ctx) {
@@ -183,6 +184,25 @@ slurp(std::istream &in)
     return os.str();
 }
 
+/** The options' healthy spec with the splice fault `site` applied.
+ *  Off a shared resolve the healthy tree is the shared symbolic tree
+ *  when there is one, else a re-parse of the canonical text. */
+Spec
+splicedSpec(const SimulationOptions &opts, const FaultSite &site,
+            Diagnostics *diag)
+{
+    const FaultInjector &injector =
+        FaultInjectorRegistry::global().get(site.mode);
+    if (opts.resolved && opts.ast)
+        return injector.splice(*opts.ast, site.component, site.bit);
+    Spec spec = opts.resolved
+                    ? opts.resolved->ast()
+                    : (!opts.specFile.empty()
+                           ? parseSpecFile(opts.specFile, diag)
+                           : parseSpec(opts.specText, diag));
+    return injector.splice(spec, site.component, site.bit);
+}
+
 } // namespace
 
 ResolvedSpec
@@ -198,18 +218,8 @@ Simulation::loadSpec(const SimulationOptions &opts, Diagnostics *diag)
     // leave the spec untouched (validated against the resolve).
     if (!opts.fault.empty()) {
         FaultSite site = parseFaultSite(opts.fault);
-        if (!site.atCycle) {
-            const FaultInjector &injector =
-                FaultInjectorRegistry::global().get(site.mode);
-            Spec spec = opts.resolved
-                            ? opts.resolved->spec
-                            : (!opts.specFile.empty()
-                                   ? parseSpecFile(opts.specFile, diag)
-                                   : parseSpec(opts.specText, diag));
-            return resolve(
-                injector.splice(spec, site.component, site.bit),
-                diag);
-        }
+        if (!site.atCycle)
+            return resolve(splicedSpec(opts, site, diag), diag);
         ResolvedSpec rs =
             opts.resolved
                 ? *opts.resolved
@@ -275,15 +285,23 @@ Simulation::Simulation(const SimulationOptions &opts)
         hasFault_ = fault_.atCycle;
         spliceFault = !fault_.atCycle;
     }
+    // A splice fault re-resolves even off a shared resolve: the
+    // shared spec stays healthy, this instance gets the spliced one.
+    // Its tree is kept for the symbolic engine, which walks one.
+    std::shared_ptr<const Spec> splicedAst;
     if (opts.resolved && !spliceFault) {
         rs_ = opts.resolved;
     } else {
-        // A splice fault re-resolves even off a shared resolve: the
-        // shared spec stays healthy, this instance gets the spliced
-        // one (loadSpec).
         tracing::Span span("sim.parse_resolve", "lifecycle");
-        rs_ = std::make_shared<const ResolvedSpec>(
-            loadSpec(opts, &diag_));
+        if (spliceFault) {
+            splicedAst = std::make_shared<const Spec>(
+                splicedSpec(opts, fault_, &diag_));
+            rs_ = std::make_shared<const ResolvedSpec>(
+                resolve(*splicedAst, &diag_));
+        } else {
+            rs_ = std::make_shared<const ResolvedSpec>(
+                loadSpec(opts, &diag_));
+        }
         span.setArgs("\"components\":" +
                      std::to_string(rs_->comb.size()));
     }
@@ -306,6 +324,9 @@ Simulation::Simulation(const SimulationOptions &opts)
     if (!spliceFault) {
         ctx.program = opts.program;
         ctx.nativeBuild = opts.nativeBuild;
+        ctx.ast = opts.ast;
+    } else {
+        ctx.ast = std::move(splicedAst);
     }
     ctx.workDir = opts.workDir;
     if (opts.partitions >= 2 && engineName_ != "interp") {
@@ -409,6 +430,10 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
             compileProgram(*shared.resolved, shared.compiler,
                            tracingPossible));
     }
+    if (shared.engine == "symbolic" && !shared.ast) {
+        tracing::Span span("sim.parse.symbolic", "lifecycle");
+        shared.ast = std::make_shared<const Spec>(shared.resolved->ast());
+    }
     if (shared.engine == "native" && !shared.nativeBuild) {
         // One generated+host-compiled binary for the whole batch;
         // each instance spawns its own --serve child off it. Routed
@@ -447,9 +472,7 @@ Simulation::makeBatch(const SimulationOptions &opts, size_t count)
 uint64_t
 Simulation::specHash() const
 {
-    if (specHash_ == 0)
-        specHash_ = specIdentityHash(*rs_);
-    return specHash_;
+    return specIdentityHash(*rs_);
 }
 
 void
@@ -552,8 +575,7 @@ Simulation::injectPending()
 int64_t
 Simulation::defaultCycles() const
 {
-    return rs_->spec.cyclesSpecified ? rs_->spec.thesisIterations()
-                                     : -1;
+    return rs_->cyclesSpecified ? rs_->thesisIterations() : -1;
 }
 
 uint64_t

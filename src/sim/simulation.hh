@@ -65,6 +65,12 @@ struct EngineContext
      *  rules as `program`. */
     std::shared_ptr<const NativeBuild> nativeBuild;
 
+    /** Parsed tree of the resolved spec (ResolvedSpec::ast()) for the
+     *  "symbolic" engine, which walks one; when set, instances share
+     *  it instead of each parsing its own. Same provenance rules as
+     *  `program`. */
+    std::shared_ptr<const Spec> ast;
+
     /** Scripted stdin for out-of-process engines; in-process engines
      *  receive their inputs through config.io instead. */
     std::string stdinText;
@@ -186,6 +192,11 @@ struct SimulationOptions
      *  shareBatchArtifacts() under the same rules as `program`. */
     std::shared_ptr<const NativeBuild> nativeBuild;
 
+    /** Shared parsed tree for the "symbolic" engine (see
+     *  EngineContext::ast); filled in by shareBatchArtifacts() under
+     *  the same rules as `program`. */
+    std::shared_ptr<const Spec> ast;
+
     /// @{ I/O wiring (used when config.io is null)
     IoMode ioMode = IoMode::Null;
     std::vector<int32_t> scriptInputs;
@@ -262,7 +273,8 @@ class Simulation
 
     /** The sharing half of makeBatch(): return a copy of `opts` with
      *  the spec resolved once and (for "vm") the bytecode compiled
-     *  once, ready to construct any number of instances. Pass
+     *  once, (for "native") the simulator built once or (for
+     *  "symbolic") the tree parsed once, ready to construct any number of instances. Pass
      *  `forceTracingPossible` when a trace sink will be attached
      *  only later (BatchRunner's per-instance capture), so the
      *  shared bytecode keeps its trace checks. */
@@ -328,7 +340,7 @@ class Simulation
                            CheckpointSections *sections = nullptr);
 
     /** This specification's content identity
-     *  (analysis/resolve.hh specIdentityHash, cached). */
+     *  (analysis/resolve.hh specIdentityHash). */
     uint64_t specHash() const;
     /// @}
 
@@ -349,7 +361,6 @@ class Simulation
     FaultSite fault_;        ///< parsed @cycle fault (hasFault_)
     bool hasFault_ = false;  ///< options carried an @cycle fault
     bool faultArmed_ = false; ///< not yet applied on this timeline
-    mutable uint64_t specHash_ = 0; ///< lazy; 0 = not yet computed
 };
 
 } // namespace asim

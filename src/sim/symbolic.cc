@@ -5,14 +5,16 @@
 namespace asim {
 
 SymbolicInterpreter::SymbolicInterpreter(
-    std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg)
-    : Engine(std::move(rs), cfg)
+    std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg,
+    std::shared_ptr<const Spec> ast)
+    : Engine(std::move(rs), cfg), ast_(std::move(ast))
 {
-    for (const auto &cc : rs_->comb) {
-        combOrder_.emplace_back(&rs_->spec.comps[cc.declIndex], -1);
-    }
+    if (!ast_)
+        ast_ = std::make_shared<const Spec>(rs_->ast());
+    for (const auto &cc : rs_->comb)
+        combOrder_.emplace_back(&ast_->comps[cc.declIndex], -1);
     for (const auto &m : rs_->mems)
-        memOrder_.emplace_back(&rs_->spec.comps[m.declIndex], m.index);
+        memOrder_.emplace_back(&ast_->comps[m.declIndex], m.index);
 }
 
 int32_t
@@ -178,9 +180,11 @@ makeSymbolicInterpreter(const ResolvedSpec &rs, const EngineConfig &cfg)
 
 std::unique_ptr<Engine>
 makeSymbolicInterpreter(std::shared_ptr<const ResolvedSpec> rs,
-                        const EngineConfig &cfg)
+                        const EngineConfig &cfg,
+                        std::shared_ptr<const Spec> ast)
 {
-    return std::make_unique<SymbolicInterpreter>(std::move(rs), cfg);
+    return std::make_unique<SymbolicInterpreter>(std::move(rs), cfg,
+                                                 std::move(ast));
 }
 
 } // namespace asim

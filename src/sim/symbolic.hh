@@ -26,8 +26,11 @@ namespace asim {
 class SymbolicInterpreter : public Engine
 {
   public:
+    /** `ast` is rs->ast(), shared by every instance built off one
+     *  resolve (Simulation::shareBatchArtifacts); null parses one. */
     SymbolicInterpreter(std::shared_ptr<const ResolvedSpec> rs,
-                        const EngineConfig &cfg);
+                        const EngineConfig &cfg,
+                        std::shared_ptr<const Spec> ast = nullptr);
 
     void step() override;
 
@@ -37,8 +40,13 @@ class SymbolicInterpreter : public Engine
     void evalComponent(const Component &c);
     void updateMemory(const Component &c, int index);
 
-    /** Components in evaluation order (combinational sorted, then
-     *  memories in declaration order), as (component, memIndex). */
+    /** The syntax tree this engine walks (the resolved spec keeps
+     *  none). */
+    std::shared_ptr<const Spec> ast_;
+
+    /** Components of ast_ in evaluation order (combinational sorted,
+     *  then memories in declaration order), as (component,
+     *  memIndex). */
     std::vector<std::pair<const Component *, int>> combOrder_;
     std::vector<std::pair<const Component *, int>> memOrder_;
 };
@@ -49,7 +57,8 @@ makeSymbolicInterpreter(const ResolvedSpec &rs,
                         const EngineConfig &cfg = {});
 std::unique_ptr<Engine>
 makeSymbolicInterpreter(std::shared_ptr<const ResolvedSpec> rs,
-                        const EngineConfig &cfg = {});
+                        const EngineConfig &cfg = {},
+                        std::shared_ptr<const Spec> ast = nullptr);
 
 } // namespace asim
 

@@ -73,6 +73,14 @@ countOccurrences(std::string_view hay, std::string_view needle)
     return n;
 }
 
+void
+appendInt(std::string &out, int64_t v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
+
 std::optional<uint64_t>
 parseU64(std::string_view s, uint64_t max)
 {

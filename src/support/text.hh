@@ -57,6 +57,9 @@ bool contains(std::string_view hay, std::string_view needle);
 /** Count occurrences of `needle` in `hay` (non-overlapping). */
 int countOccurrences(std::string_view hay, std::string_view needle);
 
+/** Append `v` in decimal (what `ostream << v` prints) to `out`. */
+void appendInt(std::string &out, int64_t v);
+
 /**
  * Strict whole-string number parsers for command-line flags and batch
  * manifests. All of `s` must be the number, decimal or hexadecimal

@@ -4,12 +4,20 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/resolve.hh"
 #include "lang/parser.hh"
+#include "lang/writer.hh"
 #include "machines/synthetic.hh"
+#include "support/serialize.hh"
+
+#ifndef ASIM_SPECS_DIR
+#define ASIM_SPECS_DIR "specs"
+#endif
 
 namespace asim {
 namespace {
@@ -137,7 +145,7 @@ TEST(Resolve, CheckdclWarningsExactTextAndOrder)
         {"ghost", false}, {"x", false},       {"y", true},
         {"ghost", false}, {"phantom", true},  {"u1tmp", false},
     };
-    EXPECT_EQ(rs.spec.decls, decls);
+    EXPECT_EQ(rs.ast().decls, decls);
     ASSERT_EQ(rs.traceList.size(), 1u);
     EXPECT_EQ(rs.traceList[0].name, "y");
 }
@@ -277,6 +285,90 @@ TEST(Resolve, TraceModesFromDynamicOps)
     EXPECT_EQ(rs.mems[0].traceReads, MemDesc::TraceMode::Never);
     EXPECT_EQ(rs.mems[1].traceWrites, MemDesc::TraceMode::Runtime);
     EXPECT_EQ(rs.mems[1].traceReads, MemDesc::TraceMode::Runtime);
+}
+
+/** The identity hash is the checkpoint identity and half the native
+ *  build cache key: these values were measured before resolve stopped
+ *  keeping a syntax tree and before the writer moved off ostream, and
+ *  any byte the canonical text gains or loses changes them. Every
+ *  spec under specs/ must be pinned here. */
+TEST(Resolve, IdentityHashPinned)
+{
+    const std::map<std::string, uint64_t> pinned = {
+        {"counter.asim", 469597745045971995u},
+        {"dual_counter.asim", 4859352153907804380u},
+        {"echo.asim", 12861504851001912476u},
+        {"fig43_memory.asim", 3253564956109076478u},
+        {"gcd.asim", 8119065542225923639u},
+        {"multiplier.asim", 11153914813224244866u},
+        {"traffic_light.asim", 17400974618435306059u},
+    };
+    size_t seen = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ASIM_SPECS_DIR)) {
+        if (entry.path().extension() != ".asim")
+            continue;
+        const std::string name = entry.path().filename().string();
+        SCOPED_TRACE(name);
+        auto it = pinned.find(name);
+        ASSERT_NE(it, pinned.end()) << "pin the identity of " << name;
+        const ResolvedSpec rs = resolve(parseSpecFile(entry.path().string()));
+        EXPECT_EQ(specIdentityHash(rs), it->second);
+        EXPECT_EQ(writeSpec(rs.ast()), rs.text);
+        ++seen;
+    }
+    EXPECT_EQ(seen, pinned.size());
+
+    const ResolvedSpec rs = resolve(generateSynthetic(syntheticPreset("1k")));
+    EXPECT_EQ(specIdentityHash(rs), 6511265788076881394u);
+    EXPECT_EQ(writeSpec(rs.ast()), rs.text);
+}
+
+TEST(Resolve, KeepsHeaderFieldsAndCanonicalText)
+{
+    const std::string text = "#  header kept  \n"
+                             "= $10\n"
+                             "a* m .\n"
+                             "A a 4 m.0.3 $7F\n"
+                             "M m 0 a 1 -2 5 ^3\n"
+                             ".\n";
+    const Spec parsed = parseSpec(text);
+    const ResolvedSpec rs = resolve(parsed);
+    EXPECT_EQ(rs.comment, parsed.comment);
+    EXPECT_EQ(rs.cycles, 16);
+    EXPECT_TRUE(rs.cyclesSpecified);
+    EXPECT_EQ(rs.thesisIterations(), 17);
+    EXPECT_EQ(rs.text, writeSpec(parsed));
+    EXPECT_EQ(specIdentityHash(rs), fnv1a64(rs.text));
+    // Constants are canonical decimal in the text and in ast().
+    EXPECT_NE(rs.text.find("A a 4 m.0.3 127\n"), std::string::npos)
+        << rs.text;
+    EXPECT_EQ(writeSpec(rs.ast()), rs.text);
+    EXPECT_EQ(rs.ast().comps[1].init, (std::vector<int32_t>{5, 8}));
+}
+
+/** "Too many bits" renders the expression from its terms: decimal
+ *  text reads as written, other radixes in canonical decimal. */
+TEST(Resolve, TooManyBitsMessage)
+{
+    auto messageFor = [](const std::string &expr) {
+        try {
+            resolveText("# bits\n"
+                        "a b .\n"
+                        "A a 4 1 1\n"
+                        "A b 4 " + expr + " 1\n"
+                        ".\n");
+        } catch (const SpecError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(messageFor("a.0.20,a.0.20"),
+              "Error. Too many bits in a.0.20,a.0.20.");
+    EXPECT_EQ(messageFor("1.20,a.0.20"),
+              "Error. Too many bits in 1.20,a.0.20.");
+    EXPECT_EQ(messageFor("$7F.20,a.0.20"),
+              "Error. Too many bits in 127.20,a.0.20.");
 }
 
 TEST(Resolve, CombSortedOrderExposed)

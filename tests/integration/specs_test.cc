@@ -79,7 +79,7 @@ TEST(SpecFiles, EchoRoundTripsInput)
     EngineConfig cfg;
     cfg.io = &io;
     auto e = makeVm(rs, cfg);
-    e->run(rs.spec.thesisIterations());
+    e->run(rs.thesisIterations());
     EXPECT_EQ(io.outputsAt(1),
               (std::vector<int32_t>{10, 20, 30, 40, 50}));
 }
@@ -89,7 +89,7 @@ TEST(SpecFiles, DualCounterModulesFromDisk)
     ResolvedSpec rs =
         resolve(parseSpecFile(specPath("dual_counter.asim")));
     auto e = makeVm(rs);
-    e->run(rs.spec.thesisIterations()); // 21 cycles
+    e->run(rs.thesisIterations()); // 21 cycles
     EXPECT_EQ(e->value("fast"), 21 & 7);
     EXPECT_EQ(e->value("slow"), 21 & 31);
 }
@@ -98,7 +98,7 @@ TEST(SpecFiles, GcdConvergesFromDisk)
 {
     ResolvedSpec rs = resolve(parseSpecFile(specPath("gcd.asim")));
     auto e = makeVm(rs);
-    e->run(rs.spec.thesisIterations());
+    e->run(rs.thesisIterations());
     EXPECT_EQ(e->value("a"), 21); // gcd(1071, 462)
     EXPECT_EQ(e->value("b"), 21);
     // Converged: one more cycle changes nothing.
@@ -111,7 +111,7 @@ TEST(SpecFiles, MultiplierShiftAddFromDisk)
     ResolvedSpec rs =
         resolve(parseSpecFile(specPath("multiplier.asim")));
     auto e = makeVm(rs);
-    e->run(rs.spec.thesisIterations());
+    e->run(rs.thesisIterations());
     EXPECT_EQ(e->value("acc"), 143); // 13 * 11
     EXPECT_EQ(e->value("mplier"), 0);
 }
@@ -131,7 +131,7 @@ TEST(SpecFiles, AllSpecsRunOnAllEngines)
             cfg.io = &io;
             auto e = engine ? makeVm(rs, cfg)
                             : makeInterpreter(rs, cfg);
-            EXPECT_NO_THROW(e->run(rs.spec.thesisIterations()))
+            EXPECT_NO_THROW(e->run(rs.thesisIterations()))
                 << name << " engine " << engine;
         }
     }

@@ -104,6 +104,19 @@ TEST(Expr, RoundTripToString)
     }
 }
 
+/** A constant that wraps negative (`^31`, `$FFFFFFFF`) is written in
+ *  decimal with a '-' and parses back to the same term. */
+TEST(Expr, WrappedConstantRoundTrips)
+{
+    Expr e = parseExpr("^31,$FFFFFFFF.4");
+    EXPECT_EQ(exprToString(e), "-2147483648,-1.4");
+    EXPECT_EQ(parseExpr(exprToString(e)), e);
+    EXPECT_THROW(parseExpr("-"), SpecError);
+    EXPECT_THROW(parseExpr("-a"), SpecError);
+    EXPECT_THROW(parseExpr("-1+2"), SpecError);
+    EXPECT_THROW(parseExpr("-$FF"), SpecError);
+}
+
 TEST(Expr, ReferencedNames)
 {
     Expr e = parseExpr("a.1,#01,b.2.3,c");

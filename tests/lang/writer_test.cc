@@ -67,6 +67,23 @@ TEST(Writer, ComponentLineShapes)
     EXPECT_EQ(writeComponent(s.comps[3]), "M n 0 a 1 -2 7 9");
 }
 
+TEST(Writer, WrappedConstantsRoundTrip)
+{
+    Spec a = parseSpec("# wrap\n"
+                       "a m .\n"
+                       "A a 4 ^31 $FFFFFFFF.4\n"
+                       "M m 0 a 1 -2 ^31 7\n"
+                       ".\n");
+    Spec b = parseSpec(writeSpec(a));
+    expectSpecsEqual(a, b);
+    EXPECT_EQ(writeSpec(a), writeSpec(b));
+    // Only '-' then decimal digits is accepted, as the writer prints.
+    EXPECT_THROW(parseSpec("# wrap\nm .\nM m 0 0 1 -1 -1+2\n.\n"),
+                 SpecError);
+    EXPECT_THROW(parseSpec("# wrap\nm .\nM m 0 0 1 -1 -$FF\n.\n"),
+                 SpecError);
+}
+
 /** Property: every synthetic spec round-trips through text. */
 class WriterProperty : public ::testing::TestWithParam<uint32_t>
 {};

@@ -29,8 +29,8 @@ TEST(Counter, WidthValidation)
 TEST(Counter, CyclesDirectivePropagates)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 123));
-    EXPECT_TRUE(rs.spec.cyclesSpecified);
-    EXPECT_EQ(rs.spec.cycles, 123);
+    EXPECT_TRUE(rs.cyclesSpecified);
+    EXPECT_EQ(rs.cycles, 123);
 }
 
 TEST(TrafficLight, PeriodIsEight)

@@ -155,6 +155,58 @@ TEST(Campaign, SpliceCampaignRunsFromCycleZero)
     EXPECT_GT(r.total.sdc, 0u);
 }
 
+/** A seeded splice campaign's report, byte for byte as measured while
+ *  ResolvedSpec still kept a syntax tree: splice sites sample
+ *  component names in definition order from ast(), and a drift in
+ *  that order (or in the spliced specs) changes the sites. */
+TEST(Campaign, SpliceReportPinnedOnGcd)
+{
+    CampaignOptions o;
+    o.base.specFile = specPath("gcd.asim");
+    o.runs = 12;
+    o.seed = 5;
+    o.threads = 2;
+    o.splice = true;
+    const std::string expected = R"json({
+  "campaign": {"runs": 12, "seed": 5, "injector": "toggle", "engine": "vm", "splice": true, "golden_cycle": 0, "horizon": 41, "hang_budget": 0, "watch": "", "watch_value": 0, "golden_cycles": 41},
+  "total": {"injections": 12, "masked": 3, "sdc": 9, "fault": 0, "hang": 0, "vulnerability": 0.750000},
+  "components": [
+    {"component": "a", "injections": 2, "masked": 0, "sdc": 2, "fault": 0, "hang": 0, "vulnerability": 1.000000},
+    {"component": "b", "injections": 2, "masked": 0, "sdc": 2, "fault": 0, "hang": 0, "vulnerability": 1.000000},
+    {"component": "bdiff", "injections": 1, "masked": 0, "sdc": 1, "fault": 0, "hang": 0, "vulnerability": 1.000000},
+    {"component": "bgta", "injections": 1, "masked": 1, "sdc": 0, "fault": 0, "hang": 0, "vulnerability": 0.000000},
+    {"component": "bnext", "injections": 1, "masked": 0, "sdc": 1, "fault": 0, "hang": 0, "vulnerability": 1.000000},
+    {"component": "cnt", "injections": 2, "masked": 0, "sdc": 2, "fault": 0, "hang": 0, "vulnerability": 1.000000},
+    {"component": "op", "injections": 1, "masked": 0, "sdc": 1, "fault": 0, "hang": 0, "vulnerability": 1.000000},
+    {"component": "started", "injections": 2, "masked": 2, "sdc": 0, "fault": 0, "hang": 0, "vulnerability": 0.000000}
+  ],
+  "records": [
+    {"site": "cnt:3:toggle", "component": "cnt", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "started:26:toggle", "component": "started", "outcome": "masked", "cycles": 41, "fault": ""},
+    {"site": "b:24:toggle", "component": "b", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "a:6:toggle", "component": "a", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "op:30:toggle", "component": "op", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "cnt:26:toggle", "component": "cnt", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "b:21:toggle", "component": "b", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "bnext:17:toggle", "component": "bnext", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "bdiff:23:toggle", "component": "bdiff", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "a:11:toggle", "component": "a", "outcome": "sdc", "cycles": 41, "fault": ""},
+    {"site": "bgta:3:toggle", "component": "bgta", "outcome": "masked", "cycles": 41, "fault": ""},
+    {"site": "started:17:toggle", "component": "started", "outcome": "masked", "cycles": 41, "fault": ""}
+  ]
+}
+)json";
+    EXPECT_EQ(CampaignRunner(o).run().json(), expected);
+
+    // The symbolic engine splices the shared parsed tree instead of
+    // re-parsing it per instance, with the same outcomes.
+    o.base.engine = "symbolic";
+    std::string symbolic = expected;
+    symbolic.replace(symbolic.find("\"engine\": \"vm\""), 14,
+                     "\"engine\": \"symbolic\"");
+    EXPECT_EQ(CampaignRunner(o).run().json(), symbolic);
+}
+
 TEST(Campaign, StateSiteUniverse)
 {
     ResolvedSpec rs = resolveText(kAddressedSpec);

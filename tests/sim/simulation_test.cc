@@ -13,6 +13,7 @@
 #include <memory>
 #include <sstream>
 
+#include "lang/writer.hh"
 #include "machines/counter.hh"
 #include "machines/tiny_computer.hh"
 #include "sim/native_engine.hh"
@@ -226,6 +227,28 @@ TEST(SimulationTest, BatchSharesOneResolveAcrossInstances)
         EXPECT_EQ(sims[i]->value("count"),
                   static_cast<int32_t>(i + 1));
     }
+}
+
+TEST(SimulationTest, SymbolicBatchSharesOneParsedTree)
+{
+    SimulationOptions opts;
+    opts.engine = "symbolic";
+    opts.specText = counterSpec(4, 100);
+    SimulationOptions shared = Simulation::shareBatchArtifacts(opts);
+    ASSERT_TRUE(shared.ast) << "symbolic batches share one parsed tree";
+    EXPECT_EQ(writeSpec(*shared.ast), shared.resolved->text);
+    std::vector<std::unique_ptr<Simulation>> sims;
+    for (int i = 0; i < 3; ++i)
+        sims.push_back(std::make_unique<Simulation>(shared));
+    // Each engine holds the shared tree instead of parsing its own.
+    EXPECT_EQ(shared.ast.use_count(), 4);
+    for (auto &sim : sims) {
+        sim->run(5);
+        EXPECT_EQ(sim->value("count"), 5);
+    }
+    // Other engines do not walk a tree and get none.
+    opts.engine = "vm";
+    EXPECT_FALSE(Simulation::shareBatchArtifacts(opts).ast);
 }
 
 // ---------------------------------------------------------------------
