@@ -1,17 +1,15 @@
 /**
  * @file
- * Ablations of the thesis' §4.4 optimizations and the §5.4 "future
- * work" memory-temporary heuristic, measured on the bytecode VM over
- * the sieve stack machine: constant-function ALU inlining, constant-
- * operation memory specialization, constant-selector tables (the
- * microcode-ROM pattern), and unused-latch elision.
+ * The bytecode VM over the sieve stack machine with its one fixed
+ * optimization pipeline (the thesis' §4.4 constant optimizations plus
+ * the cycle-stream optimizer), as the reference for the cost of the
+ * repaired shift-left semantics.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "analysis/resolve.hh"
 #include "machines/stack_machine.hh"
-#include "sim/compiler.hh"
 #include "sim/vm.hh"
 
 namespace {
@@ -27,13 +25,14 @@ sieve()
 }
 
 void
-runWith(benchmark::State &state, const CompilerOptions &opts)
+runWith(benchmark::State &state, AluSemantics semantics)
 {
     NullIo io;
     EngineConfig cfg;
     cfg.io = &io;
     cfg.collectStats = false;
-    Vm vm(sieve(), cfg, opts);
+    cfg.aluSemantics = semantics;
+    Vm vm(sieve(), cfg);
     for (auto _ : state) {
         vm.run(1024);
         if (vm.cycle() > (1u << 24))
@@ -47,67 +46,17 @@ runWith(benchmark::State &state, const CompilerOptions &opts)
 void
 BM_AllOptimizations(benchmark::State &state)
 {
-    runWith(state, CompilerOptions{});
+    runWith(state, AluSemantics::Thesis);
 }
-
-void
-BM_NoConstAluInlining(benchmark::State &state)
-{
-    CompilerOptions o;
-    o.inlineConstAlu = false;
-    runWith(state, o);
-}
-
-void
-BM_NoConstMemSpecialization(benchmark::State &state)
-{
-    CompilerOptions o;
-    o.specializeConstMem = false;
-    runWith(state, o);
-}
-
-void
-BM_NoConstSelectorTables(benchmark::State &state)
-{
-    CompilerOptions o;
-    o.constSelectorTables = false;
-    runWith(state, o);
-}
-
-void
-BM_NoOptimizations(benchmark::State &state)
-{
-    CompilerOptions o;
-    o.inlineConstAlu = false;
-    o.specializeConstMem = false;
-    o.constSelectorTables = false;
-    runWith(state, o);
-}
-
-BENCHMARK(BM_AllOptimizations);
-BENCHMARK(BM_NoConstAluInlining);
-BENCHMARK(BM_NoConstMemSpecialization);
-BENCHMARK(BM_NoConstSelectorTables);
-BENCHMARK(BM_NoOptimizations);
 
 /** The thesis-quirk shift option should cost nothing measurable. */
 void
 BM_FixedShlSemantics(benchmark::State &state)
 {
-    NullIo io;
-    EngineConfig cfg;
-    cfg.io = &io;
-    cfg.collectStats = false;
-    cfg.aluSemantics = AluSemantics::Fixed;
-    Vm vm(sieve(), cfg, {});
-    for (auto _ : state) {
-        vm.run(1024);
-        if (vm.cycle() > (1u << 24))
-            vm.reset();
-    }
-    state.SetItemsProcessed(state.iterations() * 1024);
+    runWith(state, AluSemantics::Fixed);
 }
 
+BENCHMARK(BM_AllOptimizations);
 BENCHMARK(BM_FixedShlSemantics);
 
 } // namespace

@@ -63,7 +63,6 @@
 #include "sim/compiler.hh"
 #include "sim/partition.hh"
 #include "sim/simulation.hh"
-#include "sim/vm.hh"
 #include "support/serialize.hh"
 #include "support/tracing.hh"
 
@@ -290,9 +289,7 @@ int
 dumpBytecode(const Invocation &inv)
 {
     ResolvedSpec rs = Simulation::loadSpec(inv.sim);
-    Program prog = compileProgram(rs, inv.sim.compiler, inv.trace);
-    std::cout << "dispatch: " << vmDispatchMode() << "\n"
-              << prog.disassemble();
+    std::cout << compileProgram(rs, {}, inv.trace).disassemble();
     return 0;
 }
 

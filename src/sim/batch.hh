@@ -213,7 +213,7 @@ class BatchRunner
      * BatchJob::restoreFrom). Relative
      * spec/io/restore paths resolve against the manifest's
      * directory. `defaults` seeds every job's SimulationOptions
-     * (engine, compiler flags, ALU semantics...); `defaultCycles`,
+     * (engine, ALU semantics, I/O wiring...); `defaultCycles`,
      * when nonzero, is the budget for lines without a `cycles=` key
      * (overriding any spec `=` count, like the CLI's --cycles).
      * @throws SimError on unreadable files or malformed lines

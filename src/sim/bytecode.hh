@@ -91,7 +91,10 @@ namespace asim {
  *
  *  The computed-goto dispatch table in sim/vm.cc lists handlers in
  *  exactly this order — keep the two in sync (a static_assert over
- *  kOpCount guards the table length). */
+ *  kOpCount guards the table length). Opcodes the optimizer never
+ *  leaves as a dispatched word of Program::cycle (Jump, Nop, Ext,
+ *  MemGenDataC/V/T) share one handler that reports an internal
+ *  error. */
 enum class Op : uint8_t
 {
     // Expression evaluation into a scratch register.
@@ -104,7 +107,6 @@ enum class Op : uint8_t
     // ALU evaluation (operands in s1/s2 unless noted).
     AluGen,     ///< vars[idx] = dologic(s0, s1, s2)
     AluConst,   ///< vars[idx] = dologic(a, s1, s2)
-    AluZero,    ///< vars[idx] = 0
     AluRight,   ///< vars[idx] = s2
     AluLeft,    ///< vars[idx] = s1
     AluNot,     ///< vars[idx] = mask - s1
@@ -127,7 +129,8 @@ enum class Op : uint8_t
 
     // Selectors.
     Switch,     ///< jump via jumpTable[a + s0]; b = count, c = selInfo
-    Jump,       ///< pc = a
+    Jump,       ///< pc = a; always fused into a Store*J, so the
+                ///< VM has no handler for it
     SelTable,   ///< vars[idx] = constTable[a + s0]; b = count,
                 ///< c = selInfo
 
@@ -204,7 +207,9 @@ enum class Op : uint8_t
 
     // ---- superinstructions: generic memory update, inline data ----
     // MemGenData with the single-term data expression folded in
-    // (const in a, or field a=mask, b=shift, c=slot).
+    // (const in a, or field a=mask, b=shift, c=slot). An optimizer
+    // intermediate: the second round always merges it with its
+    // MemGenPre into MemGen*, so the VM has no handler for it.
     MemGenDataC, MemGenDataV, MemGenDataT,
 
     // ---- superinstructions: fused two-operand ALUs ----

@@ -41,15 +41,13 @@ aluOperandNeeds(int32_t funct, bool &needL, bool &needR)
     }
 }
 
-/** Direct opcode for a constant ALU function; AluConst for the two
- *  that keep the generic handler (Shl depends on AluSemantics). */
+/** Direct opcode for a constant ALU function that does not fold (see
+ *  aluFolds: zero and unused always do); AluConst for the ones that
+ *  keep the generic handler (Shl depends on AluSemantics). */
 Op
 aluDirectOp(int32_t funct)
 {
     switch (funct) {
-      case kAluZero:
-      case kAluUnused:
-        return Op::AluZero;
       case kAluRight:
         return Op::AluRight;
       case kAluLeft:
@@ -100,9 +98,8 @@ casesConstant(const CombComp &c)
 class Compiler
 {
   public:
-    Compiler(const ResolvedSpec &rs, const CompilerOptions &opts,
-             bool tracingPossible)
-        : rs_(rs), opts_(opts), tracing_(tracingPossible)
+    Compiler(const ResolvedSpec &rs, bool tracingPossible)
+        : rs_(rs), tracing_(tracingPossible)
     {}
 
     Program
@@ -137,7 +134,7 @@ class Compiler
         };
         if (c.kind == CompKind::Selector) {
             add(c.select);
-            if (casesConstant(c) && opts_.constSelectorTables) {
+            if (casesConstant(c)) {
                 key += '#'; // a table lookup, whatever the cases
                 return;
             }
@@ -145,7 +142,7 @@ class Compiler
                 add(e);
             return;
         }
-        if (!c.functConst || !opts_.inlineConstAlu) {
+        if (!c.functConst) {
             add(c.funct);
             add(c.left);
             add(c.right);
@@ -313,7 +310,7 @@ class Compiler
         auto &code = prog_.comb;
         const auto slot = static_cast<uint16_t>(c.slot);
 
-        if (c.functConst && opts_.inlineConstAlu) {
+        if (c.functConst) {
             if (aluFolds(c)) {
                 // dologic ignores the operands the function does not
                 // read, constant or not.
@@ -355,7 +352,7 @@ class Compiler
         const auto count = static_cast<int32_t>(c.cases.size());
 
         // Microcode-ROM pattern: all cases constant -> table lookup.
-        if (casesConstant(c) && opts_.constSelectorTables) {
+        if (casesConstant(c)) {
             const auto base =
                 static_cast<int32_t>(prog_.constTable.size());
             for (const auto &e : c.cases)
@@ -408,7 +405,7 @@ class Compiler
             if (tracing_ && m.traceReads != MemDesc::TraceMode::Never)
                 flags |= kMemFlagTraceR;
 
-            if (m.opnConst && opts_.specializeConstMem) {
+            if (m.opnConst) {
                 switch (land(m.opnValue, 3)) {
                   case mem_op::kRead:
                     prog_.update.push_back(
@@ -443,7 +440,6 @@ class Compiler
     }
 
     const ResolvedSpec &rs_;
-    CompilerOptions opts_;
     bool tracing_;
     Program prog_;
 };
@@ -461,7 +457,6 @@ opName(Op op)
       case Op::AccTemp: return "acct";
       case Op::AluGen: return "alu.gen";
       case Op::AluConst: return "alu.const";
-      case Op::AluZero: return "alu.zero";
       case Op::AluRight: return "alu.right";
       case Op::AluLeft: return "alu.left";
       case Op::AluNot: return "alu.not";
@@ -585,7 +580,7 @@ Program::disassemble() const
 }
 
 Program
-compileProgram(const ResolvedSpec &rs, const CompilerOptions &opts,
+compileProgram(const ResolvedSpec &rs, const CompilerOptions &,
                bool tracingPossible)
 {
     // Instr::idx numbers var slots and memories in 16 bits.
@@ -598,8 +593,8 @@ compileProgram(const ResolvedSpec &rs, const CompilerOptions &opts,
                        " slots; this specification needs " +
                        std::to_string(slots) + ".");
     }
-    Program prog = Compiler(rs, opts, tracingPossible).run();
-    linkAndOptimize(prog, rs, opts);
+    Program prog = Compiler(rs, tracingPossible).run();
+    linkAndOptimize(prog, rs);
     return prog;
 }
 

@@ -8,23 +8,26 @@
 
 #include "analysis/resolve.hh"
 #include "sim/bytecode.hh"
-#include "sim/engine.hh"
 
 namespace asim {
 
+/** Empty: the compiler runs one fixed pipeline. Kept only because
+ *  callers outside `src/` still pass `CompilerOptions{}`. */
+struct CompilerOptions
+{};
+
 /**
- * Compile a resolved specification to VM bytecode.
+ * Compile a resolved specification to VM bytecode: the emit stage
+ * (every §4.4 constant optimization) and then linkAndOptimize().
  *
  * @param rs the resolved specification
- * @param opts optimization switches (all enabled by default; the
- *        ablation benches toggle them individually)
  * @param tracingPossible if false (no trace sink will ever be
  *        attached), trace checks are compiled out entirely
  * @throws SimError when the spec has more than 65536 var slots or
  *         memories (Instr::idx numbers them in 16 bits)
  */
 Program compileProgram(const ResolvedSpec &rs,
-                       const CompilerOptions &opts = {},
+                       const CompilerOptions & = {},
                        bool tracingPossible = true);
 
 } // namespace asim

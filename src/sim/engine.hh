@@ -184,39 +184,11 @@ std::unique_ptr<Engine>
 makeInterpreter(std::shared_ptr<const ResolvedSpec> rs,
                 const EngineConfig &cfg = {});
 
-/** Options for the bytecode compiler (see sim/compiler.hh). */
-struct CompilerOptions
-{
-    /** Inline ALUs whose function expression is constant (§4.4). */
-    bool inlineConstAlu = true;
-
-    /** Specialize memories whose operation is constant (§4.4). */
-    bool specializeConstMem = true;
-
-    /** Replace selectors whose case list is all-constant by a direct
-     *  table lookup (the microcode-ROM pattern). */
-    bool constSelectorTables = true;
-
-    /** Fuse adjacent cycle-stream instructions into superinstructions
-     *  (CVC-style compile-time collapse; sim/optimizer.cc). */
-    bool fuseSuperinstructions = true;
-
-    /** Remove scratch-register stores with no reader — mostly loads
-     *  orphaned by consumer-side fusion. */
-    bool eliminateDeadStores = true;
-
-    /** Drop memory bounds checks whose address expression is
-     *  statically provable to stay inside the memory. */
-    bool elideRedundantChecks = true;
-};
-
 /** Build the bytecode VM (portable ASIM II analog). */
 std::unique_ptr<Engine> makeVm(const ResolvedSpec &rs,
-                               const EngineConfig &cfg = {},
-                               const CompilerOptions &opts = {});
+                               const EngineConfig &cfg = {});
 std::unique_ptr<Engine> makeVm(std::shared_ptr<const ResolvedSpec> rs,
-                               const EngineConfig &cfg = {},
-                               const CompilerOptions &opts = {});
+                               const EngineConfig &cfg = {});
 
 struct Program;
 

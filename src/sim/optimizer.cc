@@ -172,9 +172,8 @@ useMask(const Instr &in)
 class Optimizer
 {
   public:
-    Optimizer(Program &prog, const ResolvedSpec &rs,
-              const CompilerOptions &opts)
-        : p_(prog), rs_(rs), opts_(opts)
+    Optimizer(Program &prog, const ResolvedSpec &rs)
+        : p_(prog), rs_(rs)
     {}
 
     void
@@ -182,21 +181,16 @@ class Optimizer
     {
         link();
         p_.opt.linked = static_cast<uint32_t>(p_.cycle.size());
-        if (opts_.elideRedundantChecks)
-            elideChecks();
-        if (opts_.fuseSuperinstructions)
-            fuse();
-        if (opts_.eliminateDeadStores)
-            eliminateDeadStores();
+        elideChecks();
+        fuse();
+        eliminateDeadStores();
         compact();
-        if (opts_.fuseSuperinstructions) {
-            // Second round on the compacted stream: dead-store
-            // removal brings MemGenPre next to its inline-data
-            // finisher, and the latch phase next to TraceCycle.
-            mergeMemGen();
-            fuseLatchRun();
-            compact();
-        }
+        // Second round on the compacted stream: dead-store removal
+        // brings MemGenPre next to its inline-data finisher, and the
+        // latch phase next to TraceCycle.
+        mergeMemGen();
+        fuseLatchRun();
+        compact();
     }
 
   private:
@@ -894,7 +888,6 @@ class Optimizer
 
     Program &p_;
     const ResolvedSpec &rs_;
-    CompilerOptions opts_;
 };
 
 } // namespace
@@ -919,10 +912,9 @@ exprBelow(const ResolvedExpr &e, int64_t limit)
 }
 
 void
-linkAndOptimize(Program &prog, const ResolvedSpec &rs,
-                const CompilerOptions &opts)
+linkAndOptimize(Program &prog, const ResolvedSpec &rs)
 {
-    Optimizer(prog, rs, opts).run();
+    Optimizer(prog, rs).run();
 }
 
 bool

@@ -10,7 +10,6 @@
 
 #include "analysis/resolve.hh"
 #include "sim/bytecode.hh"
-#include "sim/engine.hh"
 
 namespace asim {
 
@@ -18,20 +17,19 @@ namespace asim {
  * Populate `prog.cycle` / `prog.cycleJumpTable` / `prog.opt` from the
  * canonical per-phase streams:
  *
- *  1. link comb + TraceCycle + latch + update + EndCycle into one
- *     stream (always — the VM executes nothing else);
- *  2. elide statically safe memory bounds checks
- *     (opts.elideRedundantChecks);
- *  3. fuse adjacent pairs into superinstructions
- *     (opts.fuseSuperinstructions);
- *  4. remove dead scratch-register stores
- *     (opts.eliminateDeadStores);
- *  5. compact Nops out and remap every jump target.
+ *  1. link comb + TraceCycle + latch + update + EndCycle into the
+ *     one stream the VM executes;
+ *  2. elide statically safe memory bounds checks;
+ *  3. fuse adjacent pairs into superinstructions;
+ *  4. remove dead scratch-register stores;
+ *  5. compact Nops out and remap every jump target;
+ *  6. merge generic memory ops and the latch phase into single
+ *     dispatches, and compact again.
  *
- * The canonical phase streams are left untouched.
+ * Every pass always runs. The canonical phase streams are left
+ * untouched.
  */
-void linkAndOptimize(Program &prog, const ResolvedSpec &rs,
-                     const CompilerOptions &opts);
+void linkAndOptimize(Program &prog, const ResolvedSpec &rs);
 
 /**
  * True when every value of `e` provably lies in [0, limit): the

@@ -58,7 +58,7 @@ EngineRegistry::global()
                [](const SharedSpec &rs, const EngineContext &ctx) {
                    if (ctx.program)
                        return makeVm(rs, ctx.config, ctx.program);
-                   return makeVm(rs, ctx.config, ctx.compiler);
+                   return makeVm(rs, ctx.config);
                });
         r->add("native",
                "generated C++ through the host compiler, run as a "
@@ -69,10 +69,6 @@ EngineRegistry::global()
                    no.ioEcho = ctx.ioEcho;
                    no.workDir = ctx.workDir;
                    no.prebuilt = ctx.nativeBuild;
-                   no.codegen.inlineConstAlu =
-                       ctx.compiler.inlineConstAlu;
-                   no.codegen.specializeConstMem =
-                       ctx.compiler.specializeConstMem;
                    if (!no.prebuilt && no.workDir.empty()) {
                        // Cross-job build cache: identical
                        // (spec, options) constructions — repeated
@@ -318,7 +314,6 @@ Simulation::Simulation(const SimulationOptions &opts)
 
     EngineContext ctx;
     ctx.config = opts.config;
-    ctx.compiler = opts.compiler;
     // A splice fault re-resolved the spec above; shared artifacts
     // compiled from the healthy spec no longer match it.
     if (!spliceFault) {
@@ -427,8 +422,7 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
     if (shared.engine == "vm" && !shared.program) {
         tracing::Span span("sim.compile.vm", "lifecycle");
         shared.program = std::make_shared<const Program>(
-            compileProgram(*shared.resolved, shared.compiler,
-                           tracingPossible));
+            compileProgram(*shared.resolved, {}, tracingPossible));
     }
     if (shared.engine == "symbolic" && !shared.ast) {
         tracing::Span span("sim.parse.symbolic", "lifecycle");
@@ -441,8 +435,6 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
         // workDir pins the artifacts), so repeated batches of the
         // same machine also share one compile.
         CodegenOptions cg;
-        cg.inlineConstAlu = shared.compiler.inlineConstAlu;
-        cg.specializeConstMem = shared.compiler.specializeConstMem;
         cg.aluSemantics = shared.config.aluSemantics;
         cg.emitTrace = tracingPossible;
         cg.emitStateDump = true;

@@ -49,7 +49,6 @@ struct NativeBuild;
 struct EngineContext
 {
     EngineConfig config;
-    CompilerOptions compiler;
 
     /** Pre-compiled bytecode for the "vm" engine; when set, the
      *  factory shares it instead of compiling. Must come from the
@@ -176,10 +175,6 @@ struct SimulationOptions
     /** Engine options. An explicit config.trace / config.io here
      *  overrides the traceStream / ioMode wiring below. */
     EngineConfig config;
-
-    /** Bytecode-compiler options ("vm"); the "native" engine maps the
-     *  shared flags onto its code generator. */
-    CompilerOptions compiler;
 
     /** Pre-compiled shared bytecode for the "vm" engine (see
      *  EngineContext::program). makeBatch() fills this in

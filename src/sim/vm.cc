@@ -5,38 +5,24 @@
 #include "support/metrics.hh"
 
 /**
- * Dispatch strategy selection (docs/INTERNALS.md):
- *
- *  - ASIM_VM_COMPUTED_GOTO (CMake option, default ON) asks for
- *    threaded dispatch: every handler ends in its own indirect
- *    `goto *table[op]`, giving the branch predictor one site per
- *    opcode pair instead of a single shared dispatch branch.
- *  - The portable fallback is a switch inside a loop; it is the
- *    compiled form on compilers without the labels-as-values
- *    extension and the CI leg that keeps both modes green.
- *
- * Both modes share the same handler bodies through the CASE/NEXT/JUMP
- * macros below, so they cannot drift apart semantically.
+ * Dispatch is threaded (docs/INTERNALS.md): every handler ends in its
+ * own indirect `goto *table[op]`, giving the branch predictor one site
+ * per opcode pair instead of a single shared dispatch branch. It needs
+ * the labels-as-values extension, which the project's other GNU
+ * dependencies (POSIX fork, -fwrapv) already imply.
  */
-#ifndef ASIM_VM_COMPUTED_GOTO
-#define ASIM_VM_COMPUTED_GOTO 1
-#endif
-
-#if ASIM_VM_COMPUTED_GOTO && (defined(__GNUC__) || defined(__clang__))
-#define ASIM_VM_THREADED 1
-#else
-#define ASIM_VM_THREADED 0
+#if !defined(__GNUC__)
+#error "the vm's threaded dispatch needs GCC or Clang (labels as values)"
 #endif
 
 namespace asim {
 
-Vm::Vm(std::shared_ptr<const ResolvedSpec> rs,
-       const EngineConfig &cfg, const CompilerOptions &opts)
+Vm::Vm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg)
     : Engine(std::move(rs), cfg),
       // Compile from the engine's shared spec (rs_), never the
       // caller's argument, which may have been moved from.
       prog_(std::make_shared<const Program>(
-          compileProgram(*rs_, opts, cfg.trace != nullptr)))
+          compileProgram(*rs_, {}, cfg.trace != nullptr)))
 {}
 
 Vm::Vm(std::shared_ptr<const ResolvedSpec> rs,
@@ -94,7 +80,6 @@ Vm::memTrace(const MemoryState &ms, const Instr &in) const
 #define ASIM_FLDTC(w) \
     shiftField(land(mems[(w).c].temp, (w).a), (w).b)
 
-#if ASIM_VM_THREADED
 #define CASE(name) H_##name:
 #define DISPATCH() goto *tbl[static_cast<uint8_t>(ip->op)]
 #define NEXT() \
@@ -117,29 +102,6 @@ Vm::memTrace(const MemoryState &ms, const Instr &in) const
         ip = base + (t); \
         DISPATCH(); \
     } while (0)
-#else
-#define CASE(name) case Op::name:
-#define NEXT() \
-    { \
-        ++ip; \
-        continue; \
-    }
-#define NEXT2() \
-    { \
-        ip += 2; \
-        continue; \
-    }
-#define NEXTN(k) \
-    { \
-        ip += (k); \
-        continue; \
-    }
-#define JUMP(t) \
-    { \
-        ip = base + (t); \
-        continue; \
-    }
-#endif
 
 void
 Vm::runCycles(uint64_t n)
@@ -189,23 +151,26 @@ Vm::runCycles(uint64_t n)
     };
 
     try {
-#if ASIM_VM_THREADED
         // One entry per Op, in exact enum order (sim/bytecode.hh).
+        // H_Unlinked stands in for the opcodes the optimizer never
+        // leaves as a dispatched word of the cycle stream: jmp and
+        // mem.fin{c,v,t} are always fused away, nop is compacted out,
+        // and ext words are decoded by their owners.
         static const void *const tbl[] = {
             &&H_SetC, &&H_LoadVar, &&H_LoadTemp, &&H_AccVar,
             &&H_AccTemp,
-            &&H_AluGen, &&H_AluConst, &&H_AluZero, &&H_AluRight,
+            &&H_AluGen, &&H_AluConst, &&H_AluRight,
             &&H_AluLeft, &&H_AluNot, &&H_AluAdd, &&H_AluSub,
             &&H_AluMul, &&H_AluAnd, &&H_AluOr, &&H_AluXor, &&H_AluEq,
             &&H_AluLt, &&H_AluFold,
             &&H_StoreS, &&H_StoreC, &&H_StoreFVar, &&H_StoreFTemp,
-            &&H_Switch, &&H_Jump, &&H_SelTable,
+            &&H_Switch, &&H_Unlinked, &&H_SelTable,
             &&H_MemAdr, &&H_MemOpn, &&H_MemAdrC, &&H_MemOpnC,
             &&H_MemAdrFVar, &&H_MemAdrFTemp, &&H_MemOpnFVar,
             &&H_MemOpnFTemp,
             &&H_MemRead, &&H_MemWrite, &&H_MemInput, &&H_MemOutput,
             &&H_MemGenPre, &&H_MemGenData,
-            &&H_TraceCycle, &&H_EndCycle, &&H_Nop, &&H_Ext,
+            &&H_TraceCycle, &&H_EndCycle, &&H_Unlinked, &&H_Unlinked,
             &&H_LoadPairCC, &&H_LoadPairCV, &&H_LoadPairCT,
             &&H_LoadPairVC, &&H_LoadPairVV, &&H_LoadPairVT,
             &&H_LoadPairTC, &&H_LoadPairTV, &&H_LoadPairTT,
@@ -220,7 +185,7 @@ Vm::runCycles(uint64_t n)
             &&H_StoreFTempJ,
             &&H_MemLatchCV, &&H_MemLatchCT, &&H_MemLatchVT,
             &&H_MemLatchTV, &&H_MemLatchTT,
-            &&H_MemGenDataC, &&H_MemGenDataV, &&H_MemGenDataT,
+            &&H_Unlinked, &&H_Unlinked, &&H_Unlinked,
 #define ASIM_ALU_FUSED_LABEL(OPNAME, COMBO, L, R, V)                   \
             &&H_AluF##OPNAME##COMBO,
             ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_LABEL)
@@ -232,10 +197,6 @@ Vm::runCycles(uint64_t n)
         static_assert(sizeof(tbl) / sizeof(tbl[0]) == kOpCount,
                       "dispatch table out of sync with Op");
         DISPATCH();
-#else
-        for (;;) {
-            switch (ip->op) {
-#endif
 
         CASE(SetC)
         {
@@ -272,12 +233,6 @@ Vm::runCycles(uint64_t n)
         CASE(AluConst)
         {
             vars[ip->idx] = dologic(ip->a, s[1], s[2], alu);
-            aluEvals += collect;
-        }
-        NEXT();
-        CASE(AluZero)
-        {
-            vars[ip->idx] = 0;
             aluEvals += collect;
         }
         NEXT();
@@ -384,10 +339,6 @@ Vm::runCycles(uint64_t n)
                 selFail(*ip, s[0], curCycle());
             selEvals += collect;
             JUMP(jt[ip->a + s[0]]);
-        }
-        CASE(Jump)
-        {
-            JUMP(ip->a);
         }
         CASE(SelTable)
         {
@@ -544,16 +495,12 @@ Vm::runCycles(uint64_t n)
                 goto done;
             JUMP(0);
         }
-        CASE(Nop)
+        CASE(Unlinked)
         {
-        }
-        NEXT();
-        CASE(Ext)
-        {
-            // Never dispatched: extension words are decoded by their
-            // owning superinstruction (sim/optimizer.cc keeps jump
-            // targets off them).
-            throw SimError("internal: executed an extension word");
+            // Never reached: see the table above (sim/optimizer.cc
+            // also keeps jump targets off extension words).
+            throw SimError("internal: dispatched an opcode the "
+                           "optimizer never links");
         }
 
         CASE(LoadPairCC)
@@ -869,73 +816,6 @@ Vm::runCycles(uint64_t n)
         }
         NEXT2();
 
-        CASE(MemGenDataC)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t mop = land(ms.opn, 3);
-            const int32_t d = ip->a;
-            if (mop == mem_op::kWrite) {
-                if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                    checkAddr(ms, ip->idx, curCycle());
-                ms.temp = d;
-                ms.cells[ms.adr] = d;
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
-            } else { // output
-                ms.temp = d;
-                io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
-            }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
-        }
-        NEXT();
-        CASE(MemGenDataV)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t mop = land(ms.opn, 3);
-            const int32_t d = ASIM_FLDVC(*ip);
-            if (mop == mem_op::kWrite) {
-                if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                    checkAddr(ms, ip->idx, curCycle());
-                ms.temp = d;
-                ms.cells[ms.adr] = d;
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
-            } else { // output
-                ms.temp = d;
-                io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
-            }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
-        }
-        NEXT();
-        CASE(MemGenDataT)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t mop = land(ms.opn, 3);
-            const int32_t d = ASIM_FLDTC(*ip);
-            if (mop == mem_op::kWrite) {
-                if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                    checkAddr(ms, ip->idx, curCycle());
-                ms.temp = d;
-                ms.cells[ms.adr] = d;
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
-            } else { // output
-                ms.temp = d;
-                io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
-            }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
-        }
-        NEXT();
-
         // Fused two-operand ALUs (one handler per op x bank combo,
         // generated from the shared X-macro so the decode expressions
         // are compile-time constants in every handler).
@@ -1168,10 +1048,6 @@ Vm::runCycles(uint64_t n)
         }
         NEXT();
 
-#if !ASIM_VM_THREADED
-            }
-        }
-#endif
     } catch (...) {
         flush();
         throw;
@@ -1194,29 +1070,16 @@ Vm::run(uint64_t cycles)
         runCycles(cycles);
 }
 
-const char *
-vmDispatchMode()
+std::unique_ptr<Engine>
+makeVm(const ResolvedSpec &rs, const EngineConfig &cfg)
 {
-#if ASIM_VM_THREADED
-    return "computed-goto (threaded)";
-#else
-    return "portable switch";
-#endif
+    return makeVm(std::make_shared<const ResolvedSpec>(rs), cfg);
 }
 
 std::unique_ptr<Engine>
-makeVm(const ResolvedSpec &rs, const EngineConfig &cfg,
-       const CompilerOptions &opts)
+makeVm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg)
 {
-    return makeVm(std::make_shared<const ResolvedSpec>(rs), cfg,
-                  opts);
-}
-
-std::unique_ptr<Engine>
-makeVm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg,
-       const CompilerOptions &opts)
-{
-    return std::make_unique<Vm>(std::move(rs), cfg, opts);
+    return std::make_unique<Vm>(std::move(rs), cfg);
 }
 
 std::unique_ptr<Engine>

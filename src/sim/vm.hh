@@ -5,9 +5,7 @@
  * The VM executes the program's fused whole-cycle stream in a single
  * dispatch loop: one runCycles() call executes any number of cycles
  * without leaving the interpreter core. Dispatch is threaded
- * (computed goto) on GCC/Clang when ASIM_VM_COMPUTED_GOTO is enabled
- * at configure time, with a portable switch fallback otherwise —
- * vmDispatchMode() reports which one this build uses.
+ * (computed goto), so the vm builds with GCC or Clang only.
  */
 
 #ifndef ASIM_SIM_VM_HH
@@ -24,11 +22,9 @@ namespace asim {
 class Vm : public Engine
 {
   public:
-    Vm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg,
-       const CompilerOptions &opts);
-    Vm(const ResolvedSpec &rs, const EngineConfig &cfg = {},
-       const CompilerOptions &opts = {})
-        : Vm(std::make_shared<const ResolvedSpec>(rs), cfg, opts)
+    Vm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg);
+    Vm(const ResolvedSpec &rs, const EngineConfig &cfg = {})
+        : Vm(std::make_shared<const ResolvedSpec>(rs), cfg)
     {}
 
     /** Adopt a pre-compiled shared program (batch construction). */
@@ -70,11 +66,6 @@ class Vm : public Engine
     /** Immutable, potentially cross-thread-shared; never written. */
     std::shared_ptr<const Program> prog_;
 };
-
-/** Human-readable name of the dispatch strategy compiled into this
- *  build of the VM: "computed-goto (threaded)" or
- *  "portable switch". */
-const char *vmDispatchMode();
 
 } // namespace asim
 

@@ -1,29 +1,71 @@
 #include "support/serialize.hh"
 
 #include <array>
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 namespace asim {
+
+namespace {
+
+/** Write all of `data` to `fd`, retrying short writes and EINTR. */
+bool
+writeAll(int fd, std::string_view data)
+{
+    while (!data.empty()) {
+        const ssize_t n = ::write(fd, data.data(), data.size());
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        data.remove_prefix(static_cast<size_t>(n));
+    }
+    return true;
+}
+
+/** fsync the directory holding `path`, so a rename into it is
+ *  durable. */
+bool
+syncParentDir(const std::string &path)
+{
+    const size_t slash = path.rfind('/');
+    std::string dir =
+        slash == std::string::npos ? "." : path.substr(0, slash);
+    if (dir.empty())
+        dir = "/";
+    const int fd =
+        ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    const bool ok = ::fsync(fd) == 0;
+    ::close(fd);
+    return ok;
+}
+
+} // namespace
 
 void
 writeFileAtomic(const std::string &path, std::string_view data)
 {
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(data.data(),
-                  static_cast<std::streamsize>(data.size()));
-        out.flush();
-        if (!out) {
-            std::remove(tmp.c_str());
-            throw SimError("cannot write " + tmp);
-        }
+    const int fd = ::open(tmp.c_str(),
+                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0)
+        throw SimError("cannot write " + tmp);
+    const bool written = writeAll(fd, data) && ::fsync(fd) == 0;
+    if (::close(fd) != 0 || !written) {
+        std::remove(tmp.c_str());
+        throw SimError("cannot write " + tmp);
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         throw SimError("cannot move into place: " + path);
     }
+    if (!syncParentDir(path))
+        throw SimError("cannot make the rename durable: " + path);
 }
 
 uint64_t

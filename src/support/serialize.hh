@@ -189,12 +189,14 @@ class ByteReader
 };
 
 /**
- * Write `data` to `path` atomically: a sibling temp file is written,
- * flushed, and renamed into place, so a crash mid-write can never
- * leave a torn file under the final name — the discipline every
+ * Write `data` to `path` atomically and durably: a sibling temp file
+ * `<path>.tmp` is written and fsync'd, renamed into place, and the
+ * parent directory is fsync'd, so neither a kill nor a power loss
+ * can leave a torn file under the final name — the discipline every
  * checkpoint file relies on. A kill leaves `<path>.tmp`; nothing
  * reads it.
- * @throws SimError on any I/O failure (the temp file is removed)
+ * @throws SimError naming the path on any I/O failure (a temp file
+ *         that never reached the final name is removed)
  */
 void writeFileAtomic(const std::string &path, std::string_view data);
 

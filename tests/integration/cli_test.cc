@@ -201,12 +201,13 @@ TEST(Cli, AsimRunListsEngines)
 
 TEST(Cli, AsimRunDumpBytecode)
 {
-    // Golden smoke over the compile-only path: the dump names the
-    // dispatch strategy, every phase stream, and the pass counters.
+    // Golden smoke over the compile-only path: the dump starts with
+    // the canonical comb stream and names every phase stream and the
+    // pass counters.
     CmdResult r = run(std::string(ASIM_RUN_BIN) +
                       " --dump-bytecode " + counterSpec());
     EXPECT_EQ(r.status, 0) << r.out;
-    EXPECT_NE(r.out.find("dispatch: "), std::string::npos) << r.out;
+    EXPECT_EQ(r.out.rfind("comb:\n", 0), 0u) << r.out;
     for (const char *section :
          {"comb:", "latch:", "update:", "cycle (fused):"})
         EXPECT_NE(r.out.find(section), std::string::npos) << r.out;

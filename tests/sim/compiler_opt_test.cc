@@ -1,21 +1,17 @@
 /** @file
  * Optimizer-behavior tests: superinstruction fusion, dead-store
- * elimination, redundant bounds-check elision, and the guarantee
- * that none of it changes observable behavior. The disassembly
- * checks cover the same surface `asim-run --dump-bytecode` prints.
+ * elimination and redundant bounds-check elision (that none of it
+ * changes observable behavior is the equivalence suites' job). The
+ * disassembly checks cover the same surface `asim-run
+ * --dump-bytecode` prints.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
 #include "machines/stack_machine.hh"
 #include "sim/compiler.hh"
-#include "sim/io.hh"
-#include "sim/trace.hh"
-#include "sim/vm.hh"
 
 namespace asim {
 namespace {
@@ -38,22 +34,14 @@ stackSieve()
 TEST(CompilerOpt, FusionFormsSuperinstructions)
 {
     ResolvedSpec rs = stackSieve();
-    Program fused = compileProgram(rs, {});
+    Program fused = compileProgram(rs);
     EXPECT_GT(fused.opt.fused, 0u);
     // The stack machine's mixed-case selectors collapse to SelStore
     // and its latch phase folds into one TraceLatchRun dispatch.
     EXPECT_GT(countOp(fused.cycle, Op::SelStoreV), 0);
     EXPECT_EQ(countOp(fused.cycle, Op::TraceLatchRun), 1);
-
-    CompilerOptions off;
-    off.fuseSuperinstructions = false;
-    Program plain = compileProgram(rs, off);
-    EXPECT_EQ(plain.opt.fused, 0u);
-    EXPECT_EQ(countOp(plain.cycle, Op::SelStoreV), 0);
-    EXPECT_EQ(countOp(plain.cycle, Op::SelStoreT), 0);
-    EXPECT_EQ(countOp(plain.cycle, Op::TraceLatchRun), 0);
     // Fusion only ever shrinks the executed stream.
-    EXPECT_LT(fused.cycle.size(), plain.cycle.size());
+    EXPECT_LT(fused.cycle.size(), fused.opt.linked);
 }
 
 TEST(CompilerOpt, DeadStoresEliminated)
@@ -61,17 +49,8 @@ TEST(CompilerOpt, DeadStoresEliminated)
     // Consumer-side fusion orphans the scratch loads it absorbed;
     // the dead-store pass removes them.
     ResolvedSpec rs = stackSieve();
-    Program opt = compileProgram(rs, {});
+    Program opt = compileProgram(rs);
     EXPECT_GT(opt.opt.deadStores, 0u);
-
-    CompilerOptions off;
-    off.eliminateDeadStores = false;
-    Program keep = compileProgram(rs, off);
-    EXPECT_EQ(keep.opt.deadStores, 0u);
-    // Keeping the dead stores leaves a strictly longer stream (the
-    // exact delta also reflects follow-on merges the removal
-    // unlocks, so only the direction is asserted).
-    EXPECT_GT(keep.cycle.size(), opt.cycle.size());
 }
 
 TEST(CompilerOpt, RedundantChecksElided)
@@ -80,7 +59,7 @@ TEST(CompilerOpt, RedundantChecksElided)
     // check is statically discharged and the update op carries the
     // no-check flag.
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
-    Program opt = compileProgram(rs, {});
+    Program opt = compileProgram(rs);
     EXPECT_EQ(opt.opt.checksElided, 1u);
     bool flagged = false;
     for (const Instr &in : opt.cycle) {
@@ -88,16 +67,6 @@ TEST(CompilerOpt, RedundantChecksElided)
             flagged = flagged || (in.reg & kMemFlagNoCheck);
     }
     EXPECT_TRUE(flagged);
-
-    CompilerOptions off;
-    off.elideRedundantChecks = false;
-    Program keep = compileProgram(rs, off);
-    EXPECT_EQ(keep.opt.checksElided, 0u);
-    for (const Instr &in : keep.cycle) {
-        if (in.op == Op::MemWriteV) {
-            EXPECT_EQ(in.reg & kMemFlagNoCheck, 0);
-        }
-    }
 }
 
 TEST(CompilerOpt, CheckElisionNeverProvesUnsafeAddresses)
@@ -113,42 +82,8 @@ TEST(CompilerOpt, CheckElisionNeverProvesUnsafeAddresses)
                        ".\n";
     ResolvedSpec rs = resolveText(text);
     ASSERT_EQ(rs.mems.size(), 2u);
-    Program p = compileProgram(rs, {});
+    Program p = compileProgram(rs);
     EXPECT_EQ(p.opt.checksElided, 1u);
-}
-
-/** Final observable state of a VM run under the given options:
- *  trace text plus every output the machine emitted. */
-std::string
-observableRun(const ResolvedSpec &rs, const CompilerOptions &opts,
-              uint64_t cycles)
-{
-    std::ostringstream os;
-    StreamTrace trace(os);
-    VectorIo io;
-    EngineConfig cfg;
-    cfg.io = &io;
-    cfg.trace = &trace;
-    Vm vm(rs, cfg, opts);
-    vm.run(cycles);
-    return os.str() + "|" + io.text();
-}
-
-TEST(CompilerOpt, OptimizedTraceMatchesUnoptimized)
-{
-    // Full trace (every visible value, every cycle) must be
-    // byte-identical with each optimizer pass toggled individually
-    // and all together.
-    ResolvedSpec rs = stackSieve();
-    const std::string reference = observableRun(rs, {}, 500);
-    for (int m = 0; m < 8; ++m) {
-        CompilerOptions opts;
-        opts.fuseSuperinstructions = m & 1;
-        opts.eliminateDeadStores = m & 2;
-        opts.elideRedundantChecks = m & 4;
-        EXPECT_EQ(observableRun(rs, opts, 500), reference)
-            << "flags " << m;
-    }
 }
 
 TEST(CompilerOpt, DisassemblyNamesSuperinstructions)
@@ -157,7 +92,7 @@ TEST(CompilerOpt, DisassemblyNamesSuperinstructions)
     // the fused stream must disassemble with the superinstruction
     // mnemonics and report the pass counters.
     ResolvedSpec rs = stackSieve();
-    Program p = compileProgram(rs, {});
+    Program p = compileProgram(rs);
     const std::string dis = p.disassemble();
     EXPECT_NE(dis.find("cycle (fused):"), std::string::npos);
     EXPECT_NE(dis.find("selst."), std::string::npos);

@@ -4,27 +4,35 @@
  * identical I/O, and identical final state on randomly generated
  * specifications — the library's strongest correctness guarantee.
  * All engine runs are constructed as BatchRunner jobs (one per
- * engine or flag combination) sharing a single resolve, so the
- * harness doubles as a parallel-execution soak of the batch
- * subsystem (the native pipeline has its own leg in
- * native_equivalence_test.cc, gated on a host compiler).
+ * engine) sharing a single resolve, so the harness doubles as a
+ * parallel-execution soak of the batch subsystem (the native pipeline
+ * has its own leg in native_equivalence_test.cc, gated on a host
+ * compiler).
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <set>
 #include <sstream>
 
 #include "analysis/resolve.hh"
+#include "lang/parser.hh"
 #include "machines/counter.hh"
 #include "machines/stack_machine.hh"
 #include "machines/synthetic.hh"
 #include "machines/tiny_computer.hh"
 #include "sim/batch.hh"
 #include "sim/checkpoint.hh"
+#include "sim/compiler.hh"
 #include "sim/io.hh"
 #include "sim/simulation.hh"
 #include "sim/trace.hh"
+
+#ifndef ASIM_SPECS_DIR
+#define ASIM_SPECS_DIR "specs"
+#endif
 
 namespace asim {
 namespace {
@@ -37,11 +45,10 @@ share(ResolvedSpec rs)
     return std::make_shared<const ResolvedSpec>(std::move(rs));
 }
 
-/** One engine/flag variant to run against the shared spec. */
+/** One engine variant to run against the shared spec. */
 struct Variant
 {
     std::string engine;
-    CompilerOptions compiler;
     std::string label;
     std::string fault = {}; ///< optional fault text (--inject form)
 };
@@ -65,7 +72,6 @@ runVariants(const std::vector<Variant> &variants, const SharedSpec &rs,
         BatchJob job;
         job.options.resolved = rs;
         job.options.engine = v.engine;
-        job.options.compiler = v.compiler;
         job.options.fault = v.fault;
         job.options.config.io = io.get();
         job.cycles = cycles;
@@ -88,9 +94,9 @@ void
 expectEquivalent(const SharedSpec &rs, uint64_t cycles,
                  const std::vector<int32_t> &inputs = {})
 {
-    auto results = runVariants({{"interp", {}, ""},
-                                {"vm", {}, ""},
-                                {"symbolic", {}, ""}},
+    auto results = runVariants({{"interp", ""},
+                                {"vm", ""},
+                                {"symbolic", ""}},
                                rs, cycles, inputs);
     const InstanceResult &a = results[0];
     for (size_t i = 1; i < results.size(); ++i) {
@@ -178,48 +184,143 @@ TEST(Equivalence, LayeredPresetCheckpoints)
     }
 }
 
-/** Optimization flags must never change behavior (VM vs VM). */
-class OptEquivalence : public ::testing::TestWithParam<uint32_t>
-{};
+/** Small machines for the opcodes the corpus below never links, one
+ *  group of opcodes each: memories whose latch or data expressions
+ *  mix a simple side with a multi-term side, output memories with
+ *  every data shape, temp-field operations, and the direct binary
+ *  ALUs on operand bank combos the corpus lacks. `t` is a counting
+ *  register memory whose temp the others read (the T bank); `c` and
+ *  `d` are ALUs (the V bank). */
+const char *const kOpcodeSpecs[] = {
+    // madrc, madrfv, madrft with a two-term operation (mopn), and a
+    // generic memory with two-term data (mem.pre, mem.fin).
+    "# latches beside a two-term operation\n"
+    "t* c d m1 m2 m3 .\n"
+    "A c 4 t 1\n"
+    "A d 10 t 5\n"
+    "M m1 1 c.1.2,c.0.0 t.1.1,t.0.0 4\n"
+    "M m2 c.0.1 d t.2.2,t.0.0 4\n"
+    "M m3 t.0.1 c t.0.0,t.1.1 4\n"
+    "M t 0 c 1 1\n"
+    ".\n",
+    // mopnft beside a two-term address; mlatch.ct/vt/tt.
+    "# temp-field operations\n"
+    "t* c m4 m5 m6 m7 .\n"
+    "A c 4 t 1\n"
+    "M m4 c.0.0,t.0.0 0 t.0.1 4\n"
+    "M m5 2 c t.0.1 4\n"
+    "M m6 c.0.1 c t.0.1 4\n"
+    "M m7 t.0.1 c t.1.2 4\n"
+    "M t 0 c 1 1\n"
+    ".\n",
+    // mem.out (two-term data), mem.outc, mem.outv, mem.wrt.
+    "# output and write data shapes\n"
+    "t* c o1 o2 o3 w1 .\n"
+    "A c 4 t 1\n"
+    "M o1 0 c.1.2,c.0.0 3 1\n"
+    "M o2 1 7 3 1\n"
+    "M o3 2 c 3 1\n"
+    "M w1 0 t 1 1\n"
+    "M t 0 c 1 1\n"
+    ".\n",
+    // Direct binary ALUs on the var/temp operand combos (aluf.OP.VT,
+    // .TV, .TT) the corpus lacks.
+    "# fused ALU operand banks\n"
+    "t* u* c and1 and2 eq1 lt1 mul1 or1 or2 sub1 xor1 xor2 .\n"
+    "A c 4 t 1\n"
+    "A and1 8 t c\n"
+    "A and2 8 c t\n"
+    "A eq1 12 c t\n"
+    "A lt1 13 t c\n"
+    "A mul1 7 c t\n"
+    "A or1 9 t c\n"
+    "A or2 9 c t\n"
+    "A sub1 5 c t\n"
+    "A xor1 10 t u\n"
+    "A xor2 10 c t\n"
+    "M t 0 c 1 1\n"
+    "M u 0 t 1 1\n"
+    ".\n",
+};
 
-TEST_P(OptEquivalence, AllFlagCombos)
+/** Every vm handler runs: the opcodes that appear in `Program::cycle`
+ *  over the corpus (the on-disk specs, the thesis machines and the
+ *  synthetic presets) and the hand-written machines above are exactly
+ *  the opcodes with a live handler. The rest share one handler that
+ *  reports an internal error; each hand-written machine also runs
+ *  vm against interp and symbolic. */
+TEST(Vm, EveryLinkedOpcodeIsExercised)
 {
-    SyntheticOptions sopts;
-    sopts.seed = GetParam() * 7919;
-    SharedSpec rs = share(resolve(generateSynthetic(sopts)));
+    // Never a dispatched word: jmp and mem.fin{c,v,t} are always fused
+    // away, nop is compacted out, ext words are decoded by their owner.
+    const std::set<Op> unlinked = {Op::Jump,        Op::Nop,
+                                   Op::Ext,         Op::MemGenDataC,
+                                   Op::MemGenDataV, Op::MemGenDataT};
+    std::set<std::string> seen;
+    const auto collect = [&seen](const ResolvedSpec &rs) {
+        for (const Instr &in : compileProgram(rs).cycle) {
+            if (in.op != Op::Ext)
+                seen.insert(opName(in.op));
+        }
+    };
+
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ASIM_SPECS_DIR)) {
+        if (entry.path().extension() == ".asim")
+            collect(resolve(parseSpecFile(entry.path().string())));
+    }
+    collect(resolveText(stackMachineSpec(sieveProgram(8), 6000)));
+    collect(resolveText(trafficLightSpec(64)));
+    int result = 0;
+    collect(resolveText(tinyComputerSpec(tinyModProgram(23, 7, result),
+                                         400)));
+    collect(resolveText(tinyComputerSpec(tinyMulProgram(6, 7, result),
+                                         400)));
+    for (const char *preset : {"1k", "2000", "10k", "64000"})
+        collect(resolve(generateSynthetic(syntheticPreset(preset))));
 
     std::vector<int32_t> inputs;
-    for (int i = 0; i < 128; ++i)
-        inputs.push_back(i * 37 % 1000);
-
-    // All 16 flag combinations plus the reference run as one batch.
-    // Bit 3 drops the whole cycle-stream optimizer (fusion,
-    // dead-store elimination, check elision) so every compile-time
-    // combination also runs against the unoptimized stream.
-    std::vector<Variant> variants{{"vm", {}, "reference"}};
-    for (int m = 0; m < 16; ++m) {
-        CompilerOptions copts;
-        copts.inlineConstAlu = m & 1;
-        copts.specializeConstMem = m & 2;
-        copts.constSelectorTables = m & 4;
-        copts.fuseSuperinstructions = !(m & 8);
-        copts.eliminateDeadStores = !(m & 8);
-        copts.elideRedundantChecks = !(m & 8);
-        variants.push_back(
-            {"vm", copts, "flags" + std::to_string(m)});
+    for (int i = 0; i < 64; ++i)
+        inputs.push_back(i * 5 % 32);
+    for (const char *text : kOpcodeSpecs) {
+        SharedSpec rs = share(resolveText(text));
+        collect(*rs);
+        expectEquivalent(rs, 40, inputs);
     }
-    auto results = runVariants(variants, rs, 100, inputs);
-    std::string reference =
-        results[0].traceText + "|" + results[0].ioText;
-    for (size_t i = 1; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].traceText + "|" + results[i].ioText,
-                  reference)
-            << results[i].label;
+
+    std::set<std::string> linked;
+    for (size_t i = 0; i < kOpCount; ++i) {
+        if (!unlinked.count(static_cast<Op>(i)))
+            linked.insert(opName(static_cast<Op>(i)));
+    }
+    std::string missing, extra;
+    for (const std::string &name : linked) {
+        if (!seen.count(name))
+            missing += " " + name;
+    }
+    for (const std::string &name : seen) {
+        if (!linked.count(name))
+            extra += " " + name;
+    }
+    EXPECT_EQ(missing, "") << "live handlers no program links";
+    EXPECT_EQ(extra, "") << "linked opcodes without a live handler";
+
+    SharedSpec rs = share(resolveText(counterSpec(4, 10)));
+    for (Op op : unlinked) {
+        auto prog = std::make_shared<Program>();
+        prog->cycle = {Instr{op, 0, 0, 0, 0, 0},
+                       Instr{Op::EndCycle, 0, 0, 0, 0, 0}};
+        auto vm = makeVm(rs, {}, prog);
+        try {
+            vm->step();
+            ADD_FAILURE() << opName(op) << " ran";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find("internal:"),
+                      std::string::npos)
+                << opName(op) << ": " << e.what();
+        }
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, OptEquivalence,
-                         ::testing::Range(1u, 11u));
 
 /** Injected faults must corrupt every engine identically: a spec
  *  splice (permanent stuck bit) and a transient @cycle state upset
@@ -240,10 +341,10 @@ TEST(Equivalence, InjectedFaultsMatchAcrossEngines)
           FaultCase{"count:0:toggle@50", true},
           FaultCase{"count[0]:3:toggle@25", false}}) {
         const char *fault = c.fault;
-        auto results = runVariants({{"interp", {}, "interp", fault},
-                                    {"vm", {}, "vm", fault},
-                                    {"symbolic", {}, "symbolic", fault},
-                                    {"vm", {}, "healthy", ""}},
+        auto results = runVariants({{"interp", "interp", fault},
+                                    {"vm", "vm", fault},
+                                    {"symbolic", "symbolic", fault},
+                                    {"vm", "healthy", ""}},
                                    rs, 100, {});
         const InstanceResult &a = results[0];
         EXPECT_FALSE(a.faulted) << fault << ": " << a.fault;

@@ -26,15 +26,10 @@ countOp(const std::vector<Instr> &code, Op op)
 TEST(Vm, ConstAluInlined)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
-    Program withOpt = compileProgram(rs, {});
-    CompilerOptions off;
-    off.inlineConstAlu = false;
-    Program without = compileProgram(rs, off);
+    Program p = compileProgram(rs);
     // Constant function 4 gets the direct add opcode.
-    EXPECT_EQ(countOp(withOpt.comb, Op::AluGen), 0);
-    EXPECT_EQ(countOp(withOpt.comb, Op::AluAdd), 1);
-    EXPECT_EQ(countOp(without.comb, Op::AluGen), 1);
-    EXPECT_EQ(countOp(without.comb, Op::AluAdd), 0);
+    EXPECT_EQ(countOp(p.comb, Op::AluGen), 0);
+    EXPECT_EQ(countOp(p.comb, Op::AluAdd), 1);
 }
 
 TEST(Vm, SingleFieldLatchesFused)
@@ -42,7 +37,7 @@ TEST(Vm, SingleFieldLatchesFused)
     // The counter memory's address (constant 0) and operation
     // (constant 1) fuse into immediate latch opcodes.
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
-    Program p = compileProgram(rs, {});
+    Program p = compileProgram(rs);
     EXPECT_EQ(countOp(p.latch, Op::MemAdrC), 1);
     EXPECT_EQ(countOp(p.latch, Op::MemOpnC), 1);
     EXPECT_EQ(countOp(p.latch, Op::MemAdr), 0);
@@ -53,7 +48,7 @@ TEST(Vm, DisassemblerCoversProgram)
 {
     ResolvedSpec rs =
         resolveText(stackMachineSpec(sieveProgram(5), 100));
-    Vm vm(rs, {}, {});
+    Vm vm(rs);
     std::string dis = vm.program().disassemble();
     EXPECT_NE(dis.find("comb:"), std::string::npos);
     EXPECT_NE(dis.find("latch:"), std::string::npos);
@@ -66,15 +61,9 @@ TEST(Vm, DisassemblerCoversProgram)
 TEST(Vm, ConstMemSpecialized)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
-    Program p = compileProgram(rs, {});
+    Program p = compileProgram(rs);
     EXPECT_EQ(countOp(p.update, Op::MemWrite), 1);
     EXPECT_EQ(countOp(p.update, Op::MemGenPre), 0);
-
-    CompilerOptions off;
-    off.specializeConstMem = false;
-    Program q = compileProgram(rs, off);
-    EXPECT_EQ(countOp(q.update, Op::MemWrite), 0);
-    EXPECT_EQ(countOp(q.update, Op::MemGenPre), 1);
 }
 
 TEST(Vm, ConstSelectorBecomesTable)
@@ -82,14 +71,8 @@ TEST(Vm, ConstSelectorBecomesTable)
     // The stack machine's microcode ROM is an all-constant selector.
     ResolvedSpec rs =
         resolveText(stackMachineSpec(sieveProgram(5), 100));
-    Program p = compileProgram(rs, {});
+    Program p = compileProgram(rs);
     EXPECT_GT(countOp(p.comb, Op::SelTable), 0);
-
-    CompilerOptions off;
-    off.constSelectorTables = false;
-    Program q = compileProgram(rs, off);
-    EXPECT_EQ(countOp(q.comb, Op::SelTable), 0);
-    EXPECT_GT(countOp(q.comb, Op::Switch), 0);
 }
 
 TEST(Vm, AllConstAluFullyFolded)
@@ -98,7 +81,7 @@ TEST(Vm, AllConstAluFullyFolded)
                                   "r .\n"
                                   "A r 4 20 22\n"
                                   ".\n");
-    Vm vm(rs, {}, {});
+    Vm vm(rs);
     // Constant-folded to one AluFold: no dologic dispatch at all,
     // but still counted as the ALU evaluation the interpreter counts.
     EXPECT_EQ(countOp(vm.program().comb, Op::AluConst), 0);
@@ -107,32 +90,6 @@ TEST(Vm, AllConstAluFullyFolded)
     vm.step();
     EXPECT_EQ(vm.value("r"), 42);
     EXPECT_EQ(vm.stats().aluEvals, 1u);
-}
-
-TEST(Vm, OptimizationsPreserveSemantics)
-{
-    // Same machine with every optimization flag combination: final
-    // state must agree.
-    ResolvedSpec rs =
-        resolveText(stackMachineSpec(sieveProgram(5), 3000));
-    std::vector<int32_t> reference;
-    for (int m = 0; m < 8; ++m) {
-        CompilerOptions opts;
-        opts.inlineConstAlu = m & 1;
-        opts.specializeConstMem = m & 2;
-        opts.constSelectorTables = m & 4;
-        VectorIo io;
-        EngineConfig cfg;
-        cfg.io = &io;
-        Vm vm(rs, cfg, opts);
-        vm.run(3000);
-        if (reference.empty()) {
-            reference = io.outputsAt(1);
-            EXPECT_FALSE(reference.empty());
-        } else {
-            EXPECT_EQ(io.outputsAt(1), reference) << "flags " << m;
-        }
-    }
 }
 
 /** Run `e` until it faults; the SimError text, or "" if it never
@@ -199,7 +156,7 @@ TEST(Vm, FaultOrderMatchesInterpreter)
 TEST(Vm, ProgramSizesReported)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
-    Vm vm(rs, {}, {});
+    Vm vm(rs);
     EXPECT_GT(vm.program().totalInstructions(), 0u);
 }
 

@@ -1,10 +1,16 @@
 /** @file
  * Binary serialization primitives: writer/reader round trips, the
- * bounds-checking discipline hostile input relies on, and the hash
- * functions' reference vectors.
+ * bounds-checking discipline hostile input relies on, the hash
+ * functions' reference vectors, and the atomic file writer.
  */
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include <unistd.h>
 
 #include "support/serialize.hh"
 
@@ -127,6 +133,38 @@ TEST(HashTest, Crc32DetectsEverySingleByteFlip)
         bad[i] = static_cast<char>(bad[i] ^ 0x40);
         EXPECT_NE(crc32(bad), good) << "flip at " << i;
     }
+}
+
+TEST(WriteFileAtomicTest, ReplacesTheFileAndNamesThePathOnFailure)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("asim-write-atomic-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = (dir / "state.ckpt").string();
+    const auto slurp = [&path] {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        return os.str();
+    };
+
+    writeFileAtomic(path, "first");
+    writeFileAtomic(path, std::string("sec\0nd", 6));
+    EXPECT_EQ(slurp(), std::string("sec\0nd", 6));
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+
+    const std::string missing = (dir / "gone" / "state.ckpt").string();
+    try {
+        writeFileAtomic(missing, "x");
+        ADD_FAILURE() << "wrote into a missing directory";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+            << e.what();
+    }
+    fs::remove_all(dir);
 }
 
 } // namespace
