@@ -2,62 +2,15 @@
 
 #include <string>
 
-#include "support/bitops.hh"
 #include "support/logging.hh"
 
 namespace asim {
 
-int32_t
-dologic(int32_t funct, int32_t left, int32_t right, AluSemantics sem)
+void
+aluFunctionOutOfRange(int32_t funct)
 {
-    switch (funct) {
-      case kAluZero:
-        return 0;
-      case kAluRight:
-        return right;
-      case kAluLeft:
-        return left;
-      case kAluNot:
-        return wsub(kValueMask, left);
-      case kAluAdd:
-        return wadd(left, right);
-      case kAluSub:
-        return wsub(left, right);
-      case kAluShl: {
-        if (sem == AluSemantics::Fixed) {
-            int32_t v = land(left, kValueMask);
-            for (int32_t r = right; r > 0 && v != 0; --r)
-                v = land(wadd(v, v), kValueMask);
-            return v;
-        }
-        // Thesis semantics: `value` is only written inside the loop,
-        // so a zero shift count (or zero input) yields 0.
-        int32_t value = 0;
-        int32_t l = left;
-        for (int32_t r = right; r > 0 && l != 0; --r) {
-            l = land(wadd(l, l), kValueMask);
-            value = l;
-        }
-        return value;
-      }
-      case kAluMul:
-        return wmul(left, right);
-      case kAluAnd:
-        return land(left, right);
-      case kAluOr:
-        return wsub(wadd(left, right), land(left, right));
-      case kAluXor:
-        return wsub(wadd(left, right), wmul(land(left, right), 2));
-      case kAluUnused:
-        return 0;
-      case kAluEq:
-        return left == right ? 1 : 0;
-      case kAluLt:
-        return left < right ? 1 : 0;
-      default:
-        throw SimError("ALU function " + std::to_string(funct) +
-                       " out of range 0..13");
-    }
+    throw SimError("ALU function " + std::to_string(funct) +
+                   " out of range 0..13");
 }
 
 } // namespace asim

@@ -29,6 +29,8 @@
 
 #include <cstdint>
 
+#include "support/bitops.hh"
+
 namespace asim {
 
 /** Which shift-left edge-case behavior to use. */
@@ -59,20 +61,69 @@ enum AluFunction : int32_t
     kAluFunctionCount = 14,
 };
 
-/**
- * Evaluate ALU function `funct` on `left` and `right`.
- *
- * @throws SimError if `funct` is outside [0,13] (the generated Pascal
- *         would have died with a case-range error).
- */
-int32_t dologic(int32_t funct, int32_t left, int32_t right,
-                AluSemantics sem = AluSemantics::Thesis);
-
 /** True if `funct` names a valid ALU function. */
 constexpr bool
 validAluFunction(int32_t funct)
 {
     return funct >= 0 && funct < kAluFunctionCount;
+}
+
+/** Throws the SimError for an ALU function outside [0,13]: the
+ *  generated Pascal would have died with a case-range error. */
+[[noreturn]] void aluFunctionOutOfRange(int32_t funct);
+
+/**
+ * Function 6 in closed form. The thesis loop doubles `left` under the
+ * 31-bit mask `right` times, stopping early once it reaches zero, so
+ * for `right > 0` the result is `land(left << min(right, 31), mask)`.
+ * A count of zero or less leaves the loop unentered: Thesis returns
+ * the never-assigned 0, Fixed returns `land(left, mask)`, which is
+ * the same formula at a clamped count of 0.
+ */
+constexpr int32_t
+aluShiftLeft(int32_t left, int32_t right, AluSemantics sem)
+{
+    const int n = right <= 0 ? 0 : right < 31 ? right : 31;
+    const int32_t shifted = land(
+        static_cast<int32_t>(static_cast<uint32_t>(left) << n),
+        kValueMask);
+    // A mask, not a conditional, so the compiler emits no branch.
+    const bool keep = right > 0 || sem == AluSemantics::Fixed;
+    return land(shifted, -static_cast<int32_t>(keep));
+}
+
+/**
+ * Evaluate ALU function `funct` on `left` and `right`. Every function
+ * is computed and the result picked by index, so the only branch is
+ * the range check, taken only by a run that faults.
+ *
+ * @throws SimError if `funct` is outside [0,13].
+ */
+inline int32_t
+dologic(int32_t funct, int32_t left, int32_t right,
+        AluSemantics sem = AluSemantics::Thesis)
+{
+    if (!validAluFunction(funct))
+        aluFunctionOutOfRange(funct);
+    const int32_t sum = wadd(left, right);
+    const int32_t both = land(left, right);
+    const int32_t results[kAluFunctionCount] = {
+        0,
+        right,
+        left,
+        wsub(kValueMask, left),
+        sum,
+        wsub(left, right),
+        aluShiftLeft(left, right, sem),
+        wmul(left, right),
+        both,
+        wsub(sum, both),
+        wsub(sum, wmul(both, 2)),
+        0,
+        static_cast<int32_t>(left == right),
+        static_cast<int32_t>(left < right),
+    };
+    return results[funct];
 }
 
 } // namespace asim

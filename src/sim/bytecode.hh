@@ -12,21 +12,24 @@
  *    constant functions get direct opcodes (no dologic dispatch),
  *    memories with constant operations get specialized opcodes,
  *    all-constant selectors become direct table lookups (the
- *    microcode-ROM pattern), and single-term expressions fuse with
- *    their destination (store/latch). This mirrors, in a portable
+ *    microcode-ROM pattern), every other selector becomes one
+ *    descriptor-table dispatch, and single-term expressions fuse
+ *    with their destination latch. This mirrors, in a portable
  *    form, the optimizations the thesis applied to generated Pascal
  *    (§4.4). The comb stream is scheduled by dependency level and,
  *    within a level, grouped by instruction shape, with components
- *    that may fault left in place as barriers (sim/compiler.cc).
- *    The phase streams are the *canonical* lowering: the
- *    disassembler prints them, and the optimizer treats them as
- *    read-only input.
+ *    that may fault left in place as barriers (sim/compiler.cc); it
+ *    holds no jump, so the comb phase runs straight through. The
+ *    phase streams are the *canonical* lowering: the disassembler
+ *    prints them, and the optimizer treats them as read-only input.
  *
  * 2. **Link + optimize** (sim/optimizer.cc) — the phases are
  *    concatenated into one `cycle` stream (comb, TraceCycle, latch,
  *    update, EndCycle) that the VM executes end to end, so a run of
  *    N cycles is a single dispatch loop with no per-phase or
- *    per-cycle call overhead. On that stream the optimizer fuses
+ *    per-cycle call overhead. Folded ALUs ahead of the comb phase's
+ *    first barrier leave the stream for `Program::hoisted`, which
+ *    the VM writes once per run. On that stream the optimizer fuses
  *    adjacent instruction pairs into *superinstructions* (CVC-style
  *    compile-time collapse of per-cycle sequences), removes dead
  *    scratch-register stores the fusion orphans, and elides memory
@@ -36,8 +39,9 @@
  * Superinstructions that need more operand space than one 16-byte
  * word carry an **extension word**: the following `Instr` slot holds
  * extra operands and has `op == Op::Ext`; it is decoded by its owner
- * and never dispatched (the optimizer never fuses across a jump
- * target, so control flow cannot land on an extension word).
+ * and never dispatched (the only jump, MemGenPre's skip, lands on
+ * the word after a memory's data expression, never on an extension
+ * word).
  *
  * Hot-path data (instruction stream, constant tables) is separated
  * from cold diagnostic data (component names for error messages and
@@ -92,7 +96,7 @@ namespace asim {
  *  The computed-goto dispatch table in sim/vm.cc lists handlers in
  *  exactly this order — keep the two in sync (a static_assert over
  *  kOpCount guards the table length). Opcodes the optimizer never
- *  leaves as a dispatched word of Program::cycle (Jump, Nop, Ext,
+ *  leaves as a dispatched word of Program::cycle (Nop, Ext,
  *  MemGenDataC/V/T) share one handler that reports an internal
  *  error. */
 enum class Op : uint8_t
@@ -121,16 +125,7 @@ enum class Op : uint8_t
     AluFold,    ///< vars[idx] = a: an ALU whose operands fold to a
                 ///< constant (still one ALU evaluation)
 
-    // Stores (selector case results).
-    StoreS,     ///< vars[idx] = s[reg]
-    StoreC,     ///< vars[idx] = a
-    StoreFVar,  ///< vars[idx] = shift(vars[c] & a, b)
-    StoreFTemp, ///< vars[idx] = shift(mems[c].temp & a, b)
-
     // Selectors.
-    Switch,     ///< jump via jumpTable[a + s0]; b = count, c = selInfo
-    Jump,       ///< pc = a; always fused into a Store*J, so the
-                ///< VM has no handler for it
     SelTable,   ///< vars[idx] = constTable[a + s0]; b = count,
                 ///< c = selInfo
 
@@ -188,16 +183,9 @@ enum class Op : uint8_t
     MemOutputT, ///< output with data = shift(mems[c].temp & a, b)
 
     // ---- superinstructions: selectors with inline select field ----
-    // Op word = the Switch/SelTable operands; Ext word = the select
-    // field (idx/a/b as slot/mask/shift).
+    // Op word = the SelTable operands; Ext word = the select field
+    // (idx/a/b as slot/mask/shift).
     SelTableV, SelTableT,
-    SwitchV, SwitchT,
-
-    // ---- superinstructions: selector-case store + exit jump ----
-    StoreSJ,    ///< vars[idx] = s[reg]; pc = a
-    StoreCJ,    ///< vars[idx] = a; pc = b
-    StoreFVarJ, ///< vars[idx] = shift(vars[c] & a, b); pc = ext.a
-    StoreFTempJ,///< vars[idx] = shift(mems[c].temp & a, b); pc = ext.a
 
     // ---- superinstructions: remaining memory-latch bank combos ----
     // adr side in the op word, opn side in the Ext word, each a
@@ -225,22 +213,30 @@ enum class Op : uint8_t
     ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_ENUM)
 #undef ASIM_ALU_FUSED_ENUM
 
-    // ---- superinstructions: whole selector as a descriptor table ----
-    // A Switch whose every case body is a single simple store to the
-    // same variable collapses into one dispatch: the select value
-    // indexes an inline table of value descriptors, replacing the
-    // data-dependent indirect jump (hard to predict) with a data
-    // load. Layout: op word (idx = dst, b = case count, c = selInfo)
-    // followed by one Ext select-field word (a = mask, b = shift,
-    // c = slot) and then one Ext descriptor word per case,
-    // normalised to the single arithmetic form
-    //   value = d.c + field(bank[d.idx], d.a, d.b)
-    // where d.reg picks the bank (0 = vars, 1 = mem temps) and a
-    // constant case carries a zero mask with the constant in d.c.
-    // The op word's reg flag is 1 when no case reads a temp (kept
-    // for inspection; the handler branches per descriptor).
-    SelStoreV,  ///< select field reads vars[slot]
-    SelStoreT,  ///< select field reads mems[slot].temp
+    // ---- whole selector as a descriptor table ----
+    // Every selector with a non-constant case is one dispatch: the
+    // select value indexes an inline table of value descriptors, a
+    // data load where a jump table would take a data-dependent
+    // indirect jump. Layout: op word (idx = dst, b = case count,
+    // c = selInfo) followed by one Ext select-field word (a = mask,
+    // b = shift, c = slot) and then K Ext descriptor words per case,
+    // each in the single arithmetic form
+    //   term = d.c + field(bank[d.idx], d.a, d.b)
+    // where d.reg picks the bank (0 = vars, 1 = mem temps); a case's
+    // value is the sum of its K terms. K is the selector's largest
+    // case term count: a case's constant rides in its first word's
+    // bias, and shorter cases are padded with zero-mask words.
+    // K = 1 with a single-field select is SelStoreV/T, whose op word
+    // reg flag is 1 when no case reads a temp (kept for inspection).
+    SelStoreV,  ///< K = 1; select field reads vars[slot]
+    SelStoreT,  ///< K = 1; select field reads mems[slot].temp
+    // The general form: K in the op word's a, and reg naming the
+    // select source, 0 = the select word's field of vars, 1 = of mem
+    // temps, 2 = s0 (a select expression that is not a single field,
+    // loaded by the ordinary load ops; the select word is then all
+    // zero). The K-term sum is a loop whose trip count is fixed per
+    // instruction, so its branch follows the stream, not the data.
+    SelStoreK,
 
     // ---- superinstructions: whole latch phase in one dispatch ----
     // Replaces the TraceCycle word when the latch phase is a
@@ -268,6 +264,14 @@ enum class Op : uint8_t
 /** Number of opcodes (dispatch-table size in sim/vm.cc). */
 inline constexpr size_t kOpCount =
     static_cast<size_t>(Op::MemGenT) + 1;
+
+/** SelStoreK select sources (its op word's reg). */
+enum SelSource : uint8_t
+{
+    kSelFromVar = 0,
+    kSelFromTemp = 1,
+    kSelFromS0 = 2,
+};
 
 /** Per-memory flag bits carried in Instr::reg for memory opcodes. */
 enum VmMemFlags : uint8_t
@@ -311,14 +315,22 @@ struct Program
     std::vector<Instr> update;
 
     /** The linked + optimized whole-cycle stream the VM executes:
-     *  comb', TraceCycle, latch', update', EndCycle. Jump targets and
-     *  `cycleJumpTable` entries are indices into this stream. */
+     *  comb', TraceCycle, latch', update', EndCycle. MemGenPre's skip
+     *  target is an index into this stream. */
     std::vector<Instr> cycle;
-    std::vector<uint32_t> cycleJumpTable;
 
-    /** Jump table of the canonical `comb` stream (indices into
-     *  `comb`; kept for inspection — the VM uses cycleJumpTable). */
-    std::vector<uint32_t> jumpTable;
+    /** AluFold words of the comb components ahead of the first one
+     *  that may fault, moved out of `cycle` by the link stage. Their
+     *  values never change, so the VM writes them once per run call
+     *  instead of once per cycle, and counts one ALU evaluation each
+     *  for every cycle it starts. */
+    std::vector<Instr> hoisted;
+
+    /** Index in `comb` of the first word of the first component that
+     *  may fault (`comb.size()` when none may): the emit stage's one
+     *  statement of which folds the link stage may hoist. */
+    uint32_t firstBarrier = 0;
+
     std::vector<int32_t> constTable;
     std::vector<SelInfo> selInfos;
     std::vector<VmMemInfo> memInfos;
@@ -335,6 +347,7 @@ struct Program
         uint32_t levels = 0;       ///< comb dependency levels
         uint32_t shapeRuns = 0;    ///< maximal same-shape runs of
                                    ///< components in the comb phase
+        uint32_t hoisted = 0;      ///< folds moved to `hoisted`
     };
     OptSummary opt;
 
@@ -345,8 +358,8 @@ struct Program
     }
 
     /** Human-readable disassembly (debugging, tests, tools): the
-     *  canonical phase streams followed by the optimized cycle
-     *  stream and an optimization summary. */
+     *  canonical phase streams, the hoisted folds, the optimized
+     *  cycle stream and an optimization summary. */
     std::string disassemble() const;
 };
 

@@ -105,13 +105,24 @@ class Compiler
     Program
     run()
     {
+        // Until the first component that may fault, every comb value
+        // the cycle computes is written before any fault can surface:
+        // the link stage moves the folds there out of the cycle.
+        bool barrierSeen = false;
         for (int32_t i : combSchedule()) {
             const CombComp &c = rs_.comb[i];
+            if (!barrierSeen && mayFault(c)) {
+                barrierSeen = true;
+                prog_.firstBarrier =
+                    static_cast<uint32_t>(prog_.comb.size());
+            }
             if (c.kind == CompKind::Alu)
                 compileAlu(c);
             else
                 compileSelector(c);
         }
+        if (!barrierSeen)
+            prog_.firstBarrier = static_cast<uint32_t>(prog_.comb.size());
         compileMemories();
         return std::move(prog_);
     }
@@ -119,10 +130,10 @@ class Compiler
   private:
     /** The facts that fix a component's emitted opcode sequence,
      *  mirroring compileAlu/compileSelector: its kind, its constant
-     *  function value (or a dynamic function's shape), and for every
-     *  operand or case expression the code reads whether it is
-     *  constant, whether it has a constant part, and each term's
-     *  bank. */
+     *  function value (or a dynamic function's shape), for every
+     *  operand, select or case expression the code reads whether it
+     *  is constant, whether it has a constant part, and each term's
+     *  bank, and for a descriptor selector its K. */
     void
     shapeKey(const CombComp &c, std::string &key) const
     {
@@ -138,6 +149,9 @@ class Compiler
                 key += '#'; // a table lookup, whatever the cases
                 return;
             }
+            // K, then each case's descriptor pattern: whether it has
+            // a bias and a field, and each term's bank.
+            key += std::to_string(caseTerms(c));
             for (const auto &e : c.cases)
                 add(e);
             return;
@@ -259,24 +273,28 @@ class Compiler
         return e.terms.size() == 1 && e.constTotal == 0;
     }
 
-    /** Emit `vars[dst] = e`, fusing constants and single fields. */
-    void
-    compileStoreVar(std::vector<Instr> &code, const ResolvedExpr &e,
-                    uint16_t dst)
+    /** True when some case of a selector reads a memory temp. */
+    static bool
+    readsTemp(const CombComp &c)
     {
-        if (e.isConstant()) {
-            code.push_back({Op::StoreC, 0, dst, e.constTotal, 0, 0});
-            return;
+        for (const auto &e : c.cases) {
+            for (const auto &t : e.terms) {
+                if (t.bank != ResolvedTerm::Bank::Var)
+                    return true;
+            }
         }
-        if (singleField(e)) {
-            const ResolvedTerm &t = e.terms[0];
-            Op op = t.bank == ResolvedTerm::Bank::Var ? Op::StoreFVar
-                                                      : Op::StoreFTemp;
-            code.push_back({op, 0, dst, t.mask, t.shift, t.slot});
-            return;
-        }
-        compileExpr(code, e, 1);
-        code.push_back({Op::StoreS, 1, dst, 0, 0, 0});
+        return false;
+    }
+
+    /** K of a descriptor selector: its largest case term count (at
+     *  least 1, so a constant case still has a word for its bias). */
+    static int32_t
+    caseTerms(const CombComp &c)
+    {
+        size_t k = 1;
+        for (const auto &e : c.cases)
+            k = std::max(k, e.terms.size());
+        return static_cast<int32_t>(k);
     }
 
     /** Emit a latch (`mems[m].adr/opn = e`) with the same fusions. */
@@ -363,25 +381,41 @@ class Compiler
             return;
         }
 
-        // General form: switch over a jump table of case blocks.
-        compileExpr(code, c.select, 0);
-        const auto base = static_cast<int32_t>(prog_.jumpTable.size());
-        prog_.jumpTable.resize(base + c.cases.size());
-        code.push_back({Op::Switch, 0, slot, base, count, selIdx});
-
-        std::vector<size_t> jumpFixups;
-        for (size_t i = 0; i < c.cases.size(); ++i) {
-            prog_.jumpTable[base + i] =
-                static_cast<uint32_t>(code.size());
-            compileStoreVar(code, c.cases[i], slot);
-            if (i + 1 != c.cases.size()) {
-                jumpFixups.push_back(code.size());
-                code.push_back({Op::Jump, 0, 0, 0, 0, 0});
+        // Everything else: one descriptor-table dispatch, K words per
+        // case, each `bias + field` (docs/INTERNALS.md).
+        const int32_t k = caseTerms(c);
+        Instr op = {Op::SelStoreK, kSelFromS0, slot, k, count, selIdx};
+        Instr field = {Op::Ext, 0, 0, 0, 0, 0};
+        if (singleField(c.select)) {
+            const ResolvedTerm &t = c.select.terms[0];
+            const bool var = t.bank == ResolvedTerm::Bank::Var;
+            field.a = t.mask;
+            field.b = t.shift;
+            field.c = t.slot;
+            op.reg = var ? kSelFromVar : kSelFromTemp;
+            if (k == 1) {
+                op.op = var ? Op::SelStoreV : Op::SelStoreT;
+                op.reg = !readsTemp(c);
+                op.a = 0;
             }
+        } else {
+            compileExpr(code, c.select, 0);
         }
-        const auto end = static_cast<int32_t>(code.size());
-        for (size_t at : jumpFixups)
-            code[at].a = end;
+        code.push_back(op);
+        code.push_back(field);
+        for (const auto &e : c.cases) {
+            const size_t first = code.size();
+            for (const auto &t : e.terms) {
+                const bool var = t.bank == ResolvedTerm::Bank::Var;
+                code.push_back({Op::Ext, static_cast<uint8_t>(!var),
+                                static_cast<uint16_t>(t.slot), t.mask,
+                                t.shift, 0});
+            }
+            // Zero-mask padding reads vars[0], which exists: this
+            // selector's own slot is a var.
+            code.resize(first + k, {Op::Ext, 0, 0, 0, 0, 0});
+            code[first].c = e.constTotal;
+        }
     }
 
     void
@@ -469,12 +503,6 @@ opName(Op op)
       case Op::AluEq: return "alu.eq";
       case Op::AluLt: return "alu.lt";
       case Op::AluFold: return "alu.fold";
-      case Op::StoreS: return "st";
-      case Op::StoreC: return "stc";
-      case Op::StoreFVar: return "stfv";
-      case Op::StoreFTemp: return "stft";
-      case Op::Switch: return "switch";
-      case Op::Jump: return "jmp";
       case Op::SelTable: return "seltab";
       case Op::MemAdr: return "madr";
       case Op::MemOpn: return "mopn";
@@ -521,12 +549,6 @@ opName(Op op)
       case Op::MemOutputT: return "mem.outt";
       case Op::SelTableV: return "seltab.v";
       case Op::SelTableT: return "seltab.t";
-      case Op::SwitchV: return "switch.v";
-      case Op::SwitchT: return "switch.t";
-      case Op::StoreSJ: return "stj";
-      case Op::StoreCJ: return "stcj";
-      case Op::StoreFVarJ: return "stfvj";
-      case Op::StoreFTempJ: return "stftj";
       case Op::MemLatchCV: return "mlatch.cv";
       case Op::MemLatchCT: return "mlatch.ct";
       case Op::MemLatchVT: return "mlatch.vt";
@@ -542,6 +564,7 @@ opName(Op op)
 #undef ASIM_ALU_FUSED_NAME
       case Op::SelStoreV: return "selst.v";
       case Op::SelStoreT: return "selst.t";
+      case Op::SelStoreK: return "selst.k";
       case Op::TraceLatchRun: return "trace.latchrun";
       case Op::AluGenF: return "aluf.gen";
       case Op::MemGenC: return "mem.genc";
@@ -567,15 +590,14 @@ Program::disassemble() const
     dump("comb", comb);
     dump("latch", latch);
     dump("update", update);
+    dump("hoisted", hoisted);
     dump("cycle (fused)", cycle);
-    os << "jumpTable: " << jumpTable.size()
-       << " entries, constTable: " << constTable.size()
-       << " entries\n";
+    os << "constTable: " << constTable.size() << " entries\n";
     os << "opt: linked=" << opt.linked << " cycle=" << cycle.size()
        << " fused=" << opt.fused << " deadStores=" << opt.deadStores
        << " checksElided=" << opt.checksElided
        << " levels=" << opt.levels << " shapeRuns=" << opt.shapeRuns
-       << "\n";
+       << " hoisted=" << opt.hoisted << "\n";
     return os.str();
 }
 

@@ -135,8 +135,6 @@ useMask(const Instr &in)
     switch (in.op) {
       case Op::AccVar:
       case Op::AccTemp:
-      case Op::StoreS:
-      case Op::StoreSJ:
         return regBit(in);
       case Op::AluGen:
         return 0b0111;
@@ -155,11 +153,12 @@ useMask(const Instr &in)
       case Op::AluLeft:
       case Op::AluNot:
         return 0b0010;
-      case Op::Switch:
       case Op::SelTable:
       case Op::MemAdr:
       case Op::MemOpn:
         return 0b0001;
+      case Op::SelStoreK:
+        return in.reg == kSelFromS0 ? 0b0001 : 0;
       case Op::MemWrite:
       case Op::MemOutput:
       case Op::MemGenData:
@@ -194,15 +193,23 @@ class Optimizer
     }
 
   private:
-    /** Concatenate the phase streams into one executable cycle.
-     *  comb sits at offset 0, so its jump targets and jump-table
-     *  entries carry over unchanged; update-phase targets shift. */
+    /** Concatenate the phase streams into one executable cycle. The
+     *  comb phase holds no jump; MemGenPre's update-phase skip
+     *  targets shift to their place in the cycle. The comb phase's
+     *  folds ahead of `firstBarrier` go to `hoisted` instead. */
     void
     link()
     {
         auto &c = p_.cycle;
         c.clear();
-        c.insert(c.end(), p_.comb.begin(), p_.comb.end());
+        p_.hoisted.clear();
+        for (size_t i = 0; i < p_.comb.size(); ++i) {
+            const Instr &in = p_.comb[i];
+            const bool hoist =
+                in.op == Op::AluFold && i < p_.firstBarrier;
+            (hoist ? p_.hoisted : c).push_back(in);
+        }
+        p_.opt.hoisted = static_cast<uint32_t>(p_.hoisted.size());
         c.push_back({Op::TraceCycle, 0, 0, 0, 0, 0});
         c.insert(c.end(), p_.latch.begin(), p_.latch.end());
         const auto updOff = static_cast<int32_t>(c.size());
@@ -212,7 +219,6 @@ class Optimizer
                 c.back().a += updOff;
         }
         c.push_back({Op::EndCycle, 0, 0, 0, 0, 0});
-        p_.cycleJumpTable = p_.jumpTable;
     }
 
     /** Mark memory accesses whose latched address can never be out of
@@ -246,125 +252,21 @@ class Optimizer
         p_.opt.checksElided = static_cast<uint32_t>(safe.size());
     }
 
-    /** Every instruction some jump or table dispatch can land on.
-     *  Fusion never spans such a boundary at its *second* slot: the
-     *  pair's combined effect must not be entered halfway. (The first
-     *  slot may be a target — the superinstruction subsumes both
-     *  originals, so landing on it is unchanged behavior.) */
+    /** Every instruction a jump can land on: the word after each
+     *  MemGenPre's data expression. Fusion never spans such a
+     *  boundary at its *second* slot: the pair's combined effect
+     *  must not be entered halfway. (The first slot may be a target —
+     *  the superinstruction subsumes both originals, so landing on it
+     *  is unchanged behavior.) */
     std::vector<bool>
     jumpTargets() const
     {
         std::vector<bool> target(p_.cycle.size() + 1, false);
-        for (uint32_t t : p_.cycleJumpTable)
-            target[t] = true;
         for (const Instr &in : p_.cycle) {
-            if (in.op == Op::Jump || in.op == Op::MemGenPre)
+            if (in.op == Op::MemGenPre)
                 target[in.a] = true;
         }
         return target;
-    }
-
-    /**
-     * Collapse each Switch whose case bodies are all single simple
-     * stores to one variable into a SelStore descriptor table: one
-     * dispatch per selector instead of an indirect jump plus a case
-     * body. Runs before pair fusion, which would otherwise rewrite
-     * the canonical store/jump bodies this pattern matches on.
-     *
-     * The rewrite is in place: the region `[select load][Switch]
-     * [store][jump] ... [store]` (2k+1 slots for k cases) becomes
-     * `[SelStore][Ext select][desc * k]` plus k-1 trailing Nops; the
-     * switch's jump-table slice goes stale, which is harmless — only
-     * Switch handlers read the table, and compaction remaps every
-     * entry to a survivor.
-     */
-    void
-    fuseSelectors()
-    {
-        auto &c = p_.cycle;
-        const std::vector<bool> target = jumpTargets();
-        for (size_t i = 0; i + 1 < c.size(); ++i) {
-            const Side sx = loadSide(c[i].op);
-            if ((sx != Side::V && sx != Side::T) || c[i].reg != 0)
-                continue;
-            if (c[i + 1].op != Op::Switch || target[i + 1])
-                continue;
-            const Instr sw = c[i + 1];
-            const auto k = static_cast<size_t>(sw.b);
-            if (k < 1 || i + 2 + 2 * k - 1 > c.size())
-                continue;
-            const size_t end = i + 2 + 2 * k - 1;
-            bool ok = true;
-            bool uniform = true; // no case reads a memory temp
-            std::vector<Instr> descs(k);
-            for (size_t j = 0; ok && j < k; ++j) {
-                const size_t t = i + 2 + 2 * j;
-                if (p_.cycleJumpTable[sw.a + j] != t) {
-                    ok = false;
-                    break;
-                }
-                const Instr &st = c[t];
-                // Descriptors are normalised to one arithmetic form,
-                //   value = bias + field(src[slot], mask, shift)
-                // with reg selecting the source array (0 = vars,
-                // 1 = mem temps).  Constants ride the vars form with a
-                // zero mask (slot 0 is always valid: the selector's own
-                // destination proves vars is non-empty), so mixed
-                // const/var selectors decode without a bank branch.
-                Instr d = {};
-                d.op = Op::Ext;
-                switch (st.op) {
-                  case Op::StoreC:
-                    d.reg = 0;
-                    d.c = st.a; // bias = constant, mask 0 kills field
-                    break;
-                  case Op::StoreFVar:
-                    d.reg = 0;
-                    d.idx = static_cast<uint16_t>(st.c);
-                    d.a = st.a;
-                    d.b = st.b;
-                    break;
-                  case Op::StoreFTemp:
-                    d.reg = 1;
-                    d.idx = static_cast<uint16_t>(st.c);
-                    d.a = st.a;
-                    d.b = st.b;
-                    uniform = false;
-                    break;
-                  default:
-                    ok = false;
-                    break;
-                }
-                if (!ok)
-                    break;
-                if (st.idx != c[i + 2].idx)
-                    ok = false; // all cases store the same variable
-                else if (j + 1 < k &&
-                         (c[t + 1].op != Op::Jump ||
-                          static_cast<size_t>(c[t + 1].a) != end))
-                    ok = false; // non-final case exits to selector end
-                else
-                    descs[j] = d;
-            }
-            if (!ok)
-                continue;
-            const Instr field = c[i]; // save before overwriting
-            Instr &op = c[i];
-            op.op = sx == Side::V ? Op::SelStoreV : Op::SelStoreT;
-            op.reg = uniform ? 1 : 0;
-            op.idx = c[i + 2].idx;
-            op.a = 0;
-            op.b = sw.b;
-            op.c = sw.c;
-            c[i + 1] = {Op::Ext, 0, 0, field.a, field.b,
-                        static_cast<int32_t>(field.idx)};
-            for (size_t j = 0; j < k; ++j)
-                c[i + 2 + j] = descs[j];
-            for (size_t j = i + 2 + k; j < end; ++j)
-                c[j] = {Op::Nop, 0, 0, 0, 0, 0};
-            p_.opt.fused += static_cast<uint32_t>(k);
-            i = end - 1;
-        }
     }
 
     /** One left-to-right pass pairing adjacent instructions into
@@ -376,7 +278,6 @@ class Optimizer
     fuse()
     {
         auto &c = p_.cycle;
-        fuseSelectors();
         const std::vector<bool> target = jumpTargets();
         size_t i = 0;
         while (i + 1 < c.size()) {
@@ -533,46 +434,18 @@ class Optimizer
                 fused(i);
                 continue;
             }
-            // Single-field select expression inlined into the
-            // selector dispatch. The fused pair replaces both slots:
-            // the selector operands move into the first word, the
-            // select field into the extension word.
+            // Single-field select expression inlined into the table
+            // lookup. The fused pair replaces both slots: the selector
+            // operands move into the first word, the select field
+            // into the extension word.
             if ((sx == Side::V || sx == Side::T) && x.reg == 0 &&
-                (y.op == Op::SelTable || y.op == Op::Switch)) {
+                y.op == Op::SelTable) {
                 const Instr field = x;
-                const bool tab = y.op == Op::SelTable;
                 x = y;
-                x.op = tab ? (sx == Side::V ? Op::SelTableV
-                                            : Op::SelTableT)
-                           : (sx == Side::V ? Op::SwitchV
-                                            : Op::SwitchT);
+                x.op = sx == Side::V ? Op::SelTableV : Op::SelTableT;
                 y = {Op::Ext, 0, field.idx, field.a, field.b, 0};
                 fused(i);
                 continue;
-            }
-            // Selector case body: store + exit jump in one dispatch.
-            if (y.op == Op::Jump) {
-                if (x.op == Op::StoreS) {
-                    x.op = Op::StoreSJ;
-                    x.a = y.a;
-                    y = {Op::Nop, 0, 0, 0, 0, 0};
-                    fused(i);
-                    continue;
-                }
-                if (x.op == Op::StoreC) {
-                    x.op = Op::StoreCJ;
-                    x.b = y.a;
-                    y = {Op::Nop, 0, 0, 0, 0, 0};
-                    fused(i);
-                    continue;
-                }
-                if (x.op == Op::StoreFVar || x.op == Op::StoreFTemp) {
-                    x.op = x.op == Op::StoreFVar ? Op::StoreFVarJ
-                                                 : Op::StoreFTempJ;
-                    y.op = Op::Ext; // target stays in y.a
-                    fused(i);
-                    continue;
-                }
             }
             ++i;
         }
@@ -591,15 +464,13 @@ class Optimizer
      * Exact backward liveness over the four scratch registers; loads
      * whose register is provably never read again become Nops.
      *
-     * Every control transfer in the cycle stream is *forward* (Jump
-     * and the fused store-jumps exit a selector, Switch dispatches to
-     * a later case body, MemGenPre skips a later data expression), so
-     * one backward pass computes exact live-in sets: when an
-     * instruction's successor is a jump target, that target's
-     * live-in is already known. The one backward edge — EndCycle to
-     * the cycle start — carries nothing: every expression defines its
-     * scratch registers before reading them, so no value crosses a
-     * cycle boundary.
+     * The one control transfer inside the cycle stream is *forward*
+     * (MemGenPre skips a later data expression), so one backward pass
+     * computes exact live-in sets: when an instruction's successor is
+     * a jump target, that target's live-in is already known. The one
+     * backward edge — EndCycle to the cycle start — carries nothing:
+     * every expression defines its scratch registers before reading
+     * them, so no value crosses a cycle boundary.
      */
     void
     eliminateDeadStores()
@@ -620,28 +491,10 @@ class Optimizer
               case Op::EndCycle:
                 la = 0;
                 break;
-              case Op::Jump:
-              case Op::StoreSJ:
-                la = lb[in.a];
-                break;
-              case Op::StoreCJ:
-                la = lb[in.b];
-                break;
-              case Op::StoreFVarJ:
-              case Op::StoreFTempJ:
-                la = lb[c[i + 1].a]; // target in the extension word
-                break;
               case Op::MemGenPre:
                 // Falls through to the data expression or jumps past
                 // it, depending on the latched operation.
                 la = static_cast<uint8_t>(lb[i + 1] | lb[in.a]);
-                break;
-              case Op::Switch:
-              case Op::SwitchV:
-              case Op::SwitchT:
-                la = 0;
-                for (int32_t k = 0; k < in.b; ++k)
-                    la |= lb[p_.cycleJumpTable[in.a + k]];
                 break;
               default:
                 la = lb[i + 1];
@@ -775,8 +628,8 @@ class Optimizer
      * becomes one dispatch whose handler interprets the (unchanged)
      * latch words inline. Bails out if anything can jump into the
      * run, which never happens for compiler-emitted streams — the
-     * latch phase sits between the comb selectors (whose jumps stay
-     * inside the comb phase) and the update phase.
+     * latch phase sits between the jump-free comb phase and the
+     * update phase.
      */
     void
     fuseLatchRun()
@@ -827,8 +680,8 @@ class Optimizer
         p_.opt.fused += static_cast<uint32_t>(ops);
     }
 
-    /** Drop Nops and remap every jump target. A target that sat on a
-     *  removed instruction maps to the next survivor. */
+    /** Drop Nops and remap every MemGenPre skip target. A target
+     *  that sat on a removed instruction maps to the next survivor. */
     void
     compact()
     {
@@ -855,27 +708,10 @@ class Optimizer
             remap[i] = c[i].op == Op::Nop ? remap[i + 1] : next;
         }
         if (any) {
-            for (size_t i = 0; i < c.size(); ++i) {
-                Instr &in = c[i];
-                switch (in.op) {
-                  case Op::Jump:
-                  case Op::StoreSJ:
-                  case Op::MemGenPre:
+            for (Instr &in : c) {
+                if (in.op == Op::MemGenPre)
                     in.a = remap[in.a];
-                    break;
-                  case Op::StoreCJ:
-                    in.b = remap[in.b];
-                    break;
-                  case Op::StoreFVarJ:
-                  case Op::StoreFTempJ:
-                    c[i + 1].a = remap[c[i + 1].a];
-                    break;
-                  default:
-                    break;
-                }
             }
-            for (uint32_t &t : p_.cycleJumpTable)
-                t = static_cast<uint32_t>(remap[t]);
             std::vector<Instr> out;
             out.reserve(c.size());
             for (const Instr &in : c) {
@@ -950,12 +786,9 @@ opHasExt(Op op)
 #undef ASIM_ALU_FUSED_EXT
       case Op::SelTableV:
       case Op::SelTableT:
-      case Op::SwitchV:
-      case Op::SwitchT:
-      case Op::StoreFVarJ:
-      case Op::StoreFTempJ:
       case Op::SelStoreV: // select field word + per-case descriptors
       case Op::SelStoreT:
+      case Op::SelStoreK:
       case Op::AluGenF: // three extension words
         return true;
       default:

@@ -14,15 +14,15 @@
 namespace asim {
 
 /**
- * Populate `prog.cycle` / `prog.cycleJumpTable` / `prog.opt` from the
- * canonical per-phase streams:
+ * Populate `prog.cycle` / `prog.opt` from the canonical per-phase
+ * streams:
  *
  *  1. link comb + TraceCycle + latch + update + EndCycle into the
  *     one stream the VM executes;
  *  2. elide statically safe memory bounds checks;
  *  3. fuse adjacent pairs into superinstructions;
  *  4. remove dead scratch-register stores;
- *  5. compact Nops out and remap every jump target;
+ *  5. compact Nops out and remap every MemGenPre skip target;
  *  6. merge generic memory ops and the latch phase into single
  *     dispatches, and compact again.
  *

@@ -17,12 +17,16 @@
 
 namespace asim {
 
+// Compile before the Engine base allocates the machine state: the
+// state then fills the blocks this compile freed, beside this vm's own
+// program. Allocated first, it would fill the gaps the previous vm's
+// compile left beside that vm's program, and vms built one after
+// another but run on different threads would write to cache lines
+// the other reads every cycle.
 Vm::Vm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg)
-    : Engine(std::move(rs), cfg),
-      // Compile from the engine's shared spec (rs_), never the
-      // caller's argument, which may have been moved from.
-      prog_(std::make_shared<const Program>(
-          compileProgram(*rs_, {}, cfg.trace != nullptr)))
+    : Vm(rs, cfg,
+         std::make_shared<const Program>(
+             compileProgram(*rs, {}, cfg.trace != nullptr)))
 {}
 
 Vm::Vm(std::shared_ptr<const ResolvedSpec> rs,
@@ -102,6 +106,13 @@ Vm::memTrace(const MemoryState &ms, const Instr &in) const
         ip = base + (t); \
         DISPATCH(); \
     } while (0)
+// One descriptor term, `bias + field(bank[slot])`, of a descriptor
+// selector: reg picks the bank (0 = vars, 1 = mem temps).
+#define ASIM_DESC(d) \
+    wadd((d).c, shiftField(land((d).reg ? mems[(d).idx].temp \
+                                        : vars[(d).idx], \
+                                (d).a), \
+                           (d).b))
 
 void
 Vm::runCycles(uint64_t n)
@@ -109,7 +120,6 @@ Vm::runCycles(uint64_t n)
     int32_t *const vars = state_.vars.data();
     MemoryState *const mems = state_.mems.data();
     const Instr *const base = prog_->cycle.data();
-    const uint32_t *const jt = prog_->cycleJumpTable.data();
     const int32_t *const ct = prog_->constTable.data();
     IoDevice *const io = io_;
     const AluSemantics alu = cfg_.aluSemantics;
@@ -126,8 +136,13 @@ Vm::runCycles(uint64_t n)
     // Cycles completed so far = n - left; faults report the cycle in
     // progress, which is that same number.
     const auto curCycle = [&] { return cycle0 + (n - left); };
-    const auto flush = [&] {
+    // The hoisted folds take effect for every cycle started: each one
+    // completed, and the partial one a fault ends (they precede the
+    // first component that can fault).
+    const auto flush = [&](bool faulted) {
         cycle_ = cycle0 + (n - left);
+        aluEvals += collect * prog_->hoisted.size() *
+                    (n - left + (faulted ? 1 : 0));
         if (collect) {
             stats_.cycles += n - left;
             stats_.aluEvals += aluEvals;
@@ -137,8 +152,9 @@ Vm::runCycles(uint64_t n)
             // Sampled at run exit from hot-loop locals, never from
             // inside the dispatch loop: the off path stays one
             // relaxed load. Dispatch is reported as cycles x static
-            // stream length (selector jumps may skip ops, so this is
-            // the dispatch upper bound the fusion ratio is read from).
+            // stream length (a generic memory's skip may pass over its
+            // data expression, so this is the dispatch upper bound the
+            // fusion ratio is read from).
             metrics::counter("vm.dispatch.stream_ops")
                 .add((n - left) * prog_->cycle.size());
             metrics::counter("vm.alu_evals").add(aluEvals);
@@ -150,10 +166,13 @@ Vm::runCycles(uint64_t n)
                    static_cast<int64_t>(ms.adr)) >= ms.cells.size();
     };
 
+    for (const Instr &h : prog_->hoisted)
+        vars[h.idx] = h.a;
+
     try {
         // One entry per Op, in exact enum order (sim/bytecode.hh).
         // H_Unlinked stands in for the opcodes the optimizer never
-        // leaves as a dispatched word of the cycle stream: jmp and
+        // leaves as a dispatched word of the cycle stream:
         // mem.fin{c,v,t} are always fused away, nop is compacted out,
         // and ext words are decoded by their owners.
         static const void *const tbl[] = {
@@ -163,8 +182,7 @@ Vm::runCycles(uint64_t n)
             &&H_AluLeft, &&H_AluNot, &&H_AluAdd, &&H_AluSub,
             &&H_AluMul, &&H_AluAnd, &&H_AluOr, &&H_AluXor, &&H_AluEq,
             &&H_AluLt, &&H_AluFold,
-            &&H_StoreS, &&H_StoreC, &&H_StoreFVar, &&H_StoreFTemp,
-            &&H_Switch, &&H_Unlinked, &&H_SelTable,
+            &&H_SelTable,
             &&H_MemAdr, &&H_MemOpn, &&H_MemAdrC, &&H_MemOpnC,
             &&H_MemAdrFVar, &&H_MemAdrFTemp, &&H_MemOpnFVar,
             &&H_MemOpnFTemp,
@@ -180,9 +198,7 @@ Vm::runCycles(uint64_t n)
             &&H_MemLatchVV,
             &&H_MemWriteC, &&H_MemWriteV, &&H_MemWriteT,
             &&H_MemOutputC, &&H_MemOutputV, &&H_MemOutputT,
-            &&H_SelTableV, &&H_SelTableT, &&H_SwitchV, &&H_SwitchT,
-            &&H_StoreSJ, &&H_StoreCJ, &&H_StoreFVarJ,
-            &&H_StoreFTempJ,
+            &&H_SelTableV, &&H_SelTableT,
             &&H_MemLatchCV, &&H_MemLatchCT, &&H_MemLatchVT,
             &&H_MemLatchTV, &&H_MemLatchTT,
             &&H_Unlinked, &&H_Unlinked, &&H_Unlinked,
@@ -190,7 +206,7 @@ Vm::runCycles(uint64_t n)
             &&H_AluF##OPNAME##COMBO,
             ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_LABEL)
 #undef ASIM_ALU_FUSED_LABEL
-            &&H_SelStoreV, &&H_SelStoreT,
+            &&H_SelStoreV, &&H_SelStoreT, &&H_SelStoreK,
             &&H_TraceLatchRun, &&H_AluGenF,
             &&H_MemGenC, &&H_MemGenV, &&H_MemGenT,
         };
@@ -311,35 +327,6 @@ Vm::runCycles(uint64_t n)
         }
         NEXT();
 
-        CASE(StoreS)
-        {
-            vars[ip->idx] = s[ip->reg];
-        }
-        NEXT();
-        CASE(StoreC)
-        {
-            vars[ip->idx] = ip->a;
-        }
-        NEXT();
-        CASE(StoreFVar)
-        {
-            vars[ip->idx] = ASIM_FLDVC(*ip);
-        }
-        NEXT();
-        CASE(StoreFTemp)
-        {
-            vars[ip->idx] = ASIM_FLDTC(*ip);
-        }
-        NEXT();
-
-        CASE(Switch)
-        {
-            if (static_cast<uint32_t>(s[0]) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, s[0], curCycle());
-            selEvals += collect;
-            JUMP(jt[ip->a + s[0]]);
-        }
         CASE(SelTable)
         {
             if (static_cast<uint32_t>(s[0]) >=
@@ -733,48 +720,6 @@ Vm::runCycles(uint64_t n)
             vars[ip->idx] = ct[ip->a + sel];
         }
         NEXT2();
-        CASE(SwitchV)
-        {
-            const Instr &e = ip[1];
-            const int32_t sel = ASIM_FLDV(e);
-            if (static_cast<uint32_t>(sel) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, sel, curCycle());
-            selEvals += collect;
-            JUMP(jt[ip->a + sel]);
-        }
-        CASE(SwitchT)
-        {
-            const Instr &e = ip[1];
-            const int32_t sel = ASIM_FLDT(e);
-            if (static_cast<uint32_t>(sel) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, sel, curCycle());
-            selEvals += collect;
-            JUMP(jt[ip->a + sel]);
-        }
-
-        CASE(StoreSJ)
-        {
-            vars[ip->idx] = s[ip->reg];
-            JUMP(ip->a);
-        }
-        CASE(StoreCJ)
-        {
-            vars[ip->idx] = ip->a;
-            JUMP(ip->b);
-        }
-        CASE(StoreFVarJ)
-        {
-            vars[ip->idx] = ASIM_FLDVC(*ip);
-            JUMP(ip[1].a);
-        }
-        CASE(StoreFTempJ)
-        {
-            vars[ip->idx] = ASIM_FLDTC(*ip);
-            JUMP(ip[1].a);
-        }
-
         CASE(MemLatchCV)
         {
             const Instr &e = ip[1];
@@ -868,6 +813,24 @@ Vm::runCycles(uint64_t n)
             vars[ip->idx] =
                 d.c + shiftField(land(src, d.a), d.b);
             NEXTN(static_cast<int64_t>(ip->b) + 2);
+        }
+        CASE(SelStoreK)
+        {
+            const Instr &e = ip[1];
+            const int32_t sel = ip->reg == kSelFromVar    ? ASIM_FLDVC(e)
+                                : ip->reg == kSelFromTemp ? ASIM_FLDTC(e)
+                                                          : s[0];
+            if (static_cast<uint32_t>(sel) >=
+                static_cast<uint32_t>(ip->b))
+                selFail(*ip, sel, curCycle());
+            selEvals += collect;
+            const int32_t k = ip->a;
+            const Instr *d = ip + 2 + static_cast<int64_t>(sel) * k;
+            int32_t v = 0;
+            for (int32_t j = 0; j < k; ++j)
+                v = wadd(v, ASIM_DESC(d[j]));
+            vars[ip->idx] = v;
+            NEXTN(2 + static_cast<int64_t>(ip->b) * k);
         }
 
         CASE(TraceLatchRun)
@@ -1049,12 +1012,12 @@ Vm::runCycles(uint64_t n)
         NEXT();
 
     } catch (...) {
-        flush();
+        flush(true);
         throw;
     }
 
 done:
-    flush();
+    flush(false);
 }
 
 void

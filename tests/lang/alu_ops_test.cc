@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "lang/alu_ops.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
@@ -73,6 +76,89 @@ TEST(AluOps, WrappingArithmetic)
     EXPECT_EQ(dologic(kAluAdd, INT32_MAX, 1), INT32_MIN);
     EXPECT_EQ(dologic(kAluSub, INT32_MIN, 1), INT32_MAX);
     EXPECT_EQ(dologic(kAluMul, 1 << 20, 1 << 20), 0);
+}
+
+/** The switch-and-loop dologic as generated in 1986 (thesis Appendix
+ *  E), kept here as the oracle for the branch-free one. */
+int32_t
+thesisDologic(int32_t funct, int32_t left, int32_t right,
+              AluSemantics sem)
+{
+    switch (funct) {
+      case kAluZero: return 0;
+      case kAluRight: return right;
+      case kAluLeft: return left;
+      case kAluNot: return wsub(kValueMask, left);
+      case kAluAdd: return wadd(left, right);
+      case kAluSub: return wsub(left, right);
+      case kAluShl: {
+        if (sem == AluSemantics::Fixed) {
+            int32_t v = land(left, kValueMask);
+            for (int32_t r = right; r > 0 && v != 0; --r)
+                v = land(wadd(v, v), kValueMask);
+            return v;
+        }
+        int32_t value = 0;
+        int32_t l = left;
+        for (int32_t r = right; r > 0 && l != 0; --r) {
+            l = land(wadd(l, l), kValueMask);
+            value = l;
+        }
+        return value;
+      }
+      case kAluMul: return wmul(left, right);
+      case kAluAnd: return land(left, right);
+      case kAluOr: return wsub(wadd(left, right), land(left, right));
+      case kAluXor:
+        return wsub(wadd(left, right), wmul(land(left, right), 2));
+      case kAluUnused: return 0;
+      case kAluEq: return left == right ? 1 : 0;
+      case kAluLt: return left < right ? 1 : 0;
+    }
+    ADD_FAILURE() << "oracle asked for function " << funct;
+    return 0;
+}
+
+TEST(AluOps, BranchFreeMatchesThesisLoop)
+{
+    const int32_t edges[] = {0,   1,  -1,        2,         30,
+                             31,  32, 33,        100,       INT32_MIN,
+                             INT32_MAX, 0x40000000};
+    std::mt19937 rng(19);
+    std::uniform_int_distribution<int32_t> any(INT32_MIN, INT32_MAX);
+    std::uniform_int_distribution<int32_t> count(-5, 64);
+    uint64_t mismatches = 0;
+    for (AluSemantics sem : {AluSemantics::Thesis, AluSemantics::Fixed}) {
+        for (int32_t f = 0; f < kAluFunctionCount; ++f) {
+            const auto check = [&](int32_t l, int32_t r) {
+                const int32_t want = thesisDologic(f, l, r, sem);
+                const int32_t got = dologic(f, l, r, sem);
+                if (got != want && ++mismatches <= 10) {
+                    ADD_FAILURE() << "dologic(" << f << ", " << l << ", "
+                                  << r << ") = " << got << ", want "
+                                  << want;
+                }
+            };
+            for (int32_t l : edges) {
+                for (int32_t r : edges)
+                    check(l, r);
+            }
+            // Half the pairs with shift-sized right operands.
+            for (int i = 0; i < 100000; ++i)
+                check(any(rng), i % 2 ? count(rng) : any(rng));
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    for (int32_t f : {-1, 14}) {
+        try {
+            dologic(f, 1, 2);
+            ADD_FAILURE() << "function " << f << " accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "ALU function " + std::to_string(f) +
+                          " out of range 0..13");
+        }
+    }
 }
 
 /** Property sweep: OR/XOR identities hold for the add/and encodings

@@ -36,9 +36,18 @@ TEST(CompilerOpt, FusionFormsSuperinstructions)
     ResolvedSpec rs = stackSieve();
     Program fused = compileProgram(rs);
     EXPECT_GT(fused.opt.fused, 0u);
-    // The stack machine's mixed-case selectors collapse to SelStore
-    // and its latch phase folds into one TraceLatchRun dispatch.
-    EXPECT_GT(countOp(fused.cycle, Op::SelStoreV), 0);
+    // The stack machine's mixed-case selectors are descriptor tables
+    // from the emit stage on and reach the cycle unchanged; operand
+    // loads fuse into their ALUs, table lookups take their select
+    // field inline, and the latch phase folds into one TraceLatchRun
+    // dispatch.
+    EXPECT_GT(countOp(fused.comb, Op::SelStoreV), 0);
+    EXPECT_EQ(countOp(fused.cycle, Op::SelStoreV),
+              countOp(fused.comb, Op::SelStoreV));
+    EXPECT_GT(countOp(fused.cycle, Op::AluGenF), 0);
+    EXPECT_GT(countOp(fused.cycle, Op::SelTableV) +
+                  countOp(fused.cycle, Op::SelTableT),
+              0);
     EXPECT_EQ(countOp(fused.cycle, Op::TraceLatchRun), 1);
     // Fusion only ever shrinks the executed stream.
     EXPECT_LT(fused.cycle.size(), fused.opt.linked);
@@ -110,8 +119,12 @@ TEST(CompilerOpt, DisassemblyNamesSuperinstructions)
     EXPECT_LT(p.opt.shapeRuns, rs.comb.size());
     EXPECT_NE(dis.find(" levels=" + std::to_string(p.opt.levels) +
                        " shapeRuns=" + std::to_string(p.opt.shapeRuns) +
+                       " hoisted=" + std::to_string(p.opt.hoisted) +
                        "\n"),
               std::string::npos);
+    // The hoisted folds print as their own section.
+    EXPECT_EQ(p.opt.hoisted, p.hoisted.size());
+    EXPECT_NE(dis.find("\nhoisted:\n"), std::string::npos);
     // Every line names a real opcode (no "?" placeholders).
     EXPECT_EQ(dis.find(": ? "), std::string::npos);
 }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -241,6 +242,20 @@ const char *const kOpcodeSpecs[] = {
     "M t 0 c 1 1\n"
     "M u 0 t 1 1\n"
     ".\n",
+    // A fold behind a selector that may fault (s1: index c.0.1
+    // against 3 cases, c only ever 0 or 2), so it stays in the cycle
+    // (alu.fold), and the general descriptor selector on an s0 select
+    // (s2, K = 2) and a temp-field select (s3, K = 3).
+    "# folds behind a barrier, descriptor selector select sources\n"
+    "t* inc c s1 k0 s2 s3 .\n"
+    "A inc 4 t 1\n"
+    "A c 8 inc 2\n"
+    "S s1 c.0.1 t c 5\n"
+    "A k0 4 20 22\n"
+    "S s2 t.0.0,c.1.1 c t.0.1,c.0.0 3 k0\n"
+    "S s3 t.0.1 c.0.0,t.1.1,t.2.2 t 7 s2\n"
+    "M t 0 inc 1 1\n"
+    ".\n",
 };
 
 /** Every vm handler runs: the opcodes that appear in `Program::cycle`
@@ -251,10 +266,9 @@ const char *const kOpcodeSpecs[] = {
  *  vm against interp and symbolic. */
 TEST(Vm, EveryLinkedOpcodeIsExercised)
 {
-    // Never a dispatched word: jmp and mem.fin{c,v,t} are always fused
-    // away, nop is compacted out, ext words are decoded by their owner.
-    const std::set<Op> unlinked = {Op::Jump,        Op::Nop,
-                                   Op::Ext,         Op::MemGenDataC,
+    // Never a dispatched word: mem.fin{c,v,t} are always fused away,
+    // nop is compacted out, ext words are decoded by their owner.
+    const std::set<Op> unlinked = {Op::Nop, Op::Ext, Op::MemGenDataC,
                                    Op::MemGenDataV, Op::MemGenDataT};
     std::set<std::string> seen;
     const auto collect = [&seen](const ResolvedSpec &rs) {
@@ -320,6 +334,91 @@ TEST(Vm, EveryLinkedOpcodeIsExercised)
                 << opName(op) << ": " << e.what();
         }
     }
+}
+
+/** Stream words one VM dispatch covers: the op word and its
+ *  extension words. */
+size_t
+dispatchWords(const Instr &in)
+{
+    switch (in.op) {
+      case Op::SelStoreV:
+      case Op::SelStoreT:
+        return 2 + static_cast<size_t>(in.b);
+      case Op::SelStoreK:
+        return 2 + static_cast<size_t>(in.b) * static_cast<size_t>(in.a);
+      case Op::AluGenF:
+        return 4;
+      default:
+        return opHasExt(in.op) ? 2 : 1;
+    }
+}
+
+/** The comb phase is straight-line code: stepping through
+ *  `Program::cycle` one dispatch at a time from word 0 meets no word
+ *  that transfers control (or a stray extension word) before the
+ *  trace point. Descriptor selectors of every K class (1, 2, 3 or
+ *  more) occur, and each class runs vm against interp and symbolic
+ *  in a design below. */
+TEST(Vm, CombStreamIsStraightLine)
+{
+    std::set<int32_t> classes, equivalent;
+    const auto walk = [&classes](const ResolvedSpec &rs,
+                                 const std::string &name) {
+        std::set<int32_t> ks;
+        const Program p = compileProgram(rs);
+        size_t i = 0;
+        while (i < p.cycle.size() && p.cycle[i].op != Op::TraceCycle &&
+               p.cycle[i].op != Op::TraceLatchRun) {
+            const Instr &in = p.cycle[i];
+            EXPECT_TRUE(in.op != Op::Ext && in.op != Op::MemGenPre &&
+                        in.op != Op::EndCycle)
+                << name << " word " << i << ": " << opName(in.op);
+            if (in.op == Op::SelStoreV || in.op == Op::SelStoreT)
+                ks.insert(1);
+            else if (in.op == Op::SelStoreK)
+                ks.insert(std::min(in.a, 3));
+            i += dispatchWords(in);
+        }
+        EXPECT_LT(i, p.cycle.size()) << name << ": no trace point";
+        classes.insert(ks.begin(), ks.end());
+        return ks;
+    };
+    const auto runBoth = [&](SharedSpec rs, const std::string &name,
+                             uint64_t cycles,
+                             const std::vector<int32_t> &inputs = {}) {
+        const std::set<int32_t> ks = walk(*rs, name);
+        expectEquivalent(rs, cycles, inputs);
+        equivalent.insert(ks.begin(), ks.end());
+    };
+
+    std::vector<int32_t> inputs;
+    for (int i = 0; i < 64; ++i)
+        inputs.push_back(i * 7 % 50);
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ASIM_SPECS_DIR)) {
+        if (entry.path().extension() == ".asim") {
+            runBoth(share(resolve(parseSpecFile(entry.path().string()))),
+                    entry.path().filename().string(), 64, inputs);
+        }
+    }
+    walk(resolveText(stackMachineSpec(sieveProgram(54), 1000000, true)),
+         "sieve");
+    int result = 0;
+    runBoth(share(resolveText(tinyComputerSpec(
+                tinyModProgram(23, 7, result), 400))),
+            "tiny computer", 400);
+    for (const char *preset : {"1k", "2000"}) {
+        runBoth(share(resolve(generateSynthetic(syntheticPreset(preset)))),
+                preset, 64);
+    }
+    walk(resolve(generateSynthetic(syntheticPreset("64000"))), "64000");
+    for (const char *text : kOpcodeSpecs)
+        runBoth(share(resolveText(text)), "opcode spec", 40, inputs);
+
+    const std::set<int32_t> all = {1, 2, 3};
+    EXPECT_EQ(classes, all);
+    EXPECT_EQ(equivalent, all);
 }
 
 /** Injected faults must corrupt every engine identically: a spec

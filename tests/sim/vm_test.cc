@@ -153,6 +153,118 @@ TEST(Vm, FaultOrderMatchesInterpreter)
     }
 }
 
+/** Folds on both sides of selector `s`, which may fault (index
+ *  m.0.1 against 3 cases) and does at cycle 3. k0 sits ahead of it in
+ *  rs.comb, so the link stage hoists it out of the cycle; k1 and k2
+ *  follow it and stay in the stream. */
+const char *const kHoistSpec = "# hoisted folds\n"
+                               "k0 inc s k1 k2 m .\n"
+                               "A k0 4 20 22\n"
+                               "A inc 4 m 1\n"
+                               "S s m.0.1 m inc k0\n"
+                               "A k1 2 7 0\n"
+                               "A k2 9 3 12\n"
+                               "M m 0 inc 1 1\n"
+                               ".\n";
+
+std::string
+checkpointOf(const Engine &e)
+{
+    return encodeCheckpoint(e.snapshot(), 0, "test");
+}
+
+TEST(Vm, HoistedFoldsSplitAtTheFirstBarrier)
+{
+    ResolvedSpec rs = resolveText(kHoistSpec);
+    std::vector<std::string> order;
+    for (const CombComp &c : rs.comb)
+        order.push_back(c.name);
+    ASSERT_EQ(order, (std::vector<std::string>{"k0", "inc", "s", "k1",
+                                               "k2"}));
+    Vm vm(rs);
+    const Program &p = vm.program();
+    // The emit stage marks s's first word as the barrier.
+    ASSERT_LT(p.firstBarrier, p.comb.size());
+    EXPECT_EQ(p.comb[p.firstBarrier].op, Op::SelStoreT);
+    EXPECT_EQ(p.comb[p.firstBarrier].idx, rs.comb[2].slot);
+    ASSERT_EQ(p.hoisted.size(), 1u);
+    EXPECT_EQ(p.hoisted[0].idx, rs.comb[0].slot);
+    EXPECT_EQ(p.opt.hoisted, 1u);
+    EXPECT_EQ(countOp(p.cycle, Op::AluFold), 2);
+    // The canonical comb stream keeps all three.
+    EXPECT_EQ(countOp(p.comb, Op::AluFold), 3);
+    EXPECT_NE(p.disassemble().find(" hoisted=1\n"), std::string::npos);
+}
+
+TEST(Vm, HoistedFoldsRewrittenAfterRestore)
+{
+    // A checkpoint whose fold slots hold wrong values: the next cycle
+    // must leave the interpreter's bytes, both when it completes and
+    // when it faults at s with k1 and k2 not yet evaluated.
+    auto rs = std::make_shared<const ResolvedSpec>(resolveText(kHoistSpec));
+    for (uint64_t at : {0u, 1u, 3u}) {
+        auto ref = makeInterpreter(rs);
+        ref->run(at);
+        EngineSnapshot snap = ref->snapshot();
+        for (const CombComp &c : rs->comb) {
+            if (c.name != "inc" && c.name != "s")
+                snap.state.vars[c.slot] = 1000 + c.slot;
+        }
+        auto vm = makeVm(rs);
+        auto interp = makeInterpreter(rs);
+        vm->restore(snap);
+        interp->restore(snap);
+        EXPECT_EQ(runToFault(*vm, 1), runToFault(*interp, 1))
+            << "cycle " << at;
+        EXPECT_EQ(checkpointOf(*vm), checkpointOf(*interp))
+            << "cycle " << at;
+    }
+}
+
+TEST(Vm, HoistedFoldsCountedAtMidCycleFault)
+{
+    // The fault ends cycle 3 partway: the hoisted k0 counts for it,
+    // as the interpreter evaluated k0 before reaching s.
+    ResolvedSpec rs = resolveText(kHoistSpec);
+    auto vm = makeVm(rs);
+    auto interp = makeInterpreter(rs);
+    const std::string fault = runToFault(*vm, 10);
+    EXPECT_EQ(fault, "selector s index 3 outside its 3 cases (cycle 3)");
+    EXPECT_EQ(fault, runToFault(*interp, 10));
+    EXPECT_EQ(vm->cycle(), interp->cycle());
+    EXPECT_EQ(vm->stats().aluEvals, interp->stats().aluEvals);
+    EXPECT_EQ(vm->stats().summary(), interp->stats().summary());
+    EXPECT_EQ(checkpointOf(*vm), checkpointOf(*interp));
+}
+
+TEST(Vm, HoistedFoldsStepMatchesRun)
+{
+    // Each run call writes the hoisted list once; n single steps and
+    // one run of n cycles count the same ALU evaluations.
+    for (const std::string &text :
+         {std::string(kHoistSpec),
+          std::string("# all hoisted\n"
+                      "k0 inc s k1 m .\n"
+                      "A k0 4 20 22\n"
+                      "A inc 4 m 1\n"
+                      "S s m.0.0 m inc k0\n"
+                      "A k1 2 7 0\n"
+                      "M m 0 inc 1 1\n"
+                      ".\n")}) {
+        auto rs = std::make_shared<const ResolvedSpec>(resolveText(text));
+        auto stepped = makeVm(rs);
+        auto whole = makeVm(rs);
+        auto interp = makeInterpreter(rs);
+        for (int i = 0; i < 3; ++i)
+            stepped->step();
+        whole->run(3);
+        interp->run(3);
+        EXPECT_EQ(checkpointOf(*stepped), checkpointOf(*interp));
+        EXPECT_EQ(checkpointOf(*whole), checkpointOf(*interp));
+        EXPECT_EQ(stepped->stats().aluEvals, interp->stats().aluEvals);
+    }
+}
+
 TEST(Vm, ProgramSizesReported)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
