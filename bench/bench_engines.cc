@@ -2,12 +2,13 @@
  * @file
  * Engine throughput across the three example machines: cycles/second
  * for the interpreter (ASIM baseline) vs the bytecode VM (ASIM II
- * analog) vs the native --serve subprocess (ASIM II proper), all
+ * analog) vs the in-process native library (ASIM II proper), all
  * constructed by name through the Simulation facade. The Figure 5.1
  * interpreted-vs-compiled gap should be visible on every machine,
  * growing with specification size; BM_NativeStep pins the per-cycle
- * stepping rate over the persistent protocol (the quadratic-replay
- * regression guard, bench-visible form).
+ * stepping rate, one library call per cycle (the quadratic-replay
+ * regression guard, bench-visible form). Every leg runs on the
+ * calling thread, so CPU time is wall time.
  */
 
 #include <benchmark/benchmark.h>
@@ -103,10 +104,9 @@ BM_Native(benchmark::State &state)
     runEngine(state, "native");
 }
 
-/** Interactive stepping over the persistent --serve child: one pipe
- *  round trip per cycle. Pre-protocol this was quadratic (a process
- *  spawn plus a full replay per step); the rate here is the
- *  regression guard's bench-visible form. */
+/** Interactive stepping: one library call per cycle. The rate is the
+ *  bench-visible form of the guard against stepping that replays
+ *  from cycle zero (quadratic in the cycle count). */
 void
 BM_NativeStep(benchmark::State &state)
 {
@@ -136,9 +136,8 @@ BENCHMARK(BM_NativeStep);
 
 /** Checkpoint-path costs per engine (sim/checkpoint.hh): the
  *  advance-then-snapshot pattern a periodic checkpointer pays, and
- *  restore of a mid-run snapshot. For "native" a snapshot is one
- *  SNAPSHOT round trip and restore one RESTORE round trip — both
- *  O(state); pre-protocol, restoring at cycle N replayed all N. */
+ *  restore of a mid-run snapshot. Both are O(state) copies in every
+ *  engine, native included. */
 void
 BM_Snapshot(benchmark::State &state, const char *engine)
 {

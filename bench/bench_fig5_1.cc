@@ -117,22 +117,24 @@ main()
     double genCode = 0, hostCompile = 0, nativeSim = 0;
     bool haveNative = NativeEngine::available();
     std::unique_ptr<Simulation> nativeSimulation;
-    NativeEngine *native = nullptr;
+    // Best-of-5 wall time of an in-process run of `cycles` from
+    // reset.
+    auto nativeRun = [&](int64_t cycles) {
+        return timeIt([&] {
+            nativeSimulation->reset();
+            nativeSimulation->run(static_cast<uint64_t>(cycles));
+        });
+    };
     if (haveNative) {
         SimulationOptions o = base;
         o.engine = "native";
         nativeSimulation = std::make_unique<Simulation>(o);
-        native =
-            dynamic_cast<NativeEngine *>(&nativeSimulation->engine());
-        genCode = native->build().generateSeconds;
-        hostCompile = native->build().compileSeconds;
-        // Best-of-5 of the self-timed simulation loop.
-        nativeSim = 1e99;
-        for (int i = 0; i < 5; ++i) {
-            nativeSimulation->reset();
-            nativeSimulation->run(iterations);
-            nativeSim = std::min(nativeSim, native->lastSimSeconds());
-        }
+        const NativeBuild &build =
+            dynamic_cast<NativeEngine &>(nativeSimulation->engine())
+                .build();
+        genCode = build.generateSeconds;
+        hostCompile = build.compileSeconds;
+        nativeSim = nativeRun(iterations);
     }
 
     std::printf("%-14s %-22s %12s %14s\n", "system", "phase",
@@ -199,10 +201,8 @@ main()
         // binary is reused — the pipeline's point).
         const int64_t longCycles = 100 * kThesisSieveCycles;
         double longInterp = perCycleInterp * double(longCycles + 1);
-        nativeSimulation->reset();
-        nativeSimulation->run(static_cast<uint64_t>(longCycles + 1));
-        double longAsim2 =
-            genCode + hostCompile + native->lastSimSeconds();
+        const double longNative = nativeRun(longCycles + 1);
+        double longAsim2 = genCode + hostCompile + longNative;
         std::printf("\nscaled run (%lld cycles):\n",
                     static_cast<long long>(longCycles));
         std::printf("  ASIM    end-to-end: %10.3f s "
@@ -210,8 +210,7 @@ main()
                     genTables + longInterp, genTables, longInterp);
         std::printf("  ASIM II end-to-end: %10.3f s "
                     "(gen %.4f + compile %.3f + sim %.4f)\n",
-                    longAsim2, genCode, hostCompile,
-                    native->lastSimSeconds());
+                    longAsim2, genCode, hostCompile, longNative);
         std::printf("  end-to-end ratio: %.1fx (paper: 2.5x)\n",
                     (genTables + longInterp) / longAsim2);
     }

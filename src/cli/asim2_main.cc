@@ -5,10 +5,11 @@
  * `asim2c --help` lists the flags.
  *
  * What the one-line help entries leave out: `--serve` also emits the
- * machine-state dump, and together they are the protocol the
- * NativeEngine adapter drives (DESIGN.md §5); the `--spec-hash` value
- * keys checkpoints and the native build cache; `--trace-out` records
- * parse/resolve and codegen spans.
+ * machine-state dump, so the program can be driven over a pipe by
+ * hand (`simulator --serve`, codegen/codegen.hh
+ * CodegenOptions::emitServeLoop; the native engine does not use it);
+ * the `--spec-hash` value keys checkpoints and the native build
+ * cache; `--trace-out` records parse/resolve and codegen spans.
  */
 
 #include <cstdio>
@@ -65,8 +66,8 @@ main(int argc, char **argv)
             {"--no-optimize", "disable constant inlining/specialization",
              noOptimize},
             {"--fixed-shl", "repaired shift-left semantics", fixedShl},
-            {"--serve", "C++ only: also emit the native engine's --serve "
-             "loop", serve},
+            {"--serve", "C++ only: also emit a --serve command loop on "
+             "stdin/stdout", serve},
             {"--spec-hash", "print the spec's identity hash and exit",
              cli::assign(specHashOnly)},
             {"--trace-out=FILE", "write a Chrome trace_event JSON profile",

@@ -40,28 +40,26 @@ struct CodegenOptions
      *  latch exactly as Appendix E does (it is never read). */
     bool emitDataLatchQuirk = true;
 
-    /** C++ only: emit a machine-readable dump of the machine state
-     *  (`STATE_V <slot> <value>`, `STATE_M <index> <temp> <adr>
+    /** C++ program only: emit a machine-readable dump of the machine
+     *  state (`STATE_V <slot> <value>`, `STATE_M <index> <temp> <adr>
      *  <opn>`, `STATE_C <index> <cell> <value>`, terminated by
      *  `STATE_END`): on stderr after the one-shot simulation loop,
-     *  or as the `STATE` command's payload in serve mode. The native
-     *  engine adapter parses it to reconstruct MachineState across
-     *  the process boundary. */
+     *  or as the `STATE` command's payload in serve mode. */
     bool emitStateDump = false;
 
-    /** C++ only: emit the `--serve` persistent command loop. A
-     *  simulator built with this option, launched as
-     *  `simulator --serve`, reads line-oriented commands on stdin
-     *  (`INPUT <n>`, `RUN <n>`, `RESET`, `STATE`, `SNAPSHOT`,
-     *  `RESTORE <n>`, `STATS`, `QUIT`) and answers each with
-     *  `OK <cycle> <ns> <bytes>\n` followed by exactly <bytes> of
-     *  payload on stdout — the framing the NativeEngine adapter
-     *  speaks (DESIGN.md §5). SNAPSHOT is STATE plus the scripted-
+    /** C++ program only: emit the `--serve` persistent command loop
+     *  of `asim2c --serve`. A simulator built with this option,
+     *  launched as `simulator --serve`, reads line-oriented commands
+     *  on stdin (`INPUT <n>`, `RUN <n>`, `RESET`, `STATE`,
+     *  `SNAPSHOT`, `RESTORE <n>`, `STATS`, `QUIT`) and answers each
+     *  with `OK <cycle> <ns> <bytes>\n` followed by exactly <bytes>
+     *  of payload on stdout. SNAPSHOT is STATE plus the scripted-
      *  input cursor (`STATE_I <ops> <bytepos>`); RESTORE takes a
      *  length-framed payload in the same line format (plus
      *  `STATE_CYC <n>`) and overwrites state, cycle, and input
-     *  cursor in O(state). The one-shot `simulator [cycles]` entry
-     *  point is kept unchanged. */
+     *  cursor. The one-shot `simulator [cycles]` entry point is kept
+     *  unchanged. The native engine does not use it: it loads the
+     *  library form (generateCppLibrary) in process. */
     bool emitServeLoop = false;
 
     /** ALU shift-left semantics baked into the generated dologic. */
@@ -133,6 +131,15 @@ std::string generatePascal(const ResolvedSpec &rs,
  *  loop's own duration) to stderr. */
 std::string generateCpp(const ResolvedSpec &rs,
                         const CodegenOptions &opts = {});
+
+/** Generate the in-process library form of the same simulator: the
+ *  program's cycle body behind the NativeCtx ABI of
+ *  codegen/native.hh, with `<stdint.h>` as its only include and one
+ *  exported `asim_run`. Honors inlineConstAlu, specializeConstMem,
+ *  emitTrace, and aluSemantics; the program-only options are
+ *  ignored. */
+std::string generateCppLibrary(const ResolvedSpec &rs,
+                               const CodegenOptions &opts = {});
 
 } // namespace asim
 

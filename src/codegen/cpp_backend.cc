@@ -1,13 +1,15 @@
 #include "codegen/cpp_backend.hh"
 
-#include <sstream>
+#include <utility>
 
+#include "codegen/native.hh"
 #include "support/bitops.hh"
 
 namespace asim {
 
-CppBackend::CppBackend(const ResolvedSpec &rs, const CodegenOptions &opts)
-    : rs_(rs), opts_(opts), ctx_(rs, "ljb", "temp")
+CppBackend::CppBackend(const ResolvedSpec &rs, const CodegenOptions &opts,
+                       bool library)
+    : rs_(rs), opts_(opts), ctx_(rs, "ljb", "temp"), library_(library)
 {}
 
 std::string
@@ -54,6 +56,12 @@ CppBackend::emitState()
            std::to_string(m.size) + "];");
         ln("static int32_t " + ctx_.tempName(m.index) + " = 0, adr" +
            m.name + " = 0, opn" + m.name + " = 0;");
+    }
+    if (!rs_.mems.empty()) {
+        // Read/write/input/output counts per memory: the cycle body
+        // is shared with the library form, whose host reads them.
+        ln("static uint64_t memops[" +
+           std::to_string(4 * rs_.mems.size()) + "];");
     }
     ln("");
 }
@@ -138,7 +146,7 @@ CppBackend::emitServeHelpers()
 }
 
 void
-CppBackend::emitHelpers()
+CppBackend::emitLogicHelpers()
 {
     ln("static inline int32_t");
     ln("land(int32_t a, int32_t b)");
@@ -146,6 +154,8 @@ CppBackend::emitHelpers()
     ln("    return (int32_t)((uint32_t)a & (uint32_t)b);");
     ln("}");
     ln("");
+    // The cycle body range-checks a computed function before the
+    // call (alufail), so no case falls through to the default.
     ln("static int32_t");
     ln("dologic(int32_t funct, int32_t left, int32_t right)");
     ln("{");
@@ -184,15 +194,15 @@ CppBackend::emitHelpers()
     ln("      case 11: value = 0; break;");
     ln("      case 12: value = left == right ? 1 : 0; break;");
     ln("      case 13: value = left < right ? 1 : 0; break;");
-    ln("      default:");
-    ln("        std::fprintf(stderr,");
-    ln("                     \"ALU function %d out of range 0..13\\n\",");
-    ln("                     (int)funct);");
-    ln("        std::exit(2);");
     ln("    }");
     ln("    return value;");
     ln("}");
     ln("");
+}
+
+void
+CppBackend::emitProgramHelpers()
+{
     ln("static int32_t");
     ln("sinput(int32_t address)");
     ln("{");
@@ -230,7 +240,7 @@ CppBackend::emitHelpers()
     ln("                    (int)address, (int)data);");
     ln("}");
     ln("");
-    ln("static void");
+    ln("static int");
     ln("adrfail(const char *mem, int32_t adr, long long cycle)");
     ln("{");
     ln("    std::fprintf(stderr,");
@@ -239,7 +249,7 @@ CppBackend::emitHelpers()
     ln("    std::exit(2);");
     ln("}");
     ln("");
-    ln("static void");
+    ln("static int");
     ln("selfail(const char *sel, int32_t idx, long long cycle)");
     ln("{");
     ln("    std::fprintf(stderr,");
@@ -248,6 +258,41 @@ CppBackend::emitHelpers()
     ln("    std::exit(2);");
     ln("}");
     ln("");
+    ln("static int");
+    ln("alufail(const char *, int32_t funct, long long)");
+    ln("{");
+    ln("    std::fprintf(stderr,");
+    ln("                 \"ALU function %d out of range 0..13\\n\",");
+    ln("                 (int)funct);");
+    ln("    std::exit(2);");
+    ln("}");
+    ln("");
+    if (!opts_.emitTrace)
+        return;
+    ln("static void");
+    ln("tracecycle(long long cyclecount)");
+    ln("{");
+    ln("    " + pf() + "(\"Cycle %3lld\", cyclecount);");
+    for (const auto &item : rs_.traceList) {
+        std::string v = item.isMem ? ctx_.tempName(item.slot)
+                                   : ctx_.varName(item.slot);
+        ln("    " + pf() + "(\" " + item.name + "= %d\", (int)" + v +
+           ");");
+    }
+    ln("    " + pf() + "(\"\\n\");");
+    ln("}");
+    ln("");
+    for (const char *kind : {"write", "read"}) {
+        const bool write = kind[0] == 'w';
+        ln("static void");
+        ln(std::string("trace") + kind +
+           "(const char *mem, int32_t adr, int32_t value)");
+        ln("{");
+        ln("    " + pf() + "(\"" + (write ? "Write to" : "Read from") +
+           " %s at %d: %d\\n\", mem, (int)adr, (int)value);");
+        ln("}");
+        ln("");
+    }
 }
 
 void
@@ -291,6 +336,139 @@ CppBackend::emitResetState()
 }
 
 void
+CppBackend::emitLibraryHeader()
+{
+    // The ABI: this struct must match NativeCtx (codegen/native.hh);
+    // asim_ctx_size lets the loader check that it does.
+    ln("// Generated by asim2c from specification:");
+    ln("//#" + rs_.comment);
+    ln("// In-process library form: g++ -O2 -fwrapv -fPIC -shared");
+    ln("#include <stdint.h>");
+    ln("");
+    ln("struct asim_ctx");
+    ln("{");
+    ln("    int32_t *vars;");
+    ln("    int32_t **mems; // per memory: cells, &temp, &adr, &opn");
+    ln("    uint64_t *memops; // per memory: -, writes, inputs, outputs");
+    ln("    int32_t *scratch; // vars, then per memory temp, adr, opn");
+    ln("    void *host;");
+    ln("    int32_t (*input)(void *host, int32_t address);");
+    ln("    void (*output)(void *host, int32_t address, int32_t data);");
+    ln("    void (*trace)(void *host, long long cycle);");
+    ln("    void (*memtrace)(void *host, const char *mem, int write,");
+    ln("                     int32_t address, int32_t value);");
+    ln("    long long cycle;");
+    ln("    const char *faultname;");
+    ln("    int32_t faultvalue;");
+    ln("};");
+    ln("");
+    ln("extern \"C\" const unsigned asim_ctx_size = sizeof(asim_ctx);");
+    ln("");
+    ln("static int");
+    ln("fault(asim_ctx *C, int code, const char *name, int32_t value)");
+    ln("{");
+    ln("    C->faultname = name;");
+    ln("    C->faultvalue = value;");
+    ln("    return code;");
+    ln("}");
+    ln("");
+}
+
+void
+CppBackend::emitLibraryPrologue()
+{
+    // The program form's names, bound to the host's state: vars and
+    // latches to the working copy S, the cell arrays in place. S is
+    // restrict: no cell store can change it, so its values stay in
+    // registers across one.
+    for (int slot = 0; slot < rs_.numVarSlots; ++slot) {
+        ln("    int32_t &" + ctx_.varName(slot) + " = S[" +
+           std::to_string(slot) + "];");
+    }
+    for (const auto &m : rs_.mems) {
+        ln("    int32_t *const " + ctx_.memArrayName(m.index) +
+           " = C->mems[" + std::to_string(4 * m.index) + "];");
+        const std::string latches[] = {ctx_.tempName(m.index),
+                                       "adr" + m.name, "opn" + m.name};
+        for (int k = 0; k < 3; ++k) {
+            ln("    int32_t &" + latches[k] + " = S[" +
+               std::to_string(rs_.numVarSlots + 3 * m.index + k) +
+               "];");
+        }
+    }
+    if (!rs_.mems.empty())
+        ln("    uint64_t *const memops = C->memops;");
+    ln("    auto sinput = [C](int32_t a) { return C->input(C->host, a); };");
+    ln("    auto soutput = [C](int32_t a, int32_t d) {");
+    ln("        C->output(C->host, a, d);");
+    ln("    };");
+    const std::pair<const char *, int> fails[] = {
+        {"selfail", kNativeSelectorFault},
+        {"adrfail", kNativeAddressFault},
+        {"alufail", kNativeAluFault}};
+    for (const auto &[name, code] : fails) {
+        ln(std::string("    auto ") + name +
+           " = [C](const char *n, int32_t v, long long) {");
+        ln("        return fault(C, " + std::to_string(code) +
+           ", n, v);");
+        ln("    };");
+    }
+    if (!opts_.emitTrace)
+        return;
+    ln("    auto tracecycle = [C, S](long long c) {");
+    ln("        sync(C, S);");
+    ln("        C->trace(C->host, c);");
+    ln("    };");
+    for (int write = 1; write >= 0; --write) {
+        ln(std::string("    auto trace") + (write ? "write" : "read") +
+           " = [C](const char *m, int32_t a, int32_t v) {");
+        ln("        C->memtrace(C->host, m, " + std::to_string(write) +
+           ", a, v);");
+        ln("    };");
+    }
+}
+
+void
+CppBackend::emitLibraryEntry()
+{
+    // S, the host's scratch array, holds the vars, then each memory's
+    // temp, adr, and opn for the length of one call: one array the
+    // compiler can address by constant offsets, where pointers into
+    // MachineState kept it reloading every value after every store.
+    // sync() writes S back whenever the host may read it: before a
+    // trace line and on return.
+    const std::string vars = std::to_string(rs_.numVarSlots);
+    const std::string mems = std::to_string(rs_.mems.size());
+    ln("static void");
+    ln("sync(asim_ctx *C, const int32_t *S)");
+    ln("{");
+    ln("    for (long i = 0; i < " + vars + "; ++i)");
+    ln("        C->vars[i] = S[i];");
+    ln("    for (long m = 0; m < " + mems + "; ++m)");
+    ln("        for (long k = 0; k < 3; ++k)");
+    ln("            *C->mems[4 * m + 1 + k] = S[" + vars +
+       " + 3 * m + k];");
+    ln("}");
+    ln("");
+    emitDoCycle();
+    ln("extern \"C\" int");
+    ln("asim_run(asim_ctx *C, uint64_t n)");
+    ln("{");
+    ln("    int32_t *const S = C->scratch;");
+    ln("    for (long i = 0; i < " + vars + "; ++i)");
+    ln("        S[i] = C->vars[i];");
+    ln("    for (long m = 0; m < " + mems + "; ++m)");
+    ln("        for (long k = 0; k < 3; ++k)");
+    ln("            S[" + vars + " + 3 * m + k] = *C->mems[4 * m + 1 + k];");
+    ln("    int code = 0;");
+    ln("    for (; n != 0 && (code = docycle(C, S, C->cycle)) == 0; --n)");
+    ln("        ++C->cycle;");
+    ln("    sync(C, S);");
+    ln("    return code;");
+    ln("}");
+}
+
+void
 CppBackend::emitAlu(const CombComp &c)
 {
     const std::string dst = ctx_.varName(c.slot);
@@ -300,8 +478,20 @@ CppBackend::emitAlu(const CombComp &c)
     const std::string rp = CodegenContext::paren(r);
 
     if (!c.functConst || !opts_.inlineConstAlu) {
-        ln("    " + dst + " = dologic(" + expr(c.funct) + ", " + l +
-           ", " + r + ");");
+        if (c.functConst) {
+            // Resolve rejected out-of-range constants already.
+            ln("    " + dst + " = dologic(" + expr(c.funct) + ", " + l +
+               ", " + r + ");");
+            return;
+        }
+        ln("    {");
+        ln("        const int32_t f = " + expr(c.funct) + ";");
+        ln("        if ((uint32_t)f >= " +
+           std::to_string(kAluFunctionCount) + "u)");
+        ln("            return alufail(\"" + c.name +
+           "\", f, cyclecount);");
+        ln("        " + dst + " = dologic(f, " + l + ", " + r + ");");
+        ln("    }");
         return;
     }
 
@@ -363,22 +553,9 @@ CppBackend::emitSelector(const CombComp &c)
            expr(c.cases[i]) + "; break;");
     }
     ln("      default:");
-    ln("        selfail(\"" + c.name + "\", " + expr(c.select) +
+    ln("        return selfail(\"" + c.name + "\", " + expr(c.select) +
        ", cyclecount);");
     ln("    }");
-}
-
-void
-CppBackend::emitTraceLine()
-{
-    ln("    " + pf() + "(\"Cycle %3lld\", cyclecount);");
-    for (const auto &item : rs_.traceList) {
-        std::string v = item.isMem ? ctx_.tempName(item.slot)
-                                   : ctx_.varName(item.slot);
-        ln("    " + pf() + "(\" " + item.name + "= %d\", (int)" + v +
-           ");");
-    }
-    ln("    " + pf() + "(\"\\n\");");
 }
 
 void
@@ -399,11 +576,18 @@ CppBackend::emitMemoryUpdate(const MemDesc &m)
     const std::string opn = "opn" + m.name;
     const std::string size = std::to_string(m.size);
     const std::string check = "if ((uint32_t)" + adr + " >= " + size +
-                              "u) adrfail(\"" + m.name + "\", " + adr +
-                              ", cyclecount);";
+                              "u) return adrfail(\"" + m.name +
+                              "\", " + adr + ", cyclecount);";
+    // Writes, inputs and outputs are counted after the access (a
+    // faulting one is not). Reads go uncounted: every memory makes one
+    // access per cycle, so the host derives them from the cycle count.
+    auto count = [&](int op) {
+        return "++memops[" + std::to_string(4 * m.index + op) + "];";
+    };
 
     if (m.opnConst && opts_.specializeConstMem) {
-        switch (land(m.opnValue, 3)) {
+        const int op = land(m.opnValue, 3);
+        switch (op) {
           case mem_op::kRead:
             ln("    " + check);
             ln("    " + temp + " = " + arr + "[" + adr + "];");
@@ -421,6 +605,8 @@ CppBackend::emitMemoryUpdate(const MemDesc &m)
             ln("    soutput(" + adr + ", " + temp + ");");
             break;
         }
+        if (op != mem_op::kRead)
+            ln("    " + count(op));
         return;
     }
 
@@ -433,13 +619,16 @@ CppBackend::emitMemoryUpdate(const MemDesc &m)
     ln("        " + check);
     ln("        " + temp + " = " + expr(m.data) + ";");
     ln("        " + arr + "[" + adr + "] = " + temp + ";");
+    ln("        " + count(1));
     ln("        break;");
     ln("      case 2:");
     ln("        " + temp + " = sinput(" + adr + ");");
+    ln("        " + count(2));
     ln("        break;");
     ln("      case 3:");
     ln("        " + temp + " = " + expr(m.data) + ";");
     ln("        soutput(" + adr + ", " + temp + ");");
+    ln("        " + count(3));
     ln("        break;");
     ln("    }");
 }
@@ -449,35 +638,28 @@ CppBackend::emitMemoryTraces(const MemDesc &m)
 {
     if (!opts_.emitTrace)
         return;
-    const std::string temp = ctx_.tempName(m.index);
-    const std::string adr = "adr" + m.name;
+    const std::string args = "(\"" + m.name + "\", adr" + m.name +
+                             ", " + ctx_.tempName(m.index) + ");";
     const std::string opn = "opn" + m.name;
-
-    const std::string wr = pf() + "(\"Write to " + m.name +
-                           " at %d: %d\\n\", (int)" + adr + ", (int)" +
-                           temp + ");";
-    const std::string rd = pf() + "(\"Read from " + m.name +
-                           " at %d: %d\\n\", (int)" + adr + ", (int)" +
-                           temp + ");";
 
     switch (m.traceWrites) {
       case MemDesc::TraceMode::Always:
-        ln("    " + wr);
+        ln("    tracewrite" + args);
         break;
       case MemDesc::TraceMode::Runtime:
         ln("    if (land(" + opn + ", 5) == 5)");
-        ln("        " + wr);
+        ln("        tracewrite" + args);
         break;
       case MemDesc::TraceMode::Never:
         break;
     }
     switch (m.traceReads) {
       case MemDesc::TraceMode::Always:
-        ln("    " + rd);
+        ln("    traceread" + args);
         break;
       case MemDesc::TraceMode::Runtime:
         ln("    if (land(" + opn + ", 9) == 8)");
-        ln("        " + rd);
+        ln("        traceread" + args);
         break;
       case MemDesc::TraceMode::Never:
         break;
@@ -487,11 +669,21 @@ CppBackend::emitMemoryTraces(const MemDesc &m)
 void
 CppBackend::emitDoCycle()
 {
-    ln("static void");
-    ln("docycle(long long cyclecount)");
-    ln("{");
-    if (rs_.comb.empty() && !opts_.emitTrace)
-        ln("    (void)cyclecount;");
+    // One body for both forms; only the head differs. A runtime fault
+    // returns the helper's code from the body (the program's helpers
+    // exit before returning).
+    ln("static int");
+    if (library_) {
+        ln("docycle(asim_ctx *C, int32_t *__restrict S, "
+           "long long cyclecount)");
+        ln("{");
+        emitLibraryPrologue();
+    } else {
+        ln("docycle(long long cyclecount)");
+        ln("{");
+    }
+    ln("    // cycle body");
+    ln("    (void)cyclecount;");
 
     for (const auto &c : rs_.comb) {
         if (c.kind == CompKind::Alu)
@@ -501,13 +693,14 @@ CppBackend::emitDoCycle()
     }
 
     if (opts_.emitTrace)
-        emitTraceLine();
+        ln("    tracecycle(cyclecount);");
 
     emitMemoryLatches();
     for (const auto &m : rs_.mems) {
         emitMemoryUpdate(m);
         emitMemoryTraces(m);
     }
+    ln("    return 0;");
     ln("}");
     ln("");
 }
@@ -780,11 +973,18 @@ std::string
 CppBackend::generate()
 {
     out_.clear();
+    if (library_) {
+        emitLibraryHeader();
+        emitLogicHelpers();
+        emitLibraryEntry();
+        return out_;
+    }
     emitHeader();
     emitState();
     if (opts_.emitServeLoop)
         emitServeHelpers();
-    emitHelpers();
+    emitLogicHelpers();
+    emitProgramHelpers();
     emitInitValues();
     if (opts_.emitServeLoop)
         emitResetState();
@@ -803,6 +1003,12 @@ std::string
 generateCpp(const ResolvedSpec &rs, const CodegenOptions &opts)
 {
     return CppBackend(rs, opts).generate();
+}
+
+std::string
+generateCppLibrary(const ResolvedSpec &rs, const CodegenOptions &opts)
+{
+    return CppBackend(rs, opts, /*library=*/true).generate();
 }
 
 } // namespace asim

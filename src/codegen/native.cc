@@ -10,10 +10,9 @@
 #include <mutex>
 #include <sstream>
 
-#include "codegen/cpp_backend.hh"
 #include "support/logging.hh"
-#include "support/serialize.hh"
-#include "support/text.hh"
+
+#include <dlfcn.h>
 
 namespace asim {
 
@@ -57,7 +56,7 @@ shell(const std::string &cmd)
 std::atomic<uint64_t> compileCount{0};
 
 /** Cache key: spec identity x every codegen knob that changes the
- *  emitted program. */
+ *  library form. */
 uint64_t
 optionsFingerprint(const CodegenOptions &o)
 {
@@ -65,26 +64,15 @@ optionsFingerprint(const CodegenOptions &o)
     bits |= o.inlineConstAlu ? 1u : 0u;
     bits |= o.specializeConstMem ? 2u : 0u;
     bits |= o.emitTrace ? 4u : 0u;
-    bits |= o.emitDataLatchQuirk ? 8u : 0u;
-    bits |= o.emitStateDump ? 16u : 0u;
-    bits |= o.emitServeLoop ? 32u : 0u;
-    bits |= o.aluSemantics == AluSemantics::Thesis ? 64u : 0u;
-    return fnv1a64(o.programName, bits);
+    bits |= o.aluSemantics == AluSemantics::Thesis ? 8u : 0u;
+    return bits;
 }
 
-} // namespace
-
-bool
-hostCompilerAvailable()
-{
-    static const bool available =
-        std::system("g++ --version > /dev/null 2>&1") == 0;
-    return available;
-}
-
+/** Generate the program or the library form into `workDir` (a fresh
+ *  temp dir when empty) and host-compile it. */
 NativeBuild
-compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
-            std::string workDir)
+buildForm(const ResolvedSpec &rs, const CodegenOptions &opts,
+          std::string workDir, bool library)
 {
     if (!hostCompilerAvailable())
         throw SimError("no host C++ compiler (g++) available");
@@ -102,26 +90,27 @@ compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
     NativeBuild build;
     build.workDir = workDir;
     build.ownsWorkDir = madeTemp;
+    build.specHash = specIdentityHash(rs);
     build.emitsTrace = opts.emitTrace;
-    build.emitsStateDump = opts.emitStateDump;
-    build.serveCapable = opts.emitServeLoop;
     build.aluSemantics = opts.aluSemantics;
-    build.generatedPath = workDir + "/simulator.cc";
-    build.binaryPath = workDir + "/simulator";
+    const std::string stem = library ? "/libsimulator" : "/simulator";
+    build.generatedPath = workDir + stem + ".cc";
+    build.binaryPath = workDir + stem + (library ? ".so" : "");
 
     compileCount.fetch_add(1, std::memory_order_relaxed);
 
     // Phase 1: generate code (Figure 5.1 "Generate code").
     auto g0 = Clock::now();
-    std::string code = generateCpp(rs, opts);
-    writeFile(build.generatedPath, code);
+    writeFile(build.generatedPath, library ? generateCppLibrary(rs, opts)
+                                           : generateCpp(rs, opts));
     build.generateSeconds = seconds(g0, Clock::now());
 
     // Phase 2: host compile (Figure 5.1 "Pascal Compile").
     auto c0 = Clock::now();
-    int rc = shell("g++ -O2 -fwrapv -o '" + build.binaryPath + "' '" +
-                   build.generatedPath + "' > '" + workDir +
-                   "/compile.log' 2>&1");
+    int rc = shell(std::string("g++ -O2 -fwrapv ") +
+                   (library ? "-fPIC -shared " : "") + "-o '" +
+                   build.binaryPath + "' '" + build.generatedPath +
+                   "' > '" + workDir + "/compile.log' 2>&1");
     build.compileSeconds = seconds(c0, Clock::now());
     if (rc != 0) {
         throw SimError("generated code failed to compile (see " +
@@ -130,18 +119,58 @@ compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
     return build;
 }
 
+void
+removeWorkDir(const NativeBuild &b)
+{
+    if (b.ownsWorkDir && !b.workDir.empty()) {
+        std::error_code ec;
+        std::filesystem::remove_all(b.workDir, ec);
+    }
+}
+
+} // namespace
+
+bool
+hostCompilerAvailable()
+{
+    static const bool available =
+        std::system("g++ --version > /dev/null 2>&1") == 0;
+    return available;
+}
+
+NativeBuild
+compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
+            std::string workDir)
+{
+    return buildForm(rs, opts, std::move(workDir), /*library=*/false);
+}
+
 std::shared_ptr<const NativeBuild>
 compileSpecShared(const ResolvedSpec &rs, const CodegenOptions &opts,
                   std::string workDir)
 {
-    auto *build = new NativeBuild(
-        compileSpec(rs, opts, std::move(workDir)));
+    auto build = std::make_unique<NativeBuild>(
+        buildForm(rs, opts, std::move(workDir), /*library=*/true));
+    void *lib = dlopen(build->binaryPath.c_str(), RTLD_NOW | RTLD_LOCAL);
+    const char *err = lib ? nullptr : dlerror();
+    const auto *ctxSize =
+        lib ? static_cast<const unsigned *>(dlsym(lib, "asim_ctx_size"))
+            : nullptr;
+    build->run = lib ? reinterpret_cast<NativeRunFn>(
+                           dlsym(lib, "asim_run"))
+                     : nullptr;
+    if (!build->run || !ctxSize || *ctxSize != sizeof(NativeCtx)) {
+        if (lib)
+            dlclose(lib);
+        removeWorkDir(*build);
+        throw SimError("cannot load the generated simulator library " +
+                       build->binaryPath + ": " +
+                       (err ? err : "ABI mismatch"));
+    }
     return std::shared_ptr<const NativeBuild>(
-        build, [](const NativeBuild *b) {
-            if (b->ownsWorkDir && !b->workDir.empty()) {
-                std::error_code ec;
-                std::filesystem::remove_all(b->workDir, ec);
-            }
+        build.release(), [lib](const NativeBuild *b) {
+            dlclose(lib);
+            removeWorkDir(*b);
             delete b;
         });
 }

@@ -17,9 +17,9 @@
  * flushes while more requests are already buffered), so interactive
  * stepping stops paying one socket round trip per step.
  *
- * The command vocabulary deliberately mirrors the native engine's
- * `--serve` child protocol (DESIGN.md §5): OPEN (upload+compile) —
- * RUN — VALUE/SNAPSHOT (state) — RESTORE — EVICT/CLOSE — STATS —
+ * The command vocabulary deliberately mirrors the generated
+ * program's `--serve` loop (`asim2c --serve`): OPEN (upload+compile)
+ * — RUN — VALUE/SNAPSHOT (state) — RESTORE — EVICT/CLOSE — STATS —
  * SHUTDOWN.
  */
 

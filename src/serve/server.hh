@@ -13,8 +13,8 @@
  * Session lifecycle:
  *
  *   OPEN(name, spec, engine, ...) → a Simulation built through the
- *   ordinary facade (native sessions get their own subprocess
- *   sandbox; repeated native specs dedup through compileSpecCached).
+ *   ordinary facade (repeated native specs share one loaded library
+ *   through compileSpecCached).
  *   Session output (scripted I/O rendering + optional trace) is
  *   captured into a per-session buffer and streamed back as the
  *   delta of each RUN — byte-identical to a direct Simulation run
@@ -26,8 +26,8 @@
  *   script, flags) and any output not yet returned by a RUN; the
  *   cursors travel in the checkpoint proper. One atomic write, so a
  *   kill leaves the previous parked generation or the new one. A
- *   parked session holds no Simulation, no
- *   subprocess, and no buffers — zero RAM beyond the map entry — and
+ *   parked session holds no Simulation and no buffers — zero RAM
+ *   beyond the map entry — and
  *   any later command transparently resumes it. Because the park
  *   artifacts live on disk, OPEN after a daemon restart (even a
  *   SIGKILL) resumes parked sessions by name; graceful stop() parks

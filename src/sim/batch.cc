@@ -340,10 +340,9 @@ BatchRunner::run()
         }
 
         // Job-level restore (golden-checkpoint fan-out): applied in
-        // the worker, not here — out-of-process engines spawn their
-        // child on first contact, and a serial restore would spawn
-        // the whole batch's children up front. A runner-checkpoint
-        // resume above supersedes it (it carries later progress).
+        // the worker, not here, so the state copies run in parallel.
+        // A runner-checkpoint resume above supersedes it (it carries
+        // later progress).
         w.pendingRestore =
             !r.resumed &&
             (job.restoreSnapshot || !job.restoreFrom.empty());
@@ -440,24 +439,11 @@ BatchRunner::run()
         r.ioText = w.io.str();
         r.traceText = w.trace.str();
         r.stats = w.sim->stats();
-        if (opts_.captureState) {
-            // state() is fallible for out-of-process engines (a lazy
-            // STATE fetch from a child that may have died since its
-            // run completed); a capture failure faults this instance,
-            // never the batch.
-            try {
-                r.state = w.sim->engine().state();
-            } catch (const SimError &e) {
-                if (!r.faulted) {
-                    r.faulted = true;
-                    r.fault = e.what();
-                }
-            }
-        }
+        if (opts_.captureState)
+            r.state = w.sim->engine().state();
         // Everything observable is captured: release the instance
-        // now so per-instance resources (an out-of-process engine's
-        // child + pipes in particular) are bounded by the pool size,
-        // not the batch size.
+        // now so per-instance memory is bounded by the pool size, not
+        // the batch size.
         w.sim.reset();
     });
     double wall = secondsSince(batchStart);

@@ -9,8 +9,8 @@
  *
  *  - a **homogeneous** batch (addBatch) shards N instances off one
  *    parse+resolve — and one compiled artifact per engine family:
- *    a shared bytecode program for "vm", a shared generated+compiled
- *    binary for "native" (Simulation::shareBatchArtifacts);
+ *    a shared bytecode program for "vm", a shared generated, compiled
+ *    and loaded library for "native" (Simulation::shareBatchArtifacts);
  *  - a **heterogeneous** batch (addJob / loadManifest) mixes specs,
  *    engines, cycle budgets, per-instance input scripts, and
  *    watchpoints in one run;
@@ -28,14 +28,12 @@
  * What is shared between concurrently running instances is immutable
  * (ResolvedSpec, Program, NativeBuild — see DESIGN.md §7);
  * everything mutable (MachineState, statistics, I/O devices, trace
- * sinks, output buffers) is per-instance. The "native" engine is
- * batch-eligible since the persistent --serve protocol (DESIGN.md
- * §5): each instance owns one long-lived child process advanced
- * incrementally, and live children are bounded by the *pool* size,
- * not the batch size — children spawn lazily at the instance's
- * first cycle and the runner releases each instance as soon as its
- * results are captured. Interactive I/O remains refused —
- * concurrent instances cannot multiplex one terminal.
+ * sinks, output buffers) is per-instance. For "native" the shared
+ * artifact is one loaded library that keeps no state of its own
+ * (DESIGN.md §5): every instance runs it on its own MachineState. The
+ * runner releases each instance as soon as its results are captured.
+ * Interactive I/O remains refused — concurrent instances cannot
+ * multiplex one terminal.
  */
 
 #ifndef ASIM_SIM_BATCH_HH
@@ -178,7 +176,7 @@ class BatchRunner
     size_t addJob(BatchJob job);
 
     /** Append `count` homogeneous instances sharing one resolve (and
-     *  one compiled program for "vm", one compiled binary for
+     *  one compiled program for "vm", one loaded library for
      *  "native"). Per-instance fields of `job` (cycles, watchpoint,
      *  label) apply to every instance; labels get an `#i` suffix.
      *  @return index of the first instance */

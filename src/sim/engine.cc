@@ -25,6 +25,7 @@ Engine::reset()
     state_.reset(*rs_);
     stats_.reset();
     cycle_ = 0;
+    io_->seekInputs(0);
 }
 
 void
@@ -37,7 +38,6 @@ Engine::run(uint64_t cycles)
 EngineSnapshot
 Engine::snapshot() const
 {
-    refreshState();
     EngineSnapshot snap;
     snap.state = state_;
     snap.cycle = cycle_;
@@ -94,7 +94,6 @@ Engine::traceCycle()
 int32_t
 Engine::value(std::string_view name) const
 {
-    refreshState();
     int vs = rs_->varSlot(name);
     if (vs >= 0)
         return state_.vars[vs];
@@ -107,7 +106,6 @@ Engine::value(std::string_view name) const
 int32_t
 Engine::memCell(std::string_view mem, int64_t addr) const
 {
-    refreshState();
     int mi = rs_->memIndex(mem);
     if (mi < 0)
         throw SimError("unknown memory <" + std::string(mem) + ">");
@@ -117,6 +115,26 @@ Engine::memCell(std::string_view mem, int64_t addr) const
                        " outside memory " + std::string(mem));
     }
     return cells[addr];
+}
+
+SimError
+selectorFault(const std::string &name, int32_t index, size_t cases,
+              uint64_t cycle)
+{
+    return SimError("selector " + name + " index " +
+                    std::to_string(index) + " outside its " +
+                    std::to_string(cases) + " cases (cycle " +
+                    std::to_string(cycle) + ")");
+}
+
+SimError
+memoryFault(const std::string &name, int32_t address, size_t size,
+            uint64_t cycle)
+{
+    return SimError("memory " + name + " address " +
+                    std::to_string(address) + " outside 0.." +
+                    std::to_string(size - 1) + " (cycle " +
+                    std::to_string(cycle) + ")");
 }
 
 } // namespace asim

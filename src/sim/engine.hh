@@ -6,9 +6,9 @@
  *                   tables every cycle.
  *  - Vm           — the portable ASIM II analog: executes a compiled
  *                   bytecode program.
- *  - native codegen (codegen/native.hh) — the ASIM II pipeline proper:
- *    generated C++ compiled by the host compiler and run out of
- *    process.
+ *  - NativeEngine  — the ASIM II pipeline proper: generated C++
+ *                   compiled by the host compiler into a library
+ *                   and run in process (sim/native_engine.hh).
  *
  * All engines implement the identical cycle semantics (DESIGN.md §3)
  * and are cross-checked by equivalence property tests.
@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "analysis/resolve.hh"
@@ -46,8 +47,9 @@ struct EngineConfig
     bool collectStats = true;
 };
 
-/** "This cursor field was not captured" (e.g. the byte cursor of an
- *  in-process snapshot, which has no byte-oriented script). */
+/** "This cursor field was not captured": the byte cursor of every
+ *  snapshot an engine takes (no engine reads its input as a byte
+ *  script). */
 inline constexpr uint64_t kNoIoCursor = ~0ull;
 
 /** A complete capture of an engine's execution at a cycle boundary:
@@ -62,16 +64,15 @@ struct EngineSnapshot
     SimStats stats;
 
     /** Scripted input *values* consumed when the snapshot was taken
-     *  (IoDevice::inputsConsumed(), or the serve child's input-op
-     *  count); restore seeks the script here so the continuation
-     *  reads the same inputs an uninterrupted run would. */
+     *  (IoDevice::inputsConsumed()); restore seeks the script here so
+     *  the continuation reads the same inputs an uninterrupted run
+     *  would. */
     uint64_t ioValues = 0;
 
-    /** Byte position into an out-of-process engine's rendered stdin
-     *  text (the serve child's cursor); kNoIoCursor for in-process
-     *  snapshots. Restoring into a native engine prefers this and
-     *  falls back to skipping `ioValues` whitespace-separated tokens
-     *  of its own script. */
+    /** Byte position into a rendered stdin script. Snapshots write
+     *  kNoIoCursor; a version-2 checkpoint from the earlier
+     *  out-of-process native engine may carry a position, which
+     *  decoding keeps and restore() ignores. */
     uint64_t ioBytes = kNoIoCursor;
 };
 
@@ -94,44 +95,34 @@ class Engine
     virtual ~Engine() = default;
 
     /** Re-initialize all state ("All components are initialized to
-     *  zero...") and reset statistics and the cycle counter. */
-    virtual void reset();
+     *  zero...") and reset statistics, the cycle counter, and the
+     *  input script's cursor (where the device can seek). */
+    void reset();
 
     /** Execute exactly one cycle. @throws SimError on runtime faults */
     virtual void step() = 0;
 
-    /** Execute `cycles` cycles. Virtual so out-of-process engines can
-     *  advance in one batch instead of cycle by cycle. */
+    /** Execute `cycles` cycles. Virtual so engines can advance in one
+     *  batch instead of cycle by cycle. */
     virtual void run(uint64_t cycles);
 
     /** Capture state + cycle + statistics + input cursor for a later
      *  restore() (possibly in another engine or — serialized through
-     *  sim/checkpoint.hh — another process). Virtual so engines whose
-     *  authoritative cursor lives elsewhere (the native adapter's
-     *  child) can fill the I/O fields from their own source. */
-    virtual EngineSnapshot snapshot() const;
+     *  sim/checkpoint.hh — another process). */
+    EngineSnapshot snapshot() const;
 
     /** Adopt a snapshot taken from an engine running the same
-     *  specification — any engine, including across the process
-     *  boundary (the native adapter ships it to its child as one
-     *  RESTORE command): the continuation is cycle-for-cycle
-     *  identical to an uninterrupted run. @throws SimError when the
-     *  snapshot's shape does not match this specification */
-    virtual void restore(const EngineSnapshot &snap);
+     *  specification — any engine: the continuation is
+     *  cycle-for-cycle identical to an uninterrupted run. @throws
+     *  SimError when the snapshot's shape does not match this
+     *  specification */
+    void restore(const EngineSnapshot &snap);
 
     /** Cycles executed since the last reset. */
     uint64_t cycle() const { return cycle_; }
 
-    const MachineState &state() const
-    {
-        refreshState();
-        return state_;
-    }
-    MachineState &state()
-    {
-        refreshState();
-        return state_;
-    }
+    const MachineState &state() const { return state_; }
+    MachineState &state() { return state_; }
 
     const SimStats &stats() const { return stats_; }
 
@@ -152,14 +143,6 @@ class Engine
     int32_t memCell(std::string_view mem, int64_t addr) const;
 
   protected:
-    /** Hook for engines whose authoritative state lives elsewhere
-     *  (the native adapter's child process): called before every
-     *  read of state_ through the public accessors (state(),
-     *  value(), memCell(), snapshot()) so such engines can sync
-     *  state_ lazily instead of after every run(). In-process
-     *  engines keep state_ current and the default no-op. */
-    virtual void refreshState() const {}
-
     /** Shape-check a snapshot against this engine's specification.
      *  @throws SimError on var/memory count or size mismatch */
     void checkSnapshotShape(const EngineSnapshot &snap) const;
@@ -176,6 +159,15 @@ class Engine
     IoDevice *io_;
     uint64_t cycle_ = 0;
 };
+
+/// @{ The runtime faults every engine raises, worded alike: a
+/// selector index outside its cases, a read or write address outside
+/// its memory. `cycle` is the cycle the fault stopped.
+SimError selectorFault(const std::string &name, int32_t index,
+                       size_t cases, uint64_t cycle);
+SimError memoryFault(const std::string &name, int32_t address,
+                     size_t size, uint64_t cycle);
+/// @}
 
 /** Build the table-walking interpreter (ASIM analog). */
 std::unique_ptr<Engine> makeInterpreter(const ResolvedSpec &rs,

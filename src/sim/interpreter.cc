@@ -35,11 +35,7 @@ Interpreter::evalCombOne(const CombComp &c)
     } else {
         int32_t idx = eval(c.select);
         if (idx < 0 || idx >= static_cast<int32_t>(c.cases.size())) {
-            throw SimError(
-                "selector " + c.name + " index " +
-                std::to_string(idx) + " outside its " +
-                std::to_string(c.cases.size()) + " cases (cycle " +
-                std::to_string(cycle_) + ")");
+            throw selectorFault(c.name, idx, c.cases.size(), cycle_);
         }
         state_.vars[c.slot] = eval(c.cases[idx]);
     }
@@ -84,11 +80,7 @@ Interpreter::updateMemOne(const MemDesc &m)
     auto checkAddr = [&]() {
         if (adr < 0 ||
             adr >= static_cast<int32_t>(ms.cells.size())) {
-            throw SimError(
-                "memory " + m.name + " address " +
-                std::to_string(adr) + " outside 0.." +
-                std::to_string(ms.cells.size() - 1) + " (cycle " +
-                std::to_string(cycle_) + ")");
+            throw memoryFault(m.name, adr, ms.cells.size(), cycle_);
         }
     };
 

@@ -1,256 +1,61 @@
 #include "sim/native_engine.hh"
 
-#include <cctype>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <ostream>
+#include <algorithm>
+#include <utility>
 
-#include "support/metrics.hh"
 #include "support/tracing.hh"
-
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 namespace asim {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/** First line of a diagnostic blob, for compact SimError messages. */
-std::string
-firstLine(const std::string &text)
-{
-    size_t nl = text.find('\n');
-    return nl == std::string::npos ? text : text.substr(0, nl);
-}
-
-std::string
-describeWaitStatus(int status)
-{
-    if (status < 0)
-        return "not running";
-    if (WIFEXITED(status))
-        return "exit status " + std::to_string(WEXITSTATUS(status));
-    if (WIFSIGNALED(status))
-        return "killed by signal " + std::to_string(WTERMSIG(status));
-    return "wait status " + std::to_string(status);
-}
-
-/** Byte offset just past the first `tokens` whitespace-separated
- *  tokens of `text` — how far a serve child that consumed that many
- *  integer inputs has advanced its script cursor. */
-size_t
-tokenOffset(std::string_view text, uint64_t tokens)
-{
-    size_t pos = 0;
-    for (uint64_t i = 0; i < tokens; ++i) {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-        if (pos == text.size())
-            break;
-        while (pos < text.size() &&
-               !std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-    return pos;
-}
-
-} // namespace
-
 NativeEngine::NativeEngine(std::shared_ptr<const ResolvedSpec> rs,
                            const EngineConfig &cfg, Options opts)
-    : Engine(std::move(rs), cfg), opts_(std::move(opts))
+    : Engine(std::move(rs), cfg),
+      build_(opts.prebuilt ? std::move(opts.prebuilt)
+                           : buildFor(*rs_, cfg.aluSemantics,
+                                      cfg.trace != nullptr,
+                                      opts.workDir)),
+      memPtrs_(4 * rs_->mems.size()), memOps_(4 * rs_->mems.size()),
+      scratch_(rs_->numVarSlots + 3 * rs_->mems.size())
 {
-    if (cfg.io) {
-        throw SimError(
-            "the native engine performs I/O over the generated "
-            "program's stdio; script inputs instead of passing an "
-            "IoDevice");
+    if (!build_->run)
+        throw SimError("native build is a program, not a loaded library");
+    // The library indexes this engine's arrays by its own spec's
+    // shape: a build of another spec would write past them.
+    if (build_->specHash != specIdentityHash(*rs_)) {
+        throw SimError("shared native build was compiled from a "
+                       "different specification");
     }
-    if (opts_.prebuilt) {
-        build_ = opts_.prebuilt;
-        if (!build_->serveCapable) {
-            throw SimError("shared native build was compiled without "
-                           "the --serve protocol loop");
-        }
-        if (!build_->emitsStateDump) {
-            throw SimError("shared native build was compiled without "
-                           "a state dump");
-        }
-        if (cfg.trace && !build_->emitsTrace) {
-            throw SimError("shared native build was compiled without "
-                           "trace output but a trace sink is "
-                           "configured");
-        }
-        if (build_->aluSemantics != cfg.aluSemantics) {
-            throw SimError("shared native build was compiled with "
-                           "different ALU semantics than this "
-                           "engine's configuration");
-        }
-    } else {
-        opts_.codegen.aluSemantics = cfg.aluSemantics;
-        opts_.codegen.emitTrace = cfg.trace != nullptr;
-        opts_.codegen.emitStateDump = true;
-        opts_.codegen.emitServeLoop = true;
-        tracing::Span span("native.compile", "lifecycle");
-        const uint64_t t0 =
-            metrics::timingEnabled() ? metrics::nowNs() : 0;
-        build_ = compileSpecShared(*rs_, opts_.codegen, opts_.workDir);
-        if (t0) {
-            metrics::histogram("native.compile_ns",
-                               metrics::Histogram::exponentialBounds(
-                                   1000000, 2.0, 16))
-                .record(metrics::nowNs() - t0);
-        }
+    if (cfg.trace && !build_->emitsTrace) {
+        throw SimError("shared native build was compiled without "
+                       "trace output but a trace sink is configured");
     }
-    // The child itself spawns lazily at the first command: a batch
-    // can construct any number of instances without holding one
-    // process + pipe pair per not-yet-running instance.
+    if (build_->aluSemantics != cfg.aluSemantics) {
+        throw SimError("shared native build was compiled with "
+                       "different ALU semantics than this "
+                       "engine's configuration");
+    }
+    for (const CombComp &c : rs_->comb)
+        ++(c.kind == CompKind::Alu ? alus_ : sels_);
+    ctx_.mems = memPtrs_.data();
+    ctx_.memops = memOps_.data();
+    ctx_.scratch = scratch_.data();
+    ctx_.host = this;
+    ctx_.input = input;
+    ctx_.output = output;
+    ctx_.trace = traceLine;
+    ctx_.memtrace = traceMem;
 }
 
-NativeEngine::~NativeEngine()
+std::shared_ptr<const NativeBuild>
+NativeEngine::buildFor(const ResolvedSpec &rs, AluSemantics sem,
+                       bool trace, const std::string &workDir)
 {
-    if (child_.running())
-        child_.writeAll("QUIT\n"); // best effort; terminate() reaps
-    child_.terminate();
-    if (errSpool_)
-        std::fclose(errSpool_);
-}
-
-void
-NativeEngine::ensureChild()
-{
-    if (child_.running())
-        return;
-    if (down_) {
-        throw SimError("native simulator is not running (it failed "
-                       "after cycle " + std::to_string(cycle_) +
-                       "); call reset() to relaunch it");
-    }
-    spawnChild();
-}
-
-void
-NativeEngine::spawnChild()
-{
-    if (!errSpool_) {
-        errSpool_ = std::tmpfile();
-        // Keep the spool out of sibling children (the dup2 onto the
-        // serve child's own stderr clears close-on-exec for it).
-        if (errSpool_)
-            fcntl(fileno(errSpool_), F_SETFD, FD_CLOEXEC);
-    } else {
-        std::rewind(errSpool_);
-        // Truncate the spool so diagnostics are per-incarnation.
-        if (ftruncate(fileno(errSpool_), 0) != 0) {
-            // Non-fatal: stale bytes only pollute a later diagnostic.
-        }
-    }
-    try {
-        child_.start({build_->binaryPath, "--serve"},
-                     errSpool_ ? fileno(errSpool_) : -1);
-    } catch (const std::exception &e) {
-        throw SimError(std::string("cannot launch native simulator: ") +
-                       e.what());
-    }
-    if (!opts_.stdinText.empty()) {
-        exchange("INPUT " + std::to_string(opts_.stdinText.size()) +
-                     "\n",
-                 opts_.stdinText);
-    }
-}
-
-NativeEngine::Reply
-NativeEngine::exchange(const std::string &cmd, std::string_view extra)
-{
-    // Every subprocess command funnels through here: one histogram
-    // sample covers write + child work + reply read (the socketless
-    // round-trip tax the serve pipelining work targets).
-    static metrics::Histogram &rtt = metrics::histogram(
-        "native.roundtrip_ns",
-        metrics::Histogram::exponentialBounds(1000, 2.0, 24));
-    metrics::ScopedTimerNs timer(rtt);
-    static metrics::Counter &commands =
-        metrics::counter("native.commands");
-    commands.add();
-
-    std::string wire = cmd;
-    wire.append(extra);
-    if (!child_.writeAll(wire))
-        childFailed("broke the command pipe");
-
-    std::string header;
-    if (!child_.readLine(header))
-        childFailed("died mid-protocol");
-
-    char status[8] = {0};
-    unsigned long long cyc = 0, ns = 0, len = 0;
-    if (std::sscanf(header.c_str(), "%7s %llu %llu %llu", status, &cyc,
-                    &ns, &len) != 4)
-        childFailed("sent a corrupt protocol header <" + header + ">");
-
-    Reply r;
-    r.cycle = cyc;
-    r.simSeconds = static_cast<double>(ns) / 1e9;
-    if (!child_.readExact(r.payload, static_cast<size_t>(len)))
-        childFailed("died mid-payload");
-
-    if (std::strcmp(status, "OK") != 0) {
-        throw SimError("native simulator refused <" +
-                       firstLine(cmd) + ">: " + firstLine(r.payload));
-    }
-    return r;
-}
-
-void
-NativeEngine::childFailed(const std::string &what)
-{
-    down_ = true;
-    int status = child_.terminate();
-    std::string diag;
-    if (errSpool_) {
-        std::rewind(errSpool_);
-        char buf[4096];
-        size_t n = std::fread(buf, 1, sizeof buf, errSpool_);
-        diag.assign(buf, n);
-    }
-    std::string msg = "native simulator " + what + " (" +
-                      describeWaitStatus(status) +
-                      "); engine remains at confirmed cycle " +
-                      std::to_string(cycle_) +
-                      " — reset() relaunches it";
-    if (!diag.empty())
-        msg += ": " + firstLine(diag);
-    throw SimError(msg);
-}
-
-void
-NativeEngine::reset()
-{
-    Engine::reset();
-    allOut_.clear();
-    ioText_.clear();
-    midLine_ = false;
-    lastRunSeconds_ = 0;
-    lastSimSeconds_ = 0;
-    stateDirty_ = false;
-    ioOps_ = 0;
-    ioBytes_ = 0;
-    if (child_.running()) {
-        try {
-            exchange("RESET\n");
-            return;
-        } catch (const SimError &) {
-            // Child died mid-RESET; relaunch lazily below.
-        }
-    }
-    // No child (never spawned, crashed, or died mid-RESET): a fresh
-    // one spawns at the next command.
-    down_ = false;
+    tracing::Span span("native.compile", "lifecycle");
+    CodegenOptions cg;
+    cg.aluSemantics = sem;
+    cg.emitTrace = trace;
+    return workDir.empty() ? compileSpecCached(rs, cg, specIdentityHash(rs))
+                           : compileSpecShared(rs, cg, workDir);
 }
 
 void
@@ -258,292 +63,141 @@ NativeEngine::run(uint64_t cycles)
 {
     if (cycles == 0)
         return;
-    ensureChild();
-    auto t0 = Clock::now();
-    Reply r = exchange("RUN " + std::to_string(cycles) + "\n");
-    lastRunSeconds_ =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    lastSimSeconds_ = r.simSeconds;
-    if (r.cycle != cycle_ + cycles) {
-        down_ = true;
-        child_.terminate();
-        throw SimError("native simulator desynchronized (confirmed "
-                       "cycle " + std::to_string(r.cycle) +
-                       ", expected " +
-                       std::to_string(cycle_ + cycles) + ")");
+    // Re-aim the library at state_ every call: reset() and callers of
+    // the mutable state() accessor may have reallocated its arrays.
+    ctx_.vars = state_.vars.data();
+    for (size_t i = 0; i < state_.mems.size(); ++i) {
+        MemoryState &m = state_.mems[i];
+        memPtrs_[4 * i] = m.cells.data();
+        memPtrs_[4 * i + 1] = &m.temp;
+        memPtrs_[4 * i + 2] = &m.adr;
+        memPtrs_[4 * i + 3] = &m.opn;
     }
-    ingest(r.payload);
-    allOut_.append(r.payload);
-    if (cfg_.collectStats)
-        stats_.cycles += cycles;
-    cycle_ += cycles;
-    runCommandCycles_ += cycles;
-    stateDirty_ = true;
+    const uint64_t start = cycle_;
+    ctx_.cycle = static_cast<long long>(start);
+    const int code = build_->run(&ctx_, cycles);
+    if (code != 0)
+        fault(code, start);
+    settle(start, 0, 0, 0);
+    rethrowKept();
 }
 
 void
-NativeEngine::refreshState() const
+NativeEngine::rethrowKept()
 {
-    if (!stateDirty_)
-        return;
-    if (!child_.running()) {
-        // The state for the confirmed cycle was never fetched and
-        // the child is gone: serving the older mirror here would
-        // silently pair cycle() with a state from an earlier cycle
-        // (and a snapshot() of that pair would restore cleanly into
-        // other engines). Refuse instead.
-        throw SimError("native simulator died before the state for "
-                       "cycle " + std::to_string(cycle_) +
-                       " was fetched; call reset() to relaunch it");
-    }
-    auto *self = const_cast<NativeEngine *>(this);
-    Reply r = self->exchange("SNAPSHOT\n");
-    self->parseStateDump(r.payload);
-    stateDirty_ = false;
-}
-
-EngineSnapshot
-NativeEngine::snapshot() const
-{
-    EngineSnapshot snap = Engine::snapshot(); // refreshes the mirror
-    snap.ioValues = ioOps_;
-    snap.ioBytes = ioBytes_;
-    return snap;
+    // A device or sink threw inside the run: surface it now that the
+    // library has written its state back.
+    if (thrown_)
+        std::rethrow_exception(std::exchange(thrown_, nullptr));
 }
 
 void
-NativeEngine::restore(const EngineSnapshot &snap)
+NativeEngine::settle(uint64_t start, uint64_t alus, uint64_t sels,
+                     size_t mems)
 {
-    checkSnapshotShape(snap);
-    uint64_t bytes = snap.ioBytes;
-    if (bytes == kNoIoCursor) {
-        // In-process snapshots carry no byte cursor: position the
-        // script by skipping the consumed input values as tokens
-        // (exactly where the child's integer input would stand).
-        bytes = tokenOffset(opts_.stdinText, snap.ioValues);
-    } else if (bytes > opts_.stdinText.size()) {
-        // Validated before any child state is touched: a refused
-        // snapshot must leave a down engine down and a live one at
-        // its current timeline.
-        throw SimError("snapshot input cursor (byte " +
-                       std::to_string(bytes) +
-                       ") lies beyond this engine's input script (" +
-                       std::to_string(opts_.stdinText.size()) +
-                       " bytes)");
-    }
-
-    // Protocol-native restore: ship the snapshot's machine state,
-    // cycle counter, and input cursor to the child as one RESTORE
-    // payload (the inverse of the SNAPSHOT dump). O(state), no
-    // replay — and a valid recovery path for a down child, since
-    // nothing of the old timeline survives it.
-    down_ = false;
-    ensureChild();
-
-    std::string payload;
-    payload += "STATE_CYC " + std::to_string(snap.cycle) + "\n";
-    payload += "STATE_I " + std::to_string(snap.ioValues) + " " +
-               std::to_string(bytes) + "\n";
-    for (size_t i = 0; i < snap.state.vars.size(); ++i) {
-        payload += "STATE_V " + std::to_string(i) + " " +
-                   std::to_string(snap.state.vars[i]) + "\n";
-    }
-    for (size_t i = 0; i < snap.state.mems.size(); ++i) {
-        const MemoryState &m = snap.state.mems[i];
-        payload += "STATE_M " + std::to_string(i) + " " +
-                   std::to_string(m.temp) + " " +
-                   std::to_string(m.adr) + " " +
-                   std::to_string(m.opn) + "\n";
-        for (size_t c = 0; c < m.cells.size(); ++c) {
-            payload += "STATE_C " + std::to_string(i) + " " +
-                       std::to_string(c) + " " +
-                       std::to_string(m.cells[c]) + "\n";
+    cycle_ = static_cast<uint64_t>(ctx_.cycle);
+    if (cfg_.collectStats) {
+        const uint64_t done = cycle_ - start;
+        stats_.cycles += done;
+        stats_.aluEvals += done * alus_ + alus;
+        stats_.selEvals += done * sels_ + sels;
+        for (size_t i = 0; i < stats_.mems.size(); ++i) {
+            // One access per memory per completed cycle, plus one for
+            // each memory that ran before a faulting one.
+            const uint64_t *ops = &memOps_[4 * i];
+            MemStats &ms = stats_.mems[i];
+            ms.reads += done + (i < mems ? 1 : 0) - ops[1] - ops[2] -
+                        ops[3];
+            ms.writes += ops[1];
+            ms.inputs += ops[2];
+            ms.outputs += ops[3];
         }
     }
-    payload += "STATE_END\n";
-
-    try {
-        exchange("RESTORE " + std::to_string(payload.size()) + "\n",
-                 payload);
-    } catch (const SimError &) {
-        // An ERR means the child may have applied the payload
-        // partially; its state is no longer trustworthy. (Pipe
-        // failures already took the down_ path in exchange().)
-        if (!down_) {
-            down_ = true;
-            child_.terminate();
-        }
-        throw;
-    }
-
-    state_ = snap.state;
-    cycle_ = snap.cycle;
-    stats_ = snap.stats;
-    ioOps_ = snap.ioValues;
-    ioBytes_ = bytes;
-    stateDirty_ = false;
-    // The pre-restore timeline's output is not a prefix of the
-    // restored one; start the output accumulators afresh.
-    allOut_.clear();
-    ioText_.clear();
-    midLine_ = false;
+    std::fill(memOps_.begin(), memOps_.end(), 0);
 }
 
 void
-NativeEngine::ingest(std::string_view fresh)
+NativeEngine::fault(int code, uint64_t start)
 {
-    auto emitIo = [&](std::string_view piece) {
-        ioText_.append(piece);
-        if (opts_.ioEcho)
-            *opts_.ioEcho << piece;
-    };
-    // Trace-shaped lines exist in the payload only when the binary
-    // was built with trace output; they are replayed into the sink
-    // when one is configured and dropped otherwise (a shared batch
-    // build may trace for siblings that capture it).
-    const bool traced = build_->emitsTrace;
-    TraceSink *sink = cfg_.trace;
-
-    size_t pos = 0;
-    if (midLine_) {
-        // Continuation of a line already partially consumed (an
-        // input prompt at the previous cut): raw I/O text.
-        size_t nl = fresh.find('\n');
-        size_t end = nl == std::string_view::npos ? fresh.size()
-                                                  : nl + 1;
-        emitIo(fresh.substr(0, end));
-        midLine_ = nl == std::string_view::npos;
-        pos = end;
+    const std::string name = ctx_.faultname;
+    const int32_t value = ctx_.faultvalue;
+    if (code == kNativeAddressFault) {
+        // The whole comb phase and the memories before this one ran.
+        const MemDesc &m = rs_->mems[rs_->memIndex(name)];
+        settle(start, alus_, sels_, static_cast<size_t>(m.index));
+        rethrowKept();
+        throw memoryFault(m.name, value, static_cast<size_t>(m.size),
+                          cycle_);
     }
-    while (pos < fresh.size()) {
-        size_t nl = fresh.find('\n', pos);
-        bool terminated = nl != std::string_view::npos;
-        size_t end = terminated ? nl : fresh.size();
-        std::string_view line = fresh.substr(pos, end - pos);
-        pos = terminated ? nl + 1 : fresh.size();
-
-        if (terminated && traced && line.rfind("Cycle ", 0) == 0) {
-            if (sink)
-                replayTraceLine(line);
-        } else if (terminated && traced &&
-                   line.rfind("Write to ", 0) == 0) {
-            if (sink)
-                replayMemLine(line, true);
-        } else if (terminated && traced &&
-                   line.rfind("Read from ", 0) == 0) {
-            if (sink)
-                replayMemLine(line, false);
-        } else {
-            // Memory-mapped output or a prompt (only a prompt can be
-            // unterminated: every other print ends with a newline).
-            emitIo(line);
-            if (terminated)
-                emitIo("\n");
-            midLine_ = !terminated;
-        }
-    }
-}
-
-void
-NativeEngine::replayTraceLine(std::string_view lv)
-{
-    // "Cycle %3lld" then " <name>= %d" per starred component.
-    std::string line(lv);
-    char *end = nullptr;
-    uint64_t cyc = std::strtoull(line.c_str() + 6, &end, 10);
-    cfg_.trace->beginCycle(cyc);
-    const char *cur = end;
-    for (const auto &item : rs_->traceList) {
-        std::string needle = " " + item.name + "= ";
-        const char *at = std::strstr(cur, needle.c_str());
-        if (!at)
+    // The comb components before the faulting one ran this cycle.
+    const int slot = rs_->varSlot(name);
+    uint64_t alus = 0, sels = 0;
+    const CombComp *at = nullptr;
+    for (const CombComp &c : rs_->comb) {
+        if (c.slot == slot) {
+            at = &c;
             break;
-        long v = std::strtol(at + needle.size(), &end, 10);
-        cfg_.trace->value(item.name, static_cast<int32_t>(v));
-        cur = end;
-    }
-    cfg_.trace->endCycle();
-}
-
-void
-NativeEngine::replayMemLine(std::string_view lv, bool write)
-{
-    // "Write to <mem> at <addr>: <value>" / "Read from <mem> at ...".
-    std::string line(lv);
-    size_t head = write ? 9 : 10;
-    size_t at = line.find(" at ", head);
-    if (at == std::string::npos)
-        return;
-    std::string mem = line.substr(head, at - head);
-    char *end = nullptr;
-    long addr = std::strtol(line.c_str() + at + 4, &end, 10);
-    long v = 0;
-    if (end && end[0] == ':')
-        v = std::strtol(end + 1, nullptr, 10);
-    if (write)
-        cfg_.trace->memWrite(mem, static_cast<int32_t>(addr),
-                             static_cast<int32_t>(v));
-    else
-        cfg_.trace->memRead(mem, static_cast<int32_t>(addr),
-                            static_cast<int32_t>(v));
-}
-
-void
-NativeEngine::parseStateDump(const std::string &dump)
-{
-    bool complete = false;
-    size_t pos = 0;
-    auto bad = [&]() {
-        return SimError("corrupt native state dump: " +
-                        firstLine(dump.substr(pos)));
-    };
-    while (pos < dump.size()) {
-        const char *line = dump.c_str() + pos;
-        char *end = nullptr;
-        if (std::strncmp(line, "STATE_V ", 8) == 0) {
-            long slot = std::strtol(line + 8, &end, 10);
-            long v = std::strtol(end, nullptr, 10);
-            if (slot < 0 ||
-                slot >= static_cast<long>(state_.vars.size()))
-                throw bad();
-            state_.vars[slot] = static_cast<int32_t>(v);
-        } else if (std::strncmp(line, "STATE_M ", 8) == 0) {
-            long idx = std::strtol(line + 8, &end, 10);
-            if (idx < 0 ||
-                idx >= static_cast<long>(state_.mems.size()))
-                throw bad();
-            MemoryState &ms = state_.mems[idx];
-            ms.temp = static_cast<int32_t>(std::strtol(end, &end, 10));
-            ms.adr = static_cast<int32_t>(std::strtol(end, &end, 10));
-            ms.opn = static_cast<int32_t>(std::strtol(end, &end, 10));
-        } else if (std::strncmp(line, "STATE_C ", 8) == 0) {
-            long idx = std::strtol(line + 8, &end, 10);
-            long cell = std::strtol(end, &end, 10);
-            long v = std::strtol(end, nullptr, 10);
-            if (idx < 0 ||
-                idx >= static_cast<long>(state_.mems.size()))
-                throw bad();
-            auto &cells = state_.mems[idx].cells;
-            if (cell < 0 || cell >= static_cast<long>(cells.size()))
-                throw bad();
-            cells[cell] = static_cast<int32_t>(v);
-        } else if (std::strncmp(line, "STATE_I ", 8) == 0) {
-            long long ops = std::strtoll(line + 8, &end, 10);
-            long long bp = std::strtoll(end, nullptr, 10);
-            if (ops < 0 || bp < 0)
-                throw bad();
-            ioOps_ = static_cast<uint64_t>(ops);
-            ioBytes_ = static_cast<uint64_t>(bp);
-        } else if (std::strncmp(line, "STATE_END", 9) == 0) {
-            complete = true;
         }
-        size_t nl = dump.find('\n', pos);
-        pos = nl == std::string::npos ? dump.size() : nl + 1;
+        ++(c.kind == CompKind::Alu ? alus : sels);
     }
-    if (!complete) {
-        throw SimError("native simulator produced no state dump "
-                       "(payload: " + firstLine(dump) + ")");
+    settle(start, alus, sels, 0);
+    rethrowKept();
+    if (code == kNativeSelectorFault && at)
+        throw selectorFault(at->name, value, at->cases.size(), cycle_);
+    aluFunctionOutOfRange(value);
+}
+
+template <typename F>
+auto
+NativeEngine::guarded(void *host, F &&body)
+{
+    auto *self = static_cast<NativeEngine *>(host);
+    try {
+        return body(*self);
+    } catch (...) {
+        if (!self->thrown_)
+            self->thrown_ = std::current_exception();
+        return decltype(body(*self))();
     }
+}
+
+int32_t
+NativeEngine::input(void *host, int32_t address)
+{
+    return guarded(host, [&](NativeEngine &e) {
+        return e.io_->input(address);
+    });
+}
+
+void
+NativeEngine::output(void *host, int32_t address, int32_t data)
+{
+    guarded(host, [&](NativeEngine &e) { e.io_->output(address, data); });
+}
+
+void
+NativeEngine::traceLine(void *host, long long cycle)
+{
+    guarded(host, [&](NativeEngine &e) {
+        e.cycle_ = static_cast<uint64_t>(cycle);
+        e.traceCycle();
+    });
+}
+
+void
+NativeEngine::traceMem(void *host, const char *mem, int write,
+                       int32_t address, int32_t value)
+{
+    // A build shared across a batch traces for every instance; the
+    // events of one without a sink go nowhere.
+    guarded(host, [&](NativeEngine &e) {
+        if (!e.cfg_.trace)
+            return;
+        if (write)
+            e.cfg_.trace->memWrite(mem, address, value);
+        else
+            e.cfg_.trace->memRead(mem, address, value);
+    });
 }
 
 } // namespace asim

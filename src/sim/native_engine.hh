@@ -2,66 +2,38 @@
  * @file
  * NativeEngine — the full ASIM II pipeline (generate C++ -> host
  * compiler -> native execution, thesis §5.2) wrapped as a true Engine
- * subclass, registered as "native" in the EngineRegistry so all three
- * of the paper's execution systems are interchangeable by name.
+ * subclass, registered as "native" in the EngineRegistry so all the
+ * paper's execution systems are interchangeable by name.
  *
- * The generated simulator runs out of process as a **persistent
- * child** speaking the `--serve` command protocol (DESIGN.md §5):
- * the binary is compiled once (or adopted pre-compiled from a batch,
- * Options::prebuilt), spawned lazily at the first command, and then
- * driven incrementally —
- * `run(n)` is one `RUN n` round trip advancing the child in place,
- * so stepping to cycle n costs O(n) total, not the O(n²) of the old
- * replay-from-zero adapter. The process boundary rules:
+ * The generated simulator runs **in process** (DESIGN.md §5): the
+ * library form of the generated C++ (codegen/cpp_backend.hh) is
+ * host-compiled `-fPIC -shared` once, loaded with `dlopen`, and
+ * shared read-only by every instance over the same build. The library
+ * keeps no state: it runs the cycle body on this engine's own
+ * MachineState arrays, so
  *
- *  - cycles: `RUN n` executes exactly n §3 cycles in the child and
- *    returns the output produced by those cycles as a framed
- *    payload; reset() is a `RESET` command (no respawn);
- *  - trace: the payload's "Cycle"/"Write to"/"Read from" lines are
- *    parsed and replayed into the configured TraceSink, in order;
- *  - I/O: inputs are scripted text (Options::stdinText) shipped to
- *    the child once per spawn via `INPUT` (RESET rewinds them);
- *    non-trace payload lines accumulate in output() and are echoed
- *    to Options::ioEcho as they arrive. EngineConfig::io must be
- *    null — a callback device cannot cross the process boundary;
- *  - state: fetched lazily. run() only marks state stale; the first
- *    observer (value(), memCell(), state(), snapshot()) issues a
- *    `SNAPSHOT` command and parses the dump (machine state plus the
- *    scripted-input cursor) back into the mirror, so per-cycle
- *    stepping does not pay a state transfer per step;
- *  - faults & crashes: a child that exits, is killed, or breaks the
- *    pipe mid-protocol surfaces as SimError; the engine stays at its
- *    last confirmed cycle and keeps serving the state it had fetched
- *    for it — but if the confirmed cycle's state was never fetched,
- *    state accessors throw rather than pair cycle() with an older
- *    mirror. A fresh reset() respawns the child and recovers;
- *  - restore() is protocol-native and O(state): the snapshot's
- *    machine state, cycle counter, and input cursor ship to the
- *    child as one length-framed `RESTORE` payload — no replay from
- *    cycle zero. Snapshots taken by *any* engine over the same spec
- *    restore here (a snapshot without a byte cursor positions the
- *    child's script by skipping the snapshot's count of consumed
- *    input values as whitespace-separated tokens, matching integer
- *    input; address-0 character-input histories are not portable
- *    across the process boundary — see sim/io.hh). A child that
- *    rejects the payload is terminated and the engine reports down
- *    until reset();
- *  - stats() counts cycles only; ALU/selector/memory counters do not
- *    cross the boundary (a restored snapshot's counters are adopted
- *    as-is).
+ *  - run(n) is one call into the library;
+ *  - value(), state(), snapshot(), and restore() are the base
+ *    engine's plain accesses, and a watchpoint checks in process;
+ *  - I/O goes through the configured IoDevice and traces into the
+ *    configured TraceSink, by callback, exactly as in the other
+ *    engines (an exception either throws is rethrown when the
+ *    library call returns);
+ *  - a runtime fault raises the same SimError as interp and vm and
+ *    leaves cycle(), state(), and statistics where interp leaves
+ *    them; reset() or restore() recovers.
  */
 
 #ifndef ASIM_SIM_NATIVE_ENGINE_HH
 #define ASIM_SIM_NATIVE_ENGINE_HH
 
-#include <cstdio>
-#include <iosfwd>
+#include <exception>
+#include <memory>
 #include <string>
-#include <string_view>
+#include <vector>
 
 #include "codegen/native.hh"
 #include "sim/engine.hh"
-#include "support/subprocess.hh"
 
 namespace asim {
 
@@ -72,129 +44,79 @@ class NativeEngine : public Engine
   public:
     struct Options
     {
-        /** Scripted input text for the generated program; shipped to
-         *  the child via the INPUT command on every spawn. */
-        std::string stdinText;
-
-        /** Stream receiving the program's non-trace output lines as
-         *  they arrive; nullptr discards them (they still accumulate
-         *  in output()). */
-        std::ostream *ioEcho = nullptr;
-
-        /** Artifact directory; empty = fresh temp dir owned (and
-         *  removed) by the engine. Ignored with `prebuilt`. */
+        /** Artifact directory; empty = the process-wide build cache
+         *  (compileSpecCached). Ignored with `prebuilt`. */
         std::string workDir;
 
-        /** Code generation knobs; aluSemantics, emitTrace,
-         *  emitStateDump, and emitServeLoop are overridden from the
-         *  EngineConfig / protocol needs. Ignored with `prebuilt`. */
-        CodegenOptions codegen;
-
-        /** Adopt an already-compiled serve-capable build instead of
+        /** Adopt an already-loaded library build instead of
          *  compiling: a homogeneous batch compiles once and every
-         *  instance spawns its own child off this shared binary
-         *  (Simulation::shareBatchArtifacts). Must be serve-capable,
-         *  dump state, and emit trace whenever the EngineConfig
-         *  carries a trace sink. */
+         *  instance runs off this shared build
+         *  (Simulation::shareBatchArtifacts). It must emit trace
+         *  whenever the EngineConfig carries a trace sink. */
         std::shared_ptr<const NativeBuild> prebuilt;
     };
 
-    /** Generates and host-compiles the simulator (unless
-     *  Options::prebuilt short-circuits that). The serve child
-     *  spawns lazily at the first command, so a batch constructs any
-     *  number of instances without holding a process per idle
-     *  instance. @throws SimError when no host compiler is available
-     *  or compilation fails */
+    /** Generates, host-compiles, and loads the simulator library
+     *  (unless Options::prebuilt short-circuits that). @throws
+     *  SimError when no host compiler is available, compilation
+     *  fails, or the build does not fit this configuration */
     NativeEngine(std::shared_ptr<const ResolvedSpec> rs,
                  const EngineConfig &cfg, Options opts);
     NativeEngine(const ResolvedSpec &rs, const EngineConfig &cfg,
-                 Options opts)
+                 Options opts = {})
         : NativeEngine(std::make_shared<const ResolvedSpec>(rs), cfg,
                        std::move(opts))
     {}
-    NativeEngine(const ResolvedSpec &rs, const EngineConfig &cfg)
-        : NativeEngine(rs, cfg, Options())
-    {}
-    ~NativeEngine() override;
+    NativeEngine(const NativeEngine &) = delete; // ctx_.host is this
+    NativeEngine &operator=(const NativeEngine &) = delete;
 
     /** True if the host compiler needed by this engine exists. */
     static bool available() { return hostCompilerAvailable(); }
 
-    void reset() override;
+    /** The library build an engine with this configuration runs:
+     *  compiled into `workDir`, or through the build cache when it is
+     *  empty. */
+    static std::shared_ptr<const NativeBuild>
+    buildFor(const ResolvedSpec &rs, AluSemantics sem, bool trace,
+             const std::string &workDir = "");
+
     void step() override { run(1); }
     void run(uint64_t cycles) override;
-    EngineSnapshot snapshot() const override;
-    void restore(const EngineSnapshot &snap) override;
-
-    /** Total cycles this engine has asked its children to execute
-     *  via RUN commands (monotonic across reset()). The O(1)-restore
-     *  guarantee in cycle space: restore() never adds to it. */
-    uint64_t runCommandCycles() const { return runCommandCycles_; }
-
-    /** The program's non-trace stdout so far (memory-mapped output
-     *  and prompts, thesis text format). */
-    const std::string &output() const { return ioText_; }
-
-    /** The program's complete simulation output so far (trace + I/O
-     *  interleaved exactly as an in-process engine writing both to
-     *  one stream). */
-    const std::string &combinedOutput() const { return allOut_; }
 
     /** Generate/compile phase timings (Figure 5.1 rows). */
     const NativeBuild &build() const { return *build_; }
 
-    /** Wall time of the last RUN round trip. */
-    double lastRunSeconds() const { return lastRunSeconds_; }
-
-    /** The child's self-timed simulation-loop duration of the last
-     *  RUN (its per-command ns report). */
-    double lastSimSeconds() const { return lastSimSeconds_; }
-
-    /** Child process id (test hook; -1 until the first command
-     *  spawns the child, or after a failure reaps it). */
-    long childPid() const { return child_.pid(); }
-
-    /// @{ Crash-injection hooks for the fault-handling tests:
-    /// SIGKILL the child / break the command pipe mid-protocol.
-    void testKillChild() { child_.kill(); }
-    void testCloseCommandPipe() { child_.closeStdin(); }
-    /// @}
-
-  protected:
-    void refreshState() const override;
-
   private:
-    struct Reply
-    {
-        uint64_t cycle = 0;
-        double simSeconds = 0;
-        std::string payload;
-    };
+    /// @{ The library's callbacks. An exception from the device or
+    /// sink is kept (the first one) and rethrown (rethrowKept()) once
+    /// the library has returned and written its state back; it never
+    /// unwinds through the library.
+    template <typename F>
+    static auto guarded(void *host, F &&body);
+    static int32_t input(void *host, int32_t address);
+    static void output(void *host, int32_t address, int32_t data);
+    static void traceLine(void *host, long long cycle);
+    static void traceMem(void *host, const char *mem, int write,
+                         int32_t address, int32_t value);
+    /// @}
+    /** Adopt the library's cycle count and fold its counters into
+     *  stats_; `alus`/`sels`/`mems` are the comb evaluations and
+     *  memory updates of a faulting cycle's completed part. */
+    void settle(uint64_t start, uint64_t alus, uint64_t sels,
+                size_t mems);
+    /** Settle a faulting run and raise its error: a kept callback
+     *  exception (it came first), else the fault's SimError. */
+    [[noreturn]] void fault(int code, uint64_t start);
+    void rethrowKept();
 
-    void ensureChild();
-    void spawnChild();
-    Reply exchange(const std::string &cmd,
-                   std::string_view extra = {});
-    [[noreturn]] void childFailed(const std::string &what);
-    void ingest(std::string_view fresh);
-    void replayTraceLine(std::string_view line);
-    void replayMemLine(std::string_view line, bool write);
-    void parseStateDump(const std::string &dump);
-
-    Options opts_;
     std::shared_ptr<const NativeBuild> build_;
-    Subprocess child_;
-    FILE *errSpool_ = nullptr; ///< child stderr capture (tmpfile)
-    double lastRunSeconds_ = 0;
-    double lastSimSeconds_ = 0;
-    uint64_t runCommandCycles_ = 0;
-    std::string allOut_;   ///< simulation output consumed so far
-    std::string ioText_;   ///< non-trace subset of allOut_
-    bool midLine_ = false; ///< last consumed char was not a newline
-    bool down_ = false; ///< child failed; reset() required to respawn
-    mutable bool stateDirty_ = false; ///< state_ lags the child
-    mutable uint64_t ioOps_ = 0;   ///< child input ops (SNAPSHOT)
-    mutable uint64_t ioBytes_ = 0; ///< child script byte cursor
+    NativeCtx ctx_{};
+    std::vector<int32_t *> memPtrs_; ///< NativeCtx::mems
+    std::vector<uint64_t> memOps_;   ///< NativeCtx::memops
+    std::vector<int32_t> scratch_;   ///< NativeCtx::scratch
+    uint64_t alus_ = 0;              ///< ALUs evaluated per cycle
+    uint64_t sels_ = 0;              ///< selectors evaluated per cycle
+    std::exception_ptr thrown_;      ///< see guarded()
 };
 
 } // namespace asim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "analysis/campaign.hh"
 #include "analysis/resolve.hh"
@@ -61,31 +60,14 @@ EngineRegistry::global()
                    return makeVm(rs, ctx.config);
                });
         r->add("native",
-               "generated C++ through the host compiler, run as a "
-               "persistent --serve subprocess (ASIM II pipeline)",
+               "generated C++ host-compiled into a shared library and "
+               "run in process (ASIM II pipeline)",
                [](const SharedSpec &rs, const EngineContext &ctx) {
-                   NativeEngine::Options no;
-                   no.stdinText = ctx.stdinText;
-                   no.ioEcho = ctx.ioEcho;
-                   no.workDir = ctx.workDir;
-                   no.prebuilt = ctx.nativeBuild;
-                   if (!no.prebuilt && no.workDir.empty()) {
-                       // Cross-job build cache: identical
-                       // (spec, options) constructions — repeated
-                       // manifest rows especially — share one
-                       // generate+compile.
-                       CodegenOptions cg = no.codegen;
-                       cg.aluSemantics = ctx.config.aluSemantics;
-                       cg.emitTrace = ctx.config.trace != nullptr;
-                       cg.emitStateDump = true;
-                       cg.emitServeLoop = true;
-                       no.prebuilt = compileSpecCached(
-                           *rs, cg, specIdentityHash(*rs));
-                   }
                    return std::make_unique<NativeEngine>(
-                       rs, ctx.config, std::move(no));
-               },
-               /*outOfProcess=*/true);
+                       rs, ctx.config,
+                       NativeEngine::Options{ctx.workDir,
+                                             ctx.nativeBuild});
+               });
         return r;
     }();
     return *reg;
@@ -93,11 +75,10 @@ EngineRegistry::global()
 
 void
 EngineRegistry::add(const std::string &name,
-                    const std::string &description, Factory factory,
-                    bool outOfProcess)
+                    const std::string &description, Factory factory)
 {
     auto [it, inserted] = entries_.try_emplace(
-        name, Entry{std::move(factory), description, outOfProcess});
+        name, Entry{std::move(factory), description});
     if (!inserted)
         throw SimError("engine <" + name + "> is already registered");
 }
@@ -106,13 +87,6 @@ bool
 EngineRegistry::contains(std::string_view name) const
 {
     return entries_.find(name) != entries_.end();
-}
-
-bool
-EngineRegistry::outOfProcess(std::string_view name) const
-{
-    auto it = entries_.find(name);
-    return it != entries_.end() && it->second.outOfProcess;
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -159,25 +133,6 @@ sourceCount(const SimulationOptions &opts)
 {
     return (opts.specFile.empty() ? 0 : 1) +
            (opts.specText.empty() ? 0 : 1) + (opts.resolved ? 1 : 0);
-}
-
-std::string
-renderStdin(const std::vector<int32_t> &inputs)
-{
-    std::string text;
-    for (int32_t v : inputs) {
-        text += std::to_string(v);
-        text += '\n';
-    }
-    return text;
-}
-
-std::string
-slurp(std::istream &in)
-{
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 /** The options' healthy spec with the splice fault `site` applied.
@@ -334,28 +289,7 @@ Simulation::Simulation(const SimulationOptions &opts)
 
     std::ostream *out = opts.ioOut ? opts.ioOut : &std::cout;
 
-    if (reg.outOfProcess(engineName_)) {
-        if (ctx.config.io) {
-            throw SimError("engine <" + engineName_ +
-                           "> performs I/O over stdio; use ioMode "
-                           "instead of an IoDevice");
-        }
-        switch (opts.ioMode) {
-          case IoMode::Null:
-            break;
-          case IoMode::Interactive:
-            // Out-of-process runs consume their input up front; only
-            // an explicit stream is slurped (never std::cin).
-            if (opts.ioIn)
-                ctx.stdinText = slurp(*opts.ioIn);
-            ctx.ioEcho = out;
-            break;
-          case IoMode::Script:
-            ctx.stdinText = renderStdin(opts.scriptInputs);
-            ctx.ioEcho = out;
-            break;
-        }
-    } else if (!ctx.config.io) {
+    if (!ctx.config.io) {
         switch (opts.ioMode) {
           case IoMode::Null:
             break;
@@ -379,8 +313,8 @@ Simulation::Simulation(const SimulationOptions &opts)
 
     {
         // Covers engine-local compilation: bytecode for the vm,
-        // generate+host-compile for native (unless shared artifacts
-        // were prebuilt), partition planning for lanes >= 2.
+        // generate+host-compile+load for native (unless shared
+        // artifacts were prebuilt), partition planning for lanes >= 2.
         tracing::Span span("sim.build_engine", "lifecycle");
         span.setArgs("\"engine\":\"" + engineName_ + "\"");
         engine_ = reg.make(engineName_, rs_, ctx);
@@ -429,23 +363,15 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
         shared.ast = std::make_shared<const Spec>(shared.resolved->ast());
     }
     if (shared.engine == "native" && !shared.nativeBuild) {
-        // One generated+host-compiled binary for the whole batch;
-        // each instance spawns its own --serve child off it. Routed
-        // through the cross-job build cache (unless an explicit
-        // workDir pins the artifacts), so repeated batches of the
-        // same machine also share one compile.
-        CodegenOptions cg;
-        cg.aluSemantics = shared.config.aluSemantics;
-        cg.emitTrace = tracingPossible;
-        cg.emitStateDump = true;
-        cg.emitServeLoop = true;
+        // One generated, host-compiled and loaded library for the
+        // whole batch; every instance runs off it. Routed through the
+        // cross-job build cache (unless an explicit workDir pins the
+        // artifacts), so repeated batches of the same machine also
+        // share one compile.
         tracing::Span span("sim.compile.native", "lifecycle");
-        shared.nativeBuild =
-            shared.workDir.empty()
-                ? compileSpecCached(*shared.resolved, cg,
-                                    specIdentityHash(*shared.resolved))
-                : compileSpecShared(*shared.resolved, cg,
-                                    shared.workDir);
+        shared.nativeBuild = NativeEngine::buildFor(
+            *shared.resolved, shared.config.aluSemantics,
+            tracingPossible, shared.workDir);
     }
     return shared;
 }

@@ -10,8 +10,8 @@
  *  - EngineRegistry maps engine names to factories. Built-ins:
  *      "interp"   slot-resolved table interpreter (ASIM analog)
  *      "vm"       compiled bytecode VM (portable ASIM II analog)
- *      "native"   generated C++ + host compiler, out of process
- *                 (the ASIM II pipeline proper)
+ *      "native"   generated C++ host-compiled into a library and
+ *                 run in process (the ASIM II pipeline proper)
  *      "symbolic" name-lookup interpreter (faithful ASIM baseline)
  *
  *  - Simulation owns the whole parse -> resolve -> engine pipeline
@@ -57,11 +57,11 @@ struct EngineContext
      *  shares the immutable program across every instance). */
     std::shared_ptr<const Program> program;
 
-    /** Pre-compiled serve-capable simulator for the "native" engine;
-     *  when set, the factory adopts it instead of generating and
-     *  host-compiling — a batch compiles the binary once and every
-     *  instance spawns its own child process off it. Same provenance
-     *  rules as `program`. */
+    /** Pre-compiled simulator library for the "native" engine; when
+     *  set, the factory adopts it instead of generating and
+     *  host-compiling — a batch compiles and loads the library once
+     *  and every instance runs off it. Same provenance rules as
+     *  `program`. */
     std::shared_ptr<const NativeBuild> nativeBuild;
 
     /** Parsed tree of the resolved spec (ResolvedSpec::ast()) for the
@@ -70,15 +70,8 @@ struct EngineContext
      *  `program`. */
     std::shared_ptr<const Spec> ast;
 
-    /** Scripted stdin for out-of-process engines; in-process engines
-     *  receive their inputs through config.io instead. */
-    std::string stdinText;
-
-    /** Stream for non-trace output of out-of-process engines. */
-    std::ostream *ioEcho = nullptr;
-
     /** Artifact directory for engines that build binaries; empty
-     *  means a fresh temporary directory owned by the engine. */
+     *  means the process-wide native build cache. */
     std::string workDir;
 
     /// @{ Intra-spec parallelism (sim/partition.hh); honored by the
@@ -103,21 +96,11 @@ class EngineRegistry
      *  engines named in the file comment. */
     static EngineRegistry &global();
 
-    /**
-     * Register an engine.
-     *
-     * @param outOfProcess true when the engine executes outside this
-     *        process (I/O over stdio rather than an IoDevice); the
-     *        facade wires I/O accordingly
-     * @throws SimError on a duplicate name
-     */
+    /** Register an engine. @throws SimError on a duplicate name */
     void add(const std::string &name, const std::string &description,
-             Factory factory, bool outOfProcess = false);
+             Factory factory);
 
     bool contains(std::string_view name) const;
-
-    /** True for registered engines that run outside this process. */
-    bool outOfProcess(std::string_view name) const;
 
     /** All registered (name, description) pairs, sorted by name. */
     std::vector<std::pair<std::string, std::string>> list() const;
@@ -134,7 +117,6 @@ class EngineRegistry
     {
         Factory factory;
         std::string description;
-        bool outOfProcess = false;
     };
 
     [[noreturn]] void throwUnknown(std::string_view name) const;
@@ -150,9 +132,7 @@ enum class IoMode
     Null,
 
     /** Thesis-style stream I/O on ioIn/ioOut (default std::cin /
-     *  std::cout): prompts, char reads at address 0. Out-of-process
-     *  engines consume ioIn in full up front (set it to a string
-     *  stream; a truly interactive native run is not supported). */
+     *  std::cout): prompts, char reads at address 0. */
     Interactive,
 
     /** Scripted: inputs come from `scriptInputs`, outputs render in
@@ -182,7 +162,7 @@ struct SimulationOptions
      *  from the same `resolved` spec and compatible options. */
     std::shared_ptr<const Program> program;
 
-    /** Pre-compiled shared simulator for the "native" engine (see
+    /** Pre-compiled shared library for the "native" engine (see
      *  EngineContext::nativeBuild); filled in by
      *  shareBatchArtifacts() under the same rules as `program`. */
     std::shared_ptr<const NativeBuild> nativeBuild;
@@ -220,7 +200,8 @@ struct SimulationOptions
      *  format onto this stream. */
     std::ostream *traceStream = nullptr;
 
-    /** Artifact directory for the native engine. */
+    /** Artifact directory for the native engine; empty means the
+     *  process-wide build cache. */
     std::string workDir;
 
     /** Intra-spec parallelism: split one design's cycle across this

@@ -90,11 +90,7 @@ SymbolicInterpreter::evalComponent(const Component &c)
     } else {
         int32_t idx = eval(c.select);
         if (idx < 0 || idx >= static_cast<int32_t>(c.cases.size())) {
-            throw SimError("selector " + c.name + " index " +
-                           std::to_string(idx) + " outside its " +
-                           std::to_string(c.cases.size()) +
-                           " cases (cycle " + std::to_string(cycle_) +
-                           ")");
+            throw selectorFault(c.name, idx, c.cases.size(), cycle_);
         }
         state_.vars[slot] = eval(c.cases[idx]);
         if (cfg_.collectStats)
@@ -111,10 +107,7 @@ SymbolicInterpreter::updateMemory(const Component &c, int index)
 
     auto checkAddr = [&]() {
         if (adr < 0 || adr >= static_cast<int32_t>(ms.cells.size())) {
-            throw SimError("memory " + c.name + " address " +
-                           std::to_string(adr) + " outside 0.." +
-                           std::to_string(ms.cells.size() - 1) +
-                           " (cycle " + std::to_string(cycle_) + ")");
+            throw memoryFault(c.name, adr, ms.cells.size(), cycle_);
         }
     };
 

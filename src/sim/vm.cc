@@ -38,21 +38,15 @@ void
 Vm::checkAddr(const MemoryState &ms, uint16_t idx,
               uint64_t cycle) const
 {
-    throw SimError("memory " + prog_->memInfos[idx].name +
-                   " address " + std::to_string(ms.adr) +
-                   " outside 0.." +
-                   std::to_string(ms.cells.size() - 1) + " (cycle " +
-                   std::to_string(cycle) + ")");
+    throw memoryFault(prog_->memInfos[idx].name, ms.adr,
+                      ms.cells.size(), cycle);
 }
 
 void
 Vm::selFail(const Instr &in, int32_t sel, uint64_t cycle) const
 {
     const SelInfo &si = prog_->selInfos[in.c];
-    throw SimError("selector " + si.name + " index " +
-                   std::to_string(sel) + " outside its " +
-                   std::to_string(si.caseCount) + " cases (cycle " +
-                   std::to_string(cycle) + ")");
+    throw selectorFault(si.name, sel, si.caseCount, cycle);
 }
 
 void

@@ -157,6 +157,50 @@ TEST(CppBackend, ServeStateDumpRidesTheResponseBuffer)
         contains(plain, "std::fprintf(stderr, \"STATE_V "));
 }
 
+/** The library form's compile-time budget: the C header <stdint.h>
+ *  and nothing else, no entry point of a program, no way out of the
+ *  host process, and no state of its own. */
+TEST(CppBackend, LibraryUnitIncludesOnlyStdint)
+{
+    ResolvedSpec rs =
+        resolveText(stackMachineSpec(sieveProgram(5), 1000, true));
+    for (bool trace : {false, true}) {
+        CodegenOptions opts;
+        opts.emitTrace = trace;
+        std::string code = generateCppLibrary(rs, opts);
+        EXPECT_EQ(countOccurrences(code, "#include"), 1);
+        EXPECT_TRUE(contains(code, "#include <stdint.h>\n"));
+        EXPECT_FALSE(contains(code, "std::"));
+        EXPECT_FALSE(contains(code, "main("));
+        EXPECT_FALSE(contains(code, "exit("));
+        EXPECT_FALSE(contains(code, "printf"));
+        EXPECT_FALSE(contains(code, "static int32_t ljb"))
+            << "no mutable statics";
+        EXPECT_TRUE(contains(code, "extern \"C\" int\nasim_run("));
+    }
+}
+
+/** One body emitter: the program's docycle() body and the library's
+ *  are the same text; only the heads and helpers around them differ. */
+TEST(CppBackend, LibraryAndProgramShareOneCycleBody)
+{
+    auto body = [](const std::string &code) {
+        const size_t from = code.find("    // cycle body\n");
+        const size_t to = code.find("    return 0;\n", from);
+        EXPECT_NE(from, std::string::npos);
+        EXPECT_NE(to, std::string::npos);
+        return code.substr(from, to - from);
+    };
+    for (const std::string &text :
+         {counterSpec(4, 20),
+          stackMachineSpec(sieveProgram(5), 1000, true)}) {
+        ResolvedSpec rs = resolveText(text);
+        const std::string program = body(generateCpp(rs));
+        EXPECT_EQ(body(generateCppLibrary(rs)), program);
+        EXPECT_GT(program.size(), 100u);
+    }
+}
+
 TEST(CppBackend, GeneratedCodeIsDeterministic)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 20));

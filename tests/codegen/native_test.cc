@@ -115,8 +115,6 @@ TEST_F(Native, BuildCacheSharesIdenticalCompiles)
     ResolvedSpec rs = resolveText(counterSpec(5, 60));
     uint64_t hash = specIdentityHash(rs);
     CodegenOptions opts;
-    opts.emitServeLoop = true;
-    opts.emitStateDump = true;
 
     uint64_t before = nativeCompileCount();
     auto a = compileSpecCached(rs, opts, hash);
@@ -125,7 +123,7 @@ TEST_F(Native, BuildCacheSharesIdenticalCompiles)
         << "identical (spec, options) must share one build";
     EXPECT_EQ(nativeCompileCount(), before + 1);
 
-    // Any option that changes the emitted program is a new key.
+    // Any option that changes the emitted library is a new key.
     CodegenOptions traced = opts;
     traced.emitTrace = !opts.emitTrace;
     auto c = compileSpecCached(rs, traced, hash);

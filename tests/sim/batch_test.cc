@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,8 +123,8 @@ TEST(BatchRunnerTest, SharedProgramKeepsTraceChecksForCaptureTrace)
 }
 
 // ---------------------------------------------------------------------
-// Native (out-of-process) batches: one compiled binary, one --serve
-// child per instance (skipped without a host compiler).
+// Native batches: one compiled and loaded library, every instance
+// running on its own state (skipped without a host compiler).
 // ---------------------------------------------------------------------
 
 class NativeBatch : public ::testing::Test
@@ -155,22 +154,15 @@ TEST_F(NativeBatch, InstancesShareOneCompiledBinary)
             dynamic_cast<const NativeEngine *>(&sim->engine());
         ASSERT_NE(ne, nullptr);
         EXPECT_EQ(&ne->build(), &first->build())
-            << "batch must share one compiled binary";
-        EXPECT_EQ(ne->childPid(), -1)
-            << "children spawn lazily, not at construction";
-        sim->run(10);
-        EXPECT_EQ(sim->value("count"), 10);
+            << "batch must share one compiled library";
     }
-    // After running, each instance owns its own live child off the
-    // one shared binary.
-    std::set<long> pids;
-    for (auto &sim : sims) {
-        const auto *ne =
-            dynamic_cast<const NativeEngine *>(&sim->engine());
-        EXPECT_GT(ne->childPid(), 0);
-        pids.insert(ne->childPid());
+    // Each instance advances its own state off the one shared build.
+    for (size_t i = 0; i < sims.size(); ++i)
+        sims[i]->run(10 * (i + 1));
+    for (size_t i = 0; i < sims.size(); ++i) {
+        EXPECT_EQ(sims[i]->value("count"),
+                  static_cast<int32_t>(10 * (i + 1)));
     }
-    EXPECT_EQ(pids.size(), sims.size());
 }
 
 TEST_F(NativeBatch, MatchesVmBatchOnEveryChannel)
@@ -663,8 +655,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, BatchDeterminism,
                          ::testing::Values("interp", "vm",
                                            "symbolic"));
 
-/** The same §7 property for the out-of-process engine (acceptance
- *  bar of the persistent-subprocess protocol): shared-binary shards,
+/** The same §7 property for the native engine: shared-library shards,
  *  a scripted echo, and a faulting machine come back byte-identical
  *  at 1/2/hw threads. Artifacts are pre-shared once so the test pays
  *  one compile per job family, not one per thread count. */

@@ -1,6 +1,6 @@
 /** @file
  * Native-engine equivalence leg (ROADMAP item): the "native" engine —
- * generated C++ compiled by the host compiler, run out of process —
+ * generated C++ compiled by the host compiler, loaded in process —
  * must match the "vm" engine byte-for-byte on every on-disk
  * specification: combined trace + I/O text, final machine state, and
  * cycle count. Engines are constructed exclusively by name through
@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "sim/checkpoint.hh"
 #include "sim/native_engine.hh"
 #include "sim/simulation.hh"
 
@@ -67,8 +68,8 @@ runSpec(const char *engine, const SpecCase &c)
     opts.engine = engine;
     // Interactive stream I/O mirrors the generated program's stdio
     // exactly (char reads at address 0, prompts above address 1);
-    // for the native engine the facade pipes the stream to the
-    // subprocess's stdin and echoes its output here.
+    // every engine, native included, reads and writes it through the
+    // same IoDevice.
     opts.ioMode = IoMode::Interactive;
     opts.ioIn = &is;
     opts.ioOut = &os;
@@ -108,11 +109,10 @@ TEST_P(NativeEquivalence, MatchesVmOnEveryChannel)
     EXPECT_EQ(native.cycle, vm.cycle) << c.file;
 }
 
-/** The persistent-subprocess path the protocol added: drive the
- *  native engine cycle by cycle (one RUN round trip each) against a
- *  vm stepped in lockstep, comparing every traced observable every
- *  cycle — the interactive-stepping workload the old replay adapter
- *  made quadratic. */
+/** Drive the native engine cycle by cycle (one library call each)
+ *  against a vm stepped in lockstep, comparing every traced
+ *  observable every cycle — the interactive-stepping workload the old
+ *  replay adapter made quadratic. */
 TEST_P(NativeEquivalence, StepsInLockstepWithVm)
 {
     const SpecCase &c = GetParam();
@@ -151,9 +151,8 @@ TEST_P(NativeEquivalence, StepsInLockstepWithVm)
     EXPECT_EQ(osNative.str(), osVm.str()) << c.file;
 }
 
-/** Injected faults must cross the process boundary: the native
- *  engine's spliced spec and @cycle state upsets match the vm's on
- *  every channel. */
+/** Injected faults: the native engine's spliced spec and @cycle state
+ *  upsets match the vm's on every channel. */
 TEST(NativeFaultEquivalence, InjectedFaultsMatchVm)
 {
     if (!NativeEngine::available())
@@ -183,6 +182,87 @@ TEST(NativeFaultEquivalence, InjectedFaultsMatchVm)
         EXPECT_EQ(results[1].text, results[0].text) << fault;
         EXPECT_TRUE(results[1].state == results[0].state) << fault;
         EXPECT_EQ(results[1].cycle, results[0].cycle) << fault;
+    }
+}
+
+/** One fault contract across engines: a native runtime fault raises
+ *  interp's SimError text and leaves cycle(), state, statistics, and
+ *  trace exactly where interp leaves them; reset() and restore()
+ *  recover. Covers a memory address, a selector index, and a computed
+ *  ALU function out of range. */
+TEST(NativeFaultEquivalence, RuntimeFaultMatchesInterp)
+{
+    if (!NativeEngine::available())
+        GTEST_SKIP() << "no host compiler";
+
+    const char *specs[] = {
+        // walks off the end of a 10-cell memory at cycle 10, after a
+        // read memory's access in the same cycle
+        "# memory fault\n"
+        "count* next rom .\n"
+        "A next 4 count 1\n"
+        "M count 0 next 1 1\n"
+        "M rom count 0 0 16\n"
+        "M mem count count 1 10\n"
+        ".\n",
+        // a selector runs out of cases at cycle 3
+        "# selector fault\n"
+        "s* count* next .\n"
+        "A next 4 count 1\n"
+        "S s count 5 6 7\n"
+        "M count 0 next 1 1\n"
+        ".\n",
+        // a computed ALU function leaves 0..13 at cycle 14
+        "# alu fault\n"
+        "f* count* next .\n"
+        "A next 4 count 1\n"
+        "A f count next 1\n"
+        "M count 0 next 1 1\n"
+        ".\n",
+    };
+    for (const char *spec : specs) {
+        struct Outcome
+        {
+            std::string error, trace, checkpoint;
+            uint64_t cycle = 0;
+            MachineState state;
+            std::string recovered;
+        } out[2];
+        const char *engines[] = {"interp", "native"};
+        for (int i = 0; i < 2; ++i) {
+            std::ostringstream trace;
+            SimulationOptions opts;
+            opts.specText = spec;
+            opts.engine = engines[i];
+            opts.traceStream = &trace;
+            Simulation sim(opts);
+            sim.run(2);
+            const EngineSnapshot early = sim.snapshot();
+            try {
+                sim.run(40);
+            } catch (const SimError &e) {
+                out[i].error = e.what();
+            }
+            out[i].trace = trace.str();
+            out[i].cycle = sim.cycle();
+            out[i].state = sim.engine().state();
+            out[i].checkpoint =
+                encodeCheckpoint(sim.snapshot(), sim.specHash(), "x");
+            // Both ways back to a healthy timeline.
+            sim.reset();
+            sim.run(2);
+            sim.restore(early);
+            sim.run(1);
+            out[i].recovered =
+                encodeCheckpoint(sim.snapshot(), sim.specHash(), "x");
+        }
+        EXPECT_FALSE(out[0].error.empty()) << spec;
+        EXPECT_EQ(out[1].error, out[0].error) << spec;
+        EXPECT_EQ(out[1].trace, out[0].trace) << spec;
+        EXPECT_EQ(out[1].cycle, out[0].cycle) << spec;
+        EXPECT_TRUE(out[1].state == out[0].state) << spec;
+        EXPECT_EQ(out[1].checkpoint, out[0].checkpoint) << spec;
+        EXPECT_EQ(out[1].recovered, out[0].recovered) << spec;
     }
 }
 
