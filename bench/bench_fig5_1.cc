@@ -48,7 +48,7 @@ now()
         .count();
 }
 
-/** Median-of-5 timing of a callable (the thesis took best-of-5). */
+/** Best-of-5 wall time of a callable (as the thesis took). */
 template <typename F>
 double
 timeIt(F &&f, int reps = 5)
@@ -216,6 +216,6 @@ main()
     }
     std::printf("\nShape check: compiled simulation should beat the "
                 "interpreter by ~an order of\nmagnitude while paying "
-                "a preparation cost; see EXPERIMENTS.md.\n");
+                "a preparation cost; see docs/PERFORMANCE.md.\n");
     return 0;
 }

@@ -1,19 +1,31 @@
 /**
  * @file
- * Observability overhead guard: the same counter-machine workload on
- * the vm and interp engines with instrumentation fully off (the
- * default), with timing metrics on, and with a live trace file. The
- * off-path contract (support/metrics.hh) is that disabled
- * instrumentation costs one relaxed atomic load per site, so
- * BM_TracingOff must track the plain bench_engines rates and CI
- * asserts BM_TracingOff stays within tolerance of the committed
- * baseline (tools/bench_tolerances.json pins this bench's slack).
+ * Tracing-off guard: the off-path contract of support/metrics.hh and
+ * support/tracing.hh (disabled instrumentation costs one relaxed
+ * atomic load per site) measured where it matters, on
+ * Simulation::run.
+ *
+ * One process runs interleaved rounds of two legs on the counter
+ * machine (counterSpec(8, 1000), 1024-cycle chunks, vm):
+ *
+ *   facade  Simulation::run with tracing and timing off;
+ *   engine  the same engine's run, called through
+ *           Simulation::engine() with no facade around it.
+ *
+ * Each round times kPairs chunk pairs, alternating which leg goes
+ * first, and takes each leg's median chunk; the verdict is the median
+ * over rounds of facade/engine. Interleaving cancels drift and
+ * frequency changes, and the medians reject the preemptions of a busy
+ * host. Exits 1 when the median ratio passes kBound. Takes no flags:
+ *
+ *     build/bench_observability
  */
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <string>
+#include <vector>
 
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
@@ -24,75 +36,89 @@
 namespace {
 
 using namespace asim;
+using Clock = std::chrono::steady_clock;
 
-using SharedSpec = std::shared_ptr<const ResolvedSpec>;
+/** The facade may cost at most 3% over the bare engine. Its off path
+ *  is a few loads and branches per call against ~1024 cycles of vm
+ *  work (~10 us), so honest overhead reads under 1%: 0.993-1.020 over
+ *  20 runs on a 4-vCPU Xeon with a parallel ctest running alongside.
+ *  3% keeps that noise from failing the guard, and a planted 5%
+ *  slowdown read 1.057-1.063 (10 of 10 runs failed). */
+constexpr double kBound = 0.03;
 
-const SharedSpec &
-counterMachine()
+constexpr uint64_t kChunk = 1024;
+constexpr int kRounds = 101;
+constexpr int kPairs = 128;
+
+template <typename F>
+double
+timeNs(F &&f)
 {
-    static const SharedSpec spec =
-        std::make_shared<const ResolvedSpec>(
-            resolveText(counterSpec(8, 1000)));
-    return spec;
+    const auto t0 = Clock::now();
+    f();
+    return std::chrono::duration<double, std::nano>(Clock::now() - t0)
+        .count();
 }
 
-void
-runCounter(benchmark::State &state, const char *engine)
+double
+median(std::vector<double> v)
 {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+
+} // namespace
+
+int
+main()
+{
+    tracing::stop();
+    metrics::setTimingEnabled(false);
+
     SimulationOptions opts;
-    opts.resolved = counterMachine();
-    opts.engine = engine;
+    opts.resolved = std::make_shared<const ResolvedSpec>(
+        resolveText(counterSpec(8, 1000)));
+    opts.engine = "vm";
     opts.config.collectStats = false;
     Simulation sim(opts);
+    Engine &engine = sim.engine();
 
-    const uint64_t chunk = 1024;
-    for (auto _ : state) {
-        sim.run(chunk);
+    auto facade = [&] { sim.run(kChunk); };
+    auto bare = [&] { engine.run(kChunk); };
+    for (int i = 0; i < kPairs; ++i) { // warm caches and predictors
+        facade();
+        bare();
+    }
+
+    std::vector<double> ratios;
+    std::vector<double> facadeNs(kPairs), engineNs(kPairs);
+    for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kPairs; ++i) {
+            if (i % 2 == 0) {
+                facadeNs[i] = timeNs(facade);
+                engineNs[i] = timeNs(bare);
+            } else {
+                engineNs[i] = timeNs(bare);
+                facadeNs[i] = timeNs(facade);
+            }
+        }
+        ratios.push_back(median(facadeNs) / median(engineNs));
         if (sim.cycle() > (1u << 24))
             sim.reset();
     }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * chunk));
-    state.SetLabel(engine);
-}
 
-/** Baseline: instrumentation compiled in, everything disabled. */
-void
-BM_TracingOff(benchmark::State &state)
-{
-    tracing::stop();
-    metrics::setTimingEnabled(false);
-    runCounter(state, state.range(0) == 0 ? "vm" : "interp");
-}
-
-/** Timing metrics on (the serve daemon's standing mode), no trace
- *  file: clock reads at engine boundaries, histograms populate. */
-void
-BM_TimingOn(benchmark::State &state)
-{
-    tracing::stop();
-    metrics::setTimingEnabled(true);
-    runCounter(state, state.range(0) == 0 ? "vm" : "interp");
-    metrics::setTimingEnabled(false);
-}
-
-/** Full tracing to a file (what --trace-out costs). */
-void
-BM_TracingOn(benchmark::State &state)
-{
-    const std::string path = "/tmp/asim_bench_obs_trace.json";
-    if (!tracing::start(path)) {
-        state.SkipWithError("cannot open trace file");
-        return;
+    const double ratio = median(ratios);
+    std::sort(ratios.begin(), ratios.end());
+    std::printf("tracing-off guard: Simulation::run / Engine::run = "
+                "%.4f (median of %d rounds, quartiles %.4f-%.4f, "
+                "bound %.2f)\n",
+                ratio, kRounds, ratios[kRounds / 4],
+                ratios[3 * kRounds / 4], 1 + kBound);
+    if (ratio > 1 + kBound) {
+        std::printf("FAIL: the tracing-off path of Simulation::run "
+                    "costs %.1f%% over the bare engine\n",
+                    (ratio - 1) * 100);
+        return 1;
     }
-    runCounter(state, state.range(0) == 0 ? "vm" : "interp");
-    tracing::stop();
-    metrics::setTimingEnabled(false);
-    std::remove(path.c_str());
+    return 0;
 }
-
-BENCHMARK(BM_TracingOff)->Arg(0)->Arg(1);
-BENCHMARK(BM_TimingOn)->Arg(0)->Arg(1);
-BENCHMARK(BM_TracingOn)->Arg(0)->Arg(1);
-
-} // namespace

@@ -1,16 +1,12 @@
 /**
  * @file
- * asim-serve protocol throughput: interactive stepping over the
- * wire, one RUN round trip at a time (ping-pong) versus pipelined
- * batches of queued RUNs, plus batched multi-cycle RUNs and the
- * park/resume round trip. All against an in-process ServeServer on
- * a Unix-domain socket — the same code path as the daemon binary
- * minus process startup. items_per_second is steps (or cycles, or
- * evict+resume round trips) per second; the acceptance bar for the
- * subsystem is pipelined stepping >= 10x ping-pong on the counter
- * spec.
- *
- * Run with --benchmark_format=json to get artifact-comparable output.
+ * asim-serve pipelined stepping: one RUN round trip at a time
+ * (ping-pong) versus batches of queued RUNs, against an in-process
+ * ServeServer on a Unix-domain socket — the same code path as the
+ * daemon binary minus process startup. items_per_second is
+ * single-cycle steps per second. README's claim that pipelined
+ * stepping is >= 10x ping-pong on the counter spec rests on this
+ * pair; perfbench's `serve` workload never pipelines.
  */
 
 #include <benchmark/benchmark.h>
@@ -100,46 +96,9 @@ BM_ServeStepPipelined(benchmark::State &state)
     h.client->closeSession(id);
 }
 
-/** The batched alternative: one RUN carrying many cycles;
- *  items/sec counts cycles, not round trips. */
-void
-BM_ServeRunBatched(benchmark::State &state)
-{
-    const uint64_t cycles = static_cast<uint64_t>(state.range(0));
-    Harness &h = harness();
-    uint64_t id = h.openCounter("batched");
-    for (auto _ : state) {
-        auto r = h.client->run(id, cycles);
-        benchmark::DoNotOptimize(r.cycle);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(cycles));
-    state.SetLabel(std::to_string(cycles) + " cycles/RUN");
-    h.client->closeSession(id);
-}
-
-/** Park-to-disk then transparently resume: the latency a tenant
- *  pays the first command after an idle eviction. */
-void
-BM_ServeSessionResume(benchmark::State &state)
-{
-    Harness &h = harness();
-    uint64_t id = h.openCounter("resume");
-    h.client->run(id, 100); // non-trivial state to serialize
-    for (auto _ : state) {
-        h.client->evict(id);
-        auto r = h.client->run(id, 1);
-        benchmark::DoNotOptimize(r.cycle);
-    }
-    state.SetItemsProcessed(state.iterations());
-    h.client->closeSession(id);
-}
-
 // The daemon does the work on its own connection threads, so the
 // benchmark thread's CPU time would flatter every leg: time the wall.
 BENCHMARK(BM_ServeStepPingPong)->UseRealTime();
-BENCHMARK(BM_ServeStepPipelined)->Arg(64)->Arg(256)->UseRealTime();
-BENCHMARK(BM_ServeRunBatched)->Arg(4096)->UseRealTime();
-BENCHMARK(BM_ServeSessionResume)->UseRealTime();
+BENCHMARK(BM_ServeStepPipelined)->Arg(64)->UseRealTime();
 
 } // namespace

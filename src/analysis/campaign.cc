@@ -317,8 +317,9 @@ CampaignRunner::run()
         runner.addJob(std::move(job));
     }
     tracing::Span fanoutSpan("campaign.fanout", "campaign");
-    fanoutSpan.setArgs("\"runs\":" + std::to_string(o.runs) +
-                       ",\"threads\":" + std::to_string(o.threads));
+    if (fanoutSpan.active())
+        fanoutSpan.setArgs("\"runs\":" + std::to_string(o.runs) +
+                           ",\"threads\":" + std::to_string(o.threads));
     BatchResult batch = runner.run();
     fanoutSpan.finish();
 

@@ -118,7 +118,8 @@ main(int argc, char **argv)
             std::cerr << w << "\n";
         std::cerr << "Generating code.\n";
         tracing::Span genSpan("asim2c.codegen", "compile");
-        genSpan.setArgs("\"lang\":\"" + lang + "\"");
+        if (genSpan.active())
+            genSpan.setArgs("\"lang\":\"" + lang + "\"");
         std::string code = lang == "pascal" ? generatePascal(rs, opts)
                                             : generateCpp(rs, opts);
         genSpan.finish();

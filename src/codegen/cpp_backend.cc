@@ -7,6 +7,10 @@
 
 namespace asim {
 
+// Component names reach the C++ only behind the prefixes ljb, temp,
+// adr and opn. Every identifier the backend makes up itself (memfail,
+// selfail, alufail, land, dologic, trace*, ...) starts with none of
+// them, so no component name can collide with one.
 CppBackend::CppBackend(const ResolvedSpec &rs, const CodegenOptions &opts,
                        bool library)
     : rs_(rs), opts_(opts), ctx_(rs, "ljb", "temp"), library_(library)
@@ -241,7 +245,7 @@ CppBackend::emitProgramHelpers()
     ln("}");
     ln("");
     ln("static int");
-    ln("adrfail(const char *mem, int32_t adr, long long cycle)");
+    ln("memfail(const char *mem, int32_t adr, long long cycle)");
     ln("{");
     ln("    std::fprintf(stderr,");
     ln("                 \"memory %s address %d out of range \"");
@@ -404,7 +408,7 @@ CppBackend::emitLibraryPrologue()
     ln("    };");
     const std::pair<const char *, int> fails[] = {
         {"selfail", kNativeSelectorFault},
-        {"adrfail", kNativeAddressFault},
+        {"memfail", kNativeAddressFault},
         {"alufail", kNativeAluFault}};
     for (const auto &[name, code] : fails) {
         ln(std::string("    auto ") + name +
@@ -576,7 +580,7 @@ CppBackend::emitMemoryUpdate(const MemDesc &m)
     const std::string opn = "opn" + m.name;
     const std::string size = std::to_string(m.size);
     const std::string check = "if ((uint32_t)" + adr + " >= " + size +
-                              "u) return adrfail(\"" + m.name +
+                              "u) return memfail(\"" + m.name +
                               "\", " + adr + ", cyclecount);";
     // Writes, inputs and outputs are counted after the access (a
     // faulting one is not). Reads go uncounted: every memory makes one

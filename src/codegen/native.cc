@@ -77,19 +77,17 @@ buildForm(const ResolvedSpec &rs, const CodegenOptions &opts,
     if (!hostCompilerAvailable())
         throw SimError("no host C++ compiler (g++) available");
 
-    bool madeTemp = false;
-    if (workDir.empty()) {
-        char tmpl[] = "/tmp/asim2-native-XXXXXX";
-        char *dir = mkdtemp(tmpl);
-        if (!dir)
-            throw SimError("mkdtemp failed");
-        workDir = dir;
-        madeTemp = true;
-    }
-
     NativeBuild build;
+    if (workDir.empty()) {
+        std::error_code ec;
+        const auto tmp = std::filesystem::temp_directory_path(ec);
+        std::string tmpl = (tmp / "asim2-native-XXXXXX").string();
+        if (ec || !mkdtemp(tmpl.data()))
+            throw SimError("cannot create a temp dir from " + tmpl);
+        workDir = tmpl;
+        build.ownedDir = OwnedDir(workDir);
+    }
     build.workDir = workDir;
-    build.ownsWorkDir = madeTemp;
     build.specHash = specIdentityHash(rs);
     build.emitsTrace = opts.emitTrace;
     build.aluSemantics = opts.aluSemantics;
@@ -113,22 +111,22 @@ buildForm(const ResolvedSpec &rs, const CodegenOptions &opts,
                    "' > '" + workDir + "/compile.log' 2>&1");
     build.compileSeconds = seconds(c0, Clock::now());
     if (rc != 0) {
+        build.ownedDir.release();
         throw SimError("generated code failed to compile (see " +
                        workDir + "/compile.log)");
     }
     return build;
 }
 
-void
-removeWorkDir(const NativeBuild &b)
+} // namespace
+
+OwnedDir::~OwnedDir()
 {
-    if (b.ownsWorkDir && !b.workDir.empty()) {
+    if (!path_.empty()) {
         std::error_code ec;
-        std::filesystem::remove_all(b.workDir, ec);
+        std::filesystem::remove_all(path_, ec);
     }
 }
-
-} // namespace
 
 bool
 hostCompilerAvailable()
@@ -162,7 +160,6 @@ compileSpecShared(const ResolvedSpec &rs, const CodegenOptions &opts,
     if (!build->run || !ctxSize || *ctxSize != sizeof(NativeCtx)) {
         if (lib)
             dlclose(lib);
-        removeWorkDir(*build);
         throw SimError("cannot load the generated simulator library " +
                        build->binaryPath + ": " +
                        (err ? err : "ABI mismatch"));
@@ -170,7 +167,6 @@ compileSpecShared(const ResolvedSpec &rs, const CodegenOptions &opts,
     return std::shared_ptr<const NativeBuild>(
         build.release(), [lib](const NativeBuild *b) {
             dlclose(lib);
-            removeWorkDir(*b);
             delete b;
         });
 }
@@ -272,8 +268,6 @@ compileAndRun(const ResolvedSpec &rs, int64_t cycles,
     res.simSeconds = run.simSeconds;
     res.exitCode = run.exitCode;
     res.stdoutText = run.stdoutText;
-    res.generatedPath = build.generatedPath;
-    res.binaryPath = build.binaryPath;
     if (run.exitCode != 0) {
         throw SimError("generated simulator exited with status " +
                        std::to_string(run.exitCode) + ": " +

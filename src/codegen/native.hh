@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "codegen/codegen.hh"
 
@@ -74,6 +75,28 @@ enum NativeFault : int
 
 using NativeRunFn = int (*)(NativeCtx *ctx, uint64_t cycles);
 
+/** Owns a directory and removes it, with its contents, when destroyed
+ *  (empty = owns nothing). Move-only. */
+class OwnedDir
+{
+  public:
+    OwnedDir() = default;
+    explicit OwnedDir(std::string path) : path_(std::move(path)) {}
+    OwnedDir(OwnedDir &&o) noexcept : path_(std::exchange(o.path_, {})) {}
+    OwnedDir &operator=(OwnedDir &&o) noexcept
+    {
+        std::swap(path_, o.path_);
+        return *this;
+    }
+    ~OwnedDir();
+
+    /** Leave the directory on disk. */
+    void release() { path_.clear(); }
+
+  private:
+    std::string path_;
+};
+
 /** A generated-and-compiled simulator on disk, reusable across runs
  *  (the expensive half of the pipeline, done once). A library build
  *  is also loaded: `run` is its entry point, valid for as long as the
@@ -87,9 +110,9 @@ struct NativeBuild
     std::string generatedPath;  ///< the .cc file on disk
     std::string binaryPath;     ///< the program or the shared library
 
-    /** True when the build created workDir itself (fresh temp dir);
-     *  whoever owns the build removes it then. */
-    bool ownsWorkDir = false;
+    /** Set when the build created workDir itself (a fresh temp dir):
+     *  the directory goes with the build. */
+    OwnedDir ownedDir;
 
     /// @{ Facts an engine must agree with at run time.
     uint64_t specHash = 0;   ///< specIdentityHash() of the source spec
@@ -120,8 +143,6 @@ struct NativeResult
     double simSeconds = 0;      ///< the loop itself (SIM_NS on stderr)
     int exitCode = 0;
     std::string stdoutText;     ///< trace + memory-mapped output
-    std::string generatedPath;  ///< the .cc file left on disk
-    std::string binaryPath;
 };
 
 /** True if a host C++ compiler is available. */
@@ -131,9 +152,11 @@ bool hostCompilerAvailable();
  * Generate the standalone C++ program for `rs` and compile it with
  * the host compiler.
  *
- * @param workDir directory for artifacts; empty = fresh temp dir
- *        (recorded in the returned NativeBuild::workDir — the caller
- *        owns cleanup)
+ * @param workDir directory for artifacts; empty = a fresh
+ *        `asim2-native-*` directory under the system temp directory
+ *        (TMPDIR, else /tmp), removed with the returned build. A
+ *        failed host compile keeps it: the error names its
+ *        compile.log.
  * @throws SimError if no compiler exists or compilation fails
  */
 NativeBuild compileSpec(const ResolvedSpec &rs,
@@ -194,7 +217,8 @@ NativeRun runBinary(const NativeBuild &build, int64_t cycles,
  * @param cycles value for the generated program's cycle argument; the
  *        program executes cycles+1 loop iterations (thesis semantics)
  * @param opts codegen options
- * @param workDir directory for artifacts; empty = fresh temp dir
+ * @param workDir directory for artifacts; empty = a temp dir removed
+ *        before the call returns (compileSpec)
  * @param stdinText text piped to the program's standard input
  * @throws SimError if the compiler or the program fails
  */

@@ -353,9 +353,10 @@ BatchRunner::run()
 
     auto batchStart = std::chrono::steady_clock::now();
     tracing::Span batchSpan("batch.run", "batch");
-    batchSpan.setArgs("\"instances\":" +
-                      std::to_string(works.size()) +
-                      ",\"threads\":" + std::to_string(pool.size()));
+    if (batchSpan.active())
+        batchSpan.setArgs("\"instances\":" +
+                          std::to_string(works.size()) + ",\"threads\":" +
+                          std::to_string(pool.size()));
     pool.parallelFor(0, works.size(), [&](size_t i) {
         const BatchJob &job = jobs_[i];
         Work &w = works[i];
@@ -424,13 +425,13 @@ BatchRunner::run()
             r.cyclesRun = w.sim->cycle();
         }
         r.seconds = secondsSince(t0);
-        span.setArgs(
-            "\"index\":" + std::to_string(i) + ",\"label\":\"" +
-            jsonEscape(job.label) + "\",\"engine\":\"" +
-            r.engine +
-            "\",\"cycles\":" + std::to_string(r.cyclesRun) +
-            ",\"resumed\":" + (r.resumed ? "true" : "false") +
-            ",\"faulted\":" + (r.faulted ? "true" : "false"));
+        if (span.active())
+            span.setArgs(
+                "\"index\":" + std::to_string(i) + ",\"label\":\"" +
+                jsonEscape(job.label) + "\",\"engine\":\"" + r.engine +
+                "\",\"cycles\":" + std::to_string(r.cyclesRun) +
+                ",\"resumed\":" + (r.resumed ? "true" : "false") +
+                ",\"faulted\":" + (r.faulted ? "true" : "false"));
         metrics::counter("batch.instances").add();
         if (r.resumed)
             metrics::counter("batch.instances_resumed").add();

@@ -253,8 +253,9 @@ Simulation::Simulation(const SimulationOptions &opts)
             rs_ = std::make_shared<const ResolvedSpec>(
                 loadSpec(opts, &diag_));
         }
-        span.setArgs("\"components\":" +
-                     std::to_string(rs_->comb.size()));
+        if (span.active())
+            span.setArgs("\"components\":" +
+                         std::to_string(rs_->comb.size()));
     }
     if (hasFault_) {
         validateFaultSite(*rs_, fault_);
@@ -316,7 +317,8 @@ Simulation::Simulation(const SimulationOptions &opts)
         // generate+host-compile+load for native (unless shared
         // artifacts were prebuilt), partition planning for lanes >= 2.
         tracing::Span span("sim.build_engine", "lifecycle");
-        span.setArgs("\"engine\":\"" + engineName_ + "\"");
+        if (span.active())
+            span.setArgs("\"engine\":\"" + engineName_ + "\"");
         engine_ = reg.make(engineName_, rs_, ctx);
     }
     metrics::counter("sim.engines_built." + engineName_).add();
@@ -429,8 +431,9 @@ void
 Simulation::run(uint64_t cycles)
 {
     tracing::Span span("sim.run", "lifecycle");
-    span.setArgs("\"engine\":\"" + engineName_ +
-                 "\",\"cycles\":" + std::to_string(cycles));
+    if (span.active())
+        span.setArgs("\"engine\":\"" + engineName_ +
+                     "\",\"cycles\":" + std::to_string(cycles));
     const bool timed = metrics::timingEnabled();
     const uint64_t t0 = timed ? metrics::nowNs() : 0;
     const uint64_t startCycle = timed ? engine_->cycle() : 0;

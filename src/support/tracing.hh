@@ -124,6 +124,10 @@ class Span
 
     ~Span() { finish(); }
 
+    /** True when the span will be emitted. Build setArgs' string
+     *  only then: the off path must not allocate. */
+    bool active() const { return name_ != nullptr; }
+
     /** Attach a JSON args body ("\"k\":v,...") emitted with the span. */
     void setArgs(std::string argsJson)
     {

@@ -60,7 +60,7 @@ TEST(CppBackend, MemoryBoundsChecks)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 20));
     std::string code = generateCpp(rs);
-    EXPECT_TRUE(contains(code, "adrfail(\"count\""));
+    EXPECT_TRUE(contains(code, "memfail(\"count\""));
 }
 
 TEST(CppBackend, DynamicMemoryOperation)

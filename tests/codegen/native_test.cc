@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "analysis/resolve.hh"
 #include "codegen/native.hh"
@@ -16,26 +20,43 @@
 #include "machines/synthetic.hh"
 #include "machines/tiny_computer.hh"
 #include "sim/engine.hh"
+#include "sim/native_engine.hh"
 
 namespace asim {
 namespace {
 
+enum class Kind { Interp, Vm, Native };
+
 /** Run an engine with trace+I/O interleaved on one stream, exactly
  *  like the generated program's stdout. */
 std::string
-engineOutput(const ResolvedSpec &rs, uint64_t cycles, bool vm,
-             bool traced = true, const std::string &inputsText = "")
+engineOutput(const ResolvedSpec &rs, uint64_t cycles, Kind kind,
+             bool traced = true)
 {
     std::ostringstream os;
-    std::istringstream is(inputsText);
+    std::istringstream is;
     StreamTrace trace(os);
     StreamIo io(is, os);
     EngineConfig cfg;
     cfg.trace = traced ? &trace : nullptr;
     cfg.io = &io;
-    auto e = vm ? makeVm(rs, cfg) : makeInterpreter(rs, cfg);
+    std::unique_ptr<Engine> e;
+    if (kind == Kind::Native)
+        e = std::make_unique<NativeEngine>(rs, cfg);
+    else
+        e = kind == Kind::Vm ? makeVm(rs, cfg) : makeInterpreter(rs, cfg);
     e->run(cycles);
     return os.str();
+}
+
+/** The `asim2-native-*` build directories directly under `dir`. */
+size_t
+nativeDirs(const std::filesystem::path &dir)
+{
+    size_t n = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        n += entry.path().filename().string().starts_with("asim2-native-");
+    return n;
 }
 
 class Native : public ::testing::Test
@@ -54,9 +75,9 @@ TEST_F(Native, CounterMatchesEngines)
     ResolvedSpec rs = resolveText(counterSpec(4, 40));
     // The generated program runs cycles+1 iterations (thesis loop).
     NativeResult res = compileAndRun(rs, 40);
-    std::string expect = engineOutput(rs, 41, false);
+    std::string expect = engineOutput(rs, 41, Kind::Interp);
     EXPECT_EQ(res.stdoutText, expect);
-    EXPECT_EQ(engineOutput(rs, 41, true), expect);
+    EXPECT_EQ(engineOutput(rs, 41, Kind::Vm), expect);
     EXPECT_GT(res.compileSeconds, 0.0);
     EXPECT_GE(res.simSeconds, 0.0);
 }
@@ -67,7 +88,7 @@ TEST_F(Native, TinyComputerMatchesEngines)
     auto img = tinyModProgram(23, 7, result);
     ResolvedSpec rs = resolveText(tinyComputerSpec(img, 300));
     NativeResult res = compileAndRun(rs, 300);
-    EXPECT_EQ(res.stdoutText, engineOutput(rs, 301, false));
+    EXPECT_EQ(res.stdoutText, engineOutput(rs, 301, Kind::Interp));
 }
 
 TEST_F(Native, StackMachineSievePrintsPrimes)
@@ -78,7 +99,7 @@ TEST_F(Native, StackMachineSievePrintsPrimes)
     CodegenOptions opts;
     opts.emitTrace = false;
     NativeResult res = compileAndRun(rs, 8000, opts);
-    std::string expect = engineOutput(rs, 8001, true, false);
+    std::string expect = engineOutput(rs, 8001, Kind::Vm, false);
     EXPECT_EQ(res.stdoutText, expect);
     // And the primes are in there.
     EXPECT_NE(res.stdoutText.find("3\n5\n7\n11\n13\n17\n19\n"),
@@ -94,7 +115,7 @@ TEST_F(Native, SyntheticSpecsMatch)
         opts.withIo = false; // stdin-free comparison
         ResolvedSpec rs = resolve(generateSynthetic(opts));
         NativeResult res = compileAndRun(rs, 50);
-        EXPECT_EQ(res.stdoutText, engineOutput(rs, 51, false))
+        EXPECT_EQ(res.stdoutText, engineOutput(rs, 51, Kind::Interp))
             << "seed " << seed;
     }
 }
@@ -107,7 +128,55 @@ TEST_F(Native, ReportsPipelinePhases)
     EXPECT_GT(res.compileSeconds, 0.0);
     EXPECT_GT(res.runSeconds, 0.0);
     EXPECT_EQ(res.exitCode, 0);
-    EXPECT_FALSE(res.generatedPath.empty());
+}
+
+TEST_F(Native, ComponentNamesNeverCollideWithHelpers)
+{
+    // Memories named after generated helpers. `adr` + "fail" once
+    // redeclared the address-fault helper, so neither the program nor
+    // the library compiled. Traced reads and writes reach the trace*
+    // helpers too.
+    ResolvedSpec rs = resolveText("# memories named after helpers\n"
+                                  "fail* land* dologic* next .\n"
+                                  "A next 4 fail 1\n"
+                                  "M fail 0 next 1 1\n"
+                                  "M land fail.0.1 fail 5 4\n"
+                                  "M dologic land.0.1 0 8 -4 7 8 9 10\n"
+                                  ".\n");
+    const std::string vm = engineOutput(rs, 40, Kind::Vm);
+    EXPECT_EQ(engineOutput(rs, 40, Kind::Native), vm);
+    // The asim2c --lang=cpp program: 39 + 1 thesis loop iterations.
+    EXPECT_EQ(compileAndRun(rs, 39).stdoutText, vm);
+}
+
+TEST_F(Native, TempBuildDirsGoWithTheirBuilds)
+{
+    // Builds go under the system temp directory; a directory of this
+    // test's own keeps the count clear of concurrent tests.
+    namespace fs = std::filesystem;
+    const fs::path local = fs::temp_directory_path() /
+                           ("asim-native-test-" + std::to_string(getpid()));
+    fs::create_directories(local);
+    const char *saved = std::getenv("TMPDIR");
+    const std::string savedValue = saved ? saved : "";
+    setenv("TMPDIR", local.c_str(), 1);
+
+    ResolvedSpec rs = resolveText(counterSpec(4, 10));
+    {
+        NativeBuild build = compileSpec(rs);
+        EXPECT_EQ(nativeDirs(local), 1u);
+    }
+    EXPECT_EQ(nativeDirs(local), 0u) << "compileSpec left its temp dir";
+    compileAndRun(rs, 10);
+    EXPECT_EQ(nativeDirs(local), 0u) << "compileAndRun left its temp dir";
+    compileSpecShared(rs).reset();
+    EXPECT_EQ(nativeDirs(local), 0u) << "a library build left its dir";
+
+    if (saved)
+        setenv("TMPDIR", savedValue.c_str(), 1);
+    else
+        unsetenv("TMPDIR");
+    fs::remove_all(local);
 }
 
 TEST_F(Native, BuildCacheSharesIdenticalCompiles)
