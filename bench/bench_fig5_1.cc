@@ -89,7 +89,6 @@ main()
 
     SimulationOptions base;
     base.resolved = rs;
-    base.config.collectStats = false;
 
     auto simTime = [&](const char *engine) {
         SimulationOptions o = base;

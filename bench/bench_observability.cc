@@ -79,7 +79,6 @@ main()
     opts.resolved = std::make_shared<const ResolvedSpec>(
         resolveText(counterSpec(8, 1000)));
     opts.engine = "vm";
-    opts.config.collectStats = false;
     Simulation sim(opts);
     Engine &engine = sim.engine();
 

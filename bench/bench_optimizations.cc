@@ -30,7 +30,6 @@ runWith(benchmark::State &state, AluSemantics semantics)
     NullIo io;
     EngineConfig cfg;
     cfg.io = &io;
-    cfg.collectStats = false;
     cfg.aluSemantics = semantics;
     Vm vm(sieve(), cfg);
     for (auto _ : state) {
@@ -39,7 +38,7 @@ runWith(benchmark::State &state, AluSemantics semantics)
             vm.reset();
     }
     state.SetItemsProcessed(state.iterations() * 1024);
-    state.SetLabel(std::to_string(vm.program().totalInstructions()) +
+    state.SetLabel(std::to_string(vm.program().cycle.size()) +
                    " instrs");
 }
 

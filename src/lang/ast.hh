@@ -65,6 +65,14 @@ struct Component
     /// @}
 };
 
+/** The most memory cells one specification may declare in all. Every
+ *  engine instance holds its own copy of every cell (a daemon session,
+ *  each batch or campaign instance), so spec text must not be able to
+ *  ask for gigabytes: 2^24 cells is 64 MiB of int32 state, far past
+ *  any shipped spec, thesis machine or synthetic preset (2^6 cells a
+ *  memory). */
+inline constexpr int64_t kMaxSpecCells = int64_t{1} << 24;
+
 /** A declaration-list entry: component name plus trace flag. */
 struct DeclName
 {

@@ -1,5 +1,6 @@
 #include "lang/number.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "support/bitops.hh"
@@ -16,17 +17,38 @@ malformed(std::string_view text)
     throw SpecError("Error. Malformed number " + std::string(text) + ".");
 }
 
+/** A number's value two ways: its low 32 bits (the thesis' wrapping
+ *  datapath value) and its exact value, saturated at kWideMax (a
+ *  count such as a memory size, which must not wrap). */
+struct Value
+{
+    uint32_t low = 0;
+    uint64_t wide = 0;
+};
+
+constexpr uint64_t kWideMax = uint64_t{1} << 62;
+
+/** `v * radix + digit`, both ways. */
+void
+accumulate(Value &v, uint32_t radix, uint32_t digit)
+{
+    v.low = v.low * radix + digit;
+    v.wide = v.wide > kWideMax / radix
+                 ? kWideMax
+                 : std::min(kWideMax, v.wide * radix + digit);
+}
+
 /** Parse one atom starting at `i`; advances `i` past the atom. */
-int32_t
+Value
 parseAtom(std::string_view text, size_t &i)
 {
     if (i >= text.size())
         malformed(text);
     char c = text[i];
-    int64_t k = 0;
+    Value v;
     if (isDigit(c)) {
         while (i < text.size() && isDigit(text[i])) {
-            k = k * 10 + (text[i] - '0');
+            accumulate(v, 10, text[i] - '0');
             ++i;
         }
     } else if (c == '$') {
@@ -34,11 +56,9 @@ parseAtom(std::string_view text, size_t &i)
         if (i >= text.size() || !isHexDigit(text[i]))
             malformed(text);
         while (i < text.size() && isHexDigit(text[i])) {
-            k *= 16;
-            if (isDigit(text[i]))
-                k += text[i] - '0';
-            else
-                k += text[i] - 'A' + 10;
+            accumulate(v, 16,
+                       isDigit(text[i]) ? text[i] - '0'
+                                        : text[i] - 'A' + 10);
             ++i;
         }
     } else if (c == '%') {
@@ -46,40 +66,40 @@ parseAtom(std::string_view text, size_t &i)
         if (i >= text.size() || (text[i] != '0' && text[i] != '1'))
             malformed(text);
         while (i < text.size() && (text[i] == '0' || text[i] == '1')) {
-            k = k * 2 + (text[i] - '0');
+            accumulate(v, 2, text[i] - '0');
             ++i;
         }
     } else if (c == '^') {
         ++i;
         if (i >= text.size() || !isDigit(text[i]))
             malformed(text);
-        int64_t e = 0;
+        uint64_t e = 0;
         while (i < text.size() && isDigit(text[i])) {
-            e = e * 10 + (text[i] - '0');
+            e = std::min<uint64_t>(e * 10 + (text[i] - '0'), 64);
             ++i;
         }
-        // Faithful to str2num: 1 multiplied by 2, e times (wraps).
-        int32_t v = 1;
-        for (int64_t m = 0; m < e; ++m)
-            v = wmul(v, 2);
-        return v;
+        // str2num doubles 1, e times, in the wrapping datapath: the
+        // bit moves out of the low 32 bits from e = 32 on.
+        v.low = e < 32 ? uint32_t{1} << e : 0;
+        v.wide = e < 62 ? uint64_t{1} << e : kWideMax;
     } else {
         malformed(text);
     }
-    return static_cast<int32_t>(k);
+    return v;
 }
 
-} // namespace
-
-int32_t
-parseNumber(std::string_view text)
+/** Parse a sum of atoms. */
+Value
+parseSum(std::string_view text)
 {
     if (text.empty())
         malformed(text);
     size_t i = 0;
-    int32_t total = 0;
+    Value total;
     while (true) {
-        total = wadd(total, parseAtom(text, i));
+        const Value v = parseAtom(text, i);
+        total.low += v.low;
+        total.wide = std::min(kWideMax, total.wide + v.wide);
         if (i == text.size())
             return total;
         if (text[i] != '+')
@@ -88,12 +108,21 @@ parseNumber(std::string_view text)
     }
 }
 
+} // namespace
+
+int32_t
+parseNumber(std::string_view text)
+{
+    return static_cast<int32_t>(parseSum(text).low);
+}
+
 int64_t
 parseSignedNumber(std::string_view text)
 {
-    if (!text.empty() && text[0] == '-')
-        return -static_cast<int64_t>(parseNumber(text.substr(1)));
-    return parseNumber(text);
+    const bool negative = !text.empty() && text[0] == '-';
+    const auto n =
+        static_cast<int64_t>(parseSum(negative ? text.substr(1) : text).wide);
+    return negative ? -n : n;
 }
 
 int32_t

@@ -40,6 +40,12 @@ class Parser
         readCycles();
         readDeclList();
         readComponents();
+        int64_t cells = 0;
+        for (const Component &c : spec_.comps) {
+            cells += c.memSize;
+            if (cells > kMaxSpecCells)
+                tooManyCells(c);
+        }
         return std::move(spec_);
     }
 
@@ -320,6 +326,14 @@ class Parser
         sink_->push_back(std::move(c));
     }
 
+    [[noreturn]] static void
+    tooManyCells(const Component &c)
+    {
+        throw SpecError("Error. Memory " + c.name +
+                        " takes the specification past its bound of " +
+                        std::to_string(kMaxSpecCells) + " cells.");
+    }
+
     void
     readMemory()
     {
@@ -335,17 +349,17 @@ class Parser
             throw SpecError("Error. Memory " + c.name +
                             " has zero cells.");
         }
+        c.memSize = n < 0 ? -n : n;
+        if (c.memSize > kMaxSpecCells)
+            tooManyCells(c);
         if (n < 0) {
             // Negative size: exactly |n| initial values follow.
-            c.memSize = -n;
             // A value may carry a '-': the writer's decimal form of a
             // value that wrapped negative (`$FFFFFFFF`).
             for (int64_t i = 0; i < c.memSize; ++i) {
                 c.init.push_back(
                     parseConstant(nextField("memory initial value")));
             }
-        } else {
-            c.memSize = n;
         }
         sink_->push_back(std::move(c));
         advance();

@@ -2,39 +2,30 @@
  * @file
  * Bytecode for the compiled simulation engine.
  *
- * The compiler (sim/compiler.hh) lowers a ResolvedSpec in two stages
- * (docs/INTERNALS.md has the full ISA reference):
- *
- * 1. **Emit** — three linear per-phase streams (combinational, latch,
- *    update) of *simple* instructions, executed in order once per
- *    cycle. Field extractions are fused into single instructions
- *    (`acc += shift(value & mask)`), constants are folded, ALUs with
- *    constant functions get direct opcodes (no dologic dispatch),
- *    memories with constant operations get specialized opcodes,
- *    all-constant selectors become direct table lookups (the
- *    microcode-ROM pattern), every other selector becomes one
- *    descriptor-table dispatch, and single-term expressions fuse
- *    with their destination latch. This mirrors, in a portable
- *    form, the optimizations the thesis applied to generated Pascal
- *    (§4.4). The comb stream is scheduled by dependency level and,
- *    within a level, grouped by instruction shape, with components
- *    that may fault left in place as barriers (sim/compiler.cc); it
- *    holds no jump, so the comb phase runs straight through. The
- *    phase streams are the *canonical* lowering: the disassembler
- *    prints them, and the optimizer treats them as read-only input.
- *
- * 2. **Link + optimize** (sim/optimizer.cc) — the phases are
- *    concatenated into one `cycle` stream (comb, TraceCycle, latch,
- *    update, EndCycle) that the VM executes end to end, so a run of
- *    N cycles is a single dispatch loop with no per-phase or
- *    per-cycle call overhead. Folded ALUs ahead of the comb phase's
- *    first barrier leave the stream for `Program::hoisted`, which
- *    the VM writes once per run. On that stream the optimizer fuses
- *    adjacent instruction pairs into *superinstructions* (CVC-style
- *    compile-time collapse of per-cycle sequences), removes dead
- *    scratch-register stores the fusion orphans, and elides memory
- *    bounds checks that a static range analysis of the address
- *    expression proves can never fire.
+ * The compiler (sim/compiler.hh) lowers a ResolvedSpec in one emit
+ * stage to the single `cycle` stream the VM executes end to end
+ * (docs/INTERNALS.md has the full ISA reference): the comb phase,
+ * the trace point, the latch phase, the update phase and EndCycle,
+ * so a run of N cycles is a single dispatch loop with no per-phase or
+ * per-cycle call overhead. Each component's words follow from the
+ * shapes of its operand expressions, the optimizations the thesis
+ * applied to generated Pascal (§4.4) in a portable form: constants
+ * are folded, ALUs with constant functions get direct opcodes (no
+ * dologic dispatch), memories with constant operations get
+ * specialized opcodes, all-constant selectors become direct table
+ * lookups (the microcode-ROM pattern), every other selector becomes
+ * one descriptor-table dispatch, and operands that load in one word
+ * (a constant or a single field) ride inline in their consumer, a
+ * *superinstruction* (CVC-style compile-time collapse of per-cycle
+ * sequences). A load a consumer absorbs is never emitted, so nothing
+ * rewrites the stream afterwards. The comb phase is scheduled by
+ * dependency level and, within a level, grouped by instruction
+ * shape, with components that may fault left in place as barriers;
+ * it holds no jump, so it runs straight through. Folded ALUs ahead of
+ * its first barrier go to `Program::hoisted`, which the VM writes
+ * once per run. Memory bounds checks that a static range analysis of
+ * the address expression proves can never fire are elided as the
+ * update ops are emitted.
  *
  * Superinstructions that need more operand space than one 16-byte
  * word carry an **extension word**: the following `Instr` slot holds
@@ -67,8 +58,8 @@ namespace asim {
  * in sim/vm.cc; other expansion sites ignore those arguments.
  *
  * Combo order (VV..CT) and op order (Add..Lt) are load-bearing: the
- * enum below and the fusion pass in sim/optimizer.cc both index into
- * this layout arithmetically.
+ * enum below and the compiler (sim/compiler.cc) both index into this
+ * layout arithmetically.
  */
 #define ASIM_ALU_FUSED_COMBOS(X, OPNAME, VEXPR)                        \
     X(OPNAME, VV, ASIM_FLDVC(*ip), ASIM_FLDVC(e), VEXPR)               \
@@ -95,10 +86,8 @@ namespace asim {
  *
  *  The computed-goto dispatch table in sim/vm.cc lists handlers in
  *  exactly this order — keep the two in sync (a static_assert over
- *  kOpCount guards the table length). Opcodes the optimizer never
- *  leaves as a dispatched word of Program::cycle (Nop, Ext,
- *  MemGenDataC/V/T) share one handler that reports an internal
- *  error. */
+ *  kOpCount guards the table length). Ext, never a dispatched word,
+ *  has a handler that reports an internal error. */
 enum class Op : uint8_t
 {
     // Expression evaluation into a scratch register.
@@ -147,10 +136,9 @@ enum class Op : uint8_t
     MemGenPre,  ///< generic: handle op 0/2 then jump a; else fall thru
     MemGenData, ///< generic: finish op 1/3 with data in s1
 
-    // ---- cycle-stream structure (sim/optimizer.cc emits these) ----
+    // ---- cycle-stream structure ----
     TraceCycle, ///< per-cycle trace point (between comb and latch)
     EndCycle,   ///< ++cycle; loop to pc 0 or end the run
-    Nop,        ///< dead-store placeholder; removed by compaction
     Ext,        ///< extension word of the preceding superinstruction
 
     // ---- superinstructions: fused scratch-load pairs (one Ext) ----
@@ -193,20 +181,13 @@ enum class Op : uint8_t
     MemLatchCV, MemLatchCT,
     MemLatchVT, MemLatchTV, MemLatchTT,
 
-    // ---- superinstructions: generic memory update, inline data ----
-    // MemGenData with the single-term data expression folded in
-    // (const in a, or field a=mask, b=shift, c=slot). An optimizer
-    // intermediate: the second round always merges it with its
-    // MemGenPre into MemGen*, so the VM has no handler for it.
-    MemGenDataC, MemGenDataV, MemGenDataT,
-
     // ---- superinstructions: fused two-operand ALUs ----
     // One dispatch for `vars[idx] = op(left, right)` where both
     // operands are simple (constant or single field). Left operand
     // in the op word (const in a, or field a=mask, b=shift, c=slot),
     // right operand in the Ext word (same layout). Generated by the
     // ASIM_ALU_FUSED_ALL X-macro: 8 direct ops x 8 bank combos, laid
-    // out combo-major so sim/optimizer.cc can compute
+    // out combo-major so sim/compiler.cc can compute
     // `AluFAddVV + op*8 + combo`.
 #define ASIM_ALU_FUSED_ENUM(OPNAME, COMBO, L, R, V) \
     AluF##OPNAME##COMBO,
@@ -239,7 +220,7 @@ enum class Op : uint8_t
     SelStoreK,
 
     // ---- superinstructions: whole latch phase in one dispatch ----
-    // Replaces the TraceCycle word when the latch phase is a
+    // Replaces the TraceCycle word when the latch phase starts with a
     // contiguous run of MemLatch* words: performs the trace point,
     // then interprets the next `b` stream words (which stay in place,
     // in their normal encodings) with an inline loop instead of `b`
@@ -255,9 +236,10 @@ enum class Op : uint8_t
     AluGenF,
 
     // ---- superinstructions: whole generic memory op, inline data ----
-    // MemGenPre and an adjacent inline-data MemGenData merged: one
+    // A generic memory whose data expression loads in one word: one
     // dispatch handles read/write/input/output off the latched
-    // operation. Data operands as in MemGenDataC/V/T.
+    // operation. Data operand const in a, or field a = mask,
+    // b = shift, c = slot.
     MemGenC, MemGenV, MemGenT,
 };
 
@@ -308,40 +290,27 @@ struct VmMemInfo
 /** A compiled program. */
 struct Program
 {
-    /** Canonical per-phase streams (the emit stage's output; used by
-     *  the disassembler, tests, and the optimizer as input). */
-    std::vector<Instr> comb;
-    std::vector<Instr> latch;
-    std::vector<Instr> update;
-
-    /** The linked + optimized whole-cycle stream the VM executes:
-     *  comb', TraceCycle, latch', update', EndCycle. MemGenPre's skip
+    /** The whole-cycle stream the VM executes: comb, TraceCycle (or
+     *  TraceLatchRun), latch, update, EndCycle. MemGenPre's skip
      *  target is an index into this stream. */
     std::vector<Instr> cycle;
 
     /** AluFold words of the comb components ahead of the first one
-     *  that may fault, moved out of `cycle` by the link stage. Their
-     *  values never change, so the VM writes them once per run call
-     *  instead of once per cycle, and counts one ALU evaluation each
-     *  for every cycle it starts. */
+     *  that may fault, kept out of `cycle`. Their values never
+     *  change, so the VM writes them once per run call instead of
+     *  once per cycle, and counts one ALU evaluation each for every
+     *  cycle it starts. */
     std::vector<Instr> hoisted;
-
-    /** Index in `comb` of the first word of the first component that
-     *  may fault (`comb.size()` when none may): the emit stage's one
-     *  statement of which folds the link stage may hoist. */
-    uint32_t firstBarrier = 0;
 
     std::vector<int32_t> constTable;
     std::vector<SelInfo> selInfos;
     std::vector<VmMemInfo> memInfos;
 
-    /** What the comb schedule and the link/optimize stage did (see
+    /** What the comb schedule and the emit stage did (see
      *  `--dump-bytecode`). */
     struct OptSummary
     {
-        uint32_t linked = 0;       ///< instrs entering the optimizer
-        uint32_t fused = 0;        ///< superinstructions formed
-        uint32_t deadStores = 0;   ///< dead scratch stores removed
+        uint32_t fused = 0;        ///< superinstruction words emitted
         uint32_t checksElided = 0; ///< memories with bounds checks
                                    ///< statically discharged
         uint32_t levels = 0;       ///< comb dependency levels
@@ -351,15 +320,8 @@ struct Program
     };
     OptSummary opt;
 
-    size_t
-    totalInstructions() const
-    {
-        return comb.size() + latch.size() + update.size();
-    }
-
     /** Human-readable disassembly (debugging, tests, tools): the
-     *  canonical phase streams, the hoisted folds, the optimized
-     *  cycle stream and an optimization summary. */
+     *  hoisted folds, the cycle stream and the emit summary. */
     std::string disassemble() const;
 };
 

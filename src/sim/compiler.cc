@@ -7,13 +7,38 @@
 
 #include "analysis/depgraph.hh"
 #include "lang/alu_ops.hh"
-#include "sim/optimizer.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
 namespace asim {
 
 namespace {
+
+/**
+ * True when every value of `e` provably lies in [0, limit): the
+ * constant part is non-negative, every term is a masked (bounded,
+ * non-negative) field, and the running maximum never reaches 2^31
+ * (so the wrapping adds cannot wrap) nor `limit`. Discharges memory
+ * bounds checks and marks the comb components that cannot fault.
+ */
+bool
+exprBelow(const ResolvedExpr &e, int64_t limit)
+{
+    if (e.constTotal < 0)
+        return false;
+    int64_t max = e.constTotal;
+    for (const auto &t : e.terms) {
+        if (t.mask < 0)
+            return false; // whole-word term: value unbounded
+        const int64_t m = static_cast<int64_t>(t.mask);
+        const int64_t termMax =
+            t.shift >= 0 ? m << t.shift : m >> -t.shift;
+        max += termMax;
+        if (max >= (int64_t{1} << 31))
+            return false;
+    }
+    return max < limit;
+}
 
 /** Which ALU operands a given constant function actually reads —
  *  mirrors the thesis' inline expansions, which only emit the
@@ -75,6 +100,24 @@ aluDirectOp(int32_t funct)
     }
 }
 
+/** Position of a direct binary ALU op in the fused-ALU op group, or
+ *  -1. Order matches ASIM_ALU_FUSED_ALL in sim/bytecode.hh. */
+int
+aluDirectIndex(Op op)
+{
+    switch (op) {
+      case Op::AluAdd: return 0;
+      case Op::AluSub: return 1;
+      case Op::AluMul: return 2;
+      case Op::AluAnd: return 3;
+      case Op::AluOr: return 4;
+      case Op::AluXor: return 5;
+      case Op::AluEq: return 6;
+      case Op::AluLt: return 7;
+      default: return -1;
+    }
+}
+
 /** True when a constant-function ALU folds to a single AluFold: every
  *  operand its function reads is constant (Shl excepted: its thesis
  *  semantics are the run-time AluSemantics setting). */
@@ -95,6 +138,98 @@ casesConstant(const CombComp &c)
                        [](const ResolvedExpr &e) { return e.isConstant(); });
 }
 
+/** True if `e` is a pure single-field expression (one term, no
+ *  constant part). */
+bool
+singleField(const ResolvedExpr &e)
+{
+    return e.terms.size() == 1 && e.constTotal == 0;
+}
+
+/** True if `e` loads in one word: a constant or a single field, the
+ *  operand shapes every superinstruction carries inline. */
+bool
+oneWord(const ResolvedExpr &e)
+{
+    return e.isConstant() || singleField(e);
+}
+
+/** The one-word load of `e` into s[reg] (oneWord(e) must hold):
+ *  SetC (constant in a) or LoadVar/LoadTemp (idx = slot, a = mask,
+ *  b = shift). A superinstruction takes these operands inline. */
+Instr
+simpleLoad(const ResolvedExpr &e, uint8_t reg)
+{
+    if (e.isConstant())
+        return {Op::SetC, reg, 0, e.constTotal, 0, 0};
+    const ResolvedTerm &t = e.terms[0];
+    return {t.bank == ResolvedTerm::Bank::Var ? Op::LoadVar : Op::LoadTemp,
+            reg, static_cast<uint16_t>(t.slot), t.mask, t.shift, 0};
+}
+
+/** Bank of a load word: 0 = constant (SetC), 1 = vars field (LoadVar),
+ *  2 = mem temp field (LoadTemp), -1 = an accumulate. The C/V/T rows
+ *  of the superinstruction tables below index by it. */
+int
+bank(const Instr &load)
+{
+    switch (load.op) {
+      case Op::SetC: return 0;
+      case Op::LoadVar: return 1;
+      case Op::LoadTemp: return 2;
+      default: return -1;
+    }
+}
+
+/** A word whose destination is `dst` and whose one-word operand rides
+ *  inline: constant in a, or field a = mask, b = shift, c = slot. */
+Instr
+inlineOperand(Op op, uint8_t reg, uint16_t dst, const Instr &load)
+{
+    return {op, reg, dst, load.a, load.b, load.idx};
+}
+
+/** The load word `load` as an extension word of its consumer. */
+Instr
+asExt(Instr load)
+{
+    load.op = Op::Ext;
+    return load;
+}
+
+// Opcodes by operand bank: C, V, T as bank() numbers them.
+constexpr Op kLoadPair[3][3] = {
+    {Op::LoadPairCC, Op::LoadPairCV, Op::LoadPairCT},
+    {Op::LoadPairVC, Op::LoadPairVV, Op::LoadPairVT},
+    {Op::LoadPairTC, Op::LoadPairTV, Op::LoadPairTT},
+};
+// Second side always a field (an AccVar/AccTemp source).
+constexpr Op kLoadAcc[3][2] = {
+    {Op::LoadAccCV, Op::LoadAccCT},
+    {Op::LoadAccVV, Op::LoadAccVT},
+    {Op::LoadAccTV, Op::LoadAccTT},
+};
+constexpr Op kMemLatch[3][3] = {
+    {Op::MemLatchCC, Op::MemLatchCV, Op::MemLatchCT},
+    {Op::MemLatchVC, Op::MemLatchVV, Op::MemLatchVT},
+    {Op::MemLatchTC, Op::MemLatchTV, Op::MemLatchTT},
+};
+constexpr Op kMemAdr[3] = {Op::MemAdrC, Op::MemAdrFVar, Op::MemAdrFTemp};
+constexpr Op kMemOpn[3] = {Op::MemOpnC, Op::MemOpnFVar, Op::MemOpnFTemp};
+constexpr Op kMemWrite[3] = {Op::MemWriteC, Op::MemWriteV, Op::MemWriteT};
+constexpr Op kMemOutput[3] = {Op::MemOutputC, Op::MemOutputV,
+                              Op::MemOutputT};
+constexpr Op kMemGen[3] = {Op::MemGenC, Op::MemGenV, Op::MemGenT};
+// Position of an operand-bank combo in a fused-ALU op group (order of
+// ASIM_ALU_FUSED_COMBOS); const/const folds, so it has none.
+constexpr int kAluCombo[3][3] = {{-1, 6, 7}, {4, 0, 1}, {5, 2, 3}};
+
+/**
+ * The one emit stage: lowers a ResolvedSpec straight to the stream
+ * the VM executes. Each component picks its superinstruction from the
+ * shapes of its operand expressions, so a load a consumer absorbs is
+ * never emitted and nothing is rewritten afterwards.
+ */
 class Compiler
 {
   public:
@@ -107,23 +242,20 @@ class Compiler
     {
         // Until the first component that may fault, every comb value
         // the cycle computes is written before any fault can surface:
-        // the link stage moves the folds there out of the cycle.
+        // the folds there go to `hoisted`, out of the cycle.
         bool barrierSeen = false;
         for (int32_t i : combSchedule()) {
             const CombComp &c = rs_.comb[i];
-            if (!barrierSeen && mayFault(c)) {
-                barrierSeen = true;
-                prog_.firstBarrier =
-                    static_cast<uint32_t>(prog_.comb.size());
-            }
+            barrierSeen = barrierSeen || mayFault(c);
             if (c.kind == CompKind::Alu)
-                compileAlu(c);
+                compileAlu(c, !barrierSeen);
             else
                 compileSelector(c);
         }
-        if (!barrierSeen)
-            prog_.firstBarrier = static_cast<uint32_t>(prog_.comb.size());
-        compileMemories();
+        prog_.opt.hoisted = static_cast<uint32_t>(prog_.hoisted.size());
+        compileLatches();
+        compileUpdates();
+        code_.push_back({Op::EndCycle, 0, 0, 0, 0, 0});
         return std::move(prog_);
     }
 
@@ -239,38 +371,51 @@ class Compiler
         return order;
     }
 
-    /** Emit code evaluating `e` into scratch register `reg`. */
+    /** Queue the canonical loads evaluating `e` into s[reg]: a SetC
+     *  of the constant part when there is one, then one LoadVar /
+     *  LoadTemp, or AccVar / AccTemp after the first word, per term. */
     void
-    compileExpr(std::vector<Instr> &code, const ResolvedExpr &e,
-                uint8_t reg)
+    queueLoads(const ResolvedExpr &e, uint8_t reg)
     {
-        if (e.isConstant()) {
-            code.push_back({Op::SetC, reg, 0, e.constTotal, 0, 0});
-            return;
-        }
         bool first = true;
-        if (e.constTotal != 0) {
-            code.push_back({Op::SetC, reg, 0, e.constTotal, 0, 0});
+        if (e.isConstant() || e.constTotal != 0) {
+            loads_.push_back({Op::SetC, reg, 0, e.constTotal, 0, 0});
             first = false;
         }
         for (const auto &t : e.terms) {
-            Op op;
-            if (t.bank == ResolvedTerm::Bank::Var)
-                op = first ? Op::LoadVar : Op::AccVar;
-            else
-                op = first ? Op::LoadTemp : Op::AccTemp;
+            const bool var = t.bank == ResolvedTerm::Bank::Var;
+            const Op op = var ? (first ? Op::LoadVar : Op::AccVar)
+                              : (first ? Op::LoadTemp : Op::AccTemp);
             first = false;
-            code.push_back({op, reg, static_cast<uint16_t>(t.slot),
-                            t.mask, t.shift, 0});
+            loads_.push_back(
+                {op, reg, static_cast<uint16_t>(t.slot), t.mask, t.shift, 0});
         }
     }
 
-    /** True if `e` is a pure single-field expression (one term, no
-     *  constant part) — fusable with its destination. */
-    static bool
-    singleField(const ResolvedExpr &e)
+    /** Emit the queued loads, left to right, each simple load fused
+     *  with the load after it: the first load of another expression,
+     *  in another register (LoadPair), or an accumulate into its own
+     *  register (LoadAcc). The second load stays as the extension
+     *  word. */
+    void
+    flushLoads()
     {
-        return e.terms.size() == 1 && e.constTotal == 0;
+        for (size_t i = 0; i < loads_.size(); ++i) {
+            Instr x = loads_[i];
+            const int bx = bank(x);
+            if (bx < 0 || i + 1 == loads_.size()) {
+                code_.push_back(x);
+                continue;
+            }
+            const Instr &y = loads_[++i];
+            const int by = bank(y);
+            x.op = by >= 0 ? kLoadPair[bx][by]
+                           : kLoadAcc[bx][y.op == Op::AccTemp];
+            code_.push_back(x);
+            code_.push_back(asExt(y));
+            ++prog_.opt.fused;
+        }
+        loads_.clear();
     }
 
     /** True when some case of a selector reads a memory temp. */
@@ -297,35 +442,9 @@ class Compiler
         return static_cast<int32_t>(k);
     }
 
-    /** Emit a latch (`mems[m].adr/opn = e`) with the same fusions. */
     void
-    compileLatch(std::vector<Instr> &code, const ResolvedExpr &e,
-                 uint16_t mem, bool isAdr)
+    compileAlu(const CombComp &c, bool hoist)
     {
-        if (e.isConstant()) {
-            code.push_back({isAdr ? Op::MemAdrC : Op::MemOpnC, 0, mem,
-                            e.constTotal, 0, 0});
-            return;
-        }
-        if (singleField(e)) {
-            const ResolvedTerm &t = e.terms[0];
-            Op op;
-            if (t.bank == ResolvedTerm::Bank::Var)
-                op = isAdr ? Op::MemAdrFVar : Op::MemOpnFVar;
-            else
-                op = isAdr ? Op::MemAdrFTemp : Op::MemOpnFTemp;
-            code.push_back({op, 0, mem, t.mask, t.shift, t.slot});
-            return;
-        }
-        compileExpr(code, e, 0);
-        code.push_back(
-            {isAdr ? Op::MemAdr : Op::MemOpn, 0, mem, 0, 0, 0});
-    }
-
-    void
-    compileAlu(const CombComp &c)
-    {
-        auto &code = prog_.comb;
         const auto slot = static_cast<uint16_t>(c.slot);
 
         if (c.functConst) {
@@ -334,33 +453,66 @@ class Compiler
                 // read, constant or not.
                 const int32_t v = dologic(c.functValue, c.left.constTotal,
                                           c.right.constTotal);
-                code.push_back({Op::AluFold, 0, slot, v, 0, 0});
+                (hoist ? prog_.hoisted : code_)
+                    .push_back({Op::AluFold, 0, slot, v, 0, 0});
+                return;
+            }
+
+            // Both operands one word: the whole expression in one
+            // dispatch, left inline, right in the extension word.
+            const Op direct = aluDirectOp(c.functValue);
+            const int op8 = aluDirectIndex(direct);
+            if (op8 >= 0 && oneWord(c.left) && oneWord(c.right)) {
+                const Instr l = simpleLoad(c.left, 1);
+                const Instr r = simpleLoad(c.right, 2);
+                const int combo = kAluCombo[bank(l)][bank(r)];
+                code_.push_back(inlineOperand(
+                    static_cast<Op>(static_cast<int>(Op::AluFAddVV) +
+                                    op8 * 8 + combo),
+                    0, slot, l));
+                code_.push_back(inlineOperand(Op::Ext, 0, 0, r));
+                ++prog_.opt.fused;
                 return;
             }
 
             bool needL = true, needR = true;
             aluOperandNeeds(c.functValue, needL, needR);
             if (needL)
-                compileExpr(code, c.left, 1);
+                queueLoads(c.left, 1);
             if (needR)
-                compileExpr(code, c.right, 2);
-            Op direct = aluDirectOp(c.functValue);
-            code.push_back({direct, 0, slot,
-                            direct == Op::AluConst ? c.functValue : 0,
-                            0, 0});
+                queueLoads(c.right, 2);
+            flushLoads();
+            code_.push_back({direct, 0, slot,
+                             direct == Op::AluConst ? c.functValue : 0,
+                             0, 0});
             return;
         }
 
-        compileExpr(code, c.funct, 0);
-        compileExpr(code, c.left, 1);
-        compileExpr(code, c.right, 2);
-        code.push_back({Op::AluGen, 0, slot, 0, 0, 0});
+        // All three sides one word: one dologic dispatch, the loads
+        // kept as three extension words.
+        if (oneWord(c.funct) && oneWord(c.left) && oneWord(c.right)) {
+            const Instr f = simpleLoad(c.funct, 0);
+            const Instr l = simpleLoad(c.left, 1);
+            const Instr r = simpleLoad(c.right, 2);
+            code_.push_back({Op::AluGenF,
+                             static_cast<uint8_t>(bank(f) | bank(l) << 2 |
+                                                  bank(r) << 4),
+                             slot, 0, 0, 0});
+            for (const Instr &w : {f, l, r})
+                code_.push_back(asExt(w));
+            ++prog_.opt.fused;
+            return;
+        }
+        queueLoads(c.funct, 0);
+        queueLoads(c.left, 1);
+        queueLoads(c.right, 2);
+        flushLoads();
+        code_.push_back({Op::AluGen, 0, slot, 0, 0, 0});
     }
 
     void
     compileSelector(const CombComp &c)
     {
-        auto &code = prog_.comb;
         const auto slot = static_cast<uint16_t>(c.slot);
 
         prog_.selInfos.push_back(
@@ -369,15 +521,25 @@ class Compiler
             static_cast<int32_t>(prog_.selInfos.size() - 1);
         const auto count = static_cast<int32_t>(c.cases.size());
 
-        // Microcode-ROM pattern: all cases constant -> table lookup.
+        // Microcode-ROM pattern: all cases constant -> table lookup,
+        // with a single-field select inline in an extension word.
         if (casesConstant(c)) {
             const auto base =
                 static_cast<int32_t>(prog_.constTable.size());
             for (const auto &e : c.cases)
                 prog_.constTable.push_back(e.constTotal);
-            compileExpr(code, c.select, 0);
-            code.push_back(
-                {Op::SelTable, 0, slot, base, count, selIdx});
+            if (singleField(c.select)) {
+                const Instr field = simpleLoad(c.select, 0);
+                code_.push_back({field.op == Op::LoadVar ? Op::SelTableV
+                                                         : Op::SelTableT,
+                                 0, slot, base, count, selIdx});
+                code_.push_back(asExt(field));
+                ++prog_.opt.fused;
+                return;
+            }
+            queueLoads(c.select, 0);
+            flushLoads();
+            code_.push_back({Op::SelTable, 0, slot, base, count, selIdx});
             return;
         }
 
@@ -387,11 +549,9 @@ class Compiler
         Instr op = {Op::SelStoreK, kSelFromS0, slot, k, count, selIdx};
         Instr field = {Op::Ext, 0, 0, 0, 0, 0};
         if (singleField(c.select)) {
-            const ResolvedTerm &t = c.select.terms[0];
-            const bool var = t.bank == ResolvedTerm::Bank::Var;
-            field.a = t.mask;
-            field.b = t.shift;
-            field.c = t.slot;
+            const Instr load = simpleLoad(c.select, 0);
+            const bool var = load.op == Op::LoadVar;
+            field = inlineOperand(Op::Ext, 0, 0, load);
             op.reg = var ? kSelFromVar : kSelFromTemp;
             if (k == 1) {
                 op.op = var ? Op::SelStoreV : Op::SelStoreT;
@@ -399,36 +559,88 @@ class Compiler
                 op.a = 0;
             }
         } else {
-            compileExpr(code, c.select, 0);
+            queueLoads(c.select, 0);
+            flushLoads();
         }
-        code.push_back(op);
-        code.push_back(field);
+        code_.push_back(op);
+        code_.push_back(field);
         for (const auto &e : c.cases) {
-            const size_t first = code.size();
+            const size_t first = code_.size();
             for (const auto &t : e.terms) {
                 const bool var = t.bank == ResolvedTerm::Bank::Var;
-                code.push_back({Op::Ext, static_cast<uint8_t>(!var),
-                                static_cast<uint16_t>(t.slot), t.mask,
-                                t.shift, 0});
+                code_.push_back({Op::Ext, static_cast<uint8_t>(!var),
+                                 static_cast<uint16_t>(t.slot), t.mask,
+                                 t.shift, 0});
             }
             // Zero-mask padding reads vars[0], which exists: this
             // selector's own slot is a var.
-            code.resize(first + k, {Op::Ext, 0, 0, 0, 0, 0});
-            code[first].c = e.constTotal;
+            code_.resize(first + k, {Op::Ext, 0, 0, 0, 0, 0});
+            code_[first].c = e.constTotal;
         }
     }
 
+    /** Emit one latch (`mems[m].adr/opn = e`) on its own. */
     void
-    compileMemories()
+    compileLatch(const ResolvedExpr &e, uint16_t mem, bool isAdr)
     {
-        // Latch phase: address and operation of every memory.
+        if (oneWord(e)) {
+            const Instr load = simpleLoad(e, 0);
+            const Op op = (isAdr ? kMemAdr : kMemOpn)[bank(load)];
+            code_.push_back(inlineOperand(op, 0, mem, load));
+            return;
+        }
+        queueLoads(e, 0);
+        flushLoads();
+        code_.push_back({isAdr ? Op::MemAdr : Op::MemOpn, 0, mem, 0, 0, 0});
+    }
+
+    /**
+     * The trace point and the latch phase. A memory whose address and
+     * operation are both one word latches in one MemLatch dispatch
+     * (the operation in the extension word, or in b when both are
+     * constants). The leading run of such memories folds into the
+     * trace point: TraceLatchRun interprets them inline.
+     */
+    void
+    compileLatches()
+    {
+        const size_t trace = code_.size();
+        code_.push_back({Op::TraceCycle, 0, 0, 0, 0, 0});
+        size_t runEnd = 0;
         for (const auto &m : rs_.mems) {
             const auto idx = static_cast<uint16_t>(m.index);
-            compileLatch(prog_.latch, m.addr, idx, true);
-            compileLatch(prog_.latch, m.opn, idx, false);
+            if (!oneWord(m.addr) || !oneWord(m.opn)) {
+                if (runEnd == 0)
+                    runEnd = code_.size();
+                compileLatch(m.addr, idx, true);
+                compileLatch(m.opn, idx, false);
+                continue;
+            }
+            const Instr adr = simpleLoad(m.addr, 0);
+            const Instr opn = simpleLoad(m.opn, 0);
+            const Op op = kMemLatch[bank(adr)][bank(opn)];
+            if (op == Op::MemLatchCC) {
+                code_.push_back({op, 0, idx, adr.a, opn.a, 0});
+            } else {
+                code_.push_back(inlineOperand(op, 0, idx, adr));
+                code_.push_back(inlineOperand(Op::Ext, 0, idx, opn));
+            }
+            ++prog_.opt.fused;
         }
+        if (runEnd == 0)
+            runEnd = code_.size();
+        if (runEnd > trace + 1) {
+            code_[trace] = {Op::TraceLatchRun, 0, 0, 0,
+                            static_cast<int32_t>(runEnd - trace - 1), 0};
+            ++prog_.opt.fused;
+        }
+    }
 
-        // Update phase, declaration order.
+    /** The update phase, declaration order. A one-word data
+     *  expression rides inline in the memory op. */
+    void
+    compileUpdates()
+    {
         for (const auto &m : rs_.mems) {
             const auto idx = static_cast<uint16_t>(m.index);
             prog_.memInfos.push_back({m.name});
@@ -438,37 +650,56 @@ class Compiler
                 flags |= kMemFlagTraceW;
             if (tracing_ && m.traceReads != MemDesc::TraceMode::Never)
                 flags |= kMemFlagTraceR;
+            // The latch phase recomputes `adr` from the resolved
+            // address expression every cycle before the update phase
+            // runs, so a static bound holds for any machine state,
+            // a restored snapshot included.
+            uint8_t cells = flags;
+            if (exprBelow(m.addr, m.size)) {
+                cells |= kMemFlagNoCheck;
+                ++prog_.opt.checksElided;
+            }
 
-            if (m.opnConst) {
-                switch (land(m.opnValue, 3)) {
-                  case mem_op::kRead:
-                    prog_.update.push_back(
-                        {Op::MemRead, flags, idx, 0, 0, 0});
-                    break;
-                  case mem_op::kWrite:
-                    compileExpr(prog_.update, m.data, 1);
-                    prog_.update.push_back(
-                        {Op::MemWrite, flags, idx, 0, 0, 0});
-                    break;
-                  case mem_op::kInput:
-                    prog_.update.push_back(
-                        {Op::MemInput, flags, idx, 0, 0, 0});
-                    break;
-                  case mem_op::kOutput:
-                    compileExpr(prog_.update, m.data, 1);
-                    prog_.update.push_back(
-                        {Op::MemOutput, flags, idx, 0, 0, 0});
-                    break;
+            const bool inlineData = oneWord(m.data);
+            const Instr data = inlineData ? simpleLoad(m.data, 1) : Instr{};
+            const auto withData = [&](const Op (&fused)[3], Op plain,
+                                      uint8_t reg) {
+                if (inlineData) {
+                    code_.push_back(
+                        inlineOperand(fused[bank(data)], reg, idx, data));
+                    ++prog_.opt.fused;
+                    return;
                 }
-            } else {
-                const size_t preAt = prog_.update.size();
-                prog_.update.push_back(
-                    {Op::MemGenPre, flags, idx, 0, 0, 0});
-                compileExpr(prog_.update, m.data, 1);
-                prog_.update.push_back(
-                    {Op::MemGenData, flags, idx, 0, 0, 0});
-                prog_.update[preAt].a =
-                    static_cast<int32_t>(prog_.update.size());
+                queueLoads(m.data, 1);
+                flushLoads();
+                code_.push_back({plain, reg, idx, 0, 0, 0});
+            };
+            if (!m.opnConst) {
+                if (inlineData) {
+                    withData(kMemGen, Op::MemGenData, cells);
+                    continue;
+                }
+                // Handles read and input, then skips the data
+                // expression; write and output fall through to it.
+                const size_t pre = code_.size();
+                code_.push_back({Op::MemGenPre, cells, idx, 0, 0, 0});
+                withData(kMemGen, Op::MemGenData, cells);
+                code_[pre].a = static_cast<int32_t>(code_.size());
+                continue;
+            }
+            switch (land(m.opnValue, 3)) {
+              case mem_op::kRead:
+                code_.push_back({Op::MemRead, cells, idx, 0, 0, 0});
+                break;
+              case mem_op::kWrite:
+                withData(kMemWrite, Op::MemWrite, cells);
+                break;
+              case mem_op::kInput:
+                code_.push_back({Op::MemInput, flags, idx, 0, 0, 0});
+                break;
+              case mem_op::kOutput:
+                withData(kMemOutput, Op::MemOutput, flags);
+                break;
             }
         }
     }
@@ -476,6 +707,10 @@ class Compiler
     const ResolvedSpec &rs_;
     bool tracing_;
     Program prog_;
+    /** The stream being emitted, `prog_.cycle`. */
+    std::vector<Instr> &code_ = prog_.cycle;
+    /** Loads of the operands being emitted (flushLoads). */
+    std::vector<Instr> loads_;
 };
 
 } // namespace
@@ -520,7 +755,6 @@ opName(Op op)
       case Op::MemGenData: return "mem.fin";
       case Op::TraceCycle: return "trace.cycle";
       case Op::EndCycle: return "end.cycle";
-      case Op::Nop: return "nop";
       case Op::Ext: return "ext";
       case Op::LoadPairCC: return "ldp.cc";
       case Op::LoadPairCV: return "ldp.cv";
@@ -554,9 +788,6 @@ opName(Op op)
       case Op::MemLatchVT: return "mlatch.vt";
       case Op::MemLatchTV: return "mlatch.tv";
       case Op::MemLatchTT: return "mlatch.tt";
-      case Op::MemGenDataC: return "mem.finc";
-      case Op::MemGenDataV: return "mem.finv";
-      case Op::MemGenDataT: return "mem.fint";
 #define ASIM_ALU_FUSED_NAME(OPNAME, COMBO, L, R, V)                    \
       case Op::AluF##OPNAME##COMBO:                                    \
         return "aluf." #OPNAME "." #COMBO;
@@ -587,18 +818,57 @@ Program::disassemble() const
                << " b=" << in.b << " c=" << in.c << "\n";
         }
     };
-    dump("comb", comb);
-    dump("latch", latch);
-    dump("update", update);
     dump("hoisted", hoisted);
-    dump("cycle (fused)", cycle);
+    dump("cycle", cycle);
     os << "constTable: " << constTable.size() << " entries\n";
-    os << "opt: linked=" << opt.linked << " cycle=" << cycle.size()
-       << " fused=" << opt.fused << " deadStores=" << opt.deadStores
+    os << "opt: cycle=" << cycle.size() << " fused=" << opt.fused
        << " checksElided=" << opt.checksElided
        << " levels=" << opt.levels << " shapeRuns=" << opt.shapeRuns
        << " hoisted=" << opt.hoisted << "\n";
     return os.str();
+}
+
+bool
+opHasExt(Op op)
+{
+    switch (op) {
+      case Op::LoadPairCC:
+      case Op::LoadPairCV:
+      case Op::LoadPairCT:
+      case Op::LoadPairVC:
+      case Op::LoadPairVV:
+      case Op::LoadPairVT:
+      case Op::LoadPairTC:
+      case Op::LoadPairTV:
+      case Op::LoadPairTT:
+      case Op::LoadAccCV:
+      case Op::LoadAccCT:
+      case Op::LoadAccVV:
+      case Op::LoadAccVT:
+      case Op::LoadAccTV:
+      case Op::LoadAccTT:
+      case Op::MemLatchVC:
+      case Op::MemLatchTC:
+      case Op::MemLatchVV:
+      case Op::MemLatchCV:
+      case Op::MemLatchCT:
+      case Op::MemLatchVT:
+      case Op::MemLatchTV:
+      case Op::MemLatchTT:
+#define ASIM_ALU_FUSED_EXT(OPNAME, COMBO, L, R, V)                     \
+      case Op::AluF##OPNAME##COMBO:
+      ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_EXT)
+#undef ASIM_ALU_FUSED_EXT
+      case Op::SelTableV:
+      case Op::SelTableT:
+      case Op::SelStoreV: // select field word + per-case descriptors
+      case Op::SelStoreT:
+      case Op::SelStoreK:
+      case Op::AluGenF: // three extension words
+        return true;
+      default:
+        return false;
+    }
 }
 
 Program
@@ -615,9 +885,7 @@ compileProgram(const ResolvedSpec &rs, const CompilerOptions &,
                        " slots; this specification needs " +
                        std::to_string(slots) + ".");
     }
-    Program prog = Compiler(rs, tracingPossible).run();
-    linkAndOptimize(prog, rs);
-    return prog;
+    return Compiler(rs, tracingPossible).run();
 }
 
 } // namespace asim

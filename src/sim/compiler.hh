@@ -17,8 +17,9 @@ struct CompilerOptions
 {};
 
 /**
- * Compile a resolved specification to VM bytecode: the emit stage
- * (every §4.4 constant optimization) and then linkAndOptimize().
+ * Compile a resolved specification to VM bytecode in one emit stage
+ * (every §4.4 constant optimization and the superinstructions; see
+ * sim/bytecode.hh).
  *
  * @param rs the resolved specification
  * @param tracingPossible if false (no trace sink will ever be

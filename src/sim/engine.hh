@@ -42,9 +42,6 @@ struct EngineConfig
 
     /** I/O device; nullptr behaves like NullIo. */
     IoDevice *io = nullptr;
-
-    /** Collect access statistics (small overhead when enabled). */
-    bool collectStats = true;
 };
 
 /** "This cursor field was not captured": the byte cursor of every

@@ -46,12 +46,10 @@ Interpreter::evalCombinational()
 {
     for (const auto &c : rs_->comb) {
         evalCombOne(c);
-        if (cfg_.collectStats) {
-            if (c.kind == CompKind::Alu)
-                ++stats_.aluEvals;
-            else
-                ++stats_.selEvals;
-        }
+        if (c.kind == CompKind::Alu)
+            ++stats_.aluEvals;
+        else
+            ++stats_.selEvals;
     }
 }
 
@@ -88,26 +86,22 @@ Interpreter::updateMemOne(const MemDesc &m)
       case mem_op::kRead:
         checkAddr();
         ms.temp = ms.cells[adr];
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].reads;
+        ++stats_.mems[m.index].reads;
         break;
       case mem_op::kWrite:
         checkAddr();
         ms.temp = eval(m.data);
         ms.cells[adr] = ms.temp;
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].writes;
+        ++stats_.mems[m.index].writes;
         break;
       case mem_op::kInput:
         ms.temp = io_->input(adr);
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].inputs;
+        ++stats_.mems[m.index].inputs;
         break;
       case mem_op::kOutput:
         ms.temp = eval(m.data);
         io_->output(adr, ms.temp);
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].outputs;
+        ++stats_.mems[m.index].outputs;
         break;
     }
 
@@ -134,8 +128,7 @@ Interpreter::step()
     latchMemories();
     updateMemories();
     ++cycle_;
-    if (cfg_.collectStats)
-        ++stats_.cycles;
+    ++stats_.cycles;
 }
 
 std::unique_ptr<Engine>

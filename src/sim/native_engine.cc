@@ -96,22 +96,20 @@ NativeEngine::settle(uint64_t start, uint64_t alus, uint64_t sels,
                      size_t mems)
 {
     cycle_ = static_cast<uint64_t>(ctx_.cycle);
-    if (cfg_.collectStats) {
-        const uint64_t done = cycle_ - start;
-        stats_.cycles += done;
-        stats_.aluEvals += done * alus_ + alus;
-        stats_.selEvals += done * sels_ + sels;
-        for (size_t i = 0; i < stats_.mems.size(); ++i) {
-            // One access per memory per completed cycle, plus one for
-            // each memory that ran before a faulting one.
-            const uint64_t *ops = &memOps_[4 * i];
-            MemStats &ms = stats_.mems[i];
-            ms.reads += done + (i < mems ? 1 : 0) - ops[1] - ops[2] -
-                        ops[3];
-            ms.writes += ops[1];
-            ms.inputs += ops[2];
-            ms.outputs += ops[3];
-        }
+    const uint64_t done = cycle_ - start;
+    stats_.cycles += done;
+    stats_.aluEvals += done * alus_ + alus;
+    stats_.selEvals += done * sels_ + sels;
+    for (size_t i = 0; i < stats_.mems.size(); ++i) {
+        // One access per memory per completed cycle, plus one for
+        // each memory that ran before a faulting one.
+        const uint64_t *ops = &memOps_[4 * i];
+        MemStats &ms = stats_.mems[i];
+        ms.reads += done + (i < mems ? 1 : 0) - ops[1] - ops[2] -
+                    ops[3];
+        ms.writes += ops[1];
+        ms.inputs += ops[2];
+        ms.outputs += ops[3];
     }
     std::fill(memOps_.begin(), memOps_.end(), 0);
 }

@@ -603,16 +603,13 @@ PartitionedInterpreter::step()
     // Aggregate comb counters are bulk-added from the plan so worker
     // lanes never share a counter; the totals per completed phase
     // match the serial engine's per-component increments.
-    if (cfg_.collectStats) {
-        stats_.aluEvals += plan_.aluCount;
-        stats_.selEvals += plan_.selCount;
-    }
+    stats_.aluEvals += plan_.aluCount;
+    stats_.selEvals += plan_.selCount;
     traceCycle();
     runLatchPhase();
     runUpdatePhase();
     ++cycle_;
-    if (cfg_.collectStats)
-        ++stats_.cycles;
+    ++stats_.cycles;
 }
 
 std::unique_ptr<Engine>

@@ -85,16 +85,14 @@ SymbolicInterpreter::evalComponent(const Component &c)
         int32_t l = eval(c.left);
         int32_t r = eval(c.right);
         state_.vars[slot] = dologic(f, l, r, cfg_.aluSemantics);
-        if (cfg_.collectStats)
-            ++stats_.aluEvals;
+        ++stats_.aluEvals;
     } else {
         int32_t idx = eval(c.select);
         if (idx < 0 || idx >= static_cast<int32_t>(c.cases.size())) {
             throw selectorFault(c.name, idx, c.cases.size(), cycle_);
         }
         state_.vars[slot] = eval(c.cases[idx]);
-        if (cfg_.collectStats)
-            ++stats_.selEvals;
+        ++stats_.selEvals;
     }
 }
 
@@ -115,26 +113,22 @@ SymbolicInterpreter::updateMemory(const Component &c, int index)
       case mem_op::kRead:
         checkAddr();
         ms.temp = ms.cells[adr];
-        if (cfg_.collectStats)
-            ++stats_.mems[index].reads;
+        ++stats_.mems[index].reads;
         break;
       case mem_op::kWrite:
         checkAddr();
         ms.temp = eval(c.data);
         ms.cells[adr] = ms.temp;
-        if (cfg_.collectStats)
-            ++stats_.mems[index].writes;
+        ++stats_.mems[index].writes;
         break;
       case mem_op::kInput:
         ms.temp = io_->input(adr);
-        if (cfg_.collectStats)
-            ++stats_.mems[index].inputs;
+        ++stats_.mems[index].inputs;
         break;
       case mem_op::kOutput:
         ms.temp = eval(c.data);
         io_->output(adr, ms.temp);
-        if (cfg_.collectStats)
-            ++stats_.mems[index].outputs;
+        ++stats_.mems[index].outputs;
         break;
     }
 
@@ -160,8 +154,7 @@ SymbolicInterpreter::step()
     for (const auto &[c, index] : memOrder_)
         updateMemory(*c, index);
     ++cycle_;
-    if (cfg_.collectStats)
-        ++stats_.cycles;
+    ++stats_.cycles;
 }
 
 std::unique_ptr<Engine>

@@ -117,7 +117,6 @@ Vm::runCycles(uint64_t n)
     const int32_t *const ct = prog_->constTable.data();
     IoDevice *const io = io_;
     const AluSemantics alu = cfg_.aluSemantics;
-    const bool collect = cfg_.collectStats;
     const bool tracing = cfg_.trace != nullptr;
     const uint64_t cycle0 = cycle_;
 
@@ -135,13 +134,10 @@ Vm::runCycles(uint64_t n)
     // first component that can fault).
     const auto flush = [&](bool faulted) {
         cycle_ = cycle0 + (n - left);
-        aluEvals += collect * prog_->hoisted.size() *
-                    (n - left + (faulted ? 1 : 0));
-        if (collect) {
-            stats_.cycles += n - left;
-            stats_.aluEvals += aluEvals;
-            stats_.selEvals += selEvals;
-        }
+        aluEvals += prog_->hoisted.size() * (n - left + (faulted ? 1 : 0));
+        stats_.cycles += n - left;
+        stats_.aluEvals += aluEvals;
+        stats_.selEvals += selEvals;
         if (metrics::timingEnabled()) {
             // Sampled at run exit from hot-loop locals, never from
             // inside the dispatch loop: the off path stays one
@@ -165,10 +161,7 @@ Vm::runCycles(uint64_t n)
 
     try {
         // One entry per Op, in exact enum order (sim/bytecode.hh).
-        // H_Unlinked stands in for the opcodes the optimizer never
-        // leaves as a dispatched word of the cycle stream:
-        // mem.fin{c,v,t} are always fused away, nop is compacted out,
-        // and ext words are decoded by their owners.
+        // Ext words are decoded by their owners, never dispatched.
         static const void *const tbl[] = {
             &&H_SetC, &&H_LoadVar, &&H_LoadTemp, &&H_AccVar,
             &&H_AccTemp,
@@ -182,7 +175,7 @@ Vm::runCycles(uint64_t n)
             &&H_MemOpnFTemp,
             &&H_MemRead, &&H_MemWrite, &&H_MemInput, &&H_MemOutput,
             &&H_MemGenPre, &&H_MemGenData,
-            &&H_TraceCycle, &&H_EndCycle, &&H_Unlinked, &&H_Unlinked,
+            &&H_TraceCycle, &&H_EndCycle, &&H_Ext,
             &&H_LoadPairCC, &&H_LoadPairCV, &&H_LoadPairCT,
             &&H_LoadPairVC, &&H_LoadPairVV, &&H_LoadPairVT,
             &&H_LoadPairTC, &&H_LoadPairTV, &&H_LoadPairTT,
@@ -195,7 +188,6 @@ Vm::runCycles(uint64_t n)
             &&H_SelTableV, &&H_SelTableT,
             &&H_MemLatchCV, &&H_MemLatchCT, &&H_MemLatchVT,
             &&H_MemLatchTV, &&H_MemLatchTT,
-            &&H_Unlinked, &&H_Unlinked, &&H_Unlinked,
 #define ASIM_ALU_FUSED_LABEL(OPNAME, COMBO, L, R, V)                   \
             &&H_AluF##OPNAME##COMBO,
             ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_LABEL)
@@ -237,87 +229,87 @@ Vm::runCycles(uint64_t n)
         CASE(AluGen)
         {
             vars[ip->idx] = dologic(s[0], s[1], s[2], alu);
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluConst)
         {
             vars[ip->idx] = dologic(ip->a, s[1], s[2], alu);
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluRight)
         {
             vars[ip->idx] = s[2];
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluLeft)
         {
             vars[ip->idx] = s[1];
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluNot)
         {
             vars[ip->idx] = wsub(kValueMask, s[1]);
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluAdd)
         {
             vars[ip->idx] = wadd(s[1], s[2]);
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluSub)
         {
             vars[ip->idx] = wsub(s[1], s[2]);
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluMul)
         {
             vars[ip->idx] = wmul(s[1], s[2]);
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluAnd)
         {
             vars[ip->idx] = land(s[1], s[2]);
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluOr)
         {
             vars[ip->idx] =
                 wsub(wadd(s[1], s[2]), land(s[1], s[2]));
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluXor)
         {
             vars[ip->idx] =
                 wsub(wadd(s[1], s[2]), wmul(land(s[1], s[2]), 2));
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluEq)
         {
             vars[ip->idx] = s[1] == s[2] ? 1 : 0;
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluLt)
         {
             vars[ip->idx] = s[1] < s[2] ? 1 : 0;
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
         CASE(AluFold)
         {
             vars[ip->idx] = ip->a;
-            aluEvals += collect;
+            ++aluEvals;
         }
         NEXT();
 
@@ -326,7 +318,7 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(s[0]) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, s[0], curCycle());
-            selEvals += collect;
+            ++selEvals;
             vars[ip->idx] = ct[ip->a + s[0]];
         }
         NEXT();
@@ -378,8 +370,7 @@ Vm::runCycles(uint64_t n)
             if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                 checkAddr(ms, ip->idx, curCycle());
             ms.temp = ms.cells[ms.adr];
-            if (collect)
-                ++stats_.mems[ip->idx].reads;
+            ++stats_.mems[ip->idx].reads;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -391,8 +382,7 @@ Vm::runCycles(uint64_t n)
                 checkAddr(ms, ip->idx, curCycle());
             ms.temp = s[1];
             ms.cells[ms.adr] = s[1];
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -401,8 +391,7 @@ Vm::runCycles(uint64_t n)
         {
             MemoryState &ms = mems[ip->idx];
             ms.temp = io->input(ms.adr);
-            if (collect)
-                ++stats_.mems[ip->idx].inputs;
+            ++stats_.mems[ip->idx].inputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -412,8 +401,7 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             ms.temp = s[1];
             io->output(ms.adr, s[1]);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -428,12 +416,10 @@ Vm::runCycles(uint64_t n)
                 if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                     checkAddr(ms, ip->idx, curCycle());
                 ms.temp = ms.cells[ms.adr];
-                if (collect)
-                    ++stats_.mems[ip->idx].reads;
+                ++stats_.mems[ip->idx].reads;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -450,12 +436,10 @@ Vm::runCycles(uint64_t n)
             ms.temp = s[1];
             if (mop == mem_op::kWrite) {
                 ms.cells[ms.adr] = s[1];
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
+                ++stats_.mems[ip->idx].writes;
             } else { // output
                 io->output(ms.adr, s[1]);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -476,12 +460,11 @@ Vm::runCycles(uint64_t n)
                 goto done;
             JUMP(0);
         }
-        CASE(Unlinked)
+        CASE(Ext)
         {
-            // Never reached: see the table above (sim/optimizer.cc
-            // also keeps jump targets off extension words).
-            throw SimError("internal: dispatched an opcode the "
-                           "optimizer never links");
+            // Never reached: the compiler keeps jump targets off
+            // extension words.
+            throw SimError("internal: dispatched an extension word");
         }
 
         CASE(LoadPairCC)
@@ -622,8 +605,7 @@ Vm::runCycles(uint64_t n)
                 checkAddr(ms, ip->idx, curCycle());
             ms.temp = ip->a;
             ms.cells[ms.adr] = ip->a;
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -636,8 +618,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDVC(*ip);
             ms.temp = d;
             ms.cells[ms.adr] = d;
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -650,8 +631,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDTC(*ip);
             ms.temp = d;
             ms.cells[ms.adr] = d;
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -661,8 +641,7 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             ms.temp = ip->a;
             io->output(ms.adr, ip->a);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -673,8 +652,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDVC(*ip);
             ms.temp = d;
             io->output(ms.adr, d);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -685,8 +663,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDTC(*ip);
             ms.temp = d;
             io->output(ms.adr, d);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -699,7 +676,7 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
+            ++selEvals;
             vars[ip->idx] = ct[ip->a + sel];
         }
         NEXT2();
@@ -710,7 +687,7 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
+            ++selEvals;
             vars[ip->idx] = ct[ip->a + sel];
         }
         NEXT2();
@@ -766,7 +743,7 @@ Vm::runCycles(uint64_t n)
             const int32_t l = (LEXPR);                                 \
             const int32_t r = (REXPR);                                 \
             vars[ip->idx] = (VEXPR);                                   \
-            aluEvals += collect;                                       \
+            ++aluEvals;                                                \
         }                                                              \
         NEXT2();
         ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_HANDLER)
@@ -785,7 +762,7 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
+            ++selEvals;
             const Instr &d = ip[2 + sel];
             const int32_t src = d.reg ? mems[d.idx].temp
                                       : vars[d.idx];
@@ -800,7 +777,7 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
+            ++selEvals;
             const Instr &d = ip[2 + sel];
             const int32_t src = d.reg ? mems[d.idx].temp
                                       : vars[d.idx];
@@ -817,7 +794,7 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
+            ++selEvals;
             const int32_t k = ip->a;
             const Instr *d = ip + 2 + static_cast<int64_t>(sel) * k;
             int32_t v = 0;
@@ -905,7 +882,7 @@ Vm::runCycles(uint64_t n)
                               : (banks & 48) == 16 ? ASIM_FLDV(e3)
                                                    : ASIM_FLDT(e3);
             vars[ip->idx] = dologic(f, l, r, alu);
-            aluEvals += collect;
+            ++aluEvals;
             NEXTN(4);
         }
 
@@ -927,18 +904,15 @@ Vm::runCycles(uint64_t n)
                 const int32_t v = wr ? ip->a : *cell;
                 *cell = v;
                 ms.temp = v;
-                if (collect)
-                    ++(wr ? stats_.mems[ip->idx].writes
-                          : stats_.mems[ip->idx].reads);
+                ++(wr ? stats_.mems[ip->idx].writes
+                      : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
                 ms.temp = ip->a;
                 io->output(ms.adr, ip->a);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -956,19 +930,16 @@ Vm::runCycles(uint64_t n)
                 const int32_t v = wr ? ASIM_FLDVC(*ip) : *cell;
                 *cell = v;
                 ms.temp = v;
-                if (collect)
-                    ++(wr ? stats_.mems[ip->idx].writes
-                          : stats_.mems[ip->idx].reads);
+                ++(wr ? stats_.mems[ip->idx].writes
+                      : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
                 const int32_t d = ASIM_FLDVC(*ip);
                 ms.temp = d;
                 io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -986,19 +957,16 @@ Vm::runCycles(uint64_t n)
                 const int32_t v = wr ? ASIM_FLDTC(*ip) : *cell;
                 *cell = v;
                 ms.temp = v;
-                if (collect)
-                    ++(wr ? stats_.mems[ip->idx].writes
-                          : stats_.mems[ip->idx].reads);
+                ++(wr ? stats_.mems[ip->idx].writes
+                      : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
                 const int32_t d = ASIM_FLDTC(*ip);
                 ms.temp = d;
                 io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);

@@ -7,8 +7,10 @@
 
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -202,16 +204,13 @@ TEST(Cli, AsimRunListsEngines)
 TEST(Cli, AsimRunDumpBytecode)
 {
     // Golden smoke over the compile-only path: the dump starts with
-    // the canonical comb stream and names every phase stream and the
-    // pass counters.
+    // the hoisted folds, then the cycle stream and the emit counters.
     CmdResult r = run(std::string(ASIM_RUN_BIN) +
                       " --dump-bytecode " + counterSpec());
     EXPECT_EQ(r.status, 0) << r.out;
-    EXPECT_EQ(r.out.rfind("comb:\n", 0), 0u) << r.out;
-    for (const char *section :
-         {"comb:", "latch:", "update:", "cycle (fused):"})
-        EXPECT_NE(r.out.find(section), std::string::npos) << r.out;
-    EXPECT_NE(r.out.find("opt: linked="), std::string::npos) << r.out;
+    EXPECT_EQ(r.out.rfind("hoisted:\n", 0), 0u) << r.out;
+    EXPECT_NE(r.out.find("\ncycle:\n"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("opt: cycle="), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("fused="), std::string::npos) << r.out;
     // The counter's only bounds check is statically discharged.
     EXPECT_NE(r.out.find("checksElided=1"), std::string::npos)
@@ -243,6 +242,33 @@ TEST(Cli, AsimRunRejectsBadSpec)
     CmdResult r = run(std::string(ASIM_RUN_BIN) + " /dev/null");
     EXPECT_NE(r.status, 0);
     EXPECT_NE(r.out.find("Error"), std::string::npos);
+}
+
+TEST(Cli, RegressSpecsFailCleanlyAndFast)
+{
+    // specs/regress/ holds hostile specs that once hung, crashed or
+    // ran with a wrong meaning. Each must end in a SpecError: exit 1,
+    // an "Error." line, within 2 s. The timeout turns a hang into a
+    // failure instead of a stuck test.
+    size_t seen = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(ASIM_SPECS_DIR) + "/regress")) {
+        if (entry.path().extension() != ".asim")
+            continue;
+        ++seen;
+        const std::string cmd = "timeout 10 " + std::string(ASIM_RUN_BIN) +
+                                " " + entry.path().string() + " < /dev/null";
+        const auto start = std::chrono::steady_clock::now();
+        CmdResult r = run(cmd);
+        const std::chrono::duration<double> took =
+            std::chrono::steady_clock::now() - start;
+        EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+            << cmd << "\n" << r.out;
+        EXPECT_NE(("\n" + r.out).find("\nError."), std::string::npos)
+            << cmd << "\n" << r.out;
+        EXPECT_LT(took.count(), 2.0) << cmd;
+    }
+    EXPECT_GE(seen, 3u);
 }
 
 TEST(Cli, Asim2cGeneratesPascal)

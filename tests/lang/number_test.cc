@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "lang/number.hh"
+#include "support/bitops.hh"
 #include "support/logging.hh"
 
 namespace asim {
@@ -51,6 +52,37 @@ TEST(Number, Sums)
     EXPECT_EQ(parseNumber("0+^5+^7+^8"), 32 + 128 + 256);
     EXPECT_EQ(parseNumber("16+^5+^7+^8"), 16 + 32 + 128 + 256);
     EXPECT_EQ(parseNumber("%10+$10+2"), 2 + 16 + 2);
+}
+
+TEST(Number, PowerOfTwoIsTheWrappingDoublingLoop)
+{
+    // str2num's loop, which the closed form replaces: 1 doubled e
+    // times in the 32-bit datapath.
+    int32_t v = 1;
+    for (int e = 0; e <= 64; ++e) {
+        EXPECT_EQ(parseNumber("^" + std::to_string(e)), v) << e;
+        v = wmul(v, 2);
+    }
+    // A hostile exponent returns at once instead of looping.
+    EXPECT_EQ(parseNumber("^99999999999"), 0);
+    EXPECT_EQ(parseNumber("^" + std::string(400, '9')), 0);
+}
+
+TEST(Number, LongLiteralsKeepTheirLow32Bits)
+{
+    // Literals too long for any integer type build up modulo 2^32.
+    EXPECT_EQ(parseNumber("4294967296"), 0);
+    EXPECT_EQ(parseNumber("4294967298"), 2);
+    EXPECT_EQ(parseNumber("123456789012345678901234567890"),
+              0x4E3F0AD2);
+    EXPECT_EQ(parseNumber("$123456789ABCDEF"),
+              static_cast<int32_t>(0x89ABCDEFu));
+    EXPECT_EQ(parseNumber("%1" + std::string(40, '0') + "101"), 5);
+    // A size never wraps: it saturates far past any bound instead.
+    EXPECT_EQ(parseSignedNumber("4294967298"), 4294967298);
+    EXPECT_EQ(parseSignedNumber("-1099511627776"), -1099511627776);
+    EXPECT_EQ(parseSignedNumber("^99999999999"), int64_t{1} << 62);
+    EXPECT_EQ(parseSignedNumber(std::string(40, '9')), int64_t{1} << 62);
 }
 
 TEST(Number, SignedSizes)

@@ -93,6 +93,41 @@ TEST(Parser, ZeroSizeMemoryThrows)
                  SpecError);
 }
 
+/** The error `parseSpec(text)` throws, or "" when it parses. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        parseSpec(text);
+    } catch (const SpecError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Parser, MemorySizeBoundedWithoutWrap)
+{
+    const auto spec = [](const std::string &mems) {
+        return "# big\nm n .\n" + mems + ".\n";
+    };
+    // Past the bound, on its own or added up, whatever the low 32
+    // bits of the size would read (2 and 0 below), in either sign.
+    for (const char *size :
+         {"2147483647", "4294967298", "1099511627776", "-16777217",
+          "^99999999999", "123456789012345678901234567890"}) {
+        const std::string what =
+            parseError(spec(std::string("M m 0 0 1 ") + size + "\n"));
+        EXPECT_EQ(what.rfind("Error. Memory m takes", 0), 0u) << size;
+        EXPECT_NE(what.find("16777216"), std::string::npos) << what;
+    }
+    EXPECT_EQ(parseError(spec("M m 0 0 1 16777216\n")), "");
+    const std::string what = parseError(
+        spec("M m 0 0 1 ^23\nM n 0 0 1 8388609\n"));
+    EXPECT_EQ(what.rfind("Error. Memory n takes", 0), 0u) << what;
+    EXPECT_EQ(parseSpec(spec("M m 0 0 1 $1000+^4\n")).comps[0].memSize,
+              4096 + 16);
+}
+
 TEST(Parser, BadComponentLetter)
 {
     EXPECT_THROW(parseSpec("# bad\n"

@@ -46,16 +46,5 @@ TEST(Interpreter, RunAccumulatesCycles)
     EXPECT_EQ(e->stats().cycles, 7u);
 }
 
-TEST(Interpreter, StatsDisabled)
-{
-    EngineConfig cfg;
-    cfg.collectStats = false;
-    ResolvedSpec rs = resolveText(counterSpec(8, 10));
-    auto e = makeInterpreter(rs, cfg);
-    e->run(5);
-    EXPECT_EQ(e->stats().cycles, 0u);
-    EXPECT_EQ(e->stats().aluEvals, 0u);
-}
-
 } // namespace
 } // namespace asim

@@ -51,7 +51,6 @@ TEST(RunAllocations, TracingOffVmRunMakesNoHeapAllocations)
     opts.resolved = std::make_shared<const ResolvedSpec>(
         resolveText(counterSpec(8, 1000)));
     opts.engine = "vm";
-    opts.config.collectStats = false;
     Simulation sim(opts);
     sim.run(1024); // first-run work is not the steady state
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
 #include "machines/stack_machine.hh"
@@ -27,21 +29,22 @@ TEST(Vm, ConstAluInlined)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Program p = compileProgram(rs);
-    // Constant function 4 gets the direct add opcode.
-    EXPECT_EQ(countOp(p.comb, Op::AluGen), 0);
-    EXPECT_EQ(countOp(p.comb, Op::AluAdd), 1);
+    // Constant function 4 gets the direct add, with the temp field
+    // and the constant inline.
+    EXPECT_EQ(countOp(p.cycle, Op::AluGen), 0);
+    EXPECT_EQ(countOp(p.cycle, Op::AluGenF), 0);
+    EXPECT_EQ(countOp(p.cycle, Op::AluFAddTC), 1);
 }
 
 TEST(Vm, SingleFieldLatchesFused)
 {
     // The counter memory's address (constant 0) and operation
-    // (constant 1) fuse into immediate latch opcodes.
+    // (constant 1) latch in one immediate word.
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Program p = compileProgram(rs);
-    EXPECT_EQ(countOp(p.latch, Op::MemAdrC), 1);
-    EXPECT_EQ(countOp(p.latch, Op::MemOpnC), 1);
-    EXPECT_EQ(countOp(p.latch, Op::MemAdr), 0);
-    EXPECT_EQ(countOp(p.latch, Op::MemOpn), 0);
+    EXPECT_EQ(countOp(p.cycle, Op::MemLatchCC), 1);
+    for (Op op : {Op::MemAdrC, Op::MemOpnC, Op::MemAdr, Op::MemOpn})
+        EXPECT_EQ(countOp(p.cycle, op), 0) << opName(op);
 }
 
 TEST(Vm, DisassemblerCoversProgram)
@@ -50,9 +53,8 @@ TEST(Vm, DisassemblerCoversProgram)
         resolveText(stackMachineSpec(sieveProgram(5), 100));
     Vm vm(rs);
     std::string dis = vm.program().disassemble();
-    EXPECT_NE(dis.find("comb:"), std::string::npos);
-    EXPECT_NE(dis.find("latch:"), std::string::npos);
-    EXPECT_NE(dis.find("update:"), std::string::npos);
+    EXPECT_EQ(dis.rfind("hoisted:\n", 0), 0u);
+    EXPECT_NE(dis.find("\ncycle:\n"), std::string::npos);
     EXPECT_NE(dis.find("seltab"), std::string::npos);
     // Every emitted line names a real opcode (no "?" placeholders).
     EXPECT_EQ(dis.find(": ? "), std::string::npos);
@@ -62,8 +64,11 @@ TEST(Vm, ConstMemSpecialized)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Program p = compileProgram(rs);
-    EXPECT_EQ(countOp(p.update, Op::MemWrite), 1);
-    EXPECT_EQ(countOp(p.update, Op::MemGenPre), 0);
+    // A write with its one-field data inline; no generic memory op.
+    EXPECT_EQ(countOp(p.cycle, Op::MemWriteV), 1);
+    for (Op op : {Op::MemGenPre, Op::MemGenData, Op::MemGenC, Op::MemGenV,
+                  Op::MemGenT})
+        EXPECT_EQ(countOp(p.cycle, op), 0) << opName(op);
 }
 
 TEST(Vm, ConstSelectorBecomesTable)
@@ -72,7 +77,11 @@ TEST(Vm, ConstSelectorBecomesTable)
     ResolvedSpec rs =
         resolveText(stackMachineSpec(sieveProgram(5), 100));
     Program p = compileProgram(rs);
-    EXPECT_GT(countOp(p.comb, Op::SelTable), 0);
+    EXPECT_GT(countOp(p.cycle, Op::SelTable) +
+                  countOp(p.cycle, Op::SelTableV) +
+                  countOp(p.cycle, Op::SelTableT),
+              0);
+    EXPECT_GT(p.constTable.size(), 0u);
 }
 
 TEST(Vm, AllConstAluFullyFolded)
@@ -84,9 +93,14 @@ TEST(Vm, AllConstAluFullyFolded)
     Vm vm(rs);
     // Constant-folded to one AluFold: no dologic dispatch at all,
     // but still counted as the ALU evaluation the interpreter counts.
-    EXPECT_EQ(countOp(vm.program().comb, Op::AluConst), 0);
-    EXPECT_EQ(countOp(vm.program().comb, Op::AluGen), 0);
-    EXPECT_EQ(countOp(vm.program().comb, Op::AluFold), 1);
+    // Nothing can fault, so the fold is hoisted out of the cycle.
+    const Program &p = vm.program();
+    EXPECT_EQ(countOp(p.cycle, Op::AluConst), 0);
+    EXPECT_EQ(countOp(p.cycle, Op::AluGen), 0);
+    EXPECT_EQ(countOp(p.cycle, Op::AluFold), 0);
+    ASSERT_EQ(p.hoisted.size(), 1u);
+    EXPECT_EQ(p.hoisted[0].op, Op::AluFold);
+    EXPECT_EQ(p.hoisted[0].a, 42);
     vm.step();
     EXPECT_EQ(vm.value("r"), 42);
     EXPECT_EQ(vm.stats().aluEvals, 1u);
@@ -155,7 +169,7 @@ TEST(Vm, FaultOrderMatchesInterpreter)
 
 /** Folds on both sides of selector `s`, which may fault (index
  *  m.0.1 against 3 cases) and does at cycle 3. k0 sits ahead of it in
- *  rs.comb, so the link stage hoists it out of the cycle; k1 and k2
+ *  rs.comb, so the compiler hoists it out of the cycle; k1 and k2
  *  follow it and stay in the stream. */
 const char *const kHoistSpec = "# hoisted folds\n"
                                "k0 inc s k1 k2 m .\n"
@@ -183,16 +197,22 @@ TEST(Vm, HoistedFoldsSplitAtTheFirstBarrier)
                                                "k2"}));
     Vm vm(rs);
     const Program &p = vm.program();
-    // The emit stage marks s's first word as the barrier.
-    ASSERT_LT(p.firstBarrier, p.comb.size());
-    EXPECT_EQ(p.comb[p.firstBarrier].op, Op::SelStoreT);
-    EXPECT_EQ(p.comb[p.firstBarrier].idx, rs.comb[2].slot);
+    // s is the barrier: the folds after it stay in the cycle, the
+    // one before it is hoisted, and all three are emitted once.
+    const auto barrier =
+        std::find_if(p.cycle.begin(), p.cycle.end(), [&](const Instr &in) {
+            return in.op == Op::SelStoreT && in.idx == rs.comb[2].slot;
+        });
+    ASSERT_NE(barrier, p.cycle.end());
+    EXPECT_EQ(std::count_if(p.cycle.begin(), barrier,
+                            [](const Instr &in) {
+                                return in.op == Op::AluFold;
+                            }),
+              0);
+    EXPECT_EQ(countOp(p.cycle, Op::AluFold), 2);
     ASSERT_EQ(p.hoisted.size(), 1u);
     EXPECT_EQ(p.hoisted[0].idx, rs.comb[0].slot);
     EXPECT_EQ(p.opt.hoisted, 1u);
-    EXPECT_EQ(countOp(p.cycle, Op::AluFold), 2);
-    // The canonical comb stream keeps all three.
-    EXPECT_EQ(countOp(p.comb, Op::AluFold), 3);
     EXPECT_NE(p.disassemble().find(" hoisted=1\n"), std::string::npos);
 }
 
@@ -269,7 +289,7 @@ TEST(Vm, ProgramSizesReported)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Vm vm(rs);
-    EXPECT_GT(vm.program().totalInstructions(), 0u);
+    EXPECT_GT(vm.program().cycle.size(), 0u);
 }
 
 TEST(Vm, RefusesMoreSlotsThanInstrIdxNumbers)
