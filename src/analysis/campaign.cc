@@ -101,7 +101,7 @@ stateSiteAt(const ResolvedSpec &rs, uint64_t index)
         const uint64_t span = 1 + static_cast<uint64_t>(m.size);
         if (index < span) {
             FaultSite site;
-            site.component = m.name;
+            site.component = rs.name(m.name);
             site.cell =
                 index == 0 ? -1 : static_cast<int64_t>(index - 1);
             return site;
@@ -274,8 +274,9 @@ CampaignRunner::run()
     // Splices sample component names in definition order.
     std::vector<std::string> spliceNames;
     if (o.splice) {
-        for (const Component &c : rs->ast().comps)
-            spliceNames.push_back(c.name);
+        const Spec ast = rs->ast();
+        for (const Component &c : ast.comps)
+            spliceNames.emplace_back(ast.name(c.name));
     }
     std::vector<FaultSite> sites;
     sites.reserve(o.runs);

@@ -2,39 +2,20 @@
 
 #include <algorithm>
 #include <queue>
-#include <string_view>
-#include <unordered_map>
 
 #include "analysis/resolve.hh"
 #include "support/logging.hh"
 
 namespace asim {
 
-std::vector<const Expr *>
-inputExprs(const Component &c)
-{
-    std::vector<const Expr *> out;
-    switch (c.kind) {
-      case CompKind::Alu:
-        out = {&c.funct, &c.left, &c.right};
-        break;
-      case CompKind::Selector:
-        out.push_back(&c.select);
-        for (const auto &e : c.cases)
-            out.push_back(&e);
-        break;
-      case CompKind::Memory:
-        // Memory inputs are latched; they impose no ordering.
-        break;
-    }
-    return out;
-}
-
 bool
-dependsOn(const Component &a, const Component &b)
+dependsOn(const Spec &spec, const Component &a, const Component &b)
 {
-    for (const Expr *e : inputExprs(a)) {
-        for (const auto &t : e->terms) {
+    // Memory inputs are latched; they impose no ordering.
+    if (a.kind == CompKind::Memory)
+        return false;
+    for (Expr e : spec.exprs(a)) {
+        for (const Term &t : spec.terms(e)) {
             if (t.kind == Term::Kind::Ref && t.ref == b.name)
                 return true;
         }
@@ -42,61 +23,50 @@ dependsOn(const Component &a, const Component &b)
     return false;
 }
 
-namespace {
-
-/** Heterogeneous string hashing so the name map is built from the
- *  components' own strings and probed with string_views — no
- *  per-lookup allocation, no O(log n) string compares. */
-struct NameHash
-{
-    using is_transparent = void;
-    size_t
-    operator()(std::string_view s) const
-    {
-        return std::hash<std::string_view>{}(s);
-    }
-};
-
-} // namespace
-
 std::vector<int>
-orderCombinational(const std::vector<Component> &comps)
+orderCombinational(const Spec &spec)
 {
+    const std::vector<Component> &comps = spec.comps;
     const int n = static_cast<int>(comps.size());
 
-    // One pass: index the combinational components by name. The
-    // former pairwise scan re-walked every component's term list per
-    // candidate dependency (O(n^2 * names)); a name -> index map makes
-    // edge construction O(total input terms).
+    // One pass: index the combinational components by NameId, so
+    // edge construction is O(total input terms).
     std::vector<int> comb;
-    std::unordered_map<std::string_view, int, NameHash,
-                       std::equal_to<>>
-        byName;
-    byName.reserve(comps.size());
+    std::vector<int> byName(spec.names.size(), -1);
     for (int i = 0; i < n; ++i) {
         if (comps[i].kind != CompKind::Memory) {
-            byName.emplace(comps[i].name, i);
+            if (byName[comps[i].name] < 0)
+                byName[comps[i].name] = i;
             comb.push_back(i);
         }
     }
 
-    // Flat adjacency keyed by declaration index: dep -> dependents.
-    std::vector<std::vector<int>> users(n);
+    // Flat (CSR) adjacency keyed by declaration index: dep ->
+    // dependents. First count each producer's readers, then fill.
+    // A self-reference is a one-node cycle: the self edge keeps the
+    // in-degree positive and Kahn reports it.
     std::vector<int> indegree(n, 0);
-    for (int i : comb) {
-        for (const Expr *e : inputExprs(comps[i])) {
-            for (const auto &t : e->terms) {
-                if (t.kind != Term::Kind::Ref)
-                    continue;
-                auto it = byName.find(std::string_view(t.ref));
-                if (it == byName.end())
-                    continue;
-                // A self-reference is a one-node cycle: the self edge
-                // keeps the in-degree positive and Kahn reports it.
-                users[it->second].push_back(i);
-                ++indegree[i];
+    std::vector<uint32_t> userStart(n + 1, 0);
+    auto forEachEdge = [&](auto edge) {
+        for (int i : comb) {
+            for (Expr e : spec.exprs(comps[i])) {
+                for (const Term &t : spec.terms(e)) {
+                    if (t.kind == Term::Kind::Ref && byName[t.ref] >= 0)
+                        edge(byName[t.ref], i);
+                }
             }
         }
+    };
+    forEachEdge([&](int dep, int user) {
+        ++userStart[dep + 1];
+        ++indegree[user];
+    });
+    for (int i = 0; i < n; ++i)
+        userStart[i + 1] += userStart[i];
+    std::vector<int> users(userStart[n]);
+    {
+        std::vector<uint32_t> fill(userStart.begin(), userStart.end() - 1);
+        forEachEdge([&](int dep, int user) { users[fill[dep]++] = user; });
     }
 
     // Kahn's algorithm; the ready queue is ordered by declaration
@@ -113,9 +83,9 @@ orderCombinational(const std::vector<Component> &comps)
         int i = ready.top();
         ready.pop();
         order.push_back(i);
-        for (int u : users[i]) {
-            if (--indegree[u] == 0)
-                ready.push(u);
+        for (uint32_t k = userStart[i]; k < userStart[i + 1]; ++k) {
+            if (--indegree[users[k]] == 0)
+                ready.push(users[k]);
         }
     }
 
@@ -125,7 +95,7 @@ orderCombinational(const std::vector<Component> &comps)
             if (indegree[i] > 0) {
                 if (!names.empty())
                     names += ", ";
-                names += comps[i].name;
+                names += spec.name(comps[i].name);
             }
         }
         throw SpecError("Error. Circular dependency with " + names + ".");
@@ -142,20 +112,11 @@ combLevels(const ResolvedSpec &rs)
     std::vector<int32_t> level(rs.comb.size(), 0);
     for (size_t i = 0; i < rs.comb.size(); ++i) {
         const CombComp &c = rs.comb[i];
-        auto reads = [&](const ResolvedExpr &e) {
-            for (const auto &t : e.terms) {
+        for (const ResolvedExpr &e : rs.exprs(c)) {
+            for (const ResolvedTerm &t : rs.terms(e)) {
                 if (t.bank == ResolvedTerm::Bank::Var)
                     level[i] = std::max(level[i], slotLevel[t.slot] + 1);
             }
-        };
-        if (c.kind == CompKind::Alu) {
-            reads(c.funct);
-            reads(c.left);
-            reads(c.right);
-        } else {
-            reads(c.select);
-            for (const auto &e : c.cases)
-                reads(e);
         }
         slotLevel[c.slot] = level[i];
     }

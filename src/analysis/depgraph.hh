@@ -25,24 +25,21 @@ namespace asim {
 
 struct ResolvedSpec;
 
-/** All expressions that feed component `c` (its inputs). */
-std::vector<const Expr *> inputExprs(const Component &c);
-
-/** True if component `a` depends on the output of component `b`
- *  (thesis `dependent`): some input expression of `a` references
- *  `b.name`. Memories never depend on anything for ordering. */
-bool dependsOn(const Component &a, const Component &b);
+/** True if component `a` of `spec` depends on the output of component
+ *  `b` (thesis `dependent`): some input expression of `a` references
+ *  `b`. Memories never depend on anything for ordering. */
+bool dependsOn(const Spec &spec, const Component &a, const Component &b);
 
 /**
  * Topologically order the combinational components.
  *
- * @param comps all components, declaration order
- * @return indices into `comps` of the ALUs/selectors in a valid
+ * @param spec the specification; its components in declaration order
+ * @return indices into `spec.comps` of the ALUs/selectors in a valid
  *         evaluation order (memories are not included)
  * @throws SpecError naming the components on a combinational cycle
  *         ("Error. Circular dependency with ...")
  */
-std::vector<int> orderCombinational(const std::vector<Component> &comps);
+std::vector<int> orderCombinational(const Spec &spec);
 
 /**
  * Dependency level of every `rs.comb` entry: 0 for a component that

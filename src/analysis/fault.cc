@@ -11,28 +11,24 @@ namespace asim {
 
 namespace {
 
-/** Build a one-term constant expression. */
+/** Build a one-term constant expression in `spec`. */
 Expr
-constExpr(int32_t value)
+constExpr(Spec &spec, int32_t value)
 {
-    Expr e;
     Term t;
     t.kind = Term::Kind::Const;
     t.value = value;
-    e.terms.push_back(t);
-    return e;
+    return spec.addExpr({&t, 1});
 }
 
-/** Build a whole-component reference expression. */
+/** Build a whole-component reference expression in `spec`. */
 Expr
-refExpr(const std::string &name)
+refExpr(Spec &spec, NameId name)
 {
-    Expr e;
     Term t;
     t.kind = Term::Kind::Ref;
     t.ref = name;
-    e.terms.push_back(t);
-    return e;
+    return spec.addExpr({&t, 1});
 }
 
 [[noreturn]] void
@@ -129,23 +125,23 @@ FaultInjector::splice(const Spec &spec, const std::string &comp,
         throw SpecError("Error. Component " + shadow +
                         " already exists.");
     }
-    victim->name = shadow;
+    const NameId name = victim->name;
+    const NameId shadowId = out.names.intern(shadow);
+    victim->name = shadowId;
 
     // Splice: name = shadow <op> mask, e.g.
     //         name = shadow AND ~bit   (set0)
     //         name = shadow OR   bit   (set1)
     //         name = shadow XOR  bit   (toggle)
-    Component splice;
-    splice.kind = CompKind::Alu;
-    splice.name = comp;
-    splice.left = refExpr(shadow);
-    splice.funct = constExpr(spliceAluOp());
-    splice.right = constExpr(spliceMask(bit));
-    out.comps.push_back(std::move(splice));
+    const Expr funct = constExpr(out, spliceAluOp());
+    const Expr left = refExpr(out, shadowId);
+    const Expr right = constExpr(out, spliceMask(bit));
+    const Expr exprs[] = {funct, left, right};
+    out.comps.push_back(out.makeComponent(CompKind::Alu, name, exprs));
 
     // The shadow needs a declaration entry (untraced); the original
     // declaration keeps tracing the *observed* (faulty) value.
-    out.decls.push_back(DeclName{shadow, false});
+    out.decls.push_back(DeclName{shadowId, false});
     return out;
 }
 

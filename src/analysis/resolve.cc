@@ -1,8 +1,7 @@
 #include "analysis/resolve.hh"
 
+#include <algorithm>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/depgraph.hh"
 #include "analysis/width.hh"
@@ -16,31 +15,26 @@ namespace asim {
 
 namespace {
 
-/** Context for expression resolution: name -> (kind, slot). Keys are
- *  views into strings owned by the spec being resolved (alive for the
- *  whole resolve), and the map is a hash table: resolution does one
- *  lookup per reference term, which on a 100k+-component corpus spec
- *  made ordered-map string compares the dominant resolve cost. */
-struct NameMap
-{
-    std::unordered_map<std::string_view, std::pair<CompKind, int>> map;
-};
-
 /**
- * Resolve one expression. Mirrors the thesis' `expr` procedure: scan
- * terms right-to-left, accumulating the bit position (`numbits`);
- * constants fold into `constTotal`; references become masked+shifted
- * terms. Errors on unknown components and on widths beyond 31 bits.
+ * Resolve expression `expr` of `spec` into `rs`'s pools. Mirrors the
+ * thesis' `expr` procedure: scan terms right-to-left, accumulating the
+ * bit position (`numbits`); constants fold into `constTotal`;
+ * references become masked+shifted terms. `bind(term)` answers what a
+ * reference names (throwing on an unknown component). Errors on
+ * widths beyond 31 bits.
  */
+template <class Bind>
 ResolvedExpr
-resolveExprImpl(const Expr &expr, const NameMap &names)
+resolveExprImpl(const Spec &spec, Expr expr, ResolvedSpec &rs, Bind bind)
 {
     ResolvedExpr out;
+    out.first = static_cast<uint32_t>(rs.termPool.size());
 
     int numbits = 0;
-    // Right-to-left accumulation, exactly like the thesis.
-    std::vector<ResolvedTerm> reversed;
-    for (auto it = expr.terms.rbegin(); it != expr.terms.rend(); ++it) {
+    // Right-to-left accumulation, exactly like the thesis; the terms
+    // are appended in that order and reversed at the end.
+    const std::span<const Term> terms = spec.terms(expr);
+    for (auto it = terms.rbegin(); it != terms.rend(); ++it) {
         const Term &t = *it;
         switch (t.kind) {
           case Term::Kind::Const:
@@ -61,45 +55,43 @@ resolveExprImpl(const Expr &expr, const NameMap &names)
             numbits += t.width;
             break;
           case Term::Kind::Ref: {
-            auto nit = names.map.find(t.ref);
-            if (nit == names.map.end()) {
-                throw SpecError("Error. Component <" + t.ref +
-                                "> not found.");
-            }
+            const ResolvedSpec::Binding b = bind(t);
             ResolvedTerm rt;
-            rt.bank = nit->second.first == CompKind::Memory
+            rt.bank = b.kind == CompKind::Memory
                           ? ResolvedTerm::Bank::MemTemp
                           : ResolvedTerm::Bank::Var;
-            rt.slot = nit->second.second;
+            rt.slot = b.slot;
             if (t.from < 0) {
-                rt.whole = true;
                 rt.mask = -1;
-                rt.from = 0;
-                rt.shift = numbits;
-                rt.fieldWidth = kMaxBits;
+                rt.shift = static_cast<int8_t>(numbits);
                 numbits = kMaxBits;
             } else {
                 int to = t.to < 0 ? t.from : t.to;
-                rt.whole = false;
                 rt.mask = maskBits(t.from, to);
-                rt.from = t.from;
-                rt.shift = numbits - t.from;
-                rt.fieldWidth = to - t.from + 1;
-                numbits += rt.fieldWidth;
+                rt.shift = static_cast<int8_t>(numbits - t.from);
+                numbits += to - t.from + 1;
             }
-            reversed.push_back(rt);
+            rs.termPool.push_back(rt);
             break;
           }
         }
         if (numbits > kMaxBits) {
             throw SpecError("Error. Too many bits in " +
-                            exprToString(expr) + ".");
+                            exprToString(spec, expr) + ".");
         }
     }
     out.width = numbits;
+    out.count = static_cast<uint32_t>(rs.termPool.size()) - out.first;
     // Store leftmost-first for readable codegen.
-    out.terms.assign(reversed.rbegin(), reversed.rend());
+    std::reverse(rs.termPool.begin() + out.first, rs.termPool.end());
     return out;
+}
+
+[[noreturn]] void
+notFound(std::string_view name)
+{
+    throw SpecError("Error. Component <" + std::string(name) +
+                    "> not found.");
 }
 
 MemDesc::TraceMode
@@ -121,18 +113,27 @@ traceModeFor(const MemDesc &m, int minWidth, int32_t checkMask,
 
 } // namespace
 
+const ResolvedSpec::Binding *
+ResolvedSpec::binding(std::string_view name) const
+{
+    const NameId id = names.find(name);
+    if (id == kNoName || bindings[id].slot < 0)
+        return nullptr;
+    return &bindings[id];
+}
+
 int
 ResolvedSpec::varSlot(std::string_view name) const
 {
-    auto it = varSlots.find(name);
-    return it == varSlots.end() ? -1 : it->second;
+    const Binding *b = binding(name);
+    return b && b->kind != CompKind::Memory ? b->slot : -1;
 }
 
 int
 ResolvedSpec::memIndex(std::string_view name) const
 {
-    auto it = memIndexes.find(name);
-    return it == memIndexes.end() ? -1 : it->second;
+    const Binding *b = binding(name);
+    return b && b->kind == CompKind::Memory ? b->slot : -1;
 }
 
 Spec
@@ -147,74 +148,99 @@ resolve(const Spec &spec, Diagnostics *diag)
     ResolvedSpec rs;
 
     // Assign slots: combinational outputs get var slots, memories get
-    // memory indexes, both in declaration order. The name index built
-    // here answers every per-name question below. A name defined twice
-    // is an error (stricter than the thesis, which silently used the
-    // last definition).
-    NameMap names;
-    names.map.reserve(spec.comps.size());
+    // memory indexes, both in declaration order. The resolved spec
+    // keeps the syntax tree's names, so a term's NameId indexes the
+    // bindings directly and this one index answers every per-name
+    // question below. A name defined twice is an error (stricter than
+    // the thesis, which silently used the last definition).
+    rs.names = spec.names;
+    rs.bindings.assign(rs.names.size(), {});
+    int numMems = 0;
     for (const auto &c : spec.comps) {
-        auto &ids = c.kind == CompKind::Memory ? rs.memIndexes : rs.varSlots;
-        const int id = static_cast<int>(ids.size());
-        if (!names.map.emplace(c.name, std::make_pair(c.kind, id)).second) {
-            throw SpecError("Error. Component " + c.name +
+        ResolvedSpec::Binding &b = rs.bindings[c.name];
+        if (b.slot >= 0) {
+            throw SpecError("Error. Component " +
+                            std::string(spec.name(c.name)) +
                             " defined twice.");
         }
-        ids.emplace(c.name, id);
+        b.kind = c.kind;
+        b.slot = c.kind == CompKind::Memory ? numMems++ : rs.numVarSlots++;
     }
-    rs.numVarSlots = static_cast<int>(rs.varSlots.size());
+    auto defined = [&rs](NameId id) { return rs.bindings[id].slot >= 0; };
 
     // checkdcl: declared but not defined / defined but not declared.
-    // Both questions are hash probes (the name index above answers
-    // "defined?"), so the check stays linear in the spec's size.
+    // Both questions are array lookups by NameId, so the check stays
+    // linear in the spec's size.
     if (diag) {
-        std::unordered_set<std::string_view> declared;
-        declared.reserve(spec.decls.size());
+        std::vector<char> declared(rs.names.size(), 0);
         for (const auto &d : spec.decls) {
-            declared.insert(d.name);
-            if (!names.map.count(d.name)) {
-                diag->warn("Warning: " + d.name +
+            declared[d.name] = 1;
+            if (!defined(d.name)) {
+                diag->warn("Warning: " + std::string(spec.name(d.name)) +
                            " declared but not defined.");
             }
         }
         for (const auto &c : spec.comps) {
-            if (!declared.count(c.name)) {
-                diag->warn("Warning: " + c.name +
+            if (!declared[c.name]) {
+                diag->warn("Warning: " + std::string(spec.name(c.name)) +
                            " defined but not declared.");
             }
         }
     }
 
     // Order the combinational network (throws on cycles).
-    std::vector<int> order = orderCombinational(spec.comps);
+    std::vector<int> order = orderCombinational(spec);
+
+    // Size the pools exactly: one resolved expression per expression
+    // of a component, one resolved term per reference.
+    size_t numExprs = 0, numRefs = 0;
+    for (const auto &c : spec.comps) {
+        numExprs += c.numExprs;
+        for (Expr e : spec.exprs(c)) {
+            for (const Term &t : spec.terms(e))
+                numRefs += t.kind == Term::Kind::Ref;
+        }
+    }
+    rs.exprPool.reserve(numExprs);
+    rs.termPool.reserve(numRefs);
+    rs.comb.reserve(order.size());
+    rs.mems.reserve(static_cast<size_t>(numMems));
+
+    auto bind = [&](const Term &t) {
+        if (!defined(t.ref))
+            notFound(spec.name(t.ref));
+        return rs.bindings[t.ref];
+    };
+    auto resolveInputs = [&](const Component &c) {
+        const auto first = static_cast<uint32_t>(rs.exprPool.size());
+        for (Expr e : spec.exprs(c))
+            rs.exprPool.push_back(resolveExprImpl(spec, e, rs, bind));
+        return first;
+    };
 
     for (int idx : order) {
         const Component &c = spec.comps[idx];
         CombComp cc;
         cc.kind = c.kind;
         cc.name = c.name;
-        cc.slot = names.map.at(c.name).second;
+        cc.slot = rs.bindings[c.name].slot;
         cc.declIndex = idx;
+        cc.firstExpr = resolveInputs(c);
+        cc.numExprs = c.numExprs;
         if (c.kind == CompKind::Alu) {
-            cc.funct = resolveExprImpl(c.funct, names);
-            cc.left = resolveExprImpl(c.left, names);
-            cc.right = resolveExprImpl(c.right, names);
-            cc.functConst = cc.funct.isConstant();
+            const ResolvedExpr &funct = rs.funct(cc);
+            cc.functConst = funct.isConstant();
             if (cc.functConst) {
-                cc.functValue = cc.funct.constTotal;
+                cc.functValue = funct.constTotal;
                 if (!validAluFunction(cc.functValue)) {
                     throw SpecError(
-                        "Error. ALU " + c.name + " has constant function "
-                        + std::to_string(cc.functValue) +
-                        " outside 0..13.");
+                        "Error. ALU " + std::string(spec.name(c.name)) +
+                        " has constant function " +
+                        std::to_string(cc.functValue) + " outside 0..13.");
                 }
             }
-        } else {
-            cc.select = resolveExprImpl(c.select, names);
-            for (const auto &e : c.cases)
-                cc.cases.push_back(resolveExprImpl(e, names));
         }
-        rs.comb.push_back(std::move(cc));
+        rs.comb.push_back(cc);
     }
 
     for (int idx = 0; idx < static_cast<int>(spec.comps.size()); ++idx) {
@@ -223,44 +249,48 @@ resolve(const Spec &spec, Diagnostics *diag)
             continue;
         MemDesc m;
         m.name = c.name;
-        m.index = names.map.at(c.name).second;
+        m.index = rs.bindings[c.name].slot;
         m.declIndex = idx;
-        m.addr = resolveExprImpl(c.addr, names);
-        m.data = resolveExprImpl(c.data, names);
-        m.opn = resolveExprImpl(c.opn, names);
+        m.addr = resolveExprImpl(spec, spec.expr(c, 0), rs, bind);
+        m.data = resolveExprImpl(spec, spec.expr(c, 1), rs, bind);
+        m.opn = resolveExprImpl(spec, spec.expr(c, 2), rs, bind);
         m.opnConst = m.opn.isConstant();
         if (m.opnConst)
             m.opnValue = m.opn.constTotal;
-        m.opnWidth = widthOf(c.opn);
+        m.opnWidth = widthOf(spec.terms(spec.expr(c, 2)));
         m.size = c.memSize;
-        m.init = c.init;
-        if (!m.init.empty() &&
-            static_cast<int64_t>(m.init.size()) != m.size) {
-            throw SpecError("Error. Memory " + c.name + " declares " +
+        if (c.numInit && static_cast<int64_t>(c.numInit) != m.size) {
+            throw SpecError("Error. Memory " +
+                            std::string(spec.name(c.name)) + " declares " +
                             std::to_string(m.size) + " cells but has " +
-                            std::to_string(m.init.size()) +
+                            std::to_string(c.numInit) +
                             " initial values.");
         }
+        m.firstInit = static_cast<uint32_t>(rs.initPool.size());
+        m.numInit = c.numInit;
+        const std::span<const int32_t> init = spec.init(c);
+        rs.initPool.insert(rs.initPool.end(), init.begin(), init.end());
         m.traceWrites = traceModeFor(m, 3, 5, 5);
         m.traceReads = traceModeFor(m, 4, 9, 8);
-        rs.mems.push_back(std::move(m));
+        rs.mems.push_back(m);
     }
 
     // Build the per-cycle trace list from the starred declarations.
     for (const auto &d : spec.decls) {
         if (!d.traced)
             continue;
-        auto it = names.map.find(d.name);
-        if (it == names.map.end()) {
-            if (diag)
-                diag->warn("Warning: " + d.name + " traced but not defined.");
+        if (!defined(d.name)) {
+            if (diag) {
+                diag->warn("Warning: " + std::string(spec.name(d.name)) +
+                           " traced but not defined.");
+            }
             continue;
         }
         TraceItem item;
         item.name = d.name;
-        item.isMem = it->second.first == CompKind::Memory;
-        item.slot = it->second.second;
-        rs.traceList.push_back(std::move(item));
+        item.isMem = rs.bindings[d.name].kind == CompKind::Memory;
+        item.slot = rs.bindings[d.name].slot;
+        rs.traceList.push_back(item);
     }
 
     rs.comment = spec.comment;
@@ -278,15 +308,14 @@ resolveText(std::string_view text, Diagnostics *diag)
 }
 
 ResolvedExpr
-resolveExpr(const Expr &expr, const ResolvedSpec &rs)
+resolveExpr(const Spec &spec, Expr expr, ResolvedSpec &rs)
 {
-    NameMap names;
-    names.map.reserve(rs.comb.size() + rs.mems.size());
-    for (const CombComp &c : rs.comb)
-        names.map.emplace(c.name, std::make_pair(c.kind, c.slot));
-    for (const MemDesc &m : rs.mems)
-        names.map.emplace(m.name, std::make_pair(CompKind::Memory, m.index));
-    return resolveExprImpl(expr, names);
+    return resolveExprImpl(spec, expr, rs, [&](const Term &t) {
+        const ResolvedSpec::Binding *b = rs.binding(spec.name(t.ref));
+        if (!b)
+            notFound(spec.name(t.ref));
+        return *b;
+    });
 }
 
 } // namespace asim

@@ -17,8 +17,9 @@
 #define ASIM_ANALYSIS_RESOLVE_HH
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/ast.hh"
@@ -26,62 +27,62 @@
 
 namespace asim {
 
-/** A fully resolved reference term: value = shift(var & mask). */
+/** A fully resolved reference term: value = shift(var & mask)
+ *  (12 bytes). */
 struct ResolvedTerm
 {
     /** Where the referenced value lives. */
-    enum class Bank
+    enum class Bank : uint8_t
     {
         Var,      ///< combinational output slot
         MemTemp,  ///< memory output latch (one-cycle delay)
     };
 
+    int32_t mask = -1;      ///< extraction mask (-1 = whole word)
+    int32_t slot = 0;       ///< var slot or memory index
+    int8_t shift = 0;       ///< net shift; >0 left, <0 right
     Bank bank = Bank::Var;
-    int slot = 0;        ///< var slot or memory index
-    int32_t mask = -1;   ///< extraction mask (-1 = whole word)
-    int shift = 0;       ///< net shift; >0 left, <0 right
-    int from = 0;        ///< original subfield low bit (for codegen)
-    int fieldWidth = 0;  ///< bits contributed to the concatenation
-    bool whole = false;  ///< true for a bare `name` reference
+
+    /** True for a bare `name` reference. No accepted subfield has an
+     *  all-ones mask: that would take 32 bits. */
+    bool whole() const { return mask == -1; }
 };
 
-/** A resolved expression: constant part plus shifted reference terms.
- *  Terms are stored leftmost-first (matching source order); evaluation
- *  is `constTotal + sum(shift(var & mask))` in any order since fields
+/** A resolved expression: constant part plus `count` shifted reference
+ *  terms of the resolved spec's term array from `first`. Terms are
+ *  stored leftmost-first (matching source order); evaluation is
+ *  `constTotal + sum(shift(var & mask))` in any order since fields
  *  are disjoint. */
 struct ResolvedExpr
 {
     int32_t constTotal = 0;
-    std::vector<ResolvedTerm> terms;
-    int width = 0;           ///< total bits (<= 31)
+    uint32_t first = 0;
+    uint32_t count = 0;
+    int32_t width = 0;       ///< total bits (<= 31)
 
-    bool isConstant() const { return terms.empty(); }
+    bool isConstant() const { return count == 0; }
 };
 
-/** A resolved combinational component (ALU or selector). */
+/** A resolved combinational component (ALU or selector). Its input
+ *  expressions are `numExprs` consecutive entries of the resolved
+ *  spec's expression array from `firstExpr`: an ALU's funct, left,
+ *  right; a selector's index, then its cases. */
 struct CombComp
 {
     CompKind kind = CompKind::Alu;
-    std::string name;
+    bool functConst = false;  ///< ALU: constant function
+    NameId name = 0;
     int slot = 0;        ///< index into MachineState::vars
     int declIndex = 0;   ///< index into ast().comps
-
-    /// @{ ALU
-    ResolvedExpr funct, left, right;
-    bool functConst = false;
-    int32_t functValue = 0;
-    /// @}
-
-    /// @{ Selector
-    ResolvedExpr select;
-    std::vector<ResolvedExpr> cases;
-    /// @}
+    uint32_t firstExpr = 0;
+    uint32_t numExprs = 0;
+    int32_t functValue = 0;   ///< ALU: the constant function
 };
 
 /** A resolved memory. */
 struct MemDesc
 {
-    std::string name;
+    NameId name = 0;
     int index = 0;       ///< index into MachineState::mems
     int declIndex = 0;
 
@@ -91,11 +92,15 @@ struct MemDesc
     int opnWidth = 0;    ///< widthOf(opn) — gates trace codegen
 
     int64_t size = 0;
-    std::vector<int32_t> init;
+
+    /** The initial values: `numInit` entries of the resolved spec's
+     *  init array from `firstInit` (none unless the spec listed them). */
+    uint32_t firstInit = 0;
+    uint32_t numInit = 0;
 
     /** Trace-emission decision, derived exactly as the thesis gencode
      *  does from `numberofbits` and constant operations. */
-    enum class TraceMode { Never, Always, Runtime };
+    enum class TraceMode : uint8_t { Never, Always, Runtime };
     TraceMode traceWrites = TraceMode::Never;
     TraceMode traceReads = TraceMode::Never;
 };
@@ -103,14 +108,16 @@ struct MemDesc
 /** One entry of the per-cycle trace line (declaration-list order). */
 struct TraceItem
 {
-    std::string name;
+    NameId name = 0;
     bool isMem = false;
     int slot = 0; ///< var slot or memory index
 };
 
 /** The resolved specification. It owns no syntax tree: the few
  *  consumers that walk one (the symbolic interpreter, splice faults)
- *  re-parse the canonical text with ast(). */
+ *  re-parse the canonical text with ast(). Like the syntax tree it
+ *  keeps its expressions, terms, initial values and names in flat
+ *  arrays that components index. */
 struct ResolvedSpec
 {
     /** The first-line comment, without the leading `#`. */
@@ -145,22 +152,90 @@ struct ResolvedSpec
 
     int numVarSlots = 0;
 
+    /// @{ The pools components and expressions index.
+    std::vector<ResolvedExpr> exprPool;
+    std::vector<ResolvedTerm> termPool;
+    std::vector<int32_t> initPool;
+    /// @}
+
+    /** Every name of the spec, and what each is bound to (by NameId):
+     *  the one index behind every by-name question. */
+    NameStore names;
+    struct Binding
+    {
+        CompKind kind = CompKind::Alu;
+        int32_t slot = -1;   ///< var slot or memory index; -1 = undefined
+    };
+    std::vector<Binding> bindings;
+
+    /** The spelling of an interned name. */
+    std::string_view name(NameId id) const { return names[id]; }
+
+    /** The terms of `e`. */
+    std::span<const ResolvedTerm>
+    terms(const ResolvedExpr &e) const
+    {
+        return {termPool.data() + e.first, e.count};
+    }
+
+    /** Every input expression of `c` (see CombComp). */
+    std::span<const ResolvedExpr>
+    exprs(const CombComp &c) const
+    {
+        return {exprPool.data() + c.firstExpr, c.numExprs};
+    }
+
+    /// @{ An ALU's inputs.
+    const ResolvedExpr &funct(const CombComp &c) const
+    {
+        return exprPool[c.firstExpr];
+    }
+    const ResolvedExpr &left(const CombComp &c) const
+    {
+        return exprPool[c.firstExpr + 1];
+    }
+    const ResolvedExpr &right(const CombComp &c) const
+    {
+        return exprPool[c.firstExpr + 2];
+    }
+    /// @}
+
+    /// @{ A selector's index and cases.
+    const ResolvedExpr &select(const CombComp &c) const
+    {
+        return exprPool[c.firstExpr];
+    }
+    std::span<const ResolvedExpr>
+    cases(const CombComp &c) const
+    {
+        return exprs(c).subspan(1);
+    }
+    /// @}
+
+    /** A memory's initial values. */
+    std::span<const int32_t>
+    init(const MemDesc &m) const
+    {
+        return {initPool.data() + m.firstInit, m.numInit};
+    }
+
+    /** What `name` is bound to; nullptr if it names no component. */
+    const Binding *binding(std::string_view name) const;
+
     /** Look up a combinational slot / memory index by name; -1 if the
      *  name is not a component of that class. */
     int varSlot(std::string_view name) const;
     int memIndex(std::string_view name) const;
-
-    std::map<std::string, int, std::less<>> varSlots;
-    std::map<std::string, int, std::less<>> memIndexes;
 };
 
 /**
  * Resolve a parsed specification.
  *
- * Linear in the spec's size: every per-name question, the `checkdcl`
- * cross-check included, is a hash probe into one name index.
+ * Linear in the spec's size: names were interned by the parser, so
+ * every per-name question, the `checkdcl` cross-check included, is an
+ * array lookup by NameId.
  *
- * @param spec parsed spec; borrowed, the result keeps only its
+ * @param spec parsed spec; borrowed, the result keeps its names and
  *             canonical text
  * @param diag optional warning collector (declared-but-not-defined,
  *             defined-but-not-declared — thesis `checkdcl`)
@@ -174,9 +249,10 @@ ResolvedSpec resolve(const Spec &spec, Diagnostics *diag = nullptr);
 ResolvedSpec resolveText(std::string_view text,
                          Diagnostics *diag = nullptr);
 
-/** Resolve a single expression against an existing ResolvedSpec
+/** Resolve expression `expr` of `spec` against an existing
+ *  ResolvedSpec, by name, appending its terms to `rs`'s term array
  *  (used by tests and tools). */
-ResolvedExpr resolveExpr(const Expr &expr, const ResolvedSpec &rs);
+ResolvedExpr resolveExpr(const Spec &spec, Expr expr, ResolvedSpec &rs);
 
 /**
  * Stable content identity of a resolved specification: the FNV-1a 64

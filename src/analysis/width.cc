@@ -23,10 +23,10 @@ widthOf(const Term &term)
 }
 
 int
-widthOf(const Expr &expr)
+widthOf(std::span<const Term> terms)
 {
     int n = 0;
-    for (const auto &t : expr.terms) {
+    for (const auto &t : terms) {
         n += widthOf(t);
         if (n >= kMaxBits)
             return kMaxBits;

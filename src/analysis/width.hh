@@ -11,13 +11,16 @@
 #ifndef ASIM_ANALYSIS_WIDTH_HH
 #define ASIM_ANALYSIS_WIDTH_HH
 
+#include <span>
+
 #include "lang/expr.hh"
 
 namespace asim {
 
-/** Width in bits of `expr` (1..31). Terms without an explicit width
- *  (bare constants, whole component references) count as 31. */
-int widthOf(const Expr &expr);
+/** Width in bits of the expression made of `terms` (1..31). Terms
+ *  without an explicit width (bare constants, whole component
+ *  references) count as 31. */
+int widthOf(std::span<const Term> terms);
 
 /** Width in bits of a single term (-1-width terms count as 31). */
 int widthOf(const Term &term);

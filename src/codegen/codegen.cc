@@ -15,11 +15,11 @@ CodegenContext::CodegenContext(const ResolvedSpec &rs,
       tempPrefix_(std::move(tempPrefix))
 {
     slotNames_.resize(rs.numVarSlots);
-    for (const auto &[name, slot] : rs.varSlots)
-        slotNames_[slot] = name;
+    for (const CombComp &c : rs.comb)
+        slotNames_[c.slot] = rs.name(c.name);
     memNames_.resize(rs.mems.size());
-    for (const auto &[name, idx] : rs.memIndexes)
-        memNames_[idx] = name;
+    for (const MemDesc &m : rs.mems)
+        memNames_[m.index] = rs.name(m.name);
 }
 
 std::string
@@ -38,18 +38,6 @@ std::string
 CodegenContext::tempName(int idx) const
 {
     return tempPrefix_ + memNames_[idx];
-}
-
-const std::string &
-CodegenContext::slotComponent(int slot) const
-{
-    return slotNames_[slot];
-}
-
-const std::string &
-CodegenContext::memComponent(int idx) const
-{
-    return memNames_[idx];
 }
 
 std::string
@@ -71,7 +59,8 @@ CodegenContext::renderExpr(const ResolvedExpr &e,
     bool first = true;
     // Thesis `expr` scans right-to-left, so the rightmost source term
     // is rendered first and the folded constant comes last.
-    for (auto it = e.terms.rbegin(); it != e.terms.rend(); ++it) {
+    const std::span<const ResolvedTerm> terms = rs_.terms(e);
+    for (auto it = terms.rbegin(); it != terms.rend(); ++it) {
         const ResolvedTerm &t = *it;
         if (!first)
             os << " + ";
@@ -80,7 +69,7 @@ CodegenContext::renderExpr(const ResolvedExpr &e,
         std::string name = t.bank == ResolvedTerm::Bank::Var
                                ? varName(t.slot)
                                : tempName(t.slot);
-        if (t.whole) {
+        if (t.whole()) {
             os << name;
             if (t.shift > 0)
                 os << " * " << highbit(t.shift);

@@ -93,9 +93,21 @@ class CodegenContext
     /** Name of memory `idx`'s output latch. */
     std::string tempName(int idx) const;
 
-    /** Plain component name of combinational slot / memory index. */
-    const std::string &slotComponent(int slot) const;
-    const std::string &memComponent(int idx) const;
+    /// @{ The plain component name of a resolved component or trace
+    /// item.
+    const std::string &name(const CombComp &c) const
+    {
+        return slotNames_[c.slot];
+    }
+    const std::string &name(const MemDesc &m) const
+    {
+        return memNames_[m.index];
+    }
+    const std::string &name(const TraceItem &item) const
+    {
+        return item.isMem ? memNames_[item.slot] : slotNames_[item.slot];
+    }
+    /// @}
 
     /**
      * Render a resolved expression.

@@ -59,7 +59,7 @@ CppBackend::emitState()
         ln("static int32_t " + ctx_.memArrayName(m.index) + "[" +
            std::to_string(m.size) + "];");
         ln("static int32_t " + ctx_.tempName(m.index) + " = 0, adr" +
-           m.name + " = 0, opn" + m.name + " = 0;");
+           ctx_.name(m) + " = 0, opn" + ctx_.name(m) + " = 0;");
     }
     if (!rs_.mems.empty()) {
         // Read/write/input/output counts per memory: the cycle body
@@ -280,7 +280,7 @@ CppBackend::emitProgramHelpers()
     for (const auto &item : rs_.traceList) {
         std::string v = item.isMem ? ctx_.tempName(item.slot)
                                    : ctx_.varName(item.slot);
-        ln("    " + pf() + "(\" " + item.name + "= %d\", (int)" + v +
+        ln("    " + pf() + "(\" " + ctx_.name(item) + "= %d\", (int)" + v +
            ");");
     }
     ln("    " + pf() + "(\"\\n\");");
@@ -307,11 +307,11 @@ CppBackend::emitInitValues()
     ln("{");
     for (const auto &m : rs_.mems) {
         const std::string arr = ctx_.memArrayName(m.index);
-        if (m.init.empty())
+        if (rs_.init(m).empty())
             continue;
-        for (size_t i = 0; i < m.init.size(); ++i) {
+        for (size_t i = 0; i < rs_.init(m).size(); ++i) {
             ln("    " + arr + "[" + std::to_string(i) +
-               "] = " + std::to_string(m.init[i]) + ";");
+               "] = " + std::to_string(rs_.init(m)[i]) + ";");
         }
     }
     ln("}");
@@ -331,8 +331,8 @@ CppBackend::emitResetState()
            "; ++i)");
         ln("        " + ctx_.memArrayName(m.index) + "[i] = 0;");
         ln("    " + ctx_.tempName(m.index) + " = 0;");
-        ln("    adr" + m.name + " = 0;");
-        ln("    opn" + m.name + " = 0;");
+        ln("    adr" + ctx_.name(m) + " = 0;");
+        ln("    opn" + ctx_.name(m) + " = 0;");
     }
     ln("    initvalues();");
     ln("}");
@@ -393,7 +393,7 @@ CppBackend::emitLibraryPrologue()
         ln("    int32_t *const " + ctx_.memArrayName(m.index) +
            " = C->mems[" + std::to_string(4 * m.index) + "];");
         const std::string latches[] = {ctx_.tempName(m.index),
-                                       "adr" + m.name, "opn" + m.name};
+                                       "adr" + ctx_.name(m), "opn" + ctx_.name(m)};
         for (int k = 0; k < 3; ++k) {
             ln("    int32_t &" + latches[k] + " = S[" +
                std::to_string(rs_.numVarSlots + 3 * m.index + k) +
@@ -476,23 +476,23 @@ void
 CppBackend::emitAlu(const CombComp &c)
 {
     const std::string dst = ctx_.varName(c.slot);
-    const std::string l = expr(c.left);
-    const std::string r = expr(c.right);
+    const std::string l = expr(rs_.left(c));
+    const std::string r = expr(rs_.right(c));
     const std::string lp = CodegenContext::paren(l);
     const std::string rp = CodegenContext::paren(r);
 
     if (!c.functConst || !opts_.inlineConstAlu) {
         if (c.functConst) {
             // Resolve rejected out-of-range constants already.
-            ln("    " + dst + " = dologic(" + expr(c.funct) + ", " + l +
+            ln("    " + dst + " = dologic(" + expr(rs_.funct(c)) + ", " + l +
                ", " + r + ");");
             return;
         }
         ln("    {");
-        ln("        const int32_t f = " + expr(c.funct) + ";");
+        ln("        const int32_t f = " + expr(rs_.funct(c)) + ";");
         ln("        if ((uint32_t)f >= " +
            std::to_string(kAluFunctionCount) + "u)");
-        ln("            return alufail(\"" + c.name +
+        ln("            return alufail(\"" + ctx_.name(c) +
            "\", f, cyclecount);");
         ln("        " + dst + " = dologic(f, " + l + ", " + r + ");");
         ln("    }");
@@ -551,13 +551,13 @@ void
 CppBackend::emitSelector(const CombComp &c)
 {
     const std::string dst = ctx_.varName(c.slot);
-    ln("    switch (" + expr(c.select) + ") {");
-    for (size_t i = 0; i < c.cases.size(); ++i) {
+    ln("    switch (" + expr(rs_.select(c)) + ") {");
+    for (size_t i = 0; i < rs_.cases(c).size(); ++i) {
         ln("      case " + std::to_string(i) + ": " + dst + " = " +
-           expr(c.cases[i]) + "; break;");
+           expr(rs_.cases(c)[i]) + "; break;");
     }
     ln("      default:");
-    ln("        return selfail(\"" + c.name + "\", " + expr(c.select) +
+    ln("        return selfail(\"" + ctx_.name(c) + "\", " + expr(rs_.select(c)) +
        ", cyclecount);");
     ln("    }");
 }
@@ -566,8 +566,8 @@ void
 CppBackend::emitMemoryLatches()
 {
     for (const auto &m : rs_.mems) {
-        ln("    adr" + m.name + " = " + expr(m.addr) + ";");
-        ln("    opn" + m.name + " = " + expr(m.opn) + ";");
+        ln("    adr" + ctx_.name(m) + " = " + expr(m.addr) + ";");
+        ln("    opn" + ctx_.name(m) + " = " + expr(m.opn) + ";");
     }
 }
 
@@ -576,11 +576,11 @@ CppBackend::emitMemoryUpdate(const MemDesc &m)
 {
     const std::string temp = ctx_.tempName(m.index);
     const std::string arr = ctx_.memArrayName(m.index);
-    const std::string adr = "adr" + m.name;
-    const std::string opn = "opn" + m.name;
+    const std::string adr = "adr" + ctx_.name(m);
+    const std::string opn = "opn" + ctx_.name(m);
     const std::string size = std::to_string(m.size);
     const std::string check = "if ((uint32_t)" + adr + " >= " + size +
-                              "u) return memfail(\"" + m.name +
+                              "u) return memfail(\"" + ctx_.name(m) +
                               "\", " + adr + ", cyclecount);";
     // Writes, inputs and outputs are counted after the access (a
     // faulting one is not). Reads go uncounted: every memory makes one
@@ -642,9 +642,9 @@ CppBackend::emitMemoryTraces(const MemDesc &m)
 {
     if (!opts_.emitTrace)
         return;
-    const std::string args = "(\"" + m.name + "\", adr" + m.name +
+    const std::string args = "(\"" + ctx_.name(m) + "\", adr" + ctx_.name(m) +
                              ", " + ctx_.tempName(m.index) + ");";
-    const std::string opn = "opn" + m.name;
+    const std::string opn = "opn" + ctx_.name(m);
 
     switch (m.traceWrites) {
       case MemDesc::TraceMode::Always:
@@ -746,8 +746,8 @@ CppBackend::emitStateDump()
     for (const auto &m : rs_.mems) {
         const std::string idx = std::to_string(m.index);
         emit("\"STATE_M " + idx + " %d %d %d\\n\", (int)" +
-             ctx_.tempName(m.index) + ", (int)adr" + m.name +
-             ", (int)opn" + m.name);
+             ctx_.tempName(m.index) + ", (int)adr" + ctx_.name(m) +
+             ", (int)opn" + ctx_.name(m));
         ln("    for (long i = 0; i < " + std::to_string(m.size) +
            "; ++i)");
         emit("\"STATE_C " + idx + " %ld %d\\n\", i, (int)" +
@@ -796,8 +796,8 @@ CppBackend::emitRestoreState()
         ln("              case " + std::to_string(m.index) + ":");
         ln("                " + ctx_.tempName(m.index) +
            " = (int32_t)t;");
-        ln("                adr" + m.name + " = (int32_t)a;");
-        ln("                opn" + m.name + " = (int32_t)o;");
+        ln("                adr" + ctx_.name(m) + " = (int32_t)a;");
+        ln("                opn" + ctx_.name(m) + " = (int32_t)o;");
         ln("                break;");
     }
     ln("              default: (void)t; (void)a; (void)o;");

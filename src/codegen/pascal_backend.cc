@@ -42,10 +42,10 @@ PascalBackend::emitVarDecls()
         add(ctx_.varName(slot));
     for (const auto &m : rs_.mems) {
         add(ctx_.tempName(m.index));
-        add("adr" + m.name);
+        add("adr" + ctx_.name(m));
         if (opts_.emitDataLatchQuirk)
-            add("data" + m.name);
-        add("opn" + m.name);
+            add("data" + ctx_.name(m));
+        add("opn" + ctx_.name(m));
     }
     os << ": integer;";
     ln(os.str());
@@ -86,10 +86,10 @@ PascalBackend::emitInitValues()
     ln("begin");
     for (const auto &m : rs_.mems) {
         const std::string arr = ctx_.memArrayName(m.index);
-        if (!m.init.empty()) {
-            for (size_t i = 0; i < m.init.size(); ++i) {
+        if (!rs_.init(m).empty()) {
+            for (size_t i = 0; i < rs_.init(m).size(); ++i) {
                 ln("    " + arr + "[" + std::to_string(i) +
-                   "] := " + std::to_string(m.init[i]) + ";");
+                   "] := " + std::to_string(rs_.init(m)[i]) + ";");
             }
         } else {
             ln("    for i := 0 to " + std::to_string(m.size - 1) +
@@ -180,13 +180,13 @@ void
 PascalBackend::emitAlu(const CombComp &c)
 {
     const std::string dst = ctx_.varName(c.slot);
-    const std::string l = expr(c.left);
-    const std::string r = expr(c.right);
+    const std::string l = expr(rs_.left(c));
+    const std::string r = expr(rs_.right(c));
     const std::string lp = CodegenContext::paren(l);
     const std::string rp = CodegenContext::paren(r);
 
     if (!c.functConst || !opts_.inlineConstAlu) {
-        ln(dst + " := dologic(" + expr(c.funct) + ", " + l + ", " + r +
+        ln(dst + " := dologic(" + expr(rs_.funct(c)) + ", " + l + ", " + r +
            ");");
         return;
     }
@@ -244,11 +244,11 @@ void
 PascalBackend::emitSelector(const CombComp &c)
 {
     const std::string dst = ctx_.varName(c.slot);
-    ln("case " + expr(c.select) + " of");
-    for (size_t i = 0; i < c.cases.size(); ++i) {
-        std::string sep = i + 1 == c.cases.size() ? "" : ";";
+    ln("case " + expr(rs_.select(c)) + " of");
+    for (size_t i = 0; i < rs_.cases(c).size(); ++i) {
+        std::string sep = i + 1 == rs_.cases(c).size() ? "" : ";";
         ln("  " + std::to_string(i) + " : " + dst + " := " +
-           expr(c.cases[i]) + sep);
+           expr(rs_.cases(c)[i]) + sep);
     }
     ln("end;");
 }
@@ -260,7 +260,7 @@ PascalBackend::emitTraceLine()
     for (const auto &item : rs_.traceList) {
         std::string v = item.isMem ? ctx_.tempName(item.slot)
                                    : ctx_.varName(item.slot);
-        ln("write(' " + item.name + "= ', " + v + ":1);");
+        ln("write(' " + ctx_.name(item) + "= ', " + v + ":1);");
     }
     ln("writeln;");
 }
@@ -269,14 +269,14 @@ void
 PascalBackend::emitMemoryLatches()
 {
     for (const auto &m : rs_.mems) {
-        ln("adr" + m.name + " := " + expr(m.addr) + ";");
+        ln("adr" + ctx_.name(m) + " := " + expr(m.addr) + ";");
         if (opts_.emitDataLatchQuirk) {
             // Appendix E latches data<name> := temp<name>; the value
             // is never read (the data expression is re-evaluated in
             // the update phase). Kept for fidelity.
-            ln("data" + m.name + " := " + ctx_.tempName(m.index) + ";");
+            ln("data" + ctx_.name(m) + " := " + ctx_.tempName(m.index) + ";");
         }
-        ln("opn" + m.name + " := " + expr(m.opn) + ";");
+        ln("opn" + ctx_.name(m) + " := " + expr(m.opn) + ";");
     }
 }
 
@@ -285,8 +285,8 @@ PascalBackend::emitMemoryUpdate(const MemDesc &m)
 {
     const std::string temp = ctx_.tempName(m.index);
     const std::string arr = ctx_.memArrayName(m.index);
-    const std::string adr = "adr" + m.name;
-    const std::string opn = "opn" + m.name;
+    const std::string adr = "adr" + ctx_.name(m);
+    const std::string opn = "opn" + ctx_.name(m);
 
     if (m.opnConst && opts_.specializeConstMem) {
         switch (land(m.opnValue, 3)) {
@@ -328,12 +328,12 @@ PascalBackend::emitMemoryTraces(const MemDesc &m)
     if (!opts_.emitTrace)
         return;
     const std::string temp = ctx_.tempName(m.index);
-    const std::string adr = "adr" + m.name;
-    const std::string opn = "opn" + m.name;
+    const std::string adr = "adr" + ctx_.name(m);
+    const std::string opn = "opn" + ctx_.name(m);
 
-    const std::string wr = "writeln('Write to " + m.name + " at ', " +
+    const std::string wr = "writeln('Write to " + ctx_.name(m) + " at ', " +
                            adr + ":1, ': ', " + temp + ":1);";
-    const std::string rd = "writeln('Read from " + m.name + " at ', " +
+    const std::string rd = "writeln('Read from " + ctx_.name(m) + " at ', " +
                            adr + ":1, ': ', " + temp + ":1);";
 
     switch (m.traceWrites) {

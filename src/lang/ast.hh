@@ -18,15 +18,18 @@
 #define ASIM_LANG_AST_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/expr.hh"
+#include "lang/names.hh"
 
 namespace asim {
 
 /** The three ASIM II primitives. */
-enum class CompKind
+enum class CompKind : uint8_t
 {
     Alu,
     Selector,
@@ -36,33 +39,26 @@ enum class CompKind
 /** Printable primitive letter (A/S/M). */
 char compKindLetter(CompKind kind);
 
-/** One component definition. Only the fields for `kind` are valid. */
+/** One component definition (32 bytes). Its input expressions are
+ *  `numExprs` consecutive entries of the spec's expression array from
+ *  `firstExpr`: an ALU's funct, left, right; a selector's index, then
+ *  its cases; a memory's address, data, operation. */
 struct Component
 {
     CompKind kind = CompKind::Alu;
-    std::string name;
+    NameId name = 0;
+    uint32_t firstExpr = 0;
+    uint32_t numExprs = 0;
 
-    /// @{ ALU fields
-    Expr funct;
-    Expr left;
-    Expr right;
-    /// @}
+    /** Memory: the `numInit` initial values from `firstInit` in the
+     *  spec's init array. The spec's negative size ("initialize from
+     *  the list") is normalized: memSize is always positive here and
+     *  numInit is non-zero iff the spec used a negative size. */
+    uint32_t firstInit = 0;
+    uint32_t numInit = 0;
 
-    /// @{ Selector fields
-    Expr select;
-    std::vector<Expr> cases;
-    /// @}
-
-    /// @{ Memory fields
-    Expr addr;
-    Expr data;
-    Expr opn;
-    /** Number of cells. The spec's negative size ("initialize from the
-     *  list") is normalized: size is always positive here and
-     *  `init` is non-empty iff the spec used a negative size. */
+    /** Memory: number of cells. */
     int64_t memSize = 0;
-    std::vector<int32_t> init;
-    /// @}
 };
 
 /** The most memory cells one specification may declare in all. Every
@@ -76,13 +72,18 @@ inline constexpr int64_t kMaxSpecCells = int64_t{1} << 24;
 /** A declaration-list entry: component name plus trace flag. */
 struct DeclName
 {
-    std::string name;
+    NameId name = 0;
     bool traced = false;
 
     bool operator==(const DeclName &) const = default;
 };
 
-/** A whole parsed specification. */
+/**
+ * A whole parsed specification. Components, expressions, terms,
+ * memory initial values and names each live in one flat array of the
+ * spec (no heap object per component, expression, term or name);
+ * components and expressions refer into them by index.
+ */
 struct Spec
 {
     /** The first-line comment, without the leading `#`. */
@@ -96,6 +97,63 @@ struct Spec
 
     std::vector<DeclName> decls;
     std::vector<Component> comps;
+
+    /// @{ The pools components and expressions index.
+    std::vector<Expr> exprPool;
+    std::vector<Term> termPool;
+    std::vector<int32_t> initPool;
+    NameStore names;
+    /// @}
+
+    /** The spelling of an interned name. */
+    std::string_view name(NameId id) const { return names[id]; }
+
+    /** The terms of `e`. */
+    std::span<const Term>
+    terms(Expr e) const
+    {
+        return {termPool.data() + e.first, e.count};
+    }
+
+    /** Every input expression of `c` (see Component). */
+    std::span<const Expr>
+    exprs(const Component &c) const
+    {
+        return {exprPool.data() + c.firstExpr, c.numExprs};
+    }
+
+    /** Expression `i` of `c`: ALU 0 funct, 1 left, 2 right; selector
+     *  0 index, 1.. cases; memory 0 address, 1 data, 2 operation. */
+    Expr expr(const Component &c, uint32_t i) const
+    {
+        return exprPool[c.firstExpr + i];
+    }
+
+    /** A selector's case expressions. */
+    std::span<const Expr>
+    cases(const Component &c) const
+    {
+        return exprs(c).subspan(1);
+    }
+
+    /** A memory's initial values (empty unless the spec listed them). */
+    std::span<const int32_t>
+    init(const Component &c) const
+    {
+        return {initPool.data() + c.firstInit, c.numInit};
+    }
+
+    /** Append `terms` to the term array as one expression. */
+    Expr addExpr(std::span<const Term> terms);
+
+    /** A component whose input expressions are `exprs` (in Component
+     *  order) and, for a memory, whose initial values are `init`: both
+     *  are appended to the pools; the caller adds the component to
+     *  `comps` (or keeps it, as a module template does). */
+    Component makeComponent(CompKind kind, NameId name,
+                            std::span<const Expr> exprs,
+                            int64_t memSize = 0,
+                            std::span<const int32_t> init = {});
 
     /** Find a component by name; nullptr if absent. */
     const Component *find(std::string_view name) const;

@@ -1,6 +1,8 @@
 #include "lang/expr.hh"
 
+#include "lang/ast.hh"
 #include "lang/number.hh"
+#include "support/bitops.hh"
 #include "support/logging.hh"
 #include "support/text.hh"
 
@@ -15,9 +17,10 @@ malformed(std::string_view text)
                     ".");
 }
 
-/** Parse one comma-free piece into a Term. */
+/** Parse one comma-free piece into a Term, interning a reference's
+ *  name in `names`. */
 Term
-parseTerm(std::string_view piece, std::string_view whole)
+parseTerm(std::string_view piece, std::string_view whole, NameStore &names)
 {
     Term t;
     if (piece.empty())
@@ -34,10 +37,17 @@ parseTerm(std::string_view piece, std::string_view whole)
         for (char b : bits) {
             if (b != '0' && b != '1')
                 malformed(whole);
-            v = v * 2 + (b - '0');
+            v = static_cast<int32_t>(static_cast<uint32_t>(v) * 2 +
+                                     static_cast<uint32_t>(b - '0'));
+        }
+        // Wider than any expression may be: the resolver's error,
+        // raised where the width is still known.
+        if (bits.size() > static_cast<size_t>(kMaxBits)) {
+            throw SpecError("Error. Too many bits in " +
+                            std::string(whole) + ".");
         }
         t.value = v;
-        t.width = static_cast<int>(bits.size());
+        t.width = static_cast<int8_t>(bits.size());
         return t;
     }
 
@@ -56,36 +66,56 @@ parseTerm(std::string_view piece, std::string_view whole)
             std::string_view wtext = piece.substr(dot + 1);
             if (wtext.empty())
                 malformed(whole);
-            t.width = parseNumber(wtext);
-            if (t.width < 0 || t.width > 31)
+            const int32_t width = parseNumber(wtext);
+            if (width < 0 || width > 31)
                 malformed(whole);
+            t.width = static_cast<int8_t>(width);
         }
         return t;
     }
 
     if (isLetter(c)) {
-        // Component reference with optional subfield.
+        // Component reference with optional subfield: `name`,
+        // `name.from` or `name.from.to`.
         t.kind = Term::Kind::Ref;
-        auto pieces = split(piece, '.');
-        if (pieces.size() > 3)
-            malformed(whole);
-        if (!isValidName(pieces[0]))
-            malformed(whole);
-        t.ref = pieces[0];
-        if (pieces.size() >= 2) {
-            if (pieces[1].empty())
-                malformed(whole);
-            t.from = parseNumber(pieces[1]);
+        std::string_view name = piece;
+        std::string_view fields;
+        if (size_t dot = piece.find('.'); dot != std::string_view::npos) {
+            name = piece.substr(0, dot);
+            fields = piece.substr(dot + 1);
         }
-        if (pieces.size() == 3) {
-            if (pieces[2].empty())
+        if (!isValidName(name))
+            malformed(whole);
+        int32_t from = -1, to = -1;
+        if (name.size() < piece.size()) {
+            std::string_view fromText = fields, toText;
+            bool hasTo = false;
+            if (size_t dot = fields.find('.');
+                dot != std::string_view::npos) {
+                fromText = fields.substr(0, dot);
+                toText = fields.substr(dot + 1);
+                hasTo = true;
+                if (toText.find('.') != std::string_view::npos)
+                    malformed(whole);
+            }
+            if (fromText.empty())
                 malformed(whole);
-            t.to = parseNumber(pieces[2]);
-            if (t.to < t.from)
+            from = parseNumber(fromText);
+            if (hasTo) {
+                if (toText.empty())
+                    malformed(whole);
+                to = parseNumber(toText);
+                if (to < from)
+                    malformed(whole);
+            }
+            if (from > 31 || to > 31)
                 malformed(whole);
         }
-        if (t.from > 31 || t.to > 31)
-            malformed(whole);
+        // A field number that wrapped negative (`$FFFFFFFF`) reads as
+        // "absent", as every consumer tests only for < 0.
+        t.from = static_cast<int8_t>(from < 0 ? -1 : from);
+        t.to = static_cast<int8_t>(to < 0 ? -1 : to);
+        t.ref = names.intern(name);
         return t;
     }
 
@@ -95,9 +125,9 @@ parseTerm(std::string_view piece, std::string_view whole)
 } // namespace
 
 bool
-Expr::isConstant() const
+isConstant(const Spec &spec, Expr expr)
 {
-    for (const auto &t : terms) {
+    for (const Term &t : spec.terms(expr)) {
         if (t.kind == Term::Kind::Ref)
             return false;
     }
@@ -105,23 +135,35 @@ Expr::isConstant() const
 }
 
 Expr
-parseExpr(std::string_view text)
+parseExpr(std::string_view text, Spec &spec)
 {
-    Expr e;
     if (text.empty())
         malformed(text);
-    for (const auto &piece : split(text, ','))
-        e.terms.push_back(parseTerm(piece, text));
+    Expr e;
+    e.first = static_cast<uint32_t>(spec.termPool.size());
+    size_t start = 0;
+    while (true) {
+        const size_t comma = text.find(',', start);
+        const std::string_view piece = text.substr(
+            start, comma == std::string_view::npos ? std::string_view::npos
+                                                   : comma - start);
+        spec.termPool.push_back(parseTerm(piece, text, spec.names));
+        if (comma == std::string_view::npos)
+            break;
+        start = comma + 1;
+    }
+    e.count = static_cast<uint32_t>(spec.termPool.size()) - e.first;
     return e;
 }
 
 void
-appendExpr(std::string &out, const Expr &expr)
+appendExpr(std::string &out, const Spec &spec, Expr expr)
 {
-    for (size_t i = 0; i < expr.terms.size(); ++i) {
-        if (i)
+    bool firstTerm = true;
+    for (const Term &t : spec.terms(expr)) {
+        if (!firstTerm)
             out += ',';
-        const Term &t = expr.terms[i];
+        firstTerm = false;
         switch (t.kind) {
           case Term::Kind::Const:
             appendInt(out, t.value);
@@ -136,7 +178,7 @@ appendExpr(std::string &out, const Expr &expr)
                 out += static_cast<char>('0' + ((t.value >> b) & 1));
             break;
           case Term::Kind::Ref:
-            out += t.ref;
+            out += spec.name(t.ref);
             if (t.from >= 0) {
                 out += '.';
                 appendInt(out, t.from);
@@ -151,20 +193,20 @@ appendExpr(std::string &out, const Expr &expr)
 }
 
 std::string
-exprToString(const Expr &expr)
+exprToString(const Spec &spec, Expr expr)
 {
     std::string out;
-    appendExpr(out, expr);
+    appendExpr(out, spec, expr);
     return out;
 }
 
-std::vector<std::string>
-referencedNames(const Expr &expr)
+std::vector<std::string_view>
+referencedNames(const Spec &spec, Expr expr)
 {
-    std::vector<std::string> names;
-    for (const auto &t : expr.terms) {
+    std::vector<std::string_view> names;
+    for (const Term &t : spec.terms(expr)) {
         if (t.kind == Term::Kind::Ref)
-            names.push_back(t.ref);
+            names.push_back(spec.name(t.ref));
     }
     return names;
 }

@@ -16,6 +16,10 @@
  *   - `#bits`         binary string, width = number of digits
  *
  * The total width may not exceed 31 bits ("Too many bits").
+ *
+ * Terms live in their specification's term array (lang/ast.hh Spec);
+ * an Expr is a span of that array and a reference names a component
+ * by its NameId in the spec's name store.
  */
 
 #ifndef ASIM_LANG_EXPR_HH
@@ -23,14 +27,19 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "lang/names.hh"
 
 namespace asim {
 
-/** One concatenation term. */
+struct Spec;
+
+/** One concatenation term (8 bytes). */
 struct Term
 {
-    enum class Kind
+    enum class Kind : uint8_t
     {
         Const,      ///< numeric constant, optional explicit width
         BitString,  ///< `#0101` — value with intrinsic width
@@ -39,60 +48,64 @@ struct Term
 
     Kind kind = Kind::Const;
 
-    /** Constant / bit-string value. */
-    int32_t value = 0;
-
     /** Explicit width in bits; -1 = unbounded (consumes the rest). */
-    int width = -1;
-
-    /** Referenced component name (Kind::Ref). */
-    std::string ref;
+    int8_t width = -1;
 
     /** Subfield low bit; -1 = whole component. */
-    int from = -1;
+    int8_t from = -1;
 
     /** Subfield high bit; -1 = single bit (just `from`). */
-    int to = -1;
+    int8_t to = -1;
 
-    bool operator==(const Term &) const = default;
-};
-
-/** A parsed expression: terms stored leftmost (most significant)
- *  first. Diagnostics render it back with exprToString(). */
-struct Expr
-{
-    std::vector<Term> terms;
-
-    bool empty() const { return terms.empty(); }
-
-    /** True if no term references a component. */
-    bool isConstant() const;
+    /** Constant / bit-string value; the referenced component's name
+     *  (Kind::Ref). */
+    union
+    {
+        int32_t value = 0;
+        NameId ref;
+    };
 
     bool
-    operator==(const Expr &o) const
+    operator==(const Term &o) const
     {
-        return terms == o.terms;
+        return kind == o.kind && width == o.width && from == o.from &&
+               to == o.to &&
+               (kind == Kind::Ref ? ref == o.ref : value == o.value);
     }
 };
 
+/** A parsed expression: `count` terms of the spec's term array from
+ *  `first`, leftmost (most significant) first. */
+struct Expr
+{
+    uint32_t first = 0;
+    uint32_t count = 0;
+
+    bool empty() const { return count == 0; }
+};
+
 /**
- * Parse one expression token.
+ * Parse one expression token into `spec`'s term array, interning the
+ * names it references in `spec`'s name store.
  *
  * @param text the whitespace-free token
  * @throws SpecError on malformed input ("Error. Malformed expression")
  */
-Expr parseExpr(std::string_view text);
+Expr parseExpr(std::string_view text, Spec &spec);
+
+/** True if no term of `expr` references a component. */
+bool isConstant(const Spec &spec, Expr expr);
 
 /** Render an Expr back to specification syntax (canonical form:
  *  constants in decimal, subfields as `.from[.to]`). */
-std::string exprToString(const Expr &expr);
+std::string exprToString(const Spec &spec, Expr expr);
 
-/** Append exprToString(expr) to `out` (lang/writer.cc renders a whole
- *  spec into one string this way). */
-void appendExpr(std::string &out, const Expr &expr);
+/** Append exprToString(spec, expr) to `out` (lang/writer.cc renders a
+ *  whole spec into one string this way). */
+void appendExpr(std::string &out, const Spec &spec, Expr expr);
 
 /** Names of all components referenced by `expr` (with duplicates). */
-std::vector<std::string> referencedNames(const Expr &expr);
+std::vector<std::string_view> referencedNames(const Spec &spec, Expr expr);
 
 } // namespace asim
 

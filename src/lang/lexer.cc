@@ -49,7 +49,27 @@ Lexer::skipWhitespace()
     }
 }
 
-std::string
+void
+Lexer::expandMacro()
+{
+    advanceOne(); // the '~'
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           (isLetter(text_[pos_]) || isDigit(text_[pos_]))) {
+        advanceOne();
+    }
+    const std::string &body =
+        macros_.lookup(text_.substr(start, pos_ - start));
+    if (expanded_.size() + body.size() > kMaxTokenBytes) {
+        throw SpecError("Error. Macro expansion makes a token longer "
+                        "than " + std::to_string(kMaxTokenBytes) +
+                        " characters (line " + std::to_string(line_) +
+                        ").");
+    }
+    expanded_ += body;
+}
+
+std::string_view
 Lexer::next()
 {
     if (pendingDot_) {
@@ -60,30 +80,34 @@ Lexer::next()
     skipWhitespace();
     tokenLine_ = line_;
 
-    std::string token;
+    // Scan the raw token; it is a view of the text unless expansion
+    // meets a `~`, from which on it is built in expanded_.
+    const size_t start = pos_;
+    bool expanding = false;
     while (pos_ < text_.size()) {
         char c = text_[pos_];
         if (isWhitespace(c) || c == '{')
             break;
         if (expand_ && c == '~') {
-            advanceOne();
-            size_t start = pos_;
-            while (pos_ < text_.size() &&
-                   (isLetter(text_[pos_]) || isDigit(text_[pos_]))) {
-                advanceOne();
+            if (!expanding) {
+                expanded_.assign(text_.substr(start, pos_ - start));
+                expanding = true;
             }
-            std::string_view name(text_.data() + start, pos_ - start);
-            token += macros_.lookup(name);
+            expandMacro();
         } else {
-            token += c;
+            if (expanding)
+                expanded_ += c;
             advanceOne();
         }
     }
+    std::string_view token =
+        expanding ? std::string_view(expanded_)
+                  : text_.substr(start, pos_ - start);
 
     // Split a trailing '.' off multi-character tokens, but keep
     // intermediate dots (subfields) intact: "count." -> "count", ".".
     if (token.size() > 1 && token.back() == '.') {
-        token.pop_back();
+        token.remove_suffix(1);
         pendingDot_ = true;
     }
     return token;

@@ -1,0 +1,49 @@
+#include "lang/names.hh"
+
+#include <functional>
+
+namespace asim {
+
+size_t
+NameStore::probe(std::string_view name) const
+{
+    const size_t mask = table_.size() - 1;
+    size_t i = std::hash<std::string_view>{}(name) & mask;
+    while (table_[i] != kNoName && (*this)[table_[i]] != name)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+NameStore::rehash(size_t capacity)
+{
+    table_.assign(capacity, kNoName);
+    for (NameId id = 0; id < ends_.size(); ++id)
+        table_[probe((*this)[id])] = id;
+}
+
+NameId
+NameStore::intern(std::string_view name)
+{
+    // Keep the table at most half full: probe sequences stay short.
+    if (2 * (ends_.size() + 1) > table_.size())
+        rehash(table_.empty() ? 16 : 2 * table_.size());
+    const size_t slot = probe(name);
+    if (table_[slot] != kNoName)
+        return table_[slot];
+    const auto id = static_cast<NameId>(ends_.size());
+    chars_.append(name);
+    ends_.push_back(static_cast<uint32_t>(chars_.size()));
+    table_[slot] = id;
+    return id;
+}
+
+NameId
+NameStore::find(std::string_view name) const
+{
+    if (table_.empty())
+        return kNoName;
+    return table_[probe(name)];
+}
+
+} // namespace asim

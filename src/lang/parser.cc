@@ -3,7 +3,9 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "lang/lexer.hh"
 #include "lang/number.hh"
@@ -44,7 +46,7 @@ class Parser
         for (const Component &c : spec_.comps) {
             cells += c.memSize;
             if (cells > kMaxSpecCells)
-                tooManyCells(c);
+                tooManyCells(c.name);
         }
         return std::move(spec_);
     }
@@ -72,10 +74,10 @@ class Parser
         // expansion off; the body with expansion on, so earlier macros
         // expand inside later bodies (no recursion possible).
         while (!token_.empty() && token_[0] == '-') {
-            std::string name = token_.substr(1);
+            std::string name(token_.substr(1));
             checkName(name);
             lexer_.setExpandMacros(true);
-            std::string body = lexer_.next();
+            std::string_view body = lexer_.next();
             lexer_.setExpandMacros(false);
             if (body.empty())
                 throw SpecError("Error. Macro " + name + " has no body.");
@@ -104,24 +106,26 @@ class Parser
             if (token_.empty())
                 throw SpecError("Error. Unexpected end of file in "
                                 "declaration list.");
+            std::string_view name = token_;
             DeclName d;
-            if (token_.size() > 1 && token_.back() == '*') {
-                d.name = token_.substr(0, token_.size() - 1);
+            if (name.size() > 1 && name.back() == '*') {
+                name.remove_suffix(1);
                 d.traced = true;
-            } else {
-                d.name = token_;
             }
-            checkName(d.name);
-            spec_.decls.push_back(std::move(d));
+            checkName(name);
+            d.name = spec_.names.intern(name);
+            spec_.decls.push_back(d);
             advance();
         }
         advance(); // consume '.'
     }
 
-    std::string
+    /** The next token, which must exist; a view valid until the next
+     *  lexer call. */
+    std::string_view
     nextField(const char *what)
     {
-        std::string t = lexer_.next();
+        std::string_view t = lexer_.next();
         if (t.empty()) {
             throw SpecError(std::string("Error. Unexpected end of file "
                                         "reading ") + what + lastContext());
@@ -129,13 +133,28 @@ class Parser
         return t;
     }
 
+    /** The next token as a checked component name, interned. */
+    NameId
+    nextName(const char *what)
+    {
+        std::string_view t = nextField(what);
+        checkName(t);
+        return spec_.names.intern(t);
+    }
+
+    Expr
+    nextExpr(const char *what)
+    {
+        return parseExpr(nextField(what), spec_);
+    }
+
     std::string
     lastContext() const
     {
         if (spec_.comps.empty())
             return std::string(".");
-        return " (last component read is <" + spec_.comps.back().name +
-               ">).";
+        return " (last component read is <" +
+               std::string(spec_.name(spec_.comps.back().name)) + ">).";
     }
 
     void
@@ -146,7 +165,8 @@ class Parser
                 (token_ != "A" && token_ != "S" && token_ != "M" &&
                  token_ != "D" && token_ != "U")) {
                 throw SpecError("Error. Component expected. Got <" +
-                                token_ + "> instead" + lastContext());
+                                std::string(token_) + "> instead" +
+                                lastContext());
             }
             if (token_ == "A")
                 readAlu();
@@ -161,17 +181,18 @@ class Parser
         }
     }
 
-    /** A module template: ports plus body components. */
+    /** A module template: ports plus body components, whose
+     *  expressions live in the spec's pools like any other. */
     struct Module
     {
-        std::vector<std::string> ports;
+        std::vector<NameId> ports;
         std::vector<Component> body;
     };
 
     void
     readModuleDef()
     {
-        std::string name = nextField("module name");
+        std::string name(nextField("module name"));
         checkName(name);
         if (modules_.count(name)) {
             throw SpecError("Error. Module " + name +
@@ -185,7 +206,7 @@ class Parser
                                 "module " + name + " port list.");
             }
             checkName(token_);
-            mod.ports.push_back(token_);
+            mod.ports.push_back(spec_.names.intern(token_));
             advance();
         }
         // Body: ordinary components until 'E'. Parse into a side list
@@ -208,7 +229,8 @@ class Parser
             } else {
                 sink_ = outer;
                 throw SpecError("Error. Component expected in module " +
-                                name + ". Got <" + token_ + ">.");
+                                name + ". Got <" + std::string(token_) +
+                                ">.");
             }
         }
         sink_ = outer;
@@ -219,9 +241,9 @@ class Parser
     void
     readModuleUse()
     {
-        std::string inst = nextField("instance name");
+        std::string inst(nextField("instance name"));
         checkName(inst);
-        std::string modName = nextField("module name");
+        std::string modName(nextField("module name"));
         auto it = modules_.find(modName);
         if (it == modules_.end()) {
             throw SpecError("Error. Module <" + modName +
@@ -230,28 +252,19 @@ class Parser
         const Module &mod = it->second;
 
         // One actual per port.
-        std::map<std::string, std::string> rename;
-        for (const auto &port : mod.ports) {
-            std::string actual = nextField("module actual");
-            checkName(actual);
-            rename[port] = actual;
-        }
+        std::unordered_map<NameId, NameId> rename;
+        for (NameId port : mod.ports)
+            rename[port] = nextName("module actual");
         // Internal components get instance-prefixed names.
         for (const auto &c : mod.body) {
-            if (!rename.count(c.name))
-                rename[c.name] = inst + c.name;
+            if (!rename.count(c.name)) {
+                rename[c.name] = spec_.names.intern(
+                    inst + std::string(spec_.name(c.name)));
+            }
         }
-
-        auto mapName = [&](const std::string &n) {
+        auto mapName = [&](NameId n) {
             auto rit = rename.find(n);
             return rit == rename.end() ? n : rit->second;
-        };
-        auto mapExpr = [&](Expr e) {
-            for (auto &t : e.terms) {
-                if (t.kind == Term::Kind::Ref)
-                    t.ref = mapName(t.ref);
-            }
-            return e;
         };
 
         // Expanded names join the declaration list untraced unless the
@@ -263,46 +276,59 @@ class Parser
                 declared_.insert(d.name);
         }
         for (const Component &tmpl : mod.body) {
-            Component c = tmpl;
-            c.name = mapName(tmpl.name);
-            c.funct = mapExpr(tmpl.funct);
-            c.left = mapExpr(tmpl.left);
-            c.right = mapExpr(tmpl.right);
-            c.select = mapExpr(tmpl.select);
-            for (auto &e : c.cases)
-                e = mapExpr(e);
-            c.addr = mapExpr(tmpl.addr);
-            c.data = mapExpr(tmpl.data);
-            c.opn = mapExpr(tmpl.opn);
-            if (declared_.insert(c.name).second)
-                spec_.decls.push_back(DeclName{c.name, false});
-            sink_->push_back(std::move(c));
+            exprs_.clear();
+            for (uint32_t i = 0; i < tmpl.numExprs; ++i) {
+                // Copy by index: appending may move the term array.
+                const Expr src = spec_.expr(tmpl, i);
+                Expr e{static_cast<uint32_t>(spec_.termPool.size()),
+                       src.count};
+                for (uint32_t k = 0; k < src.count; ++k) {
+                    Term t = spec_.termPool[src.first + k];
+                    if (t.kind == Term::Kind::Ref)
+                        t.ref = mapName(t.ref);
+                    spec_.termPool.push_back(t);
+                }
+                exprs_.push_back(e);
+            }
+            const NameId name = mapName(tmpl.name);
+            // A copy: pooling the new component may move the init array.
+            inits_.assign(spec_.init(tmpl).begin(), spec_.init(tmpl).end());
+            sink_->push_back(spec_.makeComponent(tmpl.kind, name, exprs_,
+                                                 tmpl.memSize, inits_));
+            if (declared_.insert(name).second)
+                spec_.decls.push_back(DeclName{name, false});
         }
         advance();
+    }
+
+    /** Append a parsed component to the current sink. */
+    void
+    emit(CompKind kind, NameId name, int64_t memSize = 0)
+    {
+        sink_->push_back(
+            spec_.makeComponent(kind, name, exprs_, memSize, inits_));
     }
 
     void
     readAlu()
     {
-        Component c;
-        c.kind = CompKind::Alu;
-        c.name = nextField("ALU name");
-        checkName(c.name);
-        c.funct = parseExpr(nextField("ALU function"));
-        c.left = parseExpr(nextField("ALU left operand"));
-        c.right = parseExpr(nextField("ALU right operand"));
-        sink_->push_back(std::move(c));
+        const NameId name = nextName("ALU name");
+        exprs_.clear();
+        inits_.clear();
+        exprs_.push_back(nextExpr("ALU function"));
+        exprs_.push_back(nextExpr("ALU left operand"));
+        exprs_.push_back(nextExpr("ALU right operand"));
+        emit(CompKind::Alu, name);
         advance();
     }
 
     void
     readSelector()
     {
-        Component c;
-        c.kind = CompKind::Selector;
-        c.name = nextField("selector name");
-        checkName(c.name);
-        c.select = parseExpr(nextField("selector index"));
+        const NameId name = nextName("selector name");
+        exprs_.clear();
+        inits_.clear();
+        exprs_.push_back(nextExpr("selector index"));
         // Case values run until the next component letter or final '.'.
         advance();
         while (true) {
@@ -314,22 +340,24 @@ class Parser
             }
             if (token_.empty()) {
                 throw SpecError("Error. Unexpected end of file in "
-                                "selector " + c.name + " case list.");
+                                "selector " + std::string(spec_.name(name)) +
+                                " case list.");
             }
-            c.cases.push_back(parseExpr(token_));
+            exprs_.push_back(parseExpr(token_, spec_));
             advance();
         }
-        if (c.cases.empty()) {
-            throw SpecError("Error. Selector " + c.name +
+        if (exprs_.size() == 1) {
+            throw SpecError("Error. Selector " +
+                            std::string(spec_.name(name)) +
                             " has no case values.");
         }
-        sink_->push_back(std::move(c));
+        emit(CompKind::Selector, name);
     }
 
-    [[noreturn]] static void
-    tooManyCells(const Component &c)
+    [[noreturn]] void
+    tooManyCells(NameId name) const
     {
-        throw SpecError("Error. Memory " + c.name +
+        throw SpecError("Error. Memory " + std::string(spec_.name(name)) +
                         " takes the specification past its bound of " +
                         std::to_string(kMaxSpecCells) + " cells.");
     }
@@ -337,38 +365,43 @@ class Parser
     void
     readMemory()
     {
-        Component c;
-        c.kind = CompKind::Memory;
-        c.name = nextField("memory name");
-        checkName(c.name);
-        c.addr = parseExpr(nextField("memory address"));
-        c.data = parseExpr(nextField("memory data"));
-        c.opn = parseExpr(nextField("memory operation"));
+        const NameId name = nextName("memory name");
+        exprs_.clear();
+        inits_.clear();
+        exprs_.push_back(nextExpr("memory address"));
+        exprs_.push_back(nextExpr("memory data"));
+        exprs_.push_back(nextExpr("memory operation"));
         int64_t n = parseSignedNumber(nextField("memory size"));
         if (n == 0) {
-            throw SpecError("Error. Memory " + c.name +
+            throw SpecError("Error. Memory " +
+                            std::string(spec_.name(name)) +
                             " has zero cells.");
         }
-        c.memSize = n < 0 ? -n : n;
-        if (c.memSize > kMaxSpecCells)
-            tooManyCells(c);
+        const int64_t size = n < 0 ? -n : n;
+        if (size > kMaxSpecCells)
+            tooManyCells(name);
         if (n < 0) {
             // Negative size: exactly |n| initial values follow.
             // A value may carry a '-': the writer's decimal form of a
             // value that wrapped negative (`$FFFFFFFF`).
-            for (int64_t i = 0; i < c.memSize; ++i) {
-                c.init.push_back(
+            for (int64_t i = 0; i < size; ++i) {
+                inits_.push_back(
                     parseConstant(nextField("memory initial value")));
             }
         }
-        sink_->push_back(std::move(c));
+        emit(CompKind::Memory, name, size);
         advance();
     }
 
     Lexer lexer_;
     Diagnostics *diag_;
     Spec spec_;
-    std::string token_;
+    std::string_view token_;
+
+    /** The component being read: its expressions and initial values,
+     *  reused from one component to the next. */
+    std::vector<Expr> exprs_;
+    std::vector<int32_t> inits_;
 
     /** Where parsed components go: the spec, or a module body. */
     std::vector<Component> *sink_ = nullptr;
@@ -378,7 +411,7 @@ class Parser
 
     /** Every name on spec_.decls once a module is used, so module
      *  expansion's auto-declare is one probe per expanded component. */
-    std::unordered_set<std::string> declared_;
+    std::unordered_set<NameId> declared_;
 };
 
 } // namespace
@@ -386,8 +419,11 @@ class Parser
 const Component *
 Spec::find(std::string_view name) const
 {
+    const NameId id = names.find(name);
+    if (id == kNoName)
+        return nullptr;
     for (const auto &c : comps) {
-        if (c.name == name)
+        if (c.name == id)
             return &c;
     }
     return nullptr;
@@ -396,11 +432,33 @@ Spec::find(std::string_view name) const
 Component *
 Spec::find(std::string_view name)
 {
-    for (auto &c : comps) {
-        if (c.name == name)
-            return &c;
-    }
-    return nullptr;
+    return const_cast<Component *>(std::as_const(*this).find(name));
+}
+
+Expr
+Spec::addExpr(std::span<const Term> terms)
+{
+    Expr e{static_cast<uint32_t>(termPool.size()),
+           static_cast<uint32_t>(terms.size())};
+    termPool.insert(termPool.end(), terms.begin(), terms.end());
+    return e;
+}
+
+Component
+Spec::makeComponent(CompKind kind, NameId name, std::span<const Expr> exprs,
+                    int64_t memSize, std::span<const int32_t> init)
+{
+    Component c;
+    c.kind = kind;
+    c.name = name;
+    c.firstExpr = static_cast<uint32_t>(exprPool.size());
+    c.numExprs = static_cast<uint32_t>(exprs.size());
+    exprPool.insert(exprPool.end(), exprs.begin(), exprs.end());
+    c.memSize = memSize;
+    c.firstInit = static_cast<uint32_t>(initPool.size());
+    c.numInit = static_cast<uint32_t>(init.size());
+    initPool.insert(initPool.end(), init.begin(), init.end());
+    return c;
 }
 
 char

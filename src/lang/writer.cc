@@ -7,52 +7,37 @@ namespace asim {
 namespace {
 
 void
-appendComponent(std::string &out, const Component &comp)
+appendComponent(std::string &out, const Spec &spec, const Component &comp)
 {
     out += compKindLetter(comp.kind);
     out += ' ';
-    out += comp.name;
-    auto field = [&out](const Expr &e) {
+    out += spec.name(comp.name);
+    for (Expr e : spec.exprs(comp)) {
         out += ' ';
-        appendExpr(out, e);
-    };
-    switch (comp.kind) {
-      case CompKind::Alu:
-        field(comp.funct);
-        field(comp.left);
-        field(comp.right);
-        break;
-      case CompKind::Selector:
-        field(comp.select);
-        for (const auto &c : comp.cases)
-            field(c);
-        break;
-      case CompKind::Memory:
-        field(comp.addr);
-        field(comp.data);
-        field(comp.opn);
-        if (!comp.init.empty()) {
-            out += " -";
-            appendInt(out, comp.memSize);
-            for (int32_t v : comp.init) {
-                out += ' ';
-                appendInt(out, v);
-            }
-        } else {
+        appendExpr(out, spec, e);
+    }
+    if (comp.kind != CompKind::Memory)
+        return;
+    if (comp.numInit) {
+        out += " -";
+        appendInt(out, comp.memSize);
+        for (int32_t v : spec.init(comp)) {
             out += ' ';
-            appendInt(out, comp.memSize);
+            appendInt(out, v);
         }
-        break;
+    } else {
+        out += ' ';
+        appendInt(out, comp.memSize);
     }
 }
 
 } // namespace
 
 std::string
-writeComponent(const Component &comp)
+writeComponent(const Spec &spec, const Component &comp)
 {
     std::string out;
-    appendComponent(out, comp);
+    appendComponent(out, spec, comp);
     return out;
 }
 
@@ -69,14 +54,14 @@ writeSpec(const Spec &spec)
         out += '\n';
     }
     for (const auto &d : spec.decls) {
-        out += d.name;
+        out += spec.name(d.name);
         if (d.traced)
             out += '*';
         out += '\n';
     }
     out += ".\n";
     for (const auto &c : spec.comps) {
-        appendComponent(out, c);
+        appendComponent(out, spec, c);
         out += '\n';
     }
     out += ".\n";

@@ -18,8 +18,8 @@ namespace asim {
 /** Render `spec` as a complete, parseable specification text. */
 std::string writeSpec(const Spec &spec);
 
-/** Render a single component definition line. */
-std::string writeComponent(const Component &comp);
+/** Render a single component definition line of `spec`. */
+std::string writeComponent(const Spec &spec, const Component &comp);
 
 } // namespace asim
 

@@ -32,6 +32,9 @@ class Generator
         for (int i = 0; i < opts_.memories; ++i)
             addMemoryName();
         int combTotal = opts_.alus + opts_.selectors;
+        spec_.comps.reserve(static_cast<size_t>(combTotal) +
+                            static_cast<size_t>(opts_.memories));
+        spec_.decls.reserve(spec_.comps.capacity());
         std::vector<CompKind> kinds;
         for (int i = 0; i < opts_.alus; ++i)
             kinds.push_back(CompKind::Alu);
@@ -84,7 +87,7 @@ class Generator
             DeclName d;
             d.name = c.name;
             d.traced = pct(opts_.tracedPercent);
-            spec_.decls.push_back(std::move(d));
+            spec_.decls.push_back(d);
         }
         return std::move(spec_);
     }
@@ -104,7 +107,7 @@ class Generator
         Term t;
         t.kind = Term::Kind::Const;
         t.value = uniform(0, (1 << std::min(width, 16)) - 1);
-        t.width = width;
+        t.width = static_cast<int8_t>(width);
         return t;
     }
 
@@ -169,7 +172,7 @@ class Generator
     Expr
     expr(int width)
     {
-        Expr e;
+        terms_.clear();
         int remaining = width;
         while (remaining > 0) {
             int w = uniform(1, std::min(remaining, 6));
@@ -177,126 +180,128 @@ class Generator
                 w = remaining; // avoid awkward 1-bit tails sometimes
             switch (uniform(0, 2)) {
               case 0:
-                e.terms.push_back(constTerm(w));
+                terms_.push_back(constTerm(w));
                 break;
               case 1: {
                 Term t;
                 t.kind = Term::Kind::BitString;
-                t.width = w;
+                t.width = static_cast<int8_t>(w);
                 t.value = uniform(0, (1 << w) - 1);
-                e.terms.push_back(t);
+                terms_.push_back(t);
                 break;
               }
               default:
-                e.terms.push_back(refTerm(w));
+                terms_.push_back(refTerm(w));
                 break;
             }
             remaining -= w;
         }
-        return e;
+        return spec_.addExpr(terms_);
     }
+
+    /** A one-term expression. */
+    Expr oneTerm(const Term &t) { return spec_.addExpr({&t, 1}); }
 
     void
     addMemoryName()
     {
-        memNames_.push_back("mem" +
-                            std::to_string(memNames_.size()));
+        memNames_.push_back(spec_.names.intern(
+            "mem" + std::to_string(memNames_.size())));
     }
 
     void
     addAlu(int i)
     {
-        Component c;
-        c.kind = CompKind::Alu;
-        c.name = "alu" + std::to_string(i);
+        const NameId name = spec_.names.intern("alu" + std::to_string(i));
+        Expr funct;
         if (pct(opts_.dynamicFunctPercent) &&
             (!combNames_.empty() || !memNames_.empty())) {
             // Dynamic function: a 3-bit subfield, always in 0..7.
-            Expr f;
-            f.terms.push_back(refTerm(3));
-            c.funct = f;
+            funct = oneTerm(refTerm(3));
         } else {
-            Expr f;
             Term t;
             t.kind = Term::Kind::Const;
             t.value = uniform(0, 13);
             t.width = -1;
-            f.terms.push_back(t);
-            c.funct = f;
+            funct = oneTerm(t);
         }
-        c.left = expr(uniform(1, 12));
-        c.right = expr(uniform(1, 12));
-        spec_.comps.push_back(c);
-        combNames_.push_back(c.name);
+        const Expr left = expr(uniform(1, 12));
+        const Expr right = expr(uniform(1, 12));
+        const Expr exprs[] = {funct, left, right};
+        spec_.comps.push_back(
+            spec_.makeComponent(CompKind::Alu, name, exprs));
+        combNames_.push_back(name);
     }
 
     void
     addSelector(int i)
     {
-        Component c;
-        c.kind = CompKind::Selector;
-        c.name = "sel" + std::to_string(i);
+        const NameId name = spec_.names.intern("sel" + std::to_string(i));
         // k-bit index, 2^k cases: always in range.
         int k = uniform(1, 3);
-        Expr s;
-        s.terms.push_back(refTerm(k));
-        if (s.terms[0].kind != Term::Kind::Ref) {
+        Term select = refTerm(k);
+        if (select.kind != Term::Kind::Ref) {
             // refTerm degraded to a constant (no components yet);
             // constant index is masked to k bits and stays in range.
-            s.terms[0].width = k;
+            select.width = static_cast<int8_t>(k);
         }
-        c.select = s;
+        exprs_.assign(1, oneTerm(select));
         for (int j = 0; j < (1 << k); ++j)
-            c.cases.push_back(expr(uniform(1, 10)));
-        spec_.comps.push_back(c);
-        combNames_.push_back(c.name);
+            exprs_.push_back(expr(uniform(1, 10)));
+        spec_.comps.push_back(
+            spec_.makeComponent(CompKind::Selector, name, exprs_));
+        combNames_.push_back(name);
     }
 
     void
     defineMemory(int i)
     {
-        Component c;
-        c.kind = CompKind::Memory;
-        c.name = memNames_[i];
+        const NameId name = memNames_[i];
         int bits = uniform(2, 6);
-        c.memSize = 1 << bits;
+        const int64_t memSize = int64_t{1} << bits;
         // Address: subfield of `bits` bits — always in range.
-        c.addr = expr(bits);
-        c.data = expr(uniform(1, 12));
+        const Expr addr = expr(bits);
+        const Expr data = expr(uniform(1, 12));
         // Operation: constants (read/write with optional trace bits)
         // or a dynamic 2-bit field; I/O ops only when allowed.
+        Expr opn;
         int roll = uniform(0, 9);
         if (roll < 3) {
-            c.opn = expr(2); // dynamic 0..3 (includes I/O)
+            opn = expr(2); // dynamic 0..3 (includes I/O)
             if (!opts_.withIo) {
                 // Constrain to 1 bit: read/write only.
-                c.opn = expr(1);
+                opn = expr(1);
             }
         } else {
             static const int32_t kOps[] = {0, 1, 1, 0, 5, 9, 1, 0, 2, 3};
             int32_t op = kOps[roll];
             if (!opts_.withIo && (op == 2 || op == 3))
                 op = land(op, 1);
-            Expr f;
             Term t;
             t.kind = Term::Kind::Const;
             t.value = op;
             t.width = -1;
-            f.terms.push_back(t);
-            c.opn = f;
+            opn = oneTerm(t);
         }
+        std::vector<int32_t> init;
         if (pct(40)) {
-            for (int64_t j = 0; j < c.memSize; ++j)
-                c.init.push_back(uniform(0, 4095));
+            for (int64_t j = 0; j < memSize; ++j)
+                init.push_back(uniform(0, 4095));
         }
-        spec_.comps.push_back(c);
+        const Expr exprs[] = {addr, data, opn};
+        spec_.comps.push_back(spec_.makeComponent(
+            CompKind::Memory, name, exprs, memSize, init));
     }
 
     SyntheticOptions opts_;
     std::mt19937 rng_;
     Spec spec_;
-    std::vector<std::string> combNames_;
-    std::vector<std::string> memNames_;
+    std::vector<NameId> combNames_;
+    std::vector<NameId> memNames_;
+
+    /** The expression / component being built, reused. */
+    std::vector<Term> terms_;
+    std::vector<Expr> exprs_;
 
     /// @{ Layered-mode bookkeeping (opts_.layers > 0).
     int layers_ = 0;       ///< effective layer count
@@ -304,8 +309,8 @@ class Generator
     int layer_ = 0;        ///< layer being defined
     int col_ = 0;          ///< column within the layer
     int layerStart_ = 0;   ///< combNames_ size when this layer began
-    std::vector<std::string> prevLayer_;
-    std::vector<std::string> curLayer_;
+    std::vector<NameId> prevLayer_;
+    std::vector<NameId> curLayer_;
     /// @}
 };
 

@@ -297,7 +297,8 @@ loadCheckpoint(const std::string &path, const ResolvedSpec &rs,
             static_cast<size_t>(rs.mems[i].size)) {
             throw SimError("checkpoint " + path +
                            " does not match the specification shape "
-                           "(memory <" + rs.mems[i].name +
+                           "(memory <" +
+                           std::string(rs.name(rs.mems[i].name)) +
                            "> size differs)");
         }
     }

@@ -22,12 +22,12 @@ namespace {
  * bounds checks and marks the comb components that cannot fault.
  */
 bool
-exprBelow(const ResolvedExpr &e, int64_t limit)
+exprBelow(const ResolvedSpec &rs, const ResolvedExpr &e, int64_t limit)
 {
     if (e.constTotal < 0)
         return false;
     int64_t max = e.constTotal;
-    for (const auto &t : e.terms) {
+    for (const ResolvedTerm &t : rs.terms(e)) {
         if (t.mask < 0)
             return false; // whole-word term: value unbounded
         const int64_t m = static_cast<int64_t>(t.mask);
@@ -122,19 +122,20 @@ aluDirectIndex(Op op)
  *  operand its function reads is constant (Shl excepted: its thesis
  *  semantics are the run-time AluSemantics setting). */
 bool
-aluFolds(const CombComp &c)
+aluFolds(const ResolvedSpec &rs, const CombComp &c)
 {
     bool needL = true, needR = true;
     aluOperandNeeds(c.functValue, needL, needR);
-    return c.functValue != kAluShl && (!needL || c.left.isConstant()) &&
-           (!needR || c.right.isConstant());
+    return c.functValue != kAluShl && (!needL || rs.left(c).isConstant()) &&
+           (!needR || rs.right(c).isConstant());
 }
 
 /** True when every case of a selector is a constant. */
 bool
-casesConstant(const CombComp &c)
+casesConstant(const ResolvedSpec &rs, const CombComp &c)
 {
-    return std::all_of(c.cases.begin(), c.cases.end(),
+    const auto cases = rs.cases(c);
+    return std::all_of(cases.begin(), cases.end(),
                        [](const ResolvedExpr &e) { return e.isConstant(); });
 }
 
@@ -143,7 +144,7 @@ casesConstant(const CombComp &c)
 bool
 singleField(const ResolvedExpr &e)
 {
-    return e.terms.size() == 1 && e.constTotal == 0;
+    return e.count == 1 && e.constTotal == 0;
 }
 
 /** True if `e` loads in one word: a constant or a single field, the
@@ -158,11 +159,11 @@ oneWord(const ResolvedExpr &e)
  *  SetC (constant in a) or LoadVar/LoadTemp (idx = slot, a = mask,
  *  b = shift). A superinstruction takes these operands inline. */
 Instr
-simpleLoad(const ResolvedExpr &e, uint8_t reg)
+simpleLoad(const ResolvedSpec &rs, const ResolvedExpr &e, uint8_t reg)
 {
     if (e.isConstant())
         return {Op::SetC, reg, 0, e.constTotal, 0, 0};
-    const ResolvedTerm &t = e.terms[0];
+    const ResolvedTerm &t = rs.termPool[e.first];
     return {t.bank == ResolvedTerm::Bank::Var ? Op::LoadVar : Op::LoadTemp,
             reg, static_cast<uint16_t>(t.slot), t.mask, t.shift, 0};
 }
@@ -270,31 +271,31 @@ class Compiler
     shapeKey(const CombComp &c, std::string &key) const
     {
         key.assign(1, c.kind == CompKind::Alu ? 'a' : 's');
-        auto add = [&key](const ResolvedExpr &e) {
+        auto add = [&](const ResolvedExpr &e) {
             key += e.isConstant() ? 'c' : e.constTotal != 0 ? 'k' : 'f';
-            for (const auto &t : e.terms)
+            for (const ResolvedTerm &t : rs_.terms(e))
                 key += t.bank == ResolvedTerm::Bank::Var ? 'v' : 't';
         };
         if (c.kind == CompKind::Selector) {
-            add(c.select);
-            if (casesConstant(c)) {
+            add(rs_.select(c));
+            if (casesConstant(rs_, c)) {
                 key += '#'; // a table lookup, whatever the cases
                 return;
             }
             // K, then each case's descriptor pattern: whether it has
             // a bias and a field, and each term's bank.
             key += std::to_string(caseTerms(c));
-            for (const auto &e : c.cases)
+            for (const ResolvedExpr &e : rs_.cases(c))
                 add(e);
             return;
         }
         if (!c.functConst) {
-            add(c.funct);
-            add(c.left);
-            add(c.right);
+            add(rs_.funct(c));
+            add(rs_.left(c));
+            add(rs_.right(c));
             return;
         }
-        if (aluFolds(c)) {
+        if (aluFolds(rs_, c)) {
             key = "=";
             return;
         }
@@ -302,21 +303,21 @@ class Compiler
         aluOperandNeeds(c.functValue, needL, needR);
         key += std::to_string(c.functValue);
         if (needL)
-            add(c.left);
+            add(rs_.left(c));
         if (needR)
-            add(c.right);
+            add(rs_.right(c));
     }
 
     /** True when evaluating `c` can raise a SimError: a selector whose
      *  select value can reach past its cases, or an ALU whose function
      *  can leave 0..13. */
-    static bool
-    mayFault(const CombComp &c)
+    bool
+    mayFault(const CombComp &c) const
     {
         if (c.kind == CompKind::Alu)
-            return !exprBelow(c.funct, kAluFunctionCount);
-        return !exprBelow(c.select,
-                          static_cast<int64_t>(c.cases.size()));
+            return !exprBelow(rs_, rs_.funct(c), kAluFunctionCount);
+        return !exprBelow(rs_, rs_.select(c),
+                          static_cast<int64_t>(rs_.cases(c).size()));
     }
 
     /**
@@ -382,7 +383,7 @@ class Compiler
             loads_.push_back({Op::SetC, reg, 0, e.constTotal, 0, 0});
             first = false;
         }
-        for (const auto &t : e.terms) {
+        for (const ResolvedTerm &t : rs_.terms(e)) {
             const bool var = t.bank == ResolvedTerm::Bank::Var;
             const Op op = var ? (first ? Op::LoadVar : Op::AccVar)
                               : (first ? Op::LoadTemp : Op::AccTemp);
@@ -419,11 +420,11 @@ class Compiler
     }
 
     /** True when some case of a selector reads a memory temp. */
-    static bool
-    readsTemp(const CombComp &c)
+    bool
+    readsTemp(const CombComp &c) const
     {
-        for (const auto &e : c.cases) {
-            for (const auto &t : e.terms) {
+        for (const ResolvedExpr &e : rs_.cases(c)) {
+            for (const ResolvedTerm &t : rs_.terms(e)) {
                 if (t.bank != ResolvedTerm::Bank::Var)
                     return true;
             }
@@ -433,12 +434,12 @@ class Compiler
 
     /** K of a descriptor selector: its largest case term count (at
      *  least 1, so a constant case still has a word for its bias). */
-    static int32_t
-    caseTerms(const CombComp &c)
+    int32_t
+    caseTerms(const CombComp &c) const
     {
-        size_t k = 1;
-        for (const auto &e : c.cases)
-            k = std::max(k, e.terms.size());
+        uint32_t k = 1;
+        for (const ResolvedExpr &e : rs_.cases(c))
+            k = std::max(k, e.count);
         return static_cast<int32_t>(k);
     }
 
@@ -446,13 +447,15 @@ class Compiler
     compileAlu(const CombComp &c, bool hoist)
     {
         const auto slot = static_cast<uint16_t>(c.slot);
+        const ResolvedExpr &left = rs_.left(c);
+        const ResolvedExpr &right = rs_.right(c);
 
         if (c.functConst) {
-            if (aluFolds(c)) {
+            if (aluFolds(rs_, c)) {
                 // dologic ignores the operands the function does not
                 // read, constant or not.
-                const int32_t v = dologic(c.functValue, c.left.constTotal,
-                                          c.right.constTotal);
+                const int32_t v = dologic(c.functValue, left.constTotal,
+                                          right.constTotal);
                 (hoist ? prog_.hoisted : code_)
                     .push_back({Op::AluFold, 0, slot, v, 0, 0});
                 return;
@@ -462,9 +465,9 @@ class Compiler
             // dispatch, left inline, right in the extension word.
             const Op direct = aluDirectOp(c.functValue);
             const int op8 = aluDirectIndex(direct);
-            if (op8 >= 0 && oneWord(c.left) && oneWord(c.right)) {
-                const Instr l = simpleLoad(c.left, 1);
-                const Instr r = simpleLoad(c.right, 2);
+            if (op8 >= 0 && oneWord(left) && oneWord(right)) {
+                const Instr l = simpleLoad(rs_, left, 1);
+                const Instr r = simpleLoad(rs_, right, 2);
                 const int combo = kAluCombo[bank(l)][bank(r)];
                 code_.push_back(inlineOperand(
                     static_cast<Op>(static_cast<int>(Op::AluFAddVV) +
@@ -478,9 +481,9 @@ class Compiler
             bool needL = true, needR = true;
             aluOperandNeeds(c.functValue, needL, needR);
             if (needL)
-                queueLoads(c.left, 1);
+                queueLoads(left, 1);
             if (needR)
-                queueLoads(c.right, 2);
+                queueLoads(right, 2);
             flushLoads();
             code_.push_back({direct, 0, slot,
                              direct == Op::AluConst ? c.functValue : 0,
@@ -490,10 +493,11 @@ class Compiler
 
         // All three sides one word: one dologic dispatch, the loads
         // kept as three extension words.
-        if (oneWord(c.funct) && oneWord(c.left) && oneWord(c.right)) {
-            const Instr f = simpleLoad(c.funct, 0);
-            const Instr l = simpleLoad(c.left, 1);
-            const Instr r = simpleLoad(c.right, 2);
+        const ResolvedExpr &funct = rs_.funct(c);
+        if (oneWord(funct) && oneWord(left) && oneWord(right)) {
+            const Instr f = simpleLoad(rs_, funct, 0);
+            const Instr l = simpleLoad(rs_, left, 1);
+            const Instr r = simpleLoad(rs_, right, 2);
             code_.push_back({Op::AluGenF,
                              static_cast<uint8_t>(bank(f) | bank(l) << 2 |
                                                   bank(r) << 4),
@@ -503,9 +507,9 @@ class Compiler
             ++prog_.opt.fused;
             return;
         }
-        queueLoads(c.funct, 0);
-        queueLoads(c.left, 1);
-        queueLoads(c.right, 2);
+        queueLoads(funct, 0);
+        queueLoads(left, 1);
+        queueLoads(right, 2);
         flushLoads();
         code_.push_back({Op::AluGen, 0, slot, 0, 0, 0});
     }
@@ -514,22 +518,24 @@ class Compiler
     compileSelector(const CombComp &c)
     {
         const auto slot = static_cast<uint16_t>(c.slot);
+        const ResolvedExpr &select = rs_.select(c);
+        const std::span<const ResolvedExpr> cases = rs_.cases(c);
 
-        prog_.selInfos.push_back(
-            {c.name, static_cast<int32_t>(c.cases.size())});
+        prog_.selInfos.push_back({std::string(rs_.name(c.name)),
+                                  static_cast<int32_t>(cases.size())});
         const auto selIdx =
             static_cast<int32_t>(prog_.selInfos.size() - 1);
-        const auto count = static_cast<int32_t>(c.cases.size());
+        const auto count = static_cast<int32_t>(cases.size());
 
         // Microcode-ROM pattern: all cases constant -> table lookup,
         // with a single-field select inline in an extension word.
-        if (casesConstant(c)) {
+        if (casesConstant(rs_, c)) {
             const auto base =
                 static_cast<int32_t>(prog_.constTable.size());
-            for (const auto &e : c.cases)
+            for (const ResolvedExpr &e : cases)
                 prog_.constTable.push_back(e.constTotal);
-            if (singleField(c.select)) {
-                const Instr field = simpleLoad(c.select, 0);
+            if (singleField(select)) {
+                const Instr field = simpleLoad(rs_, select, 0);
                 code_.push_back({field.op == Op::LoadVar ? Op::SelTableV
                                                          : Op::SelTableT,
                                  0, slot, base, count, selIdx});
@@ -537,7 +543,7 @@ class Compiler
                 ++prog_.opt.fused;
                 return;
             }
-            queueLoads(c.select, 0);
+            queueLoads(select, 0);
             flushLoads();
             code_.push_back({Op::SelTable, 0, slot, base, count, selIdx});
             return;
@@ -548,8 +554,8 @@ class Compiler
         const int32_t k = caseTerms(c);
         Instr op = {Op::SelStoreK, kSelFromS0, slot, k, count, selIdx};
         Instr field = {Op::Ext, 0, 0, 0, 0, 0};
-        if (singleField(c.select)) {
-            const Instr load = simpleLoad(c.select, 0);
+        if (singleField(select)) {
+            const Instr load = simpleLoad(rs_, select, 0);
             const bool var = load.op == Op::LoadVar;
             field = inlineOperand(Op::Ext, 0, 0, load);
             op.reg = var ? kSelFromVar : kSelFromTemp;
@@ -559,14 +565,14 @@ class Compiler
                 op.a = 0;
             }
         } else {
-            queueLoads(c.select, 0);
+            queueLoads(select, 0);
             flushLoads();
         }
         code_.push_back(op);
         code_.push_back(field);
-        for (const auto &e : c.cases) {
+        for (const ResolvedExpr &e : cases) {
             const size_t first = code_.size();
-            for (const auto &t : e.terms) {
+            for (const ResolvedTerm &t : rs_.terms(e)) {
                 const bool var = t.bank == ResolvedTerm::Bank::Var;
                 code_.push_back({Op::Ext, static_cast<uint8_t>(!var),
                                  static_cast<uint16_t>(t.slot), t.mask,
@@ -584,7 +590,7 @@ class Compiler
     compileLatch(const ResolvedExpr &e, uint16_t mem, bool isAdr)
     {
         if (oneWord(e)) {
-            const Instr load = simpleLoad(e, 0);
+            const Instr load = simpleLoad(rs_, e, 0);
             const Op op = (isAdr ? kMemAdr : kMemOpn)[bank(load)];
             code_.push_back(inlineOperand(op, 0, mem, load));
             return;
@@ -616,8 +622,8 @@ class Compiler
                 compileLatch(m.opn, idx, false);
                 continue;
             }
-            const Instr adr = simpleLoad(m.addr, 0);
-            const Instr opn = simpleLoad(m.opn, 0);
+            const Instr adr = simpleLoad(rs_, m.addr, 0);
+            const Instr opn = simpleLoad(rs_, m.opn, 0);
             const Op op = kMemLatch[bank(adr)][bank(opn)];
             if (op == Op::MemLatchCC) {
                 code_.push_back({op, 0, idx, adr.a, opn.a, 0});
@@ -643,7 +649,7 @@ class Compiler
     {
         for (const auto &m : rs_.mems) {
             const auto idx = static_cast<uint16_t>(m.index);
-            prog_.memInfos.push_back({m.name});
+            prog_.memInfos.push_back({std::string(rs_.name(m.name))});
 
             uint8_t flags = 0;
             if (tracing_ && m.traceWrites != MemDesc::TraceMode::Never)
@@ -655,13 +661,14 @@ class Compiler
             // runs, so a static bound holds for any machine state,
             // a restored snapshot included.
             uint8_t cells = flags;
-            if (exprBelow(m.addr, m.size)) {
+            if (exprBelow(rs_, m.addr, m.size)) {
                 cells |= kMemFlagNoCheck;
                 ++prog_.opt.checksElided;
             }
 
             const bool inlineData = oneWord(m.data);
-            const Instr data = inlineData ? simpleLoad(m.data, 1) : Instr{};
+            const Instr data =
+                inlineData ? simpleLoad(rs_, m.data, 1) : Instr{};
             const auto withData = [&](const Op (&fused)[3], Op plain,
                                       uint8_t reg) {
                 if (inlineData) {

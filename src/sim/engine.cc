@@ -9,7 +9,7 @@ Engine::Engine(std::shared_ptr<const ResolvedSpec> rs,
     stats_.mems.clear();
     for (const auto &m : rs_->mems) {
         MemStats ms;
-        ms.name = m.name;
+        ms.name = rs_->name(m.name);
         stats_.mems.push_back(std::move(ms));
     }
     state_.reset(*rs_);
@@ -59,7 +59,8 @@ Engine::checkSnapshotShape(const EngineSnapshot &snap) const
             state_.mems[i].cells.size()) {
             throw SimError("snapshot does not match this "
                            "specification (memory <" +
-                           rs_->mems[i].name + "> size differs)");
+                           std::string(rs_->name(rs_->mems[i].name)) +
+                           "> size differs)");
         }
     }
 }
@@ -86,7 +87,7 @@ Engine::traceCycle()
     for (const auto &item : rs_->traceList) {
         int32_t v = item.isMem ? state_.mems[item.slot].temp
                                : state_.vars[item.slot];
-        cfg_.trace->value(item.name, v);
+        cfg_.trace->value(rs_->name(item.name), v);
     }
     cfg_.trace->endCycle();
 }
@@ -118,20 +119,20 @@ Engine::memCell(std::string_view mem, int64_t addr) const
 }
 
 SimError
-selectorFault(const std::string &name, int32_t index, size_t cases,
+selectorFault(std::string_view name, int32_t index, size_t cases,
               uint64_t cycle)
 {
-    return SimError("selector " + name + " index " +
+    return SimError("selector " + std::string(name) + " index " +
                     std::to_string(index) + " outside its " +
                     std::to_string(cases) + " cases (cycle " +
                     std::to_string(cycle) + ")");
 }
 
 SimError
-memoryFault(const std::string &name, int32_t address, size_t size,
+memoryFault(std::string_view name, int32_t address, size_t size,
             uint64_t cycle)
 {
-    return SimError("memory " + name + " address " +
+    return SimError("memory " + std::string(name) + " address " +
                     std::to_string(address) + " outside 0.." +
                     std::to_string(size - 1) + " (cycle " +
                     std::to_string(cycle) + ")");

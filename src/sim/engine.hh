@@ -160,9 +160,9 @@ class Engine
 /// @{ The runtime faults every engine raises, worded alike: a
 /// selector index outside its cases, a read or write address outside
 /// its memory. `cycle` is the cycle the fault stopped.
-SimError selectorFault(const std::string &name, int32_t index,
+SimError selectorFault(std::string_view name, int32_t index,
                        size_t cases, uint64_t cycle);
-SimError memoryFault(const std::string &name, int32_t address,
+SimError memoryFault(std::string_view name, int32_t address,
                      size_t size, uint64_t cycle);
 /// @}
 

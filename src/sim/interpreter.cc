@@ -13,11 +13,11 @@ int32_t
 Interpreter::eval(const ResolvedExpr &e) const
 {
     int32_t acc = e.constTotal;
-    for (const auto &t : e.terms) {
+    for (const ResolvedTerm &t : rs_->terms(e)) {
         int32_t v = t.bank == ResolvedTerm::Bank::Var
                         ? state_.vars[t.slot]
                         : state_.mems[t.slot].temp;
-        if (!t.whole)
+        if (!t.whole())
             v = land(v, t.mask);
         acc = wadd(acc, shiftField(v, t.shift));
     }
@@ -28,16 +28,18 @@ void
 Interpreter::evalCombOne(const CombComp &c)
 {
     if (c.kind == CompKind::Alu) {
-        int32_t f = eval(c.funct);
-        int32_t l = eval(c.left);
-        int32_t r = eval(c.right);
+        int32_t f = eval(rs_->funct(c));
+        int32_t l = eval(rs_->left(c));
+        int32_t r = eval(rs_->right(c));
         state_.vars[c.slot] = dologic(f, l, r, cfg_.aluSemantics);
     } else {
-        int32_t idx = eval(c.select);
-        if (idx < 0 || idx >= static_cast<int32_t>(c.cases.size())) {
-            throw selectorFault(c.name, idx, c.cases.size(), cycle_);
+        const std::span<const ResolvedExpr> cases = rs_->cases(c);
+        int32_t idx = eval(rs_->select(c));
+        if (idx < 0 || idx >= static_cast<int32_t>(cases.size())) {
+            throw selectorFault(rs_->name(c.name), idx, cases.size(),
+                                cycle_);
         }
-        state_.vars[c.slot] = eval(c.cases[idx]);
+        state_.vars[c.slot] = eval(cases[idx]);
     }
 }
 
@@ -78,7 +80,8 @@ Interpreter::updateMemOne(const MemDesc &m)
     auto checkAddr = [&]() {
         if (adr < 0 ||
             adr >= static_cast<int32_t>(ms.cells.size())) {
-            throw memoryFault(m.name, adr, ms.cells.size(), cycle_);
+            throw memoryFault(rs_->name(m.name), adr, ms.cells.size(),
+                              cycle_);
         }
     };
 
@@ -107,9 +110,9 @@ Interpreter::updateMemOne(const MemDesc &m)
 
     if (cfg_.trace) {
         if (land(ms.opn, 5) == 5)
-            cfg_.trace->memWrite(m.name, adr, ms.temp);
+            cfg_.trace->memWrite(rs_->name(m.name), adr, ms.temp);
         if (land(ms.opn, 9) == 8)
-            cfg_.trace->memRead(m.name, adr, ms.temp);
+            cfg_.trace->memRead(rs_->name(m.name), adr, ms.temp);
     }
 }
 

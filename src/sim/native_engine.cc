@@ -124,7 +124,8 @@ NativeEngine::fault(int code, uint64_t start)
         const MemDesc &m = rs_->mems[rs_->memIndex(name)];
         settle(start, alus_, sels_, static_cast<size_t>(m.index));
         rethrowKept();
-        throw memoryFault(m.name, value, static_cast<size_t>(m.size),
+        throw memoryFault(rs_->name(m.name), value,
+                          static_cast<size_t>(m.size),
                           cycle_);
     }
     // The comb components before the faulting one ran this cycle.
@@ -141,7 +142,8 @@ NativeEngine::fault(int code, uint64_t start)
     settle(start, alus, sels, 0);
     rethrowKept();
     if (code == kNativeSelectorFault && at)
-        throw selectorFault(at->name, value, at->cases.size(), cycle_);
+        throw selectorFault(rs_->name(at->name), value,
+                            rs_->cases(*at).size(), cycle_);
     aluFunctionOutOfRange(value);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <sstream>
 
 #include "analysis/depgraph.hh"
@@ -90,7 +91,7 @@ struct UnionFind
 size_t
 exprCost(const ResolvedExpr &e)
 {
-    return e.terms.size();
+    return e.count;
 }
 
 /** Per-component evaluation cost estimate: one dispatch plus one unit
@@ -98,16 +99,11 @@ exprCost(const ResolvedExpr &e)
  *  count — the balance target is the worst case, and which case runs
  *  is data-dependent. */
 size_t
-combCost(const CombComp &c)
+combCost(const ResolvedSpec &rs, const CombComp &c)
 {
     size_t w = 1;
-    if (c.kind == CompKind::Alu) {
-        w += exprCost(c.funct) + exprCost(c.left) + exprCost(c.right);
-    } else {
-        w += exprCost(c.select);
-        for (const auto &e : c.cases)
-            w += exprCost(e);
-    }
+    for (const ResolvedExpr &e : rs.exprs(c))
+        w += exprCost(e);
     return w;
 }
 
@@ -185,41 +181,41 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
     for (int32_t i = 0; i < n; ++i)
         slotToComb[rs.comb[i].slot] = i;
 
-    std::vector<std::vector<int32_t>> deps(n);
-    std::vector<size_t> weight(n);
-    auto addExpr = [&](int32_t i, const ResolvedExpr &e) {
-        for (const auto &t : e.terms) {
-            if (t.bank != ResolvedTerm::Bank::Var)
-                continue;
-            int32_t j = slotToComb[t.slot];
-            if (j >= 0 && j != i)
-                deps[i].push_back(j);
-        }
+    // Flat (CSR) adjacency: the producers of consumer i are
+    // depList[depStart[i] .. depStart[i + 1]).
+    std::vector<int32_t> depList;
+    std::vector<size_t> depStart(n + 1, 0);
+    auto deps = [&](int32_t i) {
+        return std::span<const int32_t>(depList.data() + depStart[i],
+                                        depStart[i + 1] - depStart[i]);
     };
+    std::vector<size_t> weight(n);
     size_t totalWeight = 0;
     for (int32_t i = 0; i < n; ++i) {
         const CombComp &c = rs.comb[i];
-        weight[i] = combCost(c);
+        weight[i] = combCost(rs, c);
         totalWeight += weight[i];
-        if (c.kind == CompKind::Alu) {
-            addExpr(i, c.funct);
-            addExpr(i, c.left);
-            addExpr(i, c.right);
-        } else {
-            addExpr(i, c.select);
-            for (const auto &e : c.cases)
-                addExpr(i, e);
+        const auto first = static_cast<std::ptrdiff_t>(depList.size());
+        for (const ResolvedExpr &e : rs.exprs(c)) {
+            for (const ResolvedTerm &t : rs.terms(e)) {
+                if (t.bank != ResolvedTerm::Bank::Var)
+                    continue;
+                int32_t j = slotToComb[t.slot];
+                if (j >= 0 && j != i)
+                    depList.push_back(j);
+            }
         }
-        std::sort(deps[i].begin(), deps[i].end());
-        deps[i].erase(std::unique(deps[i].begin(), deps[i].end()),
-                      deps[i].end());
-        plan.totalEdges += deps[i].size();
+        std::sort(depList.begin() + first, depList.end());
+        depList.erase(std::unique(depList.begin() + first, depList.end()),
+                      depList.end());
+        depStart[i + 1] = depList.size();
+        plan.totalEdges += depStart[i + 1] - depStart[i];
     }
 
     // ---- Connected components of the comb network.
     UnionFind uf(n);
     for (int32_t i = 0; i < n; ++i) {
-        for (int32_t j : deps[i])
+        for (int32_t j : deps(i))
             uf.unite(i, j);
     }
     std::vector<size_t> groupWeight(n, 0);
@@ -308,7 +304,7 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
             std::vector<size_t> load(L, 0);
             for (int32_t i : order) {
                 std::fill(affinity.begin(), affinity.end(), 0);
-                for (int32_t j : deps[i])
+                for (int32_t j : deps(i))
                     affinity[laneOf[j]] += 1;
                 // Best affinity among lanes under the cap; fall back
                 // to the lightest lane when every lane is capped.
@@ -340,7 +336,7 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
     std::vector<size_t> laneWeight(L, 0);
     for (int32_t i = 0; i < n; ++i) {
         laneWeight[laneOf[i]] += weight[i];
-        for (int32_t j : deps[i]) {
+        for (int32_t j : deps(i)) {
             if (laneOf[j] != laneOf[i])
                 ++plan.crossEdges;
         }
@@ -387,7 +383,7 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
     // observable and must stay global declaration order.
     UnionFind muf(nm);
     for (int32_t mi = 0; mi < nm; ++mi) {
-        for (const auto &t : rs.mems[mi].data.terms) {
+        for (const ResolvedTerm &t : rs.terms(rs.mems[mi].data)) {
             if (t.bank == ResolvedTerm::Bank::MemTemp &&
                 t.slot != mi)
                 muf.unite(mi, t.slot);

@@ -1,5 +1,7 @@
 #include "sim/state.hh"
 
+#include <algorithm>
+
 namespace asim {
 
 void
@@ -11,8 +13,8 @@ MachineState::reset(const ResolvedSpec &rs)
     for (size_t i = 0; i < rs.mems.size(); ++i) {
         const MemDesc &m = rs.mems[i];
         mems[i].cells.assign(static_cast<size_t>(m.size), 0);
-        for (size_t j = 0; j < m.init.size(); ++j)
-            mems[i].cells[j] = m.init[j];
+        const std::span<const int32_t> init = rs.init(m);
+        std::copy(init.begin(), init.end(), mems[i].cells.begin());
         mems[i].temp = 0;
         mems[i].adr = 0;
         mems[i].opn = 0;

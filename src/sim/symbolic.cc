@@ -18,28 +18,28 @@ SymbolicInterpreter::SymbolicInterpreter(
 }
 
 int32_t
-SymbolicInterpreter::lookup(const std::string &name) const
+SymbolicInterpreter::lookup(std::string_view name) const
 {
     // The defining characteristic of the ASIM baseline: a symbol-table
     // lookup per reference, every cycle.
-    auto vit = rs_->varSlots.find(name);
-    if (vit != rs_->varSlots.end())
-        return state_.vars[vit->second];
-    auto mit = rs_->memIndexes.find(name);
-    if (mit != rs_->memIndexes.end())
-        return state_.mems[mit->second].temp;
-    throw SimError("Error. Component <" + name + "> not found.");
+    if (const ResolvedSpec::Binding *b = rs_->binding(name)) {
+        return b->kind == CompKind::Memory ? state_.mems[b->slot].temp
+                                           : state_.vars[b->slot];
+    }
+    throw SimError("Error. Component <" + std::string(name) +
+                   "> not found.");
 }
 
 int32_t
-SymbolicInterpreter::eval(const Expr &e) const
+SymbolicInterpreter::eval(Expr e) const
 {
     // Right-to-left accumulation over the *unresolved* terms, building
     // masks and shift factors on the fly (the thesis expr() logic,
     // executed per evaluation instead of once).
     int32_t acc = 0;
     int numbits = 0;
-    for (auto it = e.terms.rbegin(); it != e.terms.rend(); ++it) {
+    const std::span<const Term> terms = ast_->terms(e);
+    for (auto it = terms.rbegin(); it != terms.rend(); ++it) {
         const Term &t = *it;
         switch (t.kind) {
           case Term::Kind::Const:
@@ -58,7 +58,7 @@ SymbolicInterpreter::eval(const Expr &e) const
             numbits += t.width;
             break;
           case Term::Kind::Ref: {
-            int32_t v = lookup(t.ref);
+            int32_t v = lookup(ast_->name(t.ref));
             if (t.from >= 0) {
                 int to = t.to < 0 ? t.from : t.to;
                 v = land(v, maskBits(t.from, to));
@@ -79,19 +79,21 @@ SymbolicInterpreter::eval(const Expr &e) const
 void
 SymbolicInterpreter::evalComponent(const Component &c)
 {
-    int slot = rs_->varSlot(c.name);
+    int slot = rs_->varSlot(ast_->name(c.name));
     if (c.kind == CompKind::Alu) {
-        int32_t f = eval(c.funct);
-        int32_t l = eval(c.left);
-        int32_t r = eval(c.right);
+        int32_t f = eval(ast_->expr(c, 0));
+        int32_t l = eval(ast_->expr(c, 1));
+        int32_t r = eval(ast_->expr(c, 2));
         state_.vars[slot] = dologic(f, l, r, cfg_.aluSemantics);
         ++stats_.aluEvals;
     } else {
-        int32_t idx = eval(c.select);
-        if (idx < 0 || idx >= static_cast<int32_t>(c.cases.size())) {
-            throw selectorFault(c.name, idx, c.cases.size(), cycle_);
+        const std::span<const Expr> cases = ast_->cases(c);
+        int32_t idx = eval(ast_->expr(c, 0));
+        if (idx < 0 || idx >= static_cast<int32_t>(cases.size())) {
+            throw selectorFault(ast_->name(c.name), idx, cases.size(),
+                                cycle_);
         }
-        state_.vars[slot] = eval(c.cases[idx]);
+        state_.vars[slot] = eval(cases[idx]);
         ++stats_.selEvals;
     }
 }
@@ -105,7 +107,8 @@ SymbolicInterpreter::updateMemory(const Component &c, int index)
 
     auto checkAddr = [&]() {
         if (adr < 0 || adr >= static_cast<int32_t>(ms.cells.size())) {
-            throw memoryFault(c.name, adr, ms.cells.size(), cycle_);
+            throw memoryFault(ast_->name(c.name), adr, ms.cells.size(),
+                              cycle_);
         }
     };
 
@@ -117,7 +120,7 @@ SymbolicInterpreter::updateMemory(const Component &c, int index)
         break;
       case mem_op::kWrite:
         checkAddr();
-        ms.temp = eval(c.data);
+        ms.temp = eval(ast_->expr(c, 1));
         ms.cells[adr] = ms.temp;
         ++stats_.mems[index].writes;
         break;
@@ -126,7 +129,7 @@ SymbolicInterpreter::updateMemory(const Component &c, int index)
         ++stats_.mems[index].inputs;
         break;
       case mem_op::kOutput:
-        ms.temp = eval(c.data);
+        ms.temp = eval(ast_->expr(c, 1));
         io_->output(adr, ms.temp);
         ++stats_.mems[index].outputs;
         break;
@@ -134,9 +137,9 @@ SymbolicInterpreter::updateMemory(const Component &c, int index)
 
     if (cfg_.trace) {
         if (land(ms.opn, 5) == 5)
-            cfg_.trace->memWrite(c.name, adr, ms.temp);
+            cfg_.trace->memWrite(ast_->name(c.name), adr, ms.temp);
         if (land(ms.opn, 9) == 8)
-            cfg_.trace->memRead(c.name, adr, ms.temp);
+            cfg_.trace->memRead(ast_->name(c.name), adr, ms.temp);
     }
 }
 
@@ -148,8 +151,8 @@ SymbolicInterpreter::step()
     traceCycle();
     for (const auto &[c, index] : memOrder_) {
         MemoryState &ms = state_.mems[index];
-        ms.adr = eval(c->addr);
-        ms.opn = eval(c->opn);
+        ms.adr = eval(ast_->expr(*c, 0));
+        ms.opn = eval(ast_->expr(*c, 2));
     }
     for (const auto &[c, index] : memOrder_)
         updateMemory(*c, index);

@@ -35,8 +35,8 @@ class SymbolicInterpreter : public Engine
     void step() override;
 
   private:
-    int32_t lookup(const std::string &name) const;
-    int32_t eval(const Expr &e) const;
+    int32_t lookup(std::string_view name) const;
+    int32_t eval(Expr e) const;
     void evalComponent(const Component &c);
     void updateMemory(const Component &c, int index);
 

@@ -17,23 +17,6 @@ isValidName(std::string_view s)
     return true;
 }
 
-std::vector<std::string>
-split(std::string_view s, char sep)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (true) {
-        size_t pos = s.find(sep, start);
-        if (pos == std::string_view::npos) {
-            out.emplace_back(s.substr(start));
-            break;
-        }
-        out.emplace_back(s.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return out;
-}
-
 std::string
 join(const std::vector<std::string> &pieces, std::string_view sep)
 {

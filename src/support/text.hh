@@ -41,9 +41,6 @@ isHexDigit(char c)
 /** Valid name: a letter followed by letters and digits. */
 bool isValidName(std::string_view s);
 
-/** Split `s` on `sep`, keeping empty pieces. */
-std::vector<std::string> split(std::string_view s, char sep);
-
 /** Join pieces with `sep`. */
 std::string join(const std::vector<std::string> &pieces,
                  std::string_view sep);

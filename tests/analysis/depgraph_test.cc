@@ -16,8 +16,8 @@ orderNames(const std::string &text)
 {
     Spec s = parseSpec(text);
     std::vector<std::string> names;
-    for (int i : orderCombinational(s.comps))
-        names.push_back(s.comps[i].name);
+    for (int i : orderCombinational(s))
+        names.emplace_back(s.name(s.comps[i].name));
     return names;
 }
 
@@ -117,8 +117,8 @@ TEST(Depgraph, DependsOnHelper)
                        "A a 4 b.3 1\n"
                        "A b 4 1 1\n"
                        ".\n");
-    EXPECT_TRUE(dependsOn(s.comps[0], s.comps[1]));
-    EXPECT_FALSE(dependsOn(s.comps[1], s.comps[0]));
+    EXPECT_TRUE(dependsOn(s, s.comps[0], s.comps[1]));
+    EXPECT_FALSE(dependsOn(s, s.comps[1], s.comps[0]));
 }
 
 TEST(Depgraph, LargeDiamond)

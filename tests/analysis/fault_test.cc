@@ -29,7 +29,7 @@ TEST(Fault, StructureOfInjectedSpec)
     EXPECT_NE(f.find("nextFAULTED"), nullptr);
     EXPECT_EQ(f.find("next")->kind, CompKind::Alu);
     // The splice is an AND with the all-ones-except-bit-0 mask.
-    EXPECT_EQ(f.find("next")->funct.terms[0].value, 8);
+    EXPECT_EQ(f.terms(f.expr(*f.find("next"), 0))[0].value, 8);
 }
 
 TEST(Fault, UnknownComponentThrows)

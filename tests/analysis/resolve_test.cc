@@ -53,9 +53,9 @@ TEST(Resolve, ConstantFunctDetected)
                                   ".\n");
     const CombComp *add = nullptr, *dyn = nullptr;
     for (const auto &c : rs.comb) {
-        if (c.name == "add")
+        if (rs.name(c.name) == "add")
             add = &c;
-        if (c.name == "dyn")
+        if (rs.name(c.name) == "dyn")
             dyn = &c;
     }
     ASSERT_NE(add, nullptr);
@@ -141,13 +141,17 @@ TEST(Resolve, CheckdclWarningsExactTextAndOrder)
 
     // The instance's internal component joined the declaration list,
     // untraced; its port actual `y` kept the user's star.
-    const std::vector<DeclName> decls = {
+    const std::vector<std::pair<std::string, bool>> decls = {
         {"ghost", false}, {"x", false},       {"y", true},
         {"ghost", false}, {"phantom", true},  {"u1tmp", false},
     };
-    EXPECT_EQ(rs.ast().decls, decls);
+    const Spec ast = rs.ast();
+    std::vector<std::pair<std::string, bool>> got;
+    for (const DeclName &d : ast.decls)
+        got.emplace_back(ast.name(d.name), d.traced);
+    EXPECT_EQ(got, decls);
     ASSERT_EQ(rs.traceList.size(), 1u);
-    EXPECT_EQ(rs.traceList[0].name, "y");
+    EXPECT_EQ(rs.name(rs.traceList[0].name), "y");
 }
 
 /** Median wall time of three parse + resolve passes with a
@@ -221,7 +225,8 @@ TEST(Resolve, InitCountMismatchThrows)
                        "m .\n"
                        "M m 0 0 0 -2 7 9\n"
                        ".\n");
-    s.comps[0].init.push_back(11); // corrupt: 3 values, size 2
+    s.initPool.push_back(11); // corrupt: 3 values, size 2
+    ++s.comps[0].numInit;
     EXPECT_THROW(resolve(s), SpecError);
 }
 
@@ -234,9 +239,9 @@ TEST(Resolve, TraceListInDeclOrder)
                                   "M m 0 a 1 1\n"
                                   ".\n");
     ASSERT_EQ(rs.traceList.size(), 3u);
-    EXPECT_EQ(rs.traceList[0].name, "z");
-    EXPECT_EQ(rs.traceList[1].name, "a");
-    EXPECT_EQ(rs.traceList[2].name, "m");
+    EXPECT_EQ(rs.name(rs.traceList[0].name), "z");
+    EXPECT_EQ(rs.name(rs.traceList[1].name), "a");
+    EXPECT_EQ(rs.name(rs.traceList[2].name), "m");
     EXPECT_TRUE(rs.traceList[2].isMem);
 }
 
@@ -344,7 +349,9 @@ TEST(Resolve, KeepsHeaderFieldsAndCanonicalText)
     EXPECT_NE(rs.text.find("A a 4 m.0.3 127\n"), std::string::npos)
         << rs.text;
     EXPECT_EQ(writeSpec(rs.ast()), rs.text);
-    EXPECT_EQ(rs.ast().comps[1].init, (std::vector<int32_t>{5, 8}));
+    const Spec ast = rs.ast();
+    EXPECT_TRUE(std::ranges::equal(ast.init(ast.comps[1]),
+                                   std::vector<int32_t>{5, 8}));
 }
 
 /** "Too many bits" renders the expression from its terms: decimal
@@ -379,8 +386,8 @@ TEST(Resolve, CombSortedOrderExposed)
                                   "A b 4 1 1\n"
                                   ".\n");
     ASSERT_EQ(rs.comb.size(), 2u);
-    EXPECT_EQ(rs.comb[0].name, "b");
-    EXPECT_EQ(rs.comb[1].name, "a");
+    EXPECT_EQ(rs.name(rs.comb[0].name), "b");
+    EXPECT_EQ(rs.name(rs.comb[1].name), "a");
 }
 
 } // namespace

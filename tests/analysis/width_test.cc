@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/width.hh"
+#include "lang/ast.hh"
 
 namespace asim {
 namespace {
@@ -10,7 +11,8 @@ namespace {
 int
 w(const char *text)
 {
-    return widthOf(parseExpr(text));
+    Spec s;
+    return widthOf(s.terms(parseExpr(text, s)));
 }
 
 TEST(Width, Constants)

@@ -14,8 +14,8 @@ std::vector<std::string>
 allTokens(Lexer &lex)
 {
     std::vector<std::string> out;
-    for (std::string t = lex.next(); !t.empty(); t = lex.next())
-        out.push_back(t);
+    for (std::string_view t = lex.next(); !t.empty(); t = lex.next())
+        out.emplace_back(t);
     return out;
 }
 
@@ -74,6 +74,23 @@ TEST(Lexer, MacroInsideLongToken)
     lex.macros().define("w", "8");
     lex.setExpandMacros(true);
     EXPECT_EQ(lex.next(), "addr.12,rom.8");
+}
+
+/** Expansion may build a token up to kMaxTokenBytes, no longer: a
+ *  chain of doubling definitions fails cleanly instead of exhausting
+ *  memory. */
+TEST(Lexer, MacroExpansionIsBounded)
+{
+    const std::string half(kMaxTokenBytes / 2, 'a');
+    Lexer fits("~h~h\n");
+    fits.macros().define("h", half);
+    fits.setExpandMacros(true);
+    EXPECT_EQ(fits.next().size(), kMaxTokenBytes);
+
+    Lexer over("~h~h~h\n");
+    over.macros().define("h", half);
+    over.setExpandMacros(true);
+    EXPECT_THROW(over.next(), SpecError);
 }
 
 TEST(Lexer, LineNumbers)

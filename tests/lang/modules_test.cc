@@ -37,9 +37,9 @@ TEST(Modules, ExpansionCreatesPrefixedComponents)
     EXPECT_NE(s.find("u1masked"), nullptr);
     EXPECT_NE(s.find("u2next"), nullptr);
     // Internals reference the mapped names.
-    EXPECT_EQ(exprToString(s.find("u1next")->left), "c1");
-    EXPECT_EQ(exprToString(s.find("u2next")->left), "c2");
-    EXPECT_EQ(exprToString(s.find("u1masked")->right), "w3");
+    EXPECT_EQ(exprToString(s, s.expr(*s.find("u1next"), 1)), "c1");
+    EXPECT_EQ(exprToString(s, s.expr(*s.find("u2next"), 1)), "c2");
+    EXPECT_EQ(exprToString(s, s.expr(*s.find("u1masked"), 2)), "w3");
 }
 
 TEST(Modules, ExpandedNamesAutoDeclared)
@@ -47,7 +47,7 @@ TEST(Modules, ExpandedNamesAutoDeclared)
     Spec s = parseSpec(kTwoCounters);
     int found = 0;
     for (const auto &d : s.decls) {
-        if (d.name == "u1next" || d.name == "u2masked")
+        if (s.name(d.name) == "u1next" || s.name(d.name) == "u2masked")
             ++found;
     }
     EXPECT_EQ(found, 2);
@@ -67,9 +67,12 @@ TEST(Modules, AutoDeclaredOnceInExpansionOrder)
                        "U u1 counter c1 w\n"
                        "U u2 counter c2 w\n"
                        ".\n");
-    const std::vector<DeclName> decls = {
+    const std::vector<std::pair<std::string, bool>> decls = {
         {"u1next", false}, {"c1", false}, {"u2next", false}, {"c2", false}};
-    EXPECT_EQ(s.decls, decls);
+    std::vector<std::pair<std::string, bool>> got;
+    for (const DeclName &d : s.decls)
+        got.emplace_back(s.name(d.name), d.traced);
+    EXPECT_EQ(got, decls);
 }
 
 TEST(Modules, InstancesRunIndependently)

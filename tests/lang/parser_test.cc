@@ -23,12 +23,12 @@ TEST(Parser, CounterSpec)
     EXPECT_TRUE(s.cyclesSpecified);
     EXPECT_EQ(s.cycles, 20);
     ASSERT_EQ(s.decls.size(), 2u);
-    EXPECT_EQ(s.decls[0].name, "count");
+    EXPECT_EQ(s.name(s.decls[0].name), "count");
     EXPECT_TRUE(s.decls[0].traced);
     EXPECT_FALSE(s.decls[1].traced);
     ASSERT_EQ(s.comps.size(), 2u);
     EXPECT_EQ(s.comps[0].kind, CompKind::Alu);
-    EXPECT_EQ(s.comps[0].name, "next");
+    EXPECT_EQ(s.name(s.comps[0].name), "next");
     EXPECT_EQ(s.comps[1].kind, CompKind::Memory);
     EXPECT_EQ(s.comps[1].memSize, 1);
     EXPECT_EQ(s.thesisIterations(), 21);
@@ -52,8 +52,8 @@ TEST(Parser, Macros)
                        ".\n");
     ASSERT_EQ(s.comps.size(), 2u);
     // ~pack expanded at definition time using ~w.
-    EXPECT_EQ(exprToString(s.comps[1].left), "#00,rom.8");
-    EXPECT_EQ(exprToString(s.comps[1].right), "rom.8");
+    EXPECT_EQ(exprToString(s, s.expr(s.comps[1], 1)), "#00,rom.8");
+    EXPECT_EQ(exprToString(s, s.expr(s.comps[1], 2)), "rom.8");
 }
 
 TEST(Parser, SelectorCases)
@@ -63,8 +63,8 @@ TEST(Parser, SelectorCases)
                        "S s m.0.1 10 20 30 40\n"
                        "M m 0 0 0 4\n"
                        ".\n");
-    ASSERT_EQ(s.comps[0].cases.size(), 4u);
-    EXPECT_EQ(s.comps[0].cases[2].terms[0].value, 30);
+    ASSERT_EQ(s.cases(s.comps[0]).size(), 4u);
+    EXPECT_EQ(s.terms(s.cases(s.comps[0])[2])[0].value, 30);
 }
 
 TEST(Parser, MemoryWithInitValues)
@@ -79,9 +79,9 @@ TEST(Parser, MemoryWithInitValues)
                        ".\n");
     const Component &m = s.comps[3];
     EXPECT_EQ(m.memSize, 4);
-    ASSERT_EQ(m.init.size(), 4u);
-    EXPECT_EQ(m.init[0], 12);
-    EXPECT_EQ(m.init[3], 78);
+    ASSERT_EQ(s.init(m).size(), 4u);
+    EXPECT_EQ(s.init(m)[0], 12);
+    EXPECT_EQ(s.init(m)[3], 78);
 }
 
 TEST(Parser, ZeroSizeMemoryThrows)
@@ -193,8 +193,8 @@ TEST(Parser, ThesisStyleHeaderFragment)
                        ".\n");
     EXPECT_EQ(s.cycles, 5545);
     EXPECT_EQ(s.comps.size(), 3u);
-    EXPECT_EQ(exprToString(s.comps[1].data), "rom.0");
-    EXPECT_EQ(exprToString(s.comps[2].opn), "rom.8");
+    EXPECT_EQ(exprToString(s, s.expr(s.comps[1], 1)), "rom.0");
+    EXPECT_EQ(exprToString(s, s.expr(s.comps[2], 2)), "rom.8");
 }
 
 } // namespace

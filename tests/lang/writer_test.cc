@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lang/parser.hh"
 #include "lang/writer.hh"
 #include "machines/counter.hh"
@@ -17,24 +19,34 @@ expectSpecsEqual(const Spec &a, const Spec &b)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.cyclesSpecified, b.cyclesSpecified);
     ASSERT_EQ(a.decls.size(), b.decls.size());
-    for (size_t i = 0; i < a.decls.size(); ++i)
-        EXPECT_EQ(a.decls[i], b.decls[i]);
+    for (size_t i = 0; i < a.decls.size(); ++i) {
+        EXPECT_EQ(a.name(a.decls[i].name), b.name(b.decls[i].name));
+        EXPECT_EQ(a.decls[i].traced, b.decls[i].traced);
+    }
     ASSERT_EQ(a.comps.size(), b.comps.size());
     for (size_t i = 0; i < a.comps.size(); ++i) {
         const Component &x = a.comps[i];
         const Component &y = b.comps[i];
         EXPECT_EQ(x.kind, y.kind);
-        EXPECT_EQ(x.name, y.name);
-        EXPECT_EQ(x.funct, y.funct);
-        EXPECT_EQ(x.left, y.left);
-        EXPECT_EQ(x.right, y.right);
-        EXPECT_EQ(x.select, y.select);
-        EXPECT_EQ(x.cases, y.cases);
-        EXPECT_EQ(x.addr, y.addr);
-        EXPECT_EQ(x.data, y.data);
-        EXPECT_EQ(x.opn, y.opn);
+        EXPECT_EQ(a.name(x.name), b.name(y.name));
+        ASSERT_EQ(x.numExprs, y.numExprs);
+        for (uint32_t e = 0; e < x.numExprs; ++e) {
+            const auto tx = a.terms(a.expr(x, e));
+            const auto ty = b.terms(b.expr(y, e));
+            ASSERT_EQ(tx.size(), ty.size());
+            for (size_t k = 0; k < tx.size(); ++k) {
+                EXPECT_EQ(tx[k].kind, ty[k].kind);
+                EXPECT_EQ(tx[k].width, ty[k].width);
+                EXPECT_EQ(tx[k].from, ty[k].from);
+                EXPECT_EQ(tx[k].to, ty[k].to);
+                if (tx[k].kind == Term::Kind::Ref)
+                    EXPECT_EQ(a.name(tx[k].ref), b.name(ty[k].ref));
+                else
+                    EXPECT_EQ(tx[k].value, ty[k].value);
+            }
+        }
         EXPECT_EQ(x.memSize, y.memSize);
-        EXPECT_EQ(x.init, y.init);
+        EXPECT_TRUE(std::ranges::equal(a.init(x), b.init(y)));
     }
 }
 
@@ -61,10 +73,10 @@ TEST(Writer, ComponentLineShapes)
                        "M m 0 a 1 4\n"
                        "M n 0 a 1 -2 7 9\n"
                        ".\n");
-    EXPECT_EQ(writeComponent(s.comps[0]), "A a 4 m.0.3 #01");
-    EXPECT_EQ(writeComponent(s.comps[1]), "S sel a.0 1 2");
-    EXPECT_EQ(writeComponent(s.comps[2]), "M m 0 a 1 4");
-    EXPECT_EQ(writeComponent(s.comps[3]), "M n 0 a 1 -2 7 9");
+    EXPECT_EQ(writeComponent(s, s.comps[0]), "A a 4 m.0.3 #01");
+    EXPECT_EQ(writeComponent(s, s.comps[1]), "S sel a.0 1 2");
+    EXPECT_EQ(writeComponent(s, s.comps[2]), "M m 0 a 1 4");
+    EXPECT_EQ(writeComponent(s, s.comps[3]), "M n 0 a 1 -2 7 9");
 }
 
 TEST(Writer, WrappedConstantsRoundTrip)

@@ -78,21 +78,15 @@ dependencyDepth(const ResolvedSpec &rs)
     int depth = 0;
     for (size_t i = 0; i < rs.comb.size(); ++i) {
         const CombComp &c = rs.comb[i];
-        auto feed = [&](const ResolvedExpr &e) {
-            for (const auto &t : e.terms) {
+        for (const ResolvedExpr &e : rs.exprs(c)) {
+            for (const ResolvedTerm &t : rs.terms(e)) {
                 if (t.bank != ResolvedTerm::Bank::Var)
                     continue;
                 int p = slotToComb[t.slot];
                 if (p >= 0 && level[p] + 1 > level[i])
                     level[i] = level[p] + 1;
             }
-        };
-        feed(c.funct);
-        feed(c.left);
-        feed(c.right);
-        feed(c.select);
-        for (const auto &cs : c.cases)
-            feed(cs);
+        }
         depth = std::max(depth, level[i] + 1);
     }
     return depth;

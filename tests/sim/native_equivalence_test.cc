@@ -141,9 +141,9 @@ TEST_P(NativeEquivalence, StepsInLockstepWithVm)
         native.step();
         ASSERT_EQ(native.cycle(), vm.cycle());
         for (const auto &item : vm.resolved().traceList) {
-            ASSERT_EQ(native.value(item.name), vm.value(item.name))
-                << c.file << " cycle " << vm.cycle() << " "
-                << item.name;
+            const std::string_view name = vm.resolved().name(item.name);
+            ASSERT_EQ(native.value(name), vm.value(name))
+                << c.file << " cycle " << vm.cycle() << " " << name;
         }
     }
     EXPECT_TRUE(native.engine().state() == vm.engine().state())

@@ -176,11 +176,11 @@ TEST(Partition, UpdateClusterKeepsDeclarationOrder)
     int laneOfM1 = -1, laneOfM2 = -1, laneOfM3 = -1;
     for (size_t l = 0; l < plan.updateLanes.size(); ++l) {
         for (int32_t mi : plan.updateLanes[l]) {
-            if (rs.mems[mi].name == "m1")
+            if (rs.name(rs.mems[mi].name) == "m1")
                 laneOfM1 = static_cast<int>(l);
-            if (rs.mems[mi].name == "m2")
+            if (rs.name(rs.mems[mi].name) == "m2")
                 laneOfM2 = static_cast<int>(l);
-            if (rs.mems[mi].name == "m3")
+            if (rs.name(rs.mems[mi].name) == "m3")
                 laneOfM3 = static_cast<int>(l);
         }
     }
@@ -358,7 +358,7 @@ TEST(PartitionPlan, IoMemoriesGoSerial)
     expectPlanCoversSpec(plan, rs);
     std::vector<std::string> serialNames;
     for (int32_t mi : plan.serialUpdates)
-        serialNames.push_back(rs.mems[mi].name);
+        serialNames.emplace_back(rs.name(rs.mems[mi].name));
     EXPECT_EQ(serialNames,
               (std::vector<std::string>{"in", "out"}));
 }

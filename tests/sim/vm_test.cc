@@ -192,7 +192,7 @@ TEST(Vm, HoistedFoldsSplitAtTheFirstBarrier)
     ResolvedSpec rs = resolveText(kHoistSpec);
     std::vector<std::string> order;
     for (const CombComp &c : rs.comb)
-        order.push_back(c.name);
+        order.emplace_back(rs.name(c.name));
     ASSERT_EQ(order, (std::vector<std::string>{"k0", "inc", "s", "k1",
                                                "k2"}));
     Vm vm(rs);
@@ -227,7 +227,7 @@ TEST(Vm, HoistedFoldsRewrittenAfterRestore)
         ref->run(at);
         EngineSnapshot snap = ref->snapshot();
         for (const CombComp &c : rs->comb) {
-            if (c.name != "inc" && c.name != "s")
+            if (rs->name(c.name) != "inc" && rs->name(c.name) != "s")
                 snap.state.vars[c.slot] = 1000 + c.slot;
         }
         auto vm = makeVm(rs);

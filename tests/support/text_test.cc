@@ -33,16 +33,6 @@ TEST(Text, ValidNames)
     EXPECT_FALSE(isValidName("a.b"));
 }
 
-TEST(Text, Split)
-{
-    auto p = split("a,b,,c", ',');
-    ASSERT_EQ(p.size(), 4u);
-    EXPECT_EQ(p[0], "a");
-    EXPECT_EQ(p[2], "");
-    EXPECT_EQ(split("abc", ',').size(), 1u);
-    EXPECT_EQ(split("", ',').size(), 1u);
-}
-
 TEST(Text, Join)
 {
     EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");

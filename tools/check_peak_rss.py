@@ -11,15 +11,17 @@ The run is dominated by the load path: generate, parse, resolve and
 the interpreter's tables, so it guards per-component memory, not the
 cycle loop.
 
-The bound, 185 MB, sits between the two measured designs on an x86-64
-Linux host with gcc 12 (Release build): 208 MB while ResolvedSpec kept
-a copy of the syntax tree and every expression kept its source text,
-151 MB once resolve borrowed the tree and kept only the canonical
-text and identity hash (docs/PERFORMANCE.md "Memory"). A change that
-brings a second copy of the AST back crosses it; allocator and
-libstdc++ differences between hosts stay well inside it. The figures
-are for gcc 12.2 only; a clang build's peak has not been measured, so
-CI runs this check in its gcc Release leg alone.
+The bound, 101 MB, sits midway between the last two measured designs
+on an x86-64 Linux host with gcc 12 (Release build): 150.6 MB while
+the syntax tree and the resolved spec kept a heap object per
+component, expression, term and name, 52.3 MB once both keep them in
+a few flat per-spec arrays (docs/PERFORMANCE.md "Memory"; before
+that, 208 MB while ResolvedSpec kept a copy of the syntax tree). A
+change that brings per-object heap nodes or a second copy of the tree
+back crosses it; allocator and libstdc++ differences between hosts
+stay well inside it. The figures are for gcc 12.2 only; a clang
+build's peak has not been measured, so CI runs this check in its gcc
+Release leg alone.
 
 Usage:
     tools/check_peak_rss.py [--asim-run build/asim-run]
@@ -34,7 +36,7 @@ import sys
 
 COMMAND = ["--synthetic=100k", "--engine=interp", "--cycles=1",
            "--no-trace", "--io=null"]
-BOUND_MB = 185.0
+BOUND_MB = 101.0
 
 
 def main():
