@@ -42,8 +42,8 @@ main()
                                       ".\n");
         auto e = makeVm(rs);
         // mem latch: bits 3..4 = 0b11 -> set cells so a read shows it.
-        e->state().mems[0].temp = 0b11000; // mem output latch
-        e->state().mems[1].temp = 0b10;    // count bit 1 set
+        e->state().latches()[0] = 0b11000; // mem output latch
+        e->state().latches()[1] = 0b10;    // count bit 1 set
         e->step();
         std::cout << "mem.3.4,#01,count.1 with mem=11000b, count=10b"
                   << " -> r = " << e->value("r") << " (binary 11011)\n";

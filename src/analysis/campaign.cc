@@ -1,5 +1,6 @@
 #include "analysis/campaign.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstdio>
@@ -127,7 +128,8 @@ applyFaultToSnapshot(EngineSnapshot &snap, const ResolvedSpec &rs,
     }
     MemoryState &m = snap.state.mems[static_cast<size_t>(mem)];
     if (site.cell < 0) {
-        m.temp = injector.apply(m.temp, site.bit);
+        int32_t &latch = snap.state.latches()[static_cast<size_t>(mem)];
+        latch = injector.apply(latch, site.bit);
     } else if (static_cast<size_t>(site.cell) < m.cells.size()) {
         m.cells[static_cast<size_t>(site.cell)] = injector.apply(
             m.cells[static_cast<size_t>(site.cell)], site.bit);
@@ -326,10 +328,11 @@ CampaignRunner::run()
 
     // ----- Classify against the golden reference (DESIGN.md §10):
     // EngineFault > Hang > Masked-vs-Sdc. The state diff covers the
-    // memories (architectural state); combinational outputs are
-    // derived from them every cycle. Transient instances restored at
-    // the golden cycle produced only the post-checkpoint output, so
-    // they diff against the golden tail.
+    // memories and their output latches (architectural state);
+    // combinational outputs are derived from them every cycle.
+    // Transient instances restored at the golden cycle produced only
+    // the post-checkpoint output, so they diff against the golden
+    // tail.
     CampaignResult result;
     result.runs = o.runs;
     result.seed = o.seed;
@@ -359,7 +362,9 @@ CampaignRunner::run()
             outcome = FaultOutcome::Hang;
         } else if (r.cyclesRun == goldenCycles &&
                    r.ioText == refIo &&
-                   r.state.mems == goldenState.mems) {
+                   r.state.mems == goldenState.mems &&
+                   std::ranges::equal(r.state.latches(),
+                                      goldenState.latches())) {
             outcome = FaultOutcome::Masked;
         } else {
             outcome = FaultOutcome::Sdc;

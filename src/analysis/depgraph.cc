@@ -107,16 +107,15 @@ std::vector<int32_t>
 combLevels(const ResolvedSpec &rs)
 {
     // rs.comb is in dependency order: a producer's level is final
-    // before any reader asks for it.
-    std::vector<int32_t> slotLevel(rs.numVarSlots, -1);
+    // before any reader asks for it. Output latches keep level -1, so
+    // reading one adds nothing.
+    std::vector<int32_t> slotLevel(rs.numVarSlots + rs.mems.size(), -1);
     std::vector<int32_t> level(rs.comb.size(), 0);
     for (size_t i = 0; i < rs.comb.size(); ++i) {
         const CombComp &c = rs.comb[i];
         for (const ResolvedExpr &e : rs.exprs(c)) {
-            for (const ResolvedTerm &t : rs.terms(e)) {
-                if (t.bank == ResolvedTerm::Bank::Var)
-                    level[i] = std::max(level[i], slotLevel[t.slot] + 1);
-            }
+            for (const ResolvedTerm &t : rs.terms(e))
+                level[i] = std::max(level[i], slotLevel[t.slot] + 1);
         }
         slotLevel[c.slot] = level[i];
     }

@@ -19,9 +19,9 @@ namespace {
  * Resolve expression `expr` of `spec` into `rs`'s pools. Mirrors the
  * thesis' `expr` procedure: scan terms right-to-left, accumulating the
  * bit position (`numbits`); constants fold into `constTotal`;
- * references become masked+shifted terms. `bind(term)` answers what a
- * reference names (throwing on an unknown component). Errors on
- * widths beyond 31 bits.
+ * references become masked+shifted terms. `bind(name)` answers the
+ * value slot a reference reads (throwing on an unknown component).
+ * Errors on widths beyond 31 bits.
  */
 template <class Bind>
 ResolvedExpr
@@ -55,12 +55,8 @@ resolveExprImpl(const Spec &spec, Expr expr, ResolvedSpec &rs, Bind bind)
             numbits += t.width;
             break;
           case Term::Kind::Ref: {
-            const ResolvedSpec::Binding b = bind(t);
             ResolvedTerm rt;
-            rt.bank = b.kind == CompKind::Memory
-                          ? ResolvedTerm::Bank::MemTemp
-                          : ResolvedTerm::Bank::Var;
-            rt.slot = b.slot;
+            rt.slot = bind(t.ref);
             if (t.from < 0) {
                 rt.mask = -1;
                 rt.shift = static_cast<int8_t>(numbits);
@@ -136,6 +132,15 @@ ResolvedSpec::memIndex(std::string_view name) const
     return b && b->kind == CompKind::Memory ? b->slot : -1;
 }
 
+int
+ResolvedSpec::valueSlot(std::string_view name) const
+{
+    const Binding *b = binding(name);
+    if (!b)
+        return -1;
+    return b->kind == CompKind::Memory ? latchSlot(b->slot) : b->slot;
+}
+
 Spec
 ResolvedSpec::ast() const
 {
@@ -206,10 +211,11 @@ resolve(const Spec &spec, Diagnostics *diag)
     rs.comb.reserve(order.size());
     rs.mems.reserve(static_cast<size_t>(numMems));
 
-    auto bind = [&](const Term &t) {
-        if (!defined(t.ref))
-            notFound(spec.name(t.ref));
-        return rs.bindings[t.ref];
+    auto bind = [&](NameId name) {
+        if (!defined(name))
+            notFound(spec.name(name));
+        const ResolvedSpec::Binding &b = rs.bindings[name];
+        return b.kind == CompKind::Memory ? rs.latchSlot(b.slot) : b.slot;
     };
     auto resolveInputs = [&](const Component &c) {
         const auto first = static_cast<uint32_t>(rs.exprPool.size());
@@ -288,8 +294,7 @@ resolve(const Spec &spec, Diagnostics *diag)
         }
         TraceItem item;
         item.name = d.name;
-        item.isMem = rs.bindings[d.name].kind == CompKind::Memory;
-        item.slot = rs.bindings[d.name].slot;
+        item.slot = bind(d.name);
         rs.traceList.push_back(item);
     }
 
@@ -310,11 +315,11 @@ resolveText(std::string_view text, Diagnostics *diag)
 ResolvedExpr
 resolveExpr(const Spec &spec, Expr expr, ResolvedSpec &rs)
 {
-    return resolveExprImpl(spec, expr, rs, [&](const Term &t) {
-        const ResolvedSpec::Binding *b = rs.binding(spec.name(t.ref));
-        if (!b)
-            notFound(spec.name(t.ref));
-        return *b;
+    return resolveExprImpl(spec, expr, rs, [&](NameId name) {
+        const int slot = rs.valueSlot(spec.name(name));
+        if (slot < 0)
+            notFound(spec.name(name));
+        return slot;
     });
 }
 

@@ -27,21 +27,13 @@
 
 namespace asim {
 
-/** A fully resolved reference term: value = shift(var & mask)
+/** A fully resolved reference term: value = shift(vars[slot] & mask)
  *  (12 bytes). */
 struct ResolvedTerm
 {
-    /** Where the referenced value lives. */
-    enum class Bank : uint8_t
-    {
-        Var,      ///< combinational output slot
-        MemTemp,  ///< memory output latch (one-cycle delay)
-    };
-
     int32_t mask = -1;      ///< extraction mask (-1 = whole word)
-    int32_t slot = 0;       ///< var slot or memory index
+    int32_t slot = 0;       ///< value slot (ResolvedSpec::latchSlot)
     int8_t shift = 0;       ///< net shift; >0 left, <0 right
-    Bank bank = Bank::Var;
 
     /** True for a bare `name` reference. No accepted subfield has an
      *  all-ones mask: that would take 32 bits. */
@@ -109,8 +101,7 @@ struct MemDesc
 struct TraceItem
 {
     NameId name = 0;
-    bool isMem = false;
-    int slot = 0; ///< var slot or memory index
+    int slot = 0; ///< value slot
 };
 
 /** The resolved specification. It owns no syntax tree: the few
@@ -150,7 +141,13 @@ struct ResolvedSpec
     /** Starred components, declaration-list order. */
     std::vector<TraceItem> traceList;
 
+    /** Combinational output slots. MachineState::vars holds these
+     *  values, then one output latch per memory (latchSlot). */
     int numVarSlots = 0;
+
+    /** The value slot of memory `mem`'s output latch: a reference to
+     *  the memory reads it like any combinational output. */
+    int latchSlot(int mem) const { return numVarSlots + mem; }
 
     /// @{ The pools components and expressions index.
     std::vector<ResolvedExpr> exprPool;
@@ -226,6 +223,10 @@ struct ResolvedSpec
      *  name is not a component of that class. */
     int varSlot(std::string_view name) const;
     int memIndex(std::string_view name) const;
+
+    /** The value slot `name` reads: its combinational output or its
+     *  output latch; -1 if it names no component. */
+    int valueSlot(std::string_view name) const;
 };
 
 /**

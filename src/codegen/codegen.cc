@@ -14,12 +14,11 @@ CodegenContext::CodegenContext(const ResolvedSpec &rs,
       varPrefix_(std::move(varPrefix)),
       tempPrefix_(std::move(tempPrefix))
 {
-    slotNames_.resize(rs.numVarSlots);
+    slotNames_.resize(rs.numVarSlots + rs.mems.size());
     for (const CombComp &c : rs.comb)
         slotNames_[c.slot] = rs.name(c.name);
-    memNames_.resize(rs.mems.size());
     for (const MemDesc &m : rs.mems)
-        memNames_[m.index] = rs.name(m.name);
+        slotNames_[rs.latchSlot(m.index)] = rs.name(m.name);
 }
 
 std::string
@@ -31,13 +30,20 @@ CodegenContext::varName(int slot) const
 std::string
 CodegenContext::memArrayName(int idx) const
 {
-    return varPrefix_ + memNames_[idx];
+    return varPrefix_ + slotNames_[rs_.latchSlot(idx)];
 }
 
 std::string
 CodegenContext::tempName(int idx) const
 {
-    return tempPrefix_ + memNames_[idx];
+    return tempPrefix_ + slotNames_[rs_.latchSlot(idx)];
+}
+
+std::string
+CodegenContext::valueName(int slot) const
+{
+    return slot < rs_.numVarSlots ? varName(slot)
+                                  : tempName(slot - rs_.numVarSlots);
 }
 
 std::string
@@ -66,9 +72,7 @@ CodegenContext::renderExpr(const ResolvedExpr &e,
             os << " + ";
         first = false;
 
-        std::string name = t.bank == ResolvedTerm::Bank::Var
-                               ? varName(t.slot)
-                               : tempName(t.slot);
+        const std::string name = valueName(t.slot);
         if (t.whole()) {
             os << name;
             if (t.shift > 0)

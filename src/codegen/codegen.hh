@@ -93,6 +93,10 @@ class CodegenContext
     /** Name of memory `idx`'s output latch. */
     std::string tempName(int idx) const;
 
+    /** Name of the variable holding value slot `slot`: a
+     *  combinational output or a memory's output latch. */
+    std::string valueName(int slot) const;
+
     /// @{ The plain component name of a resolved component or trace
     /// item.
     const std::string &name(const CombComp &c) const
@@ -101,11 +105,11 @@ class CodegenContext
     }
     const std::string &name(const MemDesc &m) const
     {
-        return memNames_[m.index];
+        return slotNames_[rs_.latchSlot(m.index)];
     }
     const std::string &name(const TraceItem &item) const
     {
-        return item.isMem ? memNames_[item.slot] : slotNames_[item.slot];
+        return slotNames_[item.slot];
     }
     /// @}
 
@@ -128,8 +132,8 @@ class CodegenContext
     const ResolvedSpec &rs_;
     std::string varPrefix_;
     std::string tempPrefix_;
+    /** Component names by value slot (ResolvedSpec::latchSlot). */
     std::vector<std::string> slotNames_;
-    std::vector<std::string> memNames_;
 };
 
 /** Generate the Appendix-E-style Pascal program. */

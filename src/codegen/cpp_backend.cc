@@ -278,8 +278,7 @@ CppBackend::emitProgramHelpers()
     ln("{");
     ln("    " + pf() + "(\"Cycle %3lld\", cyclecount);");
     for (const auto &item : rs_.traceList) {
-        std::string v = item.isMem ? ctx_.tempName(item.slot)
-                                   : ctx_.varName(item.slot);
+        const std::string v = ctx_.valueName(item.slot);
         ln("    " + pf() + "(\" " + ctx_.name(item) + "= %d\", (int)" + v +
            ");");
     }

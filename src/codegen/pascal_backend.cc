@@ -258,8 +258,7 @@ PascalBackend::emitTraceLine()
 {
     ln("write('Cycle ', cyclecount:3);");
     for (const auto &item : rs_.traceList) {
-        std::string v = item.isMem ? ctx_.tempName(item.slot)
-                                   : ctx_.varName(item.slot);
+        const std::string v = ctx_.valueName(item.slot);
         ln("write(' " + ctx_.name(item) + "= ', " + v + ":1);");
     }
     ln("writeln;");

@@ -329,13 +329,13 @@ class Parser
         exprs_.clear();
         inits_.clear();
         exprs_.push_back(nextExpr("selector index"));
-        // Case values run until the next component letter or final '.'.
+        // Case values run until the next component or module letter,
+        // a module body's 'E', or the final '.'.
         advance();
-        while (true) {
-            if (token_ == ".")
-                break;
+        while (token_ != ".") {
             if (token_.size() == 1 &&
-                (token_ == "A" || token_ == "S" || token_ == "M")) {
+                (token_ == "A" || token_ == "S" || token_ == "M" ||
+                 token_ == "D" || token_ == "U" || token_ == "E")) {
                 break;
             }
             if (token_.empty()) {

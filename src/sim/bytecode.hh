@@ -50,26 +50,22 @@ namespace asim {
 
 /**
  * X-macro generating the fused two-operand ALU superinstructions:
- * the 8 direct binary ALU ops x 8 operand-bank combos. Each
- * expansion is `X(OPNAME, COMBO, LEXPR, REXPR, VEXPR)` where LEXPR /
- * REXPR decode the left (op word) and right (Ext word `e`) operands
- * and VEXPR computes the result from `l` and `r`. The decode
- * expressions reference macros (ASIM_FLDVC, ASIM_FLDTC) defined only
- * in sim/vm.cc; other expansion sites ignore those arguments.
+ * the 8 direct binary ALU ops x 3 operand combos (each side a field
+ * V or a constant C; two constants fold). Each expansion is
+ * `X(OPNAME, COMBO, LEXPR, REXPR, VEXPR)` where LEXPR / REXPR decode
+ * the left (op word) and right (Ext word `e`) operands and VEXPR
+ * computes the result from `l` and `r`. The decode expressions
+ * reference a macro (ASIM_FLDVC) defined only in sim/vm.cc; other
+ * expansion sites ignore those arguments.
  *
- * Combo order (VV..CT) and op order (Add..Lt) are load-bearing: the
- * enum below and the compiler (sim/compiler.cc) both index into this
- * layout arithmetically.
+ * Combo order (VV, VC, CV) and op order (Add..Lt) are load-bearing:
+ * the enum below and the compiler (sim/compiler.cc) both index into
+ * this layout arithmetically.
  */
 #define ASIM_ALU_FUSED_COMBOS(X, OPNAME, VEXPR)                        \
     X(OPNAME, VV, ASIM_FLDVC(*ip), ASIM_FLDVC(e), VEXPR)               \
-    X(OPNAME, VT, ASIM_FLDVC(*ip), ASIM_FLDTC(e), VEXPR)               \
-    X(OPNAME, TV, ASIM_FLDTC(*ip), ASIM_FLDVC(e), VEXPR)               \
-    X(OPNAME, TT, ASIM_FLDTC(*ip), ASIM_FLDTC(e), VEXPR)               \
     X(OPNAME, VC, ASIM_FLDVC(*ip), e.a, VEXPR)                         \
-    X(OPNAME, TC, ASIM_FLDTC(*ip), e.a, VEXPR)                         \
-    X(OPNAME, CV, ip->a, ASIM_FLDVC(e), VEXPR)                         \
-    X(OPNAME, CT, ip->a, ASIM_FLDTC(e), VEXPR)
+    X(OPNAME, CV, ip->a, ASIM_FLDVC(e), VEXPR)
 
 #define ASIM_ALU_FUSED_ALL(X)                                          \
     ASIM_ALU_FUSED_COMBOS(X, Add, wadd(l, r))                          \
@@ -82,7 +78,10 @@ namespace asim {
     ASIM_ALU_FUSED_COMBOS(X, Eq, (l == r ? 1 : 0))                     \
     ASIM_ALU_FUSED_COMBOS(X, Lt, (l < r ? 1 : 0))
 
-/** VM opcodes. Scratch registers s0..s3 hold expression values.
+/** VM opcodes. Scratch registers s0..s3 hold expression values;
+ *  `vars` is MachineState::vars, every value an expression reads (a
+ *  memory's output latch included), and `temp` the latch a memory
+ *  op writes, vars[ResolvedSpec::latchSlot(idx)].
  *
  *  The computed-goto dispatch table in sim/vm.cc lists handlers in
  *  exactly this order — keep the two in sync (a static_assert over
@@ -93,9 +92,7 @@ enum class Op : uint8_t
     // Expression evaluation into a scratch register.
     SetC,       ///< s[reg] = a
     LoadVar,    ///< s[reg] = shift(vars[idx] & a, b)
-    LoadTemp,   ///< s[reg] = shift(mems[idx].temp & a, b)
     AccVar,     ///< s[reg] += shift(vars[idx] & a, b)
-    AccTemp,    ///< s[reg] += shift(mems[idx].temp & a, b)
 
     // ALU evaluation (operands in s1/s2 unless noted).
     AluGen,     ///< vars[idx] = dologic(s0, s1, s2)
@@ -124,9 +121,7 @@ enum class Op : uint8_t
     MemAdrC,    ///< mems[idx].adr = a
     MemOpnC,    ///< mems[idx].opn = a
     MemAdrFVar, ///< mems[idx].adr = shift(vars[c] & a, b)
-    MemAdrFTemp,///< mems[idx].adr = shift(mems[c].temp & a, b)
     MemOpnFVar, ///< mems[idx].opn = shift(vars[c] & a, b)
-    MemOpnFTemp,///< mems[idx].opn = shift(mems[c].temp & a, b)
 
     // Memory update phase. `reg` carries VmMemFlags.
     MemRead,    ///< specialized operation 0
@@ -143,52 +138,44 @@ enum class Op : uint8_t
 
     // ---- superinstructions: fused scratch-load pairs (one Ext) ----
     // Two independent simple loads: side 1 decoded from the op word,
-    // side 2 from the Ext word; each side is C (s[reg] = a),
-    // V (s[reg] = shift(vars[idx] & a, b)) or T (same from
-    // mems[idx].temp).
-    LoadPairCC, LoadPairCV, LoadPairCT,
-    LoadPairVC, LoadPairVV, LoadPairVT,
-    LoadPairTC, LoadPairTV, LoadPairTT,
+    // side 2 from the Ext word; each side is C (s[reg] = a) or
+    // V (s[reg] = shift(vars[idx] & a, b)).
+    LoadPairCC, LoadPairCV,
+    LoadPairVC, LoadPairVV,
     // Two-term accumulation into one register (reg of the op word):
     // s[reg] = side1 + side2, second side always a field.
-    LoadAccCV, LoadAccCT,
-    LoadAccVV, LoadAccVT,
-    LoadAccTV, LoadAccTT,
+    LoadAccCV, LoadAccVV,
 
     // ---- superinstructions: fused memory latches ----
     MemLatchCC, ///< mems[idx].adr = a; mems[idx].opn = b
     MemLatchVC, ///< adr = shift(vars[c] & a, b); opn = ext.a
-    MemLatchTC, ///< adr = shift(mems[c].temp & a, b); opn = ext.a
     MemLatchVV, ///< adr = field of vars[c]; opn = field of
                 ///< vars[ext.c] (ext.a/ext.b mask/shift)
 
     // ---- superinstructions: memory update with inline data ----
     MemWriteC,  ///< write with data = a
     MemWriteV,  ///< write with data = shift(vars[c] & a, b)
-    MemWriteT,  ///< write with data = shift(mems[c].temp & a, b)
     MemOutputC, ///< output with data = a
     MemOutputV, ///< output with data = shift(vars[c] & a, b)
-    MemOutputT, ///< output with data = shift(mems[c].temp & a, b)
 
     // ---- superinstructions: selectors with inline select field ----
     // Op word = the SelTable operands; Ext word = the select field
     // (idx/a/b as slot/mask/shift).
-    SelTableV, SelTableT,
+    SelTableV,
 
-    // ---- superinstructions: remaining memory-latch bank combos ----
-    // adr side in the op word, opn side in the Ext word, each a
-    // constant (a) or a field (a=mask, b=shift, c=slot).
-    MemLatchCV, MemLatchCT,
-    MemLatchVT, MemLatchTV, MemLatchTT,
+    // ---- superinstructions: the remaining memory-latch combo ----
+    // adr constant in the op word's a, opn field in the Ext word
+    // (a=mask, b=shift, c=slot).
+    MemLatchCV,
 
     // ---- superinstructions: fused two-operand ALUs ----
     // One dispatch for `vars[idx] = op(left, right)` where both
     // operands are simple (constant or single field). Left operand
     // in the op word (const in a, or field a=mask, b=shift, c=slot),
     // right operand in the Ext word (same layout). Generated by the
-    // ASIM_ALU_FUSED_ALL X-macro: 8 direct ops x 8 bank combos, laid
-    // out combo-major so sim/compiler.cc can compute
-    // `AluFAddVV + op*8 + combo`.
+    // ASIM_ALU_FUSED_ALL X-macro: 8 direct ops x 3 operand combos,
+    // laid out combo-major so sim/compiler.cc can compute
+    // `AluFAddVV + op*3 + combo`.
 #define ASIM_ALU_FUSED_ENUM(OPNAME, COMBO, L, R, V) \
     AluF##OPNAME##COMBO,
     ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_ENUM)
@@ -202,20 +189,16 @@ enum class Op : uint8_t
     // c = selInfo) followed by one Ext select-field word (a = mask,
     // b = shift, c = slot) and then K Ext descriptor words per case,
     // each in the single arithmetic form
-    //   term = d.c + field(bank[d.idx], d.a, d.b)
-    // where d.reg picks the bank (0 = vars, 1 = mem temps); a case's
-    // value is the sum of its K terms. K is the selector's largest
-    // case term count: a case's constant rides in its first word's
-    // bias, and shorter cases are padded with zero-mask words.
-    // K = 1 with a single-field select is SelStoreV/T, whose op word
-    // reg flag is 1 when no case reads a temp (kept for inspection).
-    SelStoreV,  ///< K = 1; select field reads vars[slot]
-    SelStoreT,  ///< K = 1; select field reads mems[slot].temp
+    //   term = d.c + field(vars[d.idx], d.a, d.b);
+    // a case's value is the sum of its K terms. K is the selector's
+    // largest case term count: a case's constant rides in its first
+    // word's bias, and shorter cases are padded with zero-mask words.
+    SelStoreV,  ///< K = 1 and a single-field select
     // The general form: K in the op word's a, and reg naming the
-    // select source, 0 = the select word's field of vars, 1 = of mem
-    // temps, 2 = s0 (a select expression that is not a single field,
-    // loaded by the ordinary load ops; the select word is then all
-    // zero). The K-term sum is a loop whose trip count is fixed per
+    // select source (SelSource): the select word's field, or s0 (a
+    // select expression that is not a single field, loaded by the
+    // ordinary load ops; the select word is then all zero). The
+    // K-term sum is a loop whose trip count is fixed per
     // instruction, so its branch follows the stream, not the data.
     SelStoreK,
 
@@ -230,9 +213,9 @@ enum class Op : uint8_t
 
     // ---- superinstructions: generic ALU with inline operands ----
     // dologic(funct, left, right) where all three sides are simple.
-    // reg packs the three banks (2 bits each, funct/left/right, 0/1/2
-    // for C/V/T); three Ext words follow in original simple-load
-    // layout (const in a, or field idx = slot, a = mask, b = shift).
+    // reg has one bit per side (funct/left/right), set for a field;
+    // three Ext words follow in simple-load layout (const in a, or
+    // field idx = slot, a = mask, b = shift).
     AluGenF,
 
     // ---- superinstructions: whole generic memory op, inline data ----
@@ -240,19 +223,18 @@ enum class Op : uint8_t
     // dispatch handles read/write/input/output off the latched
     // operation. Data operand const in a, or field a = mask,
     // b = shift, c = slot.
-    MemGenC, MemGenV, MemGenT,
+    MemGenC, MemGenV,
 };
 
 /** Number of opcodes (dispatch-table size in sim/vm.cc). */
 inline constexpr size_t kOpCount =
-    static_cast<size_t>(Op::MemGenT) + 1;
+    static_cast<size_t>(Op::MemGenV) + 1;
 
 /** SelStoreK select sources (its op word's reg). */
 enum SelSource : uint8_t
 {
-    kSelFromVar = 0,
-    kSelFromTemp = 1,
-    kSelFromS0 = 2,
+    kSelFromField = 0,
+    kSelFromS0 = 1,
 };
 
 /** Per-memory flag bits carried in Instr::reg for memory opcodes. */

@@ -121,13 +121,20 @@ encodeCheckpoint(const EngineSnapshot &snap, uint64_t specHash,
         w.u64(m.outputs);
     }
 
+    // The file keeps each output latch in its memory's record; in
+    // memory the latches are the tail of `vars`.
     const MachineState &ms = snap.state;
-    w.u64(ms.vars.size());
-    for (int32_t v : ms.vars)
-        w.i32(v);
+    if (ms.vars.size() < ms.mems.size())
+        throw SimError("internal: machine state has fewer values than "
+                       "memory output latches");
+    const size_t numVars = ms.vars.size() - ms.mems.size();
+    w.u64(numVars);
+    for (size_t i = 0; i < numVars; ++i)
+        w.i32(ms.vars[i]);
     w.u64(ms.mems.size());
-    for (const MemoryState &m : ms.mems) {
-        w.i32(m.temp);
+    for (size_t i = 0; i < ms.mems.size(); ++i) {
+        const MemoryState &m = ms.mems[i];
+        w.i32(ms.latches()[i]);
         w.i32(m.adr);
         w.i32(m.opn);
         w.u64(m.cells.size());
@@ -231,10 +238,11 @@ decodeCheckpoint(std::string_view bytes, const std::string &context,
     for (uint64_t i = 0; i < vars; ++i)
         snap.state.vars[i] = body.i32("state var value");
     uint64_t mems = body.count("state memory count", kMaxMems, 3 * 4 + 8);
+    snap.state.vars.resize(vars + mems);
     snap.state.mems.resize(mems);
     for (uint64_t i = 0; i < mems; ++i) {
         MemoryState &m = snap.state.mems[i];
-        m.temp = body.i32("memory output latch");
+        snap.state.vars[vars + i] = body.i32("memory output latch");
         m.adr = body.i32("memory address latch");
         m.opn = body.i32("memory operation latch");
         uint64_t cells = body.count("memory cell count", kMaxCells, 4);
@@ -286,7 +294,7 @@ loadCheckpoint(const std::string &path, const ResolvedSpec &rs,
                        ", this spec is " + hex(expect) + ")");
     }
     if (snap.state.vars.size() !=
-            static_cast<size_t>(rs.numVarSlots) ||
+            static_cast<size_t>(rs.numVarSlots) + rs.mems.size() ||
         snap.state.mems.size() != rs.mems.size()) {
         throw SimError("checkpoint " + path +
                        " does not match the specification shape "

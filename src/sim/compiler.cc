@@ -156,28 +156,27 @@ oneWord(const ResolvedExpr &e)
 }
 
 /** The one-word load of `e` into s[reg] (oneWord(e) must hold):
- *  SetC (constant in a) or LoadVar/LoadTemp (idx = slot, a = mask,
- *  b = shift). A superinstruction takes these operands inline. */
+ *  SetC (constant in a) or LoadVar (idx = slot, a = mask, b = shift).
+ *  A superinstruction takes these operands inline. */
 Instr
 simpleLoad(const ResolvedSpec &rs, const ResolvedExpr &e, uint8_t reg)
 {
     if (e.isConstant())
         return {Op::SetC, reg, 0, e.constTotal, 0, 0};
     const ResolvedTerm &t = rs.termPool[e.first];
-    return {t.bank == ResolvedTerm::Bank::Var ? Op::LoadVar : Op::LoadTemp,
-            reg, static_cast<uint16_t>(t.slot), t.mask, t.shift, 0};
+    return {Op::LoadVar, reg, static_cast<uint16_t>(t.slot), t.mask,
+            t.shift, 0};
 }
 
-/** Bank of a load word: 0 = constant (SetC), 1 = vars field (LoadVar),
- *  2 = mem temp field (LoadTemp), -1 = an accumulate. The C/V/T rows
- *  of the superinstruction tables below index by it. */
+/** Kind of a load word: 0 = constant (SetC), 1 = field (LoadVar),
+ *  -1 = an accumulate. The C/V rows of the superinstruction tables
+ *  below index by it. */
 int
-bank(const Instr &load)
+kind(const Instr &load)
 {
     switch (load.op) {
       case Op::SetC: return 0;
       case Op::LoadVar: return 1;
-      case Op::LoadTemp: return 2;
       default: return -1;
     }
 }
@@ -198,32 +197,25 @@ asExt(Instr load)
     return load;
 }
 
-// Opcodes by operand bank: C, V, T as bank() numbers them.
-constexpr Op kLoadPair[3][3] = {
-    {Op::LoadPairCC, Op::LoadPairCV, Op::LoadPairCT},
-    {Op::LoadPairVC, Op::LoadPairVV, Op::LoadPairVT},
-    {Op::LoadPairTC, Op::LoadPairTV, Op::LoadPairTT},
+// Opcodes by operand kind: C, V as kind() numbers them.
+constexpr Op kLoadPair[2][2] = {
+    {Op::LoadPairCC, Op::LoadPairCV},
+    {Op::LoadPairVC, Op::LoadPairVV},
 };
-// Second side always a field (an AccVar/AccTemp source).
-constexpr Op kLoadAcc[3][2] = {
-    {Op::LoadAccCV, Op::LoadAccCT},
-    {Op::LoadAccVV, Op::LoadAccVT},
-    {Op::LoadAccTV, Op::LoadAccTT},
+// Second side always a field (an AccVar source).
+constexpr Op kLoadAcc[2] = {Op::LoadAccCV, Op::LoadAccVV};
+constexpr Op kMemLatch[2][2] = {
+    {Op::MemLatchCC, Op::MemLatchCV},
+    {Op::MemLatchVC, Op::MemLatchVV},
 };
-constexpr Op kMemLatch[3][3] = {
-    {Op::MemLatchCC, Op::MemLatchCV, Op::MemLatchCT},
-    {Op::MemLatchVC, Op::MemLatchVV, Op::MemLatchVT},
-    {Op::MemLatchTC, Op::MemLatchTV, Op::MemLatchTT},
-};
-constexpr Op kMemAdr[3] = {Op::MemAdrC, Op::MemAdrFVar, Op::MemAdrFTemp};
-constexpr Op kMemOpn[3] = {Op::MemOpnC, Op::MemOpnFVar, Op::MemOpnFTemp};
-constexpr Op kMemWrite[3] = {Op::MemWriteC, Op::MemWriteV, Op::MemWriteT};
-constexpr Op kMemOutput[3] = {Op::MemOutputC, Op::MemOutputV,
-                              Op::MemOutputT};
-constexpr Op kMemGen[3] = {Op::MemGenC, Op::MemGenV, Op::MemGenT};
-// Position of an operand-bank combo in a fused-ALU op group (order of
+constexpr Op kMemAdr[2] = {Op::MemAdrC, Op::MemAdrFVar};
+constexpr Op kMemOpn[2] = {Op::MemOpnC, Op::MemOpnFVar};
+constexpr Op kMemWrite[2] = {Op::MemWriteC, Op::MemWriteV};
+constexpr Op kMemOutput[2] = {Op::MemOutputC, Op::MemOutputV};
+constexpr Op kMemGen[2] = {Op::MemGenC, Op::MemGenV};
+// Position of an operand combo in a fused-ALU op group (order of
 // ASIM_ALU_FUSED_COMBOS); const/const folds, so it has none.
-constexpr int kAluCombo[3][3] = {{-1, 6, 7}, {4, 0, 1}, {5, 2, 3}};
+constexpr int kAluCombo[2][2] = {{-1, 2}, {1, 0}};
 
 /**
  * The one emit stage: lowers a ResolvedSpec straight to the stream
@@ -265,16 +257,15 @@ class Compiler
      *  mirroring compileAlu/compileSelector: its kind, its constant
      *  function value (or a dynamic function's shape), for every
      *  operand, select or case expression the code reads whether it
-     *  is constant, whether it has a constant part, and each term's
-     *  bank, and for a descriptor selector its K. */
+     *  is constant, whether it has a constant part, and its term
+     *  count, and for a descriptor selector its K. */
     void
     shapeKey(const CombComp &c, std::string &key) const
     {
         key.assign(1, c.kind == CompKind::Alu ? 'a' : 's');
         auto add = [&](const ResolvedExpr &e) {
             key += e.isConstant() ? 'c' : e.constTotal != 0 ? 'k' : 'f';
-            for (const ResolvedTerm &t : rs_.terms(e))
-                key += t.bank == ResolvedTerm::Bank::Var ? 'v' : 't';
+            key.append(e.count, 'v');
         };
         if (c.kind == CompKind::Selector) {
             add(rs_.select(c));
@@ -283,7 +274,7 @@ class Compiler
                 return;
             }
             // K, then each case's descriptor pattern: whether it has
-            // a bias and a field, and each term's bank.
+            // a bias, and its term count.
             key += std::to_string(caseTerms(c));
             for (const ResolvedExpr &e : rs_.cases(c))
                 add(e);
@@ -373,8 +364,8 @@ class Compiler
     }
 
     /** Queue the canonical loads evaluating `e` into s[reg]: a SetC
-     *  of the constant part when there is one, then one LoadVar /
-     *  LoadTemp, or AccVar / AccTemp after the first word, per term. */
+     *  of the constant part when there is one, then one LoadVar, or
+     *  AccVar after the first word, per term. */
     void
     queueLoads(const ResolvedExpr &e, uint8_t reg)
     {
@@ -384,9 +375,7 @@ class Compiler
             first = false;
         }
         for (const ResolvedTerm &t : rs_.terms(e)) {
-            const bool var = t.bank == ResolvedTerm::Bank::Var;
-            const Op op = var ? (first ? Op::LoadVar : Op::AccVar)
-                              : (first ? Op::LoadTemp : Op::AccTemp);
+            const Op op = first ? Op::LoadVar : Op::AccVar;
             first = false;
             loads_.push_back(
                 {op, reg, static_cast<uint16_t>(t.slot), t.mask, t.shift, 0});
@@ -403,33 +392,19 @@ class Compiler
     {
         for (size_t i = 0; i < loads_.size(); ++i) {
             Instr x = loads_[i];
-            const int bx = bank(x);
-            if (bx < 0 || i + 1 == loads_.size()) {
+            const int kx = kind(x);
+            if (kx < 0 || i + 1 == loads_.size()) {
                 code_.push_back(x);
                 continue;
             }
             const Instr &y = loads_[++i];
-            const int by = bank(y);
-            x.op = by >= 0 ? kLoadPair[bx][by]
-                           : kLoadAcc[bx][y.op == Op::AccTemp];
+            const int ky = kind(y);
+            x.op = ky >= 0 ? kLoadPair[kx][ky] : kLoadAcc[kx];
             code_.push_back(x);
             code_.push_back(asExt(y));
             ++prog_.opt.fused;
         }
         loads_.clear();
-    }
-
-    /** True when some case of a selector reads a memory temp. */
-    bool
-    readsTemp(const CombComp &c) const
-    {
-        for (const ResolvedExpr &e : rs_.cases(c)) {
-            for (const ResolvedTerm &t : rs_.terms(e)) {
-                if (t.bank != ResolvedTerm::Bank::Var)
-                    return true;
-            }
-        }
-        return false;
     }
 
     /** K of a descriptor selector: its largest case term count (at
@@ -468,10 +443,10 @@ class Compiler
             if (op8 >= 0 && oneWord(left) && oneWord(right)) {
                 const Instr l = simpleLoad(rs_, left, 1);
                 const Instr r = simpleLoad(rs_, right, 2);
-                const int combo = kAluCombo[bank(l)][bank(r)];
+                const int combo = kAluCombo[kind(l)][kind(r)];
                 code_.push_back(inlineOperand(
                     static_cast<Op>(static_cast<int>(Op::AluFAddVV) +
-                                    op8 * 8 + combo),
+                                    op8 * 3 + combo),
                     0, slot, l));
                 code_.push_back(inlineOperand(Op::Ext, 0, 0, r));
                 ++prog_.opt.fused;
@@ -499,8 +474,8 @@ class Compiler
             const Instr l = simpleLoad(rs_, left, 1);
             const Instr r = simpleLoad(rs_, right, 2);
             code_.push_back({Op::AluGenF,
-                             static_cast<uint8_t>(bank(f) | bank(l) << 2 |
-                                                  bank(r) << 4),
+                             static_cast<uint8_t>(kind(f) | kind(l) << 1 |
+                                                  kind(r) << 2),
                              slot, 0, 0, 0});
             for (const Instr &w : {f, l, r})
                 code_.push_back(asExt(w));
@@ -535,11 +510,9 @@ class Compiler
             for (const ResolvedExpr &e : cases)
                 prog_.constTable.push_back(e.constTotal);
             if (singleField(select)) {
-                const Instr field = simpleLoad(rs_, select, 0);
-                code_.push_back({field.op == Op::LoadVar ? Op::SelTableV
-                                                         : Op::SelTableT,
-                                 0, slot, base, count, selIdx});
-                code_.push_back(asExt(field));
+                code_.push_back(
+                    {Op::SelTableV, 0, slot, base, count, selIdx});
+                code_.push_back(asExt(simpleLoad(rs_, select, 0)));
                 ++prog_.opt.fused;
                 return;
             }
@@ -555,13 +528,10 @@ class Compiler
         Instr op = {Op::SelStoreK, kSelFromS0, slot, k, count, selIdx};
         Instr field = {Op::Ext, 0, 0, 0, 0, 0};
         if (singleField(select)) {
-            const Instr load = simpleLoad(rs_, select, 0);
-            const bool var = load.op == Op::LoadVar;
-            field = inlineOperand(Op::Ext, 0, 0, load);
-            op.reg = var ? kSelFromVar : kSelFromTemp;
+            field = inlineOperand(Op::Ext, 0, 0, simpleLoad(rs_, select, 0));
+            op.reg = kSelFromField;
             if (k == 1) {
-                op.op = var ? Op::SelStoreV : Op::SelStoreT;
-                op.reg = !readsTemp(c);
+                op.op = Op::SelStoreV;
                 op.a = 0;
             }
         } else {
@@ -573,10 +543,8 @@ class Compiler
         for (const ResolvedExpr &e : cases) {
             const size_t first = code_.size();
             for (const ResolvedTerm &t : rs_.terms(e)) {
-                const bool var = t.bank == ResolvedTerm::Bank::Var;
-                code_.push_back({Op::Ext, static_cast<uint8_t>(!var),
-                                 static_cast<uint16_t>(t.slot), t.mask,
-                                 t.shift, 0});
+                code_.push_back({Op::Ext, 0, static_cast<uint16_t>(t.slot),
+                                 t.mask, t.shift, 0});
             }
             // Zero-mask padding reads vars[0], which exists: this
             // selector's own slot is a var.
@@ -591,7 +559,7 @@ class Compiler
     {
         if (oneWord(e)) {
             const Instr load = simpleLoad(rs_, e, 0);
-            const Op op = (isAdr ? kMemAdr : kMemOpn)[bank(load)];
+            const Op op = (isAdr ? kMemAdr : kMemOpn)[kind(load)];
             code_.push_back(inlineOperand(op, 0, mem, load));
             return;
         }
@@ -624,7 +592,7 @@ class Compiler
             }
             const Instr adr = simpleLoad(rs_, m.addr, 0);
             const Instr opn = simpleLoad(rs_, m.opn, 0);
-            const Op op = kMemLatch[bank(adr)][bank(opn)];
+            const Op op = kMemLatch[kind(adr)][kind(opn)];
             if (op == Op::MemLatchCC) {
                 code_.push_back({op, 0, idx, adr.a, opn.a, 0});
             } else {
@@ -669,11 +637,11 @@ class Compiler
             const bool inlineData = oneWord(m.data);
             const Instr data =
                 inlineData ? simpleLoad(rs_, m.data, 1) : Instr{};
-            const auto withData = [&](const Op (&fused)[3], Op plain,
+            const auto withData = [&](const Op (&fused)[2], Op plain,
                                       uint8_t reg) {
                 if (inlineData) {
                     code_.push_back(
-                        inlineOperand(fused[bank(data)], reg, idx, data));
+                        inlineOperand(fused[kind(data)], reg, idx, data));
                     ++prog_.opt.fused;
                     return;
                 }
@@ -728,9 +696,7 @@ opName(Op op)
     switch (op) {
       case Op::SetC: return "setc";
       case Op::LoadVar: return "ldv";
-      case Op::LoadTemp: return "ldt";
       case Op::AccVar: return "accv";
-      case Op::AccTemp: return "acct";
       case Op::AluGen: return "alu.gen";
       case Op::AluConst: return "alu.const";
       case Op::AluRight: return "alu.right";
@@ -751,9 +717,7 @@ opName(Op op)
       case Op::MemAdrC: return "madrc";
       case Op::MemOpnC: return "mopnc";
       case Op::MemAdrFVar: return "madrfv";
-      case Op::MemAdrFTemp: return "madrft";
       case Op::MemOpnFVar: return "mopnfv";
-      case Op::MemOpnFTemp: return "mopnft";
       case Op::MemRead: return "mem.rd";
       case Op::MemWrite: return "mem.wr";
       case Op::MemInput: return "mem.in";
@@ -765,49 +729,30 @@ opName(Op op)
       case Op::Ext: return "ext";
       case Op::LoadPairCC: return "ldp.cc";
       case Op::LoadPairCV: return "ldp.cv";
-      case Op::LoadPairCT: return "ldp.ct";
       case Op::LoadPairVC: return "ldp.vc";
       case Op::LoadPairVV: return "ldp.vv";
-      case Op::LoadPairVT: return "ldp.vt";
-      case Op::LoadPairTC: return "ldp.tc";
-      case Op::LoadPairTV: return "ldp.tv";
-      case Op::LoadPairTT: return "ldp.tt";
       case Op::LoadAccCV: return "lda.cv";
-      case Op::LoadAccCT: return "lda.ct";
       case Op::LoadAccVV: return "lda.vv";
-      case Op::LoadAccVT: return "lda.vt";
-      case Op::LoadAccTV: return "lda.tv";
-      case Op::LoadAccTT: return "lda.tt";
       case Op::MemLatchCC: return "mlatch.cc";
       case Op::MemLatchVC: return "mlatch.vc";
-      case Op::MemLatchTC: return "mlatch.tc";
       case Op::MemLatchVV: return "mlatch.vv";
       case Op::MemWriteC: return "mem.wrc";
       case Op::MemWriteV: return "mem.wrv";
-      case Op::MemWriteT: return "mem.wrt";
       case Op::MemOutputC: return "mem.outc";
       case Op::MemOutputV: return "mem.outv";
-      case Op::MemOutputT: return "mem.outt";
       case Op::SelTableV: return "seltab.v";
-      case Op::SelTableT: return "seltab.t";
       case Op::MemLatchCV: return "mlatch.cv";
-      case Op::MemLatchCT: return "mlatch.ct";
-      case Op::MemLatchVT: return "mlatch.vt";
-      case Op::MemLatchTV: return "mlatch.tv";
-      case Op::MemLatchTT: return "mlatch.tt";
 #define ASIM_ALU_FUSED_NAME(OPNAME, COMBO, L, R, V)                    \
       case Op::AluF##OPNAME##COMBO:                                    \
         return "aluf." #OPNAME "." #COMBO;
       ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_NAME)
 #undef ASIM_ALU_FUSED_NAME
       case Op::SelStoreV: return "selst.v";
-      case Op::SelStoreT: return "selst.t";
       case Op::SelStoreK: return "selst.k";
       case Op::TraceLatchRun: return "trace.latchrun";
       case Op::AluGenF: return "aluf.gen";
       case Op::MemGenC: return "mem.genc";
       case Op::MemGenV: return "mem.genv";
-      case Op::MemGenT: return "mem.gent";
     }
     return "?";
 }
@@ -841,35 +786,19 @@ opHasExt(Op op)
     switch (op) {
       case Op::LoadPairCC:
       case Op::LoadPairCV:
-      case Op::LoadPairCT:
       case Op::LoadPairVC:
       case Op::LoadPairVV:
-      case Op::LoadPairVT:
-      case Op::LoadPairTC:
-      case Op::LoadPairTV:
-      case Op::LoadPairTT:
       case Op::LoadAccCV:
-      case Op::LoadAccCT:
       case Op::LoadAccVV:
-      case Op::LoadAccVT:
-      case Op::LoadAccTV:
-      case Op::LoadAccTT:
       case Op::MemLatchVC:
-      case Op::MemLatchTC:
       case Op::MemLatchVV:
       case Op::MemLatchCV:
-      case Op::MemLatchCT:
-      case Op::MemLatchVT:
-      case Op::MemLatchTV:
-      case Op::MemLatchTT:
 #define ASIM_ALU_FUSED_EXT(OPNAME, COMBO, L, R, V)                     \
       case Op::AluF##OPNAME##COMBO:
       ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_EXT)
 #undef ASIM_ALU_FUSED_EXT
       case Op::SelTableV:
-      case Op::SelTableT:
       case Op::SelStoreV: // select field word + per-case descriptors
-      case Op::SelStoreT:
       case Op::SelStoreK:
       case Op::AluGenF: // three extension words
         return true;
@@ -882,10 +811,10 @@ Program
 compileProgram(const ResolvedSpec &rs, const CompilerOptions &,
                bool tracingPossible)
 {
-    // Instr::idx numbers var slots and memories in 16 bits.
+    // Instr::idx numbers value slots (output latches included) in
+    // 16 bits.
     constexpr size_t kMaxSlots = size_t{1} << 16;
-    const size_t slots = std::max(static_cast<size_t>(rs.numVarSlots),
-                                  rs.mems.size());
+    const size_t slots = static_cast<size_t>(rs.numVarSlots) + rs.mems.size();
     if (slots > kMaxSlots) {
         throw SimError("Error. The vm engine numbers at most " +
                        std::to_string(kMaxSlots) +

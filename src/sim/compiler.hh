@@ -24,8 +24,8 @@ struct CompilerOptions
  * @param rs the resolved specification
  * @param tracingPossible if false (no trace sink will ever be
  *        attached), trace checks are compiled out entirely
- * @throws SimError when the spec has more than 65536 var slots or
- *         memories (Instr::idx numbers them in 16 bits)
+ * @throws SimError when the spec has more than 65536 value slots
+ *         (Instr::idx numbers them in 16 bits)
  */
 Program compileProgram(const ResolvedSpec &rs,
                        const CompilerOptions & = {},

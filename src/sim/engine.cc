@@ -84,23 +84,17 @@ Engine::traceCycle()
     if (!cfg_.trace)
         return;
     cfg_.trace->beginCycle(cycle_);
-    for (const auto &item : rs_->traceList) {
-        int32_t v = item.isMem ? state_.mems[item.slot].temp
-                               : state_.vars[item.slot];
-        cfg_.trace->value(rs_->name(item.name), v);
-    }
+    for (const auto &item : rs_->traceList)
+        cfg_.trace->value(rs_->name(item.name), state_.vars[item.slot]);
     cfg_.trace->endCycle();
 }
 
 int32_t
 Engine::value(std::string_view name) const
 {
-    int vs = rs_->varSlot(name);
-    if (vs >= 0)
-        return state_.vars[vs];
-    int mi = rs_->memIndex(name);
-    if (mi >= 0)
-        return state_.mems[mi].temp;
+    const int slot = rs_->valueSlot(name);
+    if (slot >= 0)
+        return state_.vars[slot];
     throw SimError("unknown component <" + std::string(name) + ">");
 }
 

@@ -14,9 +14,7 @@ Interpreter::eval(const ResolvedExpr &e) const
 {
     int32_t acc = e.constTotal;
     for (const ResolvedTerm &t : rs_->terms(e)) {
-        int32_t v = t.bank == ResolvedTerm::Bank::Var
-                        ? state_.vars[t.slot]
-                        : state_.mems[t.slot].temp;
+        int32_t v = state_.vars[t.slot];
         if (!t.whole())
             v = land(v, t.mask);
         acc = wadd(acc, shiftField(v, t.shift));
@@ -74,6 +72,7 @@ void
 Interpreter::updateMemOne(const MemDesc &m)
 {
     MemoryState &ms = state_.mems[m.index];
+    int32_t &temp = state_.vars[rs_->latchSlot(m.index)];
     const int32_t op = land(ms.opn, 3);
     const int32_t adr = ms.adr;
 
@@ -88,31 +87,31 @@ Interpreter::updateMemOne(const MemDesc &m)
     switch (op) {
       case mem_op::kRead:
         checkAddr();
-        ms.temp = ms.cells[adr];
+        temp = ms.cells[adr];
         ++stats_.mems[m.index].reads;
         break;
       case mem_op::kWrite:
         checkAddr();
-        ms.temp = eval(m.data);
-        ms.cells[adr] = ms.temp;
+        temp = eval(m.data);
+        ms.cells[adr] = temp;
         ++stats_.mems[m.index].writes;
         break;
       case mem_op::kInput:
-        ms.temp = io_->input(adr);
+        temp = io_->input(adr);
         ++stats_.mems[m.index].inputs;
         break;
       case mem_op::kOutput:
-        ms.temp = eval(m.data);
-        io_->output(adr, ms.temp);
+        temp = eval(m.data);
+        io_->output(adr, temp);
         ++stats_.mems[m.index].outputs;
         break;
     }
 
     if (cfg_.trace) {
         if (land(ms.opn, 5) == 5)
-            cfg_.trace->memWrite(rs_->name(m.name), adr, ms.temp);
+            cfg_.trace->memWrite(rs_->name(m.name), adr, temp);
         if (land(ms.opn, 9) == 8)
-            cfg_.trace->memRead(rs_->name(m.name), adr, ms.temp);
+            cfg_.trace->memRead(rs_->name(m.name), adr, temp);
     }
 }
 

@@ -69,7 +69,7 @@ NativeEngine::run(uint64_t cycles)
     for (size_t i = 0; i < state_.mems.size(); ++i) {
         MemoryState &m = state_.mems[i];
         memPtrs_[4 * i] = m.cells.data();
-        memPtrs_[4 * i + 1] = &m.temp;
+        memPtrs_[4 * i + 1] = &state_.latches()[i];
         memPtrs_[4 * i + 2] = &m.adr;
         memPtrs_[4 * i + 3] = &m.opn;
     }

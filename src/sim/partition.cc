@@ -176,8 +176,8 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
     // ---- Combinational dependency edges (producer comb index ->
     // consumer comb index), deduplicated per consumer. Memory output
     // latches are not edges: they hold the previous cycle's value for
-    // the whole comb phase.
-    std::vector<int32_t> slotToComb(rs.numVarSlots, -1);
+    // the whole comb phase, so their slots map to no producer.
+    std::vector<int32_t> slotToComb(rs.numVarSlots + rs.mems.size(), -1);
     for (int32_t i = 0; i < n; ++i)
         slotToComb[rs.comb[i].slot] = i;
 
@@ -198,8 +198,6 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
         const auto first = static_cast<std::ptrdiff_t>(depList.size());
         for (const ResolvedExpr &e : rs.exprs(c)) {
             for (const ResolvedTerm &t : rs.terms(e)) {
-                if (t.bank != ResolvedTerm::Bank::Var)
-                    continue;
                 int32_t j = slotToComb[t.slot];
                 if (j >= 0 && j != i)
                     depList.push_back(j);
@@ -384,9 +382,9 @@ buildPartitionPlan(const ResolvedSpec &rs, unsigned lanes,
     UnionFind muf(nm);
     for (int32_t mi = 0; mi < nm; ++mi) {
         for (const ResolvedTerm &t : rs.terms(rs.mems[mi].data)) {
-            if (t.bank == ResolvedTerm::Bank::MemTemp &&
-                t.slot != mi)
-                muf.unite(mi, t.slot);
+            const int32_t mj = t.slot - rs.numVarSlots;
+            if (mj >= 0 && mj != mi)
+                muf.unite(mi, mj);
         }
     }
     std::vector<char> rootSerial(nm, 0);

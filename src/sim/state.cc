@@ -7,7 +7,7 @@ namespace asim {
 void
 MachineState::reset(const ResolvedSpec &rs)
 {
-    vars.assign(rs.numVarSlots, 0);
+    vars.assign(static_cast<size_t>(rs.numVarSlots) + rs.mems.size(), 0);
     mems.clear();
     mems.resize(rs.mems.size());
     for (size_t i = 0; i < rs.mems.size(); ++i) {
@@ -15,9 +15,6 @@ MachineState::reset(const ResolvedSpec &rs)
         mems[i].cells.assign(static_cast<size_t>(m.size), 0);
         const std::span<const int32_t> init = rs.init(m);
         std::copy(init.begin(), init.end(), mems[i].cells.begin());
-        mems[i].temp = 0;
-        mems[i].adr = 0;
-        mems[i].opn = 0;
     }
 }
 

@@ -22,10 +22,9 @@ SymbolicInterpreter::lookup(std::string_view name) const
 {
     // The defining characteristic of the ASIM baseline: a symbol-table
     // lookup per reference, every cycle.
-    if (const ResolvedSpec::Binding *b = rs_->binding(name)) {
-        return b->kind == CompKind::Memory ? state_.mems[b->slot].temp
-                                           : state_.vars[b->slot];
-    }
+    const int slot = rs_->valueSlot(name);
+    if (slot >= 0)
+        return state_.vars[slot];
     throw SimError("Error. Component <" + std::string(name) +
                    "> not found.");
 }
@@ -102,6 +101,7 @@ void
 SymbolicInterpreter::updateMemory(const Component &c, int index)
 {
     MemoryState &ms = state_.mems[index];
+    int32_t &temp = state_.vars[rs_->latchSlot(index)];
     const int32_t op = land(ms.opn, 3);
     const int32_t adr = ms.adr;
 
@@ -115,31 +115,31 @@ SymbolicInterpreter::updateMemory(const Component &c, int index)
     switch (op) {
       case mem_op::kRead:
         checkAddr();
-        ms.temp = ms.cells[adr];
+        temp = ms.cells[adr];
         ++stats_.mems[index].reads;
         break;
       case mem_op::kWrite:
         checkAddr();
-        ms.temp = eval(ast_->expr(c, 1));
-        ms.cells[adr] = ms.temp;
+        temp = eval(ast_->expr(c, 1));
+        ms.cells[adr] = temp;
         ++stats_.mems[index].writes;
         break;
       case mem_op::kInput:
-        ms.temp = io_->input(adr);
+        temp = io_->input(adr);
         ++stats_.mems[index].inputs;
         break;
       case mem_op::kOutput:
-        ms.temp = eval(ast_->expr(c, 1));
-        io_->output(adr, ms.temp);
+        temp = eval(ast_->expr(c, 1));
+        io_->output(adr, temp);
         ++stats_.mems[index].outputs;
         break;
     }
 
     if (cfg_.trace) {
         if (land(ms.opn, 5) == 5)
-            cfg_.trace->memWrite(ast_->name(c.name), adr, ms.temp);
+            cfg_.trace->memWrite(ast_->name(c.name), adr, temp);
         if (land(ms.opn, 9) == 8)
-            cfg_.trace->memRead(ast_->name(c.name), adr, ms.temp);
+            cfg_.trace->memRead(ast_->name(c.name), adr, temp);
     }
 }
 

@@ -50,20 +50,20 @@ Vm::selFail(const Instr &in, int32_t sel, uint64_t cycle) const
 }
 
 void
-Vm::memTrace(const MemoryState &ms, const Instr &in) const
+Vm::memTrace(const MemoryState &ms, int32_t temp, const Instr &in) const
 {
     // Cold path: only reached when the compiler left a trace flag on
     // the instruction, which implies a sink was configured.
     if (in.reg & kMemFlagTraceW) {
         if (land(ms.opn, 5) == 5) {
             cfg_.trace->memWrite(prog_->memInfos[in.idx].name, ms.adr,
-                                 ms.temp);
+                                 temp);
         }
     }
     if (in.reg & kMemFlagTraceR) {
         if (land(ms.opn, 9) == 8) {
             cfg_.trace->memRead(prog_->memInfos[in.idx].name, ms.adr,
-                                ms.temp);
+                                temp);
         }
     }
 }
@@ -72,11 +72,7 @@ Vm::memTrace(const MemoryState &ms, const Instr &in) const
 // (load-style words) or in c (store/latch-style words, whose idx
 // names the destination).
 #define ASIM_FLDV(w) shiftField(land(vars[(w).idx], (w).a), (w).b)
-#define ASIM_FLDT(w) \
-    shiftField(land(mems[(w).idx].temp, (w).a), (w).b)
 #define ASIM_FLDVC(w) shiftField(land(vars[(w).c], (w).a), (w).b)
-#define ASIM_FLDTC(w) \
-    shiftField(land(mems[(w).c].temp, (w).a), (w).b)
 
 #define CASE(name) H_##name:
 #define DISPATCH() goto *tbl[static_cast<uint8_t>(ip->op)]
@@ -100,18 +96,22 @@ Vm::memTrace(const MemoryState &ms, const Instr &in) const
         ip = base + (t); \
         DISPATCH(); \
     } while (0)
-// One descriptor term, `bias + field(bank[slot])`, of a descriptor
-// selector: reg picks the bank (0 = vars, 1 = mem temps).
-#define ASIM_DESC(d) \
-    wadd((d).c, shiftField(land((d).reg ? mems[(d).idx].temp \
-                                        : vars[(d).idx], \
-                                (d).a), \
-                           (d).b))
+// One descriptor term, `bias + field(vars[slot])`, of a descriptor
+// selector.
+#define ASIM_DESC(d) wadd((d).c, ASIM_FLDV(d))
+// Post the trace checks of the memory op at ip (its flags in reg).
+#define MEMTRACE(ms) \
+    do { \
+        if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR)) \
+            memTrace(ms, temps[ip->idx], *ip); \
+    } while (0)
 
 void
 Vm::runCycles(uint64_t n)
 {
     int32_t *const vars = state_.vars.data();
+    // Each memory's output latch: temps[idx] (ResolvedSpec::latchSlot).
+    int32_t *const temps = vars + rs_->numVarSlots;
     MemoryState *const mems = state_.mems.data();
     const Instr *const base = prog_->cycle.data();
     const int32_t *const ct = prog_->constTable.data();
@@ -163,38 +163,32 @@ Vm::runCycles(uint64_t n)
         // One entry per Op, in exact enum order (sim/bytecode.hh).
         // Ext words are decoded by their owners, never dispatched.
         static const void *const tbl[] = {
-            &&H_SetC, &&H_LoadVar, &&H_LoadTemp, &&H_AccVar,
-            &&H_AccTemp,
+            &&H_SetC, &&H_LoadVar, &&H_AccVar,
             &&H_AluGen, &&H_AluConst, &&H_AluRight,
             &&H_AluLeft, &&H_AluNot, &&H_AluAdd, &&H_AluSub,
             &&H_AluMul, &&H_AluAnd, &&H_AluOr, &&H_AluXor, &&H_AluEq,
             &&H_AluLt, &&H_AluFold,
             &&H_SelTable,
             &&H_MemAdr, &&H_MemOpn, &&H_MemAdrC, &&H_MemOpnC,
-            &&H_MemAdrFVar, &&H_MemAdrFTemp, &&H_MemOpnFVar,
-            &&H_MemOpnFTemp,
+            &&H_MemAdrFVar, &&H_MemOpnFVar,
             &&H_MemRead, &&H_MemWrite, &&H_MemInput, &&H_MemOutput,
             &&H_MemGenPre, &&H_MemGenData,
             &&H_TraceCycle, &&H_EndCycle, &&H_Ext,
-            &&H_LoadPairCC, &&H_LoadPairCV, &&H_LoadPairCT,
-            &&H_LoadPairVC, &&H_LoadPairVV, &&H_LoadPairVT,
-            &&H_LoadPairTC, &&H_LoadPairTV, &&H_LoadPairTT,
-            &&H_LoadAccCV, &&H_LoadAccCT, &&H_LoadAccVV,
-            &&H_LoadAccVT, &&H_LoadAccTV, &&H_LoadAccTT,
-            &&H_MemLatchCC, &&H_MemLatchVC, &&H_MemLatchTC,
-            &&H_MemLatchVV,
-            &&H_MemWriteC, &&H_MemWriteV, &&H_MemWriteT,
-            &&H_MemOutputC, &&H_MemOutputV, &&H_MemOutputT,
-            &&H_SelTableV, &&H_SelTableT,
-            &&H_MemLatchCV, &&H_MemLatchCT, &&H_MemLatchVT,
-            &&H_MemLatchTV, &&H_MemLatchTT,
+            &&H_LoadPairCC, &&H_LoadPairCV,
+            &&H_LoadPairVC, &&H_LoadPairVV,
+            &&H_LoadAccCV, &&H_LoadAccVV,
+            &&H_MemLatchCC, &&H_MemLatchVC, &&H_MemLatchVV,
+            &&H_MemWriteC, &&H_MemWriteV,
+            &&H_MemOutputC, &&H_MemOutputV,
+            &&H_SelTableV,
+            &&H_MemLatchCV,
 #define ASIM_ALU_FUSED_LABEL(OPNAME, COMBO, L, R, V)                   \
             &&H_AluF##OPNAME##COMBO,
             ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_LABEL)
 #undef ASIM_ALU_FUSED_LABEL
-            &&H_SelStoreV, &&H_SelStoreT, &&H_SelStoreK,
+            &&H_SelStoreV, &&H_SelStoreK,
             &&H_TraceLatchRun, &&H_AluGenF,
-            &&H_MemGenC, &&H_MemGenV, &&H_MemGenT,
+            &&H_MemGenC, &&H_MemGenV,
         };
         static_assert(sizeof(tbl) / sizeof(tbl[0]) == kOpCount,
                       "dispatch table out of sync with Op");
@@ -210,19 +204,9 @@ Vm::runCycles(uint64_t n)
             s[ip->reg] = ASIM_FLDV(*ip);
         }
         NEXT();
-        CASE(LoadTemp)
-        {
-            s[ip->reg] = ASIM_FLDT(*ip);
-        }
-        NEXT();
         CASE(AccVar)
         {
             s[ip->reg] = wadd(s[ip->reg], ASIM_FLDV(*ip));
-        }
-        NEXT();
-        CASE(AccTemp)
-        {
-            s[ip->reg] = wadd(s[ip->reg], ASIM_FLDT(*ip));
         }
         NEXT();
 
@@ -348,19 +332,9 @@ Vm::runCycles(uint64_t n)
             mems[ip->idx].adr = ASIM_FLDVC(*ip);
         }
         NEXT();
-        CASE(MemAdrFTemp)
-        {
-            mems[ip->idx].adr = ASIM_FLDTC(*ip);
-        }
-        NEXT();
         CASE(MemOpnFVar)
         {
             mems[ip->idx].opn = ASIM_FLDVC(*ip);
-        }
-        NEXT();
-        CASE(MemOpnFTemp)
-        {
-            mems[ip->idx].opn = ASIM_FLDTC(*ip);
         }
         NEXT();
 
@@ -369,10 +343,9 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                 checkAddr(ms, ip->idx, curCycle());
-            ms.temp = ms.cells[ms.adr];
+            temps[ip->idx] = ms.cells[ms.adr];
             ++stats_.mems[ip->idx].reads;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemWrite)
@@ -380,30 +353,27 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                 checkAddr(ms, ip->idx, curCycle());
-            ms.temp = s[1];
+            temps[ip->idx] = s[1];
             ms.cells[ms.adr] = s[1];
             ++stats_.mems[ip->idx].writes;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemInput)
         {
             MemoryState &ms = mems[ip->idx];
-            ms.temp = io->input(ms.adr);
+            temps[ip->idx] = io->input(ms.adr);
             ++stats_.mems[ip->idx].inputs;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemOutput)
         {
             MemoryState &ms = mems[ip->idx];
-            ms.temp = s[1];
+            temps[ip->idx] = s[1];
             io->output(ms.adr, s[1]);
             ++stats_.mems[ip->idx].outputs;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemGenPre)
@@ -415,14 +385,13 @@ Vm::runCycles(uint64_t n)
             if (mop == mem_op::kRead) {
                 if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                     checkAddr(ms, ip->idx, curCycle());
-                ms.temp = ms.cells[ms.adr];
+                temps[ip->idx] = ms.cells[ms.adr];
                 ++stats_.mems[ip->idx].reads;
             } else { // input
-                ms.temp = io->input(ms.adr);
+                temps[ip->idx] = io->input(ms.adr);
                 ++stats_.mems[ip->idx].inputs;
             }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
             JUMP(ip->a);
         }
         CASE(MemGenData)
@@ -433,7 +402,7 @@ Vm::runCycles(uint64_t n)
                 !(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                 checkAddr(ms, ip->idx,
                           curCycle()); // before the latch is touched
-            ms.temp = s[1];
+            temps[ip->idx] = s[1];
             if (mop == mem_op::kWrite) {
                 ms.cells[ms.adr] = s[1];
                 ++stats_.mems[ip->idx].writes;
@@ -441,8 +410,7 @@ Vm::runCycles(uint64_t n)
                 io->output(ms.adr, s[1]);
                 ++stats_.mems[ip->idx].outputs;
             }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
 
@@ -481,13 +449,6 @@ Vm::runCycles(uint64_t n)
             s[e.reg] = ASIM_FLDV(e);
         }
         NEXT2();
-        CASE(LoadPairCT)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ip->a;
-            s[e.reg] = ASIM_FLDT(e);
-        }
-        NEXT2();
         CASE(LoadPairVC)
         {
             const Instr &e = ip[1];
@@ -502,34 +463,6 @@ Vm::runCycles(uint64_t n)
             s[e.reg] = ASIM_FLDV(e);
         }
         NEXT2();
-        CASE(LoadPairVT)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ASIM_FLDV(*ip);
-            s[e.reg] = ASIM_FLDT(e);
-        }
-        NEXT2();
-        CASE(LoadPairTC)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ASIM_FLDT(*ip);
-            s[e.reg] = e.a;
-        }
-        NEXT2();
-        CASE(LoadPairTV)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ASIM_FLDT(*ip);
-            s[e.reg] = ASIM_FLDV(e);
-        }
-        NEXT2();
-        CASE(LoadPairTT)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ASIM_FLDT(*ip);
-            s[e.reg] = ASIM_FLDT(e);
-        }
-        NEXT2();
 
         CASE(LoadAccCV)
         {
@@ -537,34 +470,10 @@ Vm::runCycles(uint64_t n)
             s[ip->reg] = wadd(ip->a, ASIM_FLDV(e));
         }
         NEXT2();
-        CASE(LoadAccCT)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = wadd(ip->a, ASIM_FLDT(e));
-        }
-        NEXT2();
         CASE(LoadAccVV)
         {
             const Instr &e = ip[1];
             s[ip->reg] = wadd(ASIM_FLDV(*ip), ASIM_FLDV(e));
-        }
-        NEXT2();
-        CASE(LoadAccVT)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = wadd(ASIM_FLDV(*ip), ASIM_FLDT(e));
-        }
-        NEXT2();
-        CASE(LoadAccTV)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = wadd(ASIM_FLDT(*ip), ASIM_FLDV(e));
-        }
-        NEXT2();
-        CASE(LoadAccTT)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = wadd(ASIM_FLDT(*ip), ASIM_FLDT(e));
         }
         NEXT2();
 
@@ -582,13 +491,6 @@ Vm::runCycles(uint64_t n)
             ms.opn = ip[1].a;
         }
         NEXT2();
-        CASE(MemLatchTC)
-        {
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ASIM_FLDTC(*ip);
-            ms.opn = ip[1].a;
-        }
-        NEXT2();
         CASE(MemLatchVV)
         {
             const Instr &e = ip[1];
@@ -603,11 +505,10 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                 checkAddr(ms, ip->idx, curCycle());
-            ms.temp = ip->a;
+            temps[ip->idx] = ip->a;
             ms.cells[ms.adr] = ip->a;
             ++stats_.mems[ip->idx].writes;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemWriteV)
@@ -616,56 +517,29 @@ Vm::runCycles(uint64_t n)
             if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
                 checkAddr(ms, ip->idx, curCycle());
             const int32_t d = ASIM_FLDVC(*ip);
-            ms.temp = d;
+            temps[ip->idx] = d;
             ms.cells[ms.adr] = d;
             ++stats_.mems[ip->idx].writes;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
-        }
-        NEXT();
-        CASE(MemWriteT)
-        {
-            MemoryState &ms = mems[ip->idx];
-            if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                checkAddr(ms, ip->idx, curCycle());
-            const int32_t d = ASIM_FLDTC(*ip);
-            ms.temp = d;
-            ms.cells[ms.adr] = d;
-            ++stats_.mems[ip->idx].writes;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemOutputC)
         {
             MemoryState &ms = mems[ip->idx];
-            ms.temp = ip->a;
+            temps[ip->idx] = ip->a;
             io->output(ms.adr, ip->a);
             ++stats_.mems[ip->idx].outputs;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemOutputV)
         {
             MemoryState &ms = mems[ip->idx];
             const int32_t d = ASIM_FLDVC(*ip);
-            ms.temp = d;
+            temps[ip->idx] = d;
             io->output(ms.adr, d);
             ++stats_.mems[ip->idx].outputs;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
-        }
-        NEXT();
-        CASE(MemOutputT)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t d = ASIM_FLDTC(*ip);
-            ms.temp = d;
-            io->output(ms.adr, d);
-            ++stats_.mems[ip->idx].outputs;
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
 
@@ -673,17 +547,6 @@ Vm::runCycles(uint64_t n)
         {
             const Instr &e = ip[1];
             const int32_t sel = ASIM_FLDV(e);
-            if (static_cast<uint32_t>(sel) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, sel, curCycle());
-            ++selEvals;
-            vars[ip->idx] = ct[ip->a + sel];
-        }
-        NEXT2();
-        CASE(SelTableT)
-        {
-            const Instr &e = ip[1];
-            const int32_t sel = ASIM_FLDT(e);
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
@@ -699,40 +562,8 @@ Vm::runCycles(uint64_t n)
             ms.opn = ASIM_FLDVC(e);
         }
         NEXT2();
-        CASE(MemLatchCT)
-        {
-            const Instr &e = ip[1];
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ip->a;
-            ms.opn = ASIM_FLDTC(e);
-        }
-        NEXT2();
-        CASE(MemLatchVT)
-        {
-            const Instr &e = ip[1];
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ASIM_FLDVC(*ip);
-            ms.opn = ASIM_FLDTC(e);
-        }
-        NEXT2();
-        CASE(MemLatchTV)
-        {
-            const Instr &e = ip[1];
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ASIM_FLDTC(*ip);
-            ms.opn = ASIM_FLDVC(e);
-        }
-        NEXT2();
-        CASE(MemLatchTT)
-        {
-            const Instr &e = ip[1];
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ASIM_FLDTC(*ip);
-            ms.opn = ASIM_FLDTC(e);
-        }
-        NEXT2();
 
-        // Fused two-operand ALUs (one handler per op x bank combo,
+        // Fused two-operand ALUs (one handler per op x operand combo,
         // generated from the shared X-macro so the decode expressions
         // are compile-time constants in every handler).
 #define ASIM_ALU_FUSED_HANDLER(OPNAME, COMBO, LEXPR, REXPR, VEXPR)     \
@@ -750,11 +581,8 @@ Vm::runCycles(uint64_t n)
 #undef ASIM_ALU_FUSED_HANDLER
 
         // The selected case's descriptor decodes as one arithmetic
-        // form, bias + field(bank[slot]), with the descriptor's reg
-        // bit picking the bank (0 = vars, 1 = mem temps).  Constant
-        // cases ride the vars form with a zero mask, so only
-        // genuinely mixed var/temp selectors pay a data-dependent
-        // bank branch.
+        // form, bias + field(vars[slot]); constant cases ride it with
+        // a zero mask.
         CASE(SelStoreV)
         {
             const Instr &e = ip[1];
@@ -763,34 +591,14 @@ Vm::runCycles(uint64_t n)
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
             ++selEvals;
-            const Instr &d = ip[2 + sel];
-            const int32_t src = d.reg ? mems[d.idx].temp
-                                      : vars[d.idx];
-            vars[ip->idx] =
-                d.c + shiftField(land(src, d.a), d.b);
-            NEXTN(static_cast<int64_t>(ip->b) + 2);
-        }
-        CASE(SelStoreT)
-        {
-            const Instr &e = ip[1];
-            const int32_t sel = ASIM_FLDTC(e);
-            if (static_cast<uint32_t>(sel) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, sel, curCycle());
-            ++selEvals;
-            const Instr &d = ip[2 + sel];
-            const int32_t src = d.reg ? mems[d.idx].temp
-                                      : vars[d.idx];
-            vars[ip->idx] =
-                d.c + shiftField(land(src, d.a), d.b);
+            vars[ip->idx] = ASIM_DESC(ip[2 + sel]);
             NEXTN(static_cast<int64_t>(ip->b) + 2);
         }
         CASE(SelStoreK)
         {
             const Instr &e = ip[1];
-            const int32_t sel = ip->reg == kSelFromVar    ? ASIM_FLDVC(e)
-                                : ip->reg == kSelFromTemp ? ASIM_FLDTC(e)
-                                                          : s[0];
+            const int32_t sel =
+                ip->reg == kSelFromField ? ASIM_FLDVC(e) : s[0];
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
@@ -826,39 +634,14 @@ Vm::runCycles(uint64_t n)
                     ms.opn = ASIM_FLDVC(q[1]);
                     q += 2;
                     break;
-                  case Op::MemLatchCT:
-                    ms.adr = in.a;
-                    ms.opn = ASIM_FLDTC(q[1]);
-                    q += 2;
-                    break;
                   case Op::MemLatchVC:
                     ms.adr = ASIM_FLDVC(in);
                     ms.opn = q[1].a;
                     q += 2;
                     break;
-                  case Op::MemLatchTC:
-                    ms.adr = ASIM_FLDTC(in);
-                    ms.opn = q[1].a;
-                    q += 2;
-                    break;
-                  case Op::MemLatchVV:
+                  default: // MemLatchVV (the fuser admits no others)
                     ms.adr = ASIM_FLDVC(in);
                     ms.opn = ASIM_FLDVC(q[1]);
-                    q += 2;
-                    break;
-                  case Op::MemLatchVT:
-                    ms.adr = ASIM_FLDVC(in);
-                    ms.opn = ASIM_FLDTC(q[1]);
-                    q += 2;
-                    break;
-                  case Op::MemLatchTV:
-                    ms.adr = ASIM_FLDTC(in);
-                    ms.opn = ASIM_FLDVC(q[1]);
-                    q += 2;
-                    break;
-                  default: // MemLatchTT (the fuser admits no others)
-                    ms.adr = ASIM_FLDTC(in);
-                    ms.opn = ASIM_FLDTC(q[1]);
                     q += 2;
                     break;
                 }
@@ -871,16 +654,10 @@ Vm::runCycles(uint64_t n)
             const Instr &e1 = ip[1];
             const Instr &e2 = ip[2];
             const Instr &e3 = ip[3];
-            const uint8_t banks = ip->reg;
-            const int32_t f = (banks & 3) == 0 ? e1.a
-                              : (banks & 3) == 1 ? ASIM_FLDV(e1)
-                                                 : ASIM_FLDT(e1);
-            const int32_t l = (banks & 12) == 0 ? e2.a
-                              : (banks & 12) == 4 ? ASIM_FLDV(e2)
-                                                  : ASIM_FLDT(e2);
-            const int32_t r = (banks & 48) == 0 ? e3.a
-                              : (banks & 48) == 16 ? ASIM_FLDV(e3)
-                                                   : ASIM_FLDT(e3);
+            const uint8_t fields = ip->reg;
+            const int32_t f = fields & 1 ? ASIM_FLDV(e1) : e1.a;
+            const int32_t l = fields & 2 ? ASIM_FLDV(e2) : e2.a;
+            const int32_t r = fields & 4 ? ASIM_FLDV(e3) : e3.a;
             vars[ip->idx] = dologic(f, l, r, alu);
             ++aluEvals;
             NEXTN(4);
@@ -903,19 +680,18 @@ Vm::runCycles(uint64_t n)
                 const bool wr = mop == mem_op::kWrite;
                 const int32_t v = wr ? ip->a : *cell;
                 *cell = v;
-                ms.temp = v;
+                temps[ip->idx] = v;
                 ++(wr ? stats_.mems[ip->idx].writes
                       : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
-                ms.temp = ip->a;
+                temps[ip->idx] = ip->a;
                 io->output(ms.adr, ip->a);
                 ++stats_.mems[ip->idx].outputs;
             } else { // input
-                ms.temp = io->input(ms.adr);
+                temps[ip->idx] = io->input(ms.adr);
                 ++stats_.mems[ip->idx].inputs;
             }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
         CASE(MemGenV)
@@ -929,47 +705,19 @@ Vm::runCycles(uint64_t n)
                 const bool wr = mop == mem_op::kWrite;
                 const int32_t v = wr ? ASIM_FLDVC(*ip) : *cell;
                 *cell = v;
-                ms.temp = v;
+                temps[ip->idx] = v;
                 ++(wr ? stats_.mems[ip->idx].writes
                       : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
                 const int32_t d = ASIM_FLDVC(*ip);
-                ms.temp = d;
+                temps[ip->idx] = d;
                 io->output(ms.adr, d);
                 ++stats_.mems[ip->idx].outputs;
             } else { // input
-                ms.temp = io->input(ms.adr);
+                temps[ip->idx] = io->input(ms.adr);
                 ++stats_.mems[ip->idx].inputs;
             }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
-        }
-        NEXT();
-        CASE(MemGenT)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t mop = land(ms.opn, 3);
-            if (mop <= mem_op::kWrite) { // read or write, merged
-                if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                    checkAddr(ms, ip->idx, curCycle());
-                int32_t *cell = &ms.cells[ms.adr];
-                const bool wr = mop == mem_op::kWrite;
-                const int32_t v = wr ? ASIM_FLDTC(*ip) : *cell;
-                *cell = v;
-                ms.temp = v;
-                ++(wr ? stats_.mems[ip->idx].writes
-                      : stats_.mems[ip->idx].reads);
-            } else if (mop == mem_op::kOutput) {
-                const int32_t d = ASIM_FLDTC(*ip);
-                ms.temp = d;
-                io->output(ms.adr, d);
-                ++stats_.mems[ip->idx].outputs;
-            } else { // input
-                ms.temp = io->input(ms.adr);
-                ++stats_.mems[ip->idx].inputs;
-            }
-            if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
-                memTrace(ms, *ip);
+            MEMTRACE(ms);
         }
         NEXT();
 

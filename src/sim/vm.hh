@@ -60,8 +60,10 @@ class Vm : public Engine
     [[noreturn]] void selFail(const Instr &in, int32_t sel,
                               uint64_t cycle) const;
 
-    /** Runtime trace checks (cold path, flag-gated). */
-    void memTrace(const MemoryState &ms, const Instr &in) const;
+    /** Runtime trace checks (cold path, flag-gated); `temp` is the
+     *  memory's output latch. */
+    void memTrace(const MemoryState &ms, int32_t temp,
+                  const Instr &in) const;
 
     /** Immutable, potentially cross-thread-shared; never written. */
     std::shared_ptr<const Program> prog_;

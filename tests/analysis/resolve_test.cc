@@ -242,7 +242,7 @@ TEST(Resolve, TraceListInDeclOrder)
     EXPECT_EQ(rs.name(rs.traceList[0].name), "z");
     EXPECT_EQ(rs.name(rs.traceList[1].name), "a");
     EXPECT_EQ(rs.name(rs.traceList[2].name), "m");
-    EXPECT_TRUE(rs.traceList[2].isMem);
+    EXPECT_EQ(rs.traceList[2].slot, rs.latchSlot(rs.memIndex("m")));
 }
 
 TEST(Resolve, TracedButUndefinedSkippedWithWarning)

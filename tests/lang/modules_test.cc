@@ -161,5 +161,65 @@ TEST(Modules, ModuleUsingGlobalComponent)
     EXPECT_EQ(e->value("out"), 7);
 }
 
+/** A selector's case list ends at a module definition: the `D` is not
+ *  read as a case and the module and its use are not dropped. */
+TEST(Modules, SelectorBeforeModuleDefinition)
+{
+    const char *text = "# selector then module definition\n"
+                       "s o .\n"
+                       "A k 2 1 0\n"
+                       "S s k 10 20\n"
+                       "D inc out x .\n"
+                       "A out 4 x 1\n"
+                       "E\n"
+                       "U i inc o s\n"
+                       ".\n";
+    Spec s = parseSpec(text);
+    EXPECT_EQ(s.find("s")->numExprs, 3u);
+    auto e = makeVm(resolveText(text));
+    e->step();
+    EXPECT_EQ(e->value("s"), 20);
+    EXPECT_EQ(e->value("o"), 21);
+}
+
+/** A selector's case list ends at a module use. */
+TEST(Modules, SelectorBeforeModuleUse)
+{
+    const char *text = "# selector then module use\n"
+                       "s o .\n"
+                       "D inc out x .\n"
+                       "A out 4 x 1\n"
+                       "E\n"
+                       "A k 2 0 0\n"
+                       "S s k 10 20\n"
+                       "U i inc o s\n"
+                       ".\n";
+    Spec s = parseSpec(text);
+    EXPECT_EQ(s.find("s")->numExprs, 3u);
+    auto e = makeVm(resolveText(text));
+    e->step();
+    EXPECT_EQ(e->value("o"), 11);
+}
+
+/** A selector last in a module body ends at the body's `E`. */
+TEST(Modules, SelectorLastInModuleBody)
+{
+    const char *text = "# selector last in a module body\n"
+                       "o .\n"
+                       "D pick out x .\n"
+                       "S out x 10 20 30\n"
+                       "E\n"
+                       "A k 2 2 0\n"
+                       "U i pick o k\n"
+                       ".\n";
+    Spec s = parseSpec(text);
+    ASSERT_NE(s.find("o"), nullptr);
+    EXPECT_EQ(s.find("o")->numExprs, 4u);
+    EXPECT_NE(s.find("k"), nullptr);
+    auto e = makeVm(resolveText(text));
+    e->step();
+    EXPECT_EQ(e->value("o"), 30);
+}
+
 } // namespace
 } // namespace asim

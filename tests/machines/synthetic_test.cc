@@ -67,11 +67,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SyntheticSafety,
                          ::testing::Range(100u, 140u));
 
 /** Dependency depth of the resolved combinational network: longest
- *  chain of Var-bank references, in components. */
+ *  chain of references to combinational outputs (output latches map
+ *  to no producer), in components. */
 int
 dependencyDepth(const ResolvedSpec &rs)
 {
-    std::vector<int> slotToComb(rs.numVarSlots, -1);
+    std::vector<int> slotToComb(rs.numVarSlots + rs.mems.size(), -1);
     for (size_t i = 0; i < rs.comb.size(); ++i)
         slotToComb[rs.comb[i].slot] = static_cast<int>(i);
     std::vector<int> level(rs.comb.size(), 0);
@@ -80,8 +81,6 @@ dependencyDepth(const ResolvedSpec &rs)
         const CombComp &c = rs.comb[i];
         for (const ResolvedExpr &e : rs.exprs(c)) {
             for (const ResolvedTerm &t : rs.terms(e)) {
-                if (t.bank != ResolvedTerm::Bank::Var)
-                    continue;
                 int p = slotToComb[t.slot];
                 if (p >= 0 && level[p] + 1 > level[i])
                     level[i] = level[p] + 1;

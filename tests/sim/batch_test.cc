@@ -77,7 +77,7 @@ TEST(BatchRunnerTest, HomogeneousBatchSharesResolveAndProgram)
     int aSlot = rs.memIndex("a");
     ASSERT_GE(aSlot, 0);
     for (const auto &r : result.instances)
-        EXPECT_EQ(r.state.mems[aSlot].temp, 21);
+        EXPECT_EQ(r.state.latches()[aSlot], 21);
 }
 
 TEST(BatchRunnerTest, VmInstancesShareOneCompiledProgram)
@@ -574,7 +574,7 @@ fingerprint(const BatchResult &result)
         for (int32_t v : r.state.vars)
             os << v << ",";
         for (const auto &m : r.state.mems) {
-            os << m.temp << ";" << m.adr << ";" << m.opn << ";";
+            os << m.adr << ";" << m.opn << ";";
             for (int32_t c : m.cells)
                 os << c << ",";
         }

@@ -228,6 +228,39 @@ TEST(Campaign, StateSiteUniverse)
     EXPECT_THROW(stateSiteAt(rs, 43), SpecError);
 }
 
+TEST(Campaign, LatchOnlyDifferenceIsSdc)
+{
+    // `f` reads a zero cell every cycle, so an upset of its output
+    // latch lives for one cycle: `g` = (0 < f) turns `x` into an
+    // input memory for that cycle, and `x` takes one scripted input
+    // ahead of `in`. From then on `in` reads the script one value
+    // later, so the final state differs from the golden run only in
+    // `in`'s output latch: cells, address and operation latches,
+    // output and cycle count all match. That is still corrupted
+    // state — SDC, not masked.
+    auto o = campaignFor("# latch-only difference\n"
+                         "= 7\n"
+                         "f g x in .\n"
+                         "A g 13 0 f\n"
+                         "M f 0 0 0 -1 0\n"
+                         "M x 0 0 g.0.0,#0 1\n"
+                         "M in 0 0 2 1\n"
+                         ".\n",
+                         64, 2);
+    o.base.ioMode = IoMode::Script;
+    for (int32_t v = 1; v <= 32; ++v)
+        o.base.scriptInputs.push_back(v);
+    CampaignResult r = CampaignRunner(o).run();
+    int latchSites = 0;
+    for (const CampaignRecord &rec : r.records) {
+        if (rec.component != "f" || rec.site.find('[') != std::string::npos)
+            continue;
+        ++latchSites;
+        EXPECT_EQ(rec.outcome, FaultOutcome::Sdc) << rec.site;
+    }
+    EXPECT_GT(latchSites, 0);
+}
+
 TEST(Campaign, ApplyFaultToSnapshotPerturbsOneWord)
 {
     SimulationOptions opts;
@@ -246,9 +279,9 @@ TEST(Campaign, ApplyFaultToSnapshotPerturbsOneWord)
     latch.component = "count";
     latch.bit = 3;
     latch.mode = "toggle";
-    const int32_t before = snap.state.mems[countMem].temp;
+    const int32_t before = snap.state.latches()[countMem];
     applyFaultToSnapshot(snap, rs, latch);
-    EXPECT_EQ(snap.state.mems[countMem].temp, before ^ 8);
+    EXPECT_EQ(snap.state.latches()[countMem], before ^ 8);
 
     FaultSite cell;
     cell.component = "mem";

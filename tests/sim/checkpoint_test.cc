@@ -21,6 +21,7 @@
 #include "machines/counter.hh"
 #include "sim/batch.hh"
 #include "sim/checkpoint.hh"
+#include "sim/native_engine.hh"
 #include "sim/simulation.hh"
 #include "support/serialize.hh"
 
@@ -255,6 +256,67 @@ TEST_F(CheckpointFormat, V1FixtureRestoresUnderEveryInProcessEngine)
     const std::string continuation = head.str().substr(prefix);
 
     for (const char *engine : {"interp", "vm", "symbolic"}) {
+        std::ostringstream out;
+        Simulation sim(options(out, engine));
+        sim.restoreCheckpoint(fixture);
+        sim.run(7);
+        EXPECT_EQ(out.str(), continuation) << engine;
+        EXPECT_TRUE(sim.engine().state() == ref.engine().state())
+            << engine;
+        EXPECT_EQ(sim.stats().summary(), ref.stats().summary())
+            << engine;
+    }
+}
+
+// A format-v2 checkpoint pins the file layout: each memory's output
+// latch sits in its memory record, whatever the engines' in-memory
+// layout. The fixture came from `asim-run --batch=1
+// --io=script:ckpt_v2.io --cycles=5 --checkpoint-dir=<dir>
+// ckpt_v2.asim` (vm; the instance checkpoint, renamed) in
+// tests/fixtures: a run stopped at cycle 5 of the spec's 12, with
+// output, trace and completion sections.
+TEST_F(CheckpointFormat, V2FixtureRoundTripsAndRestoresUnderEveryEngine)
+{
+    const std::string dir = ASIM_FIXTURES_DIR;
+    const std::string fixture = dir + "/ckpt_v2.ckpt";
+    const std::string bytes = readBytes(fixture);
+    CheckpointInfo info;
+    CheckpointSections sections;
+    const EngineSnapshot snap =
+        decodeCheckpoint(bytes, fixture, &info, &sections);
+    ASSERT_EQ(info.version, 2u);
+    ASSERT_EQ(info.cycle, 5u);
+    ASSERT_TRUE(sections.output.has_value());
+    EXPECT_EQ(encodeCheckpoint(snap, info.specHash, info.savedBy, sections),
+              bytes);
+    EXPECT_GE(std::count_if(snap.state.latches().begin(),
+                            snap.state.latches().end(),
+                            [](int32_t v) { return v != 0; }),
+              2);
+
+    auto options = [&](std::ostream &out, const std::string &engine) {
+        SimulationOptions o;
+        o.specFile = dir + "/ckpt_v2.asim";
+        o.engine = engine;
+        o.ioMode = IoMode::Script;
+        o.scriptInputs = Simulation::loadScript(dir + "/ckpt_v2.io");
+        o.ioOut = &out;
+        o.traceStream = &out;
+        return o;
+    };
+    std::ostringstream head;
+    Simulation ref(options(head, "vm"));
+    ASSERT_EQ(ref.specHash(), info.specHash);
+    ref.run(5);
+    const size_t prefix = head.str().size();
+    ref.run(7);
+    const std::string continuation = head.str().substr(prefix);
+    EXPECT_EQ(*sections.output, "0\n3\n8\n15\n26\n");
+
+    std::vector<std::string> engines{"interp", "vm", "symbolic"};
+    if (NativeEngine::available())
+        engines.push_back("native");
+    for (const std::string &engine : engines) {
         std::ostringstream out;
         Simulation sim(options(out, engine));
         sim.restoreCheckpoint(fixture);

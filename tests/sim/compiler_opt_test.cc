@@ -43,9 +43,9 @@ superinstruction(Op op)
     const auto in = [op](Op first, Op last) {
         return op >= first && op <= last;
     };
-    return in(Op::LoadPairCC, Op::MemLatchTT) ||
-           in(Op::AluFAddVV, Op::AluFLtCT) ||
-           in(Op::TraceLatchRun, Op::MemGenT);
+    return in(Op::LoadPairCC, Op::MemLatchCV) ||
+           in(Op::AluFAddVV, Op::AluFLtCV) ||
+           in(Op::TraceLatchRun, Op::MemGenV);
 }
 
 TEST(CompilerOpt, FusionFormsSuperinstructions)
@@ -59,9 +59,7 @@ TEST(CompilerOpt, FusionFormsSuperinstructions)
     // TraceLatchRun dispatch.
     EXPECT_GT(countOp(fused.cycle, Op::SelStoreV), 0);
     EXPECT_GT(countOp(fused.cycle, Op::AluGenF), 0);
-    EXPECT_GT(countOp(fused.cycle, Op::SelTableV) +
-                  countOp(fused.cycle, Op::SelTableT),
-              0);
+    EXPECT_GT(countOp(fused.cycle, Op::SelTableV), 0);
     EXPECT_EQ(countOp(fused.cycle, Op::TraceLatchRun), 1);
     // The counter is the number of superinstruction words emitted.
     uint32_t words = 0;
@@ -83,19 +81,14 @@ TEST(CompilerOpt, DeadStoresEliminated)
     for (size_t i = 1; i < p.cycle.size(); ++i) {
         switch (p.cycle[i].op) {
           case Op::SelTableV:
-          case Op::SelTableT:
           case Op::MemWriteC:
           case Op::MemWriteV:
-          case Op::MemWriteT:
           case Op::MemOutputC:
           case Op::MemOutputV:
-          case Op::MemOutputT:
           case Op::MemGenC:
-          case Op::MemGenV:
-          case Op::MemGenT: {
+          case Op::MemGenV: {
             const Op before = p.cycle[i - 1].op;
-            EXPECT_TRUE(before != Op::SetC && before != Op::LoadVar &&
-                        before != Op::LoadTemp)
+            EXPECT_TRUE(before != Op::SetC && before != Op::LoadVar)
                 << "word " << i - 1 << " " << opName(before);
             ++consumers;
             break;
@@ -189,7 +182,7 @@ TEST(CompilerOpt, CycleStreamPinned)
     EXPECT_EQ(dis("counter.asim"),
               R"(hoisted:
 cycle:
-  0: aluf.Add.TC r0 #0 a=15 b=0 c=0
+  0: aluf.Add.VC r0 #0 a=15 b=0 c=1
   1: ext r0 #0 a=1 b=0 c=0
   2: trace.latchrun r0 #0 a=0 b=1 c=0
   3: mlatch.cc r0 #0 a=0 b=1 c=0
@@ -201,27 +194,27 @@ opt: cycle=6 fused=4 checksElided=1 levels=1 shapeRuns=1 hoisted=0
     EXPECT_EQ(dis("gcd.asim"),
               R"(hoisted:
 cycle:
-  0: aluf.Lt.CT r0 #1 a=0 b=0 c=0
-  1: ext r0 #0 a=-1 b=0 c=2
-  2: aluf.Lt.TT r0 #3 a=-1 b=0 c=1
-  3: ext r0 #0 a=-1 b=0 c=0
-  4: aluf.Lt.TT r0 #4 a=-1 b=0 c=0
-  5: ext r0 #0 a=-1 b=0 c=1
-  6: aluf.Add.TC r0 #0 a=-1 b=0 c=2
+  0: aluf.Lt.CV r0 #1 a=0 b=0 c=0
+  1: ext r0 #0 a=-1 b=0 c=11
+  2: aluf.Lt.VV r0 #3 a=-1 b=0 c=10
+  3: ext r0 #0 a=-1 b=0 c=9
+  4: aluf.Lt.VV r0 #4 a=-1 b=0 c=9
+  5: ext r0 #0 a=-1 b=0 c=10
+  6: aluf.Add.VC r0 #0 a=-1 b=0 c=11
   7: ext r0 #0 a=1 b=0 c=0
-  8: aluf.Sub.TT r0 #5 a=-1 b=0 c=0
-  9: ext r0 #0 a=-1 b=0 c=1
-  10: aluf.Sub.TT r0 #6 a=-1 b=0 c=1
-  11: ext r0 #0 a=-1 b=0 c=0
+  8: aluf.Sub.VV r0 #5 a=-1 b=0 c=9
+  9: ext r0 #0 a=-1 b=0 c=10
+  10: aluf.Sub.VV r0 #6 a=-1 b=0 c=10
+  11: ext r0 #0 a=-1 b=0 c=9
   12: seltab.v r0 #2 a=0 b=2 c=0
   13: ext r0 #1 a=1 b=0 c=0
   14: selst.v r0 #7 a=0 b=2 c=1
   15: ext r0 #0 a=1 b=0 c=3
-  16: ext r1 #0 a=-1 b=0 c=0
+  16: ext r0 #9 a=-1 b=0 c=0
   17: ext r0 #5 a=-1 b=0 c=0
   18: selst.v r0 #8 a=0 b=2 c=2
   19: ext r0 #0 a=1 b=0 c=4
-  20: ext r1 #1 a=-1 b=0 c=0
+  20: ext r0 #10 a=-1 b=0 c=0
   21: ext r0 #6 a=-1 b=0 c=0
   22: trace.latchrun r0 #0 a=0 b=5 c=0
   23: mlatch.cv r0 #0 a=0 b=0 c=0

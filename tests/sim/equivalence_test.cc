@@ -188,12 +188,11 @@ TEST(Equivalence, LayeredPresetCheckpoints)
 /** Small machines for the opcodes the corpus below never links, one
  *  group of opcodes each: memories whose latch or data expressions
  *  mix a simple side with a multi-term side, output memories with
- *  every data shape, temp-field operations, and the direct binary
- *  ALUs on operand bank combos the corpus lacks. `t` is a counting
- *  register memory whose temp the others read (the T bank); `c` and
- *  `d` are ALUs (the V bank). */
+ *  constant and multi-term data, and a fold behind a barrier. `t` is
+ *  a counting register memory whose output latch the others read;
+ *  `c` and `d` are ALUs. */
 const char *const kOpcodeSpecs[] = {
-    // madrc, madrfv, madrft with a two-term operation (mopn), and a
+    // madrc and madrfv with a two-term operation (mopn), and a
     // generic memory with two-term data (mem.pre, mem.fin).
     "# latches beside a two-term operation\n"
     "t* c d m1 m2 m3 .\n"
@@ -204,48 +203,19 @@ const char *const kOpcodeSpecs[] = {
     "M m3 t.0.1 c t.0.0,t.1.1 4\n"
     "M t 0 c 1 1\n"
     ".\n",
-    // mopnft beside a two-term address; mlatch.ct/vt/tt.
-    "# temp-field operations\n"
-    "t* c m4 m5 m6 m7 .\n"
-    "A c 4 t 1\n"
-    "M m4 c.0.0,t.0.0 0 t.0.1 4\n"
-    "M m5 2 c t.0.1 4\n"
-    "M m6 c.0.1 c t.0.1 4\n"
-    "M m7 t.0.1 c t.1.2 4\n"
-    "M t 0 c 1 1\n"
-    ".\n",
-    // mem.out (two-term data), mem.outc, mem.outv, mem.wrt.
-    "# output and write data shapes\n"
-    "t* c o1 o2 o3 w1 .\n"
+    // mem.out (two-term data), mem.outc, mem.outv.
+    "# output data shapes\n"
+    "t* c o1 o2 o3 .\n"
     "A c 4 t 1\n"
     "M o1 0 c.1.2,c.0.0 3 1\n"
     "M o2 1 7 3 1\n"
     "M o3 2 c 3 1\n"
-    "M w1 0 t 1 1\n"
     "M t 0 c 1 1\n"
-    ".\n",
-    // Direct binary ALUs on the var/temp operand combos (aluf.OP.VT,
-    // .TV, .TT) the corpus lacks.
-    "# fused ALU operand banks\n"
-    "t* u* c and1 and2 eq1 lt1 mul1 or1 or2 sub1 xor1 xor2 .\n"
-    "A c 4 t 1\n"
-    "A and1 8 t c\n"
-    "A and2 8 c t\n"
-    "A eq1 12 c t\n"
-    "A lt1 13 t c\n"
-    "A mul1 7 c t\n"
-    "A or1 9 t c\n"
-    "A or2 9 c t\n"
-    "A sub1 5 c t\n"
-    "A xor1 10 t u\n"
-    "A xor2 10 c t\n"
-    "M t 0 c 1 1\n"
-    "M u 0 t 1 1\n"
     ".\n",
     // A fold behind a selector that may fault (s1: index c.0.1
     // against 3 cases, c only ever 0 or 2), so it stays in the cycle
     // (alu.fold), and the general descriptor selector on an s0 select
-    // (s2, K = 2) and a temp-field select (s3, K = 3).
+    // (s2, K = 2) and a single-field select (s3, K = 3).
     "# folds behind a barrier, descriptor selector select sources\n"
     "t* inc c s1 k0 s2 s3 .\n"
     "A inc 4 t 1\n"
@@ -341,7 +311,6 @@ dispatchWords(const Instr &in)
 {
     switch (in.op) {
       case Op::SelStoreV:
-      case Op::SelStoreT:
         return 2 + static_cast<size_t>(in.b);
       case Op::SelStoreK:
         return 2 + static_cast<size_t>(in.b) * static_cast<size_t>(in.a);
@@ -372,7 +341,7 @@ TEST(Vm, CombStreamIsStraightLine)
             EXPECT_TRUE(in.op != Op::Ext && in.op != Op::MemGenPre &&
                         in.op != Op::EndCycle)
                 << name << " word " << i << ": " << opName(in.op);
-            if (in.op == Op::SelStoreV || in.op == Op::SelStoreT)
+            if (in.op == Op::SelStoreV)
                 ks.insert(1);
             else if (in.op == Op::SelStoreK)
                 ks.insert(std::min(in.a, 3));

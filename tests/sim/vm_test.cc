@@ -29,11 +29,11 @@ TEST(Vm, ConstAluInlined)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Program p = compileProgram(rs);
-    // Constant function 4 gets the direct add, with the temp field
+    // Constant function 4 gets the direct add, with the latch field
     // and the constant inline.
     EXPECT_EQ(countOp(p.cycle, Op::AluGen), 0);
     EXPECT_EQ(countOp(p.cycle, Op::AluGenF), 0);
-    EXPECT_EQ(countOp(p.cycle, Op::AluFAddTC), 1);
+    EXPECT_EQ(countOp(p.cycle, Op::AluFAddVC), 1);
 }
 
 TEST(Vm, SingleFieldLatchesFused)
@@ -66,8 +66,7 @@ TEST(Vm, ConstMemSpecialized)
     Program p = compileProgram(rs);
     // A write with its one-field data inline; no generic memory op.
     EXPECT_EQ(countOp(p.cycle, Op::MemWriteV), 1);
-    for (Op op : {Op::MemGenPre, Op::MemGenData, Op::MemGenC, Op::MemGenV,
-                  Op::MemGenT})
+    for (Op op : {Op::MemGenPre, Op::MemGenData, Op::MemGenC, Op::MemGenV})
         EXPECT_EQ(countOp(p.cycle, op), 0) << opName(op);
 }
 
@@ -78,8 +77,7 @@ TEST(Vm, ConstSelectorBecomesTable)
         resolveText(stackMachineSpec(sieveProgram(5), 100));
     Program p = compileProgram(rs);
     EXPECT_GT(countOp(p.cycle, Op::SelTable) +
-                  countOp(p.cycle, Op::SelTableV) +
-                  countOp(p.cycle, Op::SelTableT),
+                  countOp(p.cycle, Op::SelTableV),
               0);
     EXPECT_GT(p.constTable.size(), 0u);
 }
@@ -201,7 +199,7 @@ TEST(Vm, HoistedFoldsSplitAtTheFirstBarrier)
     // one before it is hoisted, and all three are emitted once.
     const auto barrier =
         std::find_if(p.cycle.begin(), p.cycle.end(), [&](const Instr &in) {
-            return in.op == Op::SelStoreT && in.idx == rs.comb[2].slot;
+            return in.op == Op::SelStoreV && in.idx == rs.comb[2].slot;
         });
     ASSERT_NE(barrier, p.cycle.end());
     EXPECT_EQ(std::count_if(p.cycle.begin(), barrier,
@@ -294,8 +292,8 @@ TEST(Vm, ProgramSizesReported)
 
 TEST(Vm, RefusesMoreSlotsThanInstrIdxNumbers)
 {
-    // ~70k components: more var slots than the 16-bit Instr::idx can
-    // number.
+    // ~70k components: more value slots than the 16-bit Instr::idx
+    // can number.
     SimulationOptions opts;
     opts.resolved = std::make_shared<const ResolvedSpec>(
         resolve(generateSynthetic(syntheticPreset("70000"))));
@@ -307,8 +305,9 @@ TEST(Vm, RefusesMoreSlotsThanInstrIdxNumbers)
     } catch (const SimError &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("65536"), std::string::npos) << what;
-        EXPECT_NE(what.find(std::to_string(opts.resolved->numVarSlots)),
-                  std::string::npos)
+        const size_t slots =
+            opts.resolved->numVarSlots + opts.resolved->mems.size();
+        EXPECT_NE(what.find(std::to_string(slots)), std::string::npos)
             << what;
     }
     opts.engine = "interp";
