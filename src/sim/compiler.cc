@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <sstream>
 
 #include "analysis/depgraph.hh"
 #include "lang/alu_ops.hh"
+#include "sim/state.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -66,58 +66,6 @@ aluOperandNeeds(int32_t funct, bool &needL, bool &needR)
     }
 }
 
-/** Direct opcode for a constant ALU function that does not fold (see
- *  aluFolds: zero and unused always do); AluConst for the ones that
- *  keep the generic handler (Shl depends on AluSemantics). */
-Op
-aluDirectOp(int32_t funct)
-{
-    switch (funct) {
-      case kAluRight:
-        return Op::AluRight;
-      case kAluLeft:
-        return Op::AluLeft;
-      case kAluNot:
-        return Op::AluNot;
-      case kAluAdd:
-        return Op::AluAdd;
-      case kAluSub:
-        return Op::AluSub;
-      case kAluMul:
-        return Op::AluMul;
-      case kAluAnd:
-        return Op::AluAnd;
-      case kAluOr:
-        return Op::AluOr;
-      case kAluXor:
-        return Op::AluXor;
-      case kAluEq:
-        return Op::AluEq;
-      case kAluLt:
-        return Op::AluLt;
-      default:
-        return Op::AluConst;
-    }
-}
-
-/** Position of a direct binary ALU op in the fused-ALU op group, or
- *  -1. Order matches ASIM_ALU_FUSED_ALL in sim/bytecode.hh. */
-int
-aluDirectIndex(Op op)
-{
-    switch (op) {
-      case Op::AluAdd: return 0;
-      case Op::AluSub: return 1;
-      case Op::AluMul: return 2;
-      case Op::AluAnd: return 3;
-      case Op::AluOr: return 4;
-      case Op::AluXor: return 5;
-      case Op::AluEq: return 6;
-      case Op::AluLt: return 7;
-      default: return -1;
-    }
-}
-
 /** True when a constant-function ALU folds to a single AluFold: every
  *  operand its function reads is constant (Shl excepted: its thesis
  *  semantics are the run-time AluSemantics setting). */
@@ -139,89 +87,86 @@ casesConstant(const ResolvedSpec &rs, const CombComp &c)
                        [](const ResolvedExpr &e) { return e.isConstant(); });
 }
 
-/** True if `e` is a pure single-field expression (one term, no
- *  constant part). */
-bool
-singleField(const ResolvedExpr &e)
+/** A term span a word reads: the terms of one expression, or of two
+ *  summed (wrapping addition is associative), with their constants
+ *  and `bias` on the first term. */
+struct Span
 {
-    return e.count == 1 && e.constTotal == 0;
+    const ResolvedExpr *e = nullptr;
+    const ResolvedExpr *plus = nullptr;
+    int32_t bias = 0;
+
+    /** One term per field, or one zero-mask term for a constant. */
+    uint8_t
+    length() const
+    {
+        const uint32_t n = e->count + (plus ? plus->count : 0);
+        return static_cast<uint8_t>(std::max<uint32_t>(n, 1));
+    }
+};
+
+/** Append span `s` to `out`. A constant's zero-mask term reads `own`,
+ *  the slot the reading word itself writes: its last value is a cycle
+ *  old, so the term waits on no store of the cycle in progress. */
+void
+appendSpan(const ResolvedSpec &rs, const Span &s, uint32_t own,
+           std::vector<VmTerm> &out)
+{
+    const size_t first = out.size();
+    int32_t bias = s.bias;
+    for (const ResolvedExpr *e : {s.e, s.plus}) {
+        if (!e)
+            continue;
+        bias = wadd(bias, e->constTotal);
+        for (const ResolvedTerm &t : rs.terms(*e)) {
+            VmTerm x;
+            x.slot = static_cast<uint32_t>(t.slot);
+            // A field's bits land inside the word whichever way it
+            // shifts; a whole word shifted left loses its top bits
+            // first.
+            x.mask = t.whole() && t.shift > 0
+                         ? static_cast<int32_t>(~uint32_t{0} >> t.shift)
+                         : t.mask;
+            x.rot = static_cast<uint32_t>(t.shift) & 31;
+            out.push_back(x);
+        }
+    }
+    if (out.size() == first) {
+        VmTerm x;
+        x.slot = own;
+        out.push_back(x);
+    }
+    out[first].bias = bias;
 }
 
-/** True if `e` loads in one word: a constant or a single field, the
- *  operand shapes every superinstruction carries inline. */
-bool
-oneWord(const ResolvedExpr &e)
+/** Opcode of a constant ALU function that combines two spans, or
+ *  AluConst for shift left, whose semantics are a run-time setting. */
+Op
+aluBinaryOp(int32_t funct)
 {
-    return e.isConstant() || singleField(e);
-}
-
-/** The one-word load of `e` into s[reg] (oneWord(e) must hold):
- *  SetC (constant in a) or LoadVar (idx = slot, a = mask, b = shift).
- *  A superinstruction takes these operands inline. */
-Instr
-simpleLoad(const ResolvedSpec &rs, const ResolvedExpr &e, uint8_t reg)
-{
-    if (e.isConstant())
-        return {Op::SetC, reg, 0, e.constTotal, 0, 0};
-    const ResolvedTerm &t = rs.termPool[e.first];
-    return {Op::LoadVar, reg, static_cast<uint16_t>(t.slot), t.mask,
-            t.shift, 0};
-}
-
-/** Kind of a load word: 0 = constant (SetC), 1 = field (LoadVar),
- *  -1 = an accumulate. The C/V rows of the superinstruction tables
- *  below index by it. */
-int
-kind(const Instr &load)
-{
-    switch (load.op) {
-      case Op::SetC: return 0;
-      case Op::LoadVar: return 1;
-      default: return -1;
+    switch (funct) {
+      case kAluSub: return Op::AluSub;
+      case kAluMul: return Op::AluMul;
+      case kAluAnd: return Op::AluAnd;
+      case kAluOr: return Op::AluOr;
+      case kAluXor: return Op::AluXor;
+      case kAluEq: return Op::AluEq;
+      case kAluLt: return Op::AluLt;
+      default: return Op::AluConst;
     }
 }
 
-/** A word whose destination is `dst` and whose one-word operand rides
- *  inline: constant in a, or field a = mask, b = shift, c = slot. */
-Instr
-inlineOperand(Op op, uint8_t reg, uint16_t dst, const Instr &load)
+/** The spans a comb component's word reads, in cursor order. */
+struct Operands
 {
-    return {op, reg, dst, load.a, load.b, load.idx};
-}
-
-/** The load word `load` as an extension word of its consumer. */
-Instr
-asExt(Instr load)
-{
-    load.op = Op::Ext;
-    return load;
-}
-
-// Opcodes by operand kind: C, V as kind() numbers them.
-constexpr Op kLoadPair[2][2] = {
-    {Op::LoadPairCC, Op::LoadPairCV},
-    {Op::LoadPairVC, Op::LoadPairVV},
+    std::array<Span, 3> s{};
+    int n = 0;
 };
-// Second side always a field (an AccVar source).
-constexpr Op kLoadAcc[2] = {Op::LoadAccCV, Op::LoadAccVV};
-constexpr Op kMemLatch[2][2] = {
-    {Op::MemLatchCC, Op::MemLatchCV},
-    {Op::MemLatchVC, Op::MemLatchVV},
-};
-constexpr Op kMemAdr[2] = {Op::MemAdrC, Op::MemAdrFVar};
-constexpr Op kMemOpn[2] = {Op::MemOpnC, Op::MemOpnFVar};
-constexpr Op kMemWrite[2] = {Op::MemWriteC, Op::MemWriteV};
-constexpr Op kMemOutput[2] = {Op::MemOutputC, Op::MemOutputV};
-constexpr Op kMemGen[2] = {Op::MemGenC, Op::MemGenV};
-// Position of an operand combo in a fused-ALU op group (order of
-// ASIM_ALU_FUSED_COMBOS); const/const folds, so it has none.
-constexpr int kAluCombo[2][2] = {{-1, 2}, {1, 0}};
 
 /**
  * The one emit stage: lowers a ResolvedSpec straight to the stream
- * the VM executes. Each component picks its superinstruction from the
- * shapes of its operand expressions, so a load a consumer absorbs is
- * never emitted and nothing is rewritten afterwards.
+ * the VM executes, one op word per component and its operands as
+ * term spans, so nothing is rewritten afterwards.
  */
 class Compiler
 {
@@ -240,63 +185,106 @@ class Compiler
         for (int32_t i : combSchedule()) {
             const CombComp &c = rs_.comb[i];
             barrierSeen = barrierSeen || mayFault(c);
-            if (c.kind == CompKind::Alu)
-                compileAlu(c, !barrierSeen);
-            else
-                compileSelector(c);
+            compileComb(c, !barrierSeen);
         }
         prog_.opt.hoisted = static_cast<uint32_t>(prog_.hoisted.size());
         compileLatches();
         compileUpdates();
-        code_.push_back({Op::EndCycle, 0, 0, 0, 0, 0});
+        code_.push_back({Op::EndCycle});
+        // vms share no line of the arrays they read every cycle with
+        // another vm's state (sim/state.hh).
+        reserveSpareLine(prog_.cycle);
+        reserveSpareLine(prog_.terms);
+        reserveSpareLine(prog_.caseTerms);
+        reserveSpareLine(prog_.latches);
+        reserveSpareLine(prog_.constTable);
         return std::move(prog_);
     }
 
   private:
-    /** The facts that fix a component's emitted opcode sequence,
-     *  mirroring compileAlu/compileSelector: its kind, its constant
-     *  function value (or a dynamic function's shape), for every
-     *  operand, select or case expression the code reads whether it
-     *  is constant, whether it has a constant part, and its term
-     *  count, and for a descriptor selector its K. */
-    void
-    shapeKey(const CombComp &c, std::string &key) const
+    /** The op word of comb component `c` without its table base, and
+     *  the spans it reads. An ALU reads only the operands its constant
+     *  function uses, as the thesis' inline expansions emit only the
+     *  expressions they need. */
+    Instr
+    combWord(const CombComp &c, Operands &ops) const
     {
-        key.assign(1, c.kind == CompKind::Alu ? 'a' : 's');
-        auto add = [&](const ResolvedExpr &e) {
-            key += e.isConstant() ? 'c' : e.constTotal != 0 ? 'k' : 'f';
-            key.append(e.count, 'v');
+        Instr w;
+        w.dst = static_cast<uint32_t>(c.slot);
+        ops = {};
+        const auto read = [&](const Span &s) {
+            w.n[ops.n] = s.length();
+            ops.s[ops.n++] = s;
         };
         if (c.kind == CompKind::Selector) {
-            add(rs_.select(c));
+            w.b = static_cast<int32_t>(rs_.cases(c).size());
+            read({&rs_.select(c)});
             if (casesConstant(rs_, c)) {
-                key += '#'; // a table lookup, whatever the cases
-                return;
+                w.op = Op::SelTable;
+            } else {
+                w.op = Op::SelCase;
+                w.n[1] = caseTerms(c);
             }
-            // K, then each case's descriptor pattern: whether it has
-            // a bias, and its term count.
-            key += std::to_string(caseTerms(c));
-            for (const ResolvedExpr &e : rs_.cases(c))
-                add(e);
-            return;
+            return w;
         }
+        const ResolvedExpr &l = rs_.left(c);
+        const ResolvedExpr &r = rs_.right(c);
         if (!c.functConst) {
-            add(rs_.funct(c));
-            add(rs_.left(c));
-            add(rs_.right(c));
-            return;
+            w.op = Op::AluGen;
+            read({&rs_.funct(c)});
+            read({&l});
+            read({&r});
+            return w;
         }
         if (aluFolds(rs_, c)) {
-            key = "=";
-            return;
+            // dologic ignores the operands the function does not
+            // read, constant or not.
+            w.op = Op::AluFold;
+            w.a = dologic(c.functValue, l.constTotal, r.constTotal);
+            return w;
         }
-        bool needL = true, needR = true;
-        aluOperandNeeds(c.functValue, needL, needR);
-        key += std::to_string(c.functValue);
-        if (needL)
-            add(rs_.left(c));
-        if (needR)
-            add(rs_.right(c));
+        w.op = Op::AluMov;
+        switch (c.functValue) {
+          case kAluRight:
+            read({&r});
+            break;
+          case kAluLeft:
+            read({&l});
+            break;
+          case kAluNot:
+            w.op = Op::AluNot;
+            read({&l});
+            break;
+          case kAluAdd:
+            // l + r is one span of both operands' terms.
+            read({&l, &r});
+            break;
+          case kAluSub:
+            if (r.isConstant()) {
+                read({&l, nullptr, wsub(0, r.constTotal)});
+                break;
+            }
+            [[fallthrough]];
+          default:
+            w.op = aluBinaryOp(c.functValue);
+            if (w.op == Op::AluConst)
+                w.a = c.functValue;
+            read({&l});
+            read({&r});
+            break;
+        }
+        return w;
+    }
+
+    /** What fixes a component's dispatched sequence: its opcode and
+     *  span lengths (a case table's K included). */
+    uint32_t
+    shapeKey(const CombComp &c) const
+    {
+        Operands ops;
+        const Instr w = combWord(c, ops);
+        return static_cast<uint32_t>(w.op) << 24 | uint32_t{w.n[0]} << 16 |
+               uint32_t{w.n[1]} << 8 | w.n[2];
     }
 
     /** True when evaluating `c` can raise a SimError: a selector whose
@@ -314,8 +302,8 @@ class Compiler
     /**
      * The comb phase's emission order: by dependency level, and
      * within a level by shape key (stable in `rs.comb` order), so the
-     * threaded dispatch meets long runs of one opcode sequence, and
-     * neighbouring runs share a prefix, instead of the resolver's
+     * threaded dispatch meets long runs of one opcode and span shape,
+     * and neighbouring runs share an opcode, instead of the resolver's
      * order. A component that may fault is a barrier nothing moves
      * across: everything `rs.comb` puts before it still runs before
      * it, so the fault text, the partial-cycle state and the
@@ -327,298 +315,99 @@ class Compiler
         const auto n = static_cast<int32_t>(rs_.comb.size());
         const std::vector<int32_t> level = combLevels(rs_);
 
-        // Shape key -> its rank in key order, numbered once all are in.
-        std::map<std::string, int32_t> rank;
-        std::vector<std::map<std::string, int32_t>::iterator> shape(n);
-        std::vector<int32_t> segment(n);
-        std::string key;
-        int32_t seg = 0;
+        // The trailing index keeps equal keys in rs.comb order.
+        std::vector<std::array<int64_t, 4>> sorted(n);
+        int64_t seg = 0;
         for (int32_t i = 0; i < n; ++i) {
             const CombComp &c = rs_.comb[i];
-            shapeKey(c, key);
-            shape[i] = rank.try_emplace(key, 0).first;
             // A barrier gets a segment of its own.
             const bool barrier = mayFault(c);
             seg += barrier;
-            segment[i] = seg;
+            sorted[i] = {seg, level[i], shapeKey(c), i};
             seg += barrier;
             prog_.opt.levels = std::max(
                 prog_.opt.levels, static_cast<uint32_t>(level[i]) + 1);
         }
-        int32_t next = 0;
-        for (auto &kv : rank)
-            kv.second = next++;
-
-        // The trailing index keeps equal keys in rs.comb order.
-        std::vector<std::array<int32_t, 4>> sorted(n);
-        for (int32_t i = 0; i < n; ++i)
-            sorted[i] = {segment[i], level[i], shape[i]->second, i};
         std::sort(sorted.begin(), sorted.end());
         std::vector<int32_t> order(n);
         for (int32_t i = 0; i < n; ++i) {
-            order[i] = sorted[i][3];
+            order[i] = static_cast<int32_t>(sorted[i][3]);
             if (i == 0 || sorted[i][2] != sorted[i - 1][2])
                 ++prog_.opt.shapeRuns;
         }
         return order;
     }
 
-    /** Queue the canonical loads evaluating `e` into s[reg]: a SetC
-     *  of the constant part when there is one, then one LoadVar, or
-     *  AccVar after the first word, per term. */
-    void
-    queueLoads(const ResolvedExpr &e, uint8_t reg)
-    {
-        bool first = true;
-        if (e.isConstant() || e.constTotal != 0) {
-            loads_.push_back({Op::SetC, reg, 0, e.constTotal, 0, 0});
-            first = false;
-        }
-        for (const ResolvedTerm &t : rs_.terms(e)) {
-            const Op op = first ? Op::LoadVar : Op::AccVar;
-            first = false;
-            loads_.push_back(
-                {op, reg, static_cast<uint16_t>(t.slot), t.mask, t.shift, 0});
-        }
-    }
-
-    /** Emit the queued loads, left to right, each simple load fused
-     *  with the load after it: the first load of another expression,
-     *  in another register (LoadPair), or an accumulate into its own
-     *  register (LoadAcc). The second load stays as the extension
-     *  word. */
-    void
-    flushLoads()
-    {
-        for (size_t i = 0; i < loads_.size(); ++i) {
-            Instr x = loads_[i];
-            const int kx = kind(x);
-            if (kx < 0 || i + 1 == loads_.size()) {
-                code_.push_back(x);
-                continue;
-            }
-            const Instr &y = loads_[++i];
-            const int ky = kind(y);
-            x.op = ky >= 0 ? kLoadPair[kx][ky] : kLoadAcc[kx];
-            code_.push_back(x);
-            code_.push_back(asExt(y));
-            ++prog_.opt.fused;
-        }
-        loads_.clear();
-    }
-
-    /** K of a descriptor selector: its largest case term count (at
-     *  least 1, so a constant case still has a word for its bias). */
-    int32_t
+    /** K of a case table: the largest case term span (at least 1, so
+     *  a constant case still has a term for its bias). */
+    uint8_t
     caseTerms(const CombComp &c) const
     {
-        uint32_t k = 1;
+        uint8_t k = 1;
         for (const ResolvedExpr &e : rs_.cases(c))
-            k = std::max(k, e.count);
-        return static_cast<int32_t>(k);
+            k = std::max(k, Span{&e}.length());
+        return k;
     }
 
     void
-    compileAlu(const CombComp &c, bool hoist)
+    compileComb(const CombComp &c, bool hoist)
     {
-        const auto slot = static_cast<uint16_t>(c.slot);
-        const ResolvedExpr &left = rs_.left(c);
-        const ResolvedExpr &right = rs_.right(c);
-
-        if (c.functConst) {
-            if (aluFolds(rs_, c)) {
-                // dologic ignores the operands the function does not
-                // read, constant or not.
-                const int32_t v = dologic(c.functValue, left.constTotal,
-                                          right.constTotal);
-                (hoist ? prog_.hoisted : code_)
-                    .push_back({Op::AluFold, 0, slot, v, 0, 0});
-                return;
-            }
-
-            // Both operands one word: the whole expression in one
-            // dispatch, left inline, right in the extension word.
-            const Op direct = aluDirectOp(c.functValue);
-            const int op8 = aluDirectIndex(direct);
-            if (op8 >= 0 && oneWord(left) && oneWord(right)) {
-                const Instr l = simpleLoad(rs_, left, 1);
-                const Instr r = simpleLoad(rs_, right, 2);
-                const int combo = kAluCombo[kind(l)][kind(r)];
-                code_.push_back(inlineOperand(
-                    static_cast<Op>(static_cast<int>(Op::AluFAddVV) +
-                                    op8 * 3 + combo),
-                    0, slot, l));
-                code_.push_back(inlineOperand(Op::Ext, 0, 0, r));
-                ++prog_.opt.fused;
-                return;
-            }
-
-            bool needL = true, needR = true;
-            aluOperandNeeds(c.functValue, needL, needR);
-            if (needL)
-                queueLoads(left, 1);
-            if (needR)
-                queueLoads(right, 2);
-            flushLoads();
-            code_.push_back({direct, 0, slot,
-                             direct == Op::AluConst ? c.functValue : 0,
-                             0, 0});
+        Operands ops;
+        Instr w = combWord(c, ops);
+        if (w.op == Op::AluFold) {
+            (hoist ? prog_.hoisted : code_).push_back(w);
             return;
         }
-
-        // All three sides one word: one dologic dispatch, the loads
-        // kept as three extension words.
-        const ResolvedExpr &funct = rs_.funct(c);
-        if (oneWord(funct) && oneWord(left) && oneWord(right)) {
-            const Instr f = simpleLoad(rs_, funct, 0);
-            const Instr l = simpleLoad(rs_, left, 1);
-            const Instr r = simpleLoad(rs_, right, 2);
-            code_.push_back({Op::AluGenF,
-                             static_cast<uint8_t>(kind(f) | kind(l) << 1 |
-                                                  kind(r) << 2),
-                             slot, 0, 0, 0});
-            for (const Instr &w : {f, l, r})
-                code_.push_back(asExt(w));
-            ++prog_.opt.fused;
-            return;
+        for (int i = 0; i < ops.n; ++i)
+            appendSpan(rs_, ops.s[i], w.dst, prog_.terms);
+        if (c.kind == CompKind::Selector) {
+            if (w.op == Op::SelTable) {
+                // Microcode-ROM pattern: all cases constant.
+                w.a = static_cast<int32_t>(prog_.constTable.size());
+                for (const ResolvedExpr &e : rs_.cases(c))
+                    prog_.constTable.push_back(e.constTotal);
+            } else {
+                // K terms per case, a shorter case padded with zero
+                // terms that read the selector's own slot.
+                std::vector<VmTerm> &table = prog_.caseTerms;
+                w.a = static_cast<int32_t>(table.size());
+                VmTerm pad;
+                pad.slot = w.dst;
+                for (const ResolvedExpr &e : rs_.cases(c)) {
+                    const size_t first = table.size();
+                    appendSpan(rs_, {&e}, w.dst, table);
+                    table.resize(first + w.n[1], pad);
+                }
+            }
         }
-        queueLoads(funct, 0);
-        queueLoads(left, 1);
-        queueLoads(right, 2);
-        flushLoads();
-        code_.push_back({Op::AluGen, 0, slot, 0, 0, 0});
+        code_.push_back(w);
     }
 
-    void
-    compileSelector(const CombComp &c)
-    {
-        const auto slot = static_cast<uint16_t>(c.slot);
-        const ResolvedExpr &select = rs_.select(c);
-        const std::span<const ResolvedExpr> cases = rs_.cases(c);
-
-        prog_.selInfos.push_back({std::string(rs_.name(c.name)),
-                                  static_cast<int32_t>(cases.size())});
-        const auto selIdx =
-            static_cast<int32_t>(prog_.selInfos.size() - 1);
-        const auto count = static_cast<int32_t>(cases.size());
-
-        // Microcode-ROM pattern: all cases constant -> table lookup,
-        // with a single-field select inline in an extension word.
-        if (casesConstant(rs_, c)) {
-            const auto base =
-                static_cast<int32_t>(prog_.constTable.size());
-            for (const ResolvedExpr &e : cases)
-                prog_.constTable.push_back(e.constTotal);
-            if (singleField(select)) {
-                code_.push_back(
-                    {Op::SelTableV, 0, slot, base, count, selIdx});
-                code_.push_back(asExt(simpleLoad(rs_, select, 0)));
-                ++prog_.opt.fused;
-                return;
-            }
-            queueLoads(select, 0);
-            flushLoads();
-            code_.push_back({Op::SelTable, 0, slot, base, count, selIdx});
-            return;
-        }
-
-        // Everything else: one descriptor-table dispatch, K words per
-        // case, each `bias + field` (docs/INTERNALS.md).
-        const int32_t k = caseTerms(c);
-        Instr op = {Op::SelStoreK, kSelFromS0, slot, k, count, selIdx};
-        Instr field = {Op::Ext, 0, 0, 0, 0, 0};
-        if (singleField(select)) {
-            field = inlineOperand(Op::Ext, 0, 0, simpleLoad(rs_, select, 0));
-            op.reg = kSelFromField;
-            if (k == 1) {
-                op.op = Op::SelStoreV;
-                op.a = 0;
-            }
-        } else {
-            queueLoads(select, 0);
-            flushLoads();
-        }
-        code_.push_back(op);
-        code_.push_back(field);
-        for (const ResolvedExpr &e : cases) {
-            const size_t first = code_.size();
-            for (const ResolvedTerm &t : rs_.terms(e)) {
-                code_.push_back({Op::Ext, 0, static_cast<uint16_t>(t.slot),
-                                 t.mask, t.shift, 0});
-            }
-            // Zero-mask padding reads vars[0], which exists: this
-            // selector's own slot is a var.
-            code_.resize(first + k, {Op::Ext, 0, 0, 0, 0, 0});
-            code_[first].c = e.constTotal;
-        }
-    }
-
-    /** Emit one latch (`mems[m].adr/opn = e`) on its own. */
-    void
-    compileLatch(const ResolvedExpr &e, uint16_t mem, bool isAdr)
-    {
-        if (oneWord(e)) {
-            const Instr load = simpleLoad(rs_, e, 0);
-            const Op op = (isAdr ? kMemAdr : kMemOpn)[kind(load)];
-            code_.push_back(inlineOperand(op, 0, mem, load));
-            return;
-        }
-        queueLoads(e, 0);
-        flushLoads();
-        code_.push_back({isAdr ? Op::MemAdr : Op::MemOpn, 0, mem, 0, 0, 0});
-    }
-
-    /**
-     * The trace point and the latch phase. A memory whose address and
-     * operation are both one word latches in one MemLatch dispatch
-     * (the operation in the extension word, or in b when both are
-     * constants). The leading run of such memories folds into the
-     * trace point: TraceLatchRun interprets them inline.
-     */
+    /** The trace point and the latch phase: one word, and each
+     *  memory's address span then its operation span. */
     void
     compileLatches()
     {
-        const size_t trace = code_.size();
-        code_.push_back({Op::TraceCycle, 0, 0, 0, 0, 0});
-        size_t runEnd = 0;
+        const size_t first = prog_.terms.size();
         for (const auto &m : rs_.mems) {
-            const auto idx = static_cast<uint16_t>(m.index);
-            if (!oneWord(m.addr) || !oneWord(m.opn)) {
-                if (runEnd == 0)
-                    runEnd = code_.size();
-                compileLatch(m.addr, idx, true);
-                compileLatch(m.opn, idx, false);
-                continue;
-            }
-            const Instr adr = simpleLoad(rs_, m.addr, 0);
-            const Instr opn = simpleLoad(rs_, m.opn, 0);
-            const Op op = kMemLatch[kind(adr)][kind(opn)];
-            if (op == Op::MemLatchCC) {
-                code_.push_back({op, 0, idx, adr.a, opn.a, 0});
-            } else {
-                code_.push_back(inlineOperand(op, 0, idx, adr));
-                code_.push_back(inlineOperand(Op::Ext, 0, idx, opn));
-            }
-            ++prog_.opt.fused;
+            const Span adr{&m.addr}, opn{&m.opn};
+            prog_.latches.push_back({static_cast<uint32_t>(m.index),
+                                     adr.length(), opn.length()});
+            const auto own = static_cast<uint32_t>(rs_.latchSlot(m.index));
+            appendSpan(rs_, adr, own, prog_.terms);
+            appendSpan(rs_, opn, own, prog_.terms);
         }
-        if (runEnd == 0)
-            runEnd = code_.size();
-        if (runEnd > trace + 1) {
-            code_[trace] = {Op::TraceLatchRun, 0, 0, 0,
-                            static_cast<int32_t>(runEnd - trace - 1), 0};
-            ++prog_.opt.fused;
-        }
+        Instr w{Op::Latch};
+        w.a = static_cast<int32_t>(prog_.terms.size() - first);
+        code_.push_back(w);
     }
 
-    /** The update phase, declaration order. A one-word data
-     *  expression rides inline in the memory op. */
+    /** The update phase, declaration order: one word per memory, its
+     *  data span when the operation may write or output. */
     void
     compileUpdates()
     {
         for (const auto &m : rs_.mems) {
-            const auto idx = static_cast<uint16_t>(m.index);
-            prog_.memInfos.push_back({std::string(rs_.name(m.name))});
-
             uint8_t flags = 0;
             if (tracing_ && m.traceWrites != MemDesc::TraceMode::Never)
                 flags |= kMemFlagTraceW;
@@ -634,48 +423,35 @@ class Compiler
                 ++prog_.opt.checksElided;
             }
 
-            const bool inlineData = oneWord(m.data);
-            const Instr data =
-                inlineData ? simpleLoad(rs_, m.data, 1) : Instr{};
-            const auto withData = [&](const Op (&fused)[2], Op plain,
-                                      uint8_t reg) {
-                if (inlineData) {
-                    code_.push_back(
-                        inlineOperand(fused[kind(data)], reg, idx, data));
-                    ++prog_.opt.fused;
-                    return;
+            Instr w{Op::MemGen};
+            w.dst = static_cast<uint32_t>(m.index);
+            w.a = cells;
+            if (m.opnConst) {
+                switch (land(m.opnValue, 3)) {
+                  case mem_op::kRead:
+                    w.op = Op::MemRead;
+                    break;
+                  case mem_op::kWrite:
+                    w.op = Op::MemWrite;
+                    break;
+                  case mem_op::kInput:
+                    w.op = Op::MemInput;
+                    w.a = flags;
+                    break;
+                  case mem_op::kOutput:
+                    w.op = Op::MemOutput;
+                    w.a = flags;
+                    break;
                 }
-                queueLoads(m.data, 1);
-                flushLoads();
-                code_.push_back({plain, reg, idx, 0, 0, 0});
-            };
-            if (!m.opnConst) {
-                if (inlineData) {
-                    withData(kMemGen, Op::MemGenData, cells);
-                    continue;
-                }
-                // Handles read and input, then skips the data
-                // expression; write and output fall through to it.
-                const size_t pre = code_.size();
-                code_.push_back({Op::MemGenPre, cells, idx, 0, 0, 0});
-                withData(kMemGen, Op::MemGenData, cells);
-                code_[pre].a = static_cast<int32_t>(code_.size());
-                continue;
             }
-            switch (land(m.opnValue, 3)) {
-              case mem_op::kRead:
-                code_.push_back({Op::MemRead, cells, idx, 0, 0, 0});
-                break;
-              case mem_op::kWrite:
-                withData(kMemWrite, Op::MemWrite, cells);
-                break;
-              case mem_op::kInput:
-                code_.push_back({Op::MemInput, flags, idx, 0, 0, 0});
-                break;
-              case mem_op::kOutput:
-                withData(kMemOutput, Op::MemOutput, flags);
-                break;
+            if (w.op != Op::MemRead && w.op != Op::MemInput) {
+                const Span data{&m.data};
+                w.n[0] = data.length();
+                appendSpan(rs_, data,
+                           static_cast<uint32_t>(rs_.latchSlot(m.index)),
+                           prog_.terms);
             }
+            code_.push_back(w);
         }
     }
 
@@ -684,8 +460,6 @@ class Compiler
     Program prog_;
     /** The stream being emitted, `prog_.cycle`. */
     std::vector<Instr> &code_ = prog_.cycle;
-    /** Loads of the operands being emitted (flushLoads). */
-    std::vector<Instr> loads_;
 };
 
 } // namespace
@@ -694,127 +468,95 @@ const char *
 opName(Op op)
 {
     switch (op) {
-      case Op::SetC: return "setc";
-      case Op::LoadVar: return "ldv";
-      case Op::AccVar: return "accv";
-      case Op::AluGen: return "alu.gen";
-      case Op::AluConst: return "alu.const";
-      case Op::AluRight: return "alu.right";
-      case Op::AluLeft: return "alu.left";
-      case Op::AluNot: return "alu.not";
-      case Op::AluAdd: return "alu.add";
-      case Op::AluSub: return "alu.sub";
-      case Op::AluMul: return "alu.mul";
-      case Op::AluAnd: return "alu.and";
-      case Op::AluOr: return "alu.or";
-      case Op::AluXor: return "alu.xor";
-      case Op::AluEq: return "alu.eq";
-      case Op::AluLt: return "alu.lt";
       case Op::AluFold: return "alu.fold";
+      case Op::AluMov: return "alu.mov";
+      case Op::AluNot: return "alu.not";
+#define ASIM_ALU_BINARY_NAME(NAME, MN, V)                              \
+      case Op::Alu##NAME:                                              \
+        return MN;
+      ASIM_ALU_BINARY_ALL(ASIM_ALU_BINARY_NAME)
+#undef ASIM_ALU_BINARY_NAME
+      case Op::AluConst: return "alu.const";
+      case Op::AluGen: return "alu.gen";
       case Op::SelTable: return "seltab";
-      case Op::MemAdr: return "madr";
-      case Op::MemOpn: return "mopn";
-      case Op::MemAdrC: return "madrc";
-      case Op::MemOpnC: return "mopnc";
-      case Op::MemAdrFVar: return "madrfv";
-      case Op::MemOpnFVar: return "mopnfv";
+      case Op::SelCase: return "selcase";
+      case Op::Latch: return "latch";
       case Op::MemRead: return "mem.rd";
       case Op::MemWrite: return "mem.wr";
       case Op::MemInput: return "mem.in";
       case Op::MemOutput: return "mem.out";
-      case Op::MemGenPre: return "mem.pre";
-      case Op::MemGenData: return "mem.fin";
-      case Op::TraceCycle: return "trace.cycle";
+      case Op::MemGen: return "mem.gen";
       case Op::EndCycle: return "end.cycle";
-      case Op::Ext: return "ext";
-      case Op::LoadPairCC: return "ldp.cc";
-      case Op::LoadPairCV: return "ldp.cv";
-      case Op::LoadPairVC: return "ldp.vc";
-      case Op::LoadPairVV: return "ldp.vv";
-      case Op::LoadAccCV: return "lda.cv";
-      case Op::LoadAccVV: return "lda.vv";
-      case Op::MemLatchCC: return "mlatch.cc";
-      case Op::MemLatchVC: return "mlatch.vc";
-      case Op::MemLatchVV: return "mlatch.vv";
-      case Op::MemWriteC: return "mem.wrc";
-      case Op::MemWriteV: return "mem.wrv";
-      case Op::MemOutputC: return "mem.outc";
-      case Op::MemOutputV: return "mem.outv";
-      case Op::SelTableV: return "seltab.v";
-      case Op::MemLatchCV: return "mlatch.cv";
-#define ASIM_ALU_FUSED_NAME(OPNAME, COMBO, L, R, V)                    \
-      case Op::AluF##OPNAME##COMBO:                                    \
-        return "aluf." #OPNAME "." #COMBO;
-      ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_NAME)
-#undef ASIM_ALU_FUSED_NAME
-      case Op::SelStoreV: return "selst.v";
-      case Op::SelStoreK: return "selst.k";
-      case Op::TraceLatchRun: return "trace.latchrun";
-      case Op::AluGenF: return "aluf.gen";
-      case Op::MemGenC: return "mem.genc";
-      case Op::MemGenV: return "mem.genv";
     }
     return "?";
+}
+
+uint32_t
+cursorTerms(const Instr &in)
+{
+    if (in.op == Op::SelCase)
+        return in.n[0];
+    if (in.op == Op::Latch)
+        return static_cast<uint32_t>(in.a);
+    return uint32_t{in.n[0]} + in.n[1] + in.n[2];
 }
 
 std::string
 Program::disassemble() const
 {
     std::ostringstream os;
-    auto dump = [&](const char *title, const std::vector<Instr> &code) {
-        os << title << ":\n";
-        for (size_t i = 0; i < code.size(); ++i) {
-            const Instr &in = code[i];
-            os << "  " << i << ": " << opName(in.op) << " r"
-               << int(in.reg) << " #" << in.idx << " a=" << in.a
-               << " b=" << in.b << " c=" << in.c << "\n";
-        }
+    const auto word = [&](size_t i, const Instr &in) {
+        os << "  " << i << ": " << opName(in.op) << " #" << in.dst
+           << " a=" << in.a << " b=" << in.b << " n=" << int(in.n[0])
+           << "," << int(in.n[1]) << "," << int(in.n[2]) << "\n";
     };
-    dump("hoisted", hoisted);
-    dump("cycle", cycle);
+    const auto term = [&](const char *indent, size_t i, const VmTerm &t) {
+        os << indent << i << ": " << t.bias << " + #" << t.slot << " &"
+           << t.mask << " rot " << t.rot << "\n";
+    };
+    os << "hoisted:\n";
+    for (size_t i = 0; i < hoisted.size(); ++i)
+        word(i, hoisted[i]);
+    os << "cycle:\n";
+    size_t t = 0;
+    const auto spans = [&](uint32_t n) {
+        for (; n > 0 && t < terms.size(); --n, ++t)
+            term("      t", t, terms[t]);
+    };
+    for (size_t i = 0; i < cycle.size(); ++i) {
+        word(i, cycle[i]);
+        if (cycle[i].op != Op::Latch) {
+            spans(cursorTerms(cycle[i]));
+            continue;
+        }
+        for (const VmLatch &l : latches) {
+            os << "    mem #" << l.mem << " adr=" << int(l.adr)
+               << " opn=" << int(l.opn) << "\n";
+            spans(uint32_t{l.adr} + l.opn);
+        }
+    }
+    os << "cases:\n";
+    for (size_t i = 0; i < caseTerms.size(); ++i)
+        term("  ", i, caseTerms[i]);
     os << "constTable: " << constTable.size() << " entries\n";
-    os << "opt: cycle=" << cycle.size() << " fused=" << opt.fused
-       << " checksElided=" << opt.checksElided
+    // Every word is one dispatch, so a cycle dispatches the whole
+    // stream.
+    os << "opt: cycle=" << cycle.size() << " dispatched=" << cycle.size()
+       << " terms=" << terms.size() << " checksElided=" << opt.checksElided
        << " levels=" << opt.levels << " shapeRuns=" << opt.shapeRuns
        << " hoisted=" << opt.hoisted << "\n";
     return os.str();
-}
-
-bool
-opHasExt(Op op)
-{
-    switch (op) {
-      case Op::LoadPairCC:
-      case Op::LoadPairCV:
-      case Op::LoadPairVC:
-      case Op::LoadPairVV:
-      case Op::LoadAccCV:
-      case Op::LoadAccVV:
-      case Op::MemLatchVC:
-      case Op::MemLatchVV:
-      case Op::MemLatchCV:
-#define ASIM_ALU_FUSED_EXT(OPNAME, COMBO, L, R, V)                     \
-      case Op::AluF##OPNAME##COMBO:
-      ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_EXT)
-#undef ASIM_ALU_FUSED_EXT
-      case Op::SelTableV:
-      case Op::SelStoreV: // select field word + per-case descriptors
-      case Op::SelStoreK:
-      case Op::AluGenF: // three extension words
-        return true;
-      default:
-        return false;
-    }
 }
 
 Program
 compileProgram(const ResolvedSpec &rs, const CompilerOptions &,
                bool tracingPossible)
 {
-    // Instr::idx numbers value slots (output latches included) in
-    // 16 bits.
-    constexpr size_t kMaxSlots = size_t{1} << 16;
-    const size_t slots = static_cast<size_t>(rs.numVarSlots) + rs.mems.size();
+    // Instr::dst and VmTerm::slot number value slots (output latches
+    // included) in 32 bits.
+    constexpr uint64_t kMaxSlots = uint64_t{1} << 32;
+    const uint64_t slots =
+        static_cast<uint64_t>(rs.numVarSlots) + rs.mems.size();
     if (slots > kMaxSlots) {
         throw SimError("Error. The vm engine numbers at most " +
                        std::to_string(kMaxSlots) +

@@ -12,6 +12,7 @@ Engine::Engine(std::shared_ptr<const ResolvedSpec> rs,
         ms.name = rs_->name(m.name);
         stats_.mems.push_back(std::move(ms));
     }
+    reserveSpareLine(stats_.mems);
     state_.reset(*rs_);
 }
 

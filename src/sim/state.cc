@@ -8,8 +8,10 @@ void
 MachineState::reset(const ResolvedSpec &rs)
 {
     vars.assign(static_cast<size_t>(rs.numVarSlots) + rs.mems.size(), 0);
+    reserveSpareLine(vars);
     mems.clear();
     mems.resize(rs.mems.size());
+    reserveSpareLine(mems);
     for (size_t i = 0; i < rs.mems.size(); ++i) {
         const MemDesc &m = rs.mems[i];
         mems[i].cells.assign(static_cast<size_t>(m.size), 0);

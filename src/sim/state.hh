@@ -21,6 +21,25 @@
 namespace asim {
 
 /** One memory's storage and input latches. */
+inline constexpr size_t kCacheLine = 64;
+
+/**
+ * Give `v` at least one cache line of capacity past its last element,
+ * so the next heap allocation's data never shares a line with v's.
+ * Engines (batch instances, benchmark replicas) are built side by side
+ * on one thread and run on others; an array one engine writes or
+ * reads every cycle that shares a line with another engine's makes
+ * every write a cache miss on the other thread (false sharing): one
+ * such line slowed a sieve replica 1.5-6x. Copies (snapshots,
+ * captured results) keep no spare.
+ */
+template <class T>
+void
+reserveSpareLine(std::vector<T> &v)
+{
+    v.reserve(v.size() + (kCacheLine + sizeof(T) - 1) / sizeof(T));
+}
+
 struct MemoryState
 {
     std::vector<int32_t> cells;
@@ -51,7 +70,8 @@ struct MachineState
 
     /** Size and zero/initialize all storage for `rs` ("All components
      *  are initialized to zero before simulation begins (except
-     *  memories with initial values listed)"). */
+     *  memories with initial values listed)"); `vars` and `mems` get a
+     *  spare cache line (reserveSpareLine). */
     void reset(const ResolvedSpec &rs);
 
     bool operator==(const MachineState &) const = default;

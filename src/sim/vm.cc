@@ -1,5 +1,8 @@
 #include "sim/vm.hh"
 
+#include <bit>
+#include <cassert>
+
 #include "sim/compiler.hh"
 #include "support/bitops.hh"
 #include "support/metrics.hh"
@@ -17,12 +20,6 @@
 
 namespace asim {
 
-// Compile before the Engine base allocates the machine state: the
-// state then fills the blocks this compile freed, beside this vm's own
-// program. Allocated first, it would fill the gaps the previous vm's
-// compile left beside that vm's program, and vms built one after
-// another but run on different threads would write to cache lines
-// the other reads every cycle.
 Vm::Vm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg)
     : Vm(rs, cfg,
          std::make_shared<const Program>(
@@ -34,19 +31,29 @@ Vm::Vm(std::shared_ptr<const ResolvedSpec> rs,
     : Engine(std::move(rs), cfg), prog_(std::move(program))
 {}
 
-void
-Vm::checkAddr(const MemoryState &ms, uint16_t idx,
-              uint64_t cycle) const
+std::string_view
+Vm::memName(uint32_t idx) const
 {
-    throw memoryFault(prog_->memInfos[idx].name, ms.adr,
-                      ms.cells.size(), cycle);
+    return rs_->name(rs_->mems[idx].name);
+}
+
+void
+Vm::checkAddr(const MemoryState &ms, uint32_t idx, uint64_t cycle) const
+{
+    throw memoryFault(memName(idx), ms.adr, ms.cells.size(), cycle);
 }
 
 void
 Vm::selFail(const Instr &in, int32_t sel, uint64_t cycle) const
 {
-    const SelInfo &si = prog_->selInfos[in.c];
-    throw selectorFault(si.name, sel, si.caseCount, cycle);
+    for (const CombComp &c : rs_->comb) {
+        if (static_cast<uint32_t>(c.slot) == in.dst) {
+            throw selectorFault(rs_->name(c.name), sel, rs_->cases(c).size(),
+                                cycle);
+        }
+    }
+    throw SimError("internal: no selector writes slot " +
+                   std::to_string(in.dst));
 }
 
 void
@@ -54,25 +61,44 @@ Vm::memTrace(const MemoryState &ms, int32_t temp, const Instr &in) const
 {
     // Cold path: only reached when the compiler left a trace flag on
     // the instruction, which implies a sink was configured.
-    if (in.reg & kMemFlagTraceW) {
-        if (land(ms.opn, 5) == 5) {
-            cfg_.trace->memWrite(prog_->memInfos[in.idx].name, ms.adr,
-                                 temp);
-        }
-    }
-    if (in.reg & kMemFlagTraceR) {
-        if (land(ms.opn, 9) == 8) {
-            cfg_.trace->memRead(prog_->memInfos[in.idx].name, ms.adr,
-                                temp);
-        }
-    }
+    if ((in.a & kMemFlagTraceW) && land(ms.opn, 5) == 5)
+        cfg_.trace->memWrite(memName(in.dst), ms.adr, temp);
+    if ((in.a & kMemFlagTraceR) && land(ms.opn, 9) == 8)
+        cfg_.trace->memRead(memName(in.dst), ms.adr, temp);
 }
 
-// Field decode of an instruction word's operands: slot in idx
-// (load-style words) or in c (store/latch-style words, whose idx
-// names the destination).
-#define ASIM_FLDV(w) shiftField(land(vars[(w).idx], (w).a), (w).b)
-#define ASIM_FLDVC(w) shiftField(land(vars[(w).c], (w).a), (w).b)
+namespace {
+
+/** One term's value: `bias + rotl(vars[slot] & mask, rot)`. */
+[[gnu::always_inline]] inline int32_t
+termValue(const int32_t *vars, const VmTerm &x)
+{
+    const auto field = static_cast<uint32_t>(land(vars[x.slot], x.mask));
+    return wadd(x.bias, static_cast<int32_t>(std::rotl(field, x.rot)));
+}
+
+/** The value of the `n`-term span at `t` (n >= 1): the first term is
+ *  read outside the loop, so a one-term span never enters it. */
+[[gnu::always_inline]] inline int32_t
+spanValue(const int32_t *vars, const VmTerm *t, uint32_t n)
+{
+    int32_t v = termValue(vars, t[0]);
+    for (uint32_t j = 1; j < n; ++j)
+        v = wadd(v, termValue(vars, t[j]));
+    return v;
+}
+
+/** The span at the cursor `tc`, `n` terms long; advances the cursor
+ *  past it. */
+[[gnu::always_inline]] inline int32_t
+nextSpan(const int32_t *vars, const VmTerm *&tc, uint32_t n)
+{
+    const int32_t v = spanValue(vars, tc, n);
+    tc += n;
+    return v;
+}
+
+} // namespace
 
 #define CASE(name) H_##name:
 #define DISPATCH() goto *tbl[static_cast<uint8_t>(ip->op)]
@@ -81,29 +107,18 @@ Vm::memTrace(const MemoryState &ms, int32_t temp, const Instr &in) const
         ++ip; \
         DISPATCH(); \
     } while (0)
-#define NEXT2() \
-    do { \
-        ip += 2; \
-        DISPATCH(); \
-    } while (0)
-#define NEXTN(k) \
-    do { \
-        ip += (k); \
-        DISPATCH(); \
-    } while (0)
-#define JUMP(t) \
-    do { \
-        ip = base + (t); \
-        DISPATCH(); \
-    } while (0)
-// One descriptor term, `bias + field(vars[slot])`, of a descriptor
-// selector.
-#define ASIM_DESC(d) wadd((d).c, ASIM_FLDV(d))
-// Post the trace checks of the memory op at ip (its flags in reg).
+// The value of the word's next term span, `n` terms long.
+#define SPAN(n) nextSpan(vars, tc, (n))
+// Post the trace checks of the memory op at ip (its flags in a).
 #define MEMTRACE(ms) \
     do { \
-        if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR)) \
-            memTrace(ms, temps[ip->idx], *ip); \
+        if (ip->a & (kMemFlagTraceW | kMemFlagTraceR)) \
+            memTrace(ms, temps[ip->dst], *ip); \
+    } while (0)
+#define CHECKADDR(ms) \
+    do { \
+        if (!(ip->a & kMemFlagNoCheck) && badAddr(ms)) \
+            checkAddr(ms, ip->dst, CUR_CYCLE()); \
     } while (0)
 
 void
@@ -114,620 +129,256 @@ Vm::runCycles(uint64_t n)
     int32_t *const temps = vars + rs_->numVarSlots;
     MemoryState *const mems = state_.mems.data();
     const Instr *const base = prog_->cycle.data();
+    const VmTerm *const terms = prog_->terms.data();
+    const VmTerm *const cases = prog_->caseTerms.data();
+    const VmLatch *const latches = prog_->latches.data();
+    const VmLatch *const latchesEnd = latches + prog_->latches.size();
     const int32_t *const ct = prog_->constTable.data();
     IoDevice *const io = io_;
     const AluSemantics alu = cfg_.aluSemantics;
     const bool tracing = cfg_.trace != nullptr;
     const uint64_t cycle0 = cycle_;
 
-    int32_t s[4] = {0, 0, 0, 0};
     uint64_t left = n;
     uint64_t aluEvals = 0;
     uint64_t selEvals = 0;
     const Instr *ip = base;
+    // The term cursor: the next span a word reads.
+    const VmTerm *tc = terms;
 
     // Cycles completed so far = n - left; faults report the cycle in
-    // progress, which is that same number.
-    const auto curCycle = [&] { return cycle0 + (n - left); };
-    // The hoisted folds take effect for every cycle started: each one
-    // completed, and the partial one a fault ends (they precede the
-    // first component that can fault).
-    const auto flush = [&](bool faulted) {
-        cycle_ = cycle0 + (n - left);
-        aluEvals += prog_->hoisted.size() * (n - left + (faulted ? 1 : 0));
-        stats_.cycles += n - left;
-        stats_.aluEvals += aluEvals;
-        stats_.selEvals += selEvals;
-        if (metrics::timingEnabled()) {
-            // Sampled at run exit from hot-loop locals, never from
-            // inside the dispatch loop: the off path stays one
-            // relaxed load. Dispatch is reported as cycles x static
-            // stream length (a generic memory's skip may pass over its
-            // data expression, so this is the dispatch upper bound the
-            // fusion ratio is read from).
-            metrics::counter("vm.dispatch.stream_ops")
-                .add((n - left) * prog_->cycle.size());
-            metrics::counter("vm.alu_evals").add(aluEvals);
-            metrics::counter("vm.sel_evals").add(selEvals);
-        }
-    };
+    // progress, which is that same number. (No lambda holds the loop's
+    // locals by reference: they stay in registers.)
+#define CUR_CYCLE() (cycle0 + (n - left))
     const auto badAddr = [](const MemoryState &ms) {
         return static_cast<uint64_t>(
                    static_cast<int64_t>(ms.adr)) >= ms.cells.size();
     };
 
     for (const Instr &h : prog_->hoisted)
-        vars[h.idx] = h.a;
+        vars[h.dst] = h.a;
 
     try {
         // One entry per Op, in exact enum order (sim/bytecode.hh).
-        // Ext words are decoded by their owners, never dispatched.
         static const void *const tbl[] = {
-            &&H_SetC, &&H_LoadVar, &&H_AccVar,
-            &&H_AluGen, &&H_AluConst, &&H_AluRight,
-            &&H_AluLeft, &&H_AluNot, &&H_AluAdd, &&H_AluSub,
-            &&H_AluMul, &&H_AluAnd, &&H_AluOr, &&H_AluXor, &&H_AluEq,
-            &&H_AluLt, &&H_AluFold,
-            &&H_SelTable,
-            &&H_MemAdr, &&H_MemOpn, &&H_MemAdrC, &&H_MemOpnC,
-            &&H_MemAdrFVar, &&H_MemOpnFVar,
+            &&H_AluFold, &&H_AluMov, &&H_AluNot,
+#define ASIM_ALU_BINARY_LABEL(NAME, MN, V) &&H_Alu##NAME,
+            ASIM_ALU_BINARY_ALL(ASIM_ALU_BINARY_LABEL)
+#undef ASIM_ALU_BINARY_LABEL
+            &&H_AluConst, &&H_AluGen, &&H_SelTable, &&H_SelCase,
+            &&H_Latch,
             &&H_MemRead, &&H_MemWrite, &&H_MemInput, &&H_MemOutput,
-            &&H_MemGenPre, &&H_MemGenData,
-            &&H_TraceCycle, &&H_EndCycle, &&H_Ext,
-            &&H_LoadPairCC, &&H_LoadPairCV,
-            &&H_LoadPairVC, &&H_LoadPairVV,
-            &&H_LoadAccCV, &&H_LoadAccVV,
-            &&H_MemLatchCC, &&H_MemLatchVC, &&H_MemLatchVV,
-            &&H_MemWriteC, &&H_MemWriteV,
-            &&H_MemOutputC, &&H_MemOutputV,
-            &&H_SelTableV,
-            &&H_MemLatchCV,
-#define ASIM_ALU_FUSED_LABEL(OPNAME, COMBO, L, R, V)                   \
-            &&H_AluF##OPNAME##COMBO,
-            ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_LABEL)
-#undef ASIM_ALU_FUSED_LABEL
-            &&H_SelStoreV, &&H_SelStoreK,
-            &&H_TraceLatchRun, &&H_AluGenF,
-            &&H_MemGenC, &&H_MemGenV,
+            &&H_MemGen, &&H_EndCycle,
         };
         static_assert(sizeof(tbl) / sizeof(tbl[0]) == kOpCount,
                       "dispatch table out of sync with Op");
         DISPATCH();
 
-        CASE(SetC)
+        CASE(AluFold)
         {
-            s[ip->reg] = ip->a;
-        }
-        NEXT();
-        CASE(LoadVar)
-        {
-            s[ip->reg] = ASIM_FLDV(*ip);
-        }
-        NEXT();
-        CASE(AccVar)
-        {
-            s[ip->reg] = wadd(s[ip->reg], ASIM_FLDV(*ip));
-        }
-        NEXT();
-
-        CASE(AluGen)
-        {
-            vars[ip->idx] = dologic(s[0], s[1], s[2], alu);
+            vars[ip->dst] = ip->a;
             ++aluEvals;
         }
         NEXT();
-        CASE(AluConst)
+        CASE(AluMov)
         {
-            vars[ip->idx] = dologic(ip->a, s[1], s[2], alu);
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluRight)
-        {
-            vars[ip->idx] = s[2];
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluLeft)
-        {
-            vars[ip->idx] = s[1];
+            vars[ip->dst] = SPAN(ip->n[0]);
             ++aluEvals;
         }
         NEXT();
         CASE(AluNot)
         {
-            vars[ip->idx] = wsub(kValueMask, s[1]);
+            vars[ip->dst] = wsub(kValueMask, SPAN(ip->n[0]));
             ++aluEvals;
         }
         NEXT();
-        CASE(AluAdd)
+
+        // The binary ALUs (one handler per op, generated from the
+        // shared X-macro).
+#define ASIM_ALU_BINARY_HANDLER(NAME, MN, VEXPR)                       \
+        CASE(Alu##NAME)                                                \
+        {                                                              \
+            const int32_t l = SPAN(ip->n[0]);                          \
+            const int32_t r = SPAN(ip->n[1]);                          \
+            vars[ip->dst] = (VEXPR);                                   \
+            ++aluEvals;                                                \
+        }                                                              \
+        NEXT();
+        ASIM_ALU_BINARY_ALL(ASIM_ALU_BINARY_HANDLER)
+#undef ASIM_ALU_BINARY_HANDLER
+
+        CASE(AluConst)
         {
-            vars[ip->idx] = wadd(s[1], s[2]);
+            const int32_t l = SPAN(ip->n[0]);
+            const int32_t r = SPAN(ip->n[1]);
+            vars[ip->dst] = dologic(ip->a, l, r, alu);
             ++aluEvals;
         }
         NEXT();
-        CASE(AluSub)
+        CASE(AluGen)
         {
-            vars[ip->idx] = wsub(s[1], s[2]);
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluMul)
-        {
-            vars[ip->idx] = wmul(s[1], s[2]);
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluAnd)
-        {
-            vars[ip->idx] = land(s[1], s[2]);
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluOr)
-        {
-            vars[ip->idx] =
-                wsub(wadd(s[1], s[2]), land(s[1], s[2]));
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluXor)
-        {
-            vars[ip->idx] =
-                wsub(wadd(s[1], s[2]), wmul(land(s[1], s[2]), 2));
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluEq)
-        {
-            vars[ip->idx] = s[1] == s[2] ? 1 : 0;
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluLt)
-        {
-            vars[ip->idx] = s[1] < s[2] ? 1 : 0;
-            ++aluEvals;
-        }
-        NEXT();
-        CASE(AluFold)
-        {
-            vars[ip->idx] = ip->a;
+            const int32_t f = SPAN(ip->n[0]);
+            const int32_t l = SPAN(ip->n[1]);
+            const int32_t r = SPAN(ip->n[2]);
+            vars[ip->dst] = dologic(f, l, r, alu);
             ++aluEvals;
         }
         NEXT();
 
         CASE(SelTable)
         {
-            if (static_cast<uint32_t>(s[0]) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, s[0], curCycle());
+            const int32_t sel = SPAN(ip->n[0]);
+            if (static_cast<uint32_t>(sel) >= static_cast<uint32_t>(ip->b))
+                selFail(*ip, sel, CUR_CYCLE());
             ++selEvals;
-            vars[ip->idx] = ct[ip->a + s[0]];
+            vars[ip->dst] = ct[ip->a + sel];
+        }
+        NEXT();
+        // Only the taken case's K terms are read; K is fixed per word,
+        // so the term loop's branch follows the stream, not the data.
+        CASE(SelCase)
+        {
+            const int32_t sel = SPAN(ip->n[0]);
+            if (static_cast<uint32_t>(sel) >= static_cast<uint32_t>(ip->b))
+                selFail(*ip, sel, CUR_CYCLE());
+            ++selEvals;
+            const uint32_t k = ip->n[1];
+            vars[ip->dst] = spanValue(
+                vars, cases + ip->a + static_cast<int64_t>(sel) * k, k);
         }
         NEXT();
 
-        CASE(MemAdr)
+        CASE(Latch)
         {
-            mems[ip->idx].adr = s[0];
-        }
-        NEXT();
-        CASE(MemOpn)
-        {
-            mems[ip->idx].opn = s[0];
-        }
-        NEXT();
-        CASE(MemAdrC)
-        {
-            mems[ip->idx].adr = ip->a;
-        }
-        NEXT();
-        CASE(MemOpnC)
-        {
-            mems[ip->idx].opn = ip->a;
-        }
-        NEXT();
-        CASE(MemAdrFVar)
-        {
-            mems[ip->idx].adr = ASIM_FLDVC(*ip);
-        }
-        NEXT();
-        CASE(MemOpnFVar)
-        {
-            mems[ip->idx].opn = ASIM_FLDVC(*ip);
+            if (tracing) {
+                cycle_ = CUR_CYCLE();
+                traceCycle();
+            }
+            for (const VmLatch *l = latches; l != latchesEnd; ++l) {
+                MemoryState &ms = mems[l->mem];
+                ms.adr = SPAN(l->adr);
+                ms.opn = SPAN(l->opn);
+            }
         }
         NEXT();
 
         CASE(MemRead)
         {
-            MemoryState &ms = mems[ip->idx];
-            if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                checkAddr(ms, ip->idx, curCycle());
-            temps[ip->idx] = ms.cells[ms.adr];
-            ++stats_.mems[ip->idx].reads;
+            MemoryState &ms = mems[ip->dst];
+            CHECKADDR(ms);
+            temps[ip->dst] = ms.cells[ms.adr];
+            ++stats_.mems[ip->dst].reads;
             MEMTRACE(ms);
         }
         NEXT();
         CASE(MemWrite)
         {
-            MemoryState &ms = mems[ip->idx];
-            if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                checkAddr(ms, ip->idx, curCycle());
-            temps[ip->idx] = s[1];
-            ms.cells[ms.adr] = s[1];
-            ++stats_.mems[ip->idx].writes;
+            const int32_t d = SPAN(ip->n[0]);
+            MemoryState &ms = mems[ip->dst];
+            CHECKADDR(ms);
+            temps[ip->dst] = d;
+            ms.cells[ms.adr] = d;
+            ++stats_.mems[ip->dst].writes;
             MEMTRACE(ms);
         }
         NEXT();
         CASE(MemInput)
         {
-            MemoryState &ms = mems[ip->idx];
-            temps[ip->idx] = io->input(ms.adr);
-            ++stats_.mems[ip->idx].inputs;
+            MemoryState &ms = mems[ip->dst];
+            temps[ip->dst] = io->input(ms.adr);
+            ++stats_.mems[ip->dst].inputs;
             MEMTRACE(ms);
         }
         NEXT();
         CASE(MemOutput)
         {
-            MemoryState &ms = mems[ip->idx];
-            temps[ip->idx] = s[1];
-            io->output(ms.adr, s[1]);
-            ++stats_.mems[ip->idx].outputs;
-            MEMTRACE(ms);
-        }
-        NEXT();
-        CASE(MemGenPre)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t mop = land(ms.opn, 3);
-            if (mop == mem_op::kWrite || mop == mem_op::kOutput)
-                NEXT(); // fall through to the data expression code
-            if (mop == mem_op::kRead) {
-                if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                    checkAddr(ms, ip->idx, curCycle());
-                temps[ip->idx] = ms.cells[ms.adr];
-                ++stats_.mems[ip->idx].reads;
-            } else { // input
-                temps[ip->idx] = io->input(ms.adr);
-                ++stats_.mems[ip->idx].inputs;
-            }
-            MEMTRACE(ms);
-            JUMP(ip->a);
-        }
-        CASE(MemGenData)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t mop = land(ms.opn, 3);
-            if (mop == mem_op::kWrite &&
-                !(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                checkAddr(ms, ip->idx,
-                          curCycle()); // before the latch is touched
-            temps[ip->idx] = s[1];
-            if (mop == mem_op::kWrite) {
-                ms.cells[ms.adr] = s[1];
-                ++stats_.mems[ip->idx].writes;
-            } else { // output
-                io->output(ms.adr, s[1]);
-                ++stats_.mems[ip->idx].outputs;
-            }
-            MEMTRACE(ms);
-        }
-        NEXT();
-
-        CASE(TraceCycle)
-        {
-            if (tracing) {
-                cycle_ = curCycle();
-                traceCycle();
-            }
-        }
-        NEXT();
-        CASE(EndCycle)
-        {
-            if (--left == 0)
-                goto done;
-            JUMP(0);
-        }
-        CASE(Ext)
-        {
-            // Never reached: the compiler keeps jump targets off
-            // extension words.
-            throw SimError("internal: dispatched an extension word");
-        }
-
-        CASE(LoadPairCC)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ip->a;
-            s[e.reg] = e.a;
-        }
-        NEXT2();
-        CASE(LoadPairCV)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ip->a;
-            s[e.reg] = ASIM_FLDV(e);
-        }
-        NEXT2();
-        CASE(LoadPairVC)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ASIM_FLDV(*ip);
-            s[e.reg] = e.a;
-        }
-        NEXT2();
-        CASE(LoadPairVV)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = ASIM_FLDV(*ip);
-            s[e.reg] = ASIM_FLDV(e);
-        }
-        NEXT2();
-
-        CASE(LoadAccCV)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = wadd(ip->a, ASIM_FLDV(e));
-        }
-        NEXT2();
-        CASE(LoadAccVV)
-        {
-            const Instr &e = ip[1];
-            s[ip->reg] = wadd(ASIM_FLDV(*ip), ASIM_FLDV(e));
-        }
-        NEXT2();
-
-        CASE(MemLatchCC)
-        {
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ip->a;
-            ms.opn = ip->b;
-        }
-        NEXT();
-        CASE(MemLatchVC)
-        {
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ASIM_FLDVC(*ip);
-            ms.opn = ip[1].a;
-        }
-        NEXT2();
-        CASE(MemLatchVV)
-        {
-            const Instr &e = ip[1];
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ASIM_FLDVC(*ip);
-            ms.opn = ASIM_FLDVC(e);
-        }
-        NEXT2();
-
-        CASE(MemWriteC)
-        {
-            MemoryState &ms = mems[ip->idx];
-            if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                checkAddr(ms, ip->idx, curCycle());
-            temps[ip->idx] = ip->a;
-            ms.cells[ms.adr] = ip->a;
-            ++stats_.mems[ip->idx].writes;
-            MEMTRACE(ms);
-        }
-        NEXT();
-        CASE(MemWriteV)
-        {
-            MemoryState &ms = mems[ip->idx];
-            if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                checkAddr(ms, ip->idx, curCycle());
-            const int32_t d = ASIM_FLDVC(*ip);
-            temps[ip->idx] = d;
-            ms.cells[ms.adr] = d;
-            ++stats_.mems[ip->idx].writes;
-            MEMTRACE(ms);
-        }
-        NEXT();
-        CASE(MemOutputC)
-        {
-            MemoryState &ms = mems[ip->idx];
-            temps[ip->idx] = ip->a;
-            io->output(ms.adr, ip->a);
-            ++stats_.mems[ip->idx].outputs;
-            MEMTRACE(ms);
-        }
-        NEXT();
-        CASE(MemOutputV)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t d = ASIM_FLDVC(*ip);
-            temps[ip->idx] = d;
+            const int32_t d = SPAN(ip->n[0]);
+            MemoryState &ms = mems[ip->dst];
+            temps[ip->dst] = d;
             io->output(ms.adr, d);
-            ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->dst].outputs;
             MEMTRACE(ms);
         }
         NEXT();
-
-        CASE(SelTableV)
-        {
-            const Instr &e = ip[1];
-            const int32_t sel = ASIM_FLDV(e);
-            if (static_cast<uint32_t>(sel) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, sel, curCycle());
-            ++selEvals;
-            vars[ip->idx] = ct[ip->a + sel];
-        }
-        NEXT2();
-        CASE(MemLatchCV)
-        {
-            const Instr &e = ip[1];
-            MemoryState &ms = mems[ip->idx];
-            ms.adr = ip->a;
-            ms.opn = ASIM_FLDVC(e);
-        }
-        NEXT2();
-
-        // Fused two-operand ALUs (one handler per op x operand combo,
-        // generated from the shared X-macro so the decode expressions
-        // are compile-time constants in every handler).
-#define ASIM_ALU_FUSED_HANDLER(OPNAME, COMBO, LEXPR, REXPR, VEXPR)     \
-        CASE(AluF##OPNAME##COMBO)                                      \
-        {                                                              \
-            const Instr &e = ip[1];                                    \
-            (void)e;                                                   \
-            const int32_t l = (LEXPR);                                 \
-            const int32_t r = (REXPR);                                 \
-            vars[ip->idx] = (VEXPR);                                   \
-            ++aluEvals;                                                \
-        }                                                              \
-        NEXT2();
-        ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_HANDLER)
-#undef ASIM_ALU_FUSED_HANDLER
-
-        // The selected case's descriptor decodes as one arithmetic
-        // form, bias + field(vars[slot]); constant cases ride it with
-        // a zero mask.
-        CASE(SelStoreV)
-        {
-            const Instr &e = ip[1];
-            const int32_t sel = ASIM_FLDVC(e);
-            if (static_cast<uint32_t>(sel) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, sel, curCycle());
-            ++selEvals;
-            vars[ip->idx] = ASIM_DESC(ip[2 + sel]);
-            NEXTN(static_cast<int64_t>(ip->b) + 2);
-        }
-        CASE(SelStoreK)
-        {
-            const Instr &e = ip[1];
-            const int32_t sel =
-                ip->reg == kSelFromField ? ASIM_FLDVC(e) : s[0];
-            if (static_cast<uint32_t>(sel) >=
-                static_cast<uint32_t>(ip->b))
-                selFail(*ip, sel, curCycle());
-            ++selEvals;
-            const int32_t k = ip->a;
-            const Instr *d = ip + 2 + static_cast<int64_t>(sel) * k;
-            int32_t v = 0;
-            for (int32_t j = 0; j < k; ++j)
-                v = wadd(v, ASIM_DESC(d[j]));
-            vars[ip->idx] = v;
-            NEXTN(2 + static_cast<int64_t>(ip->b) * k);
-        }
-
-        CASE(TraceLatchRun)
-        {
-            if (tracing) {
-                cycle_ = curCycle();
-                traceCycle();
-            }
-            const Instr *q = ip + 1;
-            const Instr *const qe = q + ip->b;
-            do {
-                const Instr &in = *q;
-                MemoryState &ms = mems[in.idx];
-                switch (in.op) {
-                  case Op::MemLatchCC:
-                    ms.adr = in.a;
-                    ms.opn = in.b;
-                    q += 1;
-                    break;
-                  case Op::MemLatchCV:
-                    ms.adr = in.a;
-                    ms.opn = ASIM_FLDVC(q[1]);
-                    q += 2;
-                    break;
-                  case Op::MemLatchVC:
-                    ms.adr = ASIM_FLDVC(in);
-                    ms.opn = q[1].a;
-                    q += 2;
-                    break;
-                  default: // MemLatchVV (the fuser admits no others)
-                    ms.adr = ASIM_FLDVC(in);
-                    ms.opn = ASIM_FLDVC(q[1]);
-                    q += 2;
-                    break;
-                }
-            } while (q < qe);
-            NEXTN(1 + ip->b);
-        }
-
-        CASE(AluGenF)
-        {
-            const Instr &e1 = ip[1];
-            const Instr &e2 = ip[2];
-            const Instr &e3 = ip[3];
-            const uint8_t fields = ip->reg;
-            const int32_t f = fields & 1 ? ASIM_FLDV(e1) : e1.a;
-            const int32_t l = fields & 2 ? ASIM_FLDV(e2) : e2.a;
-            const int32_t r = fields & 4 ? ASIM_FLDV(e3) : e3.a;
-            vars[ip->idx] = dologic(f, l, r, alu);
-            ++aluEvals;
-            NEXTN(4);
-        }
-
-        // The general memory ops fold read and write into one
+        // The generic memory op folds read and write into one
         // branch-free path: a read stores the cell's own value back,
         // so only the rare I/O pair takes a branch. The per-cycle
-        // read/write mix is data-dependent (it was the worst
-        // misprediction source in the profile), while op-vs-I/O is
-        // fixed per memory and predicts perfectly.
-        CASE(MemGenC)
+        // read/write mix is data-dependent, while op-vs-I/O is fixed
+        // per memory and predicts perfectly. The data span is read
+        // whatever the operation: it has no side effect.
+        CASE(MemGen)
         {
-            MemoryState &ms = mems[ip->idx];
+            const int32_t d = SPAN(ip->n[0]);
+            MemoryState &ms = mems[ip->dst];
             const int32_t mop = land(ms.opn, 3);
             if (mop <= mem_op::kWrite) { // read or write, merged
-                if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                    checkAddr(ms, ip->idx, curCycle());
+                CHECKADDR(ms);
                 int32_t *cell = &ms.cells[ms.adr];
                 const bool wr = mop == mem_op::kWrite;
-                const int32_t v = wr ? ip->a : *cell;
+                const int32_t v = wr ? d : *cell;
                 *cell = v;
-                temps[ip->idx] = v;
-                ++(wr ? stats_.mems[ip->idx].writes
-                      : stats_.mems[ip->idx].reads);
+                temps[ip->dst] = v;
+                ++(wr ? stats_.mems[ip->dst].writes
+                      : stats_.mems[ip->dst].reads);
             } else if (mop == mem_op::kOutput) {
-                temps[ip->idx] = ip->a;
-                io->output(ms.adr, ip->a);
-                ++stats_.mems[ip->idx].outputs;
-            } else { // input
-                temps[ip->idx] = io->input(ms.adr);
-                ++stats_.mems[ip->idx].inputs;
-            }
-            MEMTRACE(ms);
-        }
-        NEXT();
-        CASE(MemGenV)
-        {
-            MemoryState &ms = mems[ip->idx];
-            const int32_t mop = land(ms.opn, 3);
-            if (mop <= mem_op::kWrite) { // read or write, merged
-                if (!(ip->reg & kMemFlagNoCheck) && badAddr(ms))
-                    checkAddr(ms, ip->idx, curCycle());
-                int32_t *cell = &ms.cells[ms.adr];
-                const bool wr = mop == mem_op::kWrite;
-                const int32_t v = wr ? ASIM_FLDVC(*ip) : *cell;
-                *cell = v;
-                temps[ip->idx] = v;
-                ++(wr ? stats_.mems[ip->idx].writes
-                      : stats_.mems[ip->idx].reads);
-            } else if (mop == mem_op::kOutput) {
-                const int32_t d = ASIM_FLDVC(*ip);
-                temps[ip->idx] = d;
+                temps[ip->dst] = d;
                 io->output(ms.adr, d);
-                ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->dst].outputs;
             } else { // input
-                temps[ip->idx] = io->input(ms.adr);
-                ++stats_.mems[ip->idx].inputs;
+                temps[ip->dst] = io->input(ms.adr);
+                ++stats_.mems[ip->dst].inputs;
             }
             MEMTRACE(ms);
         }
         NEXT();
 
+        CASE(EndCycle)
+        {
+            // Every word read its spans: the cursor ends each cycle at
+            // the end of the term array.
+            assert(tc == terms + prog_->terms.size());
+            if (--left == 0)
+                goto done;
+            ip = base;
+            tc = terms;
+            DISPATCH();
+        }
+
     } catch (...) {
-        flush(true);
+        finishRun(cycle0, n - left, aluEvals, selEvals,
+                  static_cast<uint64_t>(ip - base) + 1);
         throw;
     }
 
 done:
-    flush(false);
+    finishRun(cycle0, n, aluEvals, selEvals, 0);
+}
+#undef CUR_CYCLE
+
+void
+Vm::finishRun(uint64_t cycle0, uint64_t done, uint64_t aluEvals,
+              uint64_t selEvals, uint64_t partial)
+{
+    // The hoisted folds take effect for every cycle started: each one
+    // completed, and the partial one a fault ends (they precede the
+    // first component that can fault).
+    cycle_ = cycle0 + done;
+    aluEvals += prog_->hoisted.size() * (done + (partial != 0 ? 1 : 0));
+    stats_.cycles += done;
+    stats_.aluEvals += aluEvals;
+    stats_.selEvals += selEvals;
+    if (metrics::timingEnabled()) {
+        // Sampled at run exit from hot-loop locals, never from inside
+        // the dispatch loop: the off path stays one relaxed load.
+        // Every word of the stream is dispatched once per cycle, so
+        // this is the exact dispatch count: the whole stream per
+        // completed cycle, and at a fault the words up to the faulting
+        // one.
+        metrics::counter("vm.dispatch.stream_ops")
+            .add(done * prog_->cycle.size() + partial);
+        metrics::counter("vm.alu_evals").add(aluEvals);
+        metrics::counter("vm.sel_evals").add(selEvals);
+    }
 }
 
 void

@@ -2,9 +2,10 @@
  * @file
  * Bytecode VM engine (see sim/bytecode.hh).
  *
- * The VM executes the program's fused whole-cycle stream in a single
- * dispatch loop: one runCycles() call executes any number of cycles
- * without leaving the interpreter core. Dispatch is threaded
+ * The VM executes the program's whole-cycle stream in a single
+ * dispatch loop, one dispatch per op word and a cursor over the term
+ * spans: one runCycles() call executes any number of cycles without
+ * leaving the interpreter core. Dispatch is threaded
  * (computed goto), so the vm builds with GCC or Clang only.
  */
 
@@ -49,14 +50,24 @@ class Vm : public Engine
     }
 
   private:
-    /** Execute `n` cycles (n >= 1) of the fused cycle stream. */
+    /** Execute `n` cycles (n >= 1) of the cycle stream. */
     void runCycles(uint64_t n);
 
-    /** Bounds-check a latched address; throws SimError. */
-    void checkAddr(const MemoryState &ms, uint16_t idx,
-                   uint64_t cycle) const;
+    /** Fold a run's hot-loop counters into the engine: `done` cycles
+     *  completed after cycle `cycle0`, and `partial` words dispatched
+     *  of a cycle a fault ended (0 when none did). */
+    void finishRun(uint64_t cycle0, uint64_t done, uint64_t aluEvals,
+                   uint64_t selEvals, uint64_t partial);
 
-    /** Selector bounds failure (cold path); throws SimError. */
+    /** Name of memory `idx` (faults and trace events). */
+    std::string_view memName(uint32_t idx) const;
+
+    /** Memory bounds failure (cold path); throws SimError. */
+    [[noreturn]] void checkAddr(const MemoryState &ms, uint32_t idx,
+                                uint64_t cycle) const;
+
+    /** Selector bounds failure (cold path): finds the selector by the
+     *  word's destination in the resolved spec; throws SimError. */
     [[noreturn]] void selFail(const Instr &in, int32_t sel,
                               uint64_t cycle) const;
 

@@ -211,7 +211,8 @@ TEST(Cli, AsimRunDumpBytecode)
     EXPECT_EQ(r.out.rfind("hoisted:\n", 0), 0u) << r.out;
     EXPECT_NE(r.out.find("\ncycle:\n"), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("opt: cycle="), std::string::npos) << r.out;
-    EXPECT_NE(r.out.find("fused="), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find(" dispatched="), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find(" terms="), std::string::npos) << r.out;
     // The counter's only bounds check is statically discharged.
     EXPECT_NE(r.out.find("checksElided=1"), std::string::npos)
         << r.out;

@@ -1,6 +1,6 @@
 /** @file
- * Emit-stage tests: superinstructions, absorbed loads and redundant
- * bounds-check elision (that none of it changes observable behavior
+ * Emit-stage tests: one word per component with its operands as term
+ * spans, and redundant bounds-check elision (that none of it changes observable behavior
  * is the equivalence suites' job). The disassembly checks cover the
  * same surface `asim-run --dump-bytecode` prints.
  */
@@ -35,69 +35,22 @@ stackSieve()
     return resolveText(stackMachineSpec(sieveProgram(10), 3000));
 }
 
-/** True for the superinstruction words `opt.fused` counts: each one
- *  stands for two or more simple words. */
-bool
-superinstruction(Op op)
-{
-    const auto in = [op](Op first, Op last) {
-        return op >= first && op <= last;
-    };
-    return in(Op::LoadPairCC, Op::MemLatchCV) ||
-           in(Op::AluFAddVV, Op::AluFLtCV) ||
-           in(Op::TraceLatchRun, Op::MemGenV);
-}
-
 TEST(CompilerOpt, FusionFormsSuperinstructions)
 {
-    ResolvedSpec rs = stackSieve();
-    Program fused = compileProgram(rs);
-    EXPECT_GT(fused.opt.fused, 0u);
-    // The stack machine's mixed-case selectors are descriptor tables;
-    // operand loads fuse into their ALUs, table lookups take their
-    // select field inline, and the latch phase folds into one
-    // TraceLatchRun dispatch.
-    EXPECT_GT(countOp(fused.cycle, Op::SelStoreV), 0);
-    EXPECT_GT(countOp(fused.cycle, Op::AluGenF), 0);
-    EXPECT_GT(countOp(fused.cycle, Op::SelTableV), 0);
-    EXPECT_EQ(countOp(fused.cycle, Op::TraceLatchRun), 1);
-    // The counter is the number of superinstruction words emitted.
-    uint32_t words = 0;
-    for (const Instr &in : fused.cycle)
-        words += superinstruction(in.op);
-    EXPECT_EQ(words, fused.opt.fused);
-}
-
-TEST(CompilerOpt, DeadStoresEliminated)
-{
-    // A consumer that takes its operand inline (a table lookup's
-    // select field, a memory op's data) absorbs the scratch load: it
-    // is never emitted, so no dead store precedes the consumer. (A
-    // component's first word follows the previous component's last,
-    // which is never a load.)
+    // Each component is one word whatever its operand shapes: the
+    // stack machine's mixed-case selectors index case tables, its
+    // microcode ROM is a table lookup, its runtime-function ALUs read
+    // three spans, and no word loads an operand for another.
     ResolvedSpec rs = stackSieve();
     Program p = compileProgram(rs);
-    int consumers = 0;
-    for (size_t i = 1; i < p.cycle.size(); ++i) {
-        switch (p.cycle[i].op) {
-          case Op::SelTableV:
-          case Op::MemWriteC:
-          case Op::MemWriteV:
-          case Op::MemOutputC:
-          case Op::MemOutputV:
-          case Op::MemGenC:
-          case Op::MemGenV: {
-            const Op before = p.cycle[i - 1].op;
-            EXPECT_TRUE(before != Op::SetC && before != Op::LoadVar)
-                << "word " << i - 1 << " " << opName(before);
-            ++consumers;
-            break;
-          }
-          default:
-            break;
-        }
-    }
-    EXPECT_GT(consumers, 0);
+    EXPECT_GT(countOp(p.cycle, Op::SelCase), 0);
+    EXPECT_GT(countOp(p.cycle, Op::SelTable), 0);
+    EXPECT_GT(countOp(p.cycle, Op::AluGen), 0);
+    EXPECT_GT(p.caseTerms.size(), 0u);
+    EXPECT_EQ(countOp(p.cycle, Op::Latch), 1);
+    EXPECT_EQ(p.latches.size(), rs.mems.size());
+    EXPECT_EQ(p.cycle.size(),
+              rs.comb.size() - p.hoisted.size() + rs.mems.size() + 2);
 }
 
 TEST(CompilerOpt, RedundantChecksElided)
@@ -110,8 +63,8 @@ TEST(CompilerOpt, RedundantChecksElided)
     EXPECT_EQ(opt.opt.checksElided, 1u);
     bool flagged = false;
     for (const Instr &in : opt.cycle) {
-        if (in.op == Op::MemWriteV)
-            flagged = flagged || (in.reg & kMemFlagNoCheck);
+        if (in.op == Op::MemWrite)
+            flagged = flagged || (in.a & kMemFlagNoCheck);
     }
     EXPECT_TRUE(flagged);
 }
@@ -136,18 +89,20 @@ TEST(CompilerOpt, CheckElisionNeverProvesUnsafeAddresses)
 TEST(CompilerOpt, DisassemblyNamesSuperinstructions)
 {
     // What `asim-run --dump-bytecode` prints for the stack machine:
-    // the cycle stream must disassemble with the superinstruction
+    // the cycle stream must disassemble with the one-word-per-component
     // mnemonics and report the emit counters.
     ResolvedSpec rs = stackSieve();
     Program p = compileProgram(rs);
     const std::string dis = p.disassemble();
     EXPECT_NE(dis.find("\ncycle:\n"), std::string::npos);
-    EXPECT_NE(dis.find("selst."), std::string::npos);
-    EXPECT_NE(dis.find("trace.latchrun"), std::string::npos);
-    EXPECT_NE(dis.find("aluf."), std::string::npos);
+    EXPECT_NE(dis.find("selcase"), std::string::npos);
+    EXPECT_NE(dis.find(": latch "), std::string::npos);
+    EXPECT_NE(dis.find("alu.gen"), std::string::npos);
     EXPECT_NE(dis.find("mem.gen"), std::string::npos);
     EXPECT_NE(dis.find("opt: cycle=" + std::to_string(p.cycle.size()) +
-                       " fused="),
+                       " dispatched=" + std::to_string(p.cycle.size()) +
+                       " terms=" + std::to_string(p.terms.size()) +
+                       " checksElided="),
               std::string::npos);
     EXPECT_NE(dis.find("checksElided="), std::string::npos);
     // The comb schedule: the sieve's network settles in several
@@ -182,52 +137,69 @@ TEST(CompilerOpt, CycleStreamPinned)
     EXPECT_EQ(dis("counter.asim"),
               R"(hoisted:
 cycle:
-  0: aluf.Add.VC r0 #0 a=15 b=0 c=1
-  1: ext r0 #0 a=1 b=0 c=0
-  2: trace.latchrun r0 #0 a=0 b=1 c=0
-  3: mlatch.cc r0 #0 a=0 b=1 c=0
-  4: mem.wrv r4 #0 a=-1 b=0 c=0
-  5: end.cycle r0 #0 a=0 b=0 c=0
+  0: alu.mov #0 a=0 b=0 n=1,0,0
+      t0: 1 + #1 &15 rot 0
+  1: latch #0 a=2 b=0 n=0,0,0
+    mem #0 adr=1 opn=1
+      t1: 0 + #1 &0 rot 0
+      t2: 1 + #1 &0 rot 0
+  2: mem.wr #0 a=4 b=0 n=1,0,0
+      t3: 0 + #0 &-1 rot 0
+  3: end.cycle #0 a=0 b=0 n=0,0,0
+cases:
 constTable: 0 entries
-opt: cycle=6 fused=4 checksElided=1 levels=1 shapeRuns=1 hoisted=0
+opt: cycle=4 dispatched=4 terms=4 checksElided=1 levels=1 shapeRuns=1 hoisted=0
 )");
     EXPECT_EQ(dis("gcd.asim"),
               R"(hoisted:
 cycle:
-  0: aluf.Lt.CV r0 #1 a=0 b=0 c=0
-  1: ext r0 #0 a=-1 b=0 c=11
-  2: aluf.Lt.VV r0 #3 a=-1 b=0 c=10
-  3: ext r0 #0 a=-1 b=0 c=9
-  4: aluf.Lt.VV r0 #4 a=-1 b=0 c=9
-  5: ext r0 #0 a=-1 b=0 c=10
-  6: aluf.Add.VC r0 #0 a=-1 b=0 c=11
-  7: ext r0 #0 a=1 b=0 c=0
-  8: aluf.Sub.VV r0 #5 a=-1 b=0 c=9
-  9: ext r0 #0 a=-1 b=0 c=10
-  10: aluf.Sub.VV r0 #6 a=-1 b=0 c=10
-  11: ext r0 #0 a=-1 b=0 c=9
-  12: seltab.v r0 #2 a=0 b=2 c=0
-  13: ext r0 #1 a=1 b=0 c=0
-  14: selst.v r0 #7 a=0 b=2 c=1
-  15: ext r0 #0 a=1 b=0 c=3
-  16: ext r0 #9 a=-1 b=0 c=0
-  17: ext r0 #5 a=-1 b=0 c=0
-  18: selst.v r0 #8 a=0 b=2 c=2
-  19: ext r0 #0 a=1 b=0 c=4
-  20: ext r0 #10 a=-1 b=0 c=0
-  21: ext r0 #6 a=-1 b=0 c=0
-  22: trace.latchrun r0 #0 a=0 b=5 c=0
-  23: mlatch.cv r0 #0 a=0 b=0 c=0
-  24: ext r0 #0 a=-1 b=0 c=2
-  25: mlatch.cv r0 #1 a=0 b=0 c=0
-  26: ext r0 #1 a=-1 b=0 c=2
-  27: mlatch.cc r0 #2 a=0 b=1 c=0
-  28: mem.genv r7 #0 a=-1 b=0 c=7
-  29: mem.genv r7 #1 a=-1 b=0 c=8
-  30: mem.wrv r4 #2 a=-1 b=0 c=0
-  31: end.cycle r0 #0 a=0 b=0 c=0
+  0: alu.mov #0 a=0 b=0 n=1,0,0
+      t0: 1 + #11 &-1 rot 0
+  1: alu.sub #5 a=0 b=0 n=1,1,0
+      t1: 0 + #9 &-1 rot 0
+      t2: 0 + #10 &-1 rot 0
+  2: alu.sub #6 a=0 b=0 n=1,1,0
+      t3: 0 + #10 &-1 rot 0
+      t4: 0 + #9 &-1 rot 0
+  3: alu.lt #1 a=0 b=0 n=1,1,0
+      t5: 0 + #1 &0 rot 0
+      t6: 0 + #11 &-1 rot 0
+  4: alu.lt #3 a=0 b=0 n=1,1,0
+      t7: 0 + #10 &-1 rot 0
+      t8: 0 + #9 &-1 rot 0
+  5: alu.lt #4 a=0 b=0 n=1,1,0
+      t9: 0 + #9 &-1 rot 0
+      t10: 0 + #10 &-1 rot 0
+  6: seltab #2 a=0 b=2 n=1,0,0
+      t11: 0 + #1 &1 rot 0
+  7: selcase #7 a=0 b=2 n=1,1,0
+      t12: 0 + #3 &1 rot 0
+  8: selcase #8 a=2 b=2 n=1,1,0
+      t13: 0 + #4 &1 rot 0
+  9: latch #0 a=6 b=0 n=0,0,0
+    mem #0 adr=1 opn=1
+      t14: 0 + #9 &0 rot 0
+      t15: 0 + #2 &-1 rot 0
+    mem #1 adr=1 opn=1
+      t16: 0 + #10 &0 rot 0
+      t17: 0 + #2 &-1 rot 0
+    mem #2 adr=1 opn=1
+      t18: 0 + #11 &0 rot 0
+      t19: 1 + #11 &0 rot 0
+  10: mem.gen #0 a=7 b=0 n=1,0,0
+      t20: 0 + #7 &-1 rot 0
+  11: mem.gen #1 a=7 b=0 n=1,0,0
+      t21: 0 + #8 &-1 rot 0
+  12: mem.wr #2 a=4 b=0 n=1,0,0
+      t22: 0 + #0 &-1 rot 0
+  13: end.cycle #0 a=0 b=0 n=0,0,0
+cases:
+  0: 0 + #9 &-1 rot 0
+  1: 0 + #5 &-1 rot 0
+  2: 0 + #10 &-1 rot 0
+  3: 0 + #6 &-1 rot 0
 constTable: 2 entries
-opt: cycle=32 fused=14 checksElided=3 levels=2 shapeRuns=6 hoisted=0
+opt: cycle=14 dispatched=14 terms=23 checksElided=3 levels=2 shapeRuns=5 hoisted=0
 )");
 }
 

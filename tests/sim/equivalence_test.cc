@@ -185,15 +185,16 @@ TEST(Equivalence, LayeredPresetCheckpoints)
     }
 }
 
-/** Small machines for the opcodes the corpus below never links, one
- *  group of opcodes each: memories whose latch or data expressions
- *  mix a simple side with a multi-term side, output memories with
- *  constant and multi-term data, and a fold behind a barrier. `t` is
- *  a counting register memory whose output latch the others read;
- *  `c` and `d` are ALUs. */
+/** Small machines for the opcode forms the corpus below rarely
+ *  exercises: memories whose latch or data expressions mix a one-term
+ *  span with a multi-term span, output memories with constant and
+ *  multi-term data, a fold behind a barrier, and the adds and
+ *  subtracts that become one span. `t` is a counting
+ *  register memory whose output latch the others read; `c` and `d`
+ *  are ALUs. */
 const char *const kOpcodeSpecs[] = {
-    // madrc and madrfv with a two-term operation (mopn), and a
-    // generic memory with two-term data (mem.pre, mem.fin).
+    // Constant and one-field addresses beside a two-term operation,
+    // and a generic memory with two-term data.
     "# latches beside a two-term operation\n"
     "t* c d m1 m2 m3 .\n"
     "A c 4 t 1\n"
@@ -203,7 +204,7 @@ const char *const kOpcodeSpecs[] = {
     "M m3 t.0.1 c t.0.0,t.1.1 4\n"
     "M t 0 c 1 1\n"
     ".\n",
-    // mem.out (two-term data), mem.outc, mem.outv.
+    // mem.out with two-term, constant and one-field data.
     "# output data shapes\n"
     "t* c o1 o2 o3 .\n"
     "A c 4 t 1\n"
@@ -214,9 +215,9 @@ const char *const kOpcodeSpecs[] = {
     ".\n",
     // A fold behind a selector that may fault (s1: index c.0.1
     // against 3 cases, c only ever 0 or 2), so it stays in the cycle
-    // (alu.fold), and the general descriptor selector on an s0 select
-    // (s2, K = 2) and a single-field select (s3, K = 3).
-    "# folds behind a barrier, descriptor selector select sources\n"
+    // (alu.fold), and case tables on a two-term select (s2, K = 2)
+    // and a one-field select (s3, K = 3).
+    "# folds behind a barrier, case tables\n"
     "t* inc c s1 k0 s2 s3 .\n"
     "A inc 4 t 1\n"
     "A c 8 inc 2\n"
@@ -226,24 +227,32 @@ const char *const kOpcodeSpecs[] = {
     "S s3 t.0.1 c.0.0,t.1.1,t.2.2 t 7 s2\n"
     "M t 0 inc 1 1\n"
     ".\n",
+    // The add and subtract forms alu.mov takes: a constant plus a
+    // two-term operand, two multi-term operands in one span, and a
+    // field minus a constant (the negation joins the bias), beside a
+    // constant minus a field, which stays alu.sub.
+    "# adds and subtracts in one span\n"
+    "t* c a1 a2 s1 s2 .\n"
+    "A c 4 t 1\n"
+    "A a1 4 3 t.0.1,c.2.2\n"
+    "A a2 4 c.1.2,t.0.0 t.3.4,#1\n"
+    "A s1 5 c 7\n"
+    "A s2 5 7 c\n"
+    "M t 0 c 1 1\n"
+    ".\n",
 };
 
 /** Every vm handler runs: the opcodes that appear in `Program::cycle`
  *  over the corpus (the on-disk specs, the thesis machines and the
  *  synthetic presets) and the hand-written machines above are exactly
- *  the opcodes with a live handler. Ext, the one word without a
- *  handler body, reports an internal error if dispatched; each
- *  hand-written machine also runs vm against interp and symbolic. */
+ *  the opcodes with a handler; each hand-written machine also runs vm
+ *  against interp and symbolic. */
 TEST(Vm, EveryLinkedOpcodeIsExercised)
 {
-    // Never a dispatched word: ext words are decoded by their owner.
-    const std::set<Op> unlinked = {Op::Ext};
     std::set<std::string> seen;
     const auto collect = [&seen](const ResolvedSpec &rs) {
-        for (const Instr &in : compileProgram(rs).cycle) {
-            if (in.op != Op::Ext)
-                seen.insert(opName(in.op));
-        }
+        for (const Instr &in : compileProgram(rs).cycle)
+            seen.insert(opName(in.op));
     };
 
     for (const auto &entry :
@@ -271,10 +280,8 @@ TEST(Vm, EveryLinkedOpcodeIsExercised)
     }
 
     std::set<std::string> linked;
-    for (size_t i = 0; i < kOpCount; ++i) {
-        if (!unlinked.count(static_cast<Op>(i)))
-            linked.insert(opName(static_cast<Op>(i)));
-    }
+    for (size_t i = 0; i < kOpCount; ++i)
+        linked.insert(opName(static_cast<Op>(i)));
     std::string missing, extra;
     for (const std::string &name : linked) {
         if (!seen.count(name))
@@ -286,47 +293,13 @@ TEST(Vm, EveryLinkedOpcodeIsExercised)
     }
     EXPECT_EQ(missing, "") << "live handlers no program links";
     EXPECT_EQ(extra, "") << "linked opcodes without a live handler";
-
-    SharedSpec rs = share(resolveText(counterSpec(4, 10)));
-    for (Op op : unlinked) {
-        auto prog = std::make_shared<Program>();
-        prog->cycle = {Instr{op, 0, 0, 0, 0, 0},
-                       Instr{Op::EndCycle, 0, 0, 0, 0, 0}};
-        auto vm = makeVm(rs, {}, prog);
-        try {
-            vm->step();
-            ADD_FAILURE() << opName(op) << " ran";
-        } catch (const SimError &e) {
-            EXPECT_NE(std::string(e.what()).find("internal:"),
-                      std::string::npos)
-                << opName(op) << ": " << e.what();
-        }
-    }
 }
 
-/** Stream words one VM dispatch covers: the op word and its
- *  extension words. */
-size_t
-dispatchWords(const Instr &in)
-{
-    switch (in.op) {
-      case Op::SelStoreV:
-        return 2 + static_cast<size_t>(in.b);
-      case Op::SelStoreK:
-        return 2 + static_cast<size_t>(in.b) * static_cast<size_t>(in.a);
-      case Op::AluGenF:
-        return 4;
-      default:
-        return opHasExt(in.op) ? 2 : 1;
-    }
-}
-
-/** The comb phase is straight-line code: stepping through
- *  `Program::cycle` one dispatch at a time from word 0 meets no word
- *  that transfers control (or a stray extension word) before the
- *  trace point. Descriptor selectors of every K class (1, 2, 3 or
- *  more) occur, and each class runs vm against interp and symbolic
- *  in a design below. */
+/** The comb phase is straight-line code: every word from word 0 to the
+ *  trace point is one component's dispatch, none transfers control,
+ *  and the cursor spans of the whole stream add up to the term array.
+ *  Case tables of every K class (1, 2, 3 or more) occur, and each
+ *  class runs vm against interp and symbolic in a design below. */
 TEST(Vm, CombStreamIsStraightLine)
 {
     std::set<int32_t> classes, equivalent;
@@ -334,20 +307,20 @@ TEST(Vm, CombStreamIsStraightLine)
                                  const std::string &name) {
         std::set<int32_t> ks;
         const Program p = compileProgram(rs);
-        size_t i = 0;
-        while (i < p.cycle.size() && p.cycle[i].op != Op::TraceCycle &&
-               p.cycle[i].op != Op::TraceLatchRun) {
+        size_t i = 0, cursor = 0;
+        while (i < p.cycle.size() && p.cycle[i].op != Op::Latch) {
             const Instr &in = p.cycle[i];
-            EXPECT_TRUE(in.op != Op::Ext && in.op != Op::MemGenPre &&
-                        in.op != Op::EndCycle)
+            EXPECT_TRUE(in.op < Op::Latch)
                 << name << " word " << i << ": " << opName(in.op);
-            if (in.op == Op::SelStoreV)
-                ks.insert(1);
-            else if (in.op == Op::SelStoreK)
-                ks.insert(std::min(in.a, 3));
-            i += dispatchWords(in);
+            if (in.op == Op::SelCase)
+                ks.insert(std::min<int32_t>(in.n[1], 3));
+            cursor += cursorTerms(in);
+            ++i;
         }
         EXPECT_LT(i, p.cycle.size()) << name << ": no trace point";
+        for (; i < p.cycle.size(); ++i)
+            cursor += cursorTerms(p.cycle[i]);
+        EXPECT_EQ(cursor, p.terms.size()) << name;
         classes.insert(ks.begin(), ks.end());
         return ks;
     };

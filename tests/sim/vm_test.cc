@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
 
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
@@ -10,8 +13,11 @@
 #include "machines/synthetic.hh"
 #include "sim/checkpoint.hh"
 #include "sim/compiler.hh"
+#include "sim/io.hh"
 #include "sim/simulation.hh"
+#include "sim/trace.hh"
 #include "sim/vm.hh"
+#include "support/rand.hh"
 
 namespace asim {
 namespace {
@@ -29,22 +35,29 @@ TEST(Vm, ConstAluInlined)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Program p = compileProgram(rs);
-    // Constant function 4 gets the direct add, with the latch field
-    // and the constant inline.
+    // Constant function 4 needs no dologic: the sum of the latch field
+    // and the constant 1 is one span, the constant riding as the
+    // field's bias.
     EXPECT_EQ(countOp(p.cycle, Op::AluGen), 0);
-    EXPECT_EQ(countOp(p.cycle, Op::AluGenF), 0);
-    EXPECT_EQ(countOp(p.cycle, Op::AluFAddVC), 1);
+    EXPECT_EQ(countOp(p.cycle, Op::AluConst), 0);
+    ASSERT_EQ(countOp(p.cycle, Op::AluMov), 1);
+    const Instr &add = p.cycle[0];
+    ASSERT_EQ(add.op, Op::AluMov);
+    EXPECT_EQ(add.n[0], 1);
+    EXPECT_EQ(p.terms[0].mask, 15);
+    EXPECT_EQ(p.terms[0].bias, 1);
 }
 
 TEST(Vm, SingleFieldLatchesFused)
 {
     // The counter memory's address (constant 0) and operation
-    // (constant 1) latch in one immediate word.
+    // (constant 1) latch in the one latch word, one term each.
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Program p = compileProgram(rs);
-    EXPECT_EQ(countOp(p.cycle, Op::MemLatchCC), 1);
-    for (Op op : {Op::MemAdrC, Op::MemOpnC, Op::MemAdr, Op::MemOpn})
-        EXPECT_EQ(countOp(p.cycle, op), 0) << opName(op);
+    ASSERT_EQ(countOp(p.cycle, Op::Latch), 1);
+    ASSERT_EQ(p.latches.size(), 1u);
+    EXPECT_EQ(p.latches[0].adr, 1);
+    EXPECT_EQ(p.latches[0].opn, 1);
 }
 
 TEST(Vm, DisassemblerCoversProgram)
@@ -55,6 +68,7 @@ TEST(Vm, DisassemblerCoversProgram)
     std::string dis = vm.program().disassemble();
     EXPECT_EQ(dis.rfind("hoisted:\n", 0), 0u);
     EXPECT_NE(dis.find("\ncycle:\n"), std::string::npos);
+    EXPECT_NE(dis.find("\ncases:\n"), std::string::npos);
     EXPECT_NE(dis.find("seltab"), std::string::npos);
     // Every emitted line names a real opcode (no "?" placeholders).
     EXPECT_EQ(dis.find(": ? "), std::string::npos);
@@ -64,10 +78,9 @@ TEST(Vm, ConstMemSpecialized)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Program p = compileProgram(rs);
-    // A write with its one-field data inline; no generic memory op.
-    EXPECT_EQ(countOp(p.cycle, Op::MemWriteV), 1);
-    for (Op op : {Op::MemGenPre, Op::MemGenData, Op::MemGenC, Op::MemGenV})
-        EXPECT_EQ(countOp(p.cycle, op), 0) << opName(op);
+    // A write with its one-field data span; no generic memory op.
+    EXPECT_EQ(countOp(p.cycle, Op::MemWrite), 1);
+    EXPECT_EQ(countOp(p.cycle, Op::MemGen), 0);
 }
 
 TEST(Vm, ConstSelectorBecomesTable)
@@ -76,9 +89,7 @@ TEST(Vm, ConstSelectorBecomesTable)
     ResolvedSpec rs =
         resolveText(stackMachineSpec(sieveProgram(5), 100));
     Program p = compileProgram(rs);
-    EXPECT_GT(countOp(p.cycle, Op::SelTable) +
-                  countOp(p.cycle, Op::SelTableV),
-              0);
+    EXPECT_GT(countOp(p.cycle, Op::SelTable), 0);
     EXPECT_GT(p.constTable.size(), 0u);
 }
 
@@ -199,7 +210,8 @@ TEST(Vm, HoistedFoldsSplitAtTheFirstBarrier)
     // one before it is hoisted, and all three are emitted once.
     const auto barrier =
         std::find_if(p.cycle.begin(), p.cycle.end(), [&](const Instr &in) {
-            return in.op == Op::SelStoreV && in.idx == rs.comb[2].slot;
+            return in.op == Op::SelCase &&
+                   in.dst == static_cast<uint32_t>(rs.comb[2].slot);
         });
     ASSERT_NE(barrier, p.cycle.end());
     EXPECT_EQ(std::count_if(p.cycle.begin(), barrier,
@@ -209,7 +221,7 @@ TEST(Vm, HoistedFoldsSplitAtTheFirstBarrier)
               0);
     EXPECT_EQ(countOp(p.cycle, Op::AluFold), 2);
     ASSERT_EQ(p.hoisted.size(), 1u);
-    EXPECT_EQ(p.hoisted[0].idx, rs.comb[0].slot);
+    EXPECT_EQ(p.hoisted[0].dst, static_cast<uint32_t>(rs.comb[0].slot));
     EXPECT_EQ(p.opt.hoisted, 1u);
     EXPECT_NE(p.disassemble().find(" hoisted=1\n"), std::string::npos);
 }
@@ -290,29 +302,306 @@ TEST(Vm, ProgramSizesReported)
     EXPECT_GT(vm.program().cycle.size(), 0u);
 }
 
-TEST(Vm, RefusesMoreSlotsThanInstrIdxNumbers)
+/** The comb phase of the cycle stream: every word before the trace
+ *  point. */
+std::vector<Instr>
+combWords(const Program &p)
 {
-    // ~70k components: more value slots than the 16-bit Instr::idx
-    // can number.
-    SimulationOptions opts;
-    opts.resolved = std::make_shared<const ResolvedSpec>(
-        resolve(generateSynthetic(syntheticPreset("70000"))));
-    ASSERT_GT(opts.resolved->numVarSlots, 65536);
-    opts.engine = "vm";
-    try {
-        Simulation sim(opts);
-        FAIL() << "the vm accepted a spec beyond its slot numbering";
-    } catch (const SimError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("65536"), std::string::npos) << what;
-        const size_t slots =
-            opts.resolved->numVarSlots + opts.resolved->mems.size();
-        EXPECT_NE(what.find(std::to_string(slots)), std::string::npos)
-            << what;
+    const auto trace = std::find_if(
+        p.cycle.begin(), p.cycle.end(),
+        [](const Instr &in) { return in.op == Op::Latch; });
+    return {p.cycle.begin(), trace};
+}
+
+TEST(Vm, OneDispatchPerCombComponent)
+{
+    // Every comb component the cycle evaluates is exactly one word,
+    // every memory update one more, and the trace point and latch
+    // phase one; the cursor's spans add up to the term array.
+    for (const ResolvedSpec &rs :
+         {resolve(generateSynthetic(syntheticPreset("2000"))),
+          resolveText(stackMachineSpec(sieveProgram(10), 3000))}) {
+        const Program p = compileProgram(rs);
+        EXPECT_EQ(combWords(p).size(), rs.comb.size() - p.hoisted.size());
+        EXPECT_EQ(p.cycle.size(),
+                  rs.comb.size() - p.hoisted.size() + rs.mems.size() + 2);
+        size_t cursor = 0, cases = 0;
+        for (const Instr &in : p.cycle) {
+            cursor += cursorTerms(in);
+            if (in.op == Op::SelCase)
+                cases += static_cast<size_t>(in.b) * in.n[1];
+            for (uint8_t len : in.n)
+                EXPECT_LE(len, 31);
+        }
+        EXPECT_EQ(cursor, p.terms.size());
+        EXPECT_EQ(cases, p.caseTerms.size());
     }
-    opts.engine = "interp";
-    Simulation interp(opts);
-    EXPECT_EQ(interp.cycle(), 0u);
+}
+
+TEST(Vm, SlotsPastSixteenBitsMatchInterp)
+{
+    // ~70k components: more value slots than 16 bits number. The vm
+    // runs it and leaves the interpreter's checkpoint and statistics.
+    auto rs = std::make_shared<const ResolvedSpec>(
+        resolve(generateSynthetic(syntheticPreset("70000"))));
+    ASSERT_GT(rs->numVarSlots, 65536);
+    auto vm = makeVm(rs);
+    auto interp = makeInterpreter(rs);
+    vm->run(8);
+    interp->run(8);
+    EXPECT_EQ(vm->cycle(), 8u);
+    EXPECT_EQ(checkpointOf(*vm), checkpointOf(*interp));
+    EXPECT_EQ(vm->stats().summary(), interp->stats().summary());
+}
+
+/**
+ * One member of a generated family of specs whose every operand role
+ * (an ALU's funct, left and right, a selector's select and cases, a
+ * memory's address, operation and data) takes 0 to 5 fields, with and
+ * without a constant part, with whole-word terms and fields shifted
+ * right. A seed draws the shapes. Expressions read a counting register `t`, two mixers of it,
+ * memory latches and the components declared before them.
+ */
+class SpanFamily
+{
+  public:
+    explicit SpanFamily(uint64_t seed)
+        : rng_(seed), seed_(seed)
+    {}
+
+    std::string
+    spec()
+    {
+        std::ostringstream body;
+        std::vector<std::string> names = {"t", "inc", "h", "g", "z"};
+        body << "A inc 4 t 1\nA h 7 t 40503\nA g 10 h t\nA z 0 0 0\n";
+        sources_ = {"t", "h", "g"};
+        // The memories first, so every expression may read a latch.
+        for (int i = 0; i < 3; ++i) {
+            const std::string name = "m" + std::to_string(i);
+            sources_.push_back(name);
+            names.push_back(name);
+        }
+        for (int i = 0; i < 6; ++i) {
+            const std::string name = "a" + std::to_string(i);
+            const std::string f = operand(false, 14);
+            const std::string l = operand(true, 0);
+            const std::string r = operand(true, 0);
+            body << "A " << name << " " << f << " " << l << " " << r << "\n";
+            sources_.push_back(name);
+            names.push_back(name);
+        }
+        for (int i = 0; i < 3; ++i) {
+            const std::string name = "s" + std::to_string(i);
+            int64_t max = 0;
+            const std::string sel = operand(false, 40, 5, &max);
+            // The widest case sets the table's K: vary it per selector.
+            const int widest = 1 + static_cast<int>(rng_.below(5));
+            body << "S " << name << " " << sel;
+            for (int64_t c = 0; c <= max; ++c)
+                body << " " << operand(true, 0, widest);
+            body << "\n";
+            sources_.push_back(name);
+            names.push_back(name);
+        }
+        for (int i = 0; i < 3; ++i) {
+            const std::string adr = operand(false, 16);
+            const std::string data = operand(true, 0);
+            const std::string op = opn();
+            body << "M m" << i << " " << adr << " " << data << " " << op
+                 << " 16\n";
+        }
+        body << "M t 0 inc 1 1\n";
+        std::string text = "# term spans " + std::to_string(seed_) + "\n";
+        for (const std::string &n : names)
+            text += n + "* ";
+        return text + ".\n" + body.str() + ".\n";
+    }
+
+  private:
+    struct Piece
+    {
+        std::string text;
+        int64_t max = 0;
+        bool field = false;
+    };
+
+    /** An operand expression of 0 to `maxFields` fields, with or
+     *  without a constant part. */
+    std::string
+    operand(bool allowWhole, int64_t limit, int maxFields = 5,
+            int64_t *maxOut = nullptr)
+    {
+        const int fields =
+            static_cast<int>(rng_.below(static_cast<uint64_t>(maxFields) + 1));
+        if (fields == 0) {
+            // A bare constant: a constant function covers every ALU
+            // opcode, and folds.
+            const int64_t v = static_cast<int64_t>(
+                rng_.below(limit > 0 ? static_cast<uint64_t>(limit) : 1000));
+            if (maxOut)
+                *maxOut = v;
+            return std::to_string(v);
+        }
+        return expr(fields, rng_.below(2) == 1, allowWhole, limit, maxOut);
+    }
+
+    /** A memory operation: constants cover every specialized op, with
+     *  and without the trace bits (opn & 5 == 5, opn & 9 == 8). */
+    std::string
+    opn()
+    {
+        if (rng_.below(6) == 0) {
+            static const int kOps[] = {0, 1, 2, 3, 5, 8, 9, 13};
+            return std::to_string(kOps[rng_.below(8)]);
+        }
+        return operand(true, 0);
+    }
+
+    /** `fields` fields (and a constant), leftmost first; below `limit`
+     *  when it is nonzero: the fields that could reach it read `z`,
+     *  always zero, instead. */
+    std::string
+    expr(int fields, bool withConst, bool allowWhole, int64_t limit,
+         int64_t *maxOut)
+    {
+        // Built from the lowest bits up.
+        std::vector<Piece> pieces;
+        int pos = 0;
+        const int count = fields + (withConst ? 1 : 0);
+        const int constAt =
+            withConst ? (limit > 0 ? 0 : static_cast<int>(rng_.below(count)))
+                      : -1;
+        for (int i = 0; i < count; ++i) {
+            Piece p;
+            if (i == constAt) {
+                const int w = 1 + static_cast<int>(rng_.below(2));
+                const int64_t v = static_cast<int64_t>(rng_.below(1u << w));
+                p.text = "#";
+                for (int b = w - 1; b >= 0; --b)
+                    p.text += static_cast<char>('0' + ((v >> b) & 1));
+                p.max = v << pos;
+                pos += w;
+            } else if (allowWhole && i == count - 1 && rng_.below(3) == 0) {
+                p.text = source();
+                p.max = int64_t{1} << 40;
+                p.field = true;
+            } else {
+                const int w = 1 + static_cast<int>(rng_.below(3));
+                const int from = static_cast<int>(rng_.below(8));
+                p.text = source() + "." + std::to_string(from);
+                if (w > 1 || rng_.below(2) == 0)
+                    p.text += "." + std::to_string(from + w - 1);
+                p.max = ((int64_t{1} << w) - 1) << pos;
+                p.field = true;
+                pos += w;
+            }
+            pieces.push_back(p);
+        }
+        const auto total = [&pieces] {
+            int64_t m = 0;
+            for (const Piece &p : pieces)
+                m += p.max;
+            return m;
+        };
+        while (limit > 0 && total() >= limit) {
+            Piece *top = nullptr;
+            for (Piece &p : pieces) {
+                if (p.field && p.max > 0 && (!top || p.max > top->max))
+                    top = &p;
+            }
+            top->text = "z" + top->text.substr(top->text.find('.'));
+            top->max = 0;
+        }
+        if (maxOut)
+            *maxOut = total();
+        std::string text;
+        for (auto it = pieces.rbegin(); it != pieces.rend(); ++it)
+            text += (text.empty() ? "" : ",") + it->text;
+        return text;
+    }
+
+    std::string
+    source()
+    {
+        return sources_[rng_.below(sources_.size())];
+    }
+
+    SplitMix64 rng_;
+    uint64_t seed_;
+    std::vector<std::string> sources_;
+};
+
+/** Trace, I/O, final checkpoint and statistics of `cycles` cycles of
+ *  `engine`, and the fault text if one ended the run. */
+std::string
+observe(const std::shared_ptr<const ResolvedSpec> &rs,
+        const std::string &engine, uint64_t cycles, std::string &fault)
+{
+    std::ostringstream trace;
+    StreamTrace sink(trace);
+    VectorIo io;
+    for (int i = 0; i < 400; ++i)
+        io.pushInput(i * 37 % 101);
+    EngineConfig cfg;
+    cfg.trace = &sink;
+    cfg.io = &io;
+    auto e = engine == "vm" ? makeVm(rs, cfg) : makeInterpreter(rs, cfg);
+    fault = runToFault(*e, cycles);
+    return trace.str() + "\n--io--\n" + io.text() + "\n--fault--\n" +
+           fault + "\n--checkpoint--\n" + checkpointOf(*e) +
+           "\n--stats--\n" + e->stats().summary();
+}
+
+TEST(Vm, TermSpansMatchInterp)
+{
+    // Span lengths seen per (opcode, span position; the latch phase's
+    // address and operation count as Latch's), and the term forms: a
+    // whole word shifted left, a field shifted right.
+    std::map<std::pair<Op, int>, std::set<int>> lengths;
+    bool wholeShifted = false, rightShift = false;
+    for (uint64_t seed = 0; seed < 12; ++seed) {
+        const std::string text = SpanFamily(seed).spec();
+        auto rs = std::make_shared<const ResolvedSpec>(resolveText(text));
+        const Program p = compileProgram(*rs);
+        for (const Instr &in : p.cycle) {
+            for (int i = 0; i < 3; ++i)
+                lengths[{in.op, i}].insert(in.n[i]);
+        }
+        for (const VmLatch &l : p.latches) {
+            lengths[{Op::Latch, 0}].insert(l.adr);
+            lengths[{Op::Latch, 1}].insert(l.opn);
+        }
+        for (const ResolvedTerm &t : rs->termPool) {
+            wholeShifted = wholeShifted || (t.whole() && t.shift > 0);
+            rightShift = rightShift || t.shift < 0;
+        }
+        std::string fault;
+        EXPECT_EQ(observe(rs, "vm", 50, fault),
+                  observe(rs, "interp", 50, fault))
+            << text;
+        // The family keeps every select, function and address in range,
+        // so each run covers all 50 cycles.
+        EXPECT_EQ(fault, "") << text;
+    }
+    const std::set<int> all = {1, 2, 3, 4, 5};
+    for (const auto &[op, pos] :
+         std::vector<std::pair<Op, int>>{{Op::AluGen, 0},
+                                         {Op::AluGen, 1},
+                                         {Op::AluGen, 2},
+                                         {Op::SelCase, 0},
+                                         {Op::SelCase, 1},
+                                         {Op::Latch, 0},
+                                         {Op::Latch, 1},
+                                         {Op::MemGen, 0}}) {
+        std::set<int> seen = lengths[{op, pos}];
+        seen.erase(0);
+        EXPECT_TRUE(std::includes(seen.begin(), seen.end(), all.begin(),
+                                  all.end()))
+            << opName(op) << " span " << pos;
+    }
+    EXPECT_TRUE(wholeShifted);
+    EXPECT_TRUE(rightShift);
 }
 
 } // namespace
