@@ -1,18 +1,15 @@
 /**
  * @file
  * Front-end throughput: the ASIM "Generate tables" phase (Figure 5.1
- * row 1) broken into lexing+parsing and resolution (dependency sort +
- * expression resolution), across spec sizes. The Checked and module
- * benches pass a Diagnostics, as Simulation does, so a per-name scan
- * in the declaration cross-check or module expansion shows up as a
+ * row 1), parse and resolve across spec sizes. Both benches pass a
+ * Diagnostics, as Simulation does, so a per-name scan in the
+ * declaration cross-check or module expansion shows up as a
  * super-linear curve.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "analysis/resolve.hh"
-#include "lang/parser.hh"
-#include "machines/stack_machine.hh"
 #include "machines/synthetic.hh"
 
 namespace {
@@ -28,26 +25,6 @@ synthText(int scale)
     opts.selectors = scale * 2;
     opts.memories = scale;
     return generateSyntheticText(opts);
-}
-
-void
-BM_Parse(benchmark::State &state)
-{
-    std::string text = synthText(static_cast<int>(state.range(0)));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(parseSpec(text));
-    state.SetBytesProcessed(
-        static_cast<int64_t>(state.iterations() * text.size()));
-}
-
-void
-BM_ParseAndResolve(benchmark::State &state)
-{
-    std::string text = synthText(static_cast<int>(state.range(0)));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(resolveText(text));
-    state.SetBytesProcessed(
-        static_cast<int64_t>(state.iterations() * text.size()));
 }
 
 /** The load every Simulation runs: parse and resolve with a
@@ -91,24 +68,7 @@ BM_ModuleExpansion(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-BENCHMARK(BM_Parse)->Arg(1)->Arg(8)->Arg(32);
-BENCHMARK(BM_ParseAndResolve)->Arg(1)->Arg(8)->Arg(32);
 BENCHMARK(BM_ParseAndResolveChecked)->Arg(1)->Arg(32)->Arg(256)->Arg(1024);
 BENCHMARK(BM_ModuleExpansion)->Arg(8)->Arg(64)->Arg(512)->Arg(1024);
-
-/** The real thesis workload: the full stack-machine specification
- *  (microcode ROM and program ROM included). */
-void
-BM_ParseStackMachine(benchmark::State &state)
-{
-    std::string text =
-        stackMachineSpec(sieveProgram(kBenchSieveSize), 5545);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(resolveText(text));
-    state.SetBytesProcessed(
-        static_cast<int64_t>(state.iterations() * text.size()));
-}
-
-BENCHMARK(BM_ParseStackMachine);
 
 } // namespace

@@ -7,7 +7,10 @@
 #include <filesystem>
 #include <iomanip>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "analysis/resolve.hh"
 #include "sim/checkpoint.hh"
@@ -145,14 +148,26 @@ applyFaultToSnapshot(EngineSnapshot &snap, const ResolvedSpec &rs,
 // CampaignRunner
 // ---------------------------------------------------------------------
 
-CampaignRunner::CampaignRunner(CampaignOptions opts)
-    : opts_(std::move(opts))
-{}
+namespace {
 
-CampaignResult
-CampaignRunner::run()
+/** How the golden run settled one transient injection: decided
+ *  outright, or the flipped snapshot its instance starts from. */
+struct Settlement
 {
-    const CampaignOptions &o = opts_;
+    bool decided = false;
+    FaultOutcome outcome = FaultOutcome::Masked;
+    std::shared_ptr<const EngineSnapshot> start;
+    size_t ioSkip = 0; ///< golden output bytes before `start`
+    size_t job = 0;    ///< batch index (undecided injections)
+};
+
+/** One campaign. With `decide`, the golden run settles every
+ *  transient injection it can (DESIGN.md §10) and simulates the rest
+ *  from their first read; without it, every injection is simulated
+ *  from the golden checkpoint (or, spliced, from cycle zero). */
+CampaignResult
+runCampaign(const CampaignOptions &o, bool decide)
+{
     if (o.runs == 0)
         throw SimError("campaign needs at least one run");
     if (o.base.ioMode == IoMode::Interactive) {
@@ -161,7 +176,8 @@ CampaignRunner::run()
                        "or script I/O per instance");
     }
     // Unknown policies throw here, before any simulation runs.
-    FaultInjectorRegistry::global().get(o.injector);
+    const FaultInjector &injector =
+        FaultInjectorRegistry::global().get(o.injector);
 
     const auto t0 = std::chrono::steady_clock::now();
 
@@ -181,9 +197,9 @@ CampaignRunner::run()
         throw SimError("campaign needs a horizon — the spec names no "
                        "cycle count and none was given");
     }
+    const bool watch = !o.watchName.empty();
     const uint64_t hangBudget =
-        o.watchName.empty() ? 0
-                            : (o.hangBudget ? o.hangBudget : horizon);
+        !watch ? 0 : (o.hangBudget ? o.hangBudget : horizon);
     const uint64_t goldenCycle =
         o.splice ? 0
                  : (o.goldenCycle ? o.goldenCycle : horizon / 2);
@@ -198,6 +214,7 @@ CampaignRunner::run()
         throw SimError("campaign has no state to perturb — the spec "
                        "has no memories (use a splice campaign)");
     }
+    decide = decide && !o.splice;
 
     // ----- Golden run: checkpoint at the golden cycle, reference
     // channels at the horizon (or the completion watchpoint).
@@ -219,61 +236,28 @@ CampaignRunner::run()
     goldenOpts.ioOut = &goldenIo;
     Simulation golden(goldenOpts);
     golden.run(goldenCycle);
-    const std::string goldenIoPrefix = goldenIo.str();
+    const size_t goldenIoPrefix = goldenIo.view().size();
 
     std::string goldenPath;
-    std::shared_ptr<const EngineSnapshot> goldenSnap;
     if (!o.splice) {
         goldenPath =
             (std::filesystem::path(dir) / "golden.ckpt").string();
         golden.saveCheckpoint(goldenPath);
     }
-
-    if (!o.watchName.empty()) {
-        if (goldenCycle > 0 &&
-            golden.value(o.watchName) == o.watchValue) {
-            throw SimError(
-                "campaign golden cycle " +
-                std::to_string(goldenCycle) +
-                " lies after the completion watchpoint <" +
-                o.watchName + ":" + std::to_string(o.watchValue) +
-                "> — checkpoint earlier");
-        }
-        golden.runUntilValue(o.watchName, o.watchValue,
-                             horizon - goldenCycle);
-        if (golden.value(o.watchName) != o.watchValue) {
-            throw SimError("campaign golden run never reached the "
-                           "completion watchpoint <" + o.watchName +
-                           ":" + std::to_string(o.watchValue) +
-                           "> within the horizon " +
-                           std::to_string(horizon));
-        }
-    } else {
-        golden.run(horizon - goldenCycle);
+    if (watch && goldenCycle > 0 &&
+        golden.value(o.watchName) == o.watchValue) {
+        throw SimError("campaign golden cycle " +
+                       std::to_string(goldenCycle) +
+                       " lies after the completion watchpoint <" +
+                       o.watchName + ":" +
+                       std::to_string(o.watchValue) +
+                       "> — checkpoint earlier");
     }
-    const uint64_t goldenCycles = golden.cycle();
-    const MachineState goldenState = golden.engine().state();
-    const std::string goldenIoFull = goldenIo.str();
-    const std::string goldenIoTail =
-        goldenIoFull.substr(goldenIoPrefix.size());
 
-    if (!o.splice) {
-        // Decode once through the real load path (validating the
-        // file we just wrote); instances share the snapshot.
-        goldenSnap = std::make_shared<const EngineSnapshot>(
-            loadCheckpoint(goldenPath, *rs));
-    }
-    goldenSpan.finish();
-
-    // ----- Fan-out: sample one fault per run off the (seed, index)
-    // stream — the draw order (site, bit, cycle) is part of the
-    // report's stability contract.
-    BatchOptions batchOpts;
-    batchOpts.threads = o.threads;
-    batchOpts.captureState = true;
-    BatchRunner runner(batchOpts);
-
-    // Splices sample component names in definition order.
+    // ----- Sample one fault per run off the (seed, index) stream —
+    // the draw order (site, bit, cycle) is part of the report's
+    // stability contract. Splices sample component names in
+    // definition order.
     std::vector<std::string> spliceNames;
     if (o.splice) {
         const Spec ast = rs->ast();
@@ -297,31 +281,210 @@ CampaignRunner::run()
                 goldenCycle + rng.below(horizon - goldenCycle);
         }
         site.mode = o.injector;
-        sites.push_back(site);
+        sites.push_back(std::move(site));
+    }
 
+    // ----- The golden run's second half settles the injections
+    // (DESIGN.md §10). Each one arms at its fault cycle; a cell site
+    // then waits, keyed by (memory, cell), for the golden run's first
+    // access to that cell. The run steps one cycle at a time while
+    // any site waits and runs straight to the next fault cycle
+    // otherwise.
+    std::vector<Settlement> settled(o.runs);
+    std::vector<size_t> order;
+    if (decide) {
+        order.resize(o.runs);
+        for (size_t i = 0; i < order.size(); ++i)
+            order[i] = i;
+        std::ranges::stable_sort(order, {}, [&](size_t i) {
+            return sites[i].cycle;
+        });
+    }
+    std::vector<std::unordered_map<int64_t, std::vector<size_t>>>
+        waiting(rs->mems.size()); // per memory: cell -> its sites
+    size_t nWaiting = 0;
+    std::vector<size_t> latchNow; // latch sites of this cycle
+    std::unique_ptr<Simulation> probe; // one-cycle latch runs
+    std::ostringstream probeIo;        // and their discarded output
+    EngineSnapshot pre; // golden state before this cycle
+    auto simulateFrom = [&](size_t i, const EngineSnapshot &at,
+                            size_t ioAt) {
+        auto start = std::make_shared<EngineSnapshot>(at);
+        applyFaultToSnapshot(*start, *rs, sites[i]);
+        settled[i].start = std::move(start);
+        settled[i].ioSkip = ioAt - goldenIoPrefix;
+    };
+    auto decideAs = [&](size_t i, FaultOutcome outcome) {
+        settled[i].decided = true;
+        settled[i].outcome = outcome;
+    };
+    bool hit = false;
+    size_t next = 0;
+    for (;;) {
+        const uint64_t t = golden.cycle();
+        if (hit || t == horizon)
+            break;
+        for (; next < order.size() && sites[order[next]].cycle <= t;
+             ++next) {
+            const size_t i = order[next];
+            const FaultSite &site = sites[i];
+            const size_t m =
+                static_cast<size_t>(rs->memIndex(site.component));
+            if (site.cell < 0) {
+                latchNow.push_back(i);
+                continue;
+            }
+            const int32_t v = golden.engine()
+                                  .state()
+                                  .mems[m]
+                                  .cells[static_cast<size_t>(site.cell)];
+            if (injector.apply(v, site.bit) == v) {
+                decideAs(i, FaultOutcome::Masked);
+            } else {
+                waiting[m][site.cell].push_back(i);
+                ++nWaiting;
+            }
+        }
+        if (nWaiting == 0 && latchNow.empty()) {
+            const uint64_t until = next < order.size()
+                                       ? sites[order[next]].cycle
+                                       : horizon;
+            if (watch) {
+                golden.runUntilValue(o.watchName, o.watchValue,
+                                     until - t);
+                hit = golden.value(o.watchName) == o.watchValue;
+            } else {
+                golden.run(until - t);
+            }
+            continue;
+        }
+
+        golden.engine().snapshotInto(pre);
+        const size_t ioAt = goldenIo.view().size();
+        golden.step();
+        if (watch)
+            hit = golden.value(o.watchName) == o.watchValue;
+
+        // A latch upset lives one cycle: every memory operation
+        // overwrites the latch. Masked when that cycle leaves the
+        // memories and their latches as the golden run's: the
+        // combinational values are recomputed next cycle, and the
+        // address and operation latches record every input and
+        // output the cycle made. Otherwise the instance runs from
+        // the fault cycle.
+        for (const size_t i : latchNow) {
+            simulateFrom(i, pre, ioAt);
+            if (!probe) {
+                SimulationOptions po = base;
+                po.ioOut = &probeIo;
+                probe = std::make_unique<Simulation>(po);
+            }
+            try {
+                probe->restore(*settled[i].start);
+                probe->step();
+            } catch (const SimError &) {
+                continue;
+            }
+            const MachineState &f = probe->engine().state();
+            const MachineState &g = golden.engine().state();
+            if (f.mems == g.mems &&
+                std::ranges::equal(f.latches(), g.latches())) {
+                decideAs(i, FaultOutcome::Masked);
+                settled[i].start.reset();
+            }
+        }
+        latchNow.clear();
+
+        // This cycle's cell accesses: a write first masks the upset,
+        // a read first starts its instance here.
+        const MachineState &st = golden.engine().state();
+        for (size_t m = 0; m < st.mems.size(); ++m) {
+            const MemoryState &ms = st.mems[m];
+            const int32_t op = land(ms.opn, 3);
+            if (waiting[m].empty() ||
+                (op != mem_op::kRead && op != mem_op::kWrite))
+                continue;
+            const auto it = waiting[m].find(ms.adr);
+            if (it == waiting[m].end())
+                continue;
+            for (const size_t i : it->second) {
+                if (op == mem_op::kWrite)
+                    decideAs(i, FaultOutcome::Masked);
+                else
+                    simulateFrom(i, pre, ioAt);
+            }
+            nWaiting -= it->second.size();
+            waiting[m].erase(it);
+        }
+    }
+    if (watch && !hit) {
+        throw SimError("campaign golden run never reached the "
+                       "completion watchpoint <" + o.watchName +
+                       ":" + std::to_string(o.watchValue) +
+                       "> within the horizon " +
+                       std::to_string(horizon));
+    }
+    // Never touched again: the upset survives to the end (SDC). Past
+    // a watchpoint campaign's golden stop it was never applied.
+    for (const auto &cells : waiting)
+        for (const auto &[cell, ids] : cells)
+            for (const size_t i : ids)
+                decideAs(i, FaultOutcome::Sdc);
+    for (; next < order.size(); ++next)
+        decideAs(order[next], FaultOutcome::Masked);
+
+    const uint64_t goldenCycles = golden.cycle();
+    const MachineState goldenState = golden.engine().state();
+    const std::string goldenIoFull = goldenIo.str();
+    const std::string_view goldenIoTail =
+        std::string_view(goldenIoFull).substr(goldenIoPrefix);
+
+    std::shared_ptr<const EngineSnapshot> goldenSnap;
+    if (!o.splice && !decide) {
+        // Decode once through the real load path (validating the
+        // file we just wrote); instances share the snapshot.
+        goldenSnap = std::make_shared<const EngineSnapshot>(
+            loadCheckpoint(goldenPath, *rs));
+    }
+    goldenSpan.finish();
+
+    // ----- Fan-out: one instance per undecided injection.
+    BatchOptions batchOpts;
+    batchOpts.threads = o.threads;
+    batchOpts.captureState = true;
+    BatchRunner runner(batchOpts);
+    for (uint64_t i = 0; i < o.runs; ++i) {
+        Settlement &st = settled[i];
+        if (st.decided)
+            continue;
         BatchJob job;
         job.options = base;
-        job.options.fault = formatFaultSite(sites.back());
+        job.label = formatFaultSite(sites[i]);
         job.cycles = horizon + hangBudget;
         job.watchName = o.watchName;
         job.watchValue = o.watchValue;
-        job.label = job.options.fault;
-        if (o.splice) {
+        if (st.start) {
+            job.restoreSnapshot = std::move(st.start);
+        } else if (o.splice) {
             // The spliced spec differs from the shared resolve:
             // drop the shared compiled artifacts (the instance
             // compiles its own) and run from cycle zero. A shared
             // symbolic tree stays: it is the healthy tree each
             // instance splices.
+            job.options.fault = job.label;
             job.options.program.reset();
             job.options.nativeBuild.reset();
         } else {
+            job.options.fault = job.label;
             job.restoreSnapshot = goldenSnap;
         }
-        runner.addJob(std::move(job));
+        st.job = runner.addJob(std::move(job));
     }
     tracing::Span fanoutSpan("campaign.fanout", "campaign");
     if (fanoutSpan.active())
         fanoutSpan.setArgs("\"runs\":" + std::to_string(o.runs) +
+                           ",\"instances\":" +
+                           std::to_string(runner.jobCount()) +
                            ",\"threads\":" + std::to_string(o.threads));
     BatchResult batch = runner.run();
     fanoutSpan.finish();
@@ -330,9 +493,8 @@ CampaignRunner::run()
     // EngineFault > Hang > Masked-vs-Sdc. The state diff covers the
     // memories and their output latches (architectural state);
     // combinational outputs are derived from them every cycle.
-    // Transient instances restored at the golden cycle produced only
-    // the post-checkpoint output, so they diff against the golden
-    // tail.
+    // Transient instances produced only the output after their start,
+    // so they diff against the golden output from there.
     CampaignResult result;
     result.runs = o.runs;
     result.seed = o.seed;
@@ -346,50 +508,59 @@ CampaignRunner::run()
     result.watchValue = o.watchValue;
     result.goldenCycles = goldenCycles;
 
-    const std::string &refIo =
-        o.splice ? goldenIoFull : goldenIoTail;
+    const std::string_view refIo =
+        o.splice ? std::string_view(goldenIoFull) : goldenIoTail;
     std::map<std::string, CampaignCounts> perComponent;
     result.records.reserve(o.runs);
     tracing::Span classifySpan("campaign.classify", "campaign");
     const bool timed = metrics::timingEnabled();
     for (uint64_t i = 0; i < o.runs; ++i) {
-        const InstanceResult &r = batch.instances[i];
+        const Settlement &st = settled[i];
         const FaultSite &site = sites[i];
-        FaultOutcome outcome;
-        if (r.faulted) {
-            outcome = FaultOutcome::EngineFault;
-        } else if (!o.watchName.empty() && !r.watchpointHit) {
-            outcome = FaultOutcome::Hang;
-        } else if (r.cyclesRun == goldenCycles &&
-                   r.ioText == refIo &&
-                   r.state.mems == goldenState.mems &&
-                   std::ranges::equal(r.state.latches(),
-                                      goldenState.latches())) {
-            outcome = FaultOutcome::Masked;
-        } else {
-            outcome = FaultOutcome::Sdc;
-        }
-        result.total.add(outcome);
-        perComponent[site.component].add(outcome);
-        if (timed) {
-            // Per-classification run-time histograms: hang-budget
-            // burn vs fast masking is where campaign wall time goes.
-            // Metrics only — table()/json() never read these, so the
-            // report bytes stay identical with observability on.
-            const std::string name = faultOutcomeName(outcome);
-            metrics::counter("campaign.outcome." + name).add();
-            metrics::histogram("campaign.run_ns." + name,
-                               metrics::Histogram::exponentialBounds(
-                                   1000, 4.0, 16))
-                .record(static_cast<uint64_t>(r.seconds * 1e9));
-        }
-
         CampaignRecord rec;
         rec.site = formatFaultSite(site);
         rec.component = site.component;
-        rec.outcome = outcome;
-        rec.cyclesRun = r.cyclesRun;
-        rec.fault = r.fault;
+        rec.cyclesRun = goldenCycles;
+        if (st.decided) {
+            rec.outcome = st.outcome;
+        } else {
+            const InstanceResult &r = batch.instances[st.job];
+            if (r.faulted) {
+                rec.outcome = FaultOutcome::EngineFault;
+            } else if (watch && !r.watchpointHit) {
+                rec.outcome = FaultOutcome::Hang;
+            } else if (r.cyclesRun == goldenCycles &&
+                       r.ioText == refIo.substr(st.ioSkip) &&
+                       r.state.mems == goldenState.mems &&
+                       std::ranges::equal(r.state.latches(),
+                                          goldenState.latches())) {
+                rec.outcome = FaultOutcome::Masked;
+            } else {
+                rec.outcome = FaultOutcome::Sdc;
+            }
+            rec.cyclesRun = r.cyclesRun;
+            rec.fault = r.fault;
+            if (timed) {
+                // Per-classification run-time histograms of the
+                // simulated instances: hang-budget burn vs fast
+                // masking is where campaign wall time goes. Metrics
+                // only — table()/json() never read these, so the
+                // report bytes stay identical with observability on.
+                metrics::histogram(
+                    std::string("campaign.run_ns.") +
+                        faultOutcomeName(rec.outcome),
+                    metrics::Histogram::exponentialBounds(1000, 4.0,
+                                                          16))
+                    .record(static_cast<uint64_t>(r.seconds * 1e9));
+            }
+        }
+        if (timed) {
+            metrics::counter(std::string("campaign.outcome.") +
+                             faultOutcomeName(rec.outcome))
+                .add();
+        }
+        result.total.add(rec.outcome);
+        perComponent[site.component].add(rec.outcome);
         result.records.push_back(std::move(rec));
     }
     result.components.assign(perComponent.begin(),
@@ -404,6 +575,24 @@ CampaignRunner::run()
         std::filesystem::remove_all(dir, ec); // best effort
     }
     return result;
+}
+
+} // namespace
+
+CampaignRunner::CampaignRunner(CampaignOptions opts)
+    : opts_(std::move(opts))
+{}
+
+CampaignResult
+CampaignRunner::run()
+{
+    return runCampaign(opts_, /*decide=*/true);
+}
+
+CampaignResult
+runBruteForceCampaign(const CampaignOptions &opts)
+{
+    return runCampaign(opts, /*decide=*/false);
 }
 
 // ---------------------------------------------------------------------

@@ -3,24 +3,28 @@
  * Monte-Carlo fault-injection campaigns (thesis §2.3.2 at scale).
  *
  * A campaign answers "how vulnerable is each component of this
- * machine to a bit upset?" by brute force:
+ * machine to a bit upset?":
  *
  *  1. **Golden run** — simulate the healthy machine once, leaving a
  *     durable checkpoint (sim/checkpoint.hh) at the golden cycle and
  *     recording the reference final state / output / stop cycle at
  *     the horizon.
- *  2. **Fan-out** — sample `runs` faults with a seed-driven
- *     SplitMix64 stream (support/rand.hh; no global RNG) and run one
- *     perturbed instance per fault on BatchRunner. The default
- *     (transient) campaign restores the shared golden checkpoint and
- *     flips one sampled bit of one sampled state word (memory cell
- *     or output latch) at one sampled cycle in [goldenCycle,
- *     horizon) — amortizing the healthy prefix across every
- *     instance. A splice campaign instead re-runs from cycle zero
- *     with a sampled permanent stuck-at splice (the spliced spec
- *     cannot restore the healthy checkpoint: its identity hash
- *     differs by design).
- *  3. **Classify** — diff every instance against the golden
+ *  2. **Sampling** — draw `runs` faults with a seed-driven SplitMix64
+ *     stream (support/rand.hh; no global RNG). A transient campaign
+ *     flips one sampled bit of one sampled state word (memory cell or
+ *     output latch) at one sampled cycle in [goldenCycle, horizon); a
+ *     splice campaign samples a permanent stuck-at splice.
+ *  3. **Settling** — the golden run's second half decides every
+ *     transient injection the policy leaves unchanged or whose cell
+ *     is written, or never accessed again, before it is read, and
+ *     every latch upset that leaves the state as the golden run's
+ *     after its one cycle (DESIGN.md §10). The
+ *     rest run on BatchRunner, one instance each, from a golden
+ *     snapshot at their first read (latch sites: their fault cycle)
+ *     with the bit flipped. Splice instances re-run from cycle zero
+ *     (the spliced spec cannot restore the healthy checkpoint: its
+ *     identity hash differs by design).
+ *  4. **Classify** — diff every instance against the golden
  *     reference (see FaultOutcome for the contract, DESIGN.md §10
  *     for the rationale) and aggregate per-component counts.
  *
@@ -89,9 +93,9 @@ struct CampaignOptions
     /** Sampling seed; same seed = byte-identical report. */
     uint64_t seed = 1;
 
-    /** Cycle of the golden checkpoint every transient instance
-     *  restores (also the lower bound of sampled injection cycles).
-     *  0 = horizon / 2. Ignored (forced to 0) by splice campaigns. */
+    /** Cycle of the golden checkpoint, and the lower bound of
+     *  sampled injection cycles. 0 = horizon / 2. Ignored (forced to
+     *  0) by splice campaigns. */
     uint64_t goldenCycle = 0;
 
     /** Run length; 0 = the spec's `=` count (an error when the spec
@@ -214,6 +218,16 @@ class CampaignRunner
   private:
     CampaignOptions opts_;
 };
+
+/**
+ * The brute-force campaign: every injection runs as one simulated
+ * instance, from the golden checkpoint with its @cycle fault armed
+ * (transient) or from cycle zero (splice). CampaignRunner::run()
+ * takes this path for splice campaigns; for transient ones it is the
+ * reference whose report the golden run's decisions reproduce byte
+ * for byte (tests/sim/campaign_test.cc).
+ */
+CampaignResult runBruteForceCampaign(const CampaignOptions &opts);
 
 /**
  * Apply a fault policy to one word of a snapshot's state: memory

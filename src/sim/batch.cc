@@ -206,17 +206,33 @@ BatchRunner::resumeFromCheckpoints()
 BatchResult
 BatchRunner::run()
 {
-    /** Everything one instance touches while running — all owned
-     *  here, none of it shared across instances. */
+    /** A prior run's checkpoint of one instance. */
+    struct Resume
+    {
+        EngineSnapshot snap;
+        CheckpointSections saved; ///< its output/trace sections
+    };
+
+    /** What the serial set-up settles for one instance: validated
+     *  before any instance runs, so configuration errors surface
+     *  first. */
+    struct Plan
+    {
+        std::shared_ptr<const ResolvedSpec> rs;
+        bool spliceBaked = false; ///< the resolve carries the splice
+        bool skip = false;        ///< finished in a prior run
+        uint64_t budget = 0;      ///< absolute target cycle
+        std::unique_ptr<Resume> resume; ///< continue a prior run
+    };
+
+    /** Everything one instance touches while running — built on the
+     *  worker that runs it, none of it shared across instances. */
     struct Work
     {
         std::unique_ptr<Simulation> sim;
         std::ostringstream io;
         std::ostringstream trace;
         std::unique_ptr<StreamTrace> traceSink;
-        uint64_t budget = 0;  ///< absolute target cycle
-        bool skip = false;    ///< finished in a prior run
-        bool pendingRestore = false; ///< job restore not yet applied
     };
 
     const bool checkpointing = !opts_.checkpointDir.empty();
@@ -229,7 +245,7 @@ BatchRunner::run()
 
     BatchResult result;
     result.instances.resize(jobs_.size());
-    std::vector<Work> works(jobs_.size());
+    std::vector<Plan> plans(jobs_.size());
 
     // Persist one instance's progress: one checkpoint whose sections
     // carry the output and captured trace so far and, on completion,
@@ -246,11 +262,11 @@ BatchRunner::run()
         w.sim->saveCheckpoint(instancePath(i), sections);
     };
 
-    // Construction is serial: any SpecError/SimError here is a batch
+    // Validation is serial: any SpecError/SimError here is a batch
     // configuration problem and propagates to the caller.
     for (size_t i = 0; i < jobs_.size(); ++i) {
         const BatchJob &job = jobs_[i];
-        Work &w = works[i];
+        Plan &p = plans[i];
         InstanceResult &r = result.instances[i];
         r.index = i;
         r.label = job.label;
@@ -260,63 +276,87 @@ BatchRunner::run()
         // shared one when the job carries it. loadSpec bakes a
         // splice fault into the resolve, so the fault text must not
         // reach the Simulation ctor again (it would re-splice).
-        std::shared_ptr<const ResolvedSpec> rs = job.options.resolved;
-        bool spliceBaked = false;
-        if (!rs) {
-            rs = std::make_shared<const ResolvedSpec>(
+        p.rs = job.options.resolved;
+        if (!p.rs) {
+            p.rs = std::make_shared<const ResolvedSpec>(
                 Simulation::loadSpec(job.options));
-            spliceBaked = !job.options.fault.empty() &&
-                          !parseFaultSite(job.options.fault).atCycle;
+            p.spliceBaked = !job.options.fault.empty() &&
+                            !parseFaultSite(job.options.fault).atCycle;
         }
         int64_t budget = static_cast<int64_t>(job.cycles);
-        if (budget == 0 && rs->cyclesSpecified)
-            budget = rs->thesisIterations();
+        if (budget == 0 && p.rs->cyclesSpecified)
+            budget = p.rs->thesisIterations();
         if (budget <= 0) {
             throw SimError("batch job " + std::to_string(i) + " (" +
                            job.label +
                            "): no cycle budget — the spec names no "
                            "cycle count and none was given");
         }
-        w.budget = static_cast<uint64_t>(budget);
-        r.cyclesRequested = w.budget;
+        p.budget = static_cast<uint64_t>(budget);
+        r.cyclesRequested = p.budget;
 
         // A prior run's checkpoint carries everything the instance
         // had produced: output, captured trace, and the done flag.
-        const bool resumable =
-            resume_ && std::filesystem::exists(instancePath(i));
-        EngineSnapshot snap;
-        CheckpointSections saved;
-        if (resumable) {
-            snap = loadCheckpoint(instancePath(i), *rs, &saved);
-            if (!saved.output || (job.captureTrace && !saved.trace)) {
+        if (resume_ && std::filesystem::exists(instancePath(i))) {
+            p.resume = std::make_unique<Resume>();
+            Resume &res = *p.resume;
+            res.snap = loadCheckpoint(instancePath(i), *p.rs, &res.saved);
+            if (!res.saved.output ||
+                (job.captureTrace && !res.saved.trace)) {
                 throw SimError("checkpoint " + instancePath(i) +
                                " lacks the output or trace section "
                                "of this batch instance");
             }
+
+            // A prior run finished this instance (and its budget
+            // covers ours): reload its recorded results instead of
+            // re-running.
+            if (res.saved.done && (res.saved.watchpointHit ||
+                                   res.snap.cycle >= p.budget)) {
+                p.skip = true;
+                r.resumed = true;
+                r.cyclesRun = res.snap.cycle;
+                r.watchpointHit = res.saved.watchpointHit;
+                r.ioText = *res.saved.output;
+                if (job.captureTrace)
+                    r.traceText = *res.saved.trace;
+                r.stats = res.snap.stats;
+                if (opts_.captureState)
+                    r.state = std::move(res.snap.state);
+                p.resume.reset();
+            }
+        }
+    }
+
+    ThreadPool pool(opts_.threads);
+    result.threads = pool.size();
+
+    auto batchStart = std::chrono::steady_clock::now();
+    tracing::Span batchSpan("batch.run", "batch");
+    if (batchSpan.active())
+        batchSpan.setArgs("\"instances\":" +
+                          std::to_string(plans.size()) + ",\"threads\":" +
+                          std::to_string(pool.size()));
+    // Each task builds its instance, runs it and releases it, so at
+    // most `threads` simulations exist at once. A construction error
+    // is not an instance fault: parallelFor rethrows the lowest
+    // failing index's error to the caller once every index settled.
+    pool.parallelFor(0, plans.size(), [&](size_t i) {
+        const BatchJob &job = jobs_[i];
+        Plan &p = plans[i];
+        InstanceResult &r = result.instances[i];
+        if (p.skip) {
+            metrics::counter("batch.instances_skipped").add();
+            return;
         }
 
-        // A prior run finished this instance (and its budget covers
-        // ours): reload its recorded results instead of re-running.
-        if (saved.done &&
-            (saved.watchpointHit || snap.cycle >= w.budget)) {
-            w.skip = true;
-            r.resumed = true;
-            r.cyclesRun = snap.cycle;
-            r.watchpointHit = saved.watchpointHit;
-            r.ioText = *saved.output;
-            if (job.captureTrace)
-                r.traceText = *saved.trace;
-            r.stats = snap.stats;
-            if (opts_.captureState)
-                r.state = snap.state;
-            continue;
-        }
-
+        tracing::Span span("batch.instance", "batch");
+        Work w;
         SimulationOptions opts = job.options;
-        opts.resolved = rs;
+        opts.resolved = p.rs;
         opts.specFile.clear();
         opts.specText.clear();
-        if (spliceBaked)
+        if (p.spliceBaked)
             opts.fault.clear();
         opts.ioOut = &w.io;
         opts.traceStream = nullptr;
@@ -330,49 +370,25 @@ BatchRunner::run()
         // checkpoint and preload the output (and captured trace) it
         // had produced, so the continuation's channels match an
         // uninterrupted run's.
-        if (resumable) {
-            w.sim->restore(snap);
-            w.io.str(*saved.output);
+        if (p.resume) {
+            w.sim->restore(p.resume->snap);
+            w.io.str(*p.resume->saved.output);
             w.io.seekp(0, std::ios::end);
-            w.trace.str(saved.trace.value_or(""));
+            w.trace.str(p.resume->saved.trace.value_or(""));
             w.trace.seekp(0, std::ios::end);
             r.resumed = true;
+            p.resume.reset();
         }
 
-        // Job-level restore (golden-checkpoint fan-out): applied in
-        // the worker, not here, so the state copies run in parallel.
-        // A runner-checkpoint resume above supersedes it (it carries
-        // later progress).
-        w.pendingRestore =
-            !r.resumed &&
-            (job.restoreSnapshot || !job.restoreFrom.empty());
-    }
-
-    ThreadPool pool(opts_.threads);
-    result.threads = pool.size();
-
-    auto batchStart = std::chrono::steady_clock::now();
-    tracing::Span batchSpan("batch.run", "batch");
-    if (batchSpan.active())
-        batchSpan.setArgs("\"instances\":" +
-                          std::to_string(works.size()) + ",\"threads\":" +
-                          std::to_string(pool.size()));
-    pool.parallelFor(0, works.size(), [&](size_t i) {
-        const BatchJob &job = jobs_[i];
-        Work &w = works[i];
-        InstanceResult &r = result.instances[i];
-        if (w.skip) {
-            metrics::counter("batch.instances_skipped").add();
-            return;
-        }
-
-        tracing::Span span("batch.instance", "batch");
         auto t0 = std::chrono::steady_clock::now();
         try {
-            if (w.pendingRestore) {
+            // Job-level restore (golden-checkpoint fan-out). A
+            // runner-checkpoint resume above supersedes it (it
+            // carries later progress).
+            if (!r.resumed) {
                 if (job.restoreSnapshot)
                     w.sim->restore(*job.restoreSnapshot);
-                else
+                else if (!job.restoreFrom.empty())
                     w.sim->restoreCheckpoint(job.restoreFrom);
             }
             if (!job.watchName.empty()) {
@@ -382,8 +398,8 @@ BatchRunner::run()
                 // (after each cycle), so chunking never changes
                 // where the run stops.
                 for (;;) {
-                    uint64_t left = w.budget > w.sim->cycle()
-                                        ? w.budget - w.sim->cycle()
+                    uint64_t left = p.budget > w.sim->cycle()
+                                        ? p.budget - w.sim->cycle()
                                         : 0;
                     if (left == 0)
                         break;
@@ -397,22 +413,22 @@ BatchRunner::run()
                         job.watchValue)
                         break;
                     if (checkpointing &&
-                        w.sim->cycle() < w.budget)
+                        w.sim->cycle() < p.budget)
                         persist(i, w, r, /*complete=*/false);
                 }
                 r.watchpointHit =
                     w.sim->value(job.watchName) == job.watchValue;
                 r.cyclesRun = w.sim->cycle();
             } else {
-                while (w.sim->cycle() < w.budget) {
-                    uint64_t chunk = w.budget - w.sim->cycle();
+                while (w.sim->cycle() < p.budget) {
+                    uint64_t chunk = p.budget - w.sim->cycle();
                     if (checkpointing && opts_.checkpointEvery != 0) {
                         chunk = std::min(chunk,
                                          opts_.checkpointEvery);
                     }
                     w.sim->run(chunk);
                     if (checkpointing &&
-                        w.sim->cycle() < w.budget)
+                        w.sim->cycle() < p.budget)
                         persist(i, w, r, /*complete=*/false);
                 }
                 r.cyclesRun = w.sim->cycle();
@@ -442,10 +458,6 @@ BatchRunner::run()
         r.stats = w.sim->stats();
         if (opts_.captureState)
             r.state = w.sim->engine().state();
-        // Everything observable is captured: release the instance
-        // now so per-instance memory is bounded by the pool size, not
-        // the batch size.
-        w.sim.reset();
     });
     double wall = secondsSince(batchStart);
 

@@ -158,8 +158,8 @@ struct BatchOptions
 };
 
 /** Most instances one batch-manifest line may ask for with
- *  `count=N`. Every instance is a job the runner builds and holds
- *  before any runs, so a larger count is refused, naming the line,
+ *  `count=N`. Every instance is a job the runner holds before any
+ *  runs, so a larger count is refused, naming the line,
  *  rather than left to exhaust memory. */
 inline constexpr size_t kMaxManifestCount = size_t{1} << 16;
 
@@ -186,11 +186,13 @@ class BatchRunner
     size_t jobCount() const { return jobs_.size(); }
 
     /**
-     * Build every simulation (serially — construction cost is the
-     * shared-resolve path's to amortize), run all instances on the
-     * thread pool, and merge results by instance index.
+     * Validate every job serially (budget, spec load, resume
+     * checkpoints), then build, run and release each instance on the
+     * thread pool, so at most `threads` simulations exist at once,
+     * and merge results by instance index.
      *
-     * Spec/engine errors (SpecError, SimError during construction)
+     * Spec/engine errors (SpecError, SimError during validation or
+     * construction; the lowest failing index's when several fail)
      * propagate; *runtime* faults inside an instance are captured in
      * its InstanceResult instead of aborting the batch.
      */

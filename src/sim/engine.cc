@@ -40,11 +40,17 @@ EngineSnapshot
 Engine::snapshot() const
 {
     EngineSnapshot snap;
+    snapshotInto(snap);
+    return snap;
+}
+
+void
+Engine::snapshotInto(EngineSnapshot &snap) const
+{
     snap.state = state_;
     snap.cycle = cycle_;
     snap.stats = stats_;
     snap.ioValues = io_->inputsConsumed();
-    return snap;
 }
 
 void

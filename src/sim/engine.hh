@@ -108,6 +108,10 @@ class Engine
      *  sim/checkpoint.hh — another process). */
     EngineSnapshot snapshot() const;
 
+    /** snapshot() into `snap`, reusing its storage: a caller taking
+     *  one every cycle (a campaign's golden run) allocates nothing. */
+    void snapshotInto(EngineSnapshot &snap) const;
+
     /** Adopt a snapshot taken from an engine running the same
      *  specification — any engine: the continuation is
      *  cycle-for-cycle identical to an uninterrupted run. @throws

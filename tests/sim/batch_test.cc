@@ -278,6 +278,35 @@ TEST(BatchRunnerTest, MissingCycleBudgetThrows)
     EXPECT_THROW(runner.run(), SimError);
 }
 
+/** Instances are built on the pool's workers, yet a construction
+ *  error is a batch configuration problem, not an instance fault: it
+ *  reaches the caller, the lowest failing index's under any thread
+ *  count. */
+TEST(BatchRunnerTest, ConstructionErrorReachesTheCaller)
+{
+    for (unsigned threads : {1u, 2u}) {
+        BatchOptions opts;
+        opts.threads = threads;
+        BatchRunner runner(opts);
+        for (const char *fault :
+             {"", "nosuch:1:toggle@3", "", "other:1:toggle@3"}) {
+            BatchJob job;
+            job.options.specText = counterSpec(4, 100);
+            job.options.fault = fault;
+            job.cycles = 20;
+            runner.addJob(job);
+        }
+        try {
+            runner.run();
+            FAIL() << "expected SpecError, " << threads << " threads";
+        } catch (const SpecError &e) {
+            EXPECT_NE(std::string(e.what()).find("nosuch"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(BatchRunnerTest, AggregateMatchesInstanceSums)
 {
     BatchJob job;

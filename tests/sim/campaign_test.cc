@@ -4,16 +4,21 @@
  * and reruns of the same seed), outcome classification against the
  * golden reference (masked / SDC / simulator fault / hang), the
  * transient state-site universe, the shared snapshot-injection
- * primitive, and the configuration errors run() promises.
+ * primitive, the configuration errors run() promises, and the
+ * identity of the golden run's decisions with the brute-force fan-out.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/campaign.hh"
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
+#include "machines/stack_machine.hh"
 #include "sim/simulation.hh"
 #include "support/logging.hh"
 
@@ -300,6 +305,191 @@ TEST(Campaign, ApplyFaultToSnapshotPerturbsOneWord)
     FaultSite bogus;
     bogus.component = "next"; // combinational: no state
     EXPECT_THROW(applyFaultToSnapshot(snap, rs, bogus), SpecError);
+}
+
+/** A pointer chase built to reach every way the golden run settles
+ *  an injection: `cnt` writes its cell every cycle (a write first);
+ *  `f` and `p` read their cell every cycle (the first read falls in
+ *  the fault cycle itself); `o` prints `g`, which is `f`'s latch, so
+ *  a latch upset of `f` changes that cycle's output; `p` addresses
+ *  `mem`, so a high bit flipped in `p`'s cell is read into an
+ *  out-of-range address (a simulator fault); and `mem`'s other cells
+ *  are never touched again. */
+const char *kChaseSpec = "# pointer chase\n"
+                         "= 30\n"
+                         "cnt next f g o p mem .\n"
+                         "A next 4 cnt 1\n"
+                         "A g 4 f 0\n"
+                         "M cnt 0 next 1 1\n"
+                         "M f 0 0 0 -1 0\n"
+                         "M o 0 g 3 1\n"
+                         "M p 0 0 0 -1 3\n"
+                         "M mem p 0 0 -8 1 2 3 4 5 6 7 8\n"
+                         ".\n";
+
+/** `LatchOnlyDifferenceIsSdc`'s spec: a latch upset there consumes
+ *  one scripted input ahead of time. */
+const char *kLatchInputSpec = "# latch-only difference\n"
+                              "= 7\n"
+                              "f g x in .\n"
+                              "A g 13 0 f\n"
+                              "M f 0 0 0 -1 0\n"
+                              "M x 0 0 g.0.0,#0 1\n"
+                              "M in 0 0 2 1\n"
+                              ".\n";
+
+/** A completion watchpoint for `o`'s golden run: the first component
+ *  whose value at 3/4 of the horizon differs from its value at the
+ *  golden cycle (horizon / 2), so the golden run reaches it after
+ *  the golden cycle and before the horizon. Empty when none does. */
+std::pair<std::string, int32_t>
+pickWatch(const CampaignOptions &o)
+{
+    std::ostringstream io;
+    SimulationOptions base = o.base;
+    base.ioOut = &io;
+    Simulation sim(base);
+    const uint64_t horizon =
+        o.horizon ? o.horizon
+                  : static_cast<uint64_t>(sim.defaultCycles());
+    sim.run(horizon / 2);
+    const Spec ast = sim.resolved().ast();
+    std::vector<int32_t> atGolden;
+    for (const Component &c : ast.comps)
+        atGolden.push_back(sim.value(ast.name(c.name)));
+    sim.run(horizon * 3 / 4 - horizon / 2);
+    for (size_t i = 0; i < ast.comps.size(); ++i) {
+        const std::string name(ast.name(ast.comps[i].name));
+        if (sim.value(name) != atGolden[i])
+            return {name, sim.value(name)};
+    }
+    return {};
+}
+
+/** What the decided runs of one spec covered, summed over the
+ *  policy/watch/engine matrix. */
+struct Coverage
+{
+    uint64_t injections = 0;
+    uint64_t faults = 0;       ///< EngineFault records
+    uint64_t pastWatchHit = 0; ///< fault cycle >= the golden stop
+};
+
+/** Runs `o` under toggle/set0/set1, without and with a watchpoint
+ *  (`o`'s own, else pickWatch's), under vm and interp, and requires
+ *  the decided report to equal the brute-force one byte for byte.
+ *  Only every `stride`-th of the 12 combinations runs, starting at
+ *  `first`. */
+Coverage
+expectDecidedMatchesBruteForce(CampaignOptions o, const std::string &what,
+                               size_t first = 0, size_t stride = 1)
+{
+    Coverage cov;
+    const auto [watchName, watchValue] =
+        o.watchName.empty() ? pickWatch(o)
+                            : std::pair(o.watchName, o.watchValue);
+    o.watchName.clear();
+    size_t combo = 0;
+    for (const char *injector : {"toggle", "set0", "set1"}) {
+        for (const bool watched : {false, true}) {
+            for (const char *engine : {"vm", "interp"}) {
+                if (combo++ % stride != first % stride)
+                    continue;
+                if (watched && watchName.empty())
+                    continue;
+                CampaignOptions c = o;
+                c.injector = injector;
+                c.base.engine = engine;
+                if (watched) {
+                    c.watchName = watchName;
+                    c.watchValue = watchValue;
+                }
+                const CampaignResult decided = CampaignRunner(c).run();
+                const std::string expected =
+                    runBruteForceCampaign(c).json();
+                EXPECT_EQ(decided.json(), expected)
+                    << what << " " << injector << " " << engine
+                    << (watched ? " watch " + watchName : "");
+                cov.injections += decided.total.injections;
+                cov.faults += decided.total.fault;
+                for (const CampaignRecord &rec : decided.records) {
+                    if (watched &&
+                        parseFaultSite(rec.site).cycle >=
+                            decided.goldenCycles)
+                        ++cov.pastWatchHit;
+                }
+            }
+        }
+    }
+    return cov;
+}
+
+TEST(Campaign, DecidedMatchesBruteForce)
+{
+    // Every shipped spec with a memory, scripted input for echo.
+    size_t specs = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ASIM_SPECS_DIR)) {
+        if (entry.path().extension() != ".asim")
+            continue;
+        CampaignOptions o;
+        o.base.specFile = entry.path().string();
+        if (stateSiteCount(Simulation::loadSpec(o.base)) == 0)
+            continue;
+        ++specs;
+        o.base.ioMode = IoMode::Script;
+        for (int32_t v = 1; v <= 64; ++v)
+            o.base.scriptInputs.push_back(v);
+        o.runs = 96;
+        o.seed = 3;
+        o.threads = 2;
+        expectDecidedMatchesBruteForce(o, entry.path().filename());
+    }
+    EXPECT_GE(specs, 7u);
+
+    // The hand-built rows: a fault cycle at or past the golden watch
+    // hit, a latch upset that changes its cycle's output, a read that
+    // turns into a simulator fault, and fault cycles equal to the
+    // first read's.
+    CampaignOptions chase = campaignFor(kChaseSpec, 128, 4);
+    chase.base.ioMode = IoMode::Script;
+    const Coverage cov = expectDecidedMatchesBruteForce(chase, "chase");
+    EXPECT_GT(cov.faults, 0u);
+    EXPECT_GT(cov.pastWatchHit, 0u);
+
+    CampaignOptions latch = campaignFor(kLatchInputSpec, 64, 2);
+    latch.base.ioMode = IoMode::Script;
+    for (int32_t v = 1; v <= 32; ++v)
+        latch.base.scriptInputs.push_back(v);
+    expectDecidedMatchesBruteForce(latch, "latch input");
+
+    // The sieve perfbench's campaign runs, at every size it uses,
+    // two seeds each; the 12 policy/watch/engine combinations rotate
+    // over the sizes. The watchpoint is the machine's HALT, with a
+    // horizon past it. The golden cycle sits 2048 cycles before HALT,
+    // so the brute-force reference stays cheap under sanitizers.
+    for (int size = 40; size <= 54; ++size) {
+        SimulationOptions so;
+        so.specText = stackMachineSpec(sieveProgram(size), 1000000);
+        Simulation sim(so);
+        const uint64_t halt =
+            sim.runUntilValue("state", kStackHaltState, 1000000);
+        for (uint64_t k = 0; k < 2; ++k) {
+            CampaignOptions o;
+            o.base.specText = so.specText;
+            o.runs = 24;
+            o.seed = static_cast<uint64_t>(size) * 2 + k;
+            o.threads = 2;
+            o.goldenCycle = halt - 2048;
+            o.horizon = halt + 64;
+            o.hangBudget = 256;
+            o.watchName = "state";
+            o.watchValue = kStackHaltState;
+            const size_t combo = static_cast<size_t>(size - 40) * 2 + k;
+            expectDecidedMatchesBruteForce(
+                o, "sieve " + std::to_string(size), combo, 12);
+        }
+    }
 }
 
 TEST(Campaign, ConfigurationErrors)
