@@ -216,18 +216,20 @@ runCampaign(const CampaignOptions &o, bool decide)
     }
     decide = decide && !o.splice;
 
-    // ----- Golden run: checkpoint at the golden cycle, reference
-    // channels at the horizon (or the completion watchpoint).
+    // ----- Golden run: checkpoint at the golden cycle (the
+    // brute-force fan-out restores it), reference channels at the
+    // horizon (or the completion watchpoint).
+    const bool checkpoint = !o.splice && !decide;
     std::string dir = o.workDir;
     bool ownDir = false;
-    if (!o.splice && dir.empty()) {
+    if (checkpoint && dir.empty()) {
         char tmpl[] = "/tmp/asim-campaign-XXXXXX";
         if (!mkdtemp(tmpl))
             throw SimError("mkdtemp failed");
         dir = tmpl;
         ownDir = true;
     }
-    if (!dir.empty())
+    if (checkpoint)
         std::filesystem::create_directories(dir);
 
     tracing::Span goldenSpan("campaign.golden", "campaign");
@@ -239,7 +241,7 @@ runCampaign(const CampaignOptions &o, bool decide)
     const size_t goldenIoPrefix = goldenIo.view().size();
 
     std::string goldenPath;
-    if (!o.splice) {
+    if (checkpoint) {
         goldenPath =
             (std::filesystem::path(dir) / "golden.ckpt").string();
         golden.saveCheckpoint(goldenPath);
@@ -367,7 +369,8 @@ runCampaign(const CampaignOptions &o, bool decide)
 
         // A latch upset lives one cycle: every memory operation
         // overwrites the latch. Masked when that cycle leaves the
-        // memories and their latches as the golden run's: the
+        // memories and their latches as the golden run's and hits
+        // the watchpoint exactly when the golden run does: the
         // combinational values are recomputed next cycle, and the
         // address and operation latches record every input and
         // output the cycle made. Otherwise the instance runs from
@@ -388,7 +391,9 @@ runCampaign(const CampaignOptions &o, bool decide)
             const MachineState &f = probe->engine().state();
             const MachineState &g = golden.engine().state();
             if (f.mems == g.mems &&
-                std::ranges::equal(f.latches(), g.latches())) {
+                std::ranges::equal(f.latches(), g.latches()) &&
+                (!watch ||
+                 (probe->value(o.watchName) == o.watchValue) == hit)) {
                 decideAs(i, FaultOutcome::Masked);
                 settled[i].start.reset();
             }
@@ -440,7 +445,7 @@ runCampaign(const CampaignOptions &o, bool decide)
         std::string_view(goldenIoFull).substr(goldenIoPrefix);
 
     std::shared_ptr<const EngineSnapshot> goldenSnap;
-    if (!o.splice && !decide) {
+    if (checkpoint) {
         // Decode once through the real load path (validating the
         // file we just wrote); instances share the snapshot.
         goldenSnap = std::make_shared<const EngineSnapshot>(

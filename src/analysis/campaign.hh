@@ -5,10 +5,10 @@
  * A campaign answers "how vulnerable is each component of this
  * machine to a bit upset?":
  *
- *  1. **Golden run** — simulate the healthy machine once, leaving a
- *     durable checkpoint (sim/checkpoint.hh) at the golden cycle and
- *     recording the reference final state / output / stop cycle at
- *     the horizon.
+ *  1. **Golden run** — simulate the healthy machine once, recording
+ *     the reference final state / output / stop cycle at the
+ *     horizon (the brute-force fan-out also leaves a durable
+ *     checkpoint, sim/checkpoint.hh, at the golden cycle).
  *  2. **Sampling** — draw `runs` faults with a seed-driven SplitMix64
  *     stream (support/rand.hh; no global RNG). A transient campaign
  *     flips one sampled bit of one sampled state word (memory cell or
@@ -17,9 +17,9 @@
  *  3. **Settling** — the golden run's second half decides every
  *     transient injection the policy leaves unchanged or whose cell
  *     is written, or never accessed again, before it is read, and
- *     every latch upset that leaves the state as the golden run's
- *     after its one cycle (DESIGN.md §10). The
- *     rest run on BatchRunner, one instance each, from a golden
+ *     every latch upset that leaves the state (and the watchpoint
+ *     hit) as the golden run's after its one cycle (DESIGN.md §10).
+ *     The rest run on BatchRunner, one instance each, from a golden
  *     snapshot at their first read (latch sites: their fault cycle)
  *     with the bit flipped. Splice instances re-run from cycle zero
  *     (the spliced spec cannot restore the healthy checkpoint: its
@@ -124,8 +124,10 @@ struct CampaignOptions
     /** Worker threads (BatchOptions); 0 = hardware concurrency. */
     unsigned threads = 0;
 
-    /** Directory for the golden checkpoint; empty = a temporary
-     *  directory cleaned up after the run. */
+    /** Directory for the golden checkpoint, which only the
+     *  brute-force fan-out (runBruteForceCampaign on a transient
+     *  campaign) writes and restores; empty = a temporary directory
+     *  cleaned up after the run. */
     std::string workDir;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/batch.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -214,8 +215,8 @@ BatchRunner::run()
     };
 
     /** What the serial set-up settles for one instance: validated
-     *  before any instance runs, so configuration errors surface
-     *  first. */
+     *  before any instance runs, so the configuration errors that
+     *  need no engine surface first. */
     struct Plan
     {
         std::shared_ptr<const ResolvedSpec> rs;
@@ -294,6 +295,7 @@ BatchRunner::run()
         }
         p.budget = static_cast<uint64_t>(budget);
         r.cyclesRequested = p.budget;
+        Simulation::checkOptions(job.options, *p.rs);
 
         // A prior run's checkpoint carries everything the instance
         // had produced: output, captured trace, and the done flag.
@@ -339,8 +341,13 @@ BatchRunner::run()
                           std::to_string(pool.size()));
     // Each task builds its instance, runs it and releases it, so at
     // most `threads` simulations exist at once. A construction error
-    // is not an instance fault: parallelFor rethrows the lowest
-    // failing index's error to the caller once every index settled.
+    // (one the serial checks above cannot see, such as a failed
+    // engine build) is not an instance fault: no later index starts
+    // after it, and parallelFor rethrows the lowest failing index's
+    // error to the caller. Indices are claimed in order, so every
+    // lower index still runs and the error is the same under any
+    // thread count.
+    std::atomic<size_t> failedAt{plans.size()};
     pool.parallelFor(0, plans.size(), [&](size_t i) {
         const BatchJob &job = jobs_[i];
         Plan &p = plans[i];
@@ -349,6 +356,8 @@ BatchRunner::run()
             metrics::counter("batch.instances_skipped").add();
             return;
         }
+        if (i > failedAt.load())
+            return;
 
         tracing::Span span("batch.instance", "batch");
         Work w;
@@ -364,7 +373,14 @@ BatchRunner::run()
             w.traceSink = std::make_unique<StreamTrace>(w.trace);
             opts.config.trace = w.traceSink.get();
         }
-        w.sim = std::make_unique<Simulation>(opts);
+        try {
+            w.sim = std::make_unique<Simulation>(opts);
+        } catch (...) {
+            size_t at = failedAt.load();
+            while (i < at && !failedAt.compare_exchange_weak(at, i)) {
+            }
+            throw;
+        }
 
         // Interrupted (or budget-extended) instance: restore the
         // checkpoint and preload the output (and captured trace) it

@@ -187,14 +187,16 @@ class BatchRunner
 
     /**
      * Validate every job serially (budget, spec load, resume
-     * checkpoints), then build, run and release each instance on the
-     * thread pool, so at most `threads` simulations exist at once,
-     * and merge results by instance index.
+     * checkpoints, Simulation::checkOptions), then build, run and
+     * release each instance on the thread pool, so at most `threads`
+     * simulations exist at once, and merge results by instance index.
      *
      * Spec/engine errors (SpecError, SimError during validation or
      * construction; the lowest failing index's when several fail)
-     * propagate; *runtime* faults inside an instance are captured in
-     * its InstanceResult instead of aborting the batch.
+     * propagate; validation errors before any instance runs, a
+     * construction error once the instances already running finish.
+     * *Runtime* faults inside an instance are captured in its
+     * InstanceResult instead of aborting the batch.
      */
     BatchResult run();
 

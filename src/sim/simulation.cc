@@ -156,6 +156,25 @@ splicedSpec(const SimulationOptions &opts, const FaultSite &site,
 
 } // namespace
 
+void
+Simulation::checkOptions(const SimulationOptions &opts,
+                         const ResolvedSpec &rs)
+{
+    if (!opts.fault.empty()) {
+        const FaultSite site = parseFaultSite(opts.fault);
+        if (site.atCycle)
+            validateFaultSite(rs, site);
+    }
+    const EngineRegistry &reg = EngineRegistry::global();
+    if (!reg.contains(opts.engine))
+        reg.make(opts.engine, nullptr, {}); // throws, naming engines
+    if (opts.partitions >= 2 && opts.engine != "interp") {
+        throw SimError("engine <" + opts.engine +
+                       "> does not support partitioned execution; "
+                       "partitions require the interp engine");
+    }
+}
+
 ResolvedSpec
 Simulation::loadSpec(const SimulationOptions &opts, Diagnostics *diag)
 {
@@ -257,16 +276,8 @@ Simulation::Simulation(const SimulationOptions &opts)
             span.setArgs("\"components\":" +
                          std::to_string(rs_->comb.size()));
     }
-    if (hasFault_) {
-        validateFaultSite(*rs_, fault_);
-        faultArmed_ = true;
-    }
-
-    EngineRegistry &reg = EngineRegistry::global();
-    if (!reg.contains(engineName_)) {
-        EngineContext dummy;
-        reg.make(engineName_, rs_, dummy); // throws, naming engines
-    }
+    checkOptions(opts, *rs_);
+    faultArmed_ = hasFault_;
 
     EngineContext ctx;
     ctx.config = opts.config;
@@ -280,11 +291,6 @@ Simulation::Simulation(const SimulationOptions &opts)
         ctx.ast = std::move(splicedAst);
     }
     ctx.workDir = opts.workDir;
-    if (opts.partitions >= 2 && engineName_ != "interp") {
-        throw SimError("engine <" + engineName_ +
-                       "> does not support partitioned execution; "
-                       "partitions require the interp engine");
-    }
     ctx.partitions = opts.partitions;
     ctx.partitionMinComponents = opts.partitionMinComponents;
 
@@ -319,7 +325,7 @@ Simulation::Simulation(const SimulationOptions &opts)
         tracing::Span span("sim.build_engine", "lifecycle");
         if (span.active())
             span.setArgs("\"engine\":\"" + engineName_ + "\"");
-        engine_ = reg.make(engineName_, rs_, ctx);
+        engine_ = EngineRegistry::global().make(engineName_, rs_, ctx);
     }
     metrics::counter("sim.engines_built." + engineName_).add();
 }

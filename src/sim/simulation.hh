@@ -234,6 +234,12 @@ class Simulation
     static ResolvedSpec loadSpec(const SimulationOptions &opts,
                                  Diagnostics *diag = nullptr);
 
+    /** The constructor's checks short of building anything: an
+     *  @cycle fault against `rs`, the engine name, and partitions on
+     *  the interp engine only. @throws SpecError, SimError */
+    static void checkOptions(const SimulationOptions &opts,
+                             const ResolvedSpec &rs);
+
     /** Parse a script file of whitespace-separated integer inputs;
      *  `#` starts a comment running to end of line. @throws SimError
      *  on an unreadable file or a non-integer token */

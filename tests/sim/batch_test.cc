@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -278,33 +279,103 @@ TEST(BatchRunnerTest, MissingCycleBudgetThrows)
     EXPECT_THROW(runner.run(), SimError);
 }
 
-/** Instances are built on the pool's workers, yet a construction
- *  error is a batch configuration problem, not an instance fault: it
- *  reaches the caller, the lowest failing index's under any thread
- *  count. */
+/** Checkpoint files a batch left in `dir` (one per instance that
+ *  ran; none when the batch was refused before any ran). */
+size_t
+checkpointsIn(const std::filesystem::path &dir)
+{
+    size_t n = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        (void)e;
+        ++n;
+    }
+    return n;
+}
+
+/** Instances are built on the pool's workers, yet a bad job is a
+ *  batch configuration problem, not an instance fault: it reaches
+ *  the caller, the lowest failing index's under any thread count.
+ *  The jobs share one resolve, so no spec load can refuse them: the
+ *  runner's serial checks must, before any instance runs. */
 TEST(BatchRunnerTest, ConstructionErrorReachesTheCaller)
 {
-    for (unsigned threads : {1u, 2u}) {
-        BatchOptions opts;
-        opts.threads = threads;
-        BatchRunner runner(opts);
-        for (const char *fault :
-             {"", "nosuch:1:toggle@3", "", "other:1:toggle@3"}) {
-            BatchJob job;
-            job.options.specText = counterSpec(4, 100);
-            job.options.fault = fault;
-            job.cycles = 20;
-            runner.addJob(job);
-        }
-        try {
-            runner.run();
-            FAIL() << "expected SpecError, " << threads << " threads";
-        } catch (const SpecError &e) {
-            EXPECT_NE(std::string(e.what()).find("nosuch"),
-                      std::string::npos)
-                << e.what();
+    SimulationOptions shared;
+    shared.specText = counterSpec(4, 100);
+    shared = Simulation::shareBatchArtifacts(shared);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "asim_batch_bad_job";
+    struct Bad
+    {
+        const char *fault;
+        const char *engine;
+        unsigned partitions;
+        const char *says;
+    };
+    for (const Bad &bad :
+         {Bad{"nosuch:1:toggle@3", "vm", 0, "nosuch"},
+          Bad{"", "nosuch", 0, "nosuch"},
+          Bad{"", "vm", 2, "partition"}}) {
+        for (unsigned threads : {1u, 2u}) {
+            std::filesystem::remove_all(dir);
+            BatchOptions opts;
+            opts.threads = threads;
+            opts.checkpointDir = dir.string();
+            BatchRunner runner(opts);
+            for (int k = 0; k < 4; ++k) {
+                BatchJob job;
+                job.options = shared;
+                job.cycles = 20;
+                if (k % 2 == 1) {
+                    job.options.fault = bad.fault;
+                    job.options.engine = bad.engine;
+                    job.options.partitions = bad.partitions;
+                }
+                runner.addJob(job);
+            }
+            try {
+                runner.run();
+                FAIL() << "expected an error, " << threads << " threads";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find(bad.says),
+                          std::string::npos)
+                    << e.what();
+            }
+            EXPECT_EQ(checkpointsIn(dir), 0u) << bad.says;
         }
     }
+
+    // An engine that fails to build passes the serial checks: the
+    // error still reaches the caller, and no later instance starts.
+    static const bool registered = [] {
+        EngineRegistry::global().add(
+            "unbuildable", "always fails to build",
+            [](const std::shared_ptr<const ResolvedSpec> &,
+               const EngineContext &) -> std::unique_ptr<Engine> {
+                throw SimError("unbuildable engine");
+            });
+        return true;
+    }();
+    (void)registered;
+    for (unsigned threads : {1u, 2u}) {
+        std::filesystem::remove_all(dir);
+        BatchOptions opts;
+        opts.threads = threads;
+        opts.checkpointDir = dir.string();
+        BatchRunner runner(opts);
+        for (int k = 0; k < 8; ++k) {
+            BatchJob job;
+            job.options = shared;
+            job.cycles = 20;
+            if (k == 1)
+                job.options.engine = "unbuildable";
+            runner.addJob(job);
+        }
+        EXPECT_THROW(runner.run(), SimError);
+        if (threads == 1) { // inline, in index order: index 0 ran
+            EXPECT_EQ(checkpointsIn(dir), 1u);
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(BatchRunnerTest, AggregateMatchesInstanceSums)

@@ -338,6 +338,21 @@ const char *kLatchInputSpec = "# latch-only difference\n"
                               "M in 0 0 2 1\n"
                               ".\n";
 
+/** `w` is combinational, `f`'s latch plus the count, and `f`
+ *  re-reads its cell every cycle, so a latch upset of `f` changes
+ *  `w` for one cycle and leaves the memories and latches as the
+ *  golden run's. Watching `w:20`, the upset can hit the watchpoint a
+ *  cycle early or miss the golden hit (then `w` passes 20 and the
+ *  instance hangs). */
+const char *kWatchedLatchSpec = "# combinational watch on a latch\n"
+                                "= 30\n"
+                                "cnt next f w .\n"
+                                "A next 4 cnt 1\n"
+                                "A w 4 f cnt\n"
+                                "M cnt 0 next 1 1\n"
+                                "M f 0 0 0 -1 0\n"
+                                ".\n";
+
 /** A completion watchpoint for `o`'s golden run: the first component
  *  whose value at 3/4 of the horizon differs from its value at the
  *  golden cycle (horizon / 2), so the golden run reaches it after
@@ -448,9 +463,9 @@ TEST(Campaign, DecidedMatchesBruteForce)
     EXPECT_GE(specs, 7u);
 
     // The hand-built rows: a fault cycle at or past the golden watch
-    // hit, a latch upset that changes its cycle's output, a read that
-    // turns into a simulator fault, and fault cycles equal to the
-    // first read's.
+    // hit, a latch upset that changes its cycle's output or its
+    // cycle's combinational watch value, a read that turns into a
+    // simulator fault, and fault cycles equal to the first read's.
     CampaignOptions chase = campaignFor(kChaseSpec, 128, 4);
     chase.base.ioMode = IoMode::Script;
     const Coverage cov = expectDecidedMatchesBruteForce(chase, "chase");
@@ -462,6 +477,12 @@ TEST(Campaign, DecidedMatchesBruteForce)
     for (int32_t v = 1; v <= 32; ++v)
         latch.base.scriptInputs.push_back(v);
     expectDecidedMatchesBruteForce(latch, "latch input");
+
+    // A latch upset whose cycle's combinational watch value differs.
+    CampaignOptions watched = campaignFor(kWatchedLatchSpec, 256, 6);
+    watched.watchName = "w";
+    watched.watchValue = 20;
+    expectDecidedMatchesBruteForce(watched, "watched latch");
 
     // The sieve perfbench's campaign runs, at every size it uses,
     // two seeds each; the 12 policy/watch/engine combinations rotate

@@ -27,7 +27,7 @@ process, a child subreaper (prctl PR_SET_CHILD_SUBREAPER): it was
 forked from the small shell, not from the interpreter.
 
 Usage:
-    tools/check_batch_rss.py [--asim-run build/asim-run] [--spec FILE]
+    tools/check_batch_rss.py [--asim-run build/asim-run]
 
 Exit status: 0 within the bound, 1 above it or when a run fails.
 """
@@ -38,7 +38,8 @@ import os
 import subprocess
 import sys
 
-COMMAND = ["--threads=4", "--cycles=2000", "--io=null"]
+COMMAND = ["--threads=4", "--cycles=2000", "--io=null",
+           "specs/multiplier.asim"]
 SIZES = (64, 4096)
 BOUND_MB = 7.0
 PR_SET_CHILD_SUBREAPER = 36
@@ -59,8 +60,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--asim-run", default="build/asim-run",
                     help="asim-run binary (default build/asim-run)")
-    ap.add_argument("--spec", default="specs/multiplier.asim",
-                    help="spec to batch (default specs/multiplier.asim)")
     args = ap.parse_args()
 
     libc = ctypes.CDLL(None, use_errno=True)
@@ -70,7 +69,7 @@ def main():
 
     peaks = []
     for n in SIZES:
-        argv = [args.asim_run, f"--batch={n}"] + COMMAND + [args.spec]
+        argv = [args.asim_run, f"--batch={n}"] + COMMAND
         peak, code = peak_mb(argv)
         if code != 0:
             print(f"check_batch_rss: {' '.join(argv)} exited {code}")
