@@ -1,6 +1,7 @@
 #include "analysis/campaign.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <cstdio>
@@ -8,9 +9,11 @@
 #include <iomanip>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/resolve.hh"
 #include "sim/checkpoint.hh"
@@ -150,20 +153,325 @@ applyFaultToSnapshot(EngineSnapshot &snap, const ResolvedSpec &rs,
 
 namespace {
 
-/** How the golden run settled one transient injection: decided
- *  outright, or the flipped snapshot its instance starts from. */
-struct Settlement
+/** Golden cycles between two comparisons of the active instances with
+ *  the golden run: shorter parks an instance sooner after it rejoins
+ *  the golden run, but compares, parks and wakes more often. Sieve 41,
+ *  seed 1, 512 toggles (vm, one thread): 16, 32 and 64 simulated 89k,
+ *  96k and 109k instance cycles in 19.5, 19.4 and 21.4 ms; on a set0
+ *  campaign (sieve 49, seed 9) 16 ran 5% slower than 32 and 64. */
+constexpr uint64_t kSyncCycles = 32;
+
+/** Run `sim` up to `n` cycles, stopping at the completion watchpoint
+ *  when the campaign has one; true when it reads the watched value. */
+bool
+advance(Simulation &sim, const CampaignOptions &o, uint64_t n)
 {
-    bool decided = false;
-    FaultOutcome outcome = FaultOutcome::Masked;
-    std::shared_ptr<const EngineSnapshot> start;
-    size_t ioSkip = 0; ///< golden output bytes before `start`
-    size_t job = 0;    ///< batch index (undecided injections)
+    if (o.watchName.empty())
+        sim.run(n);
+    else
+        sim.runUntilValue(o.watchName, o.watchValue, n);
+    return !o.watchName.empty() && sim.value(o.watchName) == o.watchValue;
+}
+
+/** A memory cell a parked injection differs in, and its value there. */
+struct CellDiff
+{
+    size_t mem, cell;
+    int32_t value = 0;
 };
 
-/** One campaign. With `decide`, the golden run settles every
- *  transient injection it can (DESIGN.md §10) and simulates the rest
- *  from their first read; without it, every injection is simulated
+/** One transient injection. On no slot and not decided, it is parked:
+ *  its state is the golden run's but for the cells in `diff`. */
+struct Injection
+{
+    std::vector<CellDiff> diff;
+    /** Set once its output differed from the golden run's; its output
+     *  up to golden output byte `outTo` is then `out`. */
+    bool outputDiffers = false;
+    std::string out;
+    size_t outTo = 0;
+    size_t widest = 0;         ///< diff's size when it parked
+    bool parkedBefore = false; ///< parked at an earlier sync
+    bool decided = false;      ///< `record` holds its outcome
+    CampaignRecord record;
+};
+
+/** A reusable simulation for one active injection. */
+struct Slot
+{
+    std::ostringstream io;
+    std::unique_ptr<Simulation> sim;
+    size_t injection = 0;
+    size_t ioFrom = 0; ///< golden output bytes where it woke
+};
+
+/** Work counters, published as `campaign.<name>`. */
+enum Work { kInstanceCycles, kWakes, kParks, kReparks, kWideRejoins,
+            kOutputRejoins, kInputHeld, kStopSyncs, kWorkCount };
+constexpr const char *kWorkNames[kWorkCount] = {
+    "instance_cycles", "wakes",          "parks",      "reparks",
+    "wide_rejoins",    "output_rejoins", "input_held", "stop_syncs"};
+
+/** The golden run's second half in lockstep with the transient
+ *  injections, each parked, active on a slot or decided (DESIGN.md §10). */
+struct Lockstep
+{
+    const CampaignOptions &o;
+    const ResolvedSpec &rs;
+    const SimulationOptions &base;
+    const FaultInjector &injector;
+    const std::vector<FaultSite> &sites;
+    Simulation &golden;
+    const std::ostringstream &goldenIo;
+    uint64_t horizon;
+    uint64_t budget;  ///< a watch campaign's horizon + hang budget
+
+    std::vector<Injection> inj = std::vector<Injection>(sites.size());
+    /** Per memory: cell -> the parked injections that differ there. */
+    using CellIndex = std::unordered_map<size_t, std::vector<size_t>>;
+    std::vector<CellIndex> waiting = std::vector<CellIndex>(rs.mems.size());
+    std::vector<std::unique_ptr<Slot>> slots{}; ///< first nActive active
+    size_t nActive = 0;
+    EngineSnapshot pre = golden.engine().snapshot(); ///< before this cycle
+    std::array<uint64_t, kWorkCount> work{};
+
+    /** Make parked injection `i` active on a slot restored from the
+     *  golden state before this cycle, its diff written in. */
+    Slot &
+    wake(size_t i, size_t ioAt)
+    {
+        if (nActive == slots.size()) {
+            slots.push_back(std::make_unique<Slot>());
+            SimulationOptions so = base;
+            so.ioOut = &slots.back()->io;
+            slots.back()->sim = std::make_unique<Simulation>(so);
+        }
+        Slot &s = *slots[nActive++];
+        s.injection = i;
+        s.ioFrom = ioAt;
+        s.io.str({});
+        s.sim->restore(pre);
+        Injection &in = inj[i];
+        for (const CellDiff &d : in.diff) {
+            s.sim->engine().state().mems[d.mem].cells[d.cell] = d.value;
+            CellIndex &w = waiting[d.mem];
+            const auto it = w.find(d.cell);
+            if (it != w.end() &&
+                (std::erase(it->second, i), it->second.empty()))
+                w.erase(it);
+        }
+        in.diff.clear();
+        ++work[kWakes];
+        return s;
+    }
+
+    /** After a golden cycle: a read of a cell an injection differs in
+     *  wakes it; a write makes the cell the golden run's again. Reads
+     *  first: one cycle may read one of its cells and write another. */
+    void
+    accesses(size_t ioAt)
+    {
+        const MachineState &st = golden.engine().state();
+        for (const int32_t op : {mem_op::kRead, mem_op::kWrite}) {
+            for (size_t m = 0; m < st.mems.size(); ++m) {
+                const size_t cell = static_cast<size_t>(st.mems[m].adr);
+                if (land(st.mems[m].opn, 3) != op || waiting[m].empty())
+                    continue;
+                const auto ids = waiting[m].extract(cell);
+                if (ids.empty())
+                    continue;
+                for (const size_t i : ids.mapped()) {
+                    Injection &in = inj[i];
+                    if (op == mem_op::kRead) {
+                        wake(i, ioAt);
+                        continue;
+                    }
+                    std::erase_if(in.diff, [&](const CellDiff &d) {
+                        return d.mem == m && d.cell == cell;
+                    });
+                    if (in.diff.empty()) {
+                        work[kWideRejoins] += in.widest > 1;
+                        work[kOutputRejoins] += in.outputDiffers;
+                    }
+                }
+            }
+        }
+    }
+
+    /** Bring slot `s` up to the golden cycle; true when it is decided,
+     *  or parks (DESIGN.md §10). At the golden stop (`last`) every slot
+     *  is classified as its brute-force instance would be. */
+    bool
+    settle(Slot &s, bool last)
+    {
+        Injection &in = inj[s.injection];
+        Simulation &sim = *s.sim;
+        const uint64_t t = golden.cycle(), from = sim.cycle();
+        bool stopped = false, ranOn = false; // at its own watch hit
+        std::string fault;
+        try {
+            stopped = advance(sim, o, t - from);
+            if ((ranOn = last && !o.watchName.empty() && !stopped))
+                stopped = advance(sim, o, budget - t);
+        } catch (const SimError &e) {
+            fault = e.what();
+        }
+        work[kInstanceCycles] += sim.cycle() - from;
+        const MachineState &f = sim.engine().state();
+        const MachineState &g = golden.engine().state();
+        bool same = std::ranges::equal(f.latches(), g.latches());
+        for (size_t m = 0; same && m < g.mems.size(); ++m)
+            same = f.mems[m].adr == g.mems[m].adr &&
+                   f.mems[m].opn == g.mems[m].opn;
+        if (!fault.empty() || ranOn || (last && !same) ||
+            (stopped && (!last || sim.cycle() < t))) {
+            in.decided = true;
+            in.record.outcome = !fault.empty() ? FaultOutcome::EngineFault
+                                : ranOn && !stopped ? FaultOutcome::Hang
+                                                    : FaultOutcome::Sdc;
+            in.record.cyclesRun = sim.cycle();
+            in.record.fault = std::move(fault);
+            return true;
+        }
+        if (!same || (!last && sim.engine().inputsConsumed() !=
+                                   golden.engine().inputsConsumed())) {
+            work[kInputHeld] += same;
+            return false;
+        }
+        const std::string_view gio = goldenIo.view();
+        if (in.outputDiffers || s.io.view() != gio.substr(s.ioFrom)) {
+            in.out.append(gio.substr(in.outTo, s.ioFrom - in.outTo))
+                .append(s.io.view());
+            in.outTo = gio.size();
+            in.outputDiffers = true;
+        }
+        for (size_t m = 0; m < g.mems.size(); ++m)
+            for (size_t c = 0; c < g.mems[m].cells.size(); ++c)
+                if (f.mems[m].cells[c] != g.mems[m].cells[c]) {
+                    in.diff.push_back({m, c, f.mems[m].cells[c]});
+                    waiting[m][c].push_back(s.injection);
+                }
+        ++work[kParks];
+        work[kReparks] += std::exchange(in.parkedBefore, true);
+        work[kOutputRejoins] += in.diff.empty() && in.outputDiffers;
+        in.widest = in.diff.size();
+        return true;
+    }
+
+    void
+    sync(bool last)
+    {
+        for (size_t k = 0; k < nActive;)
+            if (settle(*slots[k], last))
+                std::swap(slots[k], slots[--nActive]);
+            else
+                ++k;
+    }
+
+    /** Run the golden run to its stop; true on a watch hit. It steps
+     *  one cycle at a time only while a parked injection differs in a
+     *  cell, else runs to the next fault cycle or (slots active) sync. */
+    bool
+    run()
+    {
+        std::vector<size_t> order(sites.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::ranges::stable_sort(
+            order, {}, [&](size_t i) { return sites[i].cycle; });
+        bool hit = false;
+        for (size_t next = 0; !hit && golden.cycle() < horizon;) {
+            const uint64_t t = golden.cycle();
+            for (; next < order.size() && sites[order[next]].cycle <= t;
+                 ++next) {
+                const size_t i = order[next];
+                const FaultSite &site = sites[i];
+                const MachineState &st = golden.engine().state();
+                const size_t m =
+                    static_cast<size_t>(rs.memIndex(site.component));
+                const size_t c = static_cast<size_t>(site.cell);
+                const int32_t v =
+                    site.cell < 0 ? st.latches()[m] : st.mems[m].cells[c];
+                const int32_t flipped = injector.apply(v, site.bit);
+                if (flipped == v)
+                    continue;
+                if (site.cell < 0) {
+                    golden.engine().snapshotInto(pre);
+                    wake(i, goldenIo.view().size())
+                        .sim->engine()
+                        .state()
+                        .latches()[m] = flipped;
+                    continue;
+                }
+                inj[i].diff.push_back({m, c, flipped});
+                waiting[m][c].push_back(i);
+            }
+            if (std::ranges::all_of(
+                    waiting, [](const CellIndex &w) { return w.empty(); })) {
+                uint64_t until = next < order.size()
+                                     ? sites[order[next]].cycle
+                                     : horizon;
+                if (nActive > 0)
+                    until = std::min(
+                        until, (t / kSyncCycles + 1) * kSyncCycles);
+                hit = advance(golden, o, until - t);
+            } else {
+                if (pre.cycle != t)
+                    golden.engine().snapshotInto(pre);
+                const size_t ioAt = goldenIo.view().size();
+                hit = advance(golden, o, 1);
+                accesses(ioAt);
+                // A cycle changes no cell but what a write writes; `pre`
+                // keeps stale stats (nothing reads an instance's).
+                const MachineState &g = golden.engine().state();
+                pre.state.vars = g.vars;
+                for (size_t m = 0; m < g.mems.size(); ++m) {
+                    MemoryState &p = pre.state.mems[m];
+                    p.adr = g.mems[m].adr;
+                    p.opn = g.mems[m].opn;
+                    if (land(p.opn, 3) == mem_op::kWrite)
+                        p.cells[p.adr] = g.mems[m].cells[p.adr];
+                }
+                pre.cycle = golden.cycle();
+                pre.ioValues = golden.engine().inputsConsumed();
+            }
+            if (nActive > 0 && !hit && golden.cycle() < horizon &&
+                golden.cycle() % kSyncCycles == 0)
+                sync(false);
+        }
+        return hit;
+    }
+
+    /** Settle the active slots at the golden stop and return each
+     *  injection's outcome, cycles and fault. A parked one is SDC
+     *  when it differs in a cell, else as its output compares. */
+    std::vector<CampaignRecord>
+    finish()
+    {
+        work[kStopSyncs] += nActive > 0 && golden.cycle() % kSyncCycles;
+        sync(true);
+        const std::string_view gio = goldenIo.view();
+        std::vector<CampaignRecord> records(sites.size());
+        for (size_t i = 0; i < sites.size(); ++i) {
+            Injection &in = inj[i];
+            records[i] = std::move(in.record);
+            if (in.decided)
+                continue;
+            records[i].cyclesRun = golden.cycle();
+            if (!in.diff.empty() ||
+                (in.outputDiffers &&
+                 in.out.append(gio.substr(in.outTo)) != gio))
+                records[i].outcome = FaultOutcome::Sdc;
+        }
+        for (size_t w = 0; w < kWorkCount; ++w)
+            metrics::counter(std::string("campaign.") + kWorkNames[w])
+                .add(work[w]);
+        return records;
+    }
+};
+
+/** One campaign. With `decide`, a transient campaign's injections run
+ *  in lockstep with the golden run (DESIGN.md §10); without it, and
+ *  for splice campaigns, every injection is one BatchRunner instance
  *  from the golden checkpoint (or, spliced, from cycle zero). */
 CampaignResult
 runCampaign(const CampaignOptions &o, bool decide)
@@ -286,221 +594,99 @@ runCampaign(const CampaignOptions &o, bool decide)
         sites.push_back(std::move(site));
     }
 
-    // ----- The golden run's second half settles the injections
-    // (DESIGN.md §10). Each one arms at its fault cycle; a cell site
-    // then waits, keyed by (memory, cell), for the golden run's first
-    // access to that cell. The run steps one cycle at a time while
-    // any site waits and runs straight to the next fault cycle
-    // otherwise.
-    std::vector<Settlement> settled(o.runs);
-    std::vector<size_t> order;
-    if (decide) {
-        order.resize(o.runs);
-        for (size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::ranges::stable_sort(order, {}, [&](size_t i) {
-            return sites[i].cycle;
-        });
-    }
-    std::vector<std::unordered_map<int64_t, std::vector<size_t>>>
-        waiting(rs->mems.size()); // per memory: cell -> its sites
-    size_t nWaiting = 0;
-    std::vector<size_t> latchNow; // latch sites of this cycle
-    std::unique_ptr<Simulation> probe; // one-cycle latch runs
-    std::ostringstream probeIo;        // and their discarded output
-    EngineSnapshot pre; // golden state before this cycle
-    auto simulateFrom = [&](size_t i, const EngineSnapshot &at,
-                            size_t ioAt) {
-        auto start = std::make_shared<EngineSnapshot>(at);
-        applyFaultToSnapshot(*start, *rs, sites[i]);
-        settled[i].start = std::move(start);
-        settled[i].ioSkip = ioAt - goldenIoPrefix;
-    };
-    auto decideAs = [&](size_t i, FaultOutcome outcome) {
-        settled[i].decided = true;
-        settled[i].outcome = outcome;
-    };
-    bool hit = false;
-    size_t next = 0;
-    for (;;) {
-        const uint64_t t = golden.cycle();
-        if (hit || t == horizon)
-            break;
-        for (; next < order.size() && sites[order[next]].cycle <= t;
-             ++next) {
-            const size_t i = order[next];
-            const FaultSite &site = sites[i];
-            const size_t m =
-                static_cast<size_t>(rs->memIndex(site.component));
-            if (site.cell < 0) {
-                latchNow.push_back(i);
-                continue;
-            }
-            const int32_t v = golden.engine()
-                                  .state()
-                                  .mems[m]
-                                  .cells[static_cast<size_t>(site.cell)];
-            if (injector.apply(v, site.bit) == v) {
-                decideAs(i, FaultOutcome::Masked);
-            } else {
-                waiting[m][site.cell].push_back(i);
-                ++nWaiting;
-            }
-        }
-        if (nWaiting == 0 && latchNow.empty()) {
-            const uint64_t until = next < order.size()
-                                       ? sites[order[next]].cycle
-                                       : horizon;
-            if (watch) {
-                golden.runUntilValue(o.watchName, o.watchValue,
-                                     until - t);
-                hit = golden.value(o.watchName) == o.watchValue;
-            } else {
-                golden.run(until - t);
-            }
-            continue;
-        }
-
-        golden.engine().snapshotInto(pre);
-        const size_t ioAt = goldenIo.view().size();
-        golden.step();
-        if (watch)
-            hit = golden.value(o.watchName) == o.watchValue;
-
-        // A latch upset lives one cycle: every memory operation
-        // overwrites the latch. Masked when that cycle leaves the
-        // memories and their latches as the golden run's and hits
-        // the watchpoint exactly when the golden run does: the
-        // combinational values are recomputed next cycle, and the
-        // address and operation latches record every input and
-        // output the cycle made. Otherwise the instance runs from
-        // the fault cycle.
-        for (const size_t i : latchNow) {
-            simulateFrom(i, pre, ioAt);
-            if (!probe) {
-                SimulationOptions po = base;
-                po.ioOut = &probeIo;
-                probe = std::make_unique<Simulation>(po);
-            }
-            try {
-                probe->restore(*settled[i].start);
-                probe->step();
-            } catch (const SimError &) {
-                continue;
-            }
-            const MachineState &f = probe->engine().state();
-            const MachineState &g = golden.engine().state();
-            if (f.mems == g.mems &&
-                std::ranges::equal(f.latches(), g.latches()) &&
-                (!watch ||
-                 (probe->value(o.watchName) == o.watchValue) == hit)) {
-                decideAs(i, FaultOutcome::Masked);
-                settled[i].start.reset();
-            }
-        }
-        latchNow.clear();
-
-        // This cycle's cell accesses: a write first masks the upset,
-        // a read first starts its instance here.
-        const MachineState &st = golden.engine().state();
-        for (size_t m = 0; m < st.mems.size(); ++m) {
-            const MemoryState &ms = st.mems[m];
-            const int32_t op = land(ms.opn, 3);
-            if (waiting[m].empty() ||
-                (op != mem_op::kRead && op != mem_op::kWrite))
-                continue;
-            const auto it = waiting[m].find(ms.adr);
-            if (it == waiting[m].end())
-                continue;
-            for (const size_t i : it->second) {
-                if (op == mem_op::kWrite)
-                    decideAs(i, FaultOutcome::Masked);
-                else
-                    simulateFrom(i, pre, ioAt);
-            }
-            nWaiting -= it->second.size();
-            waiting[m].erase(it);
-        }
-    }
-    if (watch && !hit) {
+    // ----- The golden run's second half: in lockstep with the
+    // injections, or straight to its stop ahead of the fan-out.
+    CampaignResult result;
+    result.threads = 1;
+    Lockstep lockstep{o,      *rs,     base,    injector, sites,
+                      golden, goldenIo, horizon, horizon + hangBudget};
+    if (!(decide ? lockstep.run()
+                 : advance(golden, o, horizon - goldenCycle)) &&
+        watch) {
         throw SimError("campaign golden run never reached the "
-                       "completion watchpoint <" + o.watchName +
-                       ":" + std::to_string(o.watchValue) +
+                       "completion watchpoint <" + o.watchName + ":" +
+                       std::to_string(o.watchValue) +
                        "> within the horizon " +
                        std::to_string(horizon));
     }
-    // Never touched again: the upset survives to the end (SDC). Past
-    // a watchpoint campaign's golden stop it was never applied.
-    for (const auto &cells : waiting)
-        for (const auto &[cell, ids] : cells)
-            for (const size_t i : ids)
-                decideAs(i, FaultOutcome::Sdc);
-    for (; next < order.size(); ++next)
-        decideAs(order[next], FaultOutcome::Masked);
-
+    std::vector<CampaignRecord> records =
+        decide ? lockstep.finish() : std::vector<CampaignRecord>{};
+    result.instanceCycles = lockstep.work[kInstanceCycles];
     const uint64_t goldenCycles = golden.cycle();
-    const MachineState goldenState = golden.engine().state();
-    const std::string goldenIoFull = goldenIo.str();
-    const std::string_view goldenIoTail =
-        std::string_view(goldenIoFull).substr(goldenIoPrefix);
-
-    std::shared_ptr<const EngineSnapshot> goldenSnap;
-    if (checkpoint) {
-        // Decode once through the real load path (validating the
-        // file we just wrote); instances share the snapshot.
-        goldenSnap = std::make_shared<const EngineSnapshot>(
-            loadCheckpoint(goldenPath, *rs));
-    }
     goldenSpan.finish();
 
-    // ----- Fan-out: one instance per undecided injection.
-    BatchOptions batchOpts;
-    batchOpts.threads = o.threads;
-    batchOpts.captureState = true;
-    BatchRunner runner(batchOpts);
-    for (uint64_t i = 0; i < o.runs; ++i) {
-        Settlement &st = settled[i];
-        if (st.decided)
-            continue;
-        BatchJob job;
-        job.options = base;
-        job.label = formatFaultSite(sites[i]);
-        job.cycles = horizon + hangBudget;
-        job.watchName = o.watchName;
-        job.watchValue = o.watchValue;
-        if (st.start) {
-            job.restoreSnapshot = std::move(st.start);
-        } else if (o.splice) {
-            // The spliced spec differs from the shared resolve:
-            // drop the shared compiled artifacts (the instance
-            // compiles its own) and run from cycle zero. A shared
-            // symbolic tree stays: it is the healthy tree each
-            // instance splices.
-            job.options.fault = job.label;
-            job.options.program.reset();
-            job.options.nativeBuild.reset();
-        } else {
-            job.options.fault = job.label;
-            job.restoreSnapshot = goldenSnap;
+    if (!decide) {
+        // ----- Fan-out: one instance per injection, classified
+        // against the golden reference (DESIGN.md §10). A transient
+        // instance produced only the output after the golden cycle.
+        std::shared_ptr<const EngineSnapshot> goldenSnap;
+        if (checkpoint) {
+            // Decode once through the real load path (validating the
+            // file we just wrote); instances share the snapshot.
+            goldenSnap = std::make_shared<const EngineSnapshot>(
+                loadCheckpoint(goldenPath, *rs));
         }
-        st.job = runner.addJob(std::move(job));
-    }
-    tracing::Span fanoutSpan("campaign.fanout", "campaign");
-    if (fanoutSpan.active())
-        fanoutSpan.setArgs("\"runs\":" + std::to_string(o.runs) +
-                           ",\"instances\":" +
-                           std::to_string(runner.jobCount()) +
-                           ",\"threads\":" + std::to_string(o.threads));
-    BatchResult batch = runner.run();
-    fanoutSpan.finish();
+        BatchOptions batchOpts;
+        batchOpts.threads = o.threads;
+        batchOpts.captureState = true;
+        BatchRunner runner(batchOpts);
+        for (const FaultSite &site : sites) {
+            BatchJob job;
+            job.options = base;
+            job.label = formatFaultSite(site);
+            job.options.fault = job.label;
+            job.cycles = horizon + hangBudget;
+            job.watchName = o.watchName;
+            job.watchValue = o.watchValue;
+            job.restoreSnapshot = goldenSnap;
+            if (o.splice) {
+                // The spliced spec differs from the shared resolve:
+                // drop the shared compiled artifacts (the instance
+                // compiles its own) and run from cycle zero. A shared
+                // symbolic tree stays: it is the healthy tree each
+                // instance splices.
+                job.options.program.reset();
+                job.options.nativeBuild.reset();
+            }
+            runner.addJob(std::move(job));
+        }
+        tracing::Span fanoutSpan("campaign.fanout", "campaign");
+        if (fanoutSpan.active())
+            fanoutSpan.setArgs("\"runs\":" + std::to_string(o.runs) +
+                               ",\"threads\":" + std::to_string(o.threads));
+        const BatchResult batch = runner.run();
+        fanoutSpan.finish();
+        result.threads = batch.threads;
 
-    // ----- Classify against the golden reference (DESIGN.md §10):
-    // EngineFault > Hang > Masked-vs-Sdc. The state diff covers the
-    // memories and their output latches (architectural state);
-    // combinational outputs are derived from them every cycle.
-    // Transient instances produced only the output after their start,
-    // so they diff against the golden output from there.
-    CampaignResult result;
+        const MachineState &goldenState = golden.engine().state();
+        const std::string_view refIo =
+            goldenIo.view().substr(o.splice ? 0 : goldenIoPrefix);
+        for (const InstanceResult &r : batch.instances) {
+            CampaignRecord &rec = records.emplace_back(CampaignRecord{
+                {}, {}, FaultOutcome::Sdc, r.cyclesRun, r.fault});
+            if (r.faulted)
+                rec.outcome = FaultOutcome::EngineFault;
+            else if (watch && !r.watchpointHit)
+                rec.outcome = FaultOutcome::Hang;
+            else if (r.cyclesRun == goldenCycles && r.ioText == refIo &&
+                     r.state.mems == goldenState.mems &&
+                     std::ranges::equal(r.state.latches(),
+                                        goldenState.latches()))
+                rec.outcome = FaultOutcome::Masked;
+            if (metrics::timingEnabled()) {
+                // Where fan-out wall time goes, per outcome. Metrics
+                // only: the report bytes never read them.
+                metrics::histogram(
+                    std::string("campaign.run_ns.") +
+                        faultOutcomeName(rec.outcome),
+                    metrics::Histogram::exponentialBounds(1000, 4.0,
+                                                          16))
+                    .record(static_cast<uint64_t>(r.seconds * 1e9));
+            }
+        }
+    }
+
+    // ----- Report, in sampling order.
     result.runs = o.runs;
     result.seed = o.seed;
     result.injector = o.injector;
@@ -513,64 +699,24 @@ runCampaign(const CampaignOptions &o, bool decide)
     result.watchValue = o.watchValue;
     result.goldenCycles = goldenCycles;
 
-    const std::string_view refIo =
-        o.splice ? std::string_view(goldenIoFull) : goldenIoTail;
     std::map<std::string, CampaignCounts> perComponent;
-    result.records.reserve(o.runs);
     tracing::Span classifySpan("campaign.classify", "campaign");
     const bool timed = metrics::timingEnabled();
     for (uint64_t i = 0; i < o.runs; ++i) {
-        const Settlement &st = settled[i];
-        const FaultSite &site = sites[i];
-        CampaignRecord rec;
-        rec.site = formatFaultSite(site);
-        rec.component = site.component;
-        rec.cyclesRun = goldenCycles;
-        if (st.decided) {
-            rec.outcome = st.outcome;
-        } else {
-            const InstanceResult &r = batch.instances[st.job];
-            if (r.faulted) {
-                rec.outcome = FaultOutcome::EngineFault;
-            } else if (watch && !r.watchpointHit) {
-                rec.outcome = FaultOutcome::Hang;
-            } else if (r.cyclesRun == goldenCycles &&
-                       r.ioText == refIo.substr(st.ioSkip) &&
-                       r.state.mems == goldenState.mems &&
-                       std::ranges::equal(r.state.latches(),
-                                          goldenState.latches())) {
-                rec.outcome = FaultOutcome::Masked;
-            } else {
-                rec.outcome = FaultOutcome::Sdc;
-            }
-            rec.cyclesRun = r.cyclesRun;
-            rec.fault = r.fault;
-            if (timed) {
-                // Per-classification run-time histograms of the
-                // simulated instances: hang-budget burn vs fast
-                // masking is where campaign wall time goes. Metrics
-                // only — table()/json() never read these, so the
-                // report bytes stay identical with observability on.
-                metrics::histogram(
-                    std::string("campaign.run_ns.") +
-                        faultOutcomeName(rec.outcome),
-                    metrics::Histogram::exponentialBounds(1000, 4.0,
-                                                          16))
-                    .record(static_cast<uint64_t>(r.seconds * 1e9));
-            }
-        }
+        CampaignRecord &rec = records[i];
+        rec.site = formatFaultSite(sites[i]);
+        rec.component = sites[i].component;
         if (timed) {
             metrics::counter(std::string("campaign.outcome.") +
                              faultOutcomeName(rec.outcome))
                 .add();
         }
         result.total.add(rec.outcome);
-        perComponent[site.component].add(rec.outcome);
-        result.records.push_back(std::move(rec));
+        perComponent[rec.component].add(rec.outcome);
     }
+    result.records = std::move(records);
     result.components.assign(perComponent.begin(),
                              perComponent.end());
-    result.threads = batch.threads;
     result.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();

@@ -14,26 +14,22 @@
  *     flips one sampled bit of one sampled state word (memory cell or
  *     output latch) at one sampled cycle in [goldenCycle, horizon); a
  *     splice campaign samples a permanent stuck-at splice.
- *  3. **Settling** — the golden run's second half decides every
- *     transient injection the policy leaves unchanged or whose cell
- *     is written, or never accessed again, before it is read, and
- *     every latch upset that leaves the state (and the watchpoint
- *     hit) as the golden run's after its one cycle (DESIGN.md §10).
- *     The rest run on BatchRunner, one instance each, from a golden
- *     snapshot at their first read (latch sites: their fault cycle)
- *     with the bit flipped. Splice instances re-run from cycle zero
- *     (the spliced spec cannot restore the healthy checkpoint: its
- *     identity hash differs by design).
+ *  3. **Lockstep** — the golden run's second half carries every
+ *     transient injection: parked while its state is the golden
+ *     run's but for some memory cells, simulated (serially) from the
+ *     golden run's read of one of them until it equals the golden
+ *     run again but for cells, or is decided (DESIGN.md §10). Splice
+ *     instances run on BatchRunner from cycle zero (the spliced spec
+ *     cannot restore the healthy checkpoint: its hash differs).
  *  4. **Classify** — diff every instance against the golden
  *     reference (see FaultOutcome for the contract, DESIGN.md §10
  *     for the rationale) and aggregate per-component counts.
  *
- * The report is deterministic: sampling derives each injection's
- * stream from (seed, index) alone and classification reads
- * BatchRunner's index-ordered results, so CampaignResult::json() is
- * byte-identical across `--threads=1/2/hw` and across repeated runs
- * with the same seed (the JSON deliberately carries no timings or
- * paths; wall-clock lives in the human table only).
+ * The report is deterministic: each injection's stream derives from
+ * (seed, index) alone and records keep index order, so
+ * CampaignResult::json() is byte-identical across `--threads=1/2/hw`
+ * and across reruns with the same seed (the JSON carries no timings
+ * or paths; wall-clock lives in the human table only).
  *
  * This header lives in analysis/ beside the fault policies it
  * samples; it is compiled into the sim library (CMakeLists) because
@@ -83,7 +79,7 @@ const char *faultOutcomeName(FaultOutcome outcome);
 struct CampaignOptions
 {
     /** Spec source, engine, compiler flags, I/O. Interactive I/O is
-     *  refused (instances run concurrently); trace wiring is ignored
+     *  refused (instances have their own I/O); trace wiring is ignored
      *  — campaign instances never trace. */
     SimulationOptions base;
 
@@ -121,7 +117,8 @@ struct CampaignOptions
      *  before it counts as hung; 0 = horizon (i.e. 2x slack). */
     uint64_t hangBudget = 0;
 
-    /** Worker threads (BatchOptions); 0 = hardware concurrency. */
+    /** BatchRunner threads of splice and brute-force campaigns (0 =
+     *  hardware concurrency); CampaignRunner runs transient ones on one. */
     unsigned threads = 0;
 
     /** Directory for the golden checkpoint, which only the
@@ -195,6 +192,10 @@ struct CampaignResult
     double seconds = 0;
     unsigned threads = 0;
     /// @}
+
+    /** Cycles a transient CampaignRunner::run simulated on woken
+     *  instances — a work count, in neither json() nor table(). */
+    uint64_t instanceCycles = 0;
 
     /** Human summary table (vulnerability per component). */
     std::string table() const;

@@ -187,7 +187,7 @@ flagTable(Invocation &inv)
         {"--batch=N", "run N instances off one resolve", count(inv.batchCount)},
         {"--batch-manifest=FILE", "run the jobs FILE lists",
          text(inv.manifest)},
-        {"--threads=M", "worker threads (default: all)", count(batch.threads)},
+        {"--threads=M", "batch/splice-campaign threads (default: all; transient campaigns run on 1)", count(batch.threads)},
         {"--json=FILE", "write the report as JSON (- for stdout)",
          text(inv.jsonPath)},
         {"--checkpoint-dir=DIR", "one resumable checkpoint per instance",

@@ -127,6 +127,9 @@ class Engine
 
     const SimStats &stats() const { return stats_; }
 
+    /** EngineSnapshot::ioValues without taking a snapshot. */
+    uint64_t inputsConsumed() const { return io_->inputsConsumed(); }
+
     const ResolvedSpec &resolved() const { return *rs_; }
 
     /** The shared immutable resolve this engine reads. */

@@ -21,6 +21,7 @@
 #include "machines/stack_machine.hh"
 #include "sim/simulation.hh"
 #include "support/logging.hh"
+#include "support/metrics.hh"
 
 #ifndef ASIM_SPECS_DIR
 #define ASIM_SPECS_DIR "specs"
@@ -353,6 +354,58 @@ const char *kWatchedLatchSpec = "# combinational watch on a latch\n"
                                 "M f 0 0 0 -1 0\n"
                                 ".\n";
 
+/** Built for the lockstep's paths (DESIGN.md §10), each over several
+ *  syncs. `y` reads one of its cells for 16 cycles every 64 and
+ *  nothing rewrites them, so a flipped `y` cell parks, wakes and
+ *  parks again. `x` reads and then rewrites its cells in turn, and
+ *  `o` prints what `x` reads, so a flipped `x` cell prints a wrong
+ *  value and then rejoins the golden run (SDC by its output alone).
+ *  `bufa` and `bufb` both keep cell 0 what `x` read at cnt = 5 (mod
+ *  64) and write their cell 1 otherwise: a flipped `x[5]` read then
+ *  parks differing in both cell 0s, which the next such cycle
+ *  rewrites together. */
+const char *kRejoinSpec = "# lockstep rejoins\n"
+                          "= 400\n"
+                          "cnt next t keep badr x bufa bufb y o .\n"
+                          "A next 4 cnt 1\n"
+                          "M cnt 0 next 1 1\n"
+                          "A t 8 cnt 63\n"
+                          "A keep 12 t 5\n"
+                          "A badr 5 1 keep\n"
+                          "M x cnt.0.2 cnt.0.2 cnt.3 8\n"
+                          "M bufa badr x 1 2\n"
+                          "M bufb badr x 1 2\n"
+                          "M y cnt.4.5 0 0 -4 1 2 3 4\n"
+                          "M o 1 x 3 1\n"
+                          ".\n";
+
+/** `in` takes a scripted input whenever `y` reads more than 6 — in
+ *  the golden run, while `y` reads its cell 0 (16 cycles in 64), and
+ *  `log` keeps those inputs. A `y` latch flipped above 6 elsewhere
+ *  makes `in` take an input `log` does not keep: the instance then
+ *  equals the golden run but for its input cursor, which shifts every
+ *  later logged input. */
+const char *kInputCursorSpec = "# lockstep input cursor\n"
+                               "= 400\n"
+                               "cnt next win isin inop dolog y in log .\n"
+                               "A next 4 cnt 1\n"
+                               "M cnt 0 next 1 1\n"
+                               "A win 12 cnt.4.5 0\n"
+                               "A isin 13 6 y\n"
+                               "A inop 7 isin 2\n"
+                               "A dolog 8 isin win\n"
+                               "M y cnt.4.5 0 0 -4 7 3 5 6\n"
+                               "M in isin 0 inop 1\n"
+                               "M log cnt.6.8 in dolog 8\n"
+                               ".\n";
+
+/** The lockstep's registry counter `campaign.<name>`. */
+uint64_t
+lockstepCounter(const std::string &name)
+{
+    return metrics::counter("campaign." + name).value();
+}
+
 /** A completion watchpoint for `o`'s golden run: the first component
  *  whose value at 3/4 of the horizon differs from its value at the
  *  golden cycle (horizon / 2), so the golden run reaches it after
@@ -484,6 +537,30 @@ TEST(Campaign, DecidedMatchesBruteForce)
     watched.watchValue = 20;
     expectDecidedMatchesBruteForce(watched, "watched latch");
 
+    // The lockstep's paths, each required to run: an instance that
+    // parks, wakes and parks again; a golden write that empties a
+    // two-cell diff; a rejoin after printing different output; an
+    // instance held active by its input cursor alone; and (watching
+    // cnt:330, between the syncs at 320 and 352) a golden stop between
+    // two syncs with instances active.
+    const char *paths[] = {"reparks", "wide_rejoins", "output_rejoins",
+                           "input_held", "stop_syncs"};
+    std::vector<uint64_t> before;
+    for (const char *path : paths)
+        before.push_back(lockstepCounter(path));
+    CampaignOptions rejoin = campaignFor(kRejoinSpec, 256, 8);
+    rejoin.base.ioMode = IoMode::Script;
+    rejoin.watchName = "cnt";
+    rejoin.watchValue = 330;
+    expectDecidedMatchesBruteForce(rejoin, "rejoin");
+    CampaignOptions cursor = campaignFor(kInputCursorSpec, 256, 9);
+    cursor.base.ioMode = IoMode::Script;
+    for (int32_t v = 1; v <= 2000; ++v)
+        cursor.base.scriptInputs.push_back(v);
+    expectDecidedMatchesBruteForce(cursor, "input cursor");
+    for (size_t i = 0; i < std::size(paths); ++i)
+        EXPECT_GT(lockstepCounter(paths[i]), before[i]) << paths[i];
+
     // The sieve perfbench's campaign runs, at every size it uses,
     // two seeds each; the 12 policy/watch/engine combinations rotate
     // over the sizes. The watchpoint is the machine's HALT, with a
@@ -511,6 +588,34 @@ TEST(Campaign, DecidedMatchesBruteForce)
                 o, "sieve " + std::to_string(size), combo, 12);
         }
     }
+}
+
+TEST(Campaign, LockstepWorkBound)
+{
+    // perfbench's campaign: sieve 41, seed 1, 512 toggle injections,
+    // horizon at HALT, golden cycle at half of it. Running each
+    // injection from its first read to the horizon took ~363k
+    // instance cycles; the lockstep takes 96,245. The bound counts
+    // work, not time, so it cannot flake.
+    SimulationOptions so;
+    so.specText = stackMachineSpec(sieveProgram(41), 1000000, true);
+    Simulation sim(so);
+    CampaignOptions o;
+    o.base.specText = so.specText;
+    o.runs = 512;
+    o.seed = 1;
+    o.horizon = sim.runUntilValue("state", kStackHaltState, 1000000);
+    const uint64_t counted = lockstepCounter("instance_cycles");
+    const uint64_t wakes = lockstepCounter("wakes");
+    const CampaignResult r = CampaignRunner(o).run();
+    EXPECT_EQ(r.total.injections, 512u);
+    EXPECT_GT(r.instanceCycles, 0u);
+    EXPECT_LE(r.instanceCycles, 150000u);
+    EXPECT_EQ(lockstepCounter("instance_cycles") - counted,
+              r.instanceCycles);
+    EXPECT_GT(lockstepCounter("wakes"), wakes);
+    EXPECT_EQ(r.json().find("instance"), std::string::npos);
+    EXPECT_EQ(r.table().find("instance"), std::string::npos);
 }
 
 TEST(Campaign, ConfigurationErrors)
