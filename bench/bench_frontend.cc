@@ -1,13 +1,27 @@
 /**
  * @file
  * Front-end throughput: the ASIM "Generate tables" phase (Figure 5.1
- * row 1), parse and resolve across spec sizes. Both benches pass a
+ * row 1), parse and resolve across spec sizes. Both curves pass a
  * Diagnostics, as Simulation does, so a per-name scan in the
  * declaration cross-check or module expansion shows up as a
- * super-linear curve.
+ * super-linear curve: a rate that falls as the spec grows.
+ *
+ *   checked  synthetic specs at scale 1, 32, 256 and 1024 (~9k
+ *            components), in MB/s of spec text;
+ *   module   8 to 1024 uses of a 3-component module, chained output
+ *            to input, in uses/s.
+ *
+ * Each point repeats its load for at least kMinSeconds, kReps times,
+ * and prints the median rate with the range. Takes no flags:
+ *
+ *     build/bench_frontend
  */
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "analysis/resolve.hh"
 #include "machines/synthetic.hh"
@@ -15,6 +29,10 @@
 namespace {
 
 using namespace asim;
+using Clock = std::chrono::steady_clock;
+
+constexpr int kReps = 5;
+constexpr double kMinSeconds = 0.2;
 
 std::string
 synthText(int scale)
@@ -27,26 +45,8 @@ synthText(int scale)
     return generateSyntheticText(opts);
 }
 
-/** The load every Simulation runs: parse and resolve with a
- *  Diagnostics, so the declaration cross-check (thesis `checkdcl`)
- *  is timed too. Arg(1024) is ~9k components. */
-void
-BM_ParseAndResolveChecked(benchmark::State &state)
-{
-    std::string text = synthText(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        Diagnostics diag;
-        benchmark::DoNotOptimize(resolveText(text, &diag));
-    }
-    state.SetBytesProcessed(
-        static_cast<int64_t>(state.iterations() * text.size()));
-}
-
-/** Module expansion (thesis §5.4 extension): N uses of a
- *  3-component module, chained output to input, parsed and resolved
- *  with a Diagnostics. */
-void
-BM_ModuleExpansion(benchmark::State &state)
+std::string
+moduleChainText(int uses)
 {
     std::string text = "# module chain\n"
                        "o0 .\n"
@@ -56,19 +56,58 @@ BM_ModuleExpansion(benchmark::State &state)
                        "A q 2 p in\n"
                        "A out 4 q 1\n"
                        "E\n";
-    for (int64_t k = 1; k <= state.range(0); ++k) {
+    for (int k = 1; k <= uses; ++k) {
         text += "U u" + std::to_string(k) + " cell o" +
                 std::to_string(k - 1) + " o" + std::to_string(k) + "\n";
     }
-    text += ".\n";
-    for (auto _ : state) {
-        Diagnostics diag;
-        benchmark::DoNotOptimize(resolveText(text, &diag));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
+    return text + ".\n";
 }
 
-BENCHMARK(BM_ParseAndResolveChecked)->Arg(1)->Arg(32)->Arg(256)->Arg(1024);
-BENCHMARK(BM_ModuleExpansion)->Arg(8)->Arg(64)->Arg(512)->Arg(1024);
+/** Loads of `text` per second, timed the way Simulation loads: parse
+ *  and resolve with a Diagnostics. Sorted, one per repetition. */
+std::vector<double>
+loadsPerSecond(const std::string &text)
+{
+    std::vector<double> rates;
+    for (int rep = 0; rep < kReps; ++rep) {
+        const auto t0 = Clock::now();
+        double seconds = 0;
+        uint64_t loads = 0;
+        do {
+            Diagnostics diag;
+            resolveText(text, &diag);
+            ++loads;
+            seconds =
+                std::chrono::duration<double>(Clock::now() - t0).count();
+        } while (seconds < kMinSeconds);
+        rates.push_back(static_cast<double>(loads) / seconds);
+    }
+    std::sort(rates.begin(), rates.end());
+    return rates;
+}
 
 } // namespace
+
+int
+main()
+{
+    std::printf("parse+resolve with Diagnostics, median of %d "
+                "repetitions (range)\n",
+                kReps);
+    for (int scale : {1, 32, 256, 1024}) {
+        const std::string text = synthText(scale);
+        const std::vector<double> r = loadsPerSecond(text);
+        const double mb = static_cast<double>(text.size()) / 1e6;
+        std::printf("  checked scale %4d (%7zu bytes): %6.2f MB/s "
+                    "(%.2f-%.2f)\n",
+                    scale, text.size(), r[kReps / 2] * mb, r[0] * mb,
+                    r[kReps - 1] * mb);
+    }
+    for (int uses : {8, 64, 512, 1024}) {
+        const std::vector<double> r = loadsPerSecond(moduleChainText(uses));
+        std::printf("  module  uses  %4d: %8.0f uses/s (%.0f-%.0f)\n",
+                    uses, r[kReps / 2] * uses, r[0] * uses,
+                    r[kReps - 1] * uses);
+    }
+    return 0;
+}

@@ -29,10 +29,8 @@ main()
     const auto expected = sieveReference(size);
     Spec healthy = parseSpec(stackMachineSpec(sieveProgram(size),
                                               50000));
-    // Stuck-at policies from the injector registry (set0, set1,
-    // toggle); each splices a copy of the healthy specification.
-    const FaultInjector &set0 = FaultInjectorRegistry::global().get("set0");
-    const FaultInjector &set1 = FaultInjectorRegistry::global().get("set1");
+    // Stuck-at faults in the fault grammar (component:bit:mode); each
+    // splices a copy of the healthy specification.
 
     std::cout << "healthy machine: ";
     {
@@ -49,7 +47,9 @@ main()
 
     std::cout << "stuck-at-0 sweep over ALU result bus bits:\n";
     for (int bit = 0; bit < 12; ++bit) {
-        Spec faulty = set0.splice(healthy, "alures", bit);
+        Spec faulty = spliceFault(
+            healthy,
+            parseFaultSite("alures:" + std::to_string(bit) + ":set0"));
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;
@@ -75,7 +75,7 @@ main()
     std::cout << "\nstuck-at-1 on the branch condition path "
                  "(iszero output):\n  ";
     try {
-        Spec faulty = set1.splice(healthy, "iszero", 0);
+        Spec faulty = spliceFault(healthy, parseFaultSite("iszero:0:set1"));
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;

@@ -118,33 +118,29 @@ stateSiteAt(const ResolvedSpec &rs, uint64_t index)
     throw SpecError("Error. State site index out of range.");
 }
 
-void
-applyFaultToSnapshot(EngineSnapshot &snap, const ResolvedSpec &rs,
-                     const FaultSite &site)
+int32_t
+injectFault(MachineState &state, const ResolvedSpec &rs,
+            const FaultSite &site)
 {
-    const FaultInjector &injector =
-        FaultInjectorRegistry::global().get(site.mode);
+    const FaultPolicy &policy = faultPolicy(site.mode);
     const int mem = rs.memIndex(site.component);
-    if (mem < 0 ||
-        static_cast<size_t>(mem) >= snap.state.mems.size()) {
+    if (mem < 0 || static_cast<size_t>(mem) >= state.mems.size()) {
         throw SpecError("Error. Component <" + site.component +
                         "> holds no state; @cycle faults need a "
                         "memory (omit @cycle to splice a stuck "
                         "bit).");
     }
-    MemoryState &m = snap.state.mems[static_cast<size_t>(mem)];
-    if (site.cell < 0) {
-        int32_t &latch = snap.state.latches()[static_cast<size_t>(mem)];
-        latch = injector.apply(latch, site.bit);
-    } else if (static_cast<size_t>(site.cell) < m.cells.size()) {
-        m.cells[static_cast<size_t>(site.cell)] = injector.apply(
-            m.cells[static_cast<size_t>(site.cell)], site.bit);
-    } else {
+    const size_t m = static_cast<size_t>(mem);
+    std::vector<int32_t> &cells = state.mems[m].cells;
+    if (site.cell >= 0 && static_cast<size_t>(site.cell) >= cells.size()) {
         throw SpecError(
             "Error. Fault cell " + std::to_string(site.cell) +
             " out of range for memory <" + site.component +
-            "> (size " + std::to_string(m.cells.size()) + ").");
+            "> (size " + std::to_string(cells.size()) + ").");
     }
+    int32_t &word = site.cell < 0 ? state.latches()[m]
+                                  : cells[static_cast<size_t>(site.cell)];
+    return std::exchange(word, policy.apply(word, site.bit));
 }
 
 // ---------------------------------------------------------------------
@@ -219,7 +215,6 @@ struct Lockstep
     const CampaignOptions &o;
     const ResolvedSpec &rs;
     const SimulationOptions &base;
-    const FaultInjector &injector;
     const std::vector<FaultSite> &sites;
     Simulation &golden;
     const std::ostringstream &goldenIo;
@@ -385,13 +380,16 @@ struct Lockstep
                  ++next) {
                 const size_t i = order[next];
                 const FaultSite &site = sites[i];
-                const MachineState &st = golden.engine().state();
+                // Flip the golden run's word, take the faulty value
+                // and put the healthy one back.
+                MachineState &st = golden.engine().state();
                 const size_t m =
                     static_cast<size_t>(rs.memIndex(site.component));
                 const size_t c = static_cast<size_t>(site.cell);
-                const int32_t v =
+                int32_t &word =
                     site.cell < 0 ? st.latches()[m] : st.mems[m].cells[c];
-                const int32_t flipped = injector.apply(v, site.bit);
+                const int32_t v = injectFault(st, rs, site);
+                const int32_t flipped = std::exchange(word, v);
                 if (flipped == v)
                     continue;
                 if (site.cell < 0) {
@@ -484,8 +482,7 @@ runCampaign(const CampaignOptions &o, bool decide)
                        "or script I/O per instance");
     }
     // Unknown policies throw here, before any simulation runs.
-    const FaultInjector &injector =
-        FaultInjectorRegistry::global().get(o.injector);
+    faultPolicy(o.injector);
 
     const auto t0 = std::chrono::steady_clock::now();
 
@@ -598,8 +595,8 @@ runCampaign(const CampaignOptions &o, bool decide)
     // injections, or straight to its stop ahead of the fan-out.
     CampaignResult result;
     result.threads = 1;
-    Lockstep lockstep{o,      *rs,     base,    injector, sites,
-                      golden, goldenIo, horizon, horizon + hangBudget};
+    Lockstep lockstep{o,        *rs,      base,    sites,
+                      golden,   goldenIo, horizon, horizon + hangBudget};
     if (!(decide ? lockstep.run()
                  : advance(golden, o, horizon - goldenCycle)) &&
         watch) {

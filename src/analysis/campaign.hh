@@ -32,9 +32,9 @@
  * or paths; wall-clock lives in the human table only).
  *
  * This header lives in analysis/ beside the fault policies it
- * samples; it is compiled into the sim library (CMakeLists) because
- * the runner drives sim-layer machinery (Simulation, BatchRunner,
- * checkpoints).
+ * applies; it is compiled into the sim library (CMakeLists) because
+ * the runner and the state-injection primitive drive sim-layer
+ * machinery (Simulation, MachineState, BatchRunner, checkpoints).
  */
 
 #ifndef ASIM_ANALYSIS_CAMPAIGN_HH
@@ -98,7 +98,7 @@ struct CampaignOptions
      *  names none). */
     uint64_t horizon = 0;
 
-    /** FaultInjectorRegistry policy applied to every sampled site. */
+    /** Fault policy (kFaultPolicies) applied to every sampled site. */
     std::string injector = "toggle";
 
     /** Sample permanent spec splices (re-run from cycle zero)
@@ -233,14 +233,15 @@ class CampaignRunner
 CampaignResult runBruteForceCampaign(const CampaignOptions &opts);
 
 /**
- * Apply a fault policy to one word of a snapshot's state: memory
- * cell `component[cell]`, or the output latch when site.cell < 0.
- * The single state-injection primitive shared by Simulation's @cycle
- * handling, the campaign sampler, and tests. The site must have been
- * validated (validateFaultSite) against the snapshot's spec.
+ * State-injection site: perturb one word of `state` in place under
+ * `site.mode` — memory cell `component[cell]`, or the output latch
+ * when site.cell < 0. The one state-injection primitive, shared by
+ * Simulation's @cycle handling and the campaign lockstep. @return the
+ * word's value before. @throws SpecError when the policy is unknown,
+ * the component holds no state or the cell is out of range
  */
-void applyFaultToSnapshot(EngineSnapshot &snap, const ResolvedSpec &rs,
-                          const FaultSite &site);
+int32_t injectFault(MachineState &state, const ResolvedSpec &rs,
+                    const FaultSite &site);
 
 /**
  * The deterministic state-site universe a transient campaign samples

@@ -1,9 +1,6 @@
 #include "analysis/fault.hh"
 
-#include <cctype>
-
 #include "analysis/resolve.hh"
-#include "lang/alu_ops.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -39,88 +36,36 @@ throwBitRange(int bit)
                     ".");
 }
 
-class Set0Injector final : public FaultInjector
-{
-  public:
-    const std::string &name() const override
-    {
-        static const std::string n = "set0";
-        return n;
-    }
-    int32_t apply(int32_t value, int bit) const override
-    {
-        return land(value, ~highbit(bit));
-    }
-
-  protected:
-    int32_t spliceAluOp() const override { return kAluAnd; }
-    int32_t spliceMask(int bit) const override
-    {
-        return land(kValueMask, ~highbit(bit));
-    }
-};
-
-class Set1Injector final : public FaultInjector
-{
-  public:
-    const std::string &name() const override
-    {
-        static const std::string n = "set1";
-        return n;
-    }
-    int32_t apply(int32_t value, int bit) const override
-    {
-        return value | highbit(bit);
-    }
-
-  protected:
-    int32_t spliceAluOp() const override { return kAluOr; }
-    int32_t spliceMask(int bit) const override
-    {
-        return highbit(bit);
-    }
-};
-
-class ToggleInjector final : public FaultInjector
-{
-  public:
-    const std::string &name() const override
-    {
-        static const std::string n = "toggle";
-        return n;
-    }
-    int32_t apply(int32_t value, int bit) const override
-    {
-        return value ^ highbit(bit);
-    }
-
-  protected:
-    int32_t spliceAluOp() const override { return kAluXor; }
-    int32_t spliceMask(int bit) const override
-    {
-        return highbit(bit);
-    }
-};
-
 } // namespace
 
-// ---------------------------------------------------------------------
-// FaultInjector — default spec splice
-// ---------------------------------------------------------------------
+const FaultPolicy &
+faultPolicy(std::string_view name)
+{
+    for (const FaultPolicy &p : kFaultPolicies)
+        if (p.name == name)
+            return p;
+    std::string known;
+    for (const FaultPolicy &p : kFaultPolicies)
+        known.append(known.empty() ? "" : ", ").append(p.name);
+    throw SpecError("Error. Unknown fault injector <" + std::string(name) +
+                    ">; registered injectors: " + known + ".");
+}
 
 Spec
-FaultInjector::splice(const Spec &spec, const std::string &comp,
-                      int bit) const
+spliceFault(const Spec &spec, const FaultSite &site)
 {
-    if (bit < 0 || bit >= kMaxBits)
-        throwBitRange(bit);
+    const FaultPolicy &policy = faultPolicy(site.mode);
+    if (site.bit < 0 || site.bit >= kMaxBits)
+        throwBitRange(site.bit);
 
     Spec out = spec;
-    Component *victim = out.find(comp);
-    if (!victim)
-        throw SpecError("Error. Component <" + comp + "> not found.");
+    Component *victim = out.find(site.component);
+    if (!victim) {
+        throw SpecError("Error. Component <" + site.component +
+                        "> not found.");
+    }
 
-    const std::string shadow = comp + "FAULTED";
+    const std::string shadow = site.component + "FAULTED";
     if (out.find(shadow)) {
         throw SpecError("Error. Component " + shadow +
                         " already exists.");
@@ -129,81 +74,19 @@ FaultInjector::splice(const Spec &spec, const std::string &comp,
     const NameId shadowId = out.names.intern(shadow);
     victim->name = shadowId;
 
-    // Splice: name = shadow <op> mask, e.g.
+    // Splice: name = shadow <function> mask, e.g.
     //         name = shadow AND ~bit   (set0)
     //         name = shadow OR   bit   (set1)
     //         name = shadow XOR  bit   (toggle)
-    const Expr funct = constExpr(out, spliceAluOp());
+    const Expr funct = constExpr(out, policy.function);
     const Expr left = refExpr(out, shadowId);
-    const Expr right = constExpr(out, spliceMask(bit));
+    const Expr right = constExpr(out, policy.mask(site.bit));
     const Expr exprs[] = {funct, left, right};
     out.comps.push_back(out.makeComponent(CompKind::Alu, name, exprs));
 
     // The shadow needs a declaration entry (untraced); the original
     // declaration keeps tracing the *observed* (faulty) value.
     out.decls.push_back(DeclName{shadowId, false});
-    return out;
-}
-
-// ---------------------------------------------------------------------
-// FaultInjectorRegistry
-// ---------------------------------------------------------------------
-
-FaultInjectorRegistry &
-FaultInjectorRegistry::global()
-{
-    static FaultInjectorRegistry *reg = [] {
-        auto *r = new FaultInjectorRegistry;
-        r->add(std::make_unique<Set0Injector>());
-        r->add(std::make_unique<Set1Injector>());
-        r->add(std::make_unique<ToggleInjector>());
-        return r;
-    }();
-    return *reg;
-}
-
-void
-FaultInjectorRegistry::add(std::unique_ptr<FaultInjector> injector)
-{
-    const std::string &name = injector->name();
-    auto [it, inserted] =
-        entries_.try_emplace(name, std::move(injector));
-    if (!inserted) {
-        throw SpecError("Error. Fault injector <" + name +
-                        "> is already registered.");
-    }
-}
-
-bool
-FaultInjectorRegistry::contains(std::string_view name) const
-{
-    return entries_.find(name) != entries_.end();
-}
-
-const FaultInjector &
-FaultInjectorRegistry::get(std::string_view name) const
-{
-    auto it = entries_.find(name);
-    if (it == entries_.end()) {
-        std::string known;
-        for (const auto &[n, entry] : entries_) {
-            if (!known.empty())
-                known += ", ";
-            known += n;
-        }
-        throw SpecError("Error. Unknown fault injector <" +
-                        std::string(name) +
-                        ">; registered injectors: " + known + ".");
-    }
-    return *it->second;
-}
-
-std::vector<std::string>
-FaultInjectorRegistry::list() const
-{
-    std::vector<std::string> out;
-    for (const auto &[name, entry] : entries_)
-        out.push_back(name);
     return out;
 }
 
@@ -319,7 +202,7 @@ formatFaultSite(const FaultSite &site)
 void
 validateFaultSite(const ResolvedSpec &rs, const FaultSite &site)
 {
-    FaultInjectorRegistry::global().get(site.mode); // throws unknown
+    faultPolicy(site.mode); // throws unknown
     if (site.bit < 0 || site.bit >= kMaxBits)
         throwBitRange(site.bit);
 

@@ -1,32 +1,30 @@
 /**
  * @file
- * Fault injection (thesis §2.3.2) behind a pluggable injector policy.
+ * Fault injection (thesis §2.3.2): the three fault policies and the
+ * shared fault grammar.
  *
  * The thesis names fault injection — "inserting a fault in the
  * specification to cause errors (by design) in the simulation run" —
- * as a core application of a CHDL simulator. This module provides the
- * injection *policies* and the shared fault grammar; the campaign
- * driver that fans injections out at scale lives in
- * analysis/campaign.hh.
+ * as a core application of a CHDL simulator. This module holds the
+ * fixed policy table, the spec splice and the fault grammar; the
+ * state-injection primitive and the campaign driver that fans
+ * injections out at scale live in analysis/campaign.hh.
  *
- * A FaultInjector is one bit-level perturbation policy ("set0",
- * "set1", "toggle") usable at two sites:
+ * A policy ("set0", "set1", "toggle") is one row of kFaultPolicies:
+ * an ALU function (AND, OR, XOR) and a mask on bit b (~2^b for set0,
+ * 2^b for set1 and toggle). Both injection sites derive from the
+ * row, so they cannot disagree:
  *
  *  - **spec splice** (permanent stuck-at): the faulted component is
- *    renamed and an ALU is spliced in under the original name that
- *    forces/flips one output bit. Every consumer transparently
- *    observes the faulty value; timing is unchanged for combinational
- *    victims (the splice is itself combinational).
- *  - **state injection** (transient upset): one word of a saved
- *    EngineSnapshot — a memory cell or output latch — is perturbed at
- *    a cycle boundary (an SEU-style bit flip). Combinational outputs
- *    are recomputed every cycle, so only memory state is a valid
- *    target.
- *
- * Injectors are string-keyed in a process-wide registry mirroring the
- * engine registry idiom (sim/simulation.hh), so campaigns, the CLI,
- * and batch manifests name policies uniformly and new policies bolt
- * on without touching call sites.
+ *    renamed and an ALU computing `shadow <function> mask` is
+ *    spliced in under the original name. Every consumer
+ *    transparently observes the faulty value; timing is unchanged
+ *    for combinational victims (the splice is itself combinational).
+ *  - **state injection** (transient upset): one state word — a
+ *    memory cell or output latch — becomes `dologic(function, word,
+ *    mask)` at a cycle boundary (an SEU-style bit flip).
+ *    Combinational outputs are recomputed every cycle, so only
+ *    memory state is a valid target.
  *
  * The textual fault grammar shared by `asim-run --inject=`, the
  * batch-manifest `fault=` key, and campaign reports is
@@ -34,93 +32,57 @@
  *     component[cell]:bit:mode[@cycle]
  *
  * where `[cell]` (optional) addresses one memory cell, `bit` is the
- * target bit (0..30), `mode` is a registry key, and `@cycle`
- * (optional) selects transient state injection at that cycle boundary
- * instead of a permanent spec splice. parseFaultSite() /
- * validateFaultSite() are the single parse/validation path, so a bad
- * component, bit, cell, or mode produces the same SpecError text
- * everywhere.
+ * target bit (0..30), `mode` names a policy, and `@cycle` (optional)
+ * selects transient state injection at that cycle boundary instead
+ * of a permanent spec splice. parseFaultSite() / validateFaultSite()
+ * are the single parse/validation path, so a bad component, bit,
+ * cell, or mode produces the same SpecError text everywhere.
  */
 
 #ifndef ASIM_ANALYSIS_FAULT_HH
 #define ASIM_ANALYSIS_FAULT_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "lang/alu_ops.hh"
 #include "lang/ast.hh"
 
 namespace asim {
 
 struct ResolvedSpec;
 
-/** One bit-level fault policy; see the file comment for the two
- *  injection sites. Implementations are stateless and shared. */
-class FaultInjector
+/** One fault policy; see the file comment for its two sites. */
+struct FaultPolicy
 {
-  public:
-    virtual ~FaultInjector() = default;
+    std::string_view name;
+    int32_t function; ///< kAluAnd, kAluOr or kAluXor
+    bool clears;      ///< the mask is ~2^b rather than 2^b
 
-    /** Registry key ("set0", "set1", "toggle"). */
-    virtual const std::string &name() const = 0;
+    int32_t mask(int bit) const
+    {
+        return clears ? ~highbit(bit) : highbit(bit);
+    }
 
-    /** State-injection site: return `value` with bit `bit` perturbed
-     *  under this policy. `bit` must be in 0..30 (31-bit words,
-     *  support/bitops.hh). */
-    virtual int32_t apply(int32_t value, int bit) const = 0;
-
-    /**
-     * Spec-splice site: return a copy of `spec` where bit `bit` of
-     * component `comp` is permanently perturbed under this policy.
-     *
-     * The victim is renamed `<comp>FAULTED` and an ALU is spliced in
-     * under the original name computing `shadow <op> mask`. For a
-     * memory victim the splice observes the output latch, adding one
-     * combinational stage but no extra cycle of delay.
-     *
-     * @throws SpecError if `comp` does not exist, `bit` is out of
-     *         range, or `<comp>FAULTED` already exists
-     */
-    virtual Spec splice(const Spec &spec, const std::string &comp,
-                        int bit) const;
-
-  protected:
-    /// @{ The ALU function and right-operand mask the default
-    /// splice() wires in: `faulted = shadow <aluOp> mask(bit)`.
-    virtual int32_t spliceAluOp() const = 0;
-    virtual int32_t spliceMask(int bit) const = 0;
-    /// @}
+    /** `word` with bit `bit` (0..30) perturbed: what the splice's ALU
+     *  computes from the healthy value. */
+    int32_t apply(int32_t word, int bit) const
+    {
+        return dologic(function, word, mask(bit));
+    }
 };
 
-/** String-keyed table of fault policies, mirroring EngineRegistry. */
-class FaultInjectorRegistry
-{
-  public:
-    /** The process-wide registry, pre-populated with "set0" (stuck-
-     *  at-0), "set1" (stuck-at-1), and "toggle" (bit flip / XOR). */
-    static FaultInjectorRegistry &global();
-
-    /** Register a policy under injector->name().
-     *  @throws SpecError on a duplicate name */
-    void add(std::unique_ptr<FaultInjector> injector);
-
-    bool contains(std::string_view name) const;
-
-    /** Look up a policy by name. @throws SpecError naming the
-     *  registered policies when `name` is unknown */
-    const FaultInjector &get(std::string_view name) const;
-
-    /** All registered policy names, sorted. */
-    std::vector<std::string> list() const;
-
-  private:
-    std::map<std::string, std::unique_ptr<FaultInjector>, std::less<>>
-        entries_;
+/** The policies, sorted by name (the `--list-injectors` order). */
+inline constexpr FaultPolicy kFaultPolicies[] = {
+    {"set0", kAluAnd, true},
+    {"set1", kAluOr, false},
+    {"toggle", kAluXor, false},
 };
+
+/** The policy named `name`. @throws SpecError naming the policies
+ *  when `name` is unknown */
+const FaultPolicy &faultPolicy(std::string_view name);
 
 /** One parsed fault: where, which bit, which policy, and when. */
 struct FaultSite
@@ -134,7 +96,7 @@ struct FaultSite
 
     int bit = 0;
 
-    /** FaultInjectorRegistry key. */
+    /** Policy name (kFaultPolicies). */
     std::string mode = "toggle";
 
     /** State-injection cycle boundary; meaningful when atCycle. The
@@ -146,6 +108,22 @@ struct FaultSite
      *  spec splice. */
     bool atCycle = false;
 };
+
+/**
+ * Spec-splice site: return a copy of `spec` where bit `site.bit` of
+ * component `site.component` is permanently perturbed under
+ * `site.mode` (the cell and cycle are not read).
+ *
+ * The victim is renamed `<comp>FAULTED` and an ALU is spliced in
+ * under the original name computing `shadow <function> mask`. For a
+ * memory victim the splice observes the output latch, adding one
+ * combinational stage but no extra cycle of delay.
+ *
+ * @throws SpecError if the policy is unknown, the component does not
+ *         exist, the bit is out of range, or `<comp>FAULTED` already
+ *         exists
+ */
+Spec spliceFault(const Spec &spec, const FaultSite &site);
 
 /**
  * Parse `component[cell]:bit:mode[@cycle]` (see file comment).

@@ -497,10 +497,8 @@ main(int argc, char **argv)
         inv.sim.specFile = files.back();
 
     if (inv.listInjectors) {
-        for (const std::string &name :
-             FaultInjectorRegistry::global().list()) {
-            std::cout << name << "\n";
-        }
+        for (const FaultPolicy &policy : kFaultPolicies)
+            std::cout << policy.name << "\n";
         return 0;
     }
     if (inv.listEngines) {

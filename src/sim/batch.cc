@@ -407,48 +407,31 @@ BatchRunner::run()
                 else if (!job.restoreFrom.empty())
                     w.sim->restoreCheckpoint(job.restoreFrom);
             }
-            if (!job.watchName.empty()) {
-                // Watchpoint runs honor checkpointEvery too: chunk
-                // the search and persist between chunks. The hit
-                // check between chunks matches runUntilValue's own
-                // (after each cycle), so chunking never changes
-                // where the run stops.
-                for (;;) {
-                    uint64_t left = p.budget > w.sim->cycle()
-                                        ? p.budget - w.sim->cycle()
-                                        : 0;
-                    if (left == 0)
-                        break;
-                    uint64_t chunk = left;
-                    if (checkpointing && opts_.checkpointEvery != 0)
-                        chunk = std::min(chunk,
-                                         opts_.checkpointEvery);
-                    w.sim->runUntilValue(job.watchName,
-                                         job.watchValue, chunk);
-                    if (w.sim->value(job.watchName) ==
-                        job.watchValue)
-                        break;
-                    if (checkpointing &&
-                        w.sim->cycle() < p.budget)
-                        persist(i, w, r, /*complete=*/false);
-                }
-                r.watchpointHit =
-                    w.sim->value(job.watchName) == job.watchValue;
-                r.cyclesRun = w.sim->cycle();
-            } else {
-                while (w.sim->cycle() < p.budget) {
-                    uint64_t chunk = p.budget - w.sim->cycle();
-                    if (checkpointing && opts_.checkpointEvery != 0) {
-                        chunk = std::min(chunk,
-                                         opts_.checkpointEvery);
-                    }
+            // Run in chunks of checkpointEvery, persisting between
+            // them. A watch job stops at its hit; checking it between
+            // chunks matches runUntilValue's own check (after each
+            // cycle), so chunking never changes where a run stops.
+            const bool watch = !job.watchName.empty();
+            auto hit = [&] {
+                return watch &&
+                       w.sim->value(job.watchName) == job.watchValue;
+            };
+            while (w.sim->cycle() < p.budget) {
+                uint64_t chunk = p.budget - w.sim->cycle();
+                if (checkpointing && opts_.checkpointEvery != 0)
+                    chunk = std::min(chunk, opts_.checkpointEvery);
+                if (watch)
+                    w.sim->runUntilValue(job.watchName, job.watchValue,
+                                         chunk);
+                else
                     w.sim->run(chunk);
-                    if (checkpointing &&
-                        w.sim->cycle() < p.budget)
-                        persist(i, w, r, /*complete=*/false);
-                }
-                r.cyclesRun = w.sim->cycle();
+                if (hit())
+                    break;
+                if (checkpointing && w.sim->cycle() < p.budget)
+                    persist(i, w, r, /*complete=*/false);
             }
+            r.watchpointHit = hit();
+            r.cyclesRun = w.sim->cycle();
             if (checkpointing)
                 persist(i, w, r, /*complete=*/true);
         } catch (const SimError &e) {

@@ -106,7 +106,6 @@ encodeCheckpoint(const EngineSnapshot &snap, uint64_t specHash,
     w.str(savedBy);
     w.u64(snap.cycle);
     w.u64(snap.ioValues);
-    w.u64(snap.ioBytes);
 
     const SimStats &st = snap.stats;
     w.u64(st.cycles);
@@ -214,7 +213,10 @@ decodeCheckpoint(std::string_view bytes, const std::string &context,
     snap.cycle = body.u64("cycle count");
     ci.cycle = snap.cycle;
     snap.ioValues = body.u64("input value cursor");
-    snap.ioBytes = body.u64("input byte cursor");
+    // Versions 1 and 2 carry a byte cursor into a rendered stdin
+    // script, which no engine reads any more.
+    if (ci.version <= 2)
+        body.u64("input byte cursor");
 
     snap.stats.cycles = body.u64("stats cycles");
     snap.stats.aluEvals = body.u64("stats ALU evals");

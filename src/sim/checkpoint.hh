@@ -10,12 +10,14 @@
  *     machine state | section count | tagged sections |
  *     CRC-32 trailer
  *
- * Sections (format v2) carry what a *persisted run* needs beyond the
- * machine state — output to preload, a captured trace, a completion
- * flag, a serve session's rebuild recipe — so every durable artifact
- * (batch instance, parked serve session) is one file written by one
- * atomic writer: the file is valid or absent, never half-updated.
- * Version 1 files (no sections) still decode.
+ * Sections (since format v2) carry what a *persisted run* needs
+ * beyond the machine state — output to preload, a captured trace, a
+ * completion flag, a serve session's rebuild recipe — so every
+ * durable artifact (batch instance, parked serve session) is one file
+ * written by one atomic writer: the file is valid or absent, never
+ * half-updated. Version 1 files (no sections) and version 2 files
+ * (an input byte cursor after the value cursor, dropped on decode)
+ * still decode.
  *
  * Because every engine implements the §3 cycle-semantics contract, a
  * checkpoint written mid-run by *any* registry engine (interp, vm,
@@ -53,7 +55,7 @@ namespace asim {
 /** Current checkpoint format version. Bump on any layout change;
  *  loaders refuse versions above it (compatibility rules in
  *  DESIGN.md §8). */
-inline constexpr uint32_t kCheckpointVersion = 2;
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 /** File magic, first 8 bytes of every checkpoint. */
 inline constexpr std::string_view kCheckpointMagic = "ASIMCKPT";
@@ -69,8 +71,8 @@ struct CheckpointInfo
     std::string savedBy; ///< engine name that wrote it (diagnostic)
 };
 
-/** Section tags of format v2. Each tag appears at most once; any
- *  other tag is refused (DESIGN.md §8). */
+/** Section tags (format v2 and later). Each tag appears at most
+ *  once; any other tag is refused (DESIGN.md §8). */
 enum class CheckpointSection : uint32_t
 {
     Output = 1,  ///< output text to preload into the output stream

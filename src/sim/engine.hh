@@ -44,11 +44,6 @@ struct EngineConfig
     IoDevice *io = nullptr;
 };
 
-/** "This cursor field was not captured": the byte cursor of every
- *  snapshot an engine takes (no engine reads its input as a byte
- *  script). */
-inline constexpr uint64_t kNoIoCursor = ~0ull;
-
 /** A complete capture of an engine's execution at a cycle boundary:
  *  machine state, cycle counter, statistics, and the scripted-input
  *  cursor. Snapshots taken from one engine may be restored into any
@@ -65,12 +60,6 @@ struct EngineSnapshot
      *  the continuation reads the same inputs an uninterrupted run
      *  would. */
     uint64_t ioValues = 0;
-
-    /** Byte position into a rendered stdin script. Snapshots write
-     *  kNoIoCursor; a version-2 checkpoint from the earlier
-     *  out-of-process native engine may carry a position, which
-     *  decoding keeps and restore() ignores. */
-    uint64_t ioBytes = kNoIoCursor;
 };
 
 /**

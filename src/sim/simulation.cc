@@ -142,16 +142,14 @@ Spec
 splicedSpec(const SimulationOptions &opts, const FaultSite &site,
             Diagnostics *diag)
 {
-    const FaultInjector &injector =
-        FaultInjectorRegistry::global().get(site.mode);
     if (opts.resolved && opts.ast)
-        return injector.splice(*opts.ast, site.component, site.bit);
-    Spec spec = opts.resolved
-                    ? opts.resolved->ast()
-                    : (!opts.specFile.empty()
-                           ? parseSpecFile(opts.specFile, diag)
-                           : parseSpec(opts.specText, diag));
-    return injector.splice(spec, site.component, site.bit);
+        return spliceFault(*opts.ast, site);
+    return spliceFault(opts.resolved
+                           ? opts.resolved->ast()
+                           : (!opts.specFile.empty()
+                                  ? parseSpecFile(opts.specFile, diag)
+                                  : parseSpec(opts.specText, diag)),
+                       site);
 }
 
 } // namespace
@@ -249,29 +247,18 @@ Simulation::Simulation(const SimulationOptions &opts)
         throw SimError("exactly one of specFile, specText, or "
                        "resolved must be set");
     }
-    bool spliceFault = false;
     if (!opts.fault.empty()) {
         fault_ = parseFaultSite(opts.fault);
         hasFault_ = fault_.atCycle;
-        spliceFault = !fault_.atCycle;
     }
     // A splice fault re-resolves even off a shared resolve: the
     // shared spec stays healthy, this instance gets the spliced one.
-    // Its tree is kept for the symbolic engine, which walks one.
-    std::shared_ptr<const Spec> splicedAst;
-    if (opts.resolved && !spliceFault) {
+    const bool spliced = !opts.fault.empty() && !hasFault_;
+    if (opts.resolved && !spliced) {
         rs_ = opts.resolved;
     } else {
         tracing::Span span("sim.parse_resolve", "lifecycle");
-        if (spliceFault) {
-            splicedAst = std::make_shared<const Spec>(
-                splicedSpec(opts, fault_, &diag_));
-            rs_ = std::make_shared<const ResolvedSpec>(
-                resolve(*splicedAst, &diag_));
-        } else {
-            rs_ = std::make_shared<const ResolvedSpec>(
-                loadSpec(opts, &diag_));
-        }
+        rs_ = std::make_shared<const ResolvedSpec>(loadSpec(opts, &diag_));
         if (span.active())
             span.setArgs("\"components\":" +
                          std::to_string(rs_->comb.size()));
@@ -281,14 +268,12 @@ Simulation::Simulation(const SimulationOptions &opts)
 
     EngineContext ctx;
     ctx.config = opts.config;
-    // A splice fault re-resolved the spec above; shared artifacts
-    // compiled from the healthy spec no longer match it.
-    if (!spliceFault) {
+    // Shared artifacts compiled from the healthy spec do not match a
+    // spliced one; the engines build their own.
+    if (!spliced) {
         ctx.program = opts.program;
         ctx.nativeBuild = opts.nativeBuild;
         ctx.ast = opts.ast;
-    } else {
-        ctx.ast = std::move(splicedAst);
     }
     ctx.workDir = opts.workDir;
     ctx.partitions = opts.partitions;
@@ -335,10 +320,10 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
                                 bool forceTracingPossible)
 {
     SimulationOptions shared = opts;
-    const bool spliceFault =
+    const bool spliced =
         !shared.fault.empty() &&
         !parseFaultSite(shared.fault).atCycle;
-    if (spliceFault) {
+    if (spliced) {
         // Bake the splice into the shared resolve once (loadSpec
         // applies it) so every instance shares the spliced spec and
         // artifacts instead of re-splicing per instance.
@@ -493,9 +478,7 @@ Simulation::injectPending()
 {
     if (!faultArmed_ || engine_->cycle() < fault_.cycle)
         return;
-    EngineSnapshot snap = engine_->snapshot();
-    applyFaultToSnapshot(snap, *rs_, fault_);
-    engine_->restore(snap);
+    injectFault(engine_->state(), *rs_, fault_);
     faultArmed_ = false;
 }
 

@@ -4,27 +4,34 @@
 
 #include <sstream>
 
+#include "analysis/campaign.hh"
 #include "analysis/fault.hh"
-#include "lang/parser.hh"
 #include "analysis/resolve.hh"
 #include "lang/parser.hh"
 #include "machines/counter.hh"
 #include "sim/engine.hh"
+#include "sim/native_engine.hh"
+#include "sim/simulation.hh"
+#include "support/rand.hh"
 
 namespace asim {
 namespace {
 
-/** A registry stuck-at policy ("set0"/"set1"). */
-const FaultInjector &
-stuck(const char *mode)
+/** `spec` with bit `bit` of `comp` spliced under policy `mode`. */
+Spec
+stuck(const char *mode, const Spec &spec, const char *comp, int bit)
 {
-    return FaultInjectorRegistry::global().get(mode);
+    FaultSite site;
+    site.component = comp;
+    site.bit = bit;
+    site.mode = mode;
+    return spliceFault(spec, site);
 }
 
 TEST(Fault, StructureOfInjectedSpec)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec f = stuck("set0").splice(s, "next", 0);
+    Spec f = stuck("set0", s, "next", 0);
     EXPECT_NE(f.find("next"), nullptr);
     EXPECT_NE(f.find("nextFAULTED"), nullptr);
     EXPECT_EQ(f.find("next")->kind, CompKind::Alu);
@@ -35,17 +42,16 @@ TEST(Fault, StructureOfInjectedSpec)
 TEST(Fault, UnknownComponentThrows)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    EXPECT_THROW(stuck("set0").splice(s, "ghost", 0), SpecError);
-    EXPECT_THROW(stuck("set0").splice(s, "next", 31), SpecError);
-    EXPECT_THROW(stuck("set0").splice(s, "next", -1), SpecError);
+    EXPECT_THROW(stuck("set0", s, "ghost", 0), SpecError);
+    EXPECT_THROW(stuck("set0", s, "next", 31), SpecError);
+    EXPECT_THROW(stuck("set0", s, "next", -1), SpecError);
 }
 
 TEST(Fault, StuckAt0ForcesEvenCounter)
 {
     // Counter with bit 0 of `next` stuck at 0: count can only ever be
     // even (in fact it sticks at 0: 0+1=1 -> masked to 0).
-    Spec f = stuck("set0").splice(parseSpec(counterSpec(4, 20)), "next",
-                                  0);
+    Spec f = stuck("set0", parseSpec(counterSpec(4, 20)), "next", 0);
     auto engine = makeVm(resolve(f));
     engine->run(16);
     EXPECT_EQ(engine->value("count"), 0);
@@ -54,8 +60,7 @@ TEST(Fault, StuckAt0ForcesEvenCounter)
 TEST(Fault, StuckAt1OnCounterBit)
 {
     // Bit 1 of next stuck at 1: sequence forced through odd patterns.
-    Spec f = stuck("set1").splice(parseSpec(counterSpec(4, 20)), "next",
-                                  1);
+    Spec f = stuck("set1", parseSpec(counterSpec(4, 20)), "next", 1);
     auto engine = makeVm(resolve(f));
     for (int i = 0; i < 8; ++i) {
         engine->step();
@@ -68,7 +73,7 @@ TEST(Fault, HealthyCounterDiffersFromFaulty)
 {
     // The fault must be observable: run both machines and compare.
     Spec healthy = parseSpec(counterSpec(4, 20));
-    Spec faulty = stuck("set0").splice(healthy, "next", 2);
+    Spec faulty = stuck("set0", healthy, "next", 2);
 
     auto a = makeVm(resolve(healthy));
     auto b = makeVm(resolve(faulty));
@@ -86,7 +91,7 @@ TEST(Fault, MemoryVictimKeepsTiming)
     // Faulting a memory splices a combinational ALU after the latch;
     // the observed value still changes one cycle after the write.
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec f = stuck("set1").splice(s, "count", 3);
+    Spec f = stuck("set1", s, "count", 3);
     auto engine = makeVm(resolve(f));
     engine->step();
     // count (observed) = latch | 8.
@@ -96,12 +101,12 @@ TEST(Fault, MemoryVictimKeepsTiming)
 TEST(Fault, DoubleInjectionOnSameNameThrows)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec once = stuck("set0").splice(s, "next", 0);
-    EXPECT_THROW(stuck("set0").splice(once, "next", 1), SpecError);
+    Spec once = stuck("set0", s, "next", 0);
+    EXPECT_THROW(stuck("set0", once, "next", 1), SpecError);
 }
 
 // ---------------------------------------------------------------------
-// The injector registry (mirrors the engine registry idiom)
+// The policy table: both sites derive from one row
 // ---------------------------------------------------------------------
 
 /** Run `fn` and return the SpecError text it throws (must throw). */
@@ -120,23 +125,26 @@ specErrorText(Fn &&fn)
 
 TEST(FaultRegistry, BuiltinPolicies)
 {
-    auto &reg = FaultInjectorRegistry::global();
-    EXPECT_EQ(reg.list(),
-              (std::vector<std::string>{"set0", "set1", "toggle"}));
-    EXPECT_TRUE(reg.contains("toggle"));
-    EXPECT_FALSE(reg.contains("bogus"));
+    std::vector<std::string> names;
+    for (const FaultPolicy &p : kFaultPolicies)
+        names.emplace_back(p.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"set0", "set1", "toggle"}));
+    EXPECT_EQ(&faultPolicy("toggle"), &kFaultPolicies[2]);
 
     // apply(): one bit perturbed under each policy.
-    EXPECT_EQ(reg.get("set0").apply(0b1111, 1), 0b1101);
-    EXPECT_EQ(reg.get("set1").apply(0b0000, 2), 0b0100);
-    EXPECT_EQ(reg.get("toggle").apply(0b0110, 1), 0b0100);
-    EXPECT_EQ(reg.get("toggle").apply(0b0110, 3), 0b1110);
+    EXPECT_EQ(faultPolicy("set0").apply(0b1111, 1), 0b1101);
+    EXPECT_EQ(faultPolicy("set1").apply(0b0000, 2), 0b0100);
+    EXPECT_EQ(faultPolicy("toggle").apply(0b0110, 1), 0b0100);
+    EXPECT_EQ(faultPolicy("toggle").apply(0b0110, 3), 0b1110);
 }
 
 TEST(FaultRegistry, UnknownInjectorNamesTheRegistered)
 {
+    EXPECT_EQ(specErrorText([] { faultPolicy("bogus"); }),
+              "Error. Unknown fault injector <bogus>; registered "
+              "injectors: set0, set1, toggle.");
     EXPECT_EQ(specErrorText([] {
-                  FaultInjectorRegistry::global().get("bogus");
+                  stuck("bogus", parseSpec(counterSpec(4, 20)), "next", 0);
               }),
               "Error. Unknown fault injector <bogus>; registered "
               "injectors: set0, set1, toggle.");
@@ -145,14 +153,102 @@ TEST(FaultRegistry, UnknownInjectorNamesTheRegistered)
 TEST(FaultRegistry, ToggleSpliceFlipsOneOutputBit)
 {
     // toggle on bit 2 of `next`: the counter sees (count+1) ^ 4.
-    Spec f = FaultInjectorRegistry::global().get("toggle").splice(
-        parseSpec(counterSpec(6, 100)), "next", 2);
+    Spec f = stuck("toggle", parseSpec(counterSpec(6, 100)), "next", 2);
     auto engine = makeVm(resolve(f));
     int32_t healthy = 0;
     for (int i = 0; i < 12; ++i) {
         healthy = (healthy + 1) ^ 4;
         engine->step();
         ASSERT_EQ(engine->value("count"), healthy) << "cycle " << i;
+    }
+}
+
+/** The values every policy is checked on: the edges, then seeded
+ *  random words of both signs. */
+std::vector<int32_t>
+policyValues()
+{
+    std::vector<int32_t> values = {0, 1, kValueMask, -1, INT32_MIN};
+    SplitMix64 rng(29);
+    for (int i = 0; i < 16; ++i)
+        values.push_back(static_cast<int32_t>(rng.next()));
+    return values;
+}
+
+/** For every policy, bit and value, state injection leaves the word
+ *  the spliced ALU computes: one spec holds each value as a constant
+ *  ALU `v<i>`, all spliced, and one memory holds each as a cell. */
+TEST(FaultRegistry, StateInjectionMatchesTheSplicedAlu)
+{
+    const std::vector<int32_t> values = policyValues();
+    std::string text = "# one constant per value\nm";
+    for (size_t i = 0; i < values.size(); ++i)
+        text += " v" + std::to_string(i);
+    text += " .\n";
+    for (size_t i = 0; i < values.size(); ++i)
+        text += "A v" + std::to_string(i) + " 1 0 " +
+                std::to_string(values[i]) + "\n";
+    text += "M m 0 0 0 " + std::to_string(values.size()) + "\n.\n";
+    const Spec healthy = parseSpec(text);
+    const ResolvedSpec rs = resolve(healthy);
+
+    for (const FaultPolicy &policy : kFaultPolicies) {
+        for (int bit = 0; bit < kMaxBits; ++bit) {
+            Spec spliced = healthy;
+            MachineState state;
+            state.reset(rs);
+            for (size_t i = 0; i < values.size(); ++i) {
+                FaultSite site;
+                site.component = "v" + std::to_string(i);
+                site.bit = bit;
+                site.mode = std::string(policy.name);
+                spliced = spliceFault(spliced, site);
+                state.mems[0].cells[i] = values[i];
+                site.component = "m";
+                site.cell = static_cast<int64_t>(i);
+                EXPECT_EQ(injectFault(state, rs, site), values[i]);
+            }
+            auto engine = makeInterpreter(resolve(spliced));
+            engine->step();
+            for (size_t i = 0; i < values.size(); ++i) {
+                ASSERT_EQ(engine->value("v" + std::to_string(i)),
+                          state.mems[0].cells[i])
+                    << policy.name << " bit " << bit << " on "
+                    << values[i];
+                ASSERT_EQ(state.mems[0].cells[i],
+                          policy.apply(values[i], bit));
+            }
+        }
+    }
+}
+
+/** A set0 splice on a negative value clears only its bit: the mask
+ *  is ~2^b, not ~2^b within the 31-bit value mask. */
+TEST(FaultRegistry, Set0SpliceKeepsTheSignBit)
+{
+    const char *spec = "# negative values under a set0 splice\n"
+                       "= 4\n"
+                       "count* neg* next .\n"
+                       "A next 4 count.0.3 1\n"
+                       "A neg 5 0 count\n"
+                       "M count 0 next 1 1\n"
+                       ".\n";
+    std::vector<std::string> engines = {"interp", "vm", "symbolic"};
+    if (NativeEngine::available())
+        engines.push_back("native");
+    for (const std::string &engine : engines) {
+        std::ostringstream trace;
+        SimulationOptions opts;
+        opts.specText = spec;
+        opts.engine = engine;
+        opts.fault = "neg:0:set0";
+        opts.traceStream = &trace;
+        Simulation sim(opts);
+        sim.run(2);
+        EXPECT_NE(trace.str().find("Cycle   1 count= 1 neg= -2\n"),
+                  std::string::npos)
+            << engine << ":\n"
+            << trace.str();
     }
 }
 

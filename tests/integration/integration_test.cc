@@ -79,8 +79,7 @@ TEST(Integration, FaultInjectionBreaksTheSieve)
     // wrong output (the fault is observable), demonstrating the
     // thesis' §2.3.2 fault-injection workflow end to end.
     Spec healthy = parseSpec(stackMachineSpec(sieveProgram(10), 30000));
-    Spec faulty = FaultInjectorRegistry::global().get("set0").splice(
-        healthy, "alures", 1);
+    Spec faulty = spliceFault(healthy, parseFaultSite("alures:1:set0"));
 
     VectorIo io;
     EngineConfig cfg;

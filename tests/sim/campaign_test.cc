@@ -267,14 +267,14 @@ TEST(Campaign, LatchOnlyDifferenceIsSdc)
     EXPECT_GT(latchSites, 0);
 }
 
-TEST(Campaign, ApplyFaultToSnapshotPerturbsOneWord)
+TEST(Campaign, InjectFaultPerturbsOneStateWord)
 {
     SimulationOptions opts;
     opts.specText = kAddressedSpec;
     Simulation sim(opts);
     sim.run(6); // count == 6; mem[c] == c+1 for c < 6 (the memory
                 // latches its address, so writes land a cycle late)
-    EngineSnapshot snap = sim.engine().snapshot();
+    MachineState state = sim.engine().state();
     const ResolvedSpec &rs = sim.resolved();
     const int countMem = rs.memIndex("count");
     const int memMem = rs.memIndex("mem");
@@ -285,27 +285,34 @@ TEST(Campaign, ApplyFaultToSnapshotPerturbsOneWord)
     latch.component = "count";
     latch.bit = 3;
     latch.mode = "toggle";
-    const int32_t before = snap.state.latches()[countMem];
-    applyFaultToSnapshot(snap, rs, latch);
-    EXPECT_EQ(snap.state.latches()[countMem], before ^ 8);
+    const int32_t before = state.latches()[countMem];
+    EXPECT_EQ(injectFault(state, rs, latch), before);
+    EXPECT_EQ(state.latches()[countMem], before ^ 8);
 
     FaultSite cell;
     cell.component = "mem";
     cell.cell = 3;
     cell.bit = 2;
     cell.mode = "set0";
-    applyFaultToSnapshot(snap, rs, cell);
-    EXPECT_EQ(snap.state.mems[memMem].cells[3], 0); // 4 & ~4
+    EXPECT_EQ(injectFault(state, rs, cell), 4);
+    EXPECT_EQ(state.mems[memMem].cells[3], 0); // 4 & ~4
 
     cell.mode = "set1";
     cell.cell = 2;
     cell.bit = 4;
-    applyFaultToSnapshot(snap, rs, cell);
-    EXPECT_EQ(snap.state.mems[memMem].cells[2], 3 | 16);
+    injectFault(state, rs, cell);
+    EXPECT_EQ(state.mems[memMem].cells[2], 3 | 16);
 
+    const MachineState kept = state;
     FaultSite bogus;
     bogus.component = "next"; // combinational: no state
-    EXPECT_THROW(applyFaultToSnapshot(snap, rs, bogus), SpecError);
+    EXPECT_THROW(injectFault(state, rs, bogus), SpecError);
+    cell.cell = 1 << 20; // past the memory
+    EXPECT_THROW(injectFault(state, rs, cell), SpecError);
+    cell.cell = 2;
+    cell.mode = "bogus";
+    EXPECT_THROW(injectFault(state, rs, cell), SpecError);
+    EXPECT_TRUE(state == kept) << "a refused fault changes nothing";
 }
 
 /** A pointer chase built to reach every way the golden run settles

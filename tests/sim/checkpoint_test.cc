@@ -98,7 +98,6 @@ TEST_F(CheckpointFormat, EncodeDecodeRoundTrip)
     sim.run(4);
     EngineSnapshot snap = sim.snapshot();
     EXPECT_EQ(snap.ioValues, 4u);
-    EXPECT_EQ(snap.ioBytes, kNoIoCursor);
 
     std::string blob = encodeCheckpoint(snap, 0x1234, "vm");
     CheckpointInfo info;
@@ -111,7 +110,6 @@ TEST_F(CheckpointFormat, EncodeDecodeRoundTrip)
     EXPECT_TRUE(back.state == snap.state);
     EXPECT_EQ(back.cycle, snap.cycle);
     EXPECT_EQ(back.ioValues, snap.ioValues);
-    EXPECT_EQ(back.ioBytes, snap.ioBytes);
     EXPECT_EQ(back.stats.cycles, snap.stats.cycles);
     EXPECT_EQ(back.stats.summary(), snap.stats.summary());
 }
@@ -287,8 +285,22 @@ TEST_F(CheckpointFormat, V2FixtureRoundTripsAndRestoresUnderEveryEngine)
     ASSERT_EQ(info.version, 2u);
     ASSERT_EQ(info.cycle, 5u);
     ASSERT_TRUE(sections.output.has_value());
-    EXPECT_EQ(encodeCheckpoint(snap, info.specHash, info.savedBy, sections),
-              bytes);
+    // Re-encoding writes the current version: the same snapshot and
+    // sections, without the v2 byte cursor.
+    const std::string current =
+        encodeCheckpoint(snap, info.specHash, info.savedBy, sections);
+    EXPECT_EQ(current.size(), bytes.size() - 8);
+    CheckpointInfo currentInfo;
+    CheckpointSections currentSections;
+    const EngineSnapshot back = decodeCheckpoint(
+        current, "re-encoded", &currentInfo, &currentSections);
+    EXPECT_EQ(currentInfo.version, kCheckpointVersion);
+    EXPECT_TRUE(back.state == snap.state);
+    EXPECT_EQ(back.ioValues, snap.ioValues);
+    EXPECT_EQ(currentSections.output, sections.output);
+    EXPECT_EQ(encodeCheckpoint(back, currentInfo.specHash,
+                               currentInfo.savedBy, currentSections),
+              current);
     EXPECT_GE(std::count_if(snap.state.latches().begin(),
                             snap.state.latches().end(),
                             [](int32_t v) { return v != 0; }),
@@ -432,7 +444,6 @@ TEST_F(CheckpointFuzz, AbsurdCountRejectedBeforeAllocation)
     w.str("evil");  // saved-by
     w.u64(1);       // cycle
     w.u64(0);       // ioValues
-    w.u64(0);       // ioBytes
     w.u64(1);       // stats cycles
     w.u64(0);       // stats alu
     w.u64(0);       // stats sel

@@ -24,6 +24,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/native_engine.hh"
 #include "sim/simulation.hh"
+#include "support/serialize.hh"
 
 #ifndef ASIM_SPECS_DIR
 #define ASIM_SPECS_DIR "specs"
@@ -202,7 +203,6 @@ TEST_F(NativeEngineTest, RestorePositionsTheInputCursor)
     ea.run(3);
     EngineSnapshot snap = ea.snapshot();
     EXPECT_EQ(snap.ioValues, 3u);
-    EXPECT_EQ(snap.ioBytes, kNoIoCursor) << "no byte cursor in process";
 
     // Same script: the continuation picks up at value 4.
     VectorIo ic;
@@ -232,8 +232,8 @@ TEST_F(NativeEngineTest, RestorePositionsTheInputCursor)
 
 /** A version-2 checkpoint written while the native engine kept a
  *  byte cursor still decodes, and restores into native and vm alike:
- *  the cursor is carried through decoding and ignored, the value
- *  count positions the script. */
+ *  decoding reads the cursor and drops it, the value count positions
+ *  the script. */
 TEST_F(NativeEngineTest, ByteCursorCheckpointStillRestores)
 {
     ResolvedSpec rs = resolveText(kEchoSpec);
@@ -244,14 +244,28 @@ TEST_F(NativeEngineTest, ByteCursorCheckpointStillRestores)
     cfg.io = &src;
     auto vm = makeVm(rs, cfg);
     vm->run(3);
-    EngineSnapshot snap = vm->snapshot();
-    snap.ioBytes = 6; // "1\n2\n3\n" consumed, as the serve child wrote
-    const std::string bytes =
+    const EngineSnapshot snap = vm->snapshot();
+    // The v2 layout: the current one with version 2 and a byte cursor
+    // after the value cursor ("1\n2\n3\n" consumed, as the serve
+    // child wrote), re-sealed.
+    const std::string current =
         encodeCheckpoint(snap, specIdentityHash(rs), "native");
+    // magic, version, spec hash, "native" (u32 length + 6 bytes),
+    // cycle, value cursor
+    const size_t cursorAt = 8 + 4 + 8 + 4 + 6 + 8 + 8;
+    ByteWriter w;
+    w.bytes(kCheckpointMagic);
+    w.u32(2);
+    w.bytes(std::string_view(current).substr(12, cursorAt - 12));
+    w.u64(6);
+    w.bytes(std::string_view(current).substr(
+        cursorAt, current.size() - 4 - cursorAt));
+    w.u32(crc32(w.data()));
     CheckpointInfo info;
-    EngineSnapshot back = decodeCheckpoint(bytes, "v2", &info);
+    EngineSnapshot back = decodeCheckpoint(w.data(), "v2", &info);
     EXPECT_EQ(info.version, 2u);
-    EXPECT_EQ(back.ioBytes, 6u);
+    EXPECT_EQ(back.ioValues, 3u);
+    EXPECT_TRUE(back.state == snap.state);
 
     std::string texts[2];
     for (int i = 0; i < 2; ++i) {
