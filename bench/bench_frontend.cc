@@ -9,7 +9,10 @@
  *   checked  synthetic specs at scale 1, 32, 256 and 1024 (~9k
  *            components), in MB/s of spec text;
  *   module   8 to 1024 uses of a 3-component module, chained output
- *            to input, in uses/s.
+ *            to input, in uses/s;
+ *   stage    each layer of loading the `64000` preset on its own:
+ *            parseSpec, resolve of the parsed spec and compileProgram
+ *            of the resolved one, in MB/s of the spec text.
  *
  * Each point repeats its load for at least kMinSeconds, kReps times,
  * and prints the median rate with the range. Takes no flags:
@@ -24,7 +27,9 @@
 #include <vector>
 
 #include "analysis/resolve.hh"
+#include "lang/parser.hh"
 #include "machines/synthetic.hh"
+#include "sim/compiler.hh"
 
 namespace {
 
@@ -63,27 +68,47 @@ moduleChainText(int uses)
     return text + ".\n";
 }
 
-/** Loads of `text` per second, timed the way Simulation loads: parse
- *  and resolve with a Diagnostics. Sorted, one per repetition. */
+/** Calls of `work` per second, sorted, one per repetition. */
+template <typename F>
 std::vector<double>
-loadsPerSecond(const std::string &text)
+callsPerSecond(F &&work)
 {
     std::vector<double> rates;
     for (int rep = 0; rep < kReps; ++rep) {
         const auto t0 = Clock::now();
         double seconds = 0;
-        uint64_t loads = 0;
+        uint64_t calls = 0;
         do {
-            Diagnostics diag;
-            resolveText(text, &diag);
-            ++loads;
+            work();
+            ++calls;
             seconds =
                 std::chrono::duration<double>(Clock::now() - t0).count();
         } while (seconds < kMinSeconds);
-        rates.push_back(static_cast<double>(loads) / seconds);
+        rates.push_back(static_cast<double>(calls) / seconds);
     }
     std::sort(rates.begin(), rates.end());
     return rates;
+}
+
+/** Loads of `text` per second, timed the way Simulation loads: parse
+ *  and resolve with a Diagnostics. */
+std::vector<double>
+loadsPerSecond(const std::string &text)
+{
+    return callsPerSecond([&] {
+        Diagnostics diag;
+        resolveText(text, &diag);
+    });
+}
+
+void
+printMbPerSecond(const std::string &what, const std::string &text,
+                 const std::vector<double> &r)
+{
+    const double mb = static_cast<double>(text.size()) / 1e6;
+    std::printf("  %-19s (%7zu bytes): %6.2f MB/s (%.2f-%.2f)\n",
+                what.c_str(), text.size(), r[kReps / 2] * mb, r[0] * mb,
+                r[kReps - 1] * mb);
 }
 
 } // namespace
@@ -96,12 +121,8 @@ main()
                 kReps);
     for (int scale : {1, 32, 256, 1024}) {
         const std::string text = synthText(scale);
-        const std::vector<double> r = loadsPerSecond(text);
-        const double mb = static_cast<double>(text.size()) / 1e6;
-        std::printf("  checked scale %4d (%7zu bytes): %6.2f MB/s "
-                    "(%.2f-%.2f)\n",
-                    scale, text.size(), r[kReps / 2] * mb, r[0] * mb,
-                    r[kReps - 1] * mb);
+        printMbPerSecond("checked scale " + std::to_string(scale), text,
+                         loadsPerSecond(text));
     }
     for (int uses : {8, 64, 512, 1024}) {
         const std::vector<double> r = loadsPerSecond(moduleChainText(uses));
@@ -109,5 +130,29 @@ main()
                     uses, r[kReps / 2] * uses, r[0] * uses,
                     r[kReps - 1] * uses);
     }
+
+    // One layer at a time on perfbench's synth64k design (seed 1):
+    // each stage's input is built once, outside the timed calls, and
+    // the rate is of the spec text the design loads from.
+    SyntheticOptions opts = syntheticPreset("64000");
+    opts.seed = 1;
+    const std::string text = generateSyntheticText(opts);
+    Diagnostics diag;
+    const Spec spec = parseSpec(text, &diag);
+    const ResolvedSpec rs = resolve(spec, &diag);
+    std::printf("each layer of loading the 64000 preset, median of %d "
+                "repetitions (range)\n",
+                kReps);
+    printMbPerSecond("stage parse", text, callsPerSecond([&] {
+                         Diagnostics d;
+                         parseSpec(text, &d);
+                     }));
+    printMbPerSecond("stage resolve", text, callsPerSecond([&] {
+                         Diagnostics d;
+                         resolve(spec, &d);
+                     }));
+    printMbPerSecond("stage compile", text, callsPerSecond([&] {
+                         compileProgram(rs, CompilerOptions{}, false);
+                     }));
     return 0;
 }

@@ -6,12 +6,15 @@
  * as the daemon binary minus process startup. Rates are single-cycle
  * steps per second of wall time (the daemon works on its own
  * connection threads, so this thread's CPU time would flatter both
- * legs). README's claim that pipelined stepping is over 10x
- * ping-pong on the counter spec rests on this pair; perfbench's
+ * legs). README's pipelining figure rests on this pair; perfbench's
  * `serve` workload never pipelines.
  *
- * Each leg steps for at least kMinSeconds, kReps times, and prints
- * the median rate with the range. Takes no flags:
+ * The legs alternate: one ping-pong repetition, then one pipelined
+ * repetition, kReps pairs, each repetition stepping for at least
+ * kMinSeconds. A shared host's slow spells then fall on both legs of
+ * a pair, so the per-pair ratio is steadier than a ratio of medians
+ * taken minutes apart. Prints each leg's median rate with the range,
+ * and the median and range of the per-pair ratios. Takes no flags:
  *
  *     build/bench_serve
  */
@@ -39,34 +42,32 @@ constexpr int kReps = 5;
 constexpr double kMinSeconds = 0.5;
 constexpr int kDepth = 64;
 
-/** Steps per second of `batch` (which takes `steps` steps), sorted,
- *  one per repetition. */
+/** Steps per second of one repetition of `batch` (which takes
+ *  `steps` steps), repeated for at least kMinSeconds. */
 template <typename F>
-std::vector<double>
+double
 stepsPerSecond(int steps, F &&batch)
 {
-    std::vector<double> rates;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const auto t0 = Clock::now();
-        double seconds = 0;
-        uint64_t done = 0;
-        do {
-            batch();
-            done += static_cast<uint64_t>(steps);
-            seconds =
-                std::chrono::duration<double>(Clock::now() - t0).count();
-        } while (seconds < kMinSeconds);
-        rates.push_back(static_cast<double>(done) / seconds);
-    }
-    std::sort(rates.begin(), rates.end());
-    return rates;
+    const auto t0 = Clock::now();
+    double seconds = 0;
+    uint64_t done = 0;
+    do {
+        batch();
+        done += static_cast<uint64_t>(steps);
+        seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    } while (seconds < kMinSeconds);
+    return static_cast<double>(done) / seconds;
 }
 
+/** Print `what`'s median and range over the kReps values of `v`,
+ *  with `digits` decimals. */
 void
-report(const char *leg, const std::vector<double> &r)
+report(const char *what, std::vector<double> v, int digits,
+       const char *unit)
 {
-    std::printf("  %-22s %9.0f steps/s (%.0f-%.0f)\n", leg, r[kReps / 2],
-                r[0], r[kReps - 1]);
+    std::sort(v.begin(), v.end());
+    std::printf("  %-22s %9.*f %s (%.*f-%.*f)\n", what, digits,
+                v[kReps / 2], unit, digits, v[0], digits, v[kReps - 1]);
 }
 
 } // namespace
@@ -77,7 +78,7 @@ main()
     ServeOptions o;
     o.unixPath = "/tmp/asim_bench_serve_" + std::to_string(::getpid());
     o.stateDir = o.unixPath + ".state";
-    std::vector<double> pingPong, pipelined;
+    std::vector<double> pingPong, pipelined, ratios;
     {
         ServeServer server(o);
         server.start();
@@ -87,30 +88,33 @@ main()
         open.specText = counterSpec(8, 1000);
         const uint64_t id = client.open(open).id;
 
-        // One cycle per round trip: the protocol floor interactive
-        // debuggers pay without pipelining.
-        pingPong = stepsPerSecond(1, [&] { client.run(id, 1); });
-        // kDepth queued RUNs per flush: requests coalesce into one
-        // write, responses into few — the round trip amortizes away.
-        pipelined = stepsPerSecond(kDepth, [&] {
-            for (int i = 0; i < kDepth; ++i)
-                client.sendRun(id, 1);
-            for (int i = 0; i < kDepth; ++i)
-                client.readRunReply();
-        });
+        for (int rep = 0; rep < kReps; ++rep) {
+            // One cycle per round trip: the protocol floor interactive
+            // debuggers pay without pipelining.
+            pingPong.push_back(stepsPerSecond(1, [&] { client.run(id, 1); }));
+            // kDepth queued RUNs per flush: requests coalesce into one
+            // write, responses into few — the round trip amortizes
+            // away.
+            pipelined.push_back(stepsPerSecond(kDepth, [&] {
+                for (int i = 0; i < kDepth; ++i)
+                    client.sendRun(id, 1);
+                for (int i = 0; i < kDepth; ++i)
+                    client.readRunReply();
+            }));
+            ratios.push_back(pipelined.back() / pingPong.back());
+        }
         client.closeSession(id);
         server.stop(false);
     }
     std::filesystem::remove_all(o.stateDir);
     std::filesystem::remove(o.unixPath);
 
-    std::printf("serve stepping on counterSpec(8, 1000), median of %d "
-                "repetitions (range)\n",
+    std::printf("serve stepping on counterSpec(8, 1000), %d alternating "
+                "pairs: median (range)\n",
                 kReps);
-    report("ping-pong", pingPong);
+    report("ping-pong", pingPong, 0, "steps/s");
     report(("pipelined, depth " + std::to_string(kDepth)).c_str(),
-           pipelined);
-    std::printf("  pipelined / ping-pong  %.1fx\n",
-                pipelined[kReps / 2] / pingPong[kReps / 2]);
+           pipelined, 0, "steps/s");
+    report("pipelined / ping-pong", ratios, 1, "x per pair");
     return 0;
 }

@@ -9,7 +9,6 @@
 #include "lang/parser.hh"
 #include "lang/writer.hh"
 #include "support/bitops.hh"
-#include "support/serialize.hh"
 
 namespace asim {
 
@@ -196,18 +195,11 @@ resolve(const Spec &spec, Diagnostics *diag)
     // Order the combinational network (throws on cycles).
     std::vector<int> order = orderCombinational(spec);
 
-    // Size the pools exactly: one resolved expression per expression
-    // of a component, one resolved term per reference.
-    size_t numExprs = 0, numRefs = 0;
-    for (const auto &c : spec.comps) {
-        numExprs += c.numExprs;
-        for (Expr e : spec.exprs(c)) {
-            for (const Term &t : spec.terms(e))
-                numRefs += t.kind == Term::Kind::Ref;
-        }
-    }
-    rs.exprPool.reserve(numExprs);
-    rs.termPool.reserve(numRefs);
+    // Room for one resolved expression per expression and one
+    // resolved term per term: the syntax tree's pool sizes bound both,
+    // and capacity the pools never fill is never touched.
+    rs.exprPool.reserve(spec.exprPool.size());
+    rs.termPool.reserve(spec.termPool.size());
     rs.comb.reserve(order.size());
     rs.mems.reserve(static_cast<size_t>(numMems));
 
@@ -301,8 +293,7 @@ resolve(const Spec &spec, Diagnostics *diag)
     rs.comment = spec.comment;
     rs.cycles = spec.cycles;
     rs.cyclesSpecified = spec.cyclesSpecified;
-    rs.text = writeSpec(spec);
-    rs.identity = fnv1a64(rs.text);
+    rs.text = writeSpec(spec, &rs.identity);
     return rs;
 }
 

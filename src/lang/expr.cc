@@ -1,5 +1,8 @@
 #include "lang/expr.hh"
 
+#include <algorithm>
+#include <charconv>
+
 #include "lang/ast.hh"
 #include "lang/number.hh"
 #include "support/bitops.hh"
@@ -17,11 +20,51 @@ malformed(std::string_view text)
                     ".");
 }
 
-/** Parse one comma-free piece into a Term, interning a reference's
- *  name in `names`. */
-Term
-parseTerm(std::string_view piece, std::string_view whole, NameStore &names)
+/** What one scan of a term's bytes finds: where it ends (at a comma
+ *  or the end of the expression), its first two dots, whether it has
+ *  more, and whether every byte before the first dot is a letter or a
+ *  digit. Offsets are from the term's start; npos when absent. */
+struct TermScan
 {
+    std::string_view piece;
+    size_t dot1 = std::string_view::npos;
+    size_t dot2 = std::string_view::npos;
+    bool moreDots = false;
+    bool alnumHead = true;
+    NameHash headHash; ///< of the bytes before the first dot
+};
+
+TermScan
+scanTerm(std::string_view text, size_t start)
+{
+    TermScan s;
+    size_t i = start;
+    // The head, hashed as a name while it is letters and digits.
+    for (; i < text.size() && (isLetter(text[i]) || isDigit(text[i])); ++i)
+        s.headHash.add(text[i]);
+    // The rest up to the comma: the dots, and any other byte, which
+    // ends the head unless a dot came first.
+    for (; i < text.size() && text[i] != ','; ++i) {
+        if (text[i] != '.') {
+            s.alnumHead = s.alnumHead && s.dot1 != std::string_view::npos;
+        } else if (s.dot1 == std::string_view::npos) {
+            s.dot1 = i - start;
+        } else if (s.dot2 == std::string_view::npos) {
+            s.dot2 = i - start;
+        } else {
+            s.moreDots = true;
+        }
+    }
+    s.piece = text.substr(start, i - start);
+    return s;
+}
+
+/** Parse one scanned comma-free piece into a Term, interning a
+ *  reference's name in `names`. */
+Term
+parseTerm(const TermScan &s, std::string_view whole, NameStore &names)
+{
+    const std::string_view piece = s.piece;
     Term t;
     if (piece.empty())
         malformed(whole);
@@ -57,13 +100,12 @@ parseTerm(std::string_view piece, std::string_view whole, NameStore &names)
         // how exprToString writes a constant that wrapped negative
         // (`^31`, `$FFFFFFFF`), so written specs parse back.
         t.kind = Term::Kind::Const;
-        size_t dot = piece.find('.');
-        if (dot == std::string_view::npos) {
+        if (s.dot1 == std::string_view::npos) {
             t.value = parseConstant(piece);
             t.width = -1;
         } else {
-            t.value = parseConstant(piece.substr(0, dot));
-            std::string_view wtext = piece.substr(dot + 1);
+            t.value = parseConstant(piece.substr(0, s.dot1));
+            std::string_view wtext = piece.substr(s.dot1 + 1);
             if (wtext.empty())
                 malformed(whole);
             const int32_t width = parseNumber(wtext);
@@ -78,30 +120,21 @@ parseTerm(std::string_view piece, std::string_view whole, NameStore &names)
         // Component reference with optional subfield: `name`,
         // `name.from` or `name.from.to`.
         t.kind = Term::Kind::Ref;
-        std::string_view name = piece;
-        std::string_view fields;
-        if (size_t dot = piece.find('.'); dot != std::string_view::npos) {
-            name = piece.substr(0, dot);
-            fields = piece.substr(dot + 1);
-        }
-        if (!isValidName(name))
+        if (!s.alnumHead)
             malformed(whole);
         int32_t from = -1, to = -1;
-        if (name.size() < piece.size()) {
-            std::string_view fromText = fields, toText;
-            bool hasTo = false;
-            if (size_t dot = fields.find('.');
-                dot != std::string_view::npos) {
-                fromText = fields.substr(0, dot);
-                toText = fields.substr(dot + 1);
-                hasTo = true;
-                if (toText.find('.') != std::string_view::npos)
-                    malformed(whole);
-            }
+        if (s.dot1 != std::string_view::npos) {
+            if (s.moreDots)
+                malformed(whole);
+            const bool hasTo = s.dot2 != std::string_view::npos;
+            std::string_view fromText =
+                piece.substr(s.dot1 + 1, hasTo ? s.dot2 - s.dot1 - 1
+                                               : std::string_view::npos);
             if (fromText.empty())
                 malformed(whole);
             from = parseNumber(fromText);
             if (hasTo) {
+                std::string_view toText = piece.substr(s.dot2 + 1);
                 if (toText.empty())
                     malformed(whole);
                 to = parseNumber(toText);
@@ -115,7 +148,7 @@ parseTerm(std::string_view piece, std::string_view whole, NameStore &names)
         // "absent", as every consumer tests only for < 0.
         t.from = static_cast<int8_t>(from < 0 ? -1 : from);
         t.to = static_cast<int8_t>(to < 0 ? -1 : to);
-        t.ref = names.intern(name);
+        t.ref = names.intern(piece.substr(0, s.dot1), s.headHash.value());
         return t;
     }
 
@@ -143,60 +176,82 @@ parseExpr(std::string_view text, Spec &spec)
     e.first = static_cast<uint32_t>(spec.termPool.size());
     size_t start = 0;
     while (true) {
-        const size_t comma = text.find(',', start);
-        const std::string_view piece = text.substr(
-            start, comma == std::string_view::npos ? std::string_view::npos
-                                                   : comma - start);
-        spec.termPool.push_back(parseTerm(piece, text, spec.names));
-        if (comma == std::string_view::npos)
+        const TermScan s = scanTerm(text, start);
+        spec.termPool.push_back(parseTerm(s, text, spec.names));
+        start += s.piece.size();
+        if (start == text.size())
             break;
-        start = comma + 1;
+        ++start; // the comma
     }
     e.count = static_cast<uint32_t>(spec.termPool.size()) - e.first;
     return e;
 }
 
-void
-appendExpr(std::string &out, const Spec &spec, Expr expr)
+size_t
+exprTextBound(const Spec &spec, Expr expr)
 {
-    bool firstTerm = true;
+    // Each term and its comma: a constant of at most 11 characters
+    // and a width; a '#' and the digits; a name and up to two fields
+    // (an int8 field is at most 4 characters).
+    size_t n = 0;
     for (const Term &t : spec.terms(expr)) {
-        if (!firstTerm)
-            out += ',';
-        firstTerm = false;
         switch (t.kind) {
           case Term::Kind::Const:
-            appendInt(out, t.value);
-            if (t.width >= 0) {
-                out += '.';
-                appendInt(out, t.width);
-            }
+            n += 17;
             break;
           case Term::Kind::BitString:
-            out += '#';
-            for (int b = t.width - 1; b >= 0; --b)
-                out += static_cast<char>('0' + ((t.value >> b) & 1));
+            n += 2 + static_cast<size_t>(std::max<int>(t.width, 0));
             break;
           case Term::Kind::Ref:
-            out += spec.name(t.ref);
-            if (t.from >= 0) {
-                out += '.';
-                appendInt(out, t.from);
-            }
-            if (t.to >= 0) {
-                out += '.';
-                appendInt(out, t.to);
-            }
+            n += spec.name(t.ref).size() + 11;
             break;
         }
     }
+    return n;
+}
+
+char *
+writeExpr(char *out, const Spec &spec, Expr expr)
+{
+    const auto field = [&out](int v) {
+        *out++ = '.';
+        out = std::to_chars(out, out + 4, v).ptr;
+    };
+    bool firstTerm = true;
+    for (const Term &t : spec.terms(expr)) {
+        if (!firstTerm)
+            *out++ = ',';
+        firstTerm = false;
+        switch (t.kind) {
+          case Term::Kind::Const:
+            out = std::to_chars(out, out + 11, t.value).ptr;
+            if (t.width >= 0)
+                field(t.width);
+            break;
+          case Term::Kind::BitString:
+            *out++ = '#';
+            for (int b = t.width - 1; b >= 0; --b)
+                *out++ = static_cast<char>('0' + ((t.value >> b) & 1));
+            break;
+          case Term::Kind::Ref: {
+            const std::string_view name = spec.name(t.ref);
+            out = std::copy(name.begin(), name.end(), out);
+            if (t.from >= 0)
+                field(t.from);
+            if (t.to >= 0)
+                field(t.to);
+            break;
+          }
+        }
+    }
+    return out;
 }
 
 std::string
 exprToString(const Spec &spec, Expr expr)
 {
-    std::string out;
-    appendExpr(out, spec, expr);
+    std::string out(exprTextBound(spec, expr), '\0');
+    out.resize(writeExpr(out.data(), spec, expr) - out.data());
     return out;
 }
 

@@ -100,9 +100,13 @@ bool isConstant(const Spec &spec, Expr expr);
  *  constants in decimal, subfields as `.from[.to]`). */
 std::string exprToString(const Spec &spec, Expr expr);
 
-/** Append exprToString(spec, expr) to `out` (lang/writer.cc renders a
- *  whole spec into one string this way). */
-void appendExpr(std::string &out, const Spec &spec, Expr expr);
+/** The most bytes writeExpr writes for `expr`. */
+size_t exprTextBound(const Spec &spec, Expr expr);
+
+/** Write exprToString(spec, expr) to `out`, which has room for
+ *  exprTextBound(spec, expr) bytes, and return the end of the text
+ *  (lang/writer.cc renders a whole spec into one string this way). */
+char *writeExpr(char *out, const Spec &spec, Expr expr);
 
 /** Names of all components referenced by `expr` (with duplicates). */
 std::vector<std::string_view> referencedNames(const Spec &spec, Expr expr);

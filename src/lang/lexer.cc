@@ -1,5 +1,8 @@
 #include "lang/lexer.hh"
 
+#include <array>
+#include <cstdint>
+
 #include "support/logging.hh"
 #include "support/text.hh"
 
@@ -24,24 +27,42 @@ Lexer::readCommentLine()
     return line;
 }
 
-bool
-Lexer::isWhitespace(char c) const
+namespace {
+
+/** True for the bytes a token cannot hold: whitespace and '{'. */
+constexpr bool
+endsToken(char c)
 {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '{';
 }
+
+/** Per byte: kEnd if it ends a token, kMacro if it is the `~` that
+ *  starts a macro reference. One load and test per byte of a token. */
+constexpr uint8_t kEnd = 1, kMacro = 2;
+constexpr std::array<uint8_t, 256> kStops = [] {
+    std::array<uint8_t, 256> t{};
+    for (int c = 0; c < 256; ++c) {
+        if (endsToken(static_cast<char>(c)))
+            t[c] = kEnd;
+    }
+    t['~'] = kMacro;
+    return t;
+}();
+
+} // namespace
 
 void
 Lexer::skipWhitespace()
 {
     while (pos_ < text_.size()) {
-        char c = text_[pos_];
+        const char c = text_[pos_];
         if (c == '{') {
             // Comment: skip to matching '}' (no nesting, per thesis).
             while (pos_ < text_.size() && text_[pos_] != '}')
                 advanceOne();
             if (pos_ < text_.size())
                 advanceOne(); // the '}'
-        } else if (isWhitespace(c)) {
+        } else if (endsToken(c)) {
             advanceOne();
         } else {
             break;
@@ -81,24 +102,25 @@ Lexer::next()
     tokenLine_ = line_;
 
     // Scan the raw token; it is a view of the text unless expansion
-    // meets a `~`, from which on it is built in expanded_.
+    // meets a `~`, from which on it is built in expanded_. A token
+    // holds no newline, so only whitespace moves the line count.
     const size_t start = pos_;
+    const uint8_t stops = expand_ ? kEnd | kMacro : kEnd;
     bool expanding = false;
-    while (pos_ < text_.size()) {
-        char c = text_[pos_];
-        if (isWhitespace(c) || c == '{')
+    while (true) {
+        const size_t run = pos_;
+        while (pos_ < text_.size() &&
+               !(kStops[static_cast<uint8_t>(text_[pos_])] & stops))
+            ++pos_;
+        if (expanding)
+            expanded_.append(text_.substr(run, pos_ - run));
+        if (pos_ == text_.size() || endsToken(text_[pos_]))
             break;
-        if (expand_ && c == '~') {
-            if (!expanding) {
-                expanded_.assign(text_.substr(start, pos_ - start));
-                expanding = true;
-            }
-            expandMacro();
-        } else {
-            if (expanding)
-                expanded_ += c;
-            advanceOne();
+        if (!expanding) {
+            expanded_.assign(text_.substr(start, pos_ - start));
+            expanding = true;
         }
+        expandMacro();
     }
     std::string_view token =
         expanding ? std::string_view(expanded_)

@@ -58,11 +58,13 @@ class Lexer
     MacroTable &macros() { return macros_; }
     const MacroTable &macros() const { return macros_; }
 
+    /** Bytes of text scanned in all. */
+    size_t size() const { return text_.size(); }
+
     /** 1-based line number of the most recently returned token. */
     int line() const { return tokenLine_; }
 
   private:
-    bool isWhitespace(char c) const;
     void skipWhitespace();
 
     /** Consume one character, maintaining the line counter. */

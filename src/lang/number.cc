@@ -18,8 +18,10 @@ malformed(std::string_view text)
 }
 
 /** A number's value two ways: its low 32 bits (the thesis' wrapping
- *  datapath value) and its exact value, saturated at kWideMax (a
- *  count such as a memory size, which must not wrap). */
+ *  datapath value) and, when `Exact`, its exact value saturated at
+ *  kWideMax (a count such as a memory size, which must not wrap). A
+ *  datapath value, the common case, skips the exact one. */
+template <bool Exact>
 struct Value
 {
     uint32_t low = 0;
@@ -29,23 +31,27 @@ struct Value
 constexpr uint64_t kWideMax = uint64_t{1} << 62;
 
 /** `v * radix + digit`, both ways. */
+template <bool Exact>
 void
-accumulate(Value &v, uint32_t radix, uint32_t digit)
+accumulate(Value<Exact> &v, uint32_t radix, uint32_t digit)
 {
     v.low = v.low * radix + digit;
-    v.wide = v.wide > kWideMax / radix
-                 ? kWideMax
-                 : std::min(kWideMax, v.wide * radix + digit);
+    if constexpr (Exact) {
+        v.wide = v.wide > kWideMax / radix
+                     ? kWideMax
+                     : std::min(kWideMax, v.wide * radix + digit);
+    }
 }
 
 /** Parse one atom starting at `i`; advances `i` past the atom. */
-Value
+template <bool Exact>
+Value<Exact>
 parseAtom(std::string_view text, size_t &i)
 {
     if (i >= text.size())
         malformed(text);
     char c = text[i];
-    Value v;
+    Value<Exact> v;
     if (isDigit(c)) {
         while (i < text.size() && isDigit(text[i])) {
             accumulate(v, 10, text[i] - '0');
@@ -89,17 +95,19 @@ parseAtom(std::string_view text, size_t &i)
 }
 
 /** Parse a sum of atoms. */
-Value
+template <bool Exact>
+Value<Exact>
 parseSum(std::string_view text)
 {
     if (text.empty())
         malformed(text);
     size_t i = 0;
-    Value total;
+    Value<Exact> total;
     while (true) {
-        const Value v = parseAtom(text, i);
+        const Value<Exact> v = parseAtom<Exact>(text, i);
         total.low += v.low;
-        total.wide = std::min(kWideMax, total.wide + v.wide);
+        if constexpr (Exact)
+            total.wide = std::min(kWideMax, total.wide + v.wide);
         if (i == text.size())
             return total;
         if (text[i] != '+')
@@ -113,15 +121,15 @@ parseSum(std::string_view text)
 int32_t
 parseNumber(std::string_view text)
 {
-    return static_cast<int32_t>(parseSum(text).low);
+    return static_cast<int32_t>(parseSum<false>(text).low);
 }
 
 int64_t
 parseSignedNumber(std::string_view text)
 {
     const bool negative = !text.empty() && text[0] == '-';
-    const auto n =
-        static_cast<int64_t>(parseSum(negative ? text.substr(1) : text).wide);
+    const auto n = static_cast<int64_t>(
+        parseSum<true>(negative ? text.substr(1) : text).wide);
     return negative ? -n : n;
 }
 

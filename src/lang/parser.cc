@@ -35,6 +35,7 @@ class Parser
     Spec
     run()
     {
+        reservePools();
         sink_ = &spec_.comps;
         readComment();
         token_ = lexer_.next();
@@ -52,6 +53,22 @@ class Parser
     }
 
   private:
+    /** Size the spec's arrays for the text. A generated spec spends
+     *  about 10 bytes of text per term, 18 per expression and 60 per
+     *  component and name; room for a somewhat denser text lets the
+     *  arrays of a large spec fill without being copied as they grow,
+     *  and capacity never filled is never touched. */
+    void
+    reservePools()
+    {
+        const size_t bytes = lexer_.size();
+        spec_.termPool.reserve(bytes / 8);
+        spec_.exprPool.reserve(bytes / 16);
+        spec_.comps.reserve(bytes / 48);
+        spec_.decls.reserve(bytes / 48);
+        spec_.names.reserve(bytes / 48, bytes / 8);
+    }
+
     void
     readComment()
     {
@@ -112,8 +129,7 @@ class Parser
                 name.remove_suffix(1);
                 d.traced = true;
             }
-            checkName(name);
-            d.name = spec_.names.intern(name);
+            d.name = internName(name);
             spec_.decls.push_back(d);
             advance();
         }
@@ -133,13 +149,27 @@ class Parser
         return t;
     }
 
+    /** `name`, checked (checkName) and interned: one pass over its
+     *  bytes checks and hashes it. */
+    NameId
+    internName(std::string_view name)
+    {
+        NameHash hash;
+        bool valid = !name.empty() && isLetter(name[0]);
+        for (char c : name) {
+            valid = valid && (isLetter(c) || isDigit(c));
+            hash.add(c);
+        }
+        if (!valid)
+            checkName(name);
+        return spec_.names.intern(name, hash.value());
+    }
+
     /** The next token as a checked component name, interned. */
     NameId
     nextName(const char *what)
     {
-        std::string_view t = nextField(what);
-        checkName(t);
-        return spec_.names.intern(t);
+        return internName(nextField(what));
     }
 
     Expr
@@ -205,8 +235,7 @@ class Parser
                 throw SpecError("Error. Unexpected end of file in "
                                 "module " + name + " port list.");
             }
-            checkName(token_);
-            mod.ports.push_back(spec_.names.intern(token_));
+            mod.ports.push_back(internName(token_));
             advance();
         }
         // Body: ordinary components until 'E'. Parse into a side list

@@ -9,14 +9,17 @@
 #ifndef ASIM_LANG_WRITER_HH
 #define ASIM_LANG_WRITER_HH
 
+#include <cstdint>
 #include <string>
 
 #include "lang/ast.hh"
 
 namespace asim {
 
-/** Render `spec` as a complete, parseable specification text. */
-std::string writeSpec(const Spec &spec);
+/** Render `spec` as a complete, parseable specification text. With
+ *  `hash`, also store the text's fnv1a64 (support/serialize.hh) there,
+ *  taken line by line as the text is written. */
+std::string writeSpec(const Spec &spec, uint64_t *hash = nullptr);
 
 /** Render a single component definition line of `spec`. */
 std::string writeComponent(const Spec &spec, const Component &comp);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <sstream>
+#include <utility>
 
 #include "analysis/depgraph.hh"
 #include "lang/alu_ops.hh"
@@ -87,20 +89,29 @@ casesConstant(const ResolvedSpec &rs, const CombComp &c)
                        [](const ResolvedExpr &e) { return e.isConstant(); });
 }
 
-/** A term span a word reads: the terms of one expression, or of two
- *  summed (wrapping addition is associative), with their constants
- *  and `bias` on the first term. */
+/** A term span a word reads: the terms of one expression, or of it
+ *  and the next one summed (an ALU's left and right operands, which
+ *  are adjacent; wrapping addition is associative), with their
+ *  constants and `bias` on the first term. */
 struct Span
 {
     const ResolvedExpr *e = nullptr;
-    const ResolvedExpr *plus = nullptr;
     int32_t bias = 0;
+    bool withNext = false;
+
+    std::span<const ResolvedExpr>
+    exprs() const
+    {
+        return {e, withNext ? 2u : 1u};
+    }
 
     /** One term per field, or one zero-mask term for a constant. */
     uint8_t
     length() const
     {
-        const uint32_t n = e->count + (plus ? plus->count : 0);
+        uint32_t n = 0;
+        for (const ResolvedExpr &x : exprs())
+            n += x.count;
         return static_cast<uint8_t>(std::max<uint32_t>(n, 1));
     }
 };
@@ -114,11 +125,9 @@ appendSpan(const ResolvedSpec &rs, const Span &s, uint32_t own,
 {
     const size_t first = out.size();
     int32_t bias = s.bias;
-    for (const ResolvedExpr *e : {s.e, s.plus}) {
-        if (!e)
-            continue;
-        bias = wadd(bias, e->constTotal);
-        for (const ResolvedTerm &t : rs.terms(*e)) {
+    for (const ResolvedExpr &e : s.exprs()) {
+        bias = wadd(bias, e.constTotal);
+        for (const ResolvedTerm &t : rs.terms(e)) {
             VmTerm x;
             x.slot = static_cast<uint32_t>(t.slot);
             // A field's bits land inside the word whichever way it
@@ -156,11 +165,84 @@ aluBinaryOp(int32_t funct)
     }
 }
 
-/** The spans a comb component's word reads, in cursor order. */
+/** The spans a comb component's word reads, in cursor order, each
+ *  kept as the place of its first expression among the component's
+ *  own: 8 bytes a span, so a plan per component stays small. */
 struct Operands
 {
-    std::array<Span, 3> s{};
-    int n = 0;
+    struct Ref
+    {
+        uint8_t expr = 0;
+        bool withNext = false;
+        int32_t bias = 0;
+    };
+    std::array<Ref, 3> s{};
+    uint8_t n = 0;
+
+    void
+    add(const ResolvedSpec &rs, const CombComp &c, const Span &span)
+    {
+        s[n++] = {static_cast<uint8_t>(span.e - rs.exprs(c).data()),
+                  span.withNext, span.bias};
+    }
+
+    Span
+    span(const ResolvedSpec &rs, const CombComp &c, int k) const
+    {
+        return {&rs.exprs(c)[s[k].expr], s[k].bias, s[k].withNext};
+    }
+};
+
+/** The comb schedule's sort key: (segment, level), then shape, with
+ *  the component's rs.comb index along. */
+struct ScheduleKey
+{
+    uint64_t major = 0; ///< segment << 32 | level
+    uint32_t shape = 0;
+    uint32_t index = 0;
+};
+
+/**
+ * Sort `keys`, given in index order, by (major, shape), keeping equal
+ * keys in index order: an LSD radix sort over the twelve key bytes
+ * that skips every byte all keys share. A layered design shares most
+ * of them, so this is a few linear passes where a comparison sort
+ * mispredicts a branch per comparison.
+ */
+void
+sortSchedule(std::vector<ScheduleKey> &keys)
+{
+    constexpr int kBytes = 12;
+    const auto byteOf = [](const ScheduleKey &k, int d) {
+        return static_cast<uint8_t>(d < 4 ? k.shape >> (8 * d)
+                                          : k.major >> (8 * (d - 4)));
+    };
+    std::array<std::array<uint32_t, 256>, kBytes> count{};
+    for (const ScheduleKey &k : keys) {
+        for (int d = 0; d < kBytes; ++d)
+            ++count[d][byteOf(k, d)];
+    }
+    std::vector<ScheduleKey> out(keys.size());
+    for (int d = 0; d < kBytes; ++d) {
+        if (*std::max_element(count[d].begin(), count[d].end()) ==
+            keys.size())
+            continue;
+        uint32_t sum = 0;
+        for (uint32_t &c : count[d])
+            sum += std::exchange(c, sum);
+        for (const ScheduleKey &k : keys)
+            out[count[d][byteOf(k, d)]++] = k;
+        keys.swap(out);
+    }
+}
+
+/** A comb component's word and spans, decided once, and whether it
+ *  may fault. */
+struct Planned
+{
+    Instr w;
+    Operands ops;
+    bool barrier = false;
 };
 
 /**
@@ -178,14 +260,15 @@ class Compiler
     Program
     run()
     {
+        const std::vector<uint32_t> schedule = combSchedule();
+        reserve();
         // Until the first component that may fault, every comb value
         // the cycle computes is written before any fault can surface:
         // the folds there go to `hoisted`, out of the cycle.
         bool barrierSeen = false;
-        for (int32_t i : combSchedule()) {
-            const CombComp &c = rs_.comb[i];
-            barrierSeen = barrierSeen || mayFault(c);
-            compileComb(c, !barrierSeen);
+        for (uint32_t i : schedule) {
+            barrierSeen = barrierSeen || plan_[i].barrier;
+            compileComb(i, !barrierSeen);
         }
         prog_.opt.hoisted = static_cast<uint32_t>(prog_.hoisted.size());
         compileLatches();
@@ -214,7 +297,7 @@ class Compiler
         ops = {};
         const auto read = [&](const Span &s) {
             w.n[ops.n] = s.length();
-            ops.s[ops.n++] = s;
+            ops.add(rs_, c, s);
         };
         if (c.kind == CompKind::Selector) {
             w.b = static_cast<int32_t>(rs_.cases(c).size());
@@ -257,11 +340,11 @@ class Compiler
             break;
           case kAluAdd:
             // l + r is one span of both operands' terms.
-            read({&l, &r});
+            read({&l, 0, true});
             break;
           case kAluSub:
             if (r.isConstant()) {
-                read({&l, nullptr, wsub(0, r.constTotal)});
+                read({&l, wsub(0, r.constTotal)});
                 break;
             }
             [[fallthrough]];
@@ -278,11 +361,9 @@ class Compiler
 
     /** What fixes a component's dispatched sequence: its opcode and
      *  span lengths (a case table's K included). */
-    uint32_t
-    shapeKey(const CombComp &c) const
+    static uint32_t
+    shapeKey(const Instr &w)
     {
-        Operands ops;
-        const Instr w = combWord(c, ops);
         return static_cast<uint32_t>(w.op) << 24 | uint32_t{w.n[0]} << 16 |
                uint32_t{w.n[1]} << 8 | w.n[2];
     }
@@ -307,35 +388,68 @@ class Compiler
      * order. A component that may fault is a barrier nothing moves
      * across: everything `rs.comb` puts before it still runs before
      * it, so the fault text, the partial-cycle state and the
-     * statistics at a fault are the interpreter's.
+     * statistics at a fault are the interpreter's. Plans every
+     * component's word on the way, once.
      */
-    std::vector<int32_t>
+    std::vector<uint32_t>
     combSchedule()
     {
-        const auto n = static_cast<int32_t>(rs_.comb.size());
+        const size_t n = rs_.comb.size();
         const std::vector<int32_t> level = combLevels(rs_);
-
-        // The trailing index keeps equal keys in rs.comb order.
-        std::vector<std::array<int64_t, 4>> sorted(n);
-        int64_t seg = 0;
-        for (int32_t i = 0; i < n; ++i) {
+        plan_.reserve(n);
+        std::vector<ScheduleKey> sorted;
+        sorted.reserve(n);
+        uint64_t seg = 0;
+        for (size_t i = 0; i < n; ++i) {
             const CombComp &c = rs_.comb[i];
+            Planned &p = plan_.emplace_back();
+            p.w = combWord(c, p.ops);
             // A barrier gets a segment of its own.
-            const bool barrier = mayFault(c);
-            seg += barrier;
-            sorted[i] = {seg, level[i], shapeKey(c), i};
-            seg += barrier;
+            p.barrier = mayFault(c);
+            seg += p.barrier;
+            sorted.push_back({seg << 32 | static_cast<uint32_t>(level[i]),
+                              shapeKey(p.w), static_cast<uint32_t>(i)});
+            seg += p.barrier;
             prog_.opt.levels = std::max(
                 prog_.opt.levels, static_cast<uint32_t>(level[i]) + 1);
         }
-        std::sort(sorted.begin(), sorted.end());
-        std::vector<int32_t> order(n);
-        for (int32_t i = 0; i < n; ++i) {
-            order[i] = static_cast<int32_t>(sorted[i][3]);
-            if (i == 0 || sorted[i][2] != sorted[i - 1][2])
+        sortSchedule(sorted);
+        std::vector<uint32_t> order(n);
+        for (size_t i = 0; i < n; ++i) {
+            order[i] = sorted[i].index;
+            if (i == 0 || sorted[i].shape != sorted[i - 1].shape)
                 ++prog_.opt.shapeRuns;
         }
         return order;
+    }
+
+    /** Size every array of the program once, from the plans: the
+     *  cycle loop's arrays with their spare line (sim/state.hh). */
+    void
+    reserve()
+    {
+        size_t folds = 0, terms = 0, cases = 0, consts = 0;
+        for (const Planned &p : plan_) {
+            if (p.w.op == Op::AluFold) {
+                ++folds;
+                continue;
+            }
+            terms += cursorTerms(p.w);
+            if (p.w.op == Op::SelCase)
+                cases += size_t{p.w.n[1]} * static_cast<uint32_t>(p.w.b);
+            else if (p.w.op == Op::SelTable)
+                consts += static_cast<uint32_t>(p.w.b);
+        }
+        for (const MemDesc &m : rs_.mems) {
+            terms += Span{&m.addr}.length() + Span{&m.opn}.length() +
+                     Span{&m.data}.length();
+        }
+        prog_.hoisted.reserve(folds);
+        reserveSpareLine(prog_.cycle, plan_.size() + rs_.mems.size() + 2);
+        reserveSpareLine(prog_.terms, terms);
+        reserveSpareLine(prog_.caseTerms, cases);
+        reserveSpareLine(prog_.latches, rs_.mems.size());
+        reserveSpareLine(prog_.constTable, consts);
     }
 
     /** K of a case table: the largest case term span (at least 1, so
@@ -349,17 +463,19 @@ class Compiler
         return k;
     }
 
+    /** Emit rs.comb[i] from its plan. */
     void
-    compileComb(const CombComp &c, bool hoist)
+    compileComb(uint32_t i, bool hoist)
     {
-        Operands ops;
-        Instr w = combWord(c, ops);
+        const CombComp &c = rs_.comb[i];
+        const Operands &ops = plan_[i].ops;
+        Instr w = plan_[i].w;
         if (w.op == Op::AluFold) {
             (hoist ? prog_.hoisted : code_).push_back(w);
             return;
         }
-        for (int i = 0; i < ops.n; ++i)
-            appendSpan(rs_, ops.s[i], w.dst, prog_.terms);
+        for (int k = 0; k < ops.n; ++k)
+            appendSpan(rs_, ops.span(rs_, c, k), w.dst, prog_.terms);
         if (c.kind == CompKind::Selector) {
             if (w.op == Op::SelTable) {
                 // Microcode-ROM pattern: all cases constant.
@@ -457,6 +573,8 @@ class Compiler
 
     const ResolvedSpec &rs_;
     bool tracing_;
+    /** The comb components' words, by rs.comb index. */
+    std::vector<Planned> plan_;
     Program prog_;
     /** The stream being emitted, `prog_.cycle`. */
     std::vector<Instr> &code_ = prog_.cycle;

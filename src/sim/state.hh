@@ -24,7 +24,8 @@ namespace asim {
 inline constexpr size_t kCacheLine = 64;
 
 /**
- * Give `v` at least one cache line of capacity past its last element,
+ * Give `v` at least one cache line of capacity past its last element
+ * (past `size` elements, for a vector about to be filled),
  * so the next heap allocation's data never shares a line with v's.
  * Engines (batch instances, benchmark replicas) are built side by side
  * on one thread and run on others; an array one engine writes or
@@ -35,9 +36,16 @@ inline constexpr size_t kCacheLine = 64;
  */
 template <class T>
 void
+reserveSpareLine(std::vector<T> &v, size_t size)
+{
+    v.reserve(size + (kCacheLine + sizeof(T) - 1) / sizeof(T));
+}
+
+template <class T>
+void
 reserveSpareLine(std::vector<T> &v)
 {
-    v.reserve(v.size() + (kCacheLine + sizeof(T) - 1) / sizeof(T));
+    reserveSpareLine(v, v.size());
 }
 
 struct MemoryState

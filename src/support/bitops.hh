@@ -39,15 +39,15 @@ highbit(int n)
     return static_cast<int32_t>(uint32_t{1} << n);
 }
 
-/** Mask with bits from..to (inclusive, zero-based) set. */
+/** Mask with bits from..to (inclusive, zero-based, both in [0,31])
+ *  set; 0 when from > to. */
 constexpr int32_t
 maskBits(int from, int to)
 {
-    int32_t m = 0;
-    for (int i = from; i <= to; ++i)
-        m = static_cast<int32_t>(static_cast<uint32_t>(m) |
-                                 (uint32_t{1} << i));
-    return m;
+    if (from > to)
+        return 0;
+    return static_cast<int32_t>((~uint32_t{0} >> (31 - to)) &
+                                (~uint32_t{0} << from));
 }
 
 /** Mask with the low `width` bits set (width in [0,31]). */

@@ -71,14 +71,9 @@ writeFileAtomic(const std::string &path, std::string_view data)
 uint64_t
 fnv1a64(std::string_view data, uint64_t seed)
 {
-    // Offset basis mixed with the caller's seed so independent
-    // domains (spec text, option bits) cannot collide trivially.
-    uint64_t h = 14695981039346656037ull ^ seed;
-    for (char c : data) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
+    Fnv1a64 h(seed);
+    h.add(data);
+    return h.value();
 }
 
 namespace {

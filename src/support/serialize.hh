@@ -200,6 +200,33 @@ class ByteReader
  */
 void writeFileAtomic(const std::string &path, std::string_view data);
 
+/** FNV-1a 64-bit hash fed in pieces: after add(a) then add(b),
+ *  value() is fnv1a64(a + b). Inline, so a writer can hash each piece
+ *  while it is still in cache and its work overlaps the hash's
+ *  multiply chain. */
+class Fnv1a64
+{
+  public:
+    /** Offset basis mixed with the caller's seed so independent
+     *  domains (spec text, option bits) cannot collide trivially. */
+    explicit Fnv1a64(uint64_t seed = 0) : h_(14695981039346656037ull ^ seed)
+    {}
+
+    void
+    add(std::string_view data)
+    {
+        for (char c : data) {
+            h_ ^= static_cast<uint8_t>(c);
+            h_ *= 1099511628211ull;
+        }
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_;
+};
+
 /** FNV-1a 64-bit hash (stable across platforms and releases; used
  *  for content identity keys, not for untrusted-input integrity). */
 uint64_t fnv1a64(std::string_view data, uint64_t seed = 0);

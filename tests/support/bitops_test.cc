@@ -32,6 +32,21 @@ TEST(Bitops, MaskBits)
     EXPECT_EQ(maskBits(0, 30), kValueMask);
 }
 
+TEST(Bitops, MaskBitsMatchesBitLoop)
+{
+    // Every field the grammar allows, and every empty range, against
+    // the mask built one bit at a time.
+    for (int from = 0; from <= 31; ++from) {
+        for (int to = 0; to <= 31; ++to) {
+            uint32_t want = 0;
+            for (int b = from; b <= to; ++b)
+                want |= uint32_t{1} << b;
+            EXPECT_EQ(maskBits(from, to), static_cast<int32_t>(want))
+                << from << ".." << to;
+        }
+    }
+}
+
 TEST(Bitops, LowMask)
 {
     EXPECT_EQ(lowMask(0), 0);
