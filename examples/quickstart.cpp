@@ -1,8 +1,8 @@
 /**
  * @file
  * Quickstart: describe a small piece of hardware in the ASIM II
- * language, simulate it through the Simulation facade on two of the
- * registered engines, inspect statistics, and generate the Pascal
+ * language, simulate it through the Simulation facade on two of its
+ * engines, inspect statistics, and generate the Pascal
  * the thesis' compiler would have produced.
  *
  * The machine is the thesis' own "simple counter" example (§3.2) —
@@ -32,9 +32,8 @@ main()
 
     // The paper's execution systems, interchangeable by name.
     std::cout << "--- registered engines ----------------------\n";
-    for (const auto &[name, description] :
-         EngineRegistry::global().list())
-        std::cout << name << ": " << description << "\n";
+    for (const EngineInfo &e : kEngines)
+        std::cout << e.name << ": " << e.description << "\n";
 
     // One options struct owns the whole parse -> resolve -> engine
     // pipeline (any spec problems throw SpecError here).

@@ -503,6 +503,10 @@ runCampaign(const CampaignOptions &o, bool decide)
                        "cycle count and none was given");
     }
     const bool watch = !o.watchName.empty();
+    if (watch && rs->valueSlot(o.watchName) < 0) {
+        throw SimError(std::string("campaign completion watchpoint: ") +
+                       unknownComponent(o.watchName).what());
+    }
     const uint64_t hangBudget =
         !watch ? 0 : (o.hangBudget ? o.hangBudget : horizon);
     const uint64_t goldenCycle =
@@ -636,15 +640,6 @@ runCampaign(const CampaignOptions &o, bool decide)
             job.watchName = o.watchName;
             job.watchValue = o.watchValue;
             job.restoreSnapshot = goldenSnap;
-            if (o.splice) {
-                // The spliced spec differs from the shared resolve:
-                // drop the shared compiled artifacts (the instance
-                // compiles its own) and run from cycle zero. A shared
-                // symbolic tree stays: it is the healthy tree each
-                // instance splices.
-                job.options.program.reset();
-                job.options.nativeBuild.reset();
-            }
             runner.addJob(std::move(job));
         }
         tracing::Span fanoutSpan("campaign.fanout", "campaign");

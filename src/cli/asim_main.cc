@@ -502,10 +502,8 @@ main(int argc, char **argv)
         return 0;
     }
     if (inv.listEngines) {
-        for (const auto &[name, description] :
-             EngineRegistry::global().list()) {
-            std::cout << name << "\t" << description << "\n";
-        }
+        for (const EngineInfo &e : kEngines)
+            std::cout << e.name << "\t" << e.description << "\n";
         return 0;
     }
 

@@ -284,18 +284,23 @@ BatchRunner::run()
             p.spliceBaked = !job.options.fault.empty() &&
                             !parseFaultSite(job.options.fault).atCycle;
         }
+        auto refuse = [&](const std::string &why) {
+            return SimError("batch job " + std::to_string(i) + " (" +
+                            job.label + "): " + why);
+        };
         int64_t budget = static_cast<int64_t>(job.cycles);
         if (budget == 0 && p.rs->cyclesSpecified)
             budget = p.rs->thesisIterations();
         if (budget <= 0) {
-            throw SimError("batch job " + std::to_string(i) + " (" +
-                           job.label +
-                           "): no cycle budget — the spec names no "
-                           "cycle count and none was given");
+            throw refuse("no cycle budget — the spec names no cycle "
+                         "count and none was given");
         }
         p.budget = static_cast<uint64_t>(budget);
         r.cyclesRequested = p.budget;
         Simulation::checkOptions(job.options, *p.rs);
+        if (!job.watchName.empty() &&
+            p.rs->valueSlot(job.watchName) < 0)
+            throw refuse(unknownComponent(job.watchName).what());
 
         // A prior run's checkpoint carries everything the instance
         // had produced: output, captured trace, and the done flag.

@@ -206,7 +206,7 @@ class BatchRunner
      *     <spec-file> [key=value]...   # comment
      *
      * with keys `cycles` (uint), `io` (input script path, parsed by
-     * Simulation::loadScript), `engine` (registry name), `count`
+     * Simulation::loadScript), `engine` (a kEngines name), `count`
      * (instances of this line, up to kMaxManifestCount), `watch`
      * (`component:value`), `fault` (a fault in the shared grammar of
      * analysis/fault.hh — malformed faults produce the same

@@ -192,6 +192,14 @@ struct Program
     };
     OptSummary opt;
 
+    /// @{ What the program was compiled for (not disassembled): the
+    /// source spec's specIdentityHash() and whether trace checks were
+    /// kept. A Vm refuses a program of another spec, or one without
+    /// trace checks while a trace sink is configured.
+    uint64_t specHash = 0;
+    bool traceChecks = false;
+    /// @}
+
     /** Human-readable disassembly (debugging, tests, tools): the
      *  hoisted folds, the cycle stream with each word's terms, the
      *  case tables and the emit summary. */

@@ -20,7 +20,7 @@
  * still decode.
  *
  * Because every engine implements the §3 cycle-semantics contract, a
- * checkpoint written mid-run by *any* registry engine (interp, vm,
+ * checkpoint written mid-run by *any* engine (interp, vm,
  * native, symbolic) restores under any other and the continuation is
  * cycle-for-cycle identical — long simulations survive process death,
  * batches resume after a kill, and a state reached cheaply under the

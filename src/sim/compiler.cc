@@ -681,7 +681,10 @@ compileProgram(const ResolvedSpec &rs, const CompilerOptions &,
                        " slots; this specification needs " +
                        std::to_string(slots) + ".");
     }
-    return Compiler(rs, tracingPossible).run();
+    Program p = Compiler(rs, tracingPossible).run();
+    p.specHash = specIdentityHash(rs);
+    p.traceChecks = tracingPossible;
+    return p;
 }
 
 } // namespace asim

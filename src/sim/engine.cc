@@ -102,7 +102,7 @@ Engine::value(std::string_view name) const
     const int slot = rs_->valueSlot(name);
     if (slot >= 0)
         return state_.vars[slot];
-    throw SimError("unknown component <" + std::string(name) + ">");
+    throw unknownComponent(name);
 }
 
 int32_t
@@ -117,6 +117,12 @@ Engine::memCell(std::string_view mem, int64_t addr) const
                        " outside memory " + std::string(mem));
     }
     return cells[addr];
+}
+
+SimError
+unknownComponent(std::string_view name)
+{
+    return SimError("unknown component <" + std::string(name) + ">");
 }
 
 SimError

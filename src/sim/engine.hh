@@ -162,6 +162,10 @@ SimError memoryFault(std::string_view name, int32_t address,
                      size_t size, uint64_t cycle);
 /// @}
 
+/** value()'s error for a name that is no component; watchpoints
+ *  raise it before they run. */
+SimError unknownComponent(std::string_view name);
+
 /** Build the table-walking interpreter (ASIM analog). */
 std::unique_ptr<Engine> makeInterpreter(const ResolvedSpec &rs,
                                         const EngineConfig &cfg = {});
@@ -177,11 +181,11 @@ std::unique_ptr<Engine> makeVm(std::shared_ptr<const ResolvedSpec> rs,
 
 struct Program;
 
-/** Build a bytecode VM executing a pre-compiled shared program. The
- *  program must have been compiled from `rs` with trace checks kept
- *  whenever `cfg.trace` may be set (sim/compiler.hh); batch
- *  construction uses this to compile once and share the immutable
- *  bytecode across all instances. */
+/** Build a bytecode VM executing a pre-compiled shared program;
+ *  batch construction uses this to compile once and share the
+ *  immutable bytecode across all instances. @throws SimError when
+ *  the program was compiled from another spec, or without trace
+ *  checks while `cfg.trace` is set (sim/compiler.hh) */
 std::unique_ptr<Engine> makeVm(std::shared_ptr<const ResolvedSpec> rs,
                                const EngineConfig &cfg,
                                std::shared_ptr<const Program> program);

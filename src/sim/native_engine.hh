@@ -2,8 +2,8 @@
  * @file
  * NativeEngine — the full ASIM II pipeline (generate C++ -> host
  * compiler -> native execution, thesis §5.2) wrapped as a true Engine
- * subclass, registered as "native" in the EngineRegistry so all the
- * paper's execution systems are interchangeable by name.
+ * subclass, the "native" row of kEngines (sim/simulation.hh), so all
+ * the paper's execution systems are interchangeable by name.
  *
  * The generated simulator runs **in process** (DESIGN.md §5): the
  * library form of the generated C++ (codegen/cpp_backend.hh) is
@@ -37,8 +37,8 @@
 
 namespace asim {
 
-/** See file comment. Usually constructed via the EngineRegistry as
- *  engine "native". */
+/** See file comment. Usually constructed by the Simulation facade
+ *  as engine "native". */
 class NativeEngine : public Engine
 {
   public:

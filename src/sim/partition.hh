@@ -124,7 +124,7 @@ PartitionPlan buildPartitionPlan(const ResolvedSpec &rs,
  * to Interpreter (it *is* an Interpreter driving the same protected
  * per-component operations from worker threads); see the file comment
  * for the phase schedule and determinism argument. Construct via
- * makePartitionedInterpreter() or the "interp" registry factory with
+ * makePartitionedInterpreter() or the facade's "interp" engine with
  * SimulationOptions::partitions >= 2.
  */
 class PartitionedInterpreter : public Interpreter

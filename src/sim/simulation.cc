@@ -19,112 +19,9 @@
 
 namespace asim {
 
-// EngineContext/SimulationOptions repeat the threshold as a literal
-// default (256) to keep this header out of simulation.hh; catch
-// drift here.
+// SimulationOptions repeats the threshold as a literal default (256)
+// to keep this header out of simulation.hh; catch drift here.
 static_assert(kPartitionAutoThreshold == 256);
-
-// ---------------------------------------------------------------------
-// EngineRegistry
-// ---------------------------------------------------------------------
-
-EngineRegistry &
-EngineRegistry::global()
-{
-    using SharedSpec = std::shared_ptr<const ResolvedSpec>;
-    static EngineRegistry *reg = [] {
-        auto *r = new EngineRegistry;
-        r->add("interp",
-               "slot-resolved table interpreter (ASIM analog); "
-               "--partitions=N runs one design bulk-synchronously "
-               "across N lanes",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   if (ctx.partitions >= 2 &&
-                       rs->comb.size() >= ctx.partitionMinComponents) {
-                       return makePartitionedInterpreter(
-                           rs, ctx.config, ctx.partitions);
-                   }
-                   return makeInterpreter(rs, ctx.config);
-               });
-        r->add("symbolic",
-               "name-lookup symbolic interpreter (faithful ASIM "
-               "baseline)",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   return makeSymbolicInterpreter(rs, ctx.config,
-                                                  ctx.ast);
-               });
-        r->add("vm", "compiled bytecode VM (portable ASIM II analog)",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   if (ctx.program)
-                       return makeVm(rs, ctx.config, ctx.program);
-                   return makeVm(rs, ctx.config);
-               });
-        r->add("native",
-               "generated C++ host-compiled into a shared library and "
-               "run in process (ASIM II pipeline)",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   return std::make_unique<NativeEngine>(
-                       rs, ctx.config,
-                       NativeEngine::Options{ctx.workDir,
-                                             ctx.nativeBuild});
-               });
-        return r;
-    }();
-    return *reg;
-}
-
-void
-EngineRegistry::add(const std::string &name,
-                    const std::string &description, Factory factory)
-{
-    auto [it, inserted] = entries_.try_emplace(
-        name, Entry{std::move(factory), description});
-    if (!inserted)
-        throw SimError("engine <" + name + "> is already registered");
-}
-
-bool
-EngineRegistry::contains(std::string_view name) const
-{
-    return entries_.find(name) != entries_.end();
-}
-
-std::vector<std::pair<std::string, std::string>>
-EngineRegistry::list() const
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const auto &[name, entry] : entries_)
-        out.emplace_back(name, entry.description);
-    return out;
-}
-
-std::unique_ptr<Engine>
-EngineRegistry::make(std::string_view name,
-                     const std::shared_ptr<const ResolvedSpec> &rs,
-                     const EngineContext &ctx) const
-{
-    auto it = entries_.find(name);
-    if (it == entries_.end())
-        throwUnknown(name);
-    return it->second.factory(rs, ctx);
-}
-
-void
-EngineRegistry::throwUnknown(std::string_view name) const
-{
-    std::string known;
-    for (const auto &[n, entry] : entries_) {
-        if (!known.empty())
-            known += ", ";
-        known += n;
-    }
-    throw SimError("unknown engine <" + std::string(name) +
-                   ">; registered engines: " + known);
-}
-
-// ---------------------------------------------------------------------
-// Simulation
-// ---------------------------------------------------------------------
 
 namespace {
 
@@ -152,6 +49,51 @@ splicedSpec(const SimulationOptions &opts, const FaultSite &site,
                        site);
 }
 
+/** @throws SimError naming the engines when no row of kEngines is
+ *  `name` */
+void
+requireEngine(std::string_view name)
+{
+    std::string known;
+    for (const EngineInfo &e : kEngines) {
+        if (e.name == name)
+            return;
+        known.append(known.empty() ? "" : ", ").append(e.name);
+    }
+    throw SimError("unknown engine <" + std::string(name) +
+                   ">; registered engines: " + known);
+}
+
+/** The engine `opts.engine` names (a row checkOptions vetted), on
+ *  `rs` with `cfg`. It adopts the options' shared artifacts only when
+ *  `shared`: artifacts compiled from the healthy spec do not match a
+ *  spliced one, whose engine builds its own. */
+std::unique_ptr<Engine>
+buildEngine(const SimulationOptions &opts,
+            const std::shared_ptr<const ResolvedSpec> &rs,
+            const EngineConfig &cfg, bool shared)
+{
+    const std::string &name = opts.engine;
+    if (name == "interp") {
+        if (opts.partitions >= 2 &&
+            rs->comb.size() >= opts.partitionMinComponents)
+            return makePartitionedInterpreter(rs, cfg, opts.partitions);
+        return makeInterpreter(rs, cfg);
+    }
+    if (name == "native") {
+        return std::make_unique<NativeEngine>(
+            rs, cfg,
+            NativeEngine::Options{opts.workDir,
+                                  shared ? opts.nativeBuild : nullptr});
+    }
+    if (name == "symbolic")
+        return makeSymbolicInterpreter(rs, cfg,
+                                       shared ? opts.ast : nullptr);
+    if (shared && opts.program)
+        return makeVm(rs, cfg, opts.program);
+    return makeVm(rs, cfg);
+}
+
 } // namespace
 
 void
@@ -163,9 +105,7 @@ Simulation::checkOptions(const SimulationOptions &opts,
         if (site.atCycle)
             validateFaultSite(rs, site);
     }
-    const EngineRegistry &reg = EngineRegistry::global();
-    if (!reg.contains(opts.engine))
-        reg.make(opts.engine, nullptr, {}); // throws, naming engines
+    requireEngine(opts.engine);
     if (opts.partitions >= 2 && opts.engine != "interp") {
         throw SimError("engine <" + opts.engine +
                        "> does not support partitioned execution; "
@@ -266,22 +206,10 @@ Simulation::Simulation(const SimulationOptions &opts)
     checkOptions(opts, *rs_);
     faultArmed_ = hasFault_;
 
-    EngineContext ctx;
-    ctx.config = opts.config;
-    // Shared artifacts compiled from the healthy spec do not match a
-    // spliced one; the engines build their own.
-    if (!spliced) {
-        ctx.program = opts.program;
-        ctx.nativeBuild = opts.nativeBuild;
-        ctx.ast = opts.ast;
-    }
-    ctx.workDir = opts.workDir;
-    ctx.partitions = opts.partitions;
-    ctx.partitionMinComponents = opts.partitionMinComponents;
-
+    EngineConfig cfg = opts.config;
     std::ostream *out = opts.ioOut ? opts.ioOut : &std::cout;
 
-    if (!ctx.config.io) {
+    if (!cfg.io) {
         switch (opts.ioMode) {
           case IoMode::Null:
             break;
@@ -295,12 +223,12 @@ Simulation::Simulation(const SimulationOptions &opts)
                 std::make_unique<ScriptIo>(opts.scriptInputs, *out);
             break;
         }
-        ctx.config.io = ownedIo_.get();
+        cfg.io = ownedIo_.get();
     }
 
-    if (!ctx.config.trace && opts.traceStream) {
+    if (!cfg.trace && opts.traceStream) {
         ownedTrace_ = std::make_unique<StreamTrace>(*opts.traceStream);
-        ctx.config.trace = ownedTrace_.get();
+        cfg.trace = ownedTrace_.get();
     }
 
     {
@@ -310,7 +238,7 @@ Simulation::Simulation(const SimulationOptions &opts)
         tracing::Span span("sim.build_engine", "lifecycle");
         if (span.active())
             span.setArgs("\"engine\":\"" + engineName_ + "\"");
-        engine_ = EngineRegistry::global().make(engineName_, rs_, ctx);
+        engine_ = buildEngine(opts, rs_, cfg, !spliced);
     }
     metrics::counter("sim.engines_built." + engineName_).add();
 }
@@ -367,17 +295,6 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
             tracingPossible, shared.workDir);
     }
     return shared;
-}
-
-std::vector<std::unique_ptr<Simulation>>
-Simulation::makeBatch(const SimulationOptions &opts, size_t count)
-{
-    SimulationOptions shared = shareBatchArtifacts(opts);
-    std::vector<std::unique_ptr<Simulation>> sims;
-    sims.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        sims.push_back(std::make_unique<Simulation>(shared));
-    return sims;
 }
 
 uint64_t
@@ -504,10 +421,14 @@ uint64_t
 Simulation::runUntilValue(std::string_view name, int32_t value,
                           uint64_t maxCycles)
 {
-    std::string comp(name);
+    // Resolved once, before the first step: a bad name throws with
+    // cycle() unchanged.
+    const int slot = rs_->valueSlot(name);
+    if (slot < 0)
+        throw unknownComponent(name);
     return runUntil(
         [&](const Simulation &sim) {
-            return sim.value(comp) == value;
+            return sim.engine().state().vars[slot] == value;
         },
         maxCycles);
 }

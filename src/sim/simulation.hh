@@ -1,24 +1,22 @@
 /**
  * @file
- * The Simulation facade and engine registry — the single front door
- * to the paper's interchangeable execution systems.
+ * The Simulation facade and engine table — the single front door to
+ * the paper's interchangeable execution systems.
  *
  * The thesis' central claim is that one RTL description drives
  * multiple execution systems: the ASIM table interpreter and the
  * compiled ASIM II pipeline. This header makes that claim an API:
  *
- *  - EngineRegistry maps engine names to factories. Built-ins:
- *      "interp"   slot-resolved table interpreter (ASIM analog)
- *      "vm"       compiled bytecode VM (portable ASIM II analog)
- *      "native"   generated C++ host-compiled into a library and
- *                 run in process (the ASIM II pipeline proper)
- *      "symbolic" name-lookup interpreter (faithful ASIM baseline)
+ *  - kEngines names the engines, one row each: the ASIM table
+ *    interpreter ("interp", plus the faithful name-lookup baseline
+ *    "symbolic") and the ASIM II pipeline, portable ("vm") and
+ *    host-compiled ("native").
  *
  *  - Simulation owns the whole parse -> resolve -> engine pipeline
  *    behind one options struct, plus run control: step()/run(n),
- *    runUntil(predicate)/watchpoints, snapshot()/restore(), and
- *    batched construction of independent instances that share one
- *    resolve.
+ *    runUntil(predicate)/watchpoints, snapshot()/restore(), and the
+ *    shared artifacts (one resolve, one compiled program or library)
+ *    that independent instances of one spec build off.
  *
  * Every consumer (CLIs, equivalence tests, benchmarks) constructs
  * engines through this facade; makeInterpreter()/makeVm() are for
@@ -30,11 +28,9 @@
 
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "analysis/fault.hh"
@@ -45,83 +41,23 @@ namespace asim {
 
 struct NativeBuild;
 
-/** Everything an engine factory may need beyond the resolved spec. */
-struct EngineContext
+/** One execution system the facade builds by name. */
+struct EngineInfo
 {
-    EngineConfig config;
-
-    /** Pre-compiled bytecode for the "vm" engine; when set, the
-     *  factory shares it instead of compiling. Must come from the
-     *  same resolved spec with trace checks kept whenever
-     *  config.trace may be set (batch construction compiles once and
-     *  shares the immutable program across every instance). */
-    std::shared_ptr<const Program> program;
-
-    /** Pre-compiled simulator library for the "native" engine; when
-     *  set, the factory adopts it instead of generating and
-     *  host-compiling — a batch compiles and loads the library once
-     *  and every instance runs off it. Same provenance rules as
-     *  `program`. */
-    std::shared_ptr<const NativeBuild> nativeBuild;
-
-    /** Parsed tree of the resolved spec (ResolvedSpec::ast()) for the
-     *  "symbolic" engine, which walks one; when set, instances share
-     *  it instead of each parsing its own. Same provenance rules as
-     *  `program`. */
-    std::shared_ptr<const Spec> ast;
-
-    /** Artifact directory for engines that build binaries; empty
-     *  means the process-wide native build cache. */
-    std::string workDir;
-
-    /// @{ Intra-spec parallelism (sim/partition.hh); honored by the
-    /// "interp" factory, ignored by the other engines.
-    unsigned partitions = 1;
-    size_t partitionMinComponents = 256;
-    /// @}
+    std::string_view name;
+    std::string_view description;
 };
 
-/** String-keyed factory table of execution engines. */
-class EngineRegistry
-{
-  public:
-    /** Factories receive the spec as a shared immutable pointer so
-     *  engines reference (never copy) one resolve — the invariant
-     *  batch construction and parallel execution rely on. */
-    using Factory = std::function<std::unique_ptr<Engine>(
-        const std::shared_ptr<const ResolvedSpec> &,
-        const EngineContext &)>;
-
-    /** The process-wide registry, pre-populated with the built-in
-     *  engines named in the file comment. */
-    static EngineRegistry &global();
-
-    /** Register an engine. @throws SimError on a duplicate name */
-    void add(const std::string &name, const std::string &description,
-             Factory factory);
-
-    bool contains(std::string_view name) const;
-
-    /** All registered (name, description) pairs, sorted by name. */
-    std::vector<std::pair<std::string, std::string>> list() const;
-
-    /** Construct an engine by name. @throws SimError naming the
-     *  registered engines when `name` is unknown */
-    std::unique_ptr<Engine>
-    make(std::string_view name,
-         const std::shared_ptr<const ResolvedSpec> &rs,
-         const EngineContext &ctx) const;
-
-  private:
-    struct Entry
-    {
-        Factory factory;
-        std::string description;
-    };
-
-    [[noreturn]] void throwUnknown(std::string_view name) const;
-
-    std::map<std::string, Entry, std::less<>> entries_;
+/** The engines, sorted by name (the `--list-engines` order). */
+inline constexpr EngineInfo kEngines[] = {
+    {"interp", "slot-resolved table interpreter (ASIM analog); "
+               "--partitions=N runs one design bulk-synchronously "
+               "across N lanes"},
+    {"native", "generated C++ host-compiled into a shared library and "
+               "run in process (ASIM II pipeline)"},
+    {"symbolic",
+     "name-lookup symbolic interpreter (faithful ASIM baseline)"},
+    {"vm", "compiled bytecode VM (portable ASIM II analog)"},
 };
 
 /** How the facade wires memory-mapped I/O when no explicit IoDevice
@@ -149,28 +85,24 @@ struct SimulationOptions
     std::shared_ptr<const ResolvedSpec> resolved;
     /// @}
 
-    /** Engine name in the registry. */
+    /** Engine name: a row of kEngines. */
     std::string engine = "vm";
 
     /** Engine options. An explicit config.trace / config.io here
      *  overrides the traceStream / ioMode wiring below. */
     EngineConfig config;
 
-    /** Pre-compiled shared bytecode for the "vm" engine (see
-     *  EngineContext::program). makeBatch() fills this in
-     *  automatically; set it by hand only with bytecode compiled
-     *  from the same `resolved` spec and compatible options. */
+    /// @{ Shared artifacts, built once by shareBatchArtifacts() from
+    /// `resolved` and adopted instead of building per instance:
+    /// bytecode for "vm", a loaded library for "native", the parsed
+    /// tree for "symbolic". The vm and native engines refuse an
+    /// artifact compiled from another spec, or without trace output
+    /// when a trace sink is configured. A splice fault resolves its
+    /// own spec, so its instance ignores them.
     std::shared_ptr<const Program> program;
-
-    /** Pre-compiled shared library for the "native" engine (see
-     *  EngineContext::nativeBuild); filled in by
-     *  shareBatchArtifacts() under the same rules as `program`. */
     std::shared_ptr<const NativeBuild> nativeBuild;
-
-    /** Shared parsed tree for the "symbolic" engine (see
-     *  EngineContext::ast); filled in by shareBatchArtifacts() under
-     *  the same rules as `program`. */
     std::shared_ptr<const Spec> ast;
+    /// @}
 
     /// @{ I/O wiring (used when config.io is null)
     IoMode ioMode = IoMode::Null;
@@ -245,18 +177,10 @@ class Simulation
      *  on an unreadable file or a non-integer token */
     static std::vector<int32_t> loadScript(const std::string &path);
 
-    /** Construct `count` independent instances that share a single
-     *  parse+resolve — and, for the "vm" engine, a single compiled
-     *  program (throughput workloads; see sim/batch.hh for the
-     *  parallel driver). Each instance gets its own engine and, in
-     *  Script mode, its own input queue. */
-    static std::vector<std::unique_ptr<Simulation>>
-    makeBatch(const SimulationOptions &opts, size_t count);
-
-    /** The sharing half of makeBatch(): return a copy of `opts` with
-     *  the spec resolved once and (for "vm") the bytecode compiled
-     *  once, (for "native") the simulator built once or (for
-     *  "symbolic") the tree parsed once, ready to construct any number of instances. Pass
+    /** Return a copy of `opts` with the spec resolved once and (for
+     *  "vm") the bytecode compiled once, (for "native") the simulator
+     *  built once or (for "symbolic") the tree parsed once, ready to
+     *  construct any number of independent instances off it. Pass
      *  `forceTracingPossible` when a trace sink will be attached
      *  only later (BatchRunner's per-instance capture), so the
      *  shared bytecode keeps its trace checks. */
@@ -288,7 +212,9 @@ class Simulation
      *  `maxCycles` cycles have executed; returns cycles executed. */
     uint64_t runUntil(const Predicate &pred, uint64_t maxCycles);
 
-    /** Watchpoint: step until component `name` reads `value`. */
+    /** Watchpoint: step until component `name` reads `value`.
+     *  @throws SimError before the first step when `name` names no
+     *  component */
     uint64_t runUntilValue(std::string_view name, int32_t value,
                            uint64_t maxCycles);
 
@@ -308,7 +234,7 @@ class Simulation
     /// @{ Durable checkpoints (sim/checkpoint.hh): the snapshot
     /// serialized to a versioned, checksummed binary file bound to
     /// this specification's identity hash. A checkpoint saved by any
-    /// registry engine restores under any other.
+    /// engine restores under any other.
     /** Write the current snapshot, plus `sections`, to `path`
      *  (atomic: temp+rename). @throws SimError on I/O failure */
     void saveCheckpoint(const std::string &path,

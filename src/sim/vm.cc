@@ -29,7 +29,18 @@ Vm::Vm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg)
 Vm::Vm(std::shared_ptr<const ResolvedSpec> rs,
        const EngineConfig &cfg, std::shared_ptr<const Program> program)
     : Engine(std::move(rs), cfg), prog_(std::move(program))
-{}
+{
+    // The program indexes this engine's arrays by its own spec's
+    // shape, and traces only what its trace checks kept.
+    if (prog_->specHash != specIdentityHash(*rs_)) {
+        throw SimError("shared vm program was compiled from a "
+                       "different specification");
+    }
+    if (cfg.trace && !prog_->traceChecks) {
+        throw SimError("shared vm program was compiled without trace "
+                       "checks but a trace sink is configured");
+    }
+}
 
 std::string_view
 Vm::memName(uint32_t idx) const

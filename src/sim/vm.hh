@@ -28,7 +28,9 @@ class Vm : public Engine
         : Vm(std::make_shared<const ResolvedSpec>(rs), cfg)
     {}
 
-    /** Adopt a pre-compiled shared program (batch construction). */
+    /** Adopt a pre-compiled shared program (batch construction).
+     *  @throws SimError when it does not fit this spec and config
+     *  (see makeVm) */
     Vm(std::shared_ptr<const ResolvedSpec> rs, const EngineConfig &cfg,
        std::shared_ptr<const Program> program);
 

@@ -193,12 +193,44 @@ TEST(Cli, AsimRunBatchExitsTwoOnFault)
     std::remove(spec.c_str());
 }
 
+TEST(Cli, AsimRunBatchRefusesAnUnknownWatch)
+{
+    // Like a bad fault= key, a watch= naming no component is refused
+    // before any instance runs: exit 1, no summary table.
+    const std::string manifest =
+        (std::filesystem::temp_directory_path() /
+         "asim_cli_bad_watch.manifest")
+            .string();
+    {
+        std::ofstream f(manifest);
+        f << counterSpec() << " cycles=5 watch=nosuch:1\n";
+    }
+    CmdResult r = run(std::string(ASIM_RUN_BIN) +
+                      " --batch-manifest=" + manifest);
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << r.out;
+    EXPECT_NE(r.out.find("batch job 0 (counter.asim): unknown "
+                         "component <nosuch>"),
+              std::string::npos)
+        << r.out;
+    EXPECT_EQ(r.out.find("instances"), std::string::npos) << r.out;
+    std::remove(manifest.c_str());
+}
+
 TEST(Cli, AsimRunListsEngines)
 {
+    // Byte for byte: the names, their order and the descriptions are
+    // what scripts that pick an engine read.
     CmdResult r = run(std::string(ASIM_RUN_BIN) + " --list-engines");
     EXPECT_EQ(r.status, 0);
-    for (const char *name : {"interp", "vm", "native", "symbolic"})
-        EXPECT_NE(r.out.find(name), std::string::npos) << r.out;
+    EXPECT_EQ(r.out,
+              "interp\tslot-resolved table interpreter (ASIM analog); "
+              "--partitions=N runs one design bulk-synchronously "
+              "across N lanes\n"
+              "native\tgenerated C++ host-compiled into a shared "
+              "library and run in process (ASIM II pipeline)\n"
+              "symbolic\tname-lookup symbolic interpreter (faithful "
+              "ASIM baseline)\n"
+              "vm\tcompiled bytecode VM (portable ASIM II analog)\n");
 }
 
 TEST(Cli, AsimRunDumpBytecode)
@@ -223,7 +255,9 @@ TEST(Cli, AsimRunRejectsUnknownEngine)
     CmdResult r = run(std::string(ASIM_RUN_BIN) +
                       " --engine=bogus --cycles=5 " + counterSpec());
     EXPECT_NE(r.status, 0);
-    EXPECT_NE(r.out.find("registered engines"), std::string::npos)
+    EXPECT_NE(r.out.find("unknown engine <bogus>; registered engines: "
+                         "interp, native, symbolic, vm\n"),
+              std::string::npos)
         << r.out;
 }
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "machines/counter.hh"
 #include "machines/tiny_computer.hh"
 #include "sim/batch.hh"
+#include "sim/compiler.hh"
 #include "sim/native_engine.hh"
 #include "sim/vm.hh"
 #include "support/thread_pool.hh"
@@ -81,11 +83,22 @@ TEST(BatchRunnerTest, HomogeneousBatchSharesResolveAndProgram)
         EXPECT_EQ(r.state.latches()[aSlot], 21);
 }
 
+/** `count` instances built off one shareBatchArtifacts(opts). */
+std::vector<std::unique_ptr<Simulation>>
+sharedInstances(const SimulationOptions &opts, size_t count)
+{
+    const SimulationOptions shared = Simulation::shareBatchArtifacts(opts);
+    std::vector<std::unique_ptr<Simulation>> sims;
+    for (size_t i = 0; i < count; ++i)
+        sims.push_back(std::make_unique<Simulation>(shared));
+    return sims;
+}
+
 TEST(BatchRunnerTest, VmInstancesShareOneCompiledProgram)
 {
     SimulationOptions opts;
     opts.specText = counterSpec(6, 100);
-    auto sims = Simulation::makeBatch(opts, 3);
+    auto sims = sharedInstances(opts, 3);
     ASSERT_EQ(sims.size(), 3u);
 
     const auto *first = dynamic_cast<const Vm *>(&sims[0]->engine());
@@ -123,6 +136,26 @@ TEST(BatchRunnerTest, SharedProgramKeepsTraceChecksForCaptureTrace)
         EXPECT_EQ(r.traceText, single) << r.index;
 }
 
+TEST(BatchRunnerTest, CaptureTraceRefusesAnUntracedSharedProgram)
+{
+    // A program shared without trace checks would drop every memory
+    // trace line from the captured trace; the instance refuses it.
+    BatchJob job;
+    job.options.specFile = specPath("fig43_memory.asim");
+    job.options = Simulation::shareBatchArtifacts(job.options, false);
+    job.captureTrace = true;
+    BatchRunner runner;
+    runner.addJob(job);
+    try {
+        runner.run();
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_STREQ(e.what(), "shared vm program was compiled without "
+                               "trace checks but a trace sink is "
+                               "configured");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Native batches: one compiled and loaded library, every instance
 // running on its own state (skipped without a host compiler).
@@ -144,7 +177,7 @@ TEST_F(NativeBatch, InstancesShareOneCompiledBinary)
     SimulationOptions opts;
     opts.specText = counterSpec(6, 100);
     opts.engine = "native";
-    auto sims = Simulation::makeBatch(opts, 3);
+    auto sims = sharedInstances(opts, 3);
     ASSERT_EQ(sims.size(), 3u);
 
     const auto *first =
@@ -344,18 +377,12 @@ TEST(BatchRunnerTest, ConstructionErrorReachesTheCaller)
         }
     }
 
-    // An engine that fails to build passes the serial checks: the
-    // error still reaches the caller, and no later instance starts.
-    static const bool registered = [] {
-        EngineRegistry::global().add(
-            "unbuildable", "always fails to build",
-            [](const std::shared_ptr<const ResolvedSpec> &,
-               const EngineContext &) -> std::unique_ptr<Engine> {
-                throw SimError("unbuildable engine");
-            });
-        return true;
-    }();
-    (void)registered;
+    // A vm job handed another spec's program passes the serial
+    // checks but fails to build: the error still reaches the caller,
+    // and no later instance starts.
+    SimulationOptions foreign = shared;
+    foreign.program = std::make_shared<const Program>(
+        compileProgram(resolveText(counterSpec(6, 100))));
     for (unsigned threads : {1u, 2u}) {
         std::filesystem::remove_all(dir);
         BatchOptions opts;
@@ -367,14 +394,48 @@ TEST(BatchRunnerTest, ConstructionErrorReachesTheCaller)
             job.options = shared;
             job.cycles = 20;
             if (k == 1)
-                job.options.engine = "unbuildable";
+                job.options = foreign;
             runner.addJob(job);
         }
-        EXPECT_THROW(runner.run(), SimError);
+        try {
+            runner.run();
+            FAIL() << "expected SimError, " << threads << " threads";
+        } catch (const SimError &e) {
+            EXPECT_STREQ(e.what(), "shared vm program was compiled from "
+                                   "a different specification");
+        }
         if (threads == 1) { // inline, in index order: index 0 ran
             EXPECT_EQ(checkpointsIn(dir), 1u);
         }
     }
+    std::filesystem::remove_all(dir);
+}
+
+/** A watchpoint naming no component is a configuration error, like a
+ *  bad fault: the serial checks refuse it before any instance runs. */
+TEST(BatchRunnerTest, UnknownWatchIsRefusedBeforeAnyInstanceRuns)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "asim_batch_bad_watch";
+    std::filesystem::remove_all(dir);
+    BatchOptions opts;
+    opts.checkpointDir = dir.string();
+    BatchRunner runner(opts);
+    BatchJob job;
+    job.options.specFile = specPath("counter.asim");
+    job.cycles = 5;
+    runner.addJob(job);
+    job.watchName = "nosuch";
+    job.watchValue = 1;
+    runner.addJob(job);
+    try {
+        runner.run();
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_STREQ(e.what(), "batch job 1 (counter.asim): unknown "
+                               "component <nosuch>");
+    }
+    EXPECT_EQ(checkpointsIn(dir), 0u);
     std::filesystem::remove_all(dir);
 }
 

@@ -673,6 +673,27 @@ TEST(Campaign, WatchpointMustBeReachableByGolden)
     EXPECT_THROW(CampaignRunner(o).run(), SimError);
 }
 
+TEST(Campaign, UnknownWatchRefusedBeforeTheGoldenRun)
+{
+    // A watchpoint naming no component is refused before the golden
+    // run builds an engine, transient and splice campaigns alike.
+    for (bool splice : {false, true}) {
+        auto o = campaignFor(kCounterSpec, 8, 1);
+        o.splice = splice;
+        o.watchName = "nosuch";
+        const uint64_t built =
+            metrics::counter("sim.engines_built.vm").value();
+        try {
+            CampaignRunner(o).run();
+            FAIL() << "expected SimError";
+        } catch (const SimError &e) {
+            EXPECT_STREQ(e.what(), "campaign completion watchpoint: "
+                                   "unknown component <nosuch>");
+        }
+        EXPECT_EQ(metrics::counter("sim.engines_built.vm").value(), built);
+    }
+}
+
 TEST(Campaign, TableCarriesTotalsAndJsonOmitsTimings)
 {
     CampaignResult r =

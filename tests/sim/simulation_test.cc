@@ -1,9 +1,10 @@
 /** @file
- * Tests of the Simulation facade and the engine registry: pipeline
+ * Tests of the Simulation facade and the engine table: pipeline
  * assembly from text/file/pre-resolved sources, engine selection by
- * name, scripted I/O, run control (runUntil, watchpoints), batched
- * construction, and snapshot/restore determinism — restoring mid-run
- * must continue cycle-for-cycle identical to an uninterrupted run.
+ * name, scripted I/O, run control (runUntil, watchpoints), instances
+ * built off shared artifacts, and snapshot/restore determinism —
+ * restoring mid-run must continue cycle-for-cycle identical to an
+ * uninterrupted run.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,9 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "lang/writer.hh"
 #include "machines/counter.hh"
@@ -35,18 +39,28 @@ const char *kEchoSpec = "# integer echo\n"
                         "M out 1 in 3 1\n"
                         ".\n";
 
-TEST(EngineRegistryTest, ListsAllThreePaperSystems)
+TEST(EngineTable, ListsEveryEngineInNameOrder)
 {
-    EngineRegistry &reg = EngineRegistry::global();
-    EXPECT_TRUE(reg.contains("interp"));
-    EXPECT_TRUE(reg.contains("vm"));
-    EXPECT_TRUE(reg.contains("native"));
-    EXPECT_TRUE(reg.contains("symbolic"));
-    EXPECT_FALSE(reg.contains("jit"));
+    std::vector<std::string_view> names;
+    for (const EngineInfo &e : kEngines) {
+        names.push_back(e.name);
+        EXPECT_FALSE(e.description.empty()) << e.name;
+    }
+    EXPECT_EQ(names, (std::vector<std::string_view>{"interp", "native",
+                                                    "symbolic", "vm"}));
 
-    auto names = reg.list();
-    EXPECT_GE(names.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    // Every row builds the engine it names.
+    for (const EngineInfo &e : kEngines) {
+        if (e.name == "native" && !NativeEngine::available())
+            continue;
+        SimulationOptions opts;
+        opts.specText = counterSpec(4, 10);
+        opts.engine = e.name;
+        Simulation sim(opts);
+        sim.run(5);
+        EXPECT_EQ(sim.engineName(), e.name);
+        EXPECT_EQ(sim.value("count"), 5) << e.name;
+    }
 }
 
 TEST(EngineRegistryTest, UnknownEngineNamesAlternatives)
@@ -58,23 +72,9 @@ TEST(EngineRegistryTest, UnknownEngineNamesAlternatives)
         Simulation sim(opts);
         FAIL() << "expected SimError";
     } catch (const SimError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("jit"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("vm"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("interp"), std::string::npos) << msg;
+        EXPECT_STREQ(e.what(), "unknown engine <jit>; registered engines: "
+                               "interp, native, symbolic, vm");
     }
-}
-
-TEST(EngineRegistryTest, DuplicateRegistrationThrows)
-{
-    EXPECT_THROW(
-        EngineRegistry::global().add(
-            "vm", "impostor",
-            [](const std::shared_ptr<const ResolvedSpec> &,
-               const EngineContext &) -> std::unique_ptr<Engine> {
-                return nullptr;
-            }),
-        SimError);
 }
 
 TEST(SimulationTest, RunsFromSpecText)
@@ -207,12 +207,29 @@ TEST(SimulationTest, RunUntilCapsAtMaxCycles)
     EXPECT_EQ(sim.cycle(), 10u);
 }
 
+TEST(SimulationTest, WatchOnUnknownComponentThrowsBeforeStepping)
+{
+    SimulationOptions opts;
+    opts.specText = counterSpec(4, 100);
+    Simulation sim(opts);
+    sim.run(3);
+    try {
+        sim.runUntilValue("nosuch", 1, 10);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_STREQ(e.what(), "unknown component <nosuch>");
+    }
+    EXPECT_EQ(sim.cycle(), 3u);
+}
+
 TEST(SimulationTest, BatchSharesOneResolveAcrossInstances)
 {
     SimulationOptions opts;
     opts.specText = counterSpec(4, 100);
-    auto sims = Simulation::makeBatch(opts, 4);
-    ASSERT_EQ(sims.size(), 4u);
+    const SimulationOptions shared = Simulation::shareBatchArtifacts(opts);
+    std::vector<std::unique_ptr<Simulation>> sims;
+    for (int i = 0; i < 4; ++i)
+        sims.push_back(std::make_unique<Simulation>(shared));
     for (size_t i = 1; i < sims.size(); ++i) {
         EXPECT_EQ(&sims[i]->resolved(), &sims[0]->resolved())
             << "batch must share one ResolvedSpec";

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
@@ -18,6 +20,10 @@
 #include "sim/trace.hh"
 #include "sim/vm.hh"
 #include "support/rand.hh"
+
+#ifndef ASIM_SPECS_DIR
+#define ASIM_SPECS_DIR "specs"
+#endif
 
 namespace asim {
 namespace {
@@ -602,6 +608,61 @@ TEST(Vm, TermSpansMatchInterp)
     }
     EXPECT_TRUE(wholeShifted);
     EXPECT_TRUE(rightShift);
+}
+
+/** The resolve of `specs/<name>`, shared the way engines hold it. */
+std::shared_ptr<const ResolvedSpec>
+sharedSpec(const std::string &name)
+{
+    SimulationOptions o;
+    o.specFile = std::string(ASIM_SPECS_DIR) + "/" + name;
+    return std::make_shared<const ResolvedSpec>(Simulation::loadSpec(o));
+}
+
+/** The SimError text makeVm(rs, cfg, program) raises; empty when it
+ *  builds. */
+std::string
+vmRefusal(const std::shared_ptr<const ResolvedSpec> &rs,
+          const EngineConfig &cfg, const Program &program)
+{
+    try {
+        makeVm(rs, cfg, std::make_shared<const Program>(program));
+    } catch (const SimError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Vm, RefusesAProgramOfAnotherSpec)
+{
+    // The program indexes the engine's arrays by its own spec's
+    // shape: counter's program on fig43_memory would run with the
+    // wrong slots.
+    const auto counter = sharedSpec("counter.asim");
+    const auto memory = sharedSpec("fig43_memory.asim");
+    EXPECT_EQ(vmRefusal(memory, {}, compileProgram(*counter)),
+              "shared vm program was compiled from a different "
+              "specification");
+    EXPECT_EQ(vmRefusal(memory, {}, compileProgram(*memory)), "");
+}
+
+TEST(Vm, RefusesAnUntracedProgramUnderATraceSink)
+{
+    // Compiled without trace checks, the program emits none of the
+    // memory's `Write to` / `Read from` lines a sink expects.
+    const auto memory = sharedSpec("fig43_memory.asim");
+    NullTrace sink;
+    EngineConfig traced;
+    traced.trace = &sink;
+    EXPECT_EQ(vmRefusal(memory, traced,
+                        compileProgram(*memory, {}, false)),
+              "shared vm program was compiled without trace checks "
+              "but a trace sink is configured");
+    EXPECT_EQ(vmRefusal(memory, traced, compileProgram(*memory, {}, true)),
+              "");
+    // Trace checks cost an untraced engine nothing but time.
+    EXPECT_EQ(vmRefusal(memory, {}, compileProgram(*memory, {}, true)),
+              "");
 }
 
 } // namespace
