@@ -51,6 +51,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -582,8 +583,17 @@ main(int argc, char **argv)
         flags.printUsage(std::cerr);
         return 1;
     }
-    if (single)
+    if (single) {
+        // A bad engine, fault or flag combination is a bad argument:
+        // exit 1 with the batch's text, before the spec is read.
+        try {
+            Simulation::checkOptions(inv.sim);
+        } catch (const std::runtime_error &e) {
+            std::cerr << e.what() << "\n";
+            return 1;
+        }
         return runSingle(inv);
+    }
 
     // Batch and campaign instances run concurrently; without an
     // explicit --io choice they run with null I/O, never interactive.

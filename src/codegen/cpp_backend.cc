@@ -1,5 +1,6 @@
 #include "codegen/cpp_backend.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "codegen/native.hh"
@@ -345,7 +346,8 @@ CppBackend::emitLibraryHeader()
     // asim_ctx_size lets the loader check that it does.
     ln("// Generated by asim2c from specification:");
     ln("//#" + rs_.comment);
-    ln("// In-process library form: g++ -O2 -fwrapv -fPIC -shared");
+    ln("// In-process library form: g++ -O2 -fwrapv -fPIC -shared "
+       "-nodefaultlibs");
     ln("#include <stdint.h>");
     ln("");
     ln("struct asim_ctx");
@@ -550,6 +552,35 @@ void
 CppBackend::emitSelector(const CombComp &c)
 {
     const std::string dst = ctx_.varName(c.slot);
+    const auto cases = rs_.cases(c);
+    const bool constant =
+        std::all_of(cases.begin(), cases.end(),
+                    [](const ResolvedExpr &e) { return e.isConstant(); });
+    if (constant) {
+        // A ROM (thesis §4.4, the vm's SelTable): one constant table
+        // behind one unsigned bounds check, where a switch of n
+        // constant cases gives the host compiler n blocks to lower.
+        const std::string n = std::to_string(cases.size());
+        ln("    {");
+        ln("        static const int32_t T[" + n + "] = {");
+        std::string row;
+        for (size_t i = 0; i < cases.size(); ++i) {
+            row += (row.empty() ? "            " : " ") +
+                   std::to_string(cases[i].constTotal) + ",";
+            if (row.size() >= 64 || i + 1 == cases.size()) {
+                ln(row);
+                row.clear();
+            }
+        }
+        ln("        };");
+        ln("        const int32_t i = " + expr(rs_.select(c)) + ";");
+        ln("        if ((uint32_t)i >= " + n + "u)");
+        ln("            return selfail(\"" + ctx_.name(c) +
+           "\", i, cyclecount);");
+        ln("        " + dst + " = T[i];");
+        ln("    }");
+        return;
+    }
     ln("    switch (" + expr(rs_.select(c)) + ") {");
     for (size_t i = 0; i < rs_.cases(c).size(); ++i) {
         ln("      case " + std::to_string(i) + ": " + dst + " = " +

@@ -14,17 +14,22 @@
  *    CodegenOptions::emitServeLoop it also carries the `--serve`
  *    command loop of `asim2c --serve`;
  *  - the **library** (generateCppLibrary): `<stdint.h>` only, no
- *    mutable statics, one exported `asim_run(ctx, n)`. The state
- *    lives in the host's arrays, reached through the ctx pointers;
- *    I/O and trace events call host callbacks; a runtime fault
- *    returns a code and names its component in the ctx (the
- *    in-process native engine's ABI, DESIGN.md §5).
+ *    mutable statics, one exported `asim_run(ctx, n)`, and no
+ *    reference to a libc or libstdc++ symbol, so it links without
+ *    either. The state lives in the host's arrays, reached through
+ *    the ctx pointers; I/O and trace events call host callbacks; a
+ *    runtime fault returns a code and names its component in the ctx
+ *    (the in-process native engine's ABI, DESIGN.md §5).
+ *
+ * A selector whose cases are all constants (a ROM, thesis §4.4) is a
+ * `static const` table behind one bounds check; any other selector is
+ * a `switch`.
  *
  * Output formats (trace lines, memory-mapped I/O) match the library
  * engines byte-for-byte so the execution systems can be compared
  * directly. Compile either form with `g++ -O2 -fwrapv` (the library
- * adds `-fPIC -shared`): the value model is wrapping 32-bit
- * two's-complement arithmetic, and -fwrapv makes the emitted
+ * adds `-fPIC -shared -nodefaultlibs`): the value model is wrapping
+ * 32-bit two's-complement arithmetic, and -fwrapv makes the emitted
  * `+`/`-`/`*` expressions implement it exactly.
  */
 

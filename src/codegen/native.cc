@@ -1,18 +1,25 @@
 #include "codegen/native.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "support/logging.hh"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 namespace asim {
 
@@ -44,13 +51,54 @@ writeFile(const std::string &path, const std::string &text)
         throw SimError("cannot write " + path);
 }
 
-int
-shell(const std::string &cmd)
+/** Where a spawned child's stdin, stdout and stderr go: a path each
+ *  (empty = inherited). stderr may name stdout's path to share it. */
+struct Redirects
 {
-    int rc = std::system(cmd.c_str());
-    if (rc < 0)
-        throw SimError("failed to launch: " + cmd);
-    return rc;
+    std::string in, out, err;
+};
+
+/** Run `argv` (argv[0] found on PATH when it holds no slash) with no
+ *  shell between, so no path needs quoting, and wait for it.
+ *  @return the raw wait status
+ *  @throws SimError when the child cannot be started */
+int
+spawnWait(const std::vector<std::string> &argv, const Redirects &io)
+{
+    std::vector<char *> args;
+    for (const std::string &a : argv)
+        args.push_back(const_cast<char *>(a.c_str()));
+    args.push_back(nullptr);
+
+    // Nothing between init and destroy can throw.
+    posix_spawn_file_actions_t fa;
+    posix_spawn_file_actions_init(&fa);
+    const auto redirect = [&](int fd, const std::string &path, int flags) {
+        if (!path.empty())
+            posix_spawn_file_actions_addopen(&fa, fd, path.c_str(), flags,
+                                             0644);
+    };
+    constexpr int kWrite = O_WRONLY | O_CREAT | O_TRUNC;
+    redirect(0, io.in, O_RDONLY);
+    redirect(1, io.out, kWrite);
+    if (!io.err.empty() && io.err == io.out)
+        posix_spawn_file_actions_adddup2(&fa, 1, 2);
+    else
+        redirect(2, io.err, kWrite);
+    pid_t pid = 0;
+    const int err =
+        posix_spawnp(&pid, args[0], &fa, nullptr, args.data(), environ);
+    posix_spawn_file_actions_destroy(&fa);
+    if (err != 0) {
+        throw SimError("failed to launch " + argv[0] + ": " +
+                       std::strerror(err));
+    }
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR)
+            throw SimError("lost the child " + argv[0]);
+    }
+    return status;
 }
 
 std::atomic<uint64_t> compileCount{0};
@@ -105,10 +153,17 @@ buildForm(const ResolvedSpec &rs, const CodegenOptions &opts,
 
     // Phase 2: host compile (Figure 5.1 "Pascal Compile").
     auto c0 = Clock::now();
-    int rc = shell(std::string("g++ -O2 -fwrapv ") +
-                   (library ? "-fPIC -shared " : "") + "-o '" +
-                   build.binaryPath + "' '" + build.generatedPath +
-                   "' > '" + workDir + "/compile.log' 2>&1");
+    // The library references nothing outside itself (<stdint.h>
+    // only), so it links without libstdc++, libm or libc; should gcc
+    // ever emit a helper call, dlopen(RTLD_NOW) binds it from this
+    // process or fails loudly.
+    std::vector<std::string> argv = {"g++", "-O2", "-fwrapv"};
+    if (library)
+        argv.insert(argv.end(), {"-fPIC", "-shared", "-nodefaultlibs"});
+    argv.insert(argv.end(),
+                {"-o", build.binaryPath, build.generatedPath});
+    const std::string log = workDir + "/compile.log";
+    const int rc = spawnWait(argv, {"", log, log});
     build.compileSeconds = seconds(c0, Clock::now());
     if (rc != 0) {
         build.ownedDir.release();
@@ -131,8 +186,14 @@ OwnedDir::~OwnedDir()
 bool
 hostCompilerAvailable()
 {
-    static const bool available =
-        std::system("g++ --version > /dev/null 2>&1") == 0;
+    static const bool available = [] {
+        try {
+            return spawnWait({"g++", "--version"},
+                             {"", "/dev/null", "/dev/null"}) == 0;
+        } catch (const SimError &) {
+            return false;
+        }
+    }();
     return available;
 }
 
@@ -235,10 +296,8 @@ runBinary(const NativeBuild &build, int64_t cycles,
 
     NativeRun run;
     auto r0 = Clock::now();
-    run.exitCode =
-        shell("'" + build.binaryPath + "' " + std::to_string(cycles) +
-              " < '" + inPath + "' > '" + outPath + "' 2> '" + errPath +
-              "'");
+    run.exitCode = spawnWait({build.binaryPath, std::to_string(cycles)},
+                             {inPath, outPath, errPath});
     run.runSeconds = seconds(r0, Clock::now());
     run.stdoutText = readFile(outPath);
     run.stderrText = readFile(errPath);

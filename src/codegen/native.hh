@@ -11,7 +11,8 @@
  * standalone program (`asim2c --lang=cpp`), which runBinary() and
  * compileAndRun() execute as a process. compileSpecShared() and
  * compileSpecCached() build the library form (generateCppLibrary)
- * with `-fPIC -shared` and load it into this process with `dlopen`:
+ * with `-fPIC -shared -nodefaultlibs` (it needs no C or C++ runtime)
+ * and load it into this process with `dlopen`:
  * that is what the "native" engine (sim/native_engine.hh) runs, one
  * call per run(n), through the NativeCtx ABI below (DESIGN.md §5).
  */
@@ -129,7 +130,7 @@ struct NativeRun
 {
     double runSeconds = 0; ///< whole process wall time
     double simSeconds = 0; ///< the loop itself (SIM_NS on stderr)
-    int exitCode = 0;      ///< raw wait status from std::system
+    int exitCode = 0;      ///< raw wait status (waitpid)
     std::string stdoutText;
     std::string stderrText;
 };
@@ -164,10 +165,10 @@ NativeBuild compileSpec(const ResolvedSpec &rs,
                         std::string workDir = "");
 
 /**
- * Generate the library form for `rs`, compile it `-fPIC -shared`, and
- * load it. The returned pointer owns the loaded library and the
- * artifacts: when the last holder drops it, the library is unloaded
- * and a temp-created workDir removed.
+ * Generate the library form for `rs`, compile it `-fPIC -shared
+ * -nodefaultlibs`, and load it. The returned pointer owns the loaded
+ * library and the artifacts: when the last holder drops it, the
+ * library is unloaded and a temp-created workDir removed.
  *
  * @throws SimError if no compiler exists, compilation fails, or the
  *         library does not load

@@ -297,7 +297,7 @@ BatchRunner::run()
         }
         p.budget = static_cast<uint64_t>(budget);
         r.cyclesRequested = p.budget;
-        Simulation::checkOptions(job.options, *p.rs);
+        Simulation::checkOptions(job.options, p.rs.get());
         if (!job.watchName.empty() &&
             p.rs->valueSlot(job.watchName) < 0)
             throw refuse(unknownComponent(job.watchName).what());

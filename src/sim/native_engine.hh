@@ -7,8 +7,9 @@
  *
  * The generated simulator runs **in process** (DESIGN.md §5): the
  * library form of the generated C++ (codegen/cpp_backend.hh) is
- * host-compiled `-fPIC -shared` once, loaded with `dlopen`, and
- * shared read-only by every instance over the same build. The library
+ * host-compiled `-fPIC -shared -nodefaultlibs` once, loaded with
+ * `dlopen`, and shared read-only by every instance over the same
+ * build. The library
  * keeps no state: it runs the cycle body on this engine's own
  * MachineState arrays, so
  *

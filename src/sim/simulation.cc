@@ -98,12 +98,12 @@ buildEngine(const SimulationOptions &opts,
 
 void
 Simulation::checkOptions(const SimulationOptions &opts,
-                         const ResolvedSpec &rs)
+                         const ResolvedSpec *rs)
 {
     if (!opts.fault.empty()) {
         const FaultSite site = parseFaultSite(opts.fault);
-        if (site.atCycle)
-            validateFaultSite(rs, site);
+        if (site.atCycle && rs)
+            validateFaultSite(*rs, site);
     }
     requireEngine(opts.engine);
     if (opts.partitions >= 2 && opts.engine != "interp") {
@@ -203,7 +203,7 @@ Simulation::Simulation(const SimulationOptions &opts)
             span.setArgs("\"components\":" +
                          std::to_string(rs_->comb.size()));
     }
-    checkOptions(opts, *rs_);
+    checkOptions(opts, rs_.get());
     faultArmed_ = hasFault_;
 
     EngineConfig cfg = opts.config;

@@ -166,11 +166,13 @@ class Simulation
     static ResolvedSpec loadSpec(const SimulationOptions &opts,
                                  Diagnostics *diag = nullptr);
 
-    /** The constructor's checks short of building anything: an
-     *  @cycle fault against `rs`, the engine name, and partitions on
-     *  the interp engine only. @throws SpecError, SimError */
+    /** The constructor's checks short of building anything: the
+     *  fault's text and, given `rs`, its @cycle site against it; the
+     *  engine name; and partitions on the interp engine only. Without
+     *  `rs` they run before the spec is read. @throws SpecError,
+     *  SimError */
     static void checkOptions(const SimulationOptions &opts,
-                             const ResolvedSpec &rs);
+                             const ResolvedSpec *rs = nullptr);
 
     /** Parse a script file of whitespace-separated integer inputs;
      *  `#` starts a comment running to end of line. @throws SimError

@@ -43,17 +43,33 @@ TEST(CppBackend, NoTraceOption)
     EXPECT_FALSE(contains(code, "Cycle %3lld"));
 }
 
-TEST(CppBackend, SelectorSwitchWithBoundsDefault)
+/** A selector of constant cases is a ROM: one constant table behind
+ *  one unsigned bounds check. A selector with a computed case keeps
+ *  its switch. */
+TEST(CppBackend, SelectorTableWithBoundsCheck)
 {
     ResolvedSpec rs = resolveText("# sel\n"
-                                  "s m .\n"
+                                  "s t m .\n"
                                   "S s m 1 2\n"
+                                  "S t m m 2\n"
                                   "M m 0 0 0 4\n"
                                   ".\n");
-    std::string code = generateCpp(rs);
-    EXPECT_TRUE(contains(code, "switch (tempm) {"));
-    EXPECT_TRUE(contains(code, "case 0: ljbs = 1; break;"));
-    EXPECT_TRUE(contains(code, "selfail(\"s\""));
+    for (const std::string &code :
+         {generateCpp(rs), generateCppLibrary(rs)}) {
+        EXPECT_TRUE(contains(code, "        static const int32_t T[2] = {\n"
+                                   "            1, 2,\n"
+                                   "        };\n"
+                                   "        const int32_t i = tempm;\n"
+                                   "        if ((uint32_t)i >= 2u)\n"
+                                   "            return selfail(\"s\", i, "
+                                   "cyclecount);\n"
+                                   "        ljbs = T[i];\n"))
+            << code;
+        EXPECT_TRUE(contains(code, "switch (tempm) {"));
+        EXPECT_TRUE(contains(code, "case 0: ljbt = tempm; break;"));
+        EXPECT_TRUE(contains(code, "selfail(\"t\""));
+        EXPECT_FALSE(contains(code, "ljbs = 1;"));
+    }
 }
 
 TEST(CppBackend, MemoryBoundsChecks)
@@ -90,13 +106,19 @@ TEST(CppBackend, FixedShiftSemanticsOption)
     EXPECT_TRUE(contains(b, "value = land(left, mask);"));
 }
 
-TEST(CppBackend, StackMachineGeneratesLargeSwitchTables)
+TEST(CppBackend, StackMachineRomsBecomeTables)
 {
     ResolvedSpec rs =
         resolveText(stackMachineSpec(sieveProgram(5), 1000));
     std::string code = generateCpp(rs);
-    // The 144-state microcode ROM becomes one big switch.
-    EXPECT_GE(countOccurrences(code, "case "), 144);
+    // The 144-state microcode ROM becomes one constant table behind
+    // its own selfail, not 144 switch cases.
+    EXPECT_TRUE(contains(code, "static const int32_t T[144] = {\n"));
+    EXPECT_TRUE(contains(code, "if ((uint32_t)i >= 144u)\n"
+                               "            return selfail(\"uc\", i, "
+                               "cyclecount);\n"
+                               "        ljbuc = T[i];\n"));
+    EXPECT_FALSE(contains(code, "case 143:"));
     EXPECT_TRUE(contains(code, "static int32_t ljbram[256];"));
 }
 

@@ -179,6 +179,38 @@ TEST_F(Native, TempBuildDirsGoWithTheirBuilds)
     fs::remove_all(local);
 }
 
+TEST_F(Native, BuildsUnderADirNamedWithAQuoteAndASpace)
+{
+    // The host compiler and the program start from an argv, with no
+    // shell to misread a quote in a path.
+    namespace fs = std::filesystem;
+    const fs::path local =
+        fs::temp_directory_path() /
+        ("asim-native-test-" + std::to_string(getpid()) + " it's");
+    fs::create_directories(local);
+    const char *saved = std::getenv("TMPDIR");
+    const std::string savedValue = saved ? saved : "";
+    setenv("TMPDIR", local.c_str(), 1);
+
+    // A machine no other test builds, so the engine's build cache
+    // misses and compiles under TMPDIR.
+    ResolvedSpec rs = resolveText(counterSpec(7, 12));
+    const std::string expect = engineOutput(rs, 13, Kind::Interp);
+    EXPECT_EQ(engineOutput(rs, 13, Kind::Native), expect);
+    EXPECT_EQ(compileAndRun(rs, 12).stdoutText, expect);
+    const fs::path workDir = local / "work dir 'quoted'";
+    fs::create_directories(workDir);
+    EXPECT_EQ(compileAndRun(rs, 12, {}, workDir.string()).stdoutText,
+              expect);
+    EXPECT_TRUE(fs::exists(workDir / "simulator"));
+
+    if (saved)
+        setenv("TMPDIR", savedValue.c_str(), 1);
+    else
+        unsetenv("TMPDIR");
+    fs::remove_all(local);
+}
+
 TEST_F(Native, BuildCacheSharesIdenticalCompiles)
 {
     ResolvedSpec rs = resolveText(counterSpec(5, 60));

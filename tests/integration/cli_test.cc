@@ -261,6 +261,25 @@ TEST(Cli, AsimRunRejectsUnknownEngine)
         << r.out;
 }
 
+TEST(Cli, AsimRunOptionsErrorsExitOneLikeTheBatch)
+{
+    // A bad engine name, or partitions on an engine without lanes, is
+    // a bad argument: a single run exits 1 with the batch's text, not
+    // a runtime error.
+    for (const std::string flags :
+         {"--engine=bogus", "--partitions=2 --engine=vm"}) {
+        const std::string tail =
+            " --cycles=5 --io=null " + flags + " " + counterSpec();
+        CmdResult single = run(std::string(ASIM_RUN_BIN) + tail);
+        CmdResult batch = run(std::string(ASIM_RUN_BIN) + " --batch=2" + tail);
+        EXPECT_EQ(WEXITSTATUS(single.status), 1) << flags << single.out;
+        EXPECT_EQ(WEXITSTATUS(batch.status), 1) << flags << batch.out;
+        EXPECT_EQ(single.out, batch.out) << flags;
+        EXPECT_EQ(single.out.find("runtime error"), std::string::npos)
+            << single.out;
+    }
+}
+
 TEST(Cli, AsimRunNativeEngine)
 {
     if (std::system("g++ --version > /dev/null 2>&1") != 0)

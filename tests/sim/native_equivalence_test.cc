@@ -188,8 +188,8 @@ TEST(NativeFaultEquivalence, InjectedFaultsMatchVm)
 /** One fault contract across engines: a native runtime fault raises
  *  interp's SimError text and leaves cycle(), state, statistics, and
  *  trace exactly where interp leaves them; reset() and restore()
- *  recover. Covers a memory address, a selector index, and a computed
- *  ALU function out of range. */
+ *  recover. Covers a memory address, a selector index past the end
+ *  and below zero, and a computed ALU function out of range. */
 TEST(NativeFaultEquivalence, RuntimeFaultMatchesInterp)
 {
     if (!NativeEngine::available())
@@ -210,6 +210,14 @@ TEST(NativeFaultEquivalence, RuntimeFaultMatchesInterp)
         "s* count* next .\n"
         "A next 4 count 1\n"
         "S s count 5 6 7\n"
+        "M count 0 next 1 1\n"
+        ".\n",
+        // a ROM's table lookup gets a negative index at cycle 3
+        "# negative selector index\n"
+        "s* count* n next .\n"
+        "A next 4 count 1\n"
+        "A n 5 2 count\n"
+        "S s n 5 6 7\n"
         "M count 0 next 1 1\n"
         ".\n",
         // a computed ALU function leaves 0..13 at cycle 14
